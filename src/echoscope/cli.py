@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", help="restrict events to FROM..TO epoch seconds")
     p.add_argument("--overlap-mode", dest="overlap_mode", choices=["account", "content", "both"])
     p.add_argument("--unique-domains", dest="unique_domains", action="store_true", default=False)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
     p.add_argument("--no-cache", dest="no_cache", action="store_true", default=False)
     p.add_argument("--heatmap-bins", dest="heatmap_bins", type=int)
     p.add_argument("--sample-n", dest="sample_n", type=int)

@@ -23,14 +23,16 @@ Cache file layout (little-endian, version 1):
 """
 from __future__ import annotations
 
+import contextlib
 import logging
+import os
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import EchoscopeError, InputFormatError
+from .errors import EchoscopeError
 from .ingest import EventLog, FollowEdgeList
 
 OVERLAP_ACCOUNT = "account"
@@ -223,21 +225,32 @@ def sample_friends_by_indegree(
     return [targets[i] for i in idx.tolist()]
 
 
+def random_friend_positions(
+    user: str, n_friends: int, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Positions of a uniform draw without replacement from a user's friend list.
+
+    size clamps to n_friends; drawing every friend (or none) consumes no
+    randomness.
+    """
+    if size > n_friends:
+        logging.getLogger(__name__).warning(
+            "subset size %d exceeds %d friends of %s; clamping", size, n_friends, user
+        )
+        size = n_friends
+    if size <= 0:
+        return np.empty(0, dtype=np.int64)
+    if size == n_friends:
+        return np.arange(n_friends)
+    return rng.choice(n_friends, size=size, replace=False)
+
+
 def sample_random_friend_subset(
     user: str, fg: FollowerGraph, size: int, rng: np.random.Generator
 ) -> frozenset[str]:
     """Uniform sample of friends without replacement; size clamps to |friends|."""
     friends = sorted(fg.friends(user))
-    if size > len(friends):
-        logging.getLogger(__name__).warning(
-            "subset size %d exceeds %d friends of %s; clamping", size, len(friends), user
-        )
-        size = len(friends)
-    if size <= 0:
-        return frozenset()
-    if size == len(friends):
-        return frozenset(friends)
-    idx = rng.choice(len(friends), size=size, replace=False)
+    idx = random_friend_positions(user, len(friends), size, rng)
     return frozenset(friends[i] for i in idx.tolist())
 
 
@@ -259,94 +272,128 @@ def _collect_names(fg: FollowerGraph, rg: RetweetGraph) -> list[str]:
 
 
 def save_graph_cache(path: str, fg: FollowerGraph, rg: RetweetGraph, fingerprint: bytes) -> None:
+    """Write the cache to a temporary file, then move it over ``path``.
+
+    A run killed mid-write leaves at most a stray temporary file, never a
+    partial cache under the real name.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            _write_cache(fh, fg, rg, fingerprint)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _write_cache(fh, fg: FollowerGraph, rg: RetweetGraph, fingerprint: bytes) -> None:
     names = _collect_names(fg, rg)
     index = {name: i for i, name in enumerate(names)}
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<I", CACHE_VERSION))
-        fh.write(struct.pack("<I", len(fingerprint)))
-        fh.write(fingerprint)
-        fh.write(struct.pack("<I", len(names)))
-        for name in names:
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
+    fh.write(CACHE_MAGIC)
+    fh.write(struct.pack("<I", CACHE_VERSION))
+    fh.write(struct.pack("<I", len(fingerprint)))
+    fh.write(fingerprint)
+    fh.write(struct.pack("<I", len(names)))
+    for name in names:
+        raw = name.encode("utf-8")
+        fh.write(struct.pack("<I", len(raw)))
+        fh.write(raw)
 
-        fh.write(struct.pack("<I", len(fg.adjacency)))
-        for seed in sorted(fg.adjacency):
-            friend_idx = sorted(index[f] for f in fg.adjacency[seed])
-            fh.write(struct.pack("<II", index[seed], len(friend_idx)))
-            fh.write(np.asarray(friend_idx, dtype="<u4").tobytes())
-        fh.write(struct.pack("<I", len(fg.indegree)))
-        for name in sorted(fg.indegree):
-            fh.write(struct.pack("<IQ", index[name], fg.indegree[name]))
+    fh.write(struct.pack("<I", len(fg.adjacency)))
+    for seed in sorted(fg.adjacency):
+        friend_idx = sorted(index[f] for f in fg.adjacency[seed])
+        fh.write(struct.pack("<II", index[seed], len(friend_idx)))
+        fh.write(np.asarray(friend_idx, dtype="<u4").tobytes())
+    fh.write(struct.pack("<I", len(fg.indegree)))
+    for name in sorted(fg.indegree):
+        fh.write(struct.pack("<IQ", index[name], fg.indegree[name]))
 
-        fh.write(struct.pack("<I", len(rg.weighted_adjacency)))
-        for user in sorted(rg.weighted_adjacency):
-            weights = rg.weighted_adjacency[user]
-            fh.write(struct.pack("<II", index[user], len(weights)))
-            for target in sorted(weights, key=lambda t: index[t]):
-                fh.write(struct.pack("<IQ", index[target], weights[target]))
-        fh.write(struct.pack("<I", len(rg.indegree)))
-        for name in sorted(rg.indegree):
-            fh.write(struct.pack("<IQ", index[name], rg.indegree[name]))
+    fh.write(struct.pack("<I", len(rg.weighted_adjacency)))
+    for user in sorted(rg.weighted_adjacency):
+        weights = rg.weighted_adjacency[user]
+        fh.write(struct.pack("<II", index[user], len(weights)))
+        for target in sorted(weights, key=lambda t: index[t]):
+            fh.write(struct.pack("<IQ", index[target], weights[target]))
+    fh.write(struct.pack("<I", len(rg.indegree)))
+    for name in sorted(rg.indegree):
+        fh.write(struct.pack("<IQ", index[name], rg.indegree[name]))
 
 
 def load_graph_cache(path: str, fingerprint: bytes) -> Optional[tuple[FollowerGraph, RetweetGraph]]:
-    """Load cached graphs; None when the fingerprint does not match."""
+    """Load cached graphs; None when the file is missing, stale or unreadable.
+
+    A truncated or corrupt file (a short read, a bad name encoding, an index
+    out of range, trailing bytes) reads as a miss, so the caller rebuilds the
+    graphs and overwrites it.
+    """
     try:
-        fh = open(path, "rb")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError:
         return None
-    with fh:
-        def read(fmt: str):
-            size = struct.calcsize(fmt)
-            raw = fh.read(size)
-            if len(raw) != size:
-                raise InputFormatError("truncated cache file", path=str(path))
-            return struct.unpack(fmt, raw)
+    try:
+        return _parse_cache(data, fingerprint)
+    except (struct.error, IndexError, UnicodeDecodeError, ValueError):
+        return None
 
-        if fh.read(8) != CACHE_MAGIC:
-            return None
-        (version,) = read("<I")
-        if version != CACHE_VERSION:
-            return None
-        (fp_len,) = read("<I")
-        if fh.read(fp_len) != fingerprint:
-            return None
 
-        (n_names,) = read("<I")
-        names = []
-        for _ in range(n_names):
-            (ln,) = read("<I")
-            names.append(fh.read(ln).decode("utf-8"))
+def _parse_cache(data: bytes, fingerprint: bytes) -> Optional[tuple[FollowerGraph, RetweetGraph]]:
+    pos = 0
 
-        (n_seeds,) = read("<I")
-        adjacency: dict[str, frozenset[str]] = {}
-        for _ in range(n_seeds):
-            seed_idx, n_friends = read("<II")
-            raw = fh.read(4 * n_friends)
-            idx = np.frombuffer(raw, dtype="<u4")
-            adjacency[names[seed_idx]] = frozenset(names[i] for i in idx.tolist())
-        (n_in,) = read("<I")
-        f_indegree = {}
-        for _ in range(n_in):
-            idx, count = read("<IQ")
-            f_indegree[names[idx]] = count
+    def take(size: int) -> bytes:
+        nonlocal pos
+        if pos + size > len(data):
+            raise ValueError("truncated cache file")
+        pos += size
+        return data[pos - size : pos]
 
-        (n_sources,) = read("<I")
-        weighted: dict[str, dict[str, int]] = {}
-        for _ in range(n_sources):
-            src_idx, n_targets = read("<II")
-            row = {}
-            for _ in range(n_targets):
-                t_idx, weight = read("<IQ")
-                row[names[t_idx]] = weight
-            weighted[names[src_idx]] = row
-        (n_in,) = read("<I")
-        r_indegree = {}
-        for _ in range(n_in):
-            idx, count = read("<IQ")
-            r_indegree[names[idx]] = count
+    def read(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    if take(len(CACHE_MAGIC)) != CACHE_MAGIC:
+        return None
+    (version,) = read("<I")
+    if version != CACHE_VERSION:
+        return None
+    (fp_len,) = read("<I")
+    if take(fp_len) != fingerprint:
+        return None
+
+    (n_names,) = read("<I")
+    names = []
+    for _ in range(n_names):
+        (ln,) = read("<I")
+        names.append(take(ln).decode("utf-8"))
+
+    (n_seeds,) = read("<I")
+    adjacency: dict[str, frozenset[str]] = {}
+    for _ in range(n_seeds):
+        seed_idx, n_friends = read("<II")
+        idx = np.frombuffer(take(4 * n_friends), dtype="<u4")
+        adjacency[names[seed_idx]] = frozenset(names[i] for i in idx.tolist())
+    (n_in,) = read("<I")
+    f_indegree = {}
+    for _ in range(n_in):
+        idx, count = read("<IQ")
+        f_indegree[names[idx]] = count
+
+    (n_sources,) = read("<I")
+    weighted: dict[str, dict[str, int]] = {}
+    for _ in range(n_sources):
+        src_idx, n_targets = read("<II")
+        row = {}
+        for _ in range(n_targets):
+            t_idx, weight = read("<IQ")
+            row[names[t_idx]] = weight
+        weighted[names[src_idx]] = row
+    (n_in,) = read("<I")
+    r_indegree = {}
+    for _ in range(n_in):
+        idx, count = read("<IQ")
+        r_indegree[names[idx]] = count
+    if pos != len(data):
+        raise ValueError("trailing bytes in cache file")
 
     return FollowerGraph(adjacency, f_indegree), RetweetGraph(weighted, r_indegree)

@@ -182,6 +182,14 @@ class EventLog:
     def __len__(self) -> int:
         return len(self.events)
 
+    def restricted(self, window: Optional[tuple[int, int]]) -> "EventLog":
+        """The events with lo <= timestamp <= hi; this log itself when window is None."""
+        if window is None:
+            return self
+        lo, hi = window
+        kept = [ev for ev in self.events if lo <= ev.timestamp <= hi]
+        return EventLog.from_events(kept, self.n_urls_dropped, self.n_self_retweets_dropped)
+
     def events_by(self, author: str) -> Iterator[TweetEvent]:
         for pos in self.user_index.get(author, ()):
             yield self.events[pos]

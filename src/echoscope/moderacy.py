@@ -13,18 +13,34 @@ graph kind (originals and retweets both land in a timeline), so active
 friends weigh more. The fold branch for exposures reuses u's OWN raw mu, and
 the two exposure kinds are normalized jointly so their difference
 (delta = m_e_f - m_e_r) is meaningful.
+
+Users are interned with ids in sorted-name order. ExposureIndex keeps each
+user's totals as vectors indexed by id, and MetricsEngine keeps every seed's
+friends as one sparse row over those ids, so a pool is a sparse product. A
+CSR row lists its columns in ascending id order, so the product adds friends
+in sorted-name order. Everything here sees the log it is given: a time window
+is applied beforehand, with EventLog.restricted.
 """
 from __future__ import annotations
 
 import logging
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 import numpy as np
+from scipy import sparse
 
 from .errors import EchoscopeError
-from .graph import FollowerGraph, RetweetGraph, sample_random_friend_subset
+# sample_random_friend_subset is not called here, but perfbench/tracer.py
+# looks it up in this module, so it stays importable from here.
+from .graph import (  # noqa: F401
+    FollowerGraph,
+    RetweetGraph,
+    random_friend_positions,
+    sample_random_friend_subset,
+)
 from .ingest import DatasetBundle, DomainScoreTable, EventLog, KIND_ORIGINAL
 
 log = logging.getLogger(__name__)
@@ -35,7 +51,10 @@ HARDLINER = "Hardliner"
 FOLLOWER = "follower"
 RETWEET = "retweet"
 
-Window = Optional[tuple[int, int]]  # inclusive [lo, hi] on timestamps
+# Set-of-domains pools are formed a block of seed rows at a time; a block
+# spans at most this many (row, domain) cells, which keeps the product's
+# temporaries to a few MiB however many domains the score table has.
+POOL_BLOCK_CELLS = 1 << 18
 
 
 def fold(mu: float) -> float:
@@ -109,148 +128,165 @@ class ActivityRow:
     moderacy_class: Optional[str]
 
 
-class ExposureIndex:
-    """Per-author prefix sums over the time-ordered log.
+def _fsum_row(matrix: sparse.csr_matrix, row: int, scores: np.ndarray) -> tuple[float, int]:
+    """Exactly rounded score sum over a row's domain columns, and their number."""
+    lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
+    return math.fsum(scores[matrix.indices[lo:hi]].tolist()), int(hi - lo)
 
-    Supports O(log n) window queries for scored-occurrence sums and counts,
-    originals-only sums (for mu), moderate-occurrence counts, and activity.
+
+class ExposureIndex:
+    """Per-user totals over the event log, as vectors indexed by user id.
+
+    Ids number ``names``: the log's authors plus any extra ``users``, sorted.
+    Per id, ``score_sum`` and ``score_count`` cover every scored domain
+    occurrence the user posted, ``moderate`` counts the occurrences whose
+    folded score is moderate, ``orig_sum`` and ``orig_count`` cover original
+    tweets only, and ``n_events`` counts events. ``domains`` and
+    ``original_domains`` are user x domain incidence matrices (all events,
+    originals only) over ``domain_scores``, for set-of-domains means. A user
+    without events has zero totals.
     """
 
-    def __init__(self, log_data: EventLog, table: DomainScoreTable) -> None:
-        per_author: dict[str, list[list]] = {}
-        for ev in log_data.events:
-            rec = per_author.get(ev.author)
-            if rec is None:
-                rec = [[], [], [], [], [], []]
-                per_author[ev.author] = rec
-            ts_l, sum_l, cnt_l, mod_l, osum_l, ocnt_l = rec
-            s_sum = 0.0
-            s_cnt = 0
-            s_mod = 0
+    def __init__(
+        self, log_data: EventLog, table: DomainScoreTable, users: Iterable[str] = ()
+    ) -> None:
+        self.authors = sorted(log_data.user_index)
+        self.names = sorted(set(self.authors).union(users))
+        self.id = {name: i for i, name in enumerate(self.names)}
+        domain_names = sorted(table.scores)
+        domain_id = {d: j for j, d in enumerate(domain_names)}
+        self.domain_scores = np.array([table.scores[d] for d in domain_names], dtype=np.float64)
+        is_moderate = np.array([fold(s) <= 0.5 for s in self.domain_scores.tolist()], dtype=bool)
+
+        ev_user, ev_orig, occ_event, occ_domain = [], [], [], []
+        for e, ev in enumerate(log_data.events):
+            ev_user.append(self.id[ev.author])
+            ev_orig.append(ev.kind == KIND_ORIGINAL)
             for d in ev.domains:
-                score = table.scores.get(d)
-                if score is None:
-                    continue
-                s_sum += score
-                s_cnt += 1
-                if fold(score) <= 0.5:
-                    s_mod += 1
-            ts_l.append(ev.timestamp)
-            sum_l.append(s_sum)
-            cnt_l.append(s_cnt)
-            mod_l.append(s_mod)
-            is_orig = ev.kind == KIND_ORIGINAL
-            osum_l.append(s_sum if is_orig else 0.0)
-            ocnt_l.append(s_cnt if is_orig else 0)
+                j = domain_id.get(d)
+                if j is not None:
+                    occ_event.append(e)
+                    occ_domain.append(j)
+        user = np.asarray(ev_user, dtype=np.int64)
+        orig = np.asarray(ev_orig, dtype=bool)
+        occ_event = np.asarray(occ_event, dtype=np.int64)
+        occ_domain = np.asarray(occ_domain, dtype=np.int64)
+        occ_user = user[occ_event]
+        occ_orig = orig[occ_event]
 
-        self._ts: dict[str, np.ndarray] = {}
-        self._cum_sum: dict[str, np.ndarray] = {}
-        self._cum_cnt: dict[str, np.ndarray] = {}
-        self._cum_mod: dict[str, np.ndarray] = {}
-        self._cum_osum: dict[str, np.ndarray] = {}
-        self._cum_ocnt: dict[str, np.ndarray] = {}
-        for author, (ts_l, sum_l, cnt_l, mod_l, osum_l, ocnt_l) in per_author.items():
-            self._ts[author] = np.asarray(ts_l, dtype=np.int64)
-            self._cum_sum[author] = np.cumsum(np.asarray(sum_l, dtype=np.float64))
-            self._cum_cnt[author] = np.cumsum(np.asarray(cnt_l, dtype=np.int64))
-            self._cum_mod[author] = np.cumsum(np.asarray(mod_l, dtype=np.int64))
-            self._cum_osum[author] = np.cumsum(np.asarray(osum_l, dtype=np.float64))
-            self._cum_ocnt[author] = np.cumsum(np.asarray(ocnt_l, dtype=np.int64))
-        self.authors = sorted(per_author)
-
-    def _span(self, author: str, window: Window) -> tuple[int, int]:
-        ts = self._ts[author]
-        if window is None:
-            return 0, ts.size
-        lo = int(np.searchsorted(ts, window[0], side="left"))
-        hi = int(np.searchsorted(ts, window[1], side="right"))
-        return lo, hi
-
-    @staticmethod
-    def _range(cum: np.ndarray, lo: int, hi: int):
-        if hi <= lo:
-            return cum.dtype.type(0)
-        if lo == 0:
-            return cum[hi - 1]
-        return cum[hi - 1] - cum[lo - 1]
-
-    def scored(self, author: str, window: Window = None) -> tuple[float, int]:
-        if author not in self._ts:
-            return 0.0, 0
-        lo, hi = self._span(author, window)
-        return (
-            float(self._range(self._cum_sum[author], lo, hi)),
-            int(self._range(self._cum_cnt[author], lo, hi)),
+        # bincount adds in input order: each event's scores in URL order, then
+        # each user's event sums in log order
+        n = len(self.names)
+        ev_sum = np.bincount(
+            occ_event, weights=self.domain_scores[occ_domain], minlength=user.size
         )
+        self.score_sum = np.bincount(user, weights=ev_sum, minlength=n)
+        self.score_count = np.bincount(occ_user, minlength=n)
+        self.moderate = np.bincount(occ_user[is_moderate[occ_domain]], minlength=n)
+        self.orig_sum = np.bincount(user[orig], weights=ev_sum[orig], minlength=n)
+        self.orig_count = np.bincount(occ_user[occ_orig], minlength=n)
+        self.n_events = np.bincount(user, minlength=n)
+        shape = (n, len(domain_names))
+        self.domains = _incidence(occ_user, occ_domain, shape)
+        self.original_domains = _incidence(occ_user[occ_orig], occ_domain[occ_orig], shape)
 
-    def moderate_count(self, author: str, window: Window = None) -> int:
-        if author not in self._ts:
-            return 0
-        lo, hi = self._span(author, window)
-        return int(self._range(self._cum_mod[author], lo, hi))
-
-    def original_scored(self, author: str, window: Window = None) -> tuple[float, int]:
-        if author not in self._ts:
+    def scored(self, author: str) -> tuple[float, int]:
+        i = self.id.get(author)
+        if i is None:
             return 0.0, 0
-        lo, hi = self._span(author, window)
-        return (
-            float(self._range(self._cum_osum[author], lo, hi)),
-            int(self._range(self._cum_ocnt[author], lo, hi)),
-        )
+        return float(self.score_sum[i]), int(self.score_count[i])
 
-    def activity(self, author: str, window: Window = None) -> int:
-        if author not in self._ts:
-            return 0
-        lo, hi = self._span(author, window)
-        return hi - lo
+    def moderate_count(self, author: str) -> int:
+        i = self.id.get(author)
+        return 0 if i is None else int(self.moderate[i])
+
+    def original_scored(self, author: str) -> tuple[float, int]:
+        i = self.id.get(author)
+        if i is None:
+            return 0.0, 0
+        return float(self.orig_sum[i]), int(self.orig_count[i])
+
+    def activity(self, author: str) -> int:
+        i = self.id.get(author)
+        return 0 if i is None else int(self.n_events[i])
+
+    def original_totals(self, author: str, unique_domains: bool = False) -> tuple[float, int]:
+        """Score total and count over original tweets: occurrences, or distinct domains."""
+        if not unique_domains:
+            return self.original_scored(author)
+        i = self.id.get(author)
+        if i is None:
+            return 0.0, 0
+        return _fsum_row(self.original_domains, i, self.domain_scores)
+
+    def pool_means(self, pools: sparse.csr_matrix, unique_domains: bool = False) -> np.ndarray:
+        """Mean score of the content pooled by each row of a row x user matrix.
+
+        NaN where a row pools nothing scored. Multiset means weigh every
+        occurrence; set means count each distinct domain once and are exactly
+        rounded.
+        """
+        out = np.full(pools.shape[0], np.nan)
+        if not unique_domains:
+            count = pools @ self.score_count
+            np.divide(pools @ self.score_sum, count, out=out, where=count > 0)
+            return out
+        step = max(1, POOL_BLOCK_CELLS // max(1, self.domains.shape[1]))
+        for start in range(0, pools.shape[0], step):
+            # entries are occurrence counts, so every stored entry is positive
+            block = pools[start : start + step] @ self.domains
+            for r in range(block.shape[0]):
+                total, count = _fsum_row(block, r, self.domain_scores)
+                if count:
+                    out[start + r] = total / count
+        return out
 
 
-def _in_window(ts: int, window: Window) -> bool:
-    return window is None or (window[0] <= ts <= window[1])
+def _incidence(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> sparse.csr_matrix:
+    """Row x column occurrence counts as CSR."""
+    data = np.ones(rows.size, dtype=np.int64)
+    return sparse.csr_matrix((data, (rows, cols)), shape=shape)
 
 
-def _unique_original_domains(
-    user: str, log_data: EventLog, table: DomainScoreTable, window: Window
-) -> set[str]:
-    out: set[str] = set()
-    for ev in log_data.events_by(user):
-        if ev.kind == KIND_ORIGINAL and _in_window(ev.timestamp, window):
-            out.update(d for d in ev.domains if d in table.scores)
-    return out
+def _user_rows(
+    index: ExposureIndex, rows: list[Union[frozenset[str], dict[str, int]]]
+) -> sparse.csr_matrix:
+    """One CSR row per entry of ``rows`` over the index's user ids, columns ascending.
 
-
-def _unique_pool_domains(
-    friends: Iterable[str], log_data: EventLog, table: DomainScoreTable, window: Window
-) -> set[str]:
-    out: set[str] = set()
-    for friend in friends:
-        for ev in log_data.events_by(friend):
-            if _in_window(ev.timestamp, window):
-                out.update(d for d in ev.domains if d in table.scores)
-    return out
+    An entry is a set of names (weight 1 each) or a name -> weight map.
+    """
+    cols = array("q")
+    weights = array("q")
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    for r, row in enumerate(rows):
+        cols.extend(map(index.id.__getitem__, row))
+        if isinstance(row, dict):
+            weights.extend(row.values())
+        else:
+            weights.extend([1] * len(row))
+        indptr[r + 1] = len(cols)
+    matrix = sparse.csr_matrix(
+        (np.array(weights, dtype=np.int64), np.array(cols, dtype=np.int64), indptr),
+        shape=(len(rows), len(index.names)),
+    )
+    matrix.sort_indices()
+    return matrix
 
 
 def individual_moderacy(
     user: str,
     log_data: EventLog,
     table: DomainScoreTable,
-    window: Window = None,
     unique_domains: bool = False,
     index: Optional[ExposureIndex] = None,
 ) -> Optional[tuple[float, float]]:
     """(mu, folded) over the user's original tweets, or None if unscored."""
-    if unique_domains:
-        domains = _unique_original_domains(user, log_data, table, window)
-        if not domains:
-            return None
-        mu = math.fsum(table.scores[d] for d in domains) / len(domains)
-    else:
-        if index is None:
-            index = ExposureIndex(log_data, table)
-        total, count = index.original_scored(user, window)
-        if count == 0:
-            return None
-        mu = total / count
+    if index is None:
+        index = ExposureIndex(log_data, table)
+    total, count = index.original_totals(user, unique_domains)
+    if count == 0:
+        return None
+    mu = total / count
     return mu, fold(mu)
 
 
@@ -272,41 +308,27 @@ def exposure_moderacy(
     log_data: EventLog,
     table: DomainScoreTable,
     k: int = 1,
-    window: Window = None,
     unique_domains: bool = False,
     index: Optional[ExposureIndex] = None,
 ) -> Optional[tuple[float, float]]:
     """(raw pool mean, folded by the user's own mu branch), or None.
 
     None when the friend set is empty, the pool has no scored occurrence, or
-    the user has no mu (the fold branch would be undefined).
+    the user has no mu (the fold branch would be undefined). A given index
+    must know every friend.
     """
     friends = _friend_set(user, kind, fg, rg, k)
     if not friends:
         return None
     if index is None:
-        index = ExposureIndex(log_data, table)
-    own = individual_moderacy(user, log_data, table, window, unique_domains, index)
+        index = ExposureIndex(log_data, table, friends)
+    own = individual_moderacy(user, log_data, table, unique_domains, index)
     if own is None:
         return None
-    mu_user = own[0]
-    if unique_domains:
-        domains = _unique_pool_domains(friends, log_data, table, window)
-        if not domains:
-            return None
-        raw = math.fsum(table.scores[d] for d in domains) / len(domains)
-    else:
-        total = 0.0
-        count = 0
-        for friend in sorted(friends):
-            s, c = index.scored(friend, window)
-            total += s
-            count += c
-        if count == 0:
-            return None
-        raw = total / count
-    folded = raw if mu_user > 0.5 else 1.0 - raw
-    return raw, folded
+    raw = float(index.pool_means(_user_rows(index, [friends]), unique_domains)[0])
+    if math.isnan(raw):
+        return None
+    return raw, (raw if own[0] > 0.5 else 1.0 - raw)
 
 
 def exposure_delta(metrics: UserMetrics) -> Optional[float]:
@@ -317,50 +339,31 @@ def exposure_delta(metrics: UserMetrics) -> Optional[float]:
 
 
 def exposure_class_fractions(
-    user: str,
-    kind: str,
-    fg: FollowerGraph,
-    rg: RetweetGraph,
-    log_data: EventLog,
-    table: DomainScoreTable,
-    k: int = 1,
-    window: Window = None,
-    index: Optional[ExposureIndex] = None,
-) -> Optional[ExposureProfile]:
-    """Share of moderate vs hardline occurrences in the exposure pool.
+    engine: "MetricsEngine", kind: str, k: int = 1
+) -> dict[str, ExposureProfile]:
+    """Share of moderate vs hardline occurrences in each seed's exposure pool.
 
     Each occurrence is classified on its own: fold(score) then the standard
-    class boundary, so only exactly-centrist domains count as moderate.
+    class boundary, so only exactly-centrist domains count as moderate. Seeds
+    whose pool holds no scored occurrence are absent.
     """
-    friends = _friend_set(user, kind, fg, rg, k)
-    if not friends:
-        return None
-    if index is None:
-        index = ExposureIndex(log_data, table)
-    n_mod = 0
-    n_total = 0
-    for friend in sorted(friends):
-        _, c = index.scored(friend, window)
-        n_total += c
-        n_mod += index.moderate_count(friend, window)
-    if n_total == 0:
-        return None
-    return ExposureProfile(
-        user, kind, n_mod / n_total, (n_total - n_mod) / n_total, n_total
-    )
+    pools = engine.pool_matrix(kind, k)
+    n_total = pools @ engine.index.score_count
+    n_mod = pools @ engine.index.moderate
+    profiles = {}
+    for row in np.flatnonzero(n_total).tolist():
+        total, mod = int(n_total[row]), int(n_mod[row])
+        user = engine.seeds[row]
+        profiles[user] = ExposureProfile(user, kind, mod / total, (total - mod) / total, total)
+    return profiles
 
 
 def random_baseline_fractions(
+    engine: "MetricsEngine",
     user: str,
-    fg: FollowerGraph,
-    rg: RetweetGraph,
-    log_data: EventLog,
-    table: DomainScoreTable,
-    k: int = 1,
     reps: int = 1000,
     rng: Optional[np.random.Generator] = None,
-    window: Window = None,
-    index: Optional[ExposureIndex] = None,
+    k: int = 1,
 ) -> Optional[ExposureProfile]:
     """Class fractions from random friend subsets matched in size.
 
@@ -371,26 +374,22 @@ def random_baseline_fractions(
     """
     if rng is None:
         raise EchoscopeError("random_baseline_fractions needs an explicit rng")
-    rt_friends = rg.retweet_friends(user, k)
-    if not rt_friends:
+    row = engine.seed_row.get(user)
+    if row is None:
         return None
-    friends = fg.friends(user)
-    if not friends:
+    weights = engine.retweets.data[engine.retweets.indptr[row] : engine.retweets.indptr[row + 1]]
+    size = int(np.count_nonzero(weights >= k))
+    friends = engine.follow.indices[engine.follow.indptr[row] : engine.follow.indptr[row + 1]]
+    if size == 0 or friends.size == 0:
         return None
-    size = len(rt_friends)
-    if index is None:
-        index = ExposureIndex(log_data, table)
+    # columns ascend in name order, so position i is the i-th friend by name
+    counts = np.stack([engine.index.score_count[friends], engine.index.moderate[friends]])
     frac_mod_sum = 0.0
     n_contributing = 0
     occurrences = 0
     for _ in range(reps):
-        subset = sample_random_friend_subset(user, fg, size, rng)
-        n_mod = 0
-        n_total = 0
-        for friend in sorted(subset):
-            _, c = index.scored(friend, window)
-            n_total += c
-            n_mod += index.moderate_count(friend, window)
+        picked = random_friend_positions(user, friends.size, size, rng)
+        n_total, n_mod = counts[:, picked].sum(axis=1).tolist()
         if n_total == 0:
             continue
         frac_mod_sum += n_mod / n_total
@@ -408,7 +407,6 @@ def friend_activity_comparison(
     log_data: EventLog,
     class_by_user: Optional[dict[str, str]] = None,
     k: int = 1,
-    window: Window = None,
     index: Optional[ExposureIndex] = None,
     table: Optional[DomainScoreTable] = None,
 ) -> list[ActivityRow]:
@@ -434,7 +432,7 @@ def friend_activity_comparison(
         rows.append(
             ActivityRow(
                 friend,
-                index.activity(friend, window),
+                index.activity(friend),
                 friend in retweeted,
                 class_by_user.get(friend),
             )
@@ -488,6 +486,10 @@ class MetricsEngine:
     (seeds and friends alike) so friend classes are defined for the
     congruence and entropy analyses. Exposure values are normalized jointly
     across both graph kinds, per threshold.
+
+    ``follow`` is the seed x user follower matrix and ``retweets`` the seed x
+    user retweet-count matrix, rows in sorted seed order (``seeds``) and
+    columns over the index's user ids.
     """
 
     def __init__(
@@ -495,35 +497,31 @@ class MetricsEngine:
         bundle: DatasetBundle,
         fg: FollowerGraph,
         rg: RetweetGraph,
-        window: Window = None,
         unique_domains: bool = False,
     ) -> None:
-        self.bundle = bundle
-        self.fg = fg
-        self.rg = rg
-        self.window = window
         self.unique_domains = unique_domains
-        self.index = ExposureIndex(bundle.log, bundle.scores)
+        self.seeds = sorted(bundle.seeds)
+        self.seed_row = {user: i for i, user in enumerate(self.seeds)}
+        follow_rows = [fg.adjacency.get(user, frozenset()) for user in self.seeds]
+        retweet_rows = [rg.weighted_adjacency.get(user, {}) for user in self.seeds]
+        self.index = ExposureIndex(
+            bundle.log, bundle.scores, set().union(*follow_rows, *retweet_rows)
+        )
+        self.follow = _user_rows(self.index, follow_rows)
+        self.retweets = _user_rows(self.index, retweet_rows)
         self.warnings: list[str] = []
 
         self.mu_by_user: dict[str, float] = {}
         self.domain_count: dict[str, int] = {}
         folded: dict[str, float] = {}
         for author in self.index.authors:
-            result = individual_moderacy(
-                author, bundle.log, bundle.scores, window, unique_domains, self.index
-            )
-            if result is None:
+            total, count = self.index.original_totals(author, unique_domains)
+            if count == 0:
                 continue
-            mu, fold_val = result
+            mu = total / count
             self.mu_by_user[author] = mu
-            folded[author] = fold_val
-            if unique_domains:
-                self.domain_count[author] = len(
-                    _unique_original_domains(author, bundle.log, bundle.scores, window)
-                )
-            else:
-                self.domain_count[author] = self.index.original_scored(author, window)[1]
+            self.domain_count[author] = count
+            folded[author] = fold(mu)
         if folded:
             values = set(folded.values())
             if len(values) == 1:
@@ -532,26 +530,26 @@ class MetricsEngine:
         else:
             self.m_s_by_user = {}
         self.class_by_user = {u: classify(v) for u, v in self.m_s_by_user.items()}
+        self._seed_mu = np.array([self.mu_by_user.get(u, np.nan) for u in self.seeds])
         self._raw_f: Optional[dict[str, float]] = None
 
+    def pool_matrix(self, kind: str, k: int = 1) -> sparse.csr_matrix:
+        """Seed x user matrix whose row holds the friends a seed pools under a graph kind."""
+        if kind == FOLLOWER:
+            return self.follow
+        if kind == RETWEET:
+            pools = self.retweets.copy()
+            pools.data = (pools.data >= k).astype(np.int64)
+            pools.eliminate_zeros()
+            return pools
+        raise EchoscopeError(f"unknown graph kind {kind!r}")
+
     def _raw_exposures(self, kind: str, k: int) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for user in sorted(self.bundle.seeds):
-            result = exposure_moderacy(
-                user,
-                kind,
-                self.fg,
-                self.rg,
-                self.bundle.log,
-                self.bundle.scores,
-                k,
-                self.window,
-                self.unique_domains,
-                self.index,
-            )
-            if result is not None:
-                out[user] = result[1]
-        return out
+        """Raw pool mean, folded by the seed's own mu, for seeds with both defined."""
+        raw = self.index.pool_means(self.pool_matrix(kind, k), self.unique_domains)
+        folded = np.where(self._seed_mu > 0.5, raw, 1.0 - raw)
+        rows = np.flatnonzero(~np.isnan(raw) & ~np.isnan(self._seed_mu))
+        return {self.seeds[i]: v for i, v in zip(rows.tolist(), folded[rows].tolist())}
 
     def exposures_at(self, k: int) -> tuple[dict[str, float], dict[str, float]]:
         """Jointly normalized (m_e_f, m_e_r) maps for seed users at threshold k."""
@@ -599,15 +597,3 @@ class MetricsEngine:
             k=k,
             warnings=tuple(self.warnings),
         )
-
-
-def compute_user_metrics(
-    bundle: DatasetBundle,
-    fg: FollowerGraph,
-    rg: RetweetGraph,
-    k: int = 1,
-    window: Window = None,
-    unique_domains: bool = False,
-) -> MetricsSet:
-    """One-shot helper around MetricsEngine for a single threshold."""
-    return MetricsEngine(bundle, fg, rg, window, unique_domains).metrics_at(k)

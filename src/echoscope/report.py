@@ -8,13 +8,13 @@ locations never leak into file contents.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .graph import (
     sample_friends_by_indegree,
     save_graph_cache,
 )
-from .ingest import DatasetBundle, EventLog, load_dataset
+from .ingest import DatasetBundle, load_dataset
 from .moderacy import (
     FOLLOWER,
     HARDLINER,
@@ -69,7 +69,7 @@ class RunConfig:
     seed: int = 1
     overlap_mode: str = OVERLAP_BOTH
     unique_domains: bool = False
-    threads: int = 1
+    threads: int = 1  # accepted and validated; the report runs single-threaded
     no_cache: bool = False
     heatmap_bins: int = 25
     sample_n: int = 500000
@@ -148,14 +148,6 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[Iterable]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _map_ordered(fn: Callable, items: list, threads: int) -> list:
-    """Apply fn to items, in parallel when asked, preserving input order."""
-    if threads <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _corr_block(xs: list[float], ys: list[float]) -> dict:
     try:
         result = pearson(xs, ys)
@@ -221,14 +213,6 @@ class ReportBundle:
         }
 
 
-def _restrict_window(log: EventLog, window: Optional[tuple[int, int]]) -> EventLog:
-    if window is None:
-        return log
-    lo, hi = window
-    kept = [ev for ev in log.events if lo <= ev.timestamp <= hi]
-    return EventLog.from_events(kept, log.n_urls_dropped, log.n_self_retweets_dropped)
-
-
 def graph_fingerprint(cfg: RunConfig) -> bytes:
     digest = hashlib.sha256()
     digest.update(b"echoscope-graph-cache-v1\x00")
@@ -257,23 +241,21 @@ def build_graphs(
 def build_report(
     bundle: DatasetBundle,
     cfg: RunConfig,
-    fg: Optional[FollowerGraph] = None,
-    rg: Optional[RetweetGraph] = None,
     input_meta: Optional[dict] = None,
+    cache_path: Optional[Path] = None,
 ) -> ReportBundle:
-    """Run the full analysis pipeline over one bundle."""
+    """Run the full analysis pipeline over one bundle.
+
+    The event log is restricted to cfg.window here, once, before anything is
+    built from it; graphs go through the cache at cache_path when given.
+    """
     markers: list[str] = []
-    log = _restrict_window(bundle.log, cfg.window)
-    if cfg.window is not None and len(log) == 0:
+    bundle = dataclasses.replace(bundle, log=bundle.log.restricted(cfg.window))
+    if cfg.window is not None and len(bundle.log) == 0:
         markers.append("window excludes every event")
-    bundle = DatasetBundle(bundle.scores, bundle.edges, log, bundle.seeds)
+    fg, rg = build_graphs(bundle, cfg, cache_path)
 
-    if fg is None:
-        fg = build_follower_graph(bundle.edges, bundle.seeds)
-    if rg is None:
-        rg = build_retweet_graph(bundle.log, bundle.seeds)
-
-    engine = MetricsEngine(bundle, fg, rg, window=None, unique_domains=cfg.unique_domains)
+    engine = MetricsEngine(bundle, fg, rg, unique_domains=cfg.unique_domains)
     if not engine.m_s_by_user:
         markers.append("no scored users")
 
@@ -337,16 +319,12 @@ def build_report(
         "baseline": {MODERATE: [], HARDLINER: []},
     }
     seeds_sorted = sorted(bundle.seeds)
-    for user in seeds_sorted:
-        ucls = class_by_user.get(user)
-        if ucls is None:
-            continue
-        for kind in (FOLLOWER, RETWEET):
-            profile = exposure_class_fractions(
-                user, kind, fg, rg, bundle.log, bundle.scores, 1, None, engine.index
-            )
-            if profile is not None:
-                fractions_by_kind[kind][ucls].append(profile)
+    for kind in (FOLLOWER, RETWEET):
+        profiles = exposure_class_fractions(engine, kind, 1)
+        for user in seeds_sorted:
+            ucls = class_by_user.get(user)
+            if ucls is not None and user in profiles:
+                fractions_by_kind[kind][ucls].append(profiles[user])
 
     baseline_candidates = [
         u
@@ -360,14 +338,9 @@ def build_report(
         )
         baseline_candidates = [baseline_candidates[i] for i in sorted(chosen.tolist())]
 
-    def _baseline_for(user: str):
+    for user in baseline_candidates:
         rng = substream(cfg.seed, "baseline", user)
-        return random_baseline_fractions(
-            user, fg, rg, bundle.log, bundle.scores, 1, cfg.reps, rng, None, engine.index
-        )
-
-    baseline_profiles = _map_ordered(_baseline_for, baseline_candidates, cfg.threads)
-    for user, profile in zip(baseline_candidates, baseline_profiles):
+        profile = random_baseline_fractions(engine, user, cfg.reps, rng, 1)
         if profile is not None:
             fractions_by_kind["baseline"][class_by_user[user]].append(profile)
 
@@ -429,7 +402,7 @@ def build_report(
 
     # activity of retweeted vs not-retweeted friends
     activity_rows_data = friend_activity_comparison(
-        fg, rg, bundle.log, class_by_user, 1, None, engine.index
+        fg, rg, bundle.log, class_by_user, 1, engine.index
     )
     retweeted_acts = [r.activity for r in activity_rows_data if r.retweeted]
     not_retweeted_acts = [r.activity for r in activity_rows_data if not r.retweeted]
@@ -668,8 +641,9 @@ def write_report(report: ReportBundle, out_dir: str) -> list[str]:
 def run_report(cfg: RunConfig) -> ReportBundle:
     """Load inputs, build graphs (cached unless disabled), write everything."""
     bundle = load_dataset(cfg.scores, cfg.edges, cfg.events)
+    # content hashes only: the same inputs at another path give the same bytes
     input_meta = {
-        name: {"path": path, "sha256": _sha256_file(path)}
+        name: {"sha256": _sha256_file(path)}
         for name, path in (
             ("scores", cfg.scores),
             ("edges", cfg.edges),
@@ -678,9 +652,6 @@ def run_report(cfg: RunConfig) -> ReportBundle:
     }
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    log = _restrict_window(bundle.log, cfg.window)
-    windowed = DatasetBundle(bundle.scores, bundle.edges, log, bundle.seeds)
-    fg, rg = build_graphs(windowed, cfg, out / "graphs.cache")
-    report = build_report(bundle, cfg, fg, rg, input_meta)
+    report = build_report(bundle, cfg, input_meta, out / "graphs.cache")
     write_report(report, cfg.out_dir)
     return report

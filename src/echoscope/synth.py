@@ -19,11 +19,12 @@ The generative model, all driven by counter-based substreams of one seed:
                 carry the original's URL and a timestamp at or after it.
 
 Also home to the brute-force verifier: oracle_metrics recomputes every
-per-user metric by direct scans over the bundle, sharing no code with the
-analysis modules.
+per-user metric, exposure class fractions included, by direct scans over the
+bundle, sharing no code with the analysis modules.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -309,6 +310,10 @@ class OracleMetrics:
     overlap_content: dict[str, float]
     entropy_f: dict[str, float]
     entropy_r: dict[str, float]
+    frac_moderate_f: dict[str, float]
+    frac_moderate_r: dict[str, float]
+    frac_hardline_f: dict[str, float]
+    frac_hardline_r: dict[str, float]
 
 
 def oracle_metrics(
@@ -316,7 +321,6 @@ def oracle_metrics(
     table: Optional[DomainScoreTable] = None,
     k: int = 1,
     n_bins: int = 5,
-    window: Optional[tuple[int, int]] = None,
     unique_domains: bool = False,
     max_events: int = 1000,
 ) -> OracleMetrics:
@@ -333,9 +337,6 @@ def oracle_metrics(
     scores = (table or bundle.scores).scores
     seeds = set(bundle.seeds)
 
-    def in_window(ts: int) -> bool:
-        return window is None or (window[0] <= ts <= window[1])
-
     by_author: dict[str, list] = {}
     for ev in events:
         by_author.setdefault(ev.author, []).append(ev)
@@ -346,7 +347,7 @@ def oracle_metrics(
         if unique_domains:
             seen = set()
             for ev in evs:
-                if ev.kind == "original" and in_window(ev.timestamp):
+                if ev.kind == "original":
                     for d in ev.domains:
                         if d in scores:
                             seen.add(d)
@@ -355,7 +356,7 @@ def oracle_metrics(
         else:
             total, count = 0.0, 0
             for ev in evs:
-                if ev.kind == "original" and in_window(ev.timestamp):
+                if ev.kind == "original":
                     for d in ev.domains:
                         if d in scores:
                             total += scores[d]
@@ -398,21 +399,19 @@ def oracle_metrics(
             seen = set()
             for fr in sorted(friend_set):
                 for ev in by_author.get(fr, ()):
-                    if in_window(ev.timestamp):
-                        for d in ev.domains:
-                            if d in scores:
-                                seen.add(d)
+                    for d in ev.domains:
+                        if d in scores:
+                            seen.add(d)
             if not seen:
                 return None
             return sum(scores[d] for d in sorted(seen)) / len(seen)
         total, count = 0.0, 0
         for fr in sorted(friend_set):
             for ev in by_author.get(fr, ()):
-                if in_window(ev.timestamp):
-                    for d in ev.domains:
-                        if d in scores:
-                            total += scores[d]
-                            count += 1
+                for d in ev.domains:
+                    if d in scores:
+                        total += scores[d]
+                        count += 1
         if count == 0:
             return None
         return total / count
@@ -432,6 +431,26 @@ def oracle_metrics(
     m_e_f = {u: v for (kind, u), v in exposure_norm.items() if kind == "f"}
     m_e_r = {u: v for (kind, u), v in exposure_norm.items() if kind == "r"}
     delta = {u: m_e_f[u] - m_e_r[u] for u in m_e_f if u in m_e_r}
+
+    # per-occurrence classes in each seed's pool, for every seed (scored or
+    # not) whose pool holds a scored occurrence
+    fractions: dict[str, dict[str, float]] = {
+        "moderate_f": {}, "moderate_r": {}, "hardline_f": {}, "hardline_r": {}
+    }
+    for user in sorted(seeds):
+        for kind, fset in (("f", friends.get(user, set())), ("r", rt_friends(user))):
+            n_mod, n_total = 0, 0
+            for fr in fset:
+                for ev in by_author.get(fr, ()):
+                    for d in ev.domains:
+                        if d in scores:
+                            n_total += 1
+                            s = scores[d]
+                            if (s if s > 0.5 else 1.0 - s) <= 0.5:
+                                n_mod += 1
+            if n_total:
+                fractions["moderate_" + kind][user] = n_mod / n_total
+                fractions["hardline_" + kind][user] = (n_total - n_mod) / n_total
 
     frac_rt: dict[str, float] = {}
     overlap_account: dict[str, float] = {}
@@ -478,6 +497,10 @@ def oracle_metrics(
         overlap_content=overlap_content,
         entropy_f=entropy_f,
         entropy_r=entropy_r,
+        frac_moderate_f=fractions["moderate_f"],
+        frac_moderate_r=fractions["moderate_r"],
+        frac_hardline_f=fractions["hardline_f"],
+        frac_hardline_r=fractions["hardline_r"],
     )
 
 
@@ -507,21 +530,23 @@ def compare_with_oracle(
     unique_domains: bool = False,
     max_events: int = 1000,
 ) -> OracleDiff:
-    """Run the engine and the oracle on a bundle and diff every metric."""
+    """Run the engine and the oracle on a bundle and diff every metric.
+
+    A window restricts the log up front; both sides see only its events.
+    """
     from . import graph as graph_mod
     from . import moderacy as mod
     from . import stats as stats_mod
 
-    oracle = oracle_metrics(
-        bundle, None, k, n_bins, window, unique_domains, max_events
-    )
+    bundle = dataclasses.replace(bundle, log=bundle.log.restricted(window))
+    oracle = oracle_metrics(bundle, None, k, n_bins, unique_domains, max_events)
 
     if not bundle.seeds and not bundle.log.events:
         # nothing to analyze on either route: vacuous agreement
         return OracleDiff(0.0, "none", 0, (), ())
     fg = graph_mod.build_follower_graph(bundle.edges, bundle.seeds)
     rg = graph_mod.build_retweet_graph(bundle.log, bundle.seeds)
-    engine = mod.MetricsEngine(bundle, fg, rg, window, unique_domains)
+    engine = mod.MetricsEngine(bundle, fg, rg, unique_domains)
     metrics = engine.metrics_at(k)
 
     engine_maps: dict[str, dict[str, float]] = {
@@ -536,6 +561,10 @@ def compare_with_oracle(
         "entropy_f": {},
         "entropy_r": {},
     }
+    for kind, tag in ((mod.FOLLOWER, "f"), (mod.RETWEET, "r")):
+        profiles = mod.exposure_class_fractions(engine, kind, k)
+        engine_maps["frac_moderate_" + tag] = {u: p.frac_moderate for u, p in profiles.items()}
+        engine_maps["frac_hardline_" + tag] = {u: p.frac_hardline for u, p in profiles.items()}
     for user in sorted(bundle.seeds):
         v = graph_mod.fraction_friends_retweeted(user, fg, rg, k)
         if v is not None:
@@ -563,6 +592,10 @@ def compare_with_oracle(
         "overlap_content": oracle.overlap_content,
         "entropy_f": oracle.entropy_f,
         "entropy_r": oracle.entropy_r,
+        "frac_moderate_f": oracle.frac_moderate_f,
+        "frac_moderate_r": oracle.frac_moderate_r,
+        "frac_hardline_f": oracle.frac_hardline_f,
+        "frac_hardline_r": oracle.frac_hardline_r,
     }
     # the oracle scores every author; the engine does too, via the same log
     presence_mismatches: list[str] = []

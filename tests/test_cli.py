@@ -201,6 +201,39 @@ def test_report_cache_reused_and_bypassed(dataset_dir, tmp_path):
     assert (out / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
+def read_outputs(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_report_recovers_from_truncated_cache(dataset_dir, tmp_path):
+    clean = tmp_path / "clean"
+    assert main(report_args(dataset_dir, clean)) == 0
+    expected = read_outputs(clean)
+    cache = expected["graphs.cache"]
+    out = tmp_path / "rerun"
+    # inside the header fields, then about 40 cuts spread over the rest
+    offsets = {0, 1, 7, 8, 12, 16, len(cache) - 1}
+    offsets.update(range(0, len(cache), len(cache) // 40 + 1))
+    for cut in sorted(offsets):
+        out.mkdir(exist_ok=True)
+        (out / "graphs.cache").write_bytes(cache[:cut])
+        assert main(report_args(dataset_dir, out)) == 0, cut
+        assert read_outputs(out) == expected, cut
+
+
+def test_report_bytes_do_not_depend_on_input_paths(dataset_dir, tmp_path):
+    outputs = []
+    for where in ("a", "deeper/b"):
+        copy = tmp_path / where / "inputs"
+        copy.mkdir(parents=True)
+        for name in ("scores.csv", "edges.csv", "events.jsonl"):
+            (copy / name).write_bytes((dataset_dir / name).read_bytes())
+        assert main(report_args(copy, tmp_path / where / "out")) == 0
+        outputs.append(read_outputs(tmp_path / where / "out"))
+    assert outputs[0] == outputs[1]
+    assert "path" not in json.dumps(json.loads(outputs[0]["report.json"])["meta"]["inputs"])
+
+
 def test_report_threads_do_not_change_bytes(dataset_dir, tmp_path):
     main(report_args(dataset_dir, tmp_path / "t1", ["--threads", "1"]))
     main(report_args(dataset_dir, tmp_path / "t4", ["--threads", "4"]))

@@ -1,10 +1,12 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ev, make_bundle, rt
 from echoscope.errors import EchoscopeError
-from echoscope.graph import build_follower_graph, build_retweet_graph
+from echoscope.graph import build_follower_graph, build_retweet_graph, sample_random_friend_subset
 from echoscope.ingest import DomainScoreTable, EventLog
 from echoscope.moderacy import (
     FOLLOWER,
@@ -12,6 +14,7 @@ from echoscope.moderacy import (
     MODERATE,
     RETWEET,
     ExposureIndex,
+    ExposureProfile,
     MetricsEngine,
     UserMetrics,
     classify,
@@ -27,6 +30,7 @@ from echoscope.moderacy import (
     raw_mean_score,
 )
 from echoscope.rng import substream
+from echoscope.synth import SynthConfig, generate
 
 
 def graphs_of(bundle):
@@ -34,6 +38,10 @@ def graphs_of(bundle):
         build_follower_graph(bundle.edges, bundle.seeds),
         build_retweet_graph(bundle.log, bundle.seeds),
     )
+
+
+def engine_of(bundle):
+    return MetricsEngine(bundle, *graphs_of(bundle))
 
 
 # ---------------------------------------------------------------- fold/classify
@@ -135,11 +143,14 @@ def test_individual_moderacy_window_and_unique():
             ev("t2", "u", 99, domains=["b.x"]),
         ]
     )
-    mu, folded = individual_moderacy("u", log, table, window=(0, 50))
+    early = log.restricted((0, 50))
+    assert len(early) == 1
+    mu, folded = individual_moderacy("u", early, table)
     assert mu == pytest.approx(1 / 3)
     assert folded == pytest.approx(2 / 3)
-    mu_u, _ = individual_moderacy("u", log, table, window=(0, 50), unique_domains=True)
+    mu_u, _ = individual_moderacy("u", early, table, unique_domains=True)
     assert mu_u == 0.5  # {a.x, b.x} as a set
+    assert individual_moderacy("u", log, table) == (0.5, 0.5)
 
 
 # ---------------------------------------------------------------- exposure
@@ -261,8 +272,7 @@ def test_exposure_class_fractions_forced_by_fold():
         ev("t2", "f", 2, domains=["l.x", "l.x", "r.x"]),
     ]
     bundle = make_bundle(scores, edges, events)
-    fg, rg = graphs_of(bundle)
-    profile = exposure_class_fractions("u", FOLLOWER, fg, rg, bundle.log, bundle.scores)
+    profile = exposure_class_fractions(engine_of(bundle), FOLLOWER)["u"]
     assert profile.frac_hardline == 1.0  # 0 and 1 both fold to 1.0
     assert profile.n_domain_occurrences == 3
 
@@ -271,16 +281,14 @@ def test_exposure_class_fractions_forced_by_fold():
         ev("t2", "f", 2, domains=["m.x", "m.x"]),
     ]
     bundle2 = make_bundle(scores, edges, events_mid)
-    fg2, rg2 = graphs_of(bundle2)
-    profile2 = exposure_class_fractions("u", FOLLOWER, fg2, rg2, bundle2.log, bundle2.scores)
+    profile2 = exposure_class_fractions(engine_of(bundle2), FOLLOWER)["u"]
     assert profile2.frac_moderate == 1.0
     assert profile2.frac_moderate + profile2.frac_hardline == 1.0
 
 
 def test_class_fractions_empty_pool_absent():
     bundle = make_bundle({"m.x": 0.5}, [("u", "f")], [ev("t1", "u", 1, domains=["m.x"])])
-    fg, rg = graphs_of(bundle)
-    assert exposure_class_fractions("u", FOLLOWER, fg, rg, bundle.log, bundle.scores) is None
+    assert "u" not in exposure_class_fractions(engine_of(bundle), FOLLOWER)
 
 
 # ---------------------------------------------------------------- baseline
@@ -300,27 +308,18 @@ def baseline_fixture():
 
 
 def test_baseline_forced_when_sizes_match():
-    bundle = baseline_fixture()
-    fg, rg = graphs_of(bundle)
+    engine = engine_of(baseline_fixture())
     # |retweet friends| == |friends|, so every rep samples the full friend set
-    profile = random_baseline_fractions(
-        bundle_user := "u", fg, rg, bundle.log, bundle.scores,
-        k=1, reps=7, rng=substream(3, "base"),
-    )
-    full = exposure_class_fractions("u", FOLLOWER, fg, rg, bundle.log, bundle.scores)
+    profile = random_baseline_fractions(engine, "u", k=1, reps=7, rng=substream(3, "base"))
+    full = exposure_class_fractions(engine, FOLLOWER)["u"]
     assert profile.frac_moderate == pytest.approx(full.frac_moderate, abs=1e-12)
     assert profile.frac_hardline == pytest.approx(full.frac_hardline, abs=1e-12)
 
 
 def test_baseline_single_rep_reproducible():
-    bundle = baseline_fixture()
-    fg, rg = graphs_of(bundle)
-    one = random_baseline_fractions(
-        "u", fg, rg, bundle.log, bundle.scores, reps=1, rng=substream(9, "b")
-    )
-    two = random_baseline_fractions(
-        "u", fg, rg, bundle.log, bundle.scores, reps=1, rng=substream(9, "b")
-    )
+    engine = engine_of(baseline_fixture())
+    one = random_baseline_fractions(engine, "u", reps=1, rng=substream(9, "b"))
+    two = random_baseline_fractions(engine, "u", reps=1, rng=substream(9, "b"))
     assert one == two
 
 
@@ -330,20 +329,46 @@ def test_baseline_absent_without_retweet_friends():
         [("u", "f1")],
         [ev("t1", "u", 1, domains=["own.x"]), ev("t2", "f1", 2, domains=["a.x"])],
     )
-    fg, rg = graphs_of(bundle)
-    assert (
-        random_baseline_fractions(
-            "u", fg, rg, bundle.log, bundle.scores, rng=substream(1, "x")
+    assert random_baseline_fractions(engine_of(bundle), "u", rng=substream(1, "x")) is None
+
+
+def test_baseline_matches_per_friend_subset_loop():
+    # reference: draw friend names with sample_random_friend_subset and pool
+    # them through the scalar index accessors, from the same substreams
+    bundle, _ = generate(
+        SynthConfig(
+            n_users=40, n_domains=10, follow_homophily=0.3, base_follow_prob=0.2,
+            attention_bias=2.0, activity_rate=5.0, retweet_rate=6.0,
+            duration=10_000, seed=12,
         )
-        is None
     )
+    engine = engine_of(bundle)
+    fg, rg = graphs_of(bundle)
+    n_checked = 0
+    for user in sorted(bundle.seeds):
+        size = len(rg.retweet_friends(user, 1))
+        got = random_baseline_fractions(engine, user, reps=25, rng=substream(5, "b", user))
+        if not size or not fg.friends(user):
+            assert got is None
+            continue
+        rng = substream(5, "b", user)
+        fracs, occurrences = [], 0
+        for _ in range(25):
+            subset = sample_random_friend_subset(user, fg, size, rng)
+            n_total = sum(engine.index.scored(f)[1] for f in subset)
+            n_mod = sum(engine.index.moderate_count(f) for f in subset)
+            if n_total:
+                fracs.append(n_mod / n_total)
+                occurrences += n_total
+        frac_mod = sum(fracs) / len(fracs)
+        assert got == ExposureProfile(user, "baseline", frac_mod, 1.0 - frac_mod, occurrences)
+        n_checked += 1
+    assert n_checked > 20
 
 
 def test_baseline_requires_rng():
-    bundle = baseline_fixture()
-    fg, rg = graphs_of(bundle)
     with pytest.raises(EchoscopeError, match="rng"):
-        random_baseline_fractions("u", fg, rg, bundle.log, bundle.scores)
+        random_baseline_fractions(engine_of(baseline_fixture()), "u")
 
 
 # ---------------------------------------------------------------- activity
@@ -373,8 +398,11 @@ def test_activity_window():
         [ev(f"t{i}", "f", 10 * i, domains=["m.x"]) for i in range(5)],
     )
     fg, rg = graphs_of(bundle)
-    rows = friend_activity_comparison(fg, rg, bundle.log, {}, 1, (0, 20), table=scores and bundle.scores)
+    early = bundle.log.restricted((0, 20))
+    rows = friend_activity_comparison(fg, rg, early, {}, 1, table=bundle.scores)
     assert rows[0].activity == 3
+    rows = friend_activity_comparison(fg, rg, bundle.log, {}, 1, table=bundle.scores)
+    assert rows[0].activity == 5
 
 
 # ---------------------------------------------------------------- congruence
@@ -443,13 +471,14 @@ def test_engine_window_restricts_everything():
         ev("t3", "f", 90, domains=["b.x"]),
     ]
     bundle = make_bundle(scores, edges, events)
-    fg, rg = graphs_of(bundle)
-    full = exposure_moderacy("u", FOLLOWER, fg, rg, bundle.log, bundle.scores)
-    windowed = exposure_moderacy(
-        "u", FOLLOWER, fg, rg, bundle.log, bundle.scores, window=(0, 50)
-    )
-    assert full[0] == 0.5
-    assert windowed[0] == 0.0
+    full = engine_of(bundle)
+    early = dataclasses.replace(bundle, log=bundle.log.restricted((0, 50)))
+    windowed = engine_of(early)
+    assert full.index.scored("f") == (1.0, 2)
+    assert windowed.index.scored("f") == (0.0, 1)
+    fg, rg = graphs_of(early)
+    assert exposure_moderacy("u", FOLLOWER, fg, rg, bundle.log, bundle.scores)[0] == 0.5
+    assert exposure_moderacy("u", FOLLOWER, fg, rg, early.log, early.scores)[0] == 0.0
 
 
 def test_exposure_index_matches_event_scan(tiny_bundle):

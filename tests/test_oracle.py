@@ -1,5 +1,9 @@
 """Engine-vs-oracle equivalence on small bundles, plus the negative control."""
+import dataclasses
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import ev, make_bundle, rt
 import echoscope.moderacy as moderacy
@@ -37,8 +41,13 @@ def test_engine_matches_oracle_unique_domains():
 
 
 def test_engine_matches_oracle_with_window():
-    diff = compare_with_oracle(synth_bundle(9), k=1, window=(0, 20_000))
+    bundle = synth_bundle(9)
+    early = dataclasses.replace(bundle, log=bundle.log.restricted((0, 20_000)))
+    assert 0 < len(early.log) < len(bundle.log)
+    diff = compare_with_oracle(early, k=1)
     assert diff.ok(1e-12), diff
+    # the window argument restricts the log the same way, up front
+    assert compare_with_oracle(bundle, k=1, window=(0, 20_000)) == diff
 
 
 def test_engine_matches_oracle_handmade_edge_cases():
@@ -81,3 +90,48 @@ def test_corrupted_engine_fails_with_named_metric(monkeypatch):
     diff = compare_with_oracle(synth_bundle(4), k=1)
     assert not diff.ok(1e-12)
     assert diff.worst_metric != "none" or diff.presence_mismatches
+
+
+# Scores on the five-level scale add exactly, so engine and oracle agree to
+# the last bit whatever order they pool in, and a degenerate (constant)
+# range is degenerate on both sides.
+LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
+DOMAINS = ("a.x", "b.x", "c.x")
+
+
+@st.composite
+def adversarial_bundles(draw):
+    n_seeds = draw(st.integers(1, 6))
+    users = [f"u{i}" for i in range(n_seeds + 3)]
+    quiet = "zz-quiet"  # followed, never posts
+    if draw(st.booleans()):
+        level = draw(st.sampled_from(LEVELS))
+        scores = {d: level for d in DOMAINS}
+    else:
+        scores = {d: draw(st.sampled_from(LEVELS)) for d in DOMAINS}
+    seeds = users[:n_seeds]
+    edges = []
+    for seed in seeds:
+        friends = draw(st.lists(st.sampled_from(users[1:] + [quiet]), max_size=4, unique=True))
+        edges += [(seed, f) for f in friends if f != seed]
+    events = []
+    for author in users:
+        others = [u for u in users if u != author]
+        for _ in range(draw(st.integers(0, 3))):
+            tid = f"t{len(events)}"
+            ts = draw(st.integers(0, 5))  # narrow range: timestamp ties
+            domains = draw(st.lists(st.sampled_from(DOMAINS + ("junk.x",)), max_size=3))
+            if draw(st.booleans()):
+                events.append(rt(tid, author, ts, draw(st.sampled_from(others)), domains))
+            else:
+                events.append(ev(tid, author, ts, domains=domains))
+    return make_bundle(scores, edges, events, seeds=seeds)
+
+
+@given(adversarial_bundles(), st.sampled_from([1, 2, 3, 99]), st.booleans())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_engine_matches_oracle_on_adversarial_bundles(bundle, k, unique_domains):
+    # covers friendless seeds, friends without events or without a scored
+    # domain, constant score tables, and k above every retweet weight
+    diff = compare_with_oracle(bundle, k=k, unique_domains=unique_domains)
+    assert diff.ok(1e-12), diff
