@@ -1,83 +1,109 @@
-"""Follower and retweet graph construction, overlap metrics, and sampling.
+"""Follower and retweet graphs over one user-id space, overlap metrics, sampling.
 
-Both graphs are immutable once built. The retweet graph keeps per-edge
-interaction counts so any threshold k can be applied as a view; raising k
-always yields a subset of the edges at k-1.
+A report interns every user it needs once, in ``user_space``: the seeds,
+their friends, the accounts they retweeted and the log's authors, sorted by
+name, so an id's order is its name's order. Both graphs are seed x user CSR
+matrices over those ids, one row per seed in sorted order, columns ascending
+in each row:
+``FollowerGraph.follow`` holds one entry of 1 per edge and
+``RetweetGraph.retweets`` the number of times a seed retweeted an account.
+Threshold k is ``retweets >= k``, so raising k always keeps a subset of the
+edges at k-1. A user's indegree is a column sum. The per-seed metrics below
+are row operations on the two matrices, and the moderacy engine pools
+exposures over the same matrices.
 
-Cache file layout (little-endian, version 1):
+Cache file layout (little-endian, version 2): the magic b"ECHOGRF1", a u32
+format version, a u32 fingerprint length F, F fingerprint bytes (opaque,
+caller-supplied), then eight arrays, each a u64 element count and the elements:
 
-    offset  size  field
-    0       8     magic b"ECHOGRF1"
-    8       4     u32 format version
-    12      4     u32 fingerprint length F
-    16      F     fingerprint bytes (opaque, caller-supplied)
-    --      4     u32 n_users, then per user: u32 byte length + utf-8 name
-    --      follower section:
-                  u32 n_seeds; per seed: u32 seed idx, u32 n_friends,
-                  n_friends * u32 friend idx (ascending)
-                  u32 n_indegree; per entry: u32 idx, u64 count
-    --      retweet section:
-                  u32 n_sources; per source: u32 src idx, u32 n_targets,
-                  n_targets * (u32 target idx, u64 weight) (idx ascending)
-                  u32 n_indegree; per entry: u32 idx, u64 count
+    u32  byte length of each name, in id order
+    u8   the names' utf-8 bytes, concatenated
+    u32  seed ids, ascending
+    i64  follow indptr (n_seeds + 1)
+    u32  follow indices (user ids, ascending per row); every value is 1,
+         so none is stored
+    i64  retweets indptr (n_seeds + 1)
+    u32  retweets indices
+    i64  retweets data (retweet counts)
 """
 from __future__ import annotations
 
-import contextlib
 import logging
-import os
+from bisect import bisect_left
+import math
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
+from scipy import sparse
 
 from .errors import EchoscopeError
-from .ingest import EventLog, FollowEdgeList
+from .ingest import EventLog, FollowEdgeList, atomic_open
 
 OVERLAP_ACCOUNT = "account"
 OVERLAP_CONTENT = "content"
 
 CACHE_MAGIC = b"ECHOGRF1"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
-@dataclass(frozen=True)
-class FollowerGraph:
-    """Seed -> friend adjacency plus in-sample indegree of every target."""
+class _SeedGraph:
+    """A seed x user matrix: rows are the sorted ``seeds``, columns number ``names``."""
 
-    adjacency: dict[str, frozenset[str]]
-    indegree: dict[str, int]
+    def __init__(self, names: list[str], seeds: list[str], matrix: sparse.csr_matrix) -> None:
+        self.names = names
+        self.seeds = seeds
+        self.seed_row = {user: i for i, user in enumerate(seeds)}
+        self.matrix = matrix
+
+    def indegree(self) -> np.ndarray:
+        """Per user id, the column sum: edges (or retweets) from any seed."""
+        return np.asarray(self.matrix.sum(axis=0)).ravel()
+
+    def _targets(self, user: str, k: int) -> frozenset[str]:
+        row = self.seed_row.get(user)
+        if row is None:
+            return frozenset()
+        lo, hi = self.matrix.indptr[row], self.matrix.indptr[row + 1]
+        cols = self.matrix.indices[lo:hi][self.matrix.data[lo:hi] >= k]
+        return frozenset(self.names[i] for i in cols.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        same_space = self.names == other.names and self.seeds == other.seeds
+        return same_space and (self.matrix != other.matrix).nnz == 0
+
+
+class FollowerGraph(_SeedGraph):
+    """Seed -> friend edges: one entry of 1 per edge."""
 
     @property
-    def n_seeds(self) -> int:
-        return len(self.adjacency)
+    def follow(self) -> sparse.csr_matrix:
+        return self.matrix
 
     def friends(self, user: str) -> frozenset[str]:
-        return self.adjacency.get(user, frozenset())
+        return self._targets(user, 1)
 
 
-@dataclass(frozen=True)
-class RetweetGraph:
-    """Seed -> retweeted account with interaction counts."""
+class RetweetGraph(_SeedGraph):
+    """Seed -> retweeted account, holding the number of retweets."""
 
-    weighted_adjacency: dict[str, dict[str, int]]
-    indegree: dict[str, int]
+    @property
+    def retweets(self) -> sparse.csr_matrix:
+        return self.matrix
 
     def retweet_friends(self, user: str, k: int = 1) -> frozenset[str]:
         """Accounts this user retweeted at least k times."""
-        weights = self.weighted_adjacency.get(user)
-        if not weights:
-            return frozenset()
-        return frozenset(v for v, w in weights.items() if w >= k)
+        return self._targets(user, k)
 
-    def thresholded(self, k: int) -> dict[str, frozenset[str]]:
-        out: dict[str, frozenset[str]] = {}
-        for user, weights in self.weighted_adjacency.items():
-            kept = frozenset(v for v, w in weights.items() if w >= k)
-            if kept:
-                out[user] = kept
-        return out
+    def at_least(self, k: int) -> sparse.csr_matrix:
+        """Seed x user matrix with a 1 where a seed retweeted an account at least k times."""
+        kept = self.retweets.copy()
+        kept.data = (kept.data >= k).astype(np.int64)
+        kept.eliminate_zeros()
+        return kept
 
 
 @dataclass(frozen=True)
@@ -93,120 +119,150 @@ class OverlapCurve:
     points: tuple[OverlapPoint, ...]
 
 
-def build_follower_graph(edges: FollowEdgeList, seeds: Iterable[str]) -> FollowerGraph:
-    """Adjacency restricted to seed sources; indegree over seed-sourced edges."""
-    seed_set = frozenset(seeds)
-    if not seed_set:
+def count_matrix(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> sparse.csr_matrix:
+    """Row x column occurrence counts as CSR, columns ascending in each row."""
+    rows = np.asarray(rows, dtype=np.int64)
+    matrix = sparse.csr_matrix((np.ones(rows.size, dtype=np.int64), (rows, cols)), shape=shape)
+    matrix.sum_duplicates()
+    return matrix
+
+
+def user_categories(names: list[str], category: dict[str, int], n: int) -> sparse.csr_matrix:
+    """User x category indicator over ``names``, for the users ``category`` maps."""
+    ids = [i for i, name in enumerate(names) if name in category]
+    return count_matrix(ids, [category[names[i]] for i in ids], (len(names), n))
+
+
+@dataclass(frozen=True, eq=False)
+class UserSpace:
+    """One report's user ids and the seeds' own edges and retweets on them.
+
+    ``names`` holds the seeds, their friends, the accounts they retweeted and
+    the log's authors, sorted, so an id's order is its name's order. ``seeds``
+    are sorted too and number the graph rows. ``follow_pairs`` holds the
+    (seed row, user id) of every edge leaving a seed and ``retweet_pairs``
+    those of every retweet a seed posted, found while collecting the names.
+    """
+
+    names: list[str]
+    seeds: list[str]
+    follow_pairs: tuple[np.ndarray, np.ndarray]
+    retweet_pairs: tuple[np.ndarray, np.ndarray]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.seeds), len(self.names)
+
+
+def user_space(seeds: Iterable[str], edges: FollowEdgeList, log: EventLog) -> UserSpace:
+    """Intern every user a report needs, once, and number the seeds' edges and retweets."""
+    seed_list = sorted(set(seeds))
+    if not seed_list:
         raise EchoscopeError("seed set is empty")
-    names = edges.names
-    seed_mask = np.zeros(len(names), dtype=bool)
-    for s in seed_set:
-        idx = edges.index.get(s)
+    row_of = {user: i for i, user in enumerate(seed_list)}
+    edge_row = np.full(edges.n_users, -1, dtype=np.int64)
+    for user, row in row_of.items():
+        idx = edges.index.get(user)
         if idx is not None:
-            seed_mask[idx] = True
-    keep = seed_mask[edges.src]
-    src = edges.src[keep]
-    dst = edges.dst[keep]
+            edge_row[idx] = row
+    rows = edge_row[edges.src]
+    keep = rows >= 0
+    follow_rows, friends = rows[keep], edges.dst[keep]
+    friend_ids = np.unique(friends)
+    friend_names = [edges.names[i] for i in friend_ids.tolist()]
+    retweets = [ev for ev in log.events if ev.is_retweet and ev.author in row_of]
+    targets = [ev.original_author for ev in retweets]
 
-    adjacency: dict[str, set[str]] = {s: set() for s in seed_set}
-    indegree: dict[str, int] = {}
-    if src.size:
-        order = np.argsort(src, kind="stable")
-        src = src[order]
-        dst = dst[order]
-        bounds = np.flatnonzero(np.diff(src)) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [src.size]))
-        for lo, hi in zip(starts.tolist(), ends.tolist()):
-            seed_name = names[src[lo]]
-            adjacency[seed_name] = {names[i] for i in dst[lo:hi].tolist()}
-        targets, counts = np.unique(dst, return_counts=True)
-        indegree = {names[t]: int(c) for t, c in zip(targets.tolist(), counts.tolist())}
-    frozen = {s: frozenset(v) for s, v in adjacency.items()}
-    return FollowerGraph(frozen, indegree)
+    names = sorted(set(seed_list).union(friend_names, targets, log.user_index))
+    user_id = {name: i for i, name in enumerate(names)}
+    col_of = np.zeros(edges.n_users, dtype=np.int64)
+    col_of[friend_ids] = [user_id[name] for name in friend_names]
+    retweet_rows = np.array([row_of[ev.author] for ev in retweets], dtype=np.int64)
+    retweet_cols = np.array([user_id[name] for name in targets], dtype=np.int64)
+    return UserSpace(
+        names, seed_list, (follow_rows, col_of[friends]), (retweet_rows, retweet_cols)
+    )
 
 
-def build_retweet_graph(log: EventLog, seeds: Iterable[str]) -> RetweetGraph:
-    """Count retweet interactions from seed authors to original authors."""
-    seed_set = frozenset(seeds)
-    weighted: dict[str, dict[str, int]] = {}
-    indegree: dict[str, int] = {}
-    for ev in log.events:
-        if not ev.is_retweet or ev.author not in seed_set:
-            continue
-        row = weighted.setdefault(ev.author, {})
-        row[ev.original_author] = row.get(ev.original_author, 0) + 1
-        indegree[ev.original_author] = indegree.get(ev.original_author, 0) + 1
-    return RetweetGraph(weighted, indegree)
+def build_follower_graph(space: UserSpace) -> FollowerGraph:
+    """Edges leaving a seed, one entry of 1 per edge."""
+    return FollowerGraph(space.names, space.seeds, count_matrix(*space.follow_pairs, space.shape))
+
+
+def build_retweet_graph(space: UserSpace) -> RetweetGraph:
+    """Retweet counts from each seed to the accounts it retweeted."""
+    return RetweetGraph(space.names, space.seeds, count_matrix(*space.retweet_pairs, space.shape))
+
+
+def check_same_space(fg: FollowerGraph, rg: RetweetGraph) -> None:
+    """Refuse a graph pair whose rows or columns mean different users.
+
+    Graphs built from one ``UserSpace`` always share it; the metrics engine
+    checks pairs made any other way before it pools over them.
+    """
+    if fg.names != rg.names or fg.seeds != rg.seeds:
+        raise EchoscopeError("the follower and retweet graphs must share one id space")
+
+
+def _retweet_row_totals(fg: FollowerGraph, rg: RetweetGraph, k: int) -> tuple[np.ndarray, ...]:
+    """Per seed row, over the accounts it retweeted at least k times: how many
+    it follows, how many there are, and the retweets of each of those groups."""
+    kept = rg.retweets.multiply(rg.at_least(k)).tocsr()
+    followed = kept.multiply(fg.follow).tocsr()
+    return (
+        np.diff(followed.indptr),
+        np.diff(kept.indptr),
+        np.asarray(followed.sum(axis=1)).ravel(),
+        np.asarray(kept.sum(axis=1)).ravel(),
+    )
+
+
+def _ratios(seeds: list[str], num: np.ndarray, den: np.ndarray) -> dict[str, float]:
+    """num / den per seed, in seed order, for the seeds with den > 0."""
+    rows = np.flatnonzero(den)
+    return {
+        seeds[r]: n / d for r, n, d in zip(rows.tolist(), num[rows].tolist(), den[rows].tolist())
+    }
 
 
 def fraction_friends_retweeted(
-    user: str, fg: FollowerGraph, rg: RetweetGraph, k: int = 1
-) -> Optional[float]:
-    """Share of a user's friends they retweeted at least k times."""
-    friends = fg.friends(user)
-    if not friends:
-        return None
-    rt_friends = rg.retweet_friends(user, k)
-    return len(friends & rt_friends) / len(friends)
+    fg: FollowerGraph, rg: RetweetGraph, k: int = 1
+) -> dict[str, float]:
+    """Share of each seed's friends it retweeted at least k times; friendless seeds are absent."""
+    n_followed = _retweet_row_totals(fg, rg, k)[0]
+    return _ratios(fg.seeds, n_followed, np.diff(fg.follow.indptr))
 
 
 def retweet_overlap(
-    user: str,
-    fg: FollowerGraph,
-    rg: RetweetGraph,
-    k: int = 1,
-    mode: str = OVERLAP_ACCOUNT,
-    log: Optional[EventLog] = None,
-) -> Optional[float]:
-    """Overlap of retweet friends (at threshold k) with followed friends.
+    fg: FollowerGraph, rg: RetweetGraph, k: int = 1, mode: str = OVERLAP_ACCOUNT
+) -> dict[str, float]:
+    """Overlap of each seed's retweet friends (at threshold k) with its followed friends.
 
-    Account mode counts retweeted accounts; content mode counts retweet
-    events whose source account passes the threshold.
+    Account mode counts retweeted accounts; content mode counts retweets of
+    those accounts. Seeds without a retweet friend at k are absent.
     """
-    rt_friends = rg.retweet_friends(user, k)
-    if not rt_friends:
-        return None
-    friends = fg.friends(user)
+    n_followed, n_all, rt_followed, rt_all = _retweet_row_totals(fg, rg, k)
     if mode == OVERLAP_ACCOUNT:
-        return len(rt_friends & friends) / len(rt_friends)
+        return _ratios(fg.seeds, n_followed, n_all)
     if mode == OVERLAP_CONTENT:
-        if log is None:
-            raise EchoscopeError("content-mode overlap needs the event log")
-        num = 0
-        den = 0
-        for ev in log.events_by(user):
-            if ev.is_retweet and ev.original_author in rt_friends:
-                den += 1
-                if ev.original_author in friends:
-                    num += 1
-        if den == 0:
-            return None
-        return num / den
+        return _ratios(fg.seeds, rt_followed, rt_all)
     raise EchoscopeError(f"unknown overlap mode {mode!r}")
 
 
 def overlap_vs_threshold(
     fg: FollowerGraph,
     rg: RetweetGraph,
-    log: EventLog,
     k_range: Iterable[int] = range(1, 11),
     mode: str = OVERLAP_ACCOUNT,
 ) -> OverlapCurve:
     """Mean per-user overlap at each threshold, over users still defined there."""
-    ks = sorted(set(int(k) for k in k_range))
-    users = sorted(rg.weighted_adjacency)
     points = []
-    for k in ks:
-        values = []
-        for user in users:
-            v = retweet_overlap(user, fg, rg, k, mode, log)
-            if v is not None:
-                values.append(v)
+    for k in sorted(set(int(k) for k in k_range)):
+        values = list(retweet_overlap(fg, rg, k, mode).values())
         if values:
             points.append(OverlapPoint(k, sum(values) / len(values), len(values)))
         else:
-            points.append(OverlapPoint(k, float("nan"), 0))
+            points.append(OverlapPoint(k, math.nan, 0))
     return OverlapCurve(mode, tuple(points))
 
 
@@ -216,13 +272,14 @@ def sample_friends_by_indegree(
     """n draws with replacement, probability proportional to indegree."""
     if n < 1:
         raise EchoscopeError("sample size must be >= 1")
-    targets = sorted(graph.indegree)
-    weights = np.array([graph.indegree[t] for t in targets], dtype=np.float64)
+    indegree = graph.indegree()
+    targets = np.flatnonzero(indegree)
+    weights = indegree[targets].astype(np.float64)
     total = weights.sum()
     if total <= 0:
         raise EchoscopeError("all indegrees are zero")
     idx = rng.choice(len(targets), size=n, replace=True, p=weights / total)
-    return [targets[i] for i in idx.tolist()]
+    return [graph.names[i] for i in targets[idx].tolist()]
 
 
 def random_friend_positions(
@@ -259,74 +316,43 @@ def sample_random_friend_subset(
 # ---------------------------------------------------------------------------
 
 
-def _collect_names(fg: FollowerGraph, rg: RetweetGraph) -> list[str]:
-    names: set[str] = set(fg.adjacency)
-    for friends in fg.adjacency.values():
-        names.update(friends)
-    names.update(fg.indegree)
-    for user, weights in rg.weighted_adjacency.items():
-        names.add(user)
-        names.update(weights)
-    names.update(rg.indegree)
-    return sorted(names)
-
-
 def save_graph_cache(path: str, fg: FollowerGraph, rg: RetweetGraph, fingerprint: bytes) -> None:
     """Write the cache to a temporary file, then move it over ``path``.
 
     A run killed mid-write leaves at most a stray temporary file, never a
     partial cache under the real name.
     """
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            _write_cache(fh, fg, rg, fingerprint)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path, "wb") as fh:
+        _write_cache(fh, fg, rg, fingerprint)
 
 
 def _write_cache(fh, fg: FollowerGraph, rg: RetweetGraph, fingerprint: bytes) -> None:
-    names = _collect_names(fg, rg)
-    index = {name: i for i, name in enumerate(names)}
+    encoded = [name.encode("utf-8") for name in fg.names]
     fh.write(CACHE_MAGIC)
-    fh.write(struct.pack("<I", CACHE_VERSION))
-    fh.write(struct.pack("<I", len(fingerprint)))
+    fh.write(struct.pack("<II", CACHE_VERSION, len(fingerprint)))
     fh.write(fingerprint)
-    fh.write(struct.pack("<I", len(names)))
-    for name in names:
-        raw = name.encode("utf-8")
-        fh.write(struct.pack("<I", len(raw)))
-        fh.write(raw)
-
-    fh.write(struct.pack("<I", len(fg.adjacency)))
-    for seed in sorted(fg.adjacency):
-        friend_idx = sorted(index[f] for f in fg.adjacency[seed])
-        fh.write(struct.pack("<II", index[seed], len(friend_idx)))
-        fh.write(np.asarray(friend_idx, dtype="<u4").tobytes())
-    fh.write(struct.pack("<I", len(fg.indegree)))
-    for name in sorted(fg.indegree):
-        fh.write(struct.pack("<IQ", index[name], fg.indegree[name]))
-
-    fh.write(struct.pack("<I", len(rg.weighted_adjacency)))
-    for user in sorted(rg.weighted_adjacency):
-        weights = rg.weighted_adjacency[user]
-        fh.write(struct.pack("<II", index[user], len(weights)))
-        for target in sorted(weights, key=lambda t: index[t]):
-            fh.write(struct.pack("<IQ", index[target], weights[target]))
-    fh.write(struct.pack("<I", len(rg.indegree)))
-    for name in sorted(rg.indegree):
-        fh.write(struct.pack("<IQ", index[name], rg.indegree[name]))
+    arrays = (
+        ([len(raw) for raw in encoded], "<u4"),
+        (np.frombuffer(b"".join(encoded), dtype=np.uint8), "u1"),
+        ([bisect_left(fg.names, seed) for seed in fg.seeds], "<u4"),
+        (fg.follow.indptr, "<i8"),
+        (fg.follow.indices, "<u4"),
+        (rg.retweets.indptr, "<i8"),
+        (rg.retweets.indices, "<u4"),
+        (rg.retweets.data, "<i8"),
+    )
+    for values, dtype in arrays:
+        values = np.asarray(values, dtype=dtype)
+        fh.write(struct.pack("<Q", values.size))
+        fh.write(values.tobytes())
 
 
 def load_graph_cache(path: str, fingerprint: bytes) -> Optional[tuple[FollowerGraph, RetweetGraph]]:
     """Load cached graphs; None when the file is missing, stale or unreadable.
 
-    A truncated or corrupt file (a short read, a bad name encoding, an index
-    out of range, trailing bytes) reads as a miss, so the caller rebuilds the
-    graphs and overwrites it.
+    A file of another version, or a truncated or corrupt one (a short read, a
+    bad name encoding, an index out of range, trailing bytes) reads as a
+    miss, so the caller rebuilds the graphs and overwrites it.
     """
     try:
         with open(path, "rb") as fh:
@@ -349,51 +375,38 @@ def _parse_cache(data: bytes, fingerprint: bytes) -> Optional[tuple[FollowerGrap
         pos += size
         return data[pos - size : pos]
 
-    def read(fmt: str) -> tuple:
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+    def array(dtype: str) -> np.ndarray:
+        (count,) = struct.unpack("<Q", take(8))
+        dt = np.dtype(dtype)
+        return np.frombuffer(take(count * dt.itemsize), dtype=dt)
 
     if take(len(CACHE_MAGIC)) != CACHE_MAGIC:
         return None
-    (version,) = read("<I")
-    if version != CACHE_VERSION:
-        return None
-    (fp_len,) = read("<I")
-    if take(fp_len) != fingerprint:
+    version, fp_len = struct.unpack("<II", take(8))
+    if version != CACHE_VERSION or take(fp_len) != fingerprint:
         return None
 
-    (n_names,) = read("<I")
-    names = []
-    for _ in range(n_names):
-        (ln,) = read("<I")
-        names.append(take(ln).decode("utf-8"))
-
-    (n_seeds,) = read("<I")
-    adjacency: dict[str, frozenset[str]] = {}
-    for _ in range(n_seeds):
-        seed_idx, n_friends = read("<II")
-        idx = np.frombuffer(take(4 * n_friends), dtype="<u4")
-        adjacency[names[seed_idx]] = frozenset(names[i] for i in idx.tolist())
-    (n_in,) = read("<I")
-    f_indegree = {}
-    for _ in range(n_in):
-        idx, count = read("<IQ")
-        f_indegree[names[idx]] = count
-
-    (n_sources,) = read("<I")
-    weighted: dict[str, dict[str, int]] = {}
-    for _ in range(n_sources):
-        src_idx, n_targets = read("<II")
-        row = {}
-        for _ in range(n_targets):
-            t_idx, weight = read("<IQ")
-            row[names[t_idx]] = weight
-        weighted[names[src_idx]] = row
-    (n_in,) = read("<I")
-    r_indegree = {}
-    for _ in range(n_in):
-        idx, count = read("<IQ")
-        r_indegree[names[idx]] = count
+    lengths = array("<u4").astype(np.int64)
+    blob = array("u1").tobytes()
+    if int(lengths.sum()) != len(blob):
+        raise ValueError("name lengths do not match the name bytes")
+    ends = np.cumsum(lengths).tolist()
+    names = [blob[lo:hi].decode("utf-8") for lo, hi in zip([0] + ends[:-1], ends)]
+    seeds = [names[i] for i in array("<u4").tolist()]
+    shape = (len(seeds), len(names))
+    indptr, indices = array("<i8"), array("<u4")
+    follow = _checked_csr(np.ones(indices.size, dtype=np.int64), indices, indptr, shape)
+    indptr, indices = array("<i8"), array("<u4")
+    retweets = _checked_csr(array("<i8"), indices, indptr, shape)
     if pos != len(data):
         raise ValueError("trailing bytes in cache file")
+    return FollowerGraph(names, seeds, follow), RetweetGraph(names, seeds, retweets)
 
-    return FollowerGraph(adjacency, f_indegree), RetweetGraph(weighted, r_indegree)
+
+def _checked_csr(data, indices, indptr, shape) -> sparse.csr_matrix:
+    arrays = (np.asarray(a, dtype=np.int64) for a in (data, indices, indptr))
+    matrix = sparse.csr_matrix(tuple(arrays), shape=shape)
+    matrix.check_format(full_check=True)
+    if not matrix.has_canonical_format:
+        raise ValueError("columns are not strictly ascending in a row")
+    return matrix

@@ -11,9 +11,11 @@ a small footprint.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import logging
+import os
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -83,9 +85,10 @@ class FollowEdgeList:
         dst: np.ndarray,
         n_self_loops_dropped: int = 0,
         n_duplicates_dropped: int = 0,
+        index: Optional[dict[str, int]] = None,
     ) -> None:
         self.names = names
-        self.index = {name: i for i, name in enumerate(names)}
+        self.index = {name: i for i, name in enumerate(names)} if index is None else index
         self.src = src
         self.dst = dst
         self.n_self_loops_dropped = n_self_loops_dropped
@@ -93,28 +96,29 @@ class FollowEdgeList:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "FollowEdgeList":
+        """Intern (follower, friend) pairs in order of first appearance,
+        dropping self-loops and duplicate edges."""
         names: list[str] = []
         index: dict[str, int] = {}
         src_buf = array("q")
         dst_buf = array("q")
         n_self = 0
-
-        def intern(name: str) -> int:
-            idx = index.get(name)
-            if idx is None:
-                idx = len(names)
-                index[name] = idx
-                names.append(name)
-            return idx
-
         for follower, friend in pairs:
             if follower == friend:
                 n_self += 1
                 continue
-            src_buf.append(intern(follower))
-            dst_buf.append(intern(friend))
+            s = index.get(follower)
+            if s is None:
+                s = index[follower] = len(names)
+                names.append(follower)
+            d = index.get(friend)
+            if d is None:
+                d = index[friend] = len(names)
+                names.append(friend)
+            src_buf.append(s)
+            dst_buf.append(d)
         src, dst, n_dup = _dedup_edges(src_buf, dst_buf)
-        return cls(names, src, dst, n_self, n_dup)
+        return cls(names, src, dst, n_self, n_dup, index)
 
     @property
     def n_edges(self) -> int:
@@ -190,10 +194,6 @@ class EventLog:
         kept = [ev for ev in self.events if lo <= ev.timestamp <= hi]
         return EventLog.from_events(kept, self.n_urls_dropped, self.n_self_retweets_dropped)
 
-    def events_by(self, author: str) -> Iterator[TweetEvent]:
-        for pos in self.user_index.get(author, ()):
-            yield self.events[pos]
-
 
 @dataclass(frozen=True)
 class DatasetBundle:
@@ -234,11 +234,52 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
 def _open_checked(path: str):
+    """Open an input as UTF-8 text; a byte that is not UTF-8 is an input error."""
     try:
-        return open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise InputFormatError(f"cannot read file: {exc}", path=str(path)) from exc
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc) from None
+
+
+def _undecodable(path: str, exc: UnicodeDecodeError) -> InputFormatError:
+    """The error naming the first line that is not UTF-8; rereads the file."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                return InputFormatError(
+                    f"not valid UTF-8 ({bad.reason} at byte {bad.start} of the line)",
+                    path=str(path),
+                    line=lineno,
+                )
+    return InputFormatError(f"not valid UTF-8 ({exc.reason})", path=str(path))
+
+
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "w"):
+    """Write to a temporary file beside ``path``, then move it over ``path``.
+
+    A write that fails or is killed leaves the previous file (or none) under
+    the real name, and the temporary file is removed on failure.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _check_header(row: Optional[list[str]], expected: list[str], path: str) -> None:
@@ -292,11 +333,14 @@ def parse_domain_scores(path: str) -> DomainScoreTable:
 
 def parse_follow_edges(path: str) -> FollowEdgeList:
     """Read the edges CSV into a deduplicated columnar edge list."""
-    names: list[str] = []
-    index: dict[str, int] = {}
-    src_buf = array("q")
-    dst_buf = array("q")
-    n_self = 0
+    edges = FollowEdgeList.from_pairs(_edge_rows(path))
+    if edges.n_self_loops_dropped:
+        log.warning("dropped %d self-loop edges from %s", edges.n_self_loops_dropped, path)
+    return edges
+
+
+def _edge_rows(path: str) -> Iterator[tuple[str, str]]:
+    """The edges CSV's (follower, friend) rows, each checked for shape."""
     with _open_checked(path) as fh:
         reader = csv.reader(fh)
         _check_header(next(reader, None), EDGES_HEADER, path)
@@ -307,27 +351,7 @@ def parse_follow_edges(path: str) -> FollowEdgeList:
                 raise InputFormatError(
                     f"expected 2 non-empty fields, got {row!r}", path=str(path), line=lineno
                 )
-            follower, friend = row[0], row[1]
-            if follower == friend:
-                n_self += 1
-                continue
-            idx = index.get(follower)
-            if idx is None:
-                idx = len(names)
-                index[follower] = idx
-                names.append(follower)
-            s = idx
-            idx = index.get(friend)
-            if idx is None:
-                idx = len(names)
-                index[friend] = idx
-                names.append(friend)
-            src_buf.append(s)
-            dst_buf.append(idx)
-    if n_self:
-        log.warning("dropped %d self-loop edges from %s", n_self, path)
-    src, dst, n_dup = _dedup_edges(src_buf, dst_buf)
-    return FollowEdgeList(names, src, dst, n_self, n_dup)
+            yield row[0], row[1]
 
 
 def parse_events(

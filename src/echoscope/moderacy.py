@@ -14,20 +14,20 @@ friends weigh more. The fold branch for exposures reuses u's OWN raw mu, and
 the two exposure kinds are normalized jointly so their difference
 (delta = m_e_f - m_e_r) is meaningful.
 
-Users are interned with ids in sorted-name order. ExposureIndex keeps each
-user's totals as vectors indexed by id, and MetricsEngine keeps every seed's
-friends as one sparse row over those ids, so a pool is a sparse product. A
-CSR row lists its columns in ascending id order, so the product adds friends
-in sorted-name order. Everything here sees the log it is given: a time window
-is applied beforehand, with EventLog.restricted.
+Users carry the ids of the graphs' shared id space (graph.py), which number
+names in sorted order. ExposureIndex keeps each user's totals as vectors
+indexed by those ids, and MetricsEngine pools exposures straight over the
+graphs' seed x user matrices, building none of its own, so a pool is a sparse
+product. A CSR row lists its columns in ascending id order, so the product
+adds friends in sorted-name order. Everything here sees the log it is given:
+a time window is applied beforehand, with EventLog.restricted.
 """
 from __future__ import annotations
 
 import logging
 import math
-from array import array
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -38,8 +38,11 @@ from .errors import EchoscopeError
 from .graph import (  # noqa: F401
     FollowerGraph,
     RetweetGraph,
+    check_same_space,
+    count_matrix,
     random_friend_positions,
     sample_random_friend_subset,
+    user_categories,
 )
 from .ingest import DatasetBundle, DomainScoreTable, EventLog, KIND_ORIGINAL
 
@@ -137,9 +140,10 @@ def _fsum_row(matrix: sparse.csr_matrix, row: int, scores: np.ndarray) -> tuple[
 class ExposureIndex:
     """Per-user totals over the event log, as vectors indexed by user id.
 
-    Ids number ``names``: the log's authors plus any extra ``users``, sorted.
-    Per id, ``score_sum`` and ``score_count`` cover every scored domain
-    occurrence the user posted, ``moderate`` counts the occurrences whose
+    Ids number ``names``, a sorted list that must hold every author of the
+    log (the graphs' id space; by default the authors alone). Per id,
+    ``score_sum`` and ``score_count`` cover every scored domain occurrence
+    the user posted, ``moderate`` counts the occurrences whose
     folded score is moderate, ``orig_sum`` and ``orig_count`` cover original
     tweets only, and ``n_events`` counts events. ``domains`` and
     ``original_domains`` are user x domain incidence matrices (all events,
@@ -148,11 +152,19 @@ class ExposureIndex:
     """
 
     def __init__(
-        self, log_data: EventLog, table: DomainScoreTable, users: Iterable[str] = ()
+        self,
+        log_data: EventLog,
+        table: DomainScoreTable,
+        names: Optional[Sequence[str]] = None,
     ) -> None:
         self.authors = sorted(log_data.user_index)
-        self.names = sorted(set(self.authors).union(users))
+        self.names = self.authors if names is None else names
         self.id = {name: i for i, name in enumerate(self.names)}
+        missing = set(self.authors).difference(self.id)
+        if missing:
+            raise EchoscopeError(
+                f"{len(missing)} log author(s) have no user id, e.g. {min(missing)!r}"
+            )
         domain_names = sorted(table.scores)
         domain_id = {d: j for j, d in enumerate(domain_names)}
         self.domain_scores = np.array([table.scores[d] for d in domain_names], dtype=np.float64)
@@ -187,8 +199,8 @@ class ExposureIndex:
         self.orig_count = np.bincount(occ_user[occ_orig], minlength=n)
         self.n_events = np.bincount(user, minlength=n)
         shape = (n, len(domain_names))
-        self.domains = _incidence(occ_user, occ_domain, shape)
-        self.original_domains = _incidence(occ_user[occ_orig], occ_domain[occ_orig], shape)
+        self.domains = count_matrix(occ_user, occ_domain, shape)
+        self.original_domains = count_matrix(occ_user[occ_orig], occ_domain[occ_orig], shape)
 
     def scored(self, author: str) -> tuple[float, int]:
         i = self.id.get(author)
@@ -200,23 +212,13 @@ class ExposureIndex:
         i = self.id.get(author)
         return 0 if i is None else int(self.moderate[i])
 
-    def original_scored(self, author: str) -> tuple[float, int]:
-        i = self.id.get(author)
-        if i is None:
-            return 0.0, 0
-        return float(self.orig_sum[i]), int(self.orig_count[i])
-
-    def activity(self, author: str) -> int:
-        i = self.id.get(author)
-        return 0 if i is None else int(self.n_events[i])
-
     def original_totals(self, author: str, unique_domains: bool = False) -> tuple[float, int]:
         """Score total and count over original tweets: occurrences, or distinct domains."""
-        if not unique_domains:
-            return self.original_scored(author)
         i = self.id.get(author)
         if i is None:
             return 0.0, 0
+        if not unique_domains:
+            return float(self.orig_sum[i]), int(self.orig_count[i])
         return _fsum_row(self.original_domains, i, self.domain_scores)
 
     def pool_means(self, pools: sparse.csr_matrix, unique_domains: bool = False) -> np.ndarray:
@@ -242,37 +244,6 @@ class ExposureIndex:
         return out
 
 
-def _incidence(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> sparse.csr_matrix:
-    """Row x column occurrence counts as CSR."""
-    data = np.ones(rows.size, dtype=np.int64)
-    return sparse.csr_matrix((data, (rows, cols)), shape=shape)
-
-
-def _user_rows(
-    index: ExposureIndex, rows: list[Union[frozenset[str], dict[str, int]]]
-) -> sparse.csr_matrix:
-    """One CSR row per entry of ``rows`` over the index's user ids, columns ascending.
-
-    An entry is a set of names (weight 1 each) or a name -> weight map.
-    """
-    cols = array("q")
-    weights = array("q")
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    for r, row in enumerate(rows):
-        cols.extend(map(index.id.__getitem__, row))
-        if isinstance(row, dict):
-            weights.extend(row.values())
-        else:
-            weights.extend([1] * len(row))
-        indptr[r + 1] = len(cols)
-    matrix = sparse.csr_matrix(
-        (np.array(weights, dtype=np.int64), np.array(cols, dtype=np.int64), indptr),
-        shape=(len(rows), len(index.names)),
-    )
-    matrix.sort_indices()
-    return matrix
-
-
 def individual_moderacy(
     user: str,
     log_data: EventLog,
@@ -290,13 +261,17 @@ def individual_moderacy(
     return mu, fold(mu)
 
 
-def _friend_set(
-    user: str, kind: str, fg: FollowerGraph, rg: RetweetGraph, k: int
-) -> frozenset[str]:
+def _check_index(index: Optional[ExposureIndex], fg: FollowerGraph) -> None:
+    if index is not None and index.names != fg.names:
+        raise EchoscopeError("the index must number users as the graphs do")
+
+
+def friend_matrix(kind: str, fg: FollowerGraph, rg: RetweetGraph, k: int = 1) -> sparse.csr_matrix:
+    """Seed x user matrix whose row holds the friends a seed pools under a graph kind."""
     if kind == FOLLOWER:
-        return fg.friends(user)
+        return fg.follow
     if kind == RETWEET:
-        return rg.retweet_friends(user, k)
+        return rg.at_least(k)
     raise EchoscopeError(f"unknown graph kind {kind!r}")
 
 
@@ -315,17 +290,22 @@ def exposure_moderacy(
 
     None when the friend set is empty, the pool has no scored occurrence, or
     the user has no mu (the fold branch would be undefined). A given index
-    must know every friend.
+    must number users as the graphs do.
     """
-    friends = _friend_set(user, kind, fg, rg, k)
-    if not friends:
+    check_same_space(fg, rg)
+    _check_index(index, fg)
+    row = fg.seed_row.get(user)
+    if row is None:
+        return None
+    pool = friend_matrix(kind, fg, rg, k)[row]
+    if pool.nnz == 0:
         return None
     if index is None:
-        index = ExposureIndex(log_data, table, friends)
+        index = ExposureIndex(log_data, table, fg.names)
     own = individual_moderacy(user, log_data, table, unique_domains, index)
     if own is None:
         return None
-    raw = float(index.pool_means(_user_rows(index, [friends]), unique_domains)[0])
+    raw = float(index.pool_means(pool, unique_domains)[0])
     if math.isnan(raw):
         return None
     return raw, (raw if own[0] > 0.5 else 1.0 - raw)
@@ -347,7 +327,7 @@ def exposure_class_fractions(
     class boundary, so only exactly-centrist domains count as moderate. Seeds
     whose pool holds no scored occurrence are absent.
     """
-    pools = engine.pool_matrix(kind, k)
+    pools = friend_matrix(kind, engine.fg, engine.rg, k)
     n_total = pools @ engine.index.score_count
     n_mod = pools @ engine.index.moderate
     profiles = {}
@@ -413,59 +393,55 @@ def friend_activity_comparison(
     """Tweet counts of every follower-graph friend, split by retweeted-or-not.
 
     A friend counts as retweeted when any seed retweeted them at least k
-    times. Each friend appears exactly once regardless of how many seeds
-    follow them.
+    times. Each friend appears exactly once, in name order, regardless of how
+    many seeds follow them. A given index must number users as the graphs do.
     """
+    _check_index(index, fg)
     if index is None:
         if table is None:
             raise EchoscopeError("need an ExposureIndex or a score table")
-        index = ExposureIndex(log_data, table)
-    universe: set[str] = set()
-    for friends in fg.adjacency.values():
-        universe.update(friends)
-    retweeted: set[str] = set()
-    for weights in rg.weighted_adjacency.values():
-        retweeted.update(v for v, w in weights.items() if w >= k)
+        index = ExposureIndex(log_data, table, fg.names)
     class_by_user = class_by_user or {}
-    rows = []
-    for friend in sorted(universe):
-        rows.append(
-            ActivityRow(
-                friend,
-                index.activity(friend),
-                friend in retweeted,
-                class_by_user.get(friend),
-            )
+    friends = np.flatnonzero(fg.indegree())
+    retweeted = rg.at_least(k).getnnz(axis=0)[friends] > 0
+    return [
+        ActivityRow(fg.names[i], n, rt, class_by_user.get(fg.names[i]))
+        for i, n, rt in zip(
+            friends.tolist(), index.n_events[friends].tolist(), retweeted.tolist()
         )
-    return rows
+    ]
 
 
 def congruent_friend_fraction_diff(
-    user: str,
     fg: FollowerGraph,
     rg: RetweetGraph,
     class_by_user: dict[str, str],
     k: int = 1,
-) -> Optional[CongruenceDiff]:
-    """Class-share gap between retweeted and not-retweeted friends.
+) -> dict[str, CongruenceDiff]:
+    """Per seed, the own-class share of retweeted minus not-retweeted friends.
 
-    Fractions run over scored friends only; absent when the user is unscored
-    or either partition has no scored friend.
+    A friend counts as retweeted when the seed retweeted them at least k
+    times. Fractions run over scored friends only; a seed is absent when it
+    is unscored or either partition has no scored friend.
     """
-    own_class = class_by_user.get(user)
-    if own_class is None:
-        return None
-    friends = fg.friends(user)
-    rt_friends = rg.retweet_friends(user, k)
-    retweeted = [f for f in friends & rt_friends if f in class_by_user]
-    not_retweeted = [f for f in friends - rt_friends if f in class_by_user]
-    if not retweeted or not not_retweeted:
-        return None
-    frac_r = sum(1 for f in retweeted if class_by_user[f] == own_class) / len(retweeted)
-    frac_n = sum(1 for f in not_retweeted if class_by_user[f] == own_class) / len(
-        not_retweeted
+    column = {c: j for j, c in enumerate(sorted(set(class_by_user.values())))}
+    by_class = user_categories(
+        fg.names, {u: column[c] for u, c in class_by_user.items()}, len(column)
     )
-    return CongruenceDiff(user, own_class, frac_r, frac_n, frac_r - frac_n)
+    followed = (fg.follow @ by_class).toarray().tolist()
+    retweeted = (fg.follow.multiply(rg.at_least(k)) @ by_class).toarray().tolist()
+    diffs = {}
+    for user, all_counts, rt_counts in zip(fg.seeds, followed, retweeted):
+        own_class = class_by_user.get(user)
+        n_r = sum(rt_counts)
+        n_n = sum(all_counts) - n_r
+        if own_class is None or n_r == 0 or n_n == 0:
+            continue
+        j = column[own_class]
+        frac_r = rt_counts[j] / n_r
+        frac_n = (all_counts[j] - rt_counts[j]) / n_n
+        diffs[user] = CongruenceDiff(user, own_class, frac_r, frac_n, frac_r - frac_n)
+    return diffs
 
 
 @dataclass
@@ -487,9 +463,9 @@ class MetricsEngine:
     congruence and entropy analyses. Exposure values are normalized jointly
     across both graph kinds, per threshold.
 
-    ``follow`` is the seed x user follower matrix and ``retweets`` the seed x
-    user retweet-count matrix, rows in sorted seed order (``seeds``) and
-    columns over the index's user ids.
+    ``follow`` and ``retweets`` are the graphs' own seed x user matrices,
+    rows in sorted seed order (``seeds``) and columns over the graphs' user
+    ids, which the index shares.
     """
 
     def __init__(
@@ -499,16 +475,12 @@ class MetricsEngine:
         rg: RetweetGraph,
         unique_domains: bool = False,
     ) -> None:
+        check_same_space(fg, rg)
         self.unique_domains = unique_domains
-        self.seeds = sorted(bundle.seeds)
-        self.seed_row = {user: i for i, user in enumerate(self.seeds)}
-        follow_rows = [fg.adjacency.get(user, frozenset()) for user in self.seeds]
-        retweet_rows = [rg.weighted_adjacency.get(user, {}) for user in self.seeds]
-        self.index = ExposureIndex(
-            bundle.log, bundle.scores, set().union(*follow_rows, *retweet_rows)
-        )
-        self.follow = _user_rows(self.index, follow_rows)
-        self.retweets = _user_rows(self.index, retweet_rows)
+        self.fg, self.rg = fg, rg
+        self.seeds, self.seed_row = fg.seeds, fg.seed_row
+        self.follow, self.retweets = fg.follow, rg.retweets
+        self.index = ExposureIndex(bundle.log, bundle.scores, fg.names)
         self.warnings: list[str] = []
 
         self.mu_by_user: dict[str, float] = {}
@@ -533,20 +505,10 @@ class MetricsEngine:
         self._seed_mu = np.array([self.mu_by_user.get(u, np.nan) for u in self.seeds])
         self._raw_f: Optional[dict[str, float]] = None
 
-    def pool_matrix(self, kind: str, k: int = 1) -> sparse.csr_matrix:
-        """Seed x user matrix whose row holds the friends a seed pools under a graph kind."""
-        if kind == FOLLOWER:
-            return self.follow
-        if kind == RETWEET:
-            pools = self.retweets.copy()
-            pools.data = (pools.data >= k).astype(np.int64)
-            pools.eliminate_zeros()
-            return pools
-        raise EchoscopeError(f"unknown graph kind {kind!r}")
-
     def _raw_exposures(self, kind: str, k: int) -> dict[str, float]:
         """Raw pool mean, folded by the seed's own mu, for seeds with both defined."""
-        raw = self.index.pool_means(self.pool_matrix(kind, k), self.unique_domains)
+        pools = friend_matrix(kind, self.fg, self.rg, k)
+        raw = self.index.pool_means(pools, self.unique_domains)
         folded = np.where(self._seed_mu > 0.5, raw, 1.0 - raw)
         rows = np.flatnonzero(~np.isnan(raw) & ~np.isnan(self._seed_mu))
         return {self.seeds[i]: v for i, v in zip(rows.tolist(), folded[rows].tolist())}

@@ -33,8 +33,9 @@ from .graph import (
     fraction_friends_retweeted,
     sample_friends_by_indegree,
     save_graph_cache,
+    user_space,
 )
-from .ingest import DatasetBundle, load_dataset
+from .ingest import DatasetBundle, atomic_open, load_dataset
 from .moderacy import (
     FOLLOWER,
     HARDLINER,
@@ -141,7 +142,7 @@ def _jfloat(value):
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable[Iterable]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(str(path)) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -231,8 +232,9 @@ def build_graphs(
         cached = load_graph_cache(str(cache_path), fingerprint)
         if cached is not None:
             return cached
-    fg = build_follower_graph(bundle.edges, bundle.seeds)
-    rg = build_retweet_graph(bundle.log, bundle.seeds)
+    space = user_space(bundle.seeds, bundle.edges, bundle.log)
+    fg = build_follower_graph(space)
+    rg = build_retweet_graph(space)
     if cache_path is not None and not cfg.no_cache:
         save_graph_cache(str(cache_path), fg, rg, fingerprint)
     return fg, rg
@@ -288,7 +290,7 @@ def build_report(
     overlap_curves = []
     overlap_user_rows = []
     for mode in cfg.overlap_modes():
-        curve = overlap_vs_threshold(fg, rg, bundle.log, cfg.k_range(), mode)
+        curve = overlap_vs_threshold(fg, rg, cfg.k_range(), mode)
         overlap_curves.append(
             {
                 "mode": mode,
@@ -302,11 +304,14 @@ def build_report(
                 ],
             }
         )
+    frac_by_user = fraction_friends_retweeted(fg, rg, 1)
+    overlap_by_mode = [
+        retweet_overlap(fg, rg, 1, mode) for mode in (OVERLAP_ACCOUNT, OVERLAP_CONTENT)
+    ]
     for user in sorted(bundle.seeds):
-        frac = fraction_friends_retweeted(user, fg, rg, 1)
-        row = [user, frac]
-        for mode in (OVERLAP_ACCOUNT, OVERLAP_CONTENT):
-            row.append(retweet_overlap(user, fg, rg, 1, mode, bundle.log))
+        row = [user, frac_by_user.get(user)]
+        for by_user in overlap_by_mode:
+            row.append(by_user.get(user))
         if any(v is not None for v in row[1:]):
             overlap_user_rows.append(tuple(row))
 
@@ -326,10 +331,11 @@ def build_report(
             if ucls is not None and user in profiles:
                 fractions_by_kind[kind][ucls].append(profiles[user])
 
+    n_retweeted = dict(zip(rg.seeds, np.diff(rg.retweets.indptr).tolist()))
     baseline_candidates = [
         u
         for u in seeds_sorted
-        if class_by_user.get(u) is not None and rg.retweet_friends(u, 1)
+        if class_by_user.get(u) is not None and n_retweeted[u]
     ]
     if cfg.baseline_users and len(baseline_candidates) > cfg.baseline_users:
         picker = substream(cfg.seed, "baseline-user-cap")
@@ -442,10 +448,7 @@ def build_report(
     # congruence of retweeted vs not-retweeted friends
     congruence_rows = []
     cong_by_class: dict[str, list] = {MODERATE: [], HARDLINER: []}
-    for user in seeds_sorted:
-        diff = congruent_friend_fraction_diff(user, fg, rg, class_by_user, 1)
-        if diff is None:
-            continue
+    for user, diff in congruent_friend_fraction_diff(fg, rg, class_by_user, 1).items():
         cong_by_class[diff.moderacy_class].append(diff)
         congruence_rows.append(
             (
@@ -481,7 +484,7 @@ def build_report(
     sample_counts = {"n_requested": cfg.sample_n}
     for source, graph_obj in (("random_friend", fg), ("random_retweet_friend", rg)):
         n_scored = 0
-        if graph_obj.indegree and sum(graph_obj.indegree.values()) > 0:
+        if graph_obj.indegree().any():
             drawn = sample_friends_by_indegree(
                 graph_obj, cfg.sample_n, substream(cfg.seed, "indegree-sample", source)
             )
@@ -552,16 +555,18 @@ def build_report(
 
 
 def write_report(report: ReportBundle, out_dir: str) -> list[str]:
-    """Write report.json and the CSV companions; returns the file names."""
+    """Write report.json and the CSV companions; returns the file names.
+
+    Each file is written under a temporary name and then moved into place,
+    so a failed or killed run never leaves a partial file under a real name.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
     path = out / "report.json"
-    path.write_text(
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    with atomic_open(str(path)) as fh:
+        fh.write(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
     written.append(path.name)
 
     rows = []

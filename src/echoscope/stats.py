@@ -12,6 +12,7 @@ from typing import Iterable, Optional, Sequence
 from scipy import stats as _scipy_stats
 
 from .errors import UndefinedStatisticError
+from .graph import FollowerGraph, RetweetGraph, user_categories
 
 # below this product of sample sizes the U distribution is enumerated exactly
 EXACT_U_THRESHOLD = 400
@@ -190,11 +191,22 @@ def shannon_entropy(values: Sequence[float], n_bins: int) -> float:
         raise UndefinedStatisticError("need at least 2 bins")
     counts = [0] * n_bins
     for v in values:
-        v = float(v)
-        if not 0.0 <= v <= 1.0:
-            raise UndefinedStatisticError(f"value out of [0,1]: {v}")
-        counts[min(int(v * n_bins), n_bins - 1)] += 1
-    total = len(values)
+        counts[_bin(v, n_bins)] += 1
+    return _entropy_of_counts(counts, n_bins)
+
+
+def _bin(value: float, n_bins: int) -> int:
+    """Equal-width bin of a value in [0,1]; the last bin is right-closed."""
+    value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise UndefinedStatisticError(f"value out of [0,1]: {value}")
+    return min(int(value * n_bins), n_bins - 1)
+
+
+def _entropy_of_counts(counts: list[int], n_bins: int) -> float:
+    if n_bins < 2:
+        raise UndefinedStatisticError("need at least 2 bins")
+    total = sum(counts)
     return -math.fsum(
         (c / total) * math.log2(c / total) for c in counts if c > 0
     )
@@ -202,40 +214,45 @@ def shannon_entropy(values: Sequence[float], n_bins: int) -> float:
 
 def entropy_comparison(
     users: Iterable[str],
-    fg,
-    rg,
+    fg: FollowerGraph,
+    rg: RetweetGraph,
     m_s_by_user: dict[str, float],
     n_bins: int = 5,
     k: int = 1,
 ) -> tuple[list[EntropyProfile], list[EntropyProfile], Optional[UTestResult], int]:
     """Per-user entropy of scored-friend moderacy under each graph kind.
 
-    Users with fewer than 2 scored friends in either graph are skipped; the
-    count of skipped users is returned. The U test compares the follower
-    entropy population (first sample) against the retweet one.
+    Users with fewer than 2 scored friends in either graph (or no row in
+    them) are skipped; the count of skipped users is returned. The U test
+    compares the follower entropy population (first sample) against the
+    retweet one.
     """
+    # each seed row's bin counts are one product with a user x bin indicator
+    width = max(n_bins, 1)
+    bins = {user: _bin(value, width) for user, value in m_s_by_user.items()}
+    by_bin = user_categories(fg.names, bins, width)
+    counts_f = (fg.follow @ by_bin).toarray().tolist()
+    counts_r = (rg.at_least(k) @ by_bin).toarray().tolist()
+
     profiles_f: list[EntropyProfile] = []
     profiles_r: list[EntropyProfile] = []
     n_skipped = 0
     for user in sorted(set(users)):
-        f_scores = [m_s_by_user[v] for v in fg.friends(user) if v in m_s_by_user]
-        r_scores = [
-            m_s_by_user[v] for v in rg.retweet_friends(user, k) if v in m_s_by_user
-        ]
-        if len(f_scores) < 2 or len(r_scores) < 2:
+        row = fg.seed_row.get(user)
+        n_f = 0 if row is None else sum(counts_f[row])
+        n_r = 0 if row is None else sum(counts_r[row])
+        if n_f < 2 or n_r < 2:
             n_skipped += 1
             continue
         profiles_f.append(
-            EntropyProfile(user, "follower", shannon_entropy(f_scores, n_bins), n_bins, len(f_scores))
+            EntropyProfile(user, "follower", _entropy_of_counts(counts_f[row], n_bins), n_bins, n_f)
         )
         profiles_r.append(
-            EntropyProfile(user, "retweet", shannon_entropy(r_scores, n_bins), n_bins, len(r_scores))
+            EntropyProfile(user, "retweet", _entropy_of_counts(counts_r[row], n_bins), n_bins, n_r)
         )
     test = None
-    if profiles_f and profiles_r:
-        test = mann_whitney_u(
-            [p.entropy for p in profiles_f], [p.entropy for p in profiles_r]
-        )
+    if profiles_f:  # the two lists always have the same length
+        test = mann_whitney_u([p.entropy for p in profiles_f], [p.entropy for p in profiles_r])
     return profiles_f, profiles_r, test, n_skipped
 
 

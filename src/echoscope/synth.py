@@ -19,8 +19,9 @@ The generative model, all driven by counter-based substreams of one seed:
                 carry the original's URL and a timestamp at or after it.
 
 Also home to the brute-force verifier: oracle_metrics recomputes every
-per-user metric, exposure class fractions included, by direct scans over the
-bundle, sharing no code with the analysis modules.
+per-user metric (exposure class fractions, congruence and friend activity
+included) and the overlap-curve points by direct scans over the bundle,
+sharing no code with the analysis modules.
 """
 from __future__ import annotations
 
@@ -314,6 +315,14 @@ class OracleMetrics:
     frac_moderate_r: dict[str, float]
     frac_hardline_f: dict[str, float]
     frac_hardline_r: dict[str, float]
+    frac_congruent_retweeted: dict[str, float]
+    frac_congruent_not_retweeted: dict[str, float]
+    congruence_diff: dict[str, float]
+    activity: dict[str, float]  # per follower-graph friend: events posted
+    activity_retweeted: dict[str, float]  # 1.0 when any seed retweeted them >= k times
+    activity_class: dict[str, str]
+    overlap_curve_mean: dict[str, float]  # per overlap mode, at k
+    overlap_curve_n: dict[str, float]
 
 
 def oracle_metrics(
@@ -471,6 +480,45 @@ def oracle_metrics(
             if den:
                 overlap_content[user] = num / den
 
+    # overlap-curve point at k: the mean over seeds whose overlap is defined,
+    # added in sorted-seed order
+    overlap_curve_mean: dict[str, float] = {}
+    overlap_curve_n: dict[str, float] = {}
+    for mode, per_user in (("account", overlap_account), ("content", overlap_content)):
+        values = [per_user[u] for u in sorted(per_user)]
+        overlap_curve_n[mode] = float(len(values))
+        if values:
+            overlap_curve_mean[mode] = sum(values) / len(values)
+
+    # congruence: own-class share among scored retweeted vs not-retweeted friends
+    cong_r: dict[str, float] = {}
+    cong_n: dict[str, float] = {}
+    cong_diff: dict[str, float] = {}
+    for user in sorted(seeds):
+        own = moderacy_class.get(user)
+        if own is None:
+            continue
+        fset = friends.get(user, set())
+        rset = rt_friends(user)
+        r_classes = [moderacy_class[f] for f in sorted(fset) if f in rset and f in moderacy_class]
+        n_classes = [
+            moderacy_class[f] for f in sorted(fset) if f not in rset and f in moderacy_class
+        ]
+        if r_classes and n_classes:
+            cong_r[user] = r_classes.count(own) / len(r_classes)
+            cong_n[user] = n_classes.count(own) / len(n_classes)
+            cong_diff[user] = cong_r[user] - cong_n[user]
+
+    # activity: every followed account once, retweeted if any seed passed k
+    followed: set[str] = set()
+    retweeted_any: set[str] = set()
+    for user in seeds:
+        followed.update(friends.get(user, set()))
+        retweeted_any.update(rt_friends(user))
+    activity = {f: float(len(by_author.get(f, ()))) for f in followed}
+    activity_retweeted = {f: (1.0 if f in retweeted_any else 0.0) for f in followed}
+    activity_class = {f: moderacy_class[f] for f in followed if f in moderacy_class}
+
     def entropy(values: list[float]) -> float:
         counts = Counter(min(int(v * n_bins), n_bins - 1) for v in values)
         total = len(values)
@@ -501,6 +549,14 @@ def oracle_metrics(
         frac_moderate_r=fractions["moderate_r"],
         frac_hardline_f=fractions["hardline_f"],
         frac_hardline_r=fractions["hardline_r"],
+        frac_congruent_retweeted=cong_r,
+        frac_congruent_not_retweeted=cong_n,
+        congruence_diff=cong_diff,
+        activity=activity,
+        activity_retweeted=activity_retweeted,
+        activity_class=activity_class,
+        overlap_curve_mean=overlap_curve_mean,
+        overlap_curve_n=overlap_curve_n,
     )
 
 
@@ -544,8 +600,9 @@ def compare_with_oracle(
     if not bundle.seeds and not bundle.log.events:
         # nothing to analyze on either route: vacuous agreement
         return OracleDiff(0.0, "none", 0, (), ())
-    fg = graph_mod.build_follower_graph(bundle.edges, bundle.seeds)
-    rg = graph_mod.build_retweet_graph(bundle.log, bundle.seeds)
+    space = graph_mod.user_space(bundle.seeds, bundle.edges, bundle.log)
+    fg = graph_mod.build_follower_graph(space)
+    rg = graph_mod.build_retweet_graph(space)
     engine = mod.MetricsEngine(bundle, fg, rg, unique_domains)
     metrics = engine.metrics_at(k)
 
@@ -555,31 +612,39 @@ def compare_with_oracle(
         "m_e_f": {u: m.m_e_f for u, m in metrics.by_user.items() if m.m_e_f is not None},
         "m_e_r": {u: m.m_e_r for u, m in metrics.by_user.items() if m.m_e_r is not None},
         "delta": {u: m.delta for u, m in metrics.by_user.items() if m.delta is not None},
-        "frac_friends_retweeted": {},
-        "overlap_account": {},
-        "overlap_content": {},
-        "entropy_f": {},
-        "entropy_r": {},
+        "frac_friends_retweeted": graph_mod.fraction_friends_retweeted(fg, rg, k),
+        "overlap_account": graph_mod.retweet_overlap(fg, rg, k, graph_mod.OVERLAP_ACCOUNT),
+        "overlap_content": graph_mod.retweet_overlap(fg, rg, k, graph_mod.OVERLAP_CONTENT),
     }
     for kind, tag in ((mod.FOLLOWER, "f"), (mod.RETWEET, "r")):
         profiles = mod.exposure_class_fractions(engine, kind, k)
         engine_maps["frac_moderate_" + tag] = {u: p.frac_moderate for u, p in profiles.items()}
         engine_maps["frac_hardline_" + tag] = {u: p.frac_hardline for u, p in profiles.items()}
-    for user in sorted(bundle.seeds):
-        v = graph_mod.fraction_friends_retweeted(user, fg, rg, k)
-        if v is not None:
-            engine_maps["frac_friends_retweeted"][user] = v
-        v = graph_mod.retweet_overlap(user, fg, rg, k, graph_mod.OVERLAP_ACCOUNT, bundle.log)
-        if v is not None:
-            engine_maps["overlap_account"][user] = v
-        v = graph_mod.retweet_overlap(user, fg, rg, k, graph_mod.OVERLAP_CONTENT, bundle.log)
-        if v is not None:
-            engine_maps["overlap_content"][user] = v
     prof_f, prof_r, _, _ = stats_mod.entropy_comparison(
         bundle.seeds, fg, rg, metrics.m_s_by_user, n_bins, k
     )
     engine_maps["entropy_f"] = {p.user: p.entropy for p in prof_f}
     engine_maps["entropy_r"] = {p.user: p.entropy for p in prof_r}
+    diffs = mod.congruent_friend_fraction_diff(fg, rg, metrics.class_by_user, k)
+    engine_maps["frac_congruent_retweeted"] = {
+        u: d.frac_congruent_retweeted for u, d in diffs.items()
+    }
+    engine_maps["frac_congruent_not_retweeted"] = {
+        u: d.frac_congruent_not_retweeted for u, d in diffs.items()
+    }
+    engine_maps["congruence_diff"] = {u: d.diff for u, d in diffs.items()}
+    activity_rows = mod.friend_activity_comparison(
+        fg, rg, bundle.log, metrics.class_by_user, k, engine.index
+    )
+    engine_maps["activity"] = {r.friend: float(r.activity) for r in activity_rows}
+    engine_maps["activity_retweeted"] = {r.friend: float(r.retweeted) for r in activity_rows}
+    engine_maps["overlap_curve_mean"] = {}
+    engine_maps["overlap_curve_n"] = {}
+    for mode in (graph_mod.OVERLAP_ACCOUNT, graph_mod.OVERLAP_CONTENT):
+        (point,) = graph_mod.overlap_vs_threshold(fg, rg, [k], mode).points
+        engine_maps["overlap_curve_n"][mode] = float(point.n_users)
+        if point.n_users:
+            engine_maps["overlap_curve_mean"][mode] = point.mean_overlap
 
     oracle_maps = {
         "mu": oracle.mu,
@@ -596,6 +661,13 @@ def compare_with_oracle(
         "frac_moderate_r": oracle.frac_moderate_r,
         "frac_hardline_f": oracle.frac_hardline_f,
         "frac_hardline_r": oracle.frac_hardline_r,
+        "frac_congruent_retweeted": oracle.frac_congruent_retweeted,
+        "frac_congruent_not_retweeted": oracle.frac_congruent_not_retweeted,
+        "congruence_diff": oracle.congruence_diff,
+        "activity": oracle.activity,
+        "activity_retweeted": oracle.activity_retweeted,
+        "overlap_curve_mean": oracle.overlap_curve_mean,
+        "overlap_curve_n": oracle.overlap_curve_n,
     }
     # the oracle scores every author; the engine does too, via the same log
     presence_mismatches: list[str] = []
@@ -615,16 +687,28 @@ def compare_with_oracle(
             if diff > max_diff:
                 max_diff = diff
                 worst = f"{name}[{user}]"
-    engine_classes = {
-        u: m.moderacy_class for u, m in metrics.by_user.items() if m.moderacy_class
-    }
-    if set(engine_classes) != set(oracle.moderacy_class):
-        presence_mismatches.append("moderacy_class: key sets differ")
-    else:
+    if len(activity_rows) != len(engine_maps["activity"]):
+        presence_mismatches.append("activity: a friend has more than one row")
+    class_maps = (
+        (
+            "moderacy_class",
+            {u: m.moderacy_class for u, m in metrics.by_user.items() if m.moderacy_class},
+            oracle.moderacy_class,
+        ),
+        (
+            "activity_class",
+            {r.friend: r.moderacy_class for r in activity_rows if r.moderacy_class},
+            oracle.activity_class,
+        ),
+    )
+    for name, engine_classes, oracle_classes in class_maps:
+        if set(engine_classes) != set(oracle_classes):
+            presence_mismatches.append(f"{name}: key sets differ")
+            continue
         for user, value in engine_classes.items():
             n_compared += 1
-            if value != oracle.moderacy_class[user]:
-                class_mismatches.append(user)
+            if value != oracle_classes[user]:
+                class_mismatches.append(f"{name}[{user}]")
     return OracleDiff(
         max_abs_diff=max_diff,
         worst_metric=worst,

@@ -1,5 +1,6 @@
 import pytest
 
+from echoscope.graph import build_follower_graph, build_retweet_graph, user_space
 from echoscope.ingest import (
     DatasetBundle,
     DomainScoreTable,
@@ -26,6 +27,12 @@ def make_bundle(scores, edges, events, seeds=None):
     if seeds is None:
         seeds = edge_list.sources()
     return DatasetBundle(DomainScoreTable(dict(scores)), edge_list, log, frozenset(seeds))
+
+
+def graphs_of(bundle):
+    """The bundle's follower and retweet graphs over one shared id space."""
+    space = user_space(bundle.seeds, bundle.edges, bundle.log)
+    return build_follower_graph(space), build_retweet_graph(space)
 
 
 @pytest.fixture

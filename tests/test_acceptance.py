@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from echoscope.graph import build_follower_graph, build_retweet_graph
+from conftest import graphs_of
+
 from echoscope.ingest import write_domain_scores, write_events, write_follow_edges
 from echoscope.moderacy import (
     HARDLINER,
@@ -56,8 +57,7 @@ def family_config(beta: float, seed: int) -> SynthConfig:
 def battery_run(beta: float, seed: int) -> dict:
     t0 = time.perf_counter()
     bundle, _ = generate(family_config(beta, seed))
-    fg = build_follower_graph(bundle.edges, bundle.seeds)
-    rg = build_retweet_graph(bundle.log, bundle.seeds)
+    fg, rg = graphs_of(bundle)
     engine = MetricsEngine(bundle, fg, rg)
     out: dict = {"k": {}}
     for k in K_GRID:
@@ -82,10 +82,8 @@ def battery_run(beta: float, seed: int) -> dict:
     out["entropy_r"] = statistics.fmean(p.entropy for p in prof_r)
     out["entropy_p"] = ent_test.p
     cong = {MODERATE: [], HARDLINER: []}
-    for user in bundle.seeds:
-        diff = congruent_friend_fraction_diff(user, fg, rg, engine.class_by_user, 1)
-        if diff is not None:
-            cong[diff.moderacy_class].append(diff.diff)
+    for diff in congruent_friend_fraction_diff(fg, rg, engine.class_by_user, 1).values():
+        cong[diff.moderacy_class].append(diff.diff)
     out["cong_moderate"] = statistics.fmean(cong[MODERATE])
     out["cong_hardliner"] = statistics.fmean(cong[HARDLINER])
     out["seconds"] = time.perf_counter() - t0

@@ -83,6 +83,29 @@ def test_validate_dangling_retweets_warn_but_pass(tmp_path, capsys):
     assert payload["n_dangling_retweets"] == 1
 
 
+def corrupt_line(dataset_dir, tmp_path, name, lineno):
+    """A copy of the bundle whose file ``name`` has a 0xff byte in line ``lineno``."""
+    copy = tmp_path / "corrupt"
+    copy.mkdir()
+    for other in ("scores.csv", "edges.csv", "events.jsonl"):
+        (copy / other).write_bytes((dataset_dir / other).read_bytes())
+    lines = (copy / name).read_bytes().splitlines(keepends=True)
+    lines[lineno - 1] = lines[lineno - 1][:3] + b"\xff" + lines[lineno - 1][3:]
+    (copy / name).write_bytes(b"".join(lines))
+    return copy
+
+
+@pytest.mark.parametrize(
+    "name, lineno", [("scores.csv", 2), ("edges.csv", 5), ("events.jsonl", 3)]
+)
+def test_validate_non_utf8_input_exit_two(dataset_dir, tmp_path, capsys, name, lineno):
+    copy = corrupt_line(dataset_dir, tmp_path, name, lineno)
+    assert main(["validate", *inputs(copy)]) == 2
+    err = capsys.readouterr().err
+    assert f"{copy / name}:{lineno}: not valid UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_validate_report_to_file(dataset_dir, tmp_path):
     out = tmp_path / "validation.json"
     assert main(["validate", *inputs(dataset_dir), "--out", str(out)]) == 0

@@ -1,11 +1,13 @@
+import struct
 import time
 
 import numpy as np
 import pytest
 
-from conftest import rt
+from conftest import graphs_of, rt
 from echoscope.errors import EchoscopeError
 from echoscope.graph import (
+    CACHE_MAGIC,
     OVERLAP_ACCOUNT,
     OVERLAP_CONTENT,
     build_follower_graph,
@@ -17,6 +19,7 @@ from echoscope.graph import (
     sample_friends_by_indegree,
     sample_random_friend_subset,
     save_graph_cache,
+    user_space,
 )
 from echoscope.ingest import EventLog, FollowEdgeList
 from echoscope.rng import substream
@@ -30,39 +33,77 @@ def log_of(events):
     return EventLog.from_events(events)
 
 
+def graphs(pairs, events, seeds):
+    """Follower and retweet graphs over one shared id space."""
+    space = user_space(seeds, edges_of(pairs), log_of(events))
+    return build_follower_graph(space), build_retweet_graph(space)
+
+
+def follower_graph(pairs, seeds):
+    return graphs(pairs, [], seeds)[0]
+
+
+def retweet_graph(events, seeds):
+    return graphs([], events, seeds)[1]
+
+
+def indegrees(graph):
+    """User -> indegree, for users with a nonzero one."""
+    return {name: d for name, d in zip(graph.names, graph.indegree().tolist()) if d}
+
+
+def weights_of(rg):
+    """Seed -> {retweeted account: count}, for seeds that retweeted anyone."""
+    m = rg.retweets
+    out = {}
+    for row, seed in enumerate(rg.seeds):
+        lo, hi = m.indptr[row], m.indptr[row + 1]
+        if hi > lo:
+            cols, counts = m.indices[lo:hi].tolist(), m.data[lo:hi].tolist()
+            out[seed] = {rg.names[c]: w for c, w in zip(cols, counts)}
+    return out
+
+
 # ---------------------------------------------------------------- builders
 
 
 def test_follower_graph_restricted_to_seeds():
-    fg = build_follower_graph(edges_of([("s1", "a"), ("s1", "b"), ("x", "a")]), {"s1"})
-    assert fg.adjacency == {"s1": frozenset({"a", "b"})}
-    assert fg.indegree == {"a": 1, "b": 1}  # the x->a edge is outside the sample
+    fg = follower_graph([("s1", "a"), ("s1", "b"), ("x", "a")], {"s1"})
+    assert fg.seeds == ["s1"]
+    assert fg.friends("s1") == frozenset({"a", "b"})
+    assert fg.friends("x") == frozenset()
+    assert indegrees(fg) == {"a": 1, "b": 1}  # the x->a edge is outside the sample
 
 
 def test_seed_without_edges_still_present():
-    fg = build_follower_graph(edges_of([("s1", "a")]), {"s1", "s2"})
-    assert fg.adjacency["s2"] == frozenset()
+    fg = follower_graph([("s1", "a")], {"s1", "s2"})
+    assert fg.seeds == ["s1", "s2"]
+    assert fg.friends("s2") == frozenset()
 
 
 def test_empty_seed_set_rejected():
     with pytest.raises(EchoscopeError, match="empty"):
-        build_follower_graph(edges_of([("a", "b")]), set())
+        user_space(set(), edges_of([("a", "b")]), log_of([]))
 
 
 def test_retweet_weights_count_interactions():
     log = log_of(
         [rt(f"t{i}", "s", i, "A") for i in range(3)] + [rt("t9", "s", 9, "B")]
     )
-    rg = build_retweet_graph(log, {"s"})
-    assert rg.weighted_adjacency == {"s": {"A": 3, "B": 1}}
-    assert rg.indegree == {"A": 3, "B": 1}
+    rg = build_retweet_graph(user_space({"s"}, edges_of([]), log))
+    assert weights_of(rg) == {"s": {"A": 3, "B": 1}}
+    assert indegrees(rg) == {"A": 3, "B": 1}
+    assert rg.retweet_friends("s", 1) == frozenset({"A", "B"})
     assert rg.retweet_friends("s", 2) == frozenset({"A"})
-    assert rg.thresholded(2) == {"s": frozenset({"A"})}
+    at_two = rg.at_least(2)
+    assert [rg.names[c] for c in at_two.indices.tolist()] == ["A"]
+    assert at_two.data.tolist() == [1]
 
 
 def test_non_seed_retweets_ignored():
-    rg = build_retweet_graph(log_of([rt("t1", "x", 1, "A")]), {"s"})
-    assert rg.weighted_adjacency == {}
+    rg = retweet_graph([rt("t1", "x", 1, "A")], {"s"})
+    assert weights_of(rg) == {}
+    assert rg.retweet_friends("s") == frozenset()
 
 
 def test_threshold_nesting_property():
@@ -72,12 +113,12 @@ def test_threshold_nesting_property():
     for i in range(400):
         a, b = rng.choice(6, size=2, replace=False)
         events.append(rt(f"t{i:03d}", users[a], int(rng.integers(0, 1000)), users[b]))
-    rg = build_retweet_graph(log_of(events), set(users))
+    rg = retweet_graph(events, set(users))
     for k in range(1, 10):
-        upper = rg.thresholded(k + 1)
-        lower = rg.thresholded(k)
-        for user, targets in upper.items():
-            assert targets <= lower.get(user, frozenset())
+        for user in users:
+            assert rg.retweet_friends(user, k + 1) <= rg.retweet_friends(user, k)
+        upper, lower = rg.at_least(k + 1), rg.at_least(k)
+        assert (upper - upper.multiply(lower)).nnz == 0
 
 
 def test_weight_equals_brute_force_recount():
@@ -88,91 +129,87 @@ def test_weight_equals_brute_force_recount():
         a, b = rng.choice(8, size=2, replace=False)
         events.append(rt(f"t{i:04d}", users[a], int(rng.integers(0, 50)), users[b]))
     seeds = set(users[:5])
-    rg = build_retweet_graph(log_of(events), seeds)
+    rg = retweet_graph(events, seeds)
     for u in seeds:
         for v in set(e.original_author for e in events if e.author == u):
             expected = sum(
                 1 for e in events if e.author == u and e.original_author == v
             )
-            assert rg.weighted_adjacency.get(u, {}).get(v, 0) == expected
+            assert weights_of(rg).get(u, {}).get(v, 0) == expected
+            assert v in rg.retweet_friends(u, expected)
+            assert v not in rg.retweet_friends(u, expected + 1)
 
 
 def test_rebuilds_are_identical():
     pairs = [("s1", "a"), ("s1", "b"), ("s2", "a")]
     events = [rt("t1", "s1", 1, "a"), rt("t2", "s2", 2, "b")]
-    fg1 = build_follower_graph(edges_of(pairs), {"s1", "s2"})
-    fg2 = build_follower_graph(edges_of(pairs), {"s1", "s2"})
+    fg1, rg1 = graphs(pairs, events, {"s1", "s2"})
+    fg2, rg2 = graphs(pairs, events, {"s1", "s2"})
     assert fg1 == fg2
-    assert build_retweet_graph(log_of(events), {"s1", "s2"}) == build_retweet_graph(
-        log_of(events), {"s1", "s2"}
-    )
+    assert rg1 == rg2
 
 
 # ---------------------------------------------------------------- overlaps
 
 
+FIXTURE_EDGES = [("s", f"f{i}") for i in range(10)]
+
+
 def fixture_graphs():
-    fg = build_follower_graph(
-        edges_of([("s", f"f{i}") for i in range(10)]), {"s"}
-    )
     # f0 retweeted twice (followed), ghost retweeted once (not followed)
-    log = log_of(
-        [rt("t1", "s", 1, "f0"), rt("t2", "s", 2, "f0"), rt("t3", "s", 3, "ghost")]
-    )
-    rg = build_retweet_graph(log, {"s"})
-    return fg, rg, log
+    events = [rt("t1", "s", 1, "f0"), rt("t2", "s", 2, "f0"), rt("t3", "s", 3, "ghost")]
+    return graphs(FIXTURE_EDGES, events, {"s"})
 
 
 def test_fraction_friends_retweeted_examples():
-    fg, rg, _ = fixture_graphs()
-    assert fraction_friends_retweeted("s", fg, rg, 1) == 0.1
+    fg, rg = fixture_graphs()
+    assert fraction_friends_retweeted(fg, rg, 1) == {"s": 0.1}
     # nothing retweeted at all
-    rg_empty = build_retweet_graph(log_of([]), {"s"})
-    assert fraction_friends_retweeted("s", fg, rg_empty, 1) == 0.0
-    # user with no friends is undefined
-    assert fraction_friends_retweeted("nobody", fg, rg, 1) is None
+    fg_quiet, rg_empty = graphs(FIXTURE_EDGES, [], {"s"})
+    assert fraction_friends_retweeted(fg_quiet, rg_empty, 1) == {"s": 0.0}
+    # a seed with no friends is undefined
+    fg2, rg2 = graphs(FIXTURE_EDGES, [rt("t1", "nobody", 1, "f0")], {"s", "nobody"})
+    assert fraction_friends_retweeted(fg2, rg2, 1) == {"s": 0.0}
 
 
 def test_overlap_modes_and_threshold_example():
-    fg, rg, log = fixture_graphs()
+    fg, rg = fixture_graphs()
     # k=1: retweet friends {f0, ghost} -> half followed; k=2: {f0} only
-    assert retweet_overlap("s", fg, rg, 1, OVERLAP_ACCOUNT, log) == 0.5
-    assert retweet_overlap("s", fg, rg, 2, OVERLAP_ACCOUNT, log) == 1.0
+    assert retweet_overlap(fg, rg, 1, OVERLAP_ACCOUNT) == {"s": 0.5}
+    assert retweet_overlap(fg, rg, 2, OVERLAP_ACCOUNT) == {"s": 1.0}
     # content mode: 2 of 3 retweet events point at a followed account
-    assert retweet_overlap("s", fg, rg, 1, OVERLAP_CONTENT, log) == pytest.approx(2 / 3)
-    assert retweet_overlap("s", fg, rg, 2, OVERLAP_CONTENT, log) == 1.0
+    assert retweet_overlap(fg, rg, 1, OVERLAP_CONTENT)["s"] == pytest.approx(2 / 3)
+    assert retweet_overlap(fg, rg, 2, OVERLAP_CONTENT) == {"s": 1.0}
     # no retweet friends at k=3
-    assert retweet_overlap("s", fg, rg, 3, OVERLAP_ACCOUNT, log) is None
+    assert retweet_overlap(fg, rg, 3, OVERLAP_ACCOUNT) == {}
+    with pytest.raises(EchoscopeError, match="overlap mode"):
+        retweet_overlap(fg, rg, 1, "sideways")
 
 
 def test_overlap_all_or_none():
-    fg = build_follower_graph(edges_of([("s", "a"), ("s", "b")]), {"s"})
-    log_all = log_of([rt("t1", "s", 1, "a"), rt("t2", "s", 2, "b")])
-    rg_all = build_retweet_graph(log_all, {"s"})
+    pairs = [("s", "a"), ("s", "b")]
+    fg, rg_all = graphs(pairs, [rt("t1", "s", 1, "a"), rt("t2", "s", 2, "b")], {"s"})
     for mode in (OVERLAP_ACCOUNT, OVERLAP_CONTENT):
-        assert retweet_overlap("s", fg, rg_all, 1, mode, log_all) == 1.0
-    log_none = log_of([rt("t1", "s", 1, "x")])
-    rg_none = build_retweet_graph(log_none, {"s"})
+        assert retweet_overlap(fg, rg_all, 1, mode) == {"s": 1.0}
+    fg, rg_none = graphs(pairs, [rt("t1", "s", 1, "x")], {"s"})
     for mode in (OVERLAP_ACCOUNT, OVERLAP_CONTENT):
-        assert retweet_overlap("s", fg, rg_none, 1, mode, log_none) == 0.0
+        assert retweet_overlap(fg, rg_none, 1, mode) == {"s": 0.0}
 
 
 def test_overlap_curve_constant_when_single_followed_target():
-    fg = build_follower_graph(edges_of([("s", "a")]), {"s"})
-    log = log_of([rt(f"t{i}", "s", i, "a") for i in range(10)])
-    rg = build_retweet_graph(log, {"s"})
-    curve = overlap_vs_threshold(fg, rg, log, range(1, 11), OVERLAP_ACCOUNT)
+    fg, rg = graphs([("s", "a")], [rt(f"t{i}", "s", i, "a") for i in range(10)], {"s"})
+    curve = overlap_vs_threshold(fg, rg, range(1, 11), OVERLAP_ACCOUNT)
     assert [p.k for p in curve.points] == list(range(1, 11))
     assert all(p.mean_overlap == 1.0 and p.n_users == 1 for p in curve.points)
 
 
 def test_overlap_curve_forced_step():
-    fg, rg, log = fixture_graphs()
-    curve = overlap_vs_threshold(fg, rg, log, [1, 2], OVERLAP_ACCOUNT)
+    fg, rg = fixture_graphs()
+    curve = overlap_vs_threshold(fg, rg, [1, 2], OVERLAP_ACCOUNT)
     assert curve.points[0].mean_overlap == 0.5
     assert curve.points[1].mean_overlap == 1.0
     # k where no user qualifies gets an empty point
-    empty = overlap_vs_threshold(fg, rg, log, [5], OVERLAP_ACCOUNT).points[0]
+    empty = overlap_vs_threshold(fg, rg, [5], OVERLAP_ACCOUNT).points[0]
     assert empty.n_users == 0
 
 
@@ -180,28 +217,25 @@ def test_overlap_curve_forced_step():
 
 
 def test_indegree_proportional_sampling_ratio():
-    fg = build_follower_graph(
-        edges_of([("s1", "a"), ("s2", "a"), ("s3", "a"), ("s1", "b")]),
-        {"s1", "s2", "s3"},
-    )
-    assert fg.indegree == {"a": 3, "b": 1}
+    fg = follower_graph([("s1", "a"), ("s2", "a"), ("s3", "a"), ("s1", "b")], {"s1", "s2", "s3"})
+    assert indegrees(fg) == {"a": 3, "b": 1}
     draws = sample_friends_by_indegree(fg, 400_000, substream(5, "indeg"))
     frac_a = draws.count("a") / len(draws)
     assert abs(frac_a - 0.75) < 0.01  # law of large numbers at n = 4e5
 
 
 def test_indegree_sampling_single_target_and_errors():
-    fg = build_follower_graph(edges_of([("s1", "a")]), {"s1"})
+    fg = follower_graph([("s1", "a")], {"s1"})
     assert set(sample_friends_by_indegree(fg, 50, substream(5, "one"))) == {"a"}
     with pytest.raises(EchoscopeError, match=">= 1"):
         sample_friends_by_indegree(fg, 0, substream(5, "zero"))
-    empty = build_follower_graph(edges_of([("s1", "a")]), {"zz"})
+    empty = follower_graph([("s1", "a")], {"zz"})
     with pytest.raises(EchoscopeError, match="indegree"):
         sample_friends_by_indegree(empty, 5, substream(5, "none"))
 
 
 def test_friend_subset_edges_and_uniformity(caplog):
-    fg = build_follower_graph(edges_of([("s", f"f{i}") for i in range(5)]), {"s"})
+    fg = follower_graph([("s", f"f{i}") for i in range(5)], {"s"})
     rng = substream(9, "subset")
     assert sample_random_friend_subset("s", fg, 5, rng) == fg.friends("s")
     assert sample_random_friend_subset("s", fg, 0, rng) == frozenset()
@@ -223,8 +257,7 @@ def test_friend_subset_edges_and_uniformity(caplog):
 
 
 def test_cache_round_trip(tmp_path, tiny_bundle):
-    fg = build_follower_graph(tiny_bundle.edges, tiny_bundle.seeds)
-    rg = build_retweet_graph(tiny_bundle.log, tiny_bundle.seeds)
+    fg, rg = graphs_of(tiny_bundle)
     path = tmp_path / "graphs.cache"
     save_graph_cache(str(path), fg, rg, b"fingerprint-1")
     loaded = load_graph_cache(str(path), b"fingerprint-1")
@@ -232,20 +265,38 @@ def test_cache_round_trip(tmp_path, tiny_bundle):
     fg2, rg2 = loaded
     assert fg2 == fg
     assert rg2 == rg
+    for seed in fg.seeds:
+        assert fg2.friends(seed) == fg.friends(seed)
+        assert rg2.retweet_friends(seed) == rg.retweet_friends(seed)
+    assert np.array_equal(fg2.indegree(), fg.indegree())
+    assert np.array_equal(rg2.indegree(), rg.indegree())
     # cache writes are deterministic
     save_graph_cache(str(tmp_path / "again.cache"), fg, rg, b"fingerprint-1")
     assert (tmp_path / "again.cache").read_bytes() == path.read_bytes()
 
 
 def test_cache_fingerprint_mismatch_and_garbage(tmp_path, tiny_bundle):
-    fg = build_follower_graph(tiny_bundle.edges, tiny_bundle.seeds)
-    rg = build_retweet_graph(tiny_bundle.log, tiny_bundle.seeds)
+    fg, rg = graphs_of(tiny_bundle)
     path = tmp_path / "graphs.cache"
     save_graph_cache(str(path), fg, rg, b"fp-a")
     assert load_graph_cache(str(path), b"fp-b") is None
     assert load_graph_cache(str(tmp_path / "missing.cache"), b"fp-a") is None
     (tmp_path / "junk.cache").write_bytes(b"NOTACACHE")
     assert load_graph_cache(str(tmp_path / "junk.cache"), b"fp-a") is None
+
+
+def test_cache_version_1_reads_as_miss(tmp_path, tiny_bundle):
+    path = tmp_path / "graphs.cache"
+    save_graph_cache(str(path), *graphs_of(tiny_bundle), b"fp")
+    data = bytearray(path.read_bytes())
+    assert load_graph_cache(str(path), b"fp") is not None
+    data[8:12] = struct.pack("<I", 1)
+    path.write_bytes(bytes(data))
+    assert load_graph_cache(str(path), b"fp") is None
+    # a version-1 header followed by the old per-seed records
+    old = CACHE_MAGIC + struct.pack("<II", 1, 2) + b"fp" + struct.pack("<I", 0) * 4
+    path.write_bytes(old)
+    assert load_graph_cache(str(path), b"fp") is None
 
 
 # ---------------------------------------------------------------- scaling
@@ -269,9 +320,9 @@ def test_follower_build_scales_linearly(sizes):
         )
         seeds = set(names[:1000])
         t0 = time.perf_counter()
-        fg = build_follower_graph(edges, seeds)
+        fg = build_follower_graph(user_space(seeds, edges, log_of([])))
         times.append(time.perf_counter() - t0)
-        assert fg.n_seeds == 1000
+        assert len(fg.seeds) == 1000
     # generous linearity bounds: each 10x size step may cost at most 40x
     assert times[2] < 40 * max(times[1], 0.005)
     assert times[1] < 40 * max(times[0], 0.005)

@@ -4,10 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ev, make_bundle, rt
+from conftest import ev, graphs_of, make_bundle, rt
 from echoscope.errors import EchoscopeError
-from echoscope.graph import build_follower_graph, build_retweet_graph, sample_random_friend_subset
-from echoscope.ingest import DomainScoreTable, EventLog
+from echoscope.graph import (
+    FollowerGraph,
+    RetweetGraph,
+    build_follower_graph,
+    build_retweet_graph,
+    sample_random_friend_subset,
+    user_space,
+)
+from echoscope.ingest import DomainScoreTable, EventLog, FollowEdgeList
 from echoscope.moderacy import (
     FOLLOWER,
     HARDLINER,
@@ -31,13 +38,6 @@ from echoscope.moderacy import (
 )
 from echoscope.rng import substream
 from echoscope.synth import SynthConfig, generate
-
-
-def graphs_of(bundle):
-    return (
-        build_follower_graph(bundle.edges, bundle.seeds),
-        build_retweet_graph(bundle.log, bundle.seeds),
-    )
 
 
 def engine_of(bundle):
@@ -224,7 +224,7 @@ def test_activity_weighting_brute_force_recount():
     assert raw == pytest.approx(sum(pool) / len(pool))
     assert folded == raw  # mu(u) = 0.9 > 0.5
     bundle_without = make_bundle(scores, [("u", "loud")], events)
-    fg2, rg2 = graphs_of(bundle_without)
+    fg2, rg2 = graphs_of(bundle_without)  # quiet still has a column, as an author
     raw2, _ = exposure_moderacy("u", FOLLOWER, fg2, rg2, bundle_without.log, bundle.scores)
     assert abs(raw2 - raw) == pytest.approx(1 / 11)
 
@@ -252,10 +252,10 @@ def test_delta_negates_when_graph_roles_swap():
     engine = MetricsEngine(bundle, fg, rg)
     m = engine.metrics_at(1).by_user["u"]
     # swapped-role engine: follower pool <- retweet friends and vice versa
-    from echoscope.graph import FollowerGraph, RetweetGraph
-
-    fg_swapped = FollowerGraph({"u": rg.retweet_friends("u", 1)}, {})
-    rg_swapped = RetweetGraph({"u": {f: 1 for f in fg.friends("u")}}, {})
+    fg_swapped = FollowerGraph(fg.names, fg.seeds, rg.at_least(1))
+    rg_swapped = RetweetGraph(rg.names, rg.seeds, fg.follow)
+    assert fg_swapped.friends("u") == rg.retweet_friends("u", 1)
+    assert rg_swapped.retweet_friends("u", 1) == fg.friends("u")
     engine2 = MetricsEngine(bundle, fg_swapped, rg_swapped)
     m2 = engine2.metrics_at(1).by_user["u"]
     assert m2.delta == pytest.approx(-m.delta, abs=1e-12)
@@ -420,7 +420,7 @@ def test_congruence_extremes_and_symmetry():
     events = [rt("t1", "u", 1, "r1"), rt("t2", "u", 2, "r2")]
     bundle = make_bundle({"m.x": 0.5}, edges, events)
     fg, rg = graphs_of(bundle)
-    diff = congruent_friend_fraction_diff("u", fg, rg, classes, 1)
+    diff = congruent_friend_fraction_diff(fg, rg, classes, 1)["u"]
     assert diff.diff == 1.0
     assert diff.moderacy_class == HARDLINER
 
@@ -431,7 +431,7 @@ def test_congruence_extremes_and_symmetry():
         "n1": HARDLINER,
         "n2": MODERATE,
     }
-    diff2 = congruent_friend_fraction_diff("u", fg, rg, balanced, 1)
+    diff2 = congruent_friend_fraction_diff(fg, rg, balanced, 1)["u"]
     assert diff2.diff == 0.0
 
 
@@ -441,10 +441,10 @@ def test_congruence_absent_cases():
     bundle = make_bundle({"m.x": 0.5}, edges, events)
     fg, rg = graphs_of(bundle)
     # unscored user
-    assert congruent_friend_fraction_diff("u", fg, rg, {"r1": MODERATE}, 1) is None
+    assert "u" not in congruent_friend_fraction_diff(fg, rg, {"r1": MODERATE}, 1)
     # no scored friend in the not-retweeted partition
     classes = {"u": MODERATE, "r1": MODERATE}
-    assert congruent_friend_fraction_diff("u", fg, rg, classes, 1) is None
+    assert "u" not in congruent_friend_fraction_diff(fg, rg, classes, 1)
 
 
 # ---------------------------------------------------------------- engine
@@ -481,10 +481,31 @@ def test_engine_window_restricts_everything():
     assert exposure_moderacy("u", FOLLOWER, fg, rg, early.log, early.scores)[0] == 0.0
 
 
+def test_graphs_and_index_from_another_id_space_refused():
+    b = make_bundle(
+        {"x.example": 0.2},
+        [("u", "f")],
+        [ev("t1", "u", 1, domains=["x.example"]), rt("t2", "u", 2, "g", domains=["x.example"])],
+    )
+    # each graph built over the users its own input names: {u, f} and {u, g}
+    fg = build_follower_graph(user_space(b.seeds, b.edges, EventLog.from_events([])))
+    rg = build_retweet_graph(user_space(b.seeds, FollowEdgeList.from_pairs([]), b.log))
+    with pytest.raises(EchoscopeError, match="one id space"):
+        exposure_moderacy("u", RETWEET, fg, rg, b.log, b.scores)
+    with pytest.raises(EchoscopeError, match="one id space"):
+        MetricsEngine(b, fg, rg)
+    with pytest.raises(EchoscopeError, match="no user id"):
+        ExposureIndex(b.log, b.scores, ["f", "g"])
+    fg, rg = graphs_of(b)
+    authors_only = ExposureIndex(b.log, b.scores)
+    with pytest.raises(EchoscopeError, match="number users"):
+        exposure_moderacy("u", FOLLOWER, fg, rg, b.log, b.scores, index=authors_only)
+
+
 def test_exposure_index_matches_event_scan(tiny_bundle):
     index = ExposureIndex(tiny_bundle.log, tiny_bundle.scores)
     for author in index.authors:
-        events = list(tiny_bundle.log.events_by(author))
+        events = [e for e in tiny_bundle.log.events if e.author == author]
         expected = sum(
             tiny_bundle.scores.scores[d]
             for e in events
@@ -496,4 +517,4 @@ def test_exposure_index_matches_event_scan(tiny_bundle):
         assert count == sum(
             1 for e in events for d in e.domains if d in tiny_bundle.scores
         )
-        assert index.activity(author) == len(events)
+        assert index.n_events[index.id[author]] == len(events)

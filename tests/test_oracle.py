@@ -80,8 +80,10 @@ def test_empty_log_only_structural_metrics_compared():
     bundle = make_bundle({"a.x": 0.5}, [("s1", "f1")], [])
     diff = compare_with_oracle(bundle, k=1)
     assert diff.ok(1e-12)
-    # with no events, only the friends-retweeted fraction (0.0) is defined
-    assert diff.n_compared == 1
+    # with no events only structure is defined: the friends-retweeted
+    # fraction (0.0), f1's activity (0) and retweeted flag (no), and the
+    # size (0) of each overlap-curve point
+    assert diff.n_compared == 5
 
 
 def test_corrupted_engine_fails_with_named_metric(monkeypatch):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import os
 
 import pytest
 
@@ -120,3 +122,32 @@ def test_single_overlap_mode(rich_bundle, tmp_path):
     cfg = run_config(tmp_path, overlap_mode="account")
     report = build_report(rich_bundle, cfg)
     assert [c["mode"] for c in report.overlap_curves] == ["account"]
+
+
+class Unprintable:
+    def __str__(self):
+        raise RuntimeError("cannot format this value")
+
+
+def test_write_report_replaces_each_file_atomically(rich_bundle, tmp_path):
+    report = build_report(rich_bundle, run_config(tmp_path))
+    rows = report.sampled_rows
+    assert len(rows) > 20
+    broken = dataclasses.replace(
+        report, sampled_rows=rows[:10] + [("random_user", Unprintable())] + rows[10:]
+    )
+    # over a complete earlier report: every file keeps its complete old bytes
+    out = tmp_path / "again"
+    write_report(report, str(out))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    with pytest.raises(RuntimeError, match="cannot format"):
+        write_report(broken, str(out))
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # into a fresh directory: the failing file never appears under its name
+    fresh = tmp_path / "fresh"
+    with pytest.raises(RuntimeError, match="cannot format"):
+        write_report(broken, str(fresh))
+    names = os.listdir(fresh)
+    assert "sampled_scores.csv" not in names
+    assert "report.json" in names
+    assert not any(name.endswith(".tmp") for name in names)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import betainc
 
 from echoscope.errors import UndefinedStatisticError
-from echoscope.graph import build_follower_graph, build_retweet_graph
+from echoscope.graph import build_follower_graph, build_retweet_graph, user_space
 from echoscope.ingest import EventLog, FollowEdgeList
 from echoscope.stats import (
     EXACT_U_THRESHOLD,
@@ -243,8 +243,8 @@ def test_entropy_comparison_subset_purity():
     # retweet friends are an ideologically pure subset of diverse friends
     edges = FollowEdgeList.from_pairs([("s", f"f{i}") for i in range(4)])
     log = EventLog.from_events([rt("t1", "s", 1, "f0"), rt("t2", "s", 2, "f1")])
-    fg = build_follower_graph(edges, {"s"})
-    rg = build_retweet_graph(log, {"s"})
+    space = user_space({"s"}, edges, log)
+    fg, rg = build_follower_graph(space), build_retweet_graph(space)
     m_s = {"f0": 0.9, "f1": 0.95, "f2": 0.1, "f3": 0.5}
     prof_f, prof_r, test, skipped = entropy_comparison(["s"], fg, rg, m_s, 5, 1)
     assert skipped == 0
@@ -256,8 +256,8 @@ def test_entropy_comparison_subset_purity():
 def test_entropy_comparison_identical_sets_and_skips():
     edges = FollowEdgeList.from_pairs([("s", "a"), ("s", "b"), ("q", "a")])
     log = EventLog.from_events([rt("t1", "s", 1, "a"), rt("t2", "s", 2, "b")])
-    fg = build_follower_graph(edges, {"s", "q"})
-    rg = build_retweet_graph(log, {"s", "q"})
+    space = user_space({"s", "q"}, edges, log)
+    fg, rg = build_follower_graph(space), build_retweet_graph(space)
     m_s = {"a": 0.2, "b": 0.8}
     prof_f, prof_r, _, skipped = entropy_comparison(["s", "q"], fg, rg, m_s, 4, 1)
     assert len(prof_f) == 1  # q has one scored friend and no retweets: skipped

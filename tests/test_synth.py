@@ -2,9 +2,8 @@ import statistics
 
 import pytest
 
-from conftest import ev, make_bundle
+from conftest import ev, graphs_of, make_bundle
 from echoscope.errors import EchoscopeError, InfeasibleConfigError, InputFormatError
-from echoscope.graph import build_follower_graph, build_retweet_graph
 from echoscope.ingest import validate_dataset, write_domain_scores, write_events, write_follow_edges
 from echoscope.moderacy import MetricsEngine
 from echoscope.stats import pearson
@@ -143,8 +142,8 @@ def test_config_file_parsing(tmp_path):
 
 def test_every_seed_has_a_friend_even_at_tiny_follow_prob():
     bundle, _ = generate(small_config(base_follow_prob=0.0001, seed=8))
-    fg = build_follower_graph(bundle.edges, bundle.seeds)
-    assert all(len(friends) >= 1 for friends in fg.adjacency.values())
+    fg, _ = graphs_of(bundle)
+    assert all(len(fg.friends(seed)) >= 1 for seed in fg.seeds)
 
 
 # ---------------------------------------------------------------- oracle basics
@@ -193,9 +192,7 @@ def test_homophily_off_kills_echo_chamber():
         seed=77,
     )
     bundle, _ = generate(cfg)
-    fg = build_follower_graph(bundle.edges, bundle.seeds)
-    rg = build_retweet_graph(bundle.log, bundle.seeds)
-    mset = MetricsEngine(bundle, fg, rg).metrics_at(1)
+    mset = MetricsEngine(bundle, *graphs_of(bundle)).metrics_at(1)
     paired = [
         m for m in mset.by_user.values() if m.m_s is not None and m.m_e_f is not None
     ]
@@ -223,9 +220,7 @@ def test_attention_bias_raises_retweet_follower_correlation_gap():
             seed=seed,
         )
         bundle, _ = generate(cfg)
-        fg = build_follower_graph(bundle.edges, bundle.seeds)
-        rg = build_retweet_graph(bundle.log, bundle.seeds)
-        mset = MetricsEngine(bundle, fg, rg).metrics_at(1)
+        mset = MetricsEngine(bundle, *graphs_of(bundle)).metrics_at(1)
         paired = [
             m for m in mset.by_user.values() if m.m_s is not None and m.delta is not None
         ]
