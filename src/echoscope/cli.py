@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import EchoscopeError, InfeasibleConfigError, InputFormatError
-from .ingest import load_dataset, validate_dataset, write_domain_scores, write_events, write_follow_edges
+from .ingest import atomic_open, load_dataset, validate_dataset, write_domain_scores, write_events, write_follow_edges
 from .report import OVERLAP_BOTH, RunConfig, run_report
 from .synth import SynthConfig, compare_with_oracle, generate, write_truth
 
@@ -118,7 +118,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     report = validate_dataset(bundle)
     payload = report.to_json()
     if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+        with atomic_open(args.out) as fh:
+            fh.write(payload + "\n")
     else:
         print(payload)
     return EXIT_OK if report.ok else EXIT_INPUT
@@ -171,7 +172,8 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        with atomic_open(args.out) as fh:
+            fh.write(text + "\n")
     else:
         print(text)
     return EXIT_OK if payload["ok"] else EXIT_INPUT

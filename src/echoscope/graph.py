@@ -10,7 +10,8 @@ in each row:
 Threshold k is ``retweets >= k``, so raising k always keeps a subset of the
 edges at k-1. A user's indegree is a column sum. The per-seed metrics below
 are row operations on the two matrices, and the moderacy engine pools
-exposures over the same matrices.
+exposures over the same matrices and keeps every per-user value as a vector
+over the same ids.
 
 Cache file layout (little-endian, version 2): the magic b"ECHOGRF1", a u32
 format version, a u32 fingerprint length F, F fingerprint bytes (opaque,
@@ -49,12 +50,17 @@ CACHE_VERSION = 2
 
 
 class _SeedGraph:
-    """A seed x user matrix: rows are the sorted ``seeds``, columns number ``names``."""
+    """A seed x user matrix: rows are the sorted ``seeds``, columns number ``names``.
+
+    ``seed_ids`` holds each row's user id, so per-user vectors over ``names``
+    can be read per seed row.
+    """
 
     def __init__(self, names: list[str], seeds: list[str], matrix: sparse.csr_matrix) -> None:
         self.names = names
         self.seeds = seeds
         self.seed_row = {user: i for i, user in enumerate(seeds)}
+        self.seed_ids = np.array([bisect_left(names, seed) for seed in seeds], dtype=np.int64)
         self.matrix = matrix
 
     def indegree(self) -> np.ndarray:
@@ -127,12 +133,6 @@ def count_matrix(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> 
     return matrix
 
 
-def user_categories(names: list[str], category: dict[str, int], n: int) -> sparse.csr_matrix:
-    """User x category indicator over ``names``, for the users ``category`` maps."""
-    ids = [i for i, name in enumerate(names) if name in category]
-    return count_matrix(ids, [category[names[i]] for i in ids], (len(names), n))
-
-
 @dataclass(frozen=True, eq=False)
 class UserSpace:
     """One report's user ids and the seeds' own edges and retweets on them.
@@ -173,7 +173,7 @@ def user_space(seeds: Iterable[str], edges: FollowEdgeList, log: EventLog) -> Us
     retweets = [ev for ev in log.events if ev.is_retweet and ev.author in row_of]
     targets = [ev.original_author for ev in retweets]
 
-    names = sorted(set(seed_list).union(friend_names, targets, log.user_index))
+    names = sorted(set(seed_list).union(friend_names, targets, log.authors))
     user_id = {name: i for i, name in enumerate(names)}
     col_of = np.zeros(edges.n_users, dtype=np.int64)
     col_of[friend_ids] = [user_id[name] for name in friend_names]
@@ -268,8 +268,8 @@ def overlap_vs_threshold(
 
 def sample_friends_by_indegree(
     graph: FollowerGraph | RetweetGraph, n: int, rng: np.random.Generator
-) -> list[str]:
-    """n draws with replacement, probability proportional to indegree."""
+) -> np.ndarray:
+    """User ids of n draws with replacement, probability proportional to indegree."""
     if n < 1:
         raise EchoscopeError("sample size must be >= 1")
     indegree = graph.indegree()
@@ -279,7 +279,7 @@ def sample_friends_by_indegree(
     if total <= 0:
         raise EchoscopeError("all indegrees are zero")
     idx = rng.choice(len(targets), size=n, replace=True, p=weights / total)
-    return [graph.names[i] for i in targets[idx].tolist()]
+    return targets[idx]
 
 
 def random_friend_positions(
@@ -334,7 +334,7 @@ def _write_cache(fh, fg: FollowerGraph, rg: RetweetGraph, fingerprint: bytes) ->
     arrays = (
         ([len(raw) for raw in encoded], "<u4"),
         (np.frombuffer(b"".join(encoded), dtype=np.uint8), "u1"),
-        ([bisect_left(fg.names, seed) for seed in fg.seeds], "<u4"),
+        (fg.seed_ids, "<u4"),
         (fg.follow.indptr, "<i8"),
         (fg.follow.indices, "<u4"),
         (rg.retweets.indptr, "<i8"),

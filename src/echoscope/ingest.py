@@ -152,8 +152,12 @@ def _dedup_edges(src_buf, dst_buf) -> tuple[np.ndarray, np.ndarray, int]:
         return empty, empty.copy(), 0
     src = np.asarray(src_buf, dtype=np.int64)
     dst = np.asarray(dst_buf, dtype=np.int64)
-    packed = (src.astype(np.uint64) << np.uint64(32)) | dst.astype(np.uint64)
-    unique = np.unique(packed)
+    packed = np.sort((src.astype(np.uint64) << np.uint64(32)) | dst.astype(np.uint64))
+    # a sort and a neighbour comparison: np.unique hashes first, which is far slower here
+    first = np.empty(packed.size, dtype=bool)
+    first[0] = True
+    np.not_equal(packed[1:], packed[:-1], out=first[1:])
+    unique = packed[first]
     n_dup = int(packed.size - unique.size)
     src = (unique >> np.uint64(32)).astype(np.int64)
     dst = (unique & np.uint64(0xFFFFFFFF)).astype(np.int64)
@@ -162,10 +166,10 @@ def _dedup_edges(src_buf, dst_buf) -> tuple[np.ndarray, np.ndarray, int]:
 
 @dataclass(frozen=True)
 class EventLog:
-    """Timestamp-ordered event sequence with a per-author position index."""
+    """Timestamp-ordered event sequence and its distinct authors, sorted."""
 
     events: tuple[TweetEvent, ...]
-    user_index: dict[str, tuple[int, ...]]
+    authors: tuple[str, ...]
     n_urls_dropped: int = 0
     n_self_retweets_dropped: int = 0
 
@@ -177,11 +181,8 @@ class EventLog:
         n_self_retweets_dropped: int = 0,
     ) -> "EventLog":
         ordered = tuple(sorted(events, key=lambda e: (e.timestamp, e.tweet_id)))
-        index: dict[str, list[int]] = {}
-        for pos, ev in enumerate(ordered):
-            index.setdefault(ev.author, []).append(pos)
-        frozen = {author: tuple(positions) for author, positions in index.items()}
-        return cls(ordered, frozen, n_urls_dropped, n_self_retweets_dropped)
+        authors = tuple(sorted({ev.author for ev in ordered}))
+        return cls(ordered, authors, n_urls_dropped, n_self_retweets_dropped)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -446,7 +447,7 @@ def load_dataset(
 
 
 def write_domain_scores(table: DomainScoreTable, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SCORES_HEADER)
         for domain in sorted(table.scores):
@@ -454,7 +455,7 @@ def write_domain_scores(table: DomainScoreTable, path: str) -> None:
 
 
 def write_follow_edges(edges: FollowEdgeList, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(EDGES_HEADER)
         for follower, friend in edges.iter_edges():
@@ -462,7 +463,7 @@ def write_follow_edges(edges: FollowEdgeList, path: str) -> None:
 
 
 def write_events(logdata: EventLog, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         for ev in logdata.events:
             obj: dict = {
                 "id": ev.tweet_id,
@@ -486,7 +487,7 @@ def validate_dataset(bundle: DatasetBundle) -> ValidationReport:
     sources = bundle.edges.sources()
     seeds_without = tuple(sorted(bundle.seeds - sources))
 
-    authors_in_log = set(bundle.log.user_index)
+    authors_in_log = set(bundle.log.authors)
     dangling_authors: set[str] = set()
     n_dangling = 0
     n_retweets = 0

@@ -1,33 +1,35 @@
 """Moderacy scores: individual, exposure via either graph, and their bias.
 
-Score pipeline for a user u:
-  mu(u)      raw mean of domain scores over u's original tweets (multiset of
-             URL occurrences by default; a set-of-domains reading is available
-             via unique_domains)
-  folded     mu if mu > 0.5 else 1 - mu, collapsing left/right extremity into
-             a single intensity in [0.5, 1]
-  m_s(u)     folded value min-max normalized over all scored users
+Every per-user value is a vector indexed by the graphs' user ids (graph.py),
+which number names in sorted order; NaN marks a value that is undefined.
+MetricsEngine computes, once per report:
+  mu         raw mean of domain scores over each user's original tweets
+             (multiset of URL occurrences by default; a set-of-domains
+             reading is available via unique_domains); NaN when unscored
+  m_s        the folded mu (mu if mu > 0.5 else 1 - mu, a left/right
+             extremity in [0.5, 1]) min-max normalized over scored users
+  class_code index into CLASSES (m_s <= 0.5 is moderate), -1 when unscored
 
-Exposure pools every scored domain occurrence posted by u's friends under a
-graph kind (originals and retweets both land in a timeline), so active
-friends weigh more. The fold branch for exposures reuses u's OWN raw mu, and
-the two exposure kinds are normalized jointly so their difference
-(delta = m_e_f - m_e_r) is meaningful.
+Exposure pools every scored domain occurrence posted by a seed's friends
+under a graph kind (originals and retweets both land in a timeline), so
+active friends weigh more. The fold branch for exposures reuses the seed's
+OWN raw mu, and metrics_at(k) normalizes the two kinds jointly so their
+difference (delta = m_e_f - m_e_r) is meaningful. Names appear only where
+rows are written (MetricsSet.by_user and the row types below).
 
-Users carry the ids of the graphs' shared id space (graph.py), which number
-names in sorted order. ExposureIndex keeps each user's totals as vectors
-indexed by those ids, and MetricsEngine pools exposures straight over the
-graphs' seed x user matrices, building none of its own, so a pool is a sparse
-product. A CSR row lists its columns in ascending id order, so the product
-adds friends in sorted-name order. Everything here sees the log it is given:
-a time window is applied beforehand, with EventLog.restricted.
+ExposureIndex keeps each user's totals as vectors over the same ids, and
+exposures are sparse products with the graphs' seed x user matrices. A CSR
+row lists its columns in ascending id order, so the product adds friends in
+sorted-name order. Everything here sees the log it is given: a time window
+is applied beforehand, with EventLog.restricted.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -42,7 +44,6 @@ from .graph import (  # noqa: F401
     count_matrix,
     random_friend_positions,
     sample_random_friend_subset,
-    user_categories,
 )
 from .ingest import DatasetBundle, DomainScoreTable, EventLog, KIND_ORIGINAL
 
@@ -50,6 +51,7 @@ log = logging.getLogger(__name__)
 
 MODERATE = "Moderate"
 HARDLINER = "Hardliner"
+CLASSES = (MODERATE, HARDLINER)  # indexed by class code
 
 FOLLOWER = "follower"
 RETWEET = "retweet"
@@ -67,30 +69,27 @@ def fold(mu: float) -> float:
     return mu if mu > 0.5 else 1.0 - mu
 
 
-def classify(m_s: float) -> str:
-    """Moderate iff m_s <= 0.5 (boundary inclusive)."""
-    return MODERATE if m_s <= 0.5 else HARDLINER
+def classify(m_s: np.ndarray) -> np.ndarray:
+    """Class codes into CLASSES: moderate iff m_s <= 0.5 (boundary inclusive), -1 for NaN."""
+    m_s = np.asarray(m_s, dtype=np.float64)
+    return np.where(np.isnan(m_s), -1, (m_s > 0.5).astype(np.int64))
 
 
-def raw_mean_score(domains: Iterable[str], table: DomainScoreTable) -> Optional[float]:
-    """Mean score over scored occurrences; None when nothing is scored."""
-    scored = [table.scores[d] for d in domains if d in table.scores]
-    if not scored:
-        return None
-    return math.fsum(scored) / len(scored)
+def class_names(codes: np.ndarray) -> list[Optional[str]]:
+    """The class name of each code; None for an unscored user (code -1)."""
+    return [CLASSES[c] if c >= 0 else None for c in codes.tolist()]
 
 
-def minmax_normalize(scores: dict[str, float]) -> dict[str, float]:
+def minmax_normalize(values: np.ndarray) -> np.ndarray:
     """Rescale values to [0,1]; a constant population maps to 0.5."""
-    if not scores:
-        raise EchoscopeError("cannot normalize an empty score map")
-    lo = min(scores.values())
-    hi = max(scores.values())
+    values = np.asarray(values, dtype=np.float64)
+    if values.size == 0:
+        raise EchoscopeError("cannot normalize an empty score array")
+    lo, hi = values.min(), values.max()
     if hi == lo:
         log.warning("min-max range is degenerate (%g); mapping all to 0.5", lo)
-        return {u: 0.5 for u in scores}
-    span = hi - lo
-    return {u: (v - lo) / span for u, v in scores.items()}
+        return np.full(values.size, 0.5)
+    return (values - lo) / (hi - lo)
 
 
 @dataclass(frozen=True)
@@ -157,10 +156,9 @@ class ExposureIndex:
         table: DomainScoreTable,
         names: Optional[Sequence[str]] = None,
     ) -> None:
-        self.authors = sorted(log_data.user_index)
-        self.names = self.authors if names is None else names
+        self.names = log_data.authors if names is None else names
         self.id = {name: i for i, name in enumerate(self.names)}
-        missing = set(self.authors).difference(self.id)
+        missing = set(log_data.authors).difference(self.id)
         if missing:
             raise EchoscopeError(
                 f"{len(missing)} log author(s) have no user id, e.g. {min(missing)!r}"
@@ -212,15 +210,6 @@ class ExposureIndex:
         i = self.id.get(author)
         return 0 if i is None else int(self.moderate[i])
 
-    def original_totals(self, author: str, unique_domains: bool = False) -> tuple[float, int]:
-        """Score total and count over original tweets: occurrences, or distinct domains."""
-        i = self.id.get(author)
-        if i is None:
-            return 0.0, 0
-        if not unique_domains:
-            return float(self.orig_sum[i]), int(self.orig_count[i])
-        return _fsum_row(self.original_domains, i, self.domain_scores)
-
     def pool_means(self, pools: sparse.csr_matrix, unique_domains: bool = False) -> np.ndarray:
         """Mean score of the content pooled by each row of a row x user matrix.
 
@@ -244,28 +233,6 @@ class ExposureIndex:
         return out
 
 
-def individual_moderacy(
-    user: str,
-    log_data: EventLog,
-    table: DomainScoreTable,
-    unique_domains: bool = False,
-    index: Optional[ExposureIndex] = None,
-) -> Optional[tuple[float, float]]:
-    """(mu, folded) over the user's original tweets, or None if unscored."""
-    if index is None:
-        index = ExposureIndex(log_data, table)
-    total, count = index.original_totals(user, unique_domains)
-    if count == 0:
-        return None
-    mu = total / count
-    return mu, fold(mu)
-
-
-def _check_index(index: Optional[ExposureIndex], fg: FollowerGraph) -> None:
-    if index is not None and index.names != fg.names:
-        raise EchoscopeError("the index must number users as the graphs do")
-
-
 def friend_matrix(kind: str, fg: FollowerGraph, rg: RetweetGraph, k: int = 1) -> sparse.csr_matrix:
     """Seed x user matrix whose row holds the friends a seed pools under a graph kind."""
     if kind == FOLLOWER:
@@ -273,49 +240,6 @@ def friend_matrix(kind: str, fg: FollowerGraph, rg: RetweetGraph, k: int = 1) ->
     if kind == RETWEET:
         return rg.at_least(k)
     raise EchoscopeError(f"unknown graph kind {kind!r}")
-
-
-def exposure_moderacy(
-    user: str,
-    kind: str,
-    fg: FollowerGraph,
-    rg: RetweetGraph,
-    log_data: EventLog,
-    table: DomainScoreTable,
-    k: int = 1,
-    unique_domains: bool = False,
-    index: Optional[ExposureIndex] = None,
-) -> Optional[tuple[float, float]]:
-    """(raw pool mean, folded by the user's own mu branch), or None.
-
-    None when the friend set is empty, the pool has no scored occurrence, or
-    the user has no mu (the fold branch would be undefined). A given index
-    must number users as the graphs do.
-    """
-    check_same_space(fg, rg)
-    _check_index(index, fg)
-    row = fg.seed_row.get(user)
-    if row is None:
-        return None
-    pool = friend_matrix(kind, fg, rg, k)[row]
-    if pool.nnz == 0:
-        return None
-    if index is None:
-        index = ExposureIndex(log_data, table, fg.names)
-    own = individual_moderacy(user, log_data, table, unique_domains, index)
-    if own is None:
-        return None
-    raw = float(index.pool_means(pool, unique_domains)[0])
-    if math.isnan(raw):
-        return None
-    return raw, (raw if own[0] > 0.5 else 1.0 - raw)
-
-
-def exposure_delta(metrics: UserMetrics) -> Optional[float]:
-    """m_e_f - m_e_r; absent when either exposure is absent."""
-    if metrics.m_e_f is None or metrics.m_e_r is None:
-        return None
-    return metrics.m_e_f - metrics.m_e_r
 
 
 def exposure_class_fractions(
@@ -381,33 +305,21 @@ def random_baseline_fractions(
     return ExposureProfile(user, "baseline", frac_mod, 1.0 - frac_mod, occurrences)
 
 
-def friend_activity_comparison(
-    fg: FollowerGraph,
-    rg: RetweetGraph,
-    log_data: EventLog,
-    class_by_user: Optional[dict[str, str]] = None,
-    k: int = 1,
-    index: Optional[ExposureIndex] = None,
-    table: Optional[DomainScoreTable] = None,
-) -> list[ActivityRow]:
+def friend_activity_comparison(engine: "MetricsEngine", k: int = 1) -> list[ActivityRow]:
     """Tweet counts of every follower-graph friend, split by retweeted-or-not.
 
     A friend counts as retweeted when any seed retweeted them at least k
     times. Each friend appears exactly once, in name order, regardless of how
-    many seeds follow them. A given index must number users as the graphs do.
+    many seeds follow them.
     """
-    _check_index(index, fg)
-    if index is None:
-        if table is None:
-            raise EchoscopeError("need an ExposureIndex or a score table")
-        index = ExposureIndex(log_data, table, fg.names)
-    class_by_user = class_by_user or {}
+    fg = engine.fg
     friends = np.flatnonzero(fg.indegree())
-    retweeted = rg.at_least(k).getnnz(axis=0)[friends] > 0
+    retweeted = engine.rg.at_least(k).getnnz(axis=0)[friends] > 0
+    classes = class_names(engine.class_code[friends])
     return [
-        ActivityRow(fg.names[i], n, rt, class_by_user.get(fg.names[i]))
-        for i, n, rt in zip(
-            friends.tolist(), index.n_events[friends].tolist(), retweeted.tolist()
+        ActivityRow(fg.names[i], n, rt, c)
+        for i, n, rt, c in zip(
+            friends.tolist(), engine.index.n_events[friends].tolist(), retweeted.tolist(), classes
         )
     ]
 
@@ -415,44 +327,69 @@ def friend_activity_comparison(
 def congruent_friend_fraction_diff(
     fg: FollowerGraph,
     rg: RetweetGraph,
-    class_by_user: dict[str, str],
+    class_code: np.ndarray,
     k: int = 1,
 ) -> dict[str, CongruenceDiff]:
     """Per seed, the own-class share of retweeted minus not-retweeted friends.
 
-    A friend counts as retweeted when the seed retweeted them at least k
-    times. Fractions run over scored friends only; a seed is absent when it
-    is unscored or either partition has no scored friend.
+    ``class_code`` holds each user id's index into CLASSES, -1 when
+    unscored. A friend counts as retweeted when the seed retweeted them at
+    least k times. Fractions run over scored friends only; a seed is absent
+    when it is unscored or either partition has no scored friend.
     """
-    column = {c: j for j, c in enumerate(sorted(set(class_by_user.values())))}
-    by_class = user_categories(
-        fg.names, {u: column[c] for u, c in class_by_user.items()}, len(column)
-    )
+    scored = np.flatnonzero(class_code >= 0)
+    by_class = count_matrix(scored, class_code[scored], (len(fg.names), len(CLASSES)))
     followed = (fg.follow @ by_class).toarray().tolist()
     retweeted = (fg.follow.multiply(rg.at_least(k)) @ by_class).toarray().tolist()
     diffs = {}
-    for user, all_counts, rt_counts in zip(fg.seeds, followed, retweeted):
-        own_class = class_by_user.get(user)
+    own_codes = class_code[fg.seed_ids].tolist()
+    for user, own, all_counts, rt_counts in zip(fg.seeds, own_codes, followed, retweeted):
         n_r = sum(rt_counts)
         n_n = sum(all_counts) - n_r
-        if own_class is None or n_r == 0 or n_n == 0:
+        if own < 0 or n_r == 0 or n_n == 0:
             continue
-        j = column[own_class]
-        frac_r = rt_counts[j] / n_r
-        frac_n = (all_counts[j] - rt_counts[j]) / n_n
-        diffs[user] = CongruenceDiff(user, own_class, frac_r, frac_n, frac_r - frac_n)
+        frac_r = rt_counts[own] / n_r
+        frac_n = (all_counts[own] - rt_counts[own]) / n_n
+        diffs[user] = CongruenceDiff(user, CLASSES[own], frac_r, frac_n, frac_r - frac_n)
     return diffs
 
 
 @dataclass
 class MetricsSet:
-    """Per-user metrics at one retweet threshold plus shared score maps."""
+    """Exposures at one retweet threshold, as vectors over the engine's user ids.
 
-    by_user: dict[str, UserMetrics]
-    m_s_by_user: dict[str, float]
-    class_by_user: dict[str, str]
+    ``m_e_f``, ``m_e_r`` and ``delta`` are NaN where undefined; only seeds
+    with a mu and a scored pool have exposures. ``by_user`` turns them, with
+    the engine's individual scores, into rows, and is built when first read.
+    """
+
+    engine: "MetricsEngine"
     k: int
+    m_e_f: np.ndarray
+    m_e_r: np.ndarray
+    delta: np.ndarray
     warnings: tuple[str, ...] = ()
+
+    @cached_property
+    def by_user(self) -> dict[str, UserMetrics]:
+        """Every user with a defined value, in name order."""
+        e = self.engine
+        ids = np.flatnonzero(~(np.isnan(e.mu) & np.isnan(self.m_e_f) & np.isnan(self.m_e_r)))
+
+        def optional(values: np.ndarray) -> list[Optional[float]]:
+            return [None if math.isnan(v) else v for v in values[ids].tolist()]
+
+        columns = zip(
+            ids.tolist(),
+            optional(e.mu),
+            optional(e.m_s),
+            optional(self.m_e_f),
+            optional(self.m_e_r),
+            optional(self.delta),
+            e.domain_count[ids].tolist(),
+            class_names(e.class_code[ids]),
+        )
+        return {e.names[i]: UserMetrics(e.names[i], *row) for i, *row in columns}
 
 
 class MetricsEngine:
@@ -463,9 +400,10 @@ class MetricsEngine:
     congruence and entropy analyses. Exposure values are normalized jointly
     across both graph kinds, per threshold.
 
-    ``follow`` and ``retweets`` are the graphs' own seed x user matrices,
-    rows in sorted seed order (``seeds``) and columns over the graphs' user
-    ids, which the index shares.
+    ``mu``, ``m_s``, ``class_code`` and ``domain_count`` are vectors over
+    the graphs' user ids (``names``), which the index shares. ``follow`` and
+    ``retweets`` are the graphs' own seed x user matrices, rows in sorted
+    seed order (``seeds``).
     """
 
     def __init__(
@@ -478,84 +416,57 @@ class MetricsEngine:
         check_same_space(fg, rg)
         self.unique_domains = unique_domains
         self.fg, self.rg = fg, rg
+        self.names = fg.names
         self.seeds, self.seed_row = fg.seeds, fg.seed_row
         self.follow, self.retweets = fg.follow, rg.retweets
-        self.index = ExposureIndex(bundle.log, bundle.scores, fg.names)
+        self.index = index = ExposureIndex(bundle.log, bundle.scores, fg.names)
         self.warnings: list[str] = []
 
-        self.mu_by_user: dict[str, float] = {}
-        self.domain_count: dict[str, int] = {}
-        folded: dict[str, float] = {}
-        for author in self.index.authors:
-            total, count = self.index.original_totals(author, unique_domains)
-            if count == 0:
-                continue
-            mu = total / count
-            self.mu_by_user[author] = mu
-            self.domain_count[author] = count
-            folded[author] = fold(mu)
-        if folded:
-            values = set(folded.values())
-            if len(values) == 1:
-                self.warnings.append("individual moderacy range is degenerate")
-            self.m_s_by_user = minmax_normalize(folded)
+        self.mu = np.full(len(self.names), np.nan)
+        if unique_domains:
+            self.domain_count = np.diff(index.original_domains.indptr)
+            for i in np.flatnonzero(self.domain_count).tolist():
+                total, count = _fsum_row(index.original_domains, i, index.domain_scores)
+                self.mu[i] = total / count
         else:
-            self.m_s_by_user = {}
-        self.class_by_user = {u: classify(v) for u, v in self.m_s_by_user.items()}
-        self._seed_mu = np.array([self.mu_by_user.get(u, np.nan) for u in self.seeds])
-        self._raw_f: Optional[dict[str, float]] = None
+            self.domain_count = index.orig_count
+            np.divide(index.orig_sum, index.orig_count, out=self.mu, where=index.orig_count > 0)
+        scored = ~np.isnan(self.mu)
+        self.m_s = np.full(len(self.names), np.nan)
+        if scored.any():
+            mu = self.mu[scored]
+            folded = np.where(mu > 0.5, mu, 1.0 - mu)
+            if folded.min() == folded.max():
+                self.warnings.append("individual moderacy range is degenerate")
+            self.m_s[scored] = minmax_normalize(folded)
+        self.class_code = classify(self.m_s)
+        self._raw_f: Optional[np.ndarray] = None
 
-    def _raw_exposures(self, kind: str, k: int) -> dict[str, float]:
-        """Raw pool mean, folded by the seed's own mu, for seeds with both defined."""
+    def raw_exposures(self, kind: str, k: int = 1) -> np.ndarray:
+        """Per user id, the seed's pool mean under a graph kind, folded by its own mu.
+
+        NaN unless the user is a seed with a mu whose pool holds a scored
+        occurrence.
+        """
         pools = friend_matrix(kind, self.fg, self.rg, k)
         raw = self.index.pool_means(pools, self.unique_domains)
-        folded = np.where(self._seed_mu > 0.5, raw, 1.0 - raw)
-        rows = np.flatnonzero(~np.isnan(raw) & ~np.isnan(self._seed_mu))
-        return {self.seeds[i]: v for i, v in zip(rows.tolist(), folded[rows].tolist())}
-
-    def exposures_at(self, k: int) -> tuple[dict[str, float], dict[str, float]]:
-        """Jointly normalized (m_e_f, m_e_r) maps for seed users at threshold k."""
-        if self._raw_f is None:
-            # follower-side pools do not depend on the retweet threshold
-            self._raw_f = self._raw_exposures(FOLLOWER, 1)
-        raw_f = self._raw_f
-        raw_r = self._raw_exposures(RETWEET, k)
-        combined: dict[tuple[str, str], float] = {}
-        for user, v in raw_f.items():
-            combined[(FOLLOWER, user)] = v
-        for user, v in raw_r.items():
-            combined[(RETWEET, user)] = v
-        if not combined:
-            return {}, {}
-        if len(set(combined.values())) == 1:
-            self.warnings.append(f"exposure range at k={k} is degenerate")
-        normalized = minmax_normalize(combined)
-        m_e_f = {user: normalized[(FOLLOWER, user)] for user in raw_f}
-        m_e_r = {user: normalized[(RETWEET, user)] for user in raw_r}
-        return m_e_f, m_e_r
+        own = self.mu[self.fg.seed_ids]
+        folded = np.where(own > 0.5, raw, 1.0 - raw)
+        folded[np.isnan(own)] = np.nan
+        out = np.full(len(self.names), np.nan)
+        out[self.fg.seed_ids] = folded
+        return out
 
     def metrics_at(self, k: int) -> MetricsSet:
-        m_e_f, m_e_r = self.exposures_at(k)
-        by_user: dict[str, UserMetrics] = {}
-        users = sorted(set(self.mu_by_user) | set(m_e_f) | set(m_e_r))
-        for user in users:
-            mef = m_e_f.get(user)
-            mer = m_e_r.get(user)
-            delta = mef - mer if mef is not None and mer is not None else None
-            by_user[user] = UserMetrics(
-                user=user,
-                mu=self.mu_by_user.get(user),
-                m_s=self.m_s_by_user.get(user),
-                m_e_f=mef,
-                m_e_r=mer,
-                delta=delta,
-                domain_count=self.domain_count.get(user, 0),
-                moderacy_class=self.class_by_user.get(user),
-            )
-        return MetricsSet(
-            by_user=by_user,
-            m_s_by_user=dict(self.m_s_by_user),
-            class_by_user=dict(self.class_by_user),
-            k=k,
-            warnings=tuple(self.warnings),
-        )
+        """Exposures at threshold k, normalized jointly over both kinds' defined values."""
+        if self._raw_f is None:
+            # follower-side pools do not depend on the retweet threshold
+            self._raw_f = self.raw_exposures(FOLLOWER, 1)
+        raw = np.concatenate([self._raw_f, self.raw_exposures(RETWEET, k)])
+        defined = ~np.isnan(raw)
+        if defined.any():
+            if raw[defined].min() == raw[defined].max():
+                self.warnings.append(f"exposure range at k={k} is degenerate")
+            raw[defined] = minmax_normalize(raw[defined])
+        m_e_f, m_e_r = np.split(raw, 2)
+        return MetricsSet(self, k, m_e_f, m_e_r, m_e_f - m_e_r, tuple(self.warnings))

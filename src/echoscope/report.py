@@ -43,6 +43,7 @@ from .moderacy import (
     RETWEET,
     MetricsEngine,
     UserMetrics,
+    class_names,
     congruent_friend_fraction_diff,
     exposure_class_fractions,
     friend_activity_comparison,
@@ -258,33 +259,31 @@ def build_report(
     fg, rg = build_graphs(bundle, cfg, cache_path)
 
     engine = MetricsEngine(bundle, fg, rg, unique_domains=cfg.unique_domains)
-    if not engine.m_s_by_user:
+    scored = ~np.isnan(engine.m_s)
+    if not scored.any():
         markers.append("no scored users")
 
-    # per-threshold exposures, correlations, and bias tables
+    # per-threshold exposures, correlations, and bias tables; ids ascend in
+    # name order, so every list below is in user order
     correlations: dict = {}
     delta_tables: dict[int, list[tuple[str, float, float]]] = {}
-    metrics_k1: dict[str, UserMetrics] = {}
+    metrics_k1 = None
     for k in cfg.k_range():
         mset = engine.metrics_at(k)
         if k == 1:
-            metrics_k1 = mset.by_user
-        paired = [
-            m
-            for m in mset.by_user.values()
-            if m.m_s is not None and m.m_e_f is not None and m.m_e_r is not None
-        ]
-        paired.sort(key=lambda m: m.user)
-        ms = [m.m_s for m in paired]
+            metrics_k1 = mset
+        paired = np.flatnonzero(scored & ~np.isnan(mset.delta))
+        ms = engine.m_s[paired].tolist()
+        deltas = mset.delta[paired].tolist()
         correlations[str(k)] = {
             "n_paired": len(paired),
-            "ms_vs_mef": _corr_block(ms, [m.m_e_f for m in paired]),
-            "ms_vs_mer": _corr_block(ms, [m.m_e_r for m in paired]),
-            "delta_vs_ms": _corr_block([m.delta for m in paired], ms),
+            "ms_vs_mef": _corr_block(ms, mset.m_e_f[paired].tolist()),
+            "ms_vs_mer": _corr_block(ms, mset.m_e_r[paired].tolist()),
+            "delta_vs_ms": _corr_block(deltas, ms),
         }
-        delta_tables[k] = [(m.user, m.m_s, m.delta) for m in paired]
-    if 1 not in cfg.k_range():
-        metrics_k1 = engine.metrics_at(1).by_user
+        delta_tables[k] = list(zip([fg.names[i] for i in paired.tolist()], ms, deltas))
+    if metrics_k1 is None:
+        metrics_k1 = engine.metrics_at(1)
 
     # overlap structure
     overlap_curves = []
@@ -316,26 +315,24 @@ def build_report(
             overlap_user_rows.append(tuple(row))
 
     # exposure class fractions per kind plus the random baseline
-    class_by_user = engine.class_by_user
+    seed_class = dict(zip(fg.seeds, class_names(engine.class_code[fg.seed_ids])))
     profile_rows: list[tuple] = []
     fractions_by_kind: dict[str, dict[str, list]] = {
         FOLLOWER: {MODERATE: [], HARDLINER: []},
         RETWEET: {MODERATE: [], HARDLINER: []},
         "baseline": {MODERATE: [], HARDLINER: []},
     }
-    seeds_sorted = sorted(bundle.seeds)
     for kind in (FOLLOWER, RETWEET):
         profiles = exposure_class_fractions(engine, kind, 1)
-        for user in seeds_sorted:
-            ucls = class_by_user.get(user)
+        for user, ucls in seed_class.items():
             if ucls is not None and user in profiles:
                 fractions_by_kind[kind][ucls].append(profiles[user])
 
-    n_retweeted = dict(zip(rg.seeds, np.diff(rg.retweets.indptr).tolist()))
+    n_retweeted = np.diff(rg.retweets.indptr).tolist()
     baseline_candidates = [
         u
-        for u in seeds_sorted
-        if class_by_user.get(u) is not None and n_retweeted[u]
+        for (u, ucls), n in zip(seed_class.items(), n_retweeted)
+        if ucls is not None and n
     ]
     if cfg.baseline_users and len(baseline_candidates) > cfg.baseline_users:
         picker = substream(cfg.seed, "baseline-user-cap")
@@ -348,7 +345,7 @@ def build_report(
         rng = substream(cfg.seed, "baseline", user)
         profile = random_baseline_fractions(engine, user, cfg.reps, rng, 1)
         if profile is not None:
-            fractions_by_kind["baseline"][class_by_user[user]].append(profile)
+            fractions_by_kind["baseline"][seed_class[user]].append(profile)
 
     class_fractions: dict = {}
     for kind, by_class in fractions_by_kind.items():
@@ -377,7 +374,7 @@ def build_report(
 
     # entropy of friend moderacy
     prof_f, prof_r, entropy_test, n_skipped = entropy_comparison(
-        bundle.seeds, fg, rg, engine.m_s_by_user, cfg.entropy_bins, 1
+        bundle.seeds, fg, rg, engine.m_s, cfg.entropy_bins, 1
     )
     entropy_rows = [
         (pf.user, pf.entropy, pr.entropy, pf.n_friends_scored, pr.n_friends_scored)
@@ -407,9 +404,7 @@ def build_report(
         markers.append("entropy comparison has no eligible users")
 
     # activity of retweeted vs not-retweeted friends
-    activity_rows_data = friend_activity_comparison(
-        fg, rg, bundle.log, class_by_user, 1, engine.index
-    )
+    activity_rows_data = friend_activity_comparison(engine, 1)
     retweeted_acts = [r.activity for r in activity_rows_data if r.retweeted]
     not_retweeted_acts = [r.activity for r in activity_rows_data if not r.retweeted]
     by_class_acts = {
@@ -448,7 +443,7 @@ def build_report(
     # congruence of retweeted vs not-retweeted friends
     congruence_rows = []
     cong_by_class: dict[str, list] = {MODERATE: [], HARDLINER: []}
-    for user, diff in congruent_friend_fraction_diff(fg, rg, class_by_user, 1).items():
+    for user, diff in congruent_friend_fraction_diff(fg, rg, engine.class_code, 1).items():
         cong_by_class[diff.moderacy_class].append(diff)
         congruence_rows.append(
             (
@@ -482,17 +477,17 @@ def build_report(
     # indegree-proportional friend samples and the uniform random-user draw
     sampled_rows: list[tuple] = []
     sample_counts = {"n_requested": cfg.sample_n}
+    # one float object per user, shared by every row that samples them
+    m_s_objects = np.array(engine.m_s.tolist(), dtype=object)
     for source, graph_obj in (("random_friend", fg), ("random_retweet_friend", rg)):
         n_scored = 0
         if graph_obj.indegree().any():
             drawn = sample_friends_by_indegree(
                 graph_obj, cfg.sample_n, substream(cfg.seed, "indegree-sample", source)
             )
-            for name in drawn:
-                score = engine.m_s_by_user.get(name)
-                if score is not None:
-                    sampled_rows.append((source, score))
-                    n_scored += 1
+            scores = m_s_objects[drawn[scored[drawn]]].tolist()
+            sampled_rows.extend((source, score) for score in scores)
+            n_scored = len(scores)
         sample_counts[source] = {"n_scored": n_scored}
     uniform = substream(cfg.seed, "random-user-scores").random(cfg.sample_n)
     sampled_rows.extend(("random_user", float(v)) for v in uniform.tolist())
@@ -500,15 +495,10 @@ def build_report(
 
     # heatmaps of m_s vs exposure at k=1
     heatmaps = {}
-    for kind, attr in ((FOLLOWER, "m_e_f"), (RETWEET, "m_e_r")):
-        xs, ys = [], []
-        for m in metrics_k1.values():
-            value = getattr(m, attr)
-            if m.m_s is not None and value is not None:
-                xs.append(m.m_s)
-                ys.append(value)
+    for kind, m_e in ((FOLLOWER, metrics_k1.m_e_f), (RETWEET, metrics_k1.m_e_r)):
+        both = scored & ~np.isnan(m_e)
         counts, _, _ = np.histogram2d(
-            xs, ys, bins=cfg.heatmap_bins, range=[[0.0, 1.0], [0.0, 1.0]]
+            engine.m_s[both], m_e[both], bins=cfg.heatmap_bins, range=[[0.0, 1.0], [0.0, 1.0]]
         )
         heatmaps[kind] = counts.astype(np.int64)
 
@@ -519,8 +509,8 @@ def build_report(
         "n_edges": bundle.edges.n_edges,
         "n_events": len(bundle.log),
         "n_retweets": n_retweets,
-        "n_scored_users": len(engine.m_s_by_user),
-        "n_users_with_metrics": len(metrics_k1),
+        "n_scored_users": int(scored.sum()),
+        "n_users_with_metrics": len(metrics_k1.by_user),
         "n_baseline_users": len(baseline_candidates),
     }
 
@@ -542,7 +532,7 @@ def build_report(
         congruence=congruence_section,
         markers=markers,
         warnings=sorted(set(engine.warnings)),
-        user_metrics=metrics_k1,
+        user_metrics=metrics_k1.by_user,
         delta_tables=delta_tables,
         entropy_rows=entropy_rows,
         activity_rows=activity_rows,

@@ -9,10 +9,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
 from scipy import stats as _scipy_stats
 
 from .errors import UndefinedStatisticError
-from .graph import FollowerGraph, RetweetGraph, user_categories
+from .graph import FollowerGraph, RetweetGraph, count_matrix
 
 # below this product of sample sizes the U distribution is enumerated exactly
 EXACT_U_THRESHOLD = 400
@@ -216,21 +217,25 @@ def entropy_comparison(
     users: Iterable[str],
     fg: FollowerGraph,
     rg: RetweetGraph,
-    m_s_by_user: dict[str, float],
+    m_s: np.ndarray,
     n_bins: int = 5,
     k: int = 1,
 ) -> tuple[list[EntropyProfile], list[EntropyProfile], Optional[UTestResult], int]:
     """Per-user entropy of scored-friend moderacy under each graph kind.
 
-    Users with fewer than 2 scored friends in either graph (or no row in
-    them) are skipped; the count of skipped users is returned. The U test
-    compares the follower entropy population (first sample) against the
-    retweet one.
+    ``m_s`` holds each user id's moderacy, NaN when unscored. Users with
+    fewer than 2 scored friends in either graph (or no row in them) are
+    skipped; the count of skipped users is returned. The U test compares the
+    follower entropy population (first sample) against the retweet one.
     """
     # each seed row's bin counts are one product with a user x bin indicator
     width = max(n_bins, 1)
-    bins = {user: _bin(value, width) for user, value in m_s_by_user.items()}
-    by_bin = user_categories(fg.names, bins, width)
+    scored = np.flatnonzero(~np.isnan(m_s))
+    values = m_s[scored]
+    if not ((values >= 0.0) & (values <= 1.0)).all():
+        raise UndefinedStatisticError("value out of [0,1] in m_s")
+    bins = np.minimum((values * width).astype(np.int64), width - 1)
+    by_bin = count_matrix(scored, bins, (len(fg.names), width))
     counts_f = (fg.follow @ by_bin).toarray().tolist()
     counts_r = (rg.at_least(k) @ by_bin).toarray().tolist()
 

@@ -44,6 +44,7 @@ from .ingest import (
     KIND_ORIGINAL,
     KIND_RETWEET,
     TweetEvent,
+    atomic_open,
 )
 from .rng import substream
 
@@ -288,7 +289,8 @@ def generate(config: SynthConfig) -> tuple[DatasetBundle, GroundTruth]:
 
 
 def write_truth(truth: GroundTruth, path: str) -> None:
-    Path(path).write_text(truth.to_json() + "\n", encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write(truth.to_json() + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +303,7 @@ class OracleMetrics:
     """Naively recomputed per-user values; key absence means 'undefined'."""
 
     mu: dict[str, float]
+    domain_count: dict[str, float]  # scored domain occurrences (or distinct domains) behind mu
     m_s: dict[str, float]
     moderacy_class: dict[str, str]
     m_e_f: dict[str, float]
@@ -350,8 +353,9 @@ def oracle_metrics(
     for ev in events:
         by_author.setdefault(ev.author, []).append(ev)
 
-    # individual raw means over original tweets
+    # individual raw means over original tweets, and how many values each averages
     mu: dict[str, float] = {}
+    domain_count: dict[str, float] = {}
     for author, evs in by_author.items():
         if unique_domains:
             seen = set()
@@ -362,6 +366,7 @@ def oracle_metrics(
                             seen.add(d)
             if seen:
                 mu[author] = sum(scores[d] for d in seen) / len(seen)
+                domain_count[author] = float(len(seen))
         else:
             total, count = 0.0, 0
             for ev in evs:
@@ -372,6 +377,7 @@ def oracle_metrics(
                             count += 1
             if count:
                 mu[author] = total / count
+                domain_count[author] = float(count)
 
     folded = {a: (m if m > 0.5 else 1.0 - m) for a, m in mu.items()}
 
@@ -535,6 +541,7 @@ def oracle_metrics(
 
     return OracleMetrics(
         mu=mu,
+        domain_count=domain_count,
         m_s=m_s,
         moderacy_class=moderacy_class,
         m_e_f=m_e_f,
@@ -608,6 +615,9 @@ def compare_with_oracle(
 
     engine_maps: dict[str, dict[str, float]] = {
         "mu": {u: m.mu for u, m in metrics.by_user.items() if m.mu is not None},
+        "domain_count": {
+            u: float(m.domain_count) for u, m in metrics.by_user.items() if m.mu is not None
+        },
         "m_s": {u: m.m_s for u, m in metrics.by_user.items() if m.m_s is not None},
         "m_e_f": {u: m.m_e_f for u, m in metrics.by_user.items() if m.m_e_f is not None},
         "m_e_r": {u: m.m_e_r for u, m in metrics.by_user.items() if m.m_e_r is not None},
@@ -621,11 +631,11 @@ def compare_with_oracle(
         engine_maps["frac_moderate_" + tag] = {u: p.frac_moderate for u, p in profiles.items()}
         engine_maps["frac_hardline_" + tag] = {u: p.frac_hardline for u, p in profiles.items()}
     prof_f, prof_r, _, _ = stats_mod.entropy_comparison(
-        bundle.seeds, fg, rg, metrics.m_s_by_user, n_bins, k
+        bundle.seeds, fg, rg, engine.m_s, n_bins, k
     )
     engine_maps["entropy_f"] = {p.user: p.entropy for p in prof_f}
     engine_maps["entropy_r"] = {p.user: p.entropy for p in prof_r}
-    diffs = mod.congruent_friend_fraction_diff(fg, rg, metrics.class_by_user, k)
+    diffs = mod.congruent_friend_fraction_diff(fg, rg, engine.class_code, k)
     engine_maps["frac_congruent_retweeted"] = {
         u: d.frac_congruent_retweeted for u, d in diffs.items()
     }
@@ -633,9 +643,7 @@ def compare_with_oracle(
         u: d.frac_congruent_not_retweeted for u, d in diffs.items()
     }
     engine_maps["congruence_diff"] = {u: d.diff for u, d in diffs.items()}
-    activity_rows = mod.friend_activity_comparison(
-        fg, rg, bundle.log, metrics.class_by_user, k, engine.index
-    )
+    activity_rows = mod.friend_activity_comparison(engine, k)
     engine_maps["activity"] = {r.friend: float(r.activity) for r in activity_rows}
     engine_maps["activity_retweeted"] = {r.friend: float(r.retweeted) for r in activity_rows}
     engine_maps["overlap_curve_mean"] = {}
@@ -648,6 +656,7 @@ def compare_with_oracle(
 
     oracle_maps = {
         "mu": oracle.mu,
+        "domain_count": oracle.domain_count,
         "m_s": oracle.m_s,
         "m_e_f": oracle.m_e_f,
         "m_e_r": oracle.m_e_r,

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from echoscope.graph import build_follower_graph, build_retweet_graph, user_space
@@ -33,6 +34,11 @@ def graphs_of(bundle):
     """The bundle's follower and retweet graphs over one shared id space."""
     space = user_space(bundle.seeds, bundle.edges, bundle.log)
     return build_follower_graph(space), build_retweet_graph(space)
+
+
+def per_id(names, by_name, fill=np.nan):
+    """A vector over the id space ``names``: the given values, ``fill`` elsewhere."""
+    return np.array([by_name.get(name, fill) for name in names])
 
 
 @pytest.fixture

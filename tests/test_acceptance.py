@@ -62,27 +62,24 @@ def battery_run(beta: float, seed: int) -> dict:
     out: dict = {"k": {}}
     for k in K_GRID:
         mset = engine.metrics_at(k)
-        paired = [
-            m
-            for m in mset.by_user.values()
-            if m.m_s is not None and m.delta is not None
-        ]
-        ms = [m.m_s for m in paired]
+        paired = np.flatnonzero(~np.isnan(engine.m_s) & ~np.isnan(mset.delta))
+        ms = engine.m_s[paired].tolist()
+        deltas = mset.delta[paired].tolist()
         out["k"][k] = {
-            "r_f": pearson(ms, [m.m_e_f for m in paired]).r,
-            "r_r": pearson(ms, [m.m_e_r for m in paired]).r,
-            "r_delta": pearson([m.delta for m in paired], ms).r,
-            "mean_delta": statistics.fmean(m.delta for m in paired),
+            "r_f": pearson(ms, mset.m_e_f[paired].tolist()).r,
+            "r_r": pearson(ms, mset.m_e_r[paired].tolist()).r,
+            "r_delta": pearson(deltas, ms).r,
+            "mean_delta": statistics.fmean(deltas),
             "n": len(paired),
         }
     prof_f, prof_r, ent_test, _ = entropy_comparison(
-        bundle.seeds, fg, rg, engine.m_s_by_user, 5, 1
+        bundle.seeds, fg, rg, engine.m_s, 5, 1
     )
     out["entropy_f"] = statistics.fmean(p.entropy for p in prof_f)
     out["entropy_r"] = statistics.fmean(p.entropy for p in prof_r)
     out["entropy_p"] = ent_test.p
     cong = {MODERATE: [], HARDLINER: []}
-    for diff in congruent_friend_fraction_diff(fg, rg, engine.class_by_user, 1).values():
+    for diff in congruent_friend_fraction_diff(fg, rg, engine.class_code, 1).values():
         cong[diff.moderacy_class].append(diff.diff)
     out["cong_moderate"] = statistics.fmean(cong[MODERATE])
     out["cong_hardliner"] = statistics.fmean(cong[HARDLINER])
@@ -138,18 +135,18 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_fold_normalize_algebra():
     rng = np.random.default_rng(31337)
     mus = rng.random(100_000)
-    folded = {}
+    folded = []
     failures = 0
-    for i, mu in enumerate(mus.tolist()):
+    for mu in mus.tolist():
         f = fold(mu)
         if f != fold(1.0 - mu) or not 0.5 <= f <= 1.0:
             failures += 1
-        folded[i] = f
-    normalized = minmax_normalize(folded)
-    order_in = sorted(folded, key=lambda i: (folded[i], i))
-    order_out = sorted(normalized, key=lambda i: (normalized[i], i))
+        folded.append(f)
+    normalized = minmax_normalize(np.array(folded)).tolist()
+    order_in = sorted(range(len(folded)), key=lambda i: (folded[i], i))
+    order_out = sorted(range(len(normalized)), key=lambda i: (normalized[i], i))
     rank_ok = order_in == order_out
-    endpoint_ok = min(normalized.values()) == 0.0 and max(normalized.values()) == 1.0
+    endpoint_ok = min(normalized) == 0.0 and max(normalized) == 1.0
     _criterion(
         "2 fold/normalize algebra",
         failures == 0 and rank_ok and endpoint_ok,

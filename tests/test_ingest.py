@@ -5,6 +5,7 @@ import pytest
 from conftest import ev, make_bundle, rt
 from echoscope.errors import InputFormatError
 from echoscope.ingest import (
+    EventLog,
     FollowEdgeList,
     parse_domain_scores,
     parse_events,
@@ -161,7 +162,7 @@ def test_events_sorted_with_tweet_id_tiebreak(tmp_path):
     path = write(tmp_path / "ev.jsonl", "\n".join(lines) + "\n")
     log = parse_events(path)
     assert [e.tweet_id for e in log.events] == ["t1", "a", "b", "t3"]
-    assert log.user_index["u1"] == (0, 3)
+    assert log.authors == ("u1", "u2", "u3")
 
 
 def test_bad_event_records(tmp_path):
@@ -209,7 +210,24 @@ def test_parse_write_parse_idempotent(tmp_path):
     assert parse_follow_edges(str(tmp_path / "e2.csv")) == edges
     log2 = parse_events(str(tmp_path / "ev2.jsonl"))
     assert log2.events == log.events
-    assert log2.user_index == log.user_index
+    assert log2.authors == log.authors
+
+
+def test_write_events_failure_leaves_previous_file(tmp_path):
+    path = tmp_path / "events.jsonl"
+    write_events(EventLog.from_events([ev("t0", "u", 0)]), str(path))
+    before = path.read_bytes()
+    # the second event's id cannot be serialised, so the write fails after
+    # the first line
+    broken = EventLog.from_events([ev("t1", "u", 1), ev(object(), "u", 2)])
+    with pytest.raises(TypeError):
+        write_events(broken, str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["events.jsonl"]
+    path.unlink()
+    with pytest.raises(TypeError):
+        write_events(broken, str(path))
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------- validation

@@ -1,10 +1,12 @@
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ev, graphs_of, make_bundle, rt
+from conftest import ev, graphs_of, make_bundle, per_id, rt
 from echoscope.errors import EchoscopeError
 from echoscope.graph import (
     FollowerGraph,
@@ -16,6 +18,7 @@ from echoscope.graph import (
 )
 from echoscope.ingest import DomainScoreTable, EventLog, FollowEdgeList
 from echoscope.moderacy import (
+    CLASSES,
     FOLLOWER,
     HARDLINER,
     MODERATE,
@@ -23,25 +26,37 @@ from echoscope.moderacy import (
     ExposureIndex,
     ExposureProfile,
     MetricsEngine,
-    UserMetrics,
+    class_names,
     classify,
     congruent_friend_fraction_diff,
     exposure_class_fractions,
-    exposure_delta,
-    exposure_moderacy,
     fold,
     friend_activity_comparison,
-    individual_moderacy,
     minmax_normalize,
     random_baseline_fractions,
-    raw_mean_score,
 )
 from echoscope.rng import substream
 from echoscope.synth import SynthConfig, generate
 
 
-def engine_of(bundle):
-    return MetricsEngine(bundle, *graphs_of(bundle))
+def engine_of(bundle, unique_domains=False):
+    return MetricsEngine(bundle, *graphs_of(bundle), unique_domains)
+
+
+def at(engine, values, name):
+    """A per-id engine value, looked up by user name."""
+    return values[engine.names.index(name)]
+
+
+def class_codes(fg, classes):
+    """Class codes over the graphs' ids from a name -> class map; -1 elsewhere."""
+    return per_id(fg.names, {u: CLASSES.index(c) for u, c in classes.items()}, -1)
+
+
+def pool_mean(engine, user, kind=FOLLOWER):
+    """The raw mean score of a seed's pool under a graph kind at k=1."""
+    pools = engine.follow if kind == FOLLOWER else engine.rg.at_least(1)
+    return engine.index.pool_means(pools, engine.unique_domains)[engine.seed_row[user]]
 
 
 # ---------------------------------------------------------------- fold/classify
@@ -65,92 +80,84 @@ def test_fold_mirror_symmetry_is_exact(mu):
 
 
 def test_classify_boundary():
-    assert classify(0.5) == MODERATE
-    assert classify(0.51) == HARDLINER
-    assert classify(0.0) == MODERATE
-    assert classify(1.0) == HARDLINER
+    codes = classify(np.array([0.5, 0.51, 0.0, 1.0, np.nan]))
+    assert class_names(codes) == [MODERATE, HARDLINER, MODERATE, HARDLINER, None]
 
 
 # ---------------------------------------------------------------- means/normalize
 
 
-def test_raw_mean_examples():
-    table = DomainScoreTable({"a.x": 0.0, "b.x": 0.25, "c.x": 1.0, "d.x": 0.5})
-    assert raw_mean_score(["a.x", "b.x", "b.x", "c.x"], table) == 0.375
-    assert raw_mean_score(["d.x"], table) == 0.5
-    assert raw_mean_score(["unknown.x"], table) is None
-    assert raw_mean_score([], table) is None
-    # multiset semantics: repeated occurrences shift the mean
-    assert raw_mean_score(["a.x", "c.x", "c.x"], table) == pytest.approx(2 / 3)
-
-
 def test_minmax_endpoints_and_midpoint():
-    out = minmax_normalize({"a": 0.5, "b": 0.75, "c": 1.0})
-    assert out == {"a": 0.0, "b": 0.5, "c": 1.0}
+    out = minmax_normalize(np.array([0.5, 0.75, 1.0]))
+    assert out.tolist() == [0.0, 0.5, 1.0]
 
 
 def test_minmax_degenerate_maps_to_half(caplog):
     with caplog.at_level("WARNING"):
-        out = minmax_normalize({"a": 0.7, "b": 0.7})
-    assert out == {"a": 0.5, "b": 0.5}
+        out = minmax_normalize(np.array([0.7, 0.7]))
+    assert out.tolist() == [0.5, 0.5]
     assert "degenerate" in caplog.text
     with pytest.raises(EchoscopeError):
-        minmax_normalize({})
+        minmax_normalize(np.array([]))
 
 
 @given(st.lists(st.floats(0.5, 1.0), min_size=2, max_size=50, unique=True))
 @settings(max_examples=200)
 def test_minmax_preserves_ranks(values):
-    mapping = {i: v for i, v in enumerate(values)}
-    normalized = minmax_normalize(mapping)
-    order_in = sorted(mapping, key=mapping.get)
-    order_out = sorted(normalized, key=normalized.get)
+    normalized = minmax_normalize(np.array(values)).tolist()
+    order_in = sorted(range(len(values)), key=values.__getitem__)
+    order_out = sorted(range(len(values)), key=normalized.__getitem__)
     assert order_in == order_out
-    assert min(normalized.values()) == 0.0
-    assert max(normalized.values()) == 1.0
+    assert min(normalized) == 0.0
+    assert max(normalized) == 1.0
 
 
 # ---------------------------------------------------------------- individual
 
 
 def test_individual_moderacy_uses_originals_only():
-    table = DomainScoreTable({"a.x": 0.0, "b.x": 1.0})
-    log = EventLog.from_events(
-        [
-            ev("t1", "u", 1, domains=["a.x"]),
-            rt("t2", "u", 2, "v", domains=["b.x", "b.x"]),
-        ]
-    )
-    assert individual_moderacy("u", log, table) == (0.0, 1.0)
+    table = {"a.x": 0.0, "b.x": 1.0}
+    events = [
+        ev("t1", "u", 1, domains=["a.x"]),
+        rt("t2", "u", 2, "v", domains=["b.x", "b.x"]),
+    ]
+    engine = engine_of(make_bundle(table, [], events, seeds={"u"}))
+    assert at(engine, engine.mu, "u") == 0.0
+    assert fold(at(engine, engine.mu, "u")) == 1.0
+    assert at(engine, engine.domain_count, "u") == 1
     # a retweets-only user has no individual score
-    log_rt = EventLog.from_events([rt("t1", "u", 1, "v", domains=["a.x"])])
-    assert individual_moderacy("u", log_rt, table) is None
+    log_rt = [rt("t1", "u", 1, "v", domains=["a.x"])]
+    engine = engine_of(make_bundle(table, [], log_rt, seeds={"u"}))
+    assert math.isnan(at(engine, engine.mu, "u"))
+    assert at(engine, engine.class_code, "u") == -1
 
 
 def test_individual_moderacy_fixed_point():
-    table = DomainScoreTable({"m.x": 0.5})
-    log = EventLog.from_events(
-        [ev("t1", "u", 1, domains=["m.x"]), ev("t2", "u", 2, domains=["m.x"])]
-    )
-    assert individual_moderacy("u", log, table) == (0.5, 0.5)
+    table = {"m.x": 0.5}
+    events = [ev("t1", "u", 1, domains=["m.x"]), ev("t2", "u", 2, domains=["m.x"])]
+    engine = engine_of(make_bundle(table, [], events, seeds={"u"}))
+    assert at(engine, engine.mu, "u") == 0.5
+    assert fold(at(engine, engine.mu, "u")) == 0.5
 
 
 def test_individual_moderacy_window_and_unique():
-    table = DomainScoreTable({"a.x": 0.0, "b.x": 1.0})
-    log = EventLog.from_events(
-        [
-            ev("t1", "u", 10, domains=["a.x", "a.x", "b.x"]),
-            ev("t2", "u", 99, domains=["b.x"]),
-        ]
-    )
-    early = log.restricted((0, 50))
-    assert len(early) == 1
-    mu, folded = individual_moderacy("u", early, table)
+    table = {"a.x": 0.0, "b.x": 1.0}
+    events = [
+        ev("t1", "u", 10, domains=["a.x", "a.x", "b.x"]),
+        ev("t2", "u", 99, domains=["b.x"]),
+    ]
+    bundle = make_bundle(table, [], events, seeds={"u"})
+    early = dataclasses.replace(bundle, log=bundle.log.restricted((0, 50)))
+    assert len(early.log) == 1
+    engine = engine_of(early)
+    mu = at(engine, engine.mu, "u")
     assert mu == pytest.approx(1 / 3)
-    assert folded == pytest.approx(2 / 3)
-    mu_u, _ = individual_moderacy("u", early, table, unique_domains=True)
-    assert mu_u == 0.5  # {a.x, b.x} as a set
-    assert individual_moderacy("u", log, table) == (0.5, 0.5)
+    assert fold(mu) == pytest.approx(2 / 3)
+    unique = engine_of(early, unique_domains=True)
+    assert at(unique, unique.mu, "u") == 0.5  # {a.x, b.x} as a set
+    assert at(unique, unique.domain_count, "u") == 2
+    full = engine_of(bundle)
+    assert at(full, full.mu, "u") == 0.5
 
 
 # ---------------------------------------------------------------- exposure
@@ -168,10 +175,10 @@ def exposure_fixture():
 
 
 def test_exposure_moderacy_fold_branch_uses_own_mu():
-    bundle = exposure_fixture()
-    fg, rg = graphs_of(bundle)
-    result = exposure_moderacy("u", FOLLOWER, fg, rg, bundle.log, bundle.scores)
-    assert result == (0.25, 0.75)  # mu(u)=0.2 <= 0.5, so folded = 1 - raw
+    engine = engine_of(exposure_fixture())
+    assert pool_mean(engine, "u") == 0.25
+    # mu(u)=0.2 <= 0.5, so folded = 1 - raw
+    assert at(engine, engine.raw_exposures(FOLLOWER), "u") == 0.75
 
 
 def test_exposure_requires_scored_user_and_nonempty_pool():
@@ -179,17 +186,20 @@ def test_exposure_requires_scored_user_and_nonempty_pool():
     bundle = make_bundle(
         scores, [("u", "f")], [ev("t1", "f", 1, domains=["friend.x"])]
     )
-    fg, rg = graphs_of(bundle)
     # u shared nothing scored: the fold branch is undefined
-    assert exposure_moderacy("u", FOLLOWER, fg, rg, bundle.log, bundle.scores) is None
+    engine = engine_of(bundle)
+    assert pool_mean(engine, "u") == 0.25
+    assert math.isnan(at(engine, engine.raw_exposures(FOLLOWER), "u"))
+    assert math.isnan(at(engine, engine.metrics_at(1).m_e_f, "u"))
     # scored user whose friends shared nothing scored
     bundle2 = make_bundle(
         {"own.x": 0.3},
         [("u", "f")],
         [ev("t1", "u", 1, domains=["own.x"]), ev("t2", "f", 2, domains=["junk.x"])],
     )
-    fg2, rg2 = graphs_of(bundle2)
-    assert exposure_moderacy("u", FOLLOWER, fg2, rg2, bundle2.log, bundle2.scores) is None
+    engine2 = engine_of(bundle2)
+    assert math.isnan(at(engine2, engine2.raw_exposures(FOLLOWER), "u"))
+    assert "u" in engine2.metrics_at(1).by_user  # scored, but without exposures
 
 
 def test_identical_friend_pools_give_identical_exposure():
@@ -205,9 +215,11 @@ def test_identical_friend_pools_give_identical_exposure():
     bundle = make_bundle(scores, edges, events)
     fg, rg = graphs_of(bundle)
     assert fg.friends("u") == rg.retweet_friends("u", 1)
-    got_f = exposure_moderacy("u", FOLLOWER, fg, rg, bundle.log, bundle.scores)
-    got_r = exposure_moderacy("u", RETWEET, fg, rg, bundle.log, bundle.scores)
-    assert got_f == got_r
+    engine = MetricsEngine(bundle, fg, rg)
+    assert pool_mean(engine, "u", FOLLOWER) == pool_mean(engine, "u", RETWEET)
+    got_f = at(engine, engine.raw_exposures(FOLLOWER), "u")
+    got_r = at(engine, engine.raw_exposures(RETWEET), "u")
+    assert got_f == got_r == 0.625
 
 
 def test_activity_weighting_brute_force_recount():
@@ -218,24 +230,32 @@ def test_activity_weighting_brute_force_recount():
     events += [ev(f"h{i}", "loud", 10 + i, domains=["hot.x"]) for i in range(10)]
     events += [ev("c1", "quiet", 30, domains=["cold.x"])]
     bundle = make_bundle(scores, [("u", "loud"), ("u", "quiet")], events)
-    fg, rg = graphs_of(bundle)
-    raw, folded = exposure_moderacy("u", FOLLOWER, fg, rg, bundle.log, bundle.scores)
+    engine = engine_of(bundle)
+    raw = pool_mean(engine, "u")
     pool = [1.0] * 10 + [0.0]
     assert raw == pytest.approx(sum(pool) / len(pool))
-    assert folded == raw  # mu(u) = 0.9 > 0.5
+    assert at(engine, engine.raw_exposures(FOLLOWER), "u") == raw  # mu(u) = 0.9 > 0.5
     bundle_without = make_bundle(scores, [("u", "loud")], events)
-    fg2, rg2 = graphs_of(bundle_without)  # quiet still has a column, as an author
-    raw2, _ = exposure_moderacy("u", FOLLOWER, fg2, rg2, bundle_without.log, bundle.scores)
+    raw2 = pool_mean(engine_of(bundle_without), "u")  # quiet still has a column, as an author
     assert abs(raw2 - raw) == pytest.approx(1 / 11)
 
 
 def test_exposure_delta_and_sign_flip():
-    metrics = UserMetrics("u", 0.4, 0.5, 0.8, 0.9, None, 3, MODERATE)
-    assert exposure_delta(metrics) == pytest.approx(-0.1)
-    both_equal = UserMetrics("u", 0.4, 0.5, 0.7, 0.7, None, 3, MODERATE)
-    assert exposure_delta(both_equal) == 0.0
-    missing = UserMetrics("u", 0.4, 0.5, None, 0.9, None, 3, MODERATE)
-    assert exposure_delta(missing) is None
+    # u pools {f1, f2} but retweets f1; v follows and retweets f1; w retweets nobody
+    scores = {"own.x": 0.2, "a.x": 0.0, "b.x": 1.0}
+    edges = [("u", "f1"), ("u", "f2"), ("v", "f1"), ("w", "f2")]
+    events = [ev(f"o{s}", s, 1, domains=["own.x"]) for s in ("u", "v", "w")]
+    events += [ev("t1", "f1", 2, domains=["a.x"]), ev("t2", "f2", 3, domains=["b.x"])]
+    events += [rt("r1", "u", 4, "f1"), rt("r2", "v", 5, "f1")]
+    engine = engine_of(make_bundle(scores, edges, events))
+    mset = engine.metrics_at(1)
+    # folded raw exposures 0.5 (u, f), 1.0 (u, r), 1.0 (v, f and r), 0.0 (w, f)
+    assert at(engine, mset.m_e_f, "u") == 0.5
+    assert at(engine, mset.delta, "u") == -0.5
+    assert at(engine, mset.delta, "v") == 0.0
+    assert at(engine, mset.m_e_f, "w") == 0.0
+    assert math.isnan(at(engine, mset.delta, "w"))
+    assert mset.by_user["w"].delta is None
 
 
 def test_delta_negates_when_graph_roles_swap():
@@ -380,8 +400,7 @@ def test_activity_counts_and_dedup():
     events = [ev(f"t{i}", "f1", i, domains=["m.x"]) for i in range(5)]
     events += [rt("r1", "s1", 10, "f1"), rt("r2", "s2", 11, "f1")]
     bundle = make_bundle(scores, edges, events)
-    fg, rg = graphs_of(bundle)
-    rows = friend_activity_comparison(fg, rg, bundle.log, {}, 1, table=bundle.scores)
+    rows = friend_activity_comparison(engine_of(bundle), 1)
     by_friend = {r.friend: r for r in rows}
     assert set(by_friend) == {"f1", "f2"}  # one row per friend despite two seeds
     assert by_friend["f1"].activity == 5
@@ -397,11 +416,10 @@ def test_activity_window():
         [("s", "f")],
         [ev(f"t{i}", "f", 10 * i, domains=["m.x"]) for i in range(5)],
     )
-    fg, rg = graphs_of(bundle)
-    early = bundle.log.restricted((0, 20))
-    rows = friend_activity_comparison(fg, rg, early, {}, 1, table=bundle.scores)
+    early = dataclasses.replace(bundle, log=bundle.log.restricted((0, 20)))
+    rows = friend_activity_comparison(engine_of(early), 1)
     assert rows[0].activity == 3
-    rows = friend_activity_comparison(fg, rg, bundle.log, {}, 1, table=bundle.scores)
+    rows = friend_activity_comparison(engine_of(bundle), 1)
     assert rows[0].activity == 5
 
 
@@ -420,7 +438,7 @@ def test_congruence_extremes_and_symmetry():
     events = [rt("t1", "u", 1, "r1"), rt("t2", "u", 2, "r2")]
     bundle = make_bundle({"m.x": 0.5}, edges, events)
     fg, rg = graphs_of(bundle)
-    diff = congruent_friend_fraction_diff(fg, rg, classes, 1)["u"]
+    diff = congruent_friend_fraction_diff(fg, rg, class_codes(fg, classes), 1)["u"]
     assert diff.diff == 1.0
     assert diff.moderacy_class == HARDLINER
 
@@ -431,7 +449,7 @@ def test_congruence_extremes_and_symmetry():
         "n1": HARDLINER,
         "n2": MODERATE,
     }
-    diff2 = congruent_friend_fraction_diff(fg, rg, balanced, 1)["u"]
+    diff2 = congruent_friend_fraction_diff(fg, rg, class_codes(fg, balanced), 1)["u"]
     assert diff2.diff == 0.0
 
 
@@ -441,10 +459,10 @@ def test_congruence_absent_cases():
     bundle = make_bundle({"m.x": 0.5}, edges, events)
     fg, rg = graphs_of(bundle)
     # unscored user
-    assert "u" not in congruent_friend_fraction_diff(fg, rg, {"r1": MODERATE}, 1)
+    assert "u" not in congruent_friend_fraction_diff(fg, rg, class_codes(fg, {"r1": MODERATE}), 1)
     # no scored friend in the not-retweeted partition
     classes = {"u": MODERATE, "r1": MODERATE}
-    assert "u" not in congruent_friend_fraction_diff(fg, rg, classes, 1)
+    assert "u" not in congruent_friend_fraction_diff(fg, rg, class_codes(fg, classes), 1)
 
 
 # ---------------------------------------------------------------- engine
@@ -454,10 +472,10 @@ def test_engine_normalizes_all_scored_users_together(tiny_bundle):
     fg, rg = graphs_of(tiny_bundle)
     engine = MetricsEngine(tiny_bundle, fg, rg)
     # friends f1..f3 are scored authors too, so they get m_s and classes
-    assert set(engine.m_s_by_user) == {"s1", "s2", "f1", "f2", "f3"}
-    values = engine.m_s_by_user
-    assert min(values.values()) == 0.0
-    assert max(values.values()) == 1.0
+    scored = {name for name, v in zip(engine.names, engine.m_s.tolist()) if not math.isnan(v)}
+    assert scored == {"s1", "s2", "f1", "f2", "f3"}
+    assert np.nanmin(engine.m_s) == 0.0
+    assert np.nanmax(engine.m_s) == 1.0
     metrics = engine.metrics_at(1).by_user
     assert metrics["f2"].m_e_f is None  # friends have no observed friend lists
 
@@ -476,9 +494,8 @@ def test_engine_window_restricts_everything():
     windowed = engine_of(early)
     assert full.index.scored("f") == (1.0, 2)
     assert windowed.index.scored("f") == (0.0, 1)
-    fg, rg = graphs_of(early)
-    assert exposure_moderacy("u", FOLLOWER, fg, rg, bundle.log, bundle.scores)[0] == 0.5
-    assert exposure_moderacy("u", FOLLOWER, fg, rg, early.log, early.scores)[0] == 0.0
+    assert pool_mean(full, "u") == 0.5
+    assert pool_mean(windowed, "u") == 0.0
 
 
 def test_graphs_and_index_from_another_id_space_refused():
@@ -491,20 +508,14 @@ def test_graphs_and_index_from_another_id_space_refused():
     fg = build_follower_graph(user_space(b.seeds, b.edges, EventLog.from_events([])))
     rg = build_retweet_graph(user_space(b.seeds, FollowEdgeList.from_pairs([]), b.log))
     with pytest.raises(EchoscopeError, match="one id space"):
-        exposure_moderacy("u", RETWEET, fg, rg, b.log, b.scores)
-    with pytest.raises(EchoscopeError, match="one id space"):
         MetricsEngine(b, fg, rg)
     with pytest.raises(EchoscopeError, match="no user id"):
         ExposureIndex(b.log, b.scores, ["f", "g"])
-    fg, rg = graphs_of(b)
-    authors_only = ExposureIndex(b.log, b.scores)
-    with pytest.raises(EchoscopeError, match="number users"):
-        exposure_moderacy("u", FOLLOWER, fg, rg, b.log, b.scores, index=authors_only)
 
 
 def test_exposure_index_matches_event_scan(tiny_bundle):
     index = ExposureIndex(tiny_bundle.log, tiny_bundle.scores)
-    for author in index.authors:
+    for author in tiny_bundle.log.authors:
         events = [e for e in tiny_bundle.log.events if e.author == author]
         expected = sum(
             tiny_bundle.scores.scores[d]

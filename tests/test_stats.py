@@ -18,7 +18,7 @@ from echoscope.stats import (
     pearson,
     shannon_entropy,
 )
-from conftest import rt
+from conftest import per_id, rt
 
 
 # ---------------------------------------------------------------- pearson
@@ -245,7 +245,7 @@ def test_entropy_comparison_subset_purity():
     log = EventLog.from_events([rt("t1", "s", 1, "f0"), rt("t2", "s", 2, "f1")])
     space = user_space({"s"}, edges, log)
     fg, rg = build_follower_graph(space), build_retweet_graph(space)
-    m_s = {"f0": 0.9, "f1": 0.95, "f2": 0.1, "f3": 0.5}
+    m_s = per_id(fg.names, {"f0": 0.9, "f1": 0.95, "f2": 0.1, "f3": 0.5})
     prof_f, prof_r, test, skipped = entropy_comparison(["s"], fg, rg, m_s, 5, 1)
     assert skipped == 0
     assert prof_r[0].entropy < prof_f[0].entropy
@@ -258,7 +258,7 @@ def test_entropy_comparison_identical_sets_and_skips():
     log = EventLog.from_events([rt("t1", "s", 1, "a"), rt("t2", "s", 2, "b")])
     space = user_space({"s", "q"}, edges, log)
     fg, rg = build_follower_graph(space), build_retweet_graph(space)
-    m_s = {"a": 0.2, "b": 0.8}
+    m_s = per_id(fg.names, {"a": 0.2, "b": 0.8})
     prof_f, prof_r, _, skipped = entropy_comparison(["s", "q"], fg, rg, m_s, 4, 1)
     assert len(prof_f) == 1  # q has one scored friend and no retweets: skipped
     assert skipped == 1
