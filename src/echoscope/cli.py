@@ -128,7 +128,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     cfg = _build_run_config(args)
     report = run_report(cfg)
-    log.info("report written to %s (%d markers)", cfg.out_dir, len(report.markers))
+    log.info("report written to %s (%d markers)", cfg.out_dir, len(report.sections["markers"]))
     return EXIT_OK
 
 

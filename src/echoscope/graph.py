@@ -9,7 +9,8 @@ in each row:
 ``RetweetGraph.retweets`` the number of times a seed retweeted an account.
 Threshold k is ``retweets >= k``, so raising k always keeps a subset of the
 edges at k-1. A user's indegree is a column sum. The per-seed metrics below
-are row operations on the two matrices, and the moderacy engine pools
+are row operations on the two matrices and come back as vectors over the
+seed rows, NaN where a seed's value is undefined; the moderacy engine pools
 exposures over the same matrices and keeps every per-user value as a vector
 over the same ids.
 
@@ -112,19 +113,6 @@ class RetweetGraph(_SeedGraph):
         return kept
 
 
-@dataclass(frozen=True)
-class OverlapPoint:
-    k: int
-    mean_overlap: float
-    n_users: int
-
-
-@dataclass(frozen=True)
-class OverlapCurve:
-    mode: str
-    points: tuple[OverlapPoint, ...]
-
-
 def count_matrix(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> sparse.csr_matrix:
     """Row x column occurrence counts as CSR, columns ascending in each row."""
     rows = np.asarray(rows, dtype=np.int64)
@@ -217,35 +205,32 @@ def _retweet_row_totals(fg: FollowerGraph, rg: RetweetGraph, k: int) -> tuple[np
     )
 
 
-def _ratios(seeds: list[str], num: np.ndarray, den: np.ndarray) -> dict[str, float]:
-    """num / den per seed, in seed order, for the seeds with den > 0."""
-    rows = np.flatnonzero(den)
-    return {
-        seeds[r]: n / d for r, n, d in zip(rows.tolist(), num[rows].tolist(), den[rows].tolist())
-    }
+def ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den elementwise, as floats; NaN where den is 0."""
+    out = np.full(den.size, np.nan)
+    np.divide(num, den, out=out, where=den > 0)
+    return out
 
 
-def fraction_friends_retweeted(
-    fg: FollowerGraph, rg: RetweetGraph, k: int = 1
-) -> dict[str, float]:
-    """Share of each seed's friends it retweeted at least k times; friendless seeds are absent."""
+def fraction_friends_retweeted(fg: FollowerGraph, rg: RetweetGraph, k: int = 1) -> np.ndarray:
+    """Per seed row, the share of its friends it retweeted at least k times; NaN when friendless."""
     n_followed = _retweet_row_totals(fg, rg, k)[0]
-    return _ratios(fg.seeds, n_followed, np.diff(fg.follow.indptr))
+    return ratios(n_followed, np.diff(fg.follow.indptr))
 
 
 def retweet_overlap(
     fg: FollowerGraph, rg: RetweetGraph, k: int = 1, mode: str = OVERLAP_ACCOUNT
-) -> dict[str, float]:
-    """Overlap of each seed's retweet friends (at threshold k) with its followed friends.
+) -> np.ndarray:
+    """Per seed row, the overlap of its retweet friends (at threshold k) with its followed friends.
 
     Account mode counts retweeted accounts; content mode counts retweets of
-    those accounts. Seeds without a retweet friend at k are absent.
+    those accounts. NaN for a seed without a retweet friend at k.
     """
     n_followed, n_all, rt_followed, rt_all = _retweet_row_totals(fg, rg, k)
     if mode == OVERLAP_ACCOUNT:
-        return _ratios(fg.seeds, n_followed, n_all)
+        return ratios(n_followed, n_all)
     if mode == OVERLAP_CONTENT:
-        return _ratios(fg.seeds, rt_followed, rt_all)
+        return ratios(rt_followed, rt_all)
     raise EchoscopeError(f"unknown overlap mode {mode!r}")
 
 
@@ -254,16 +239,17 @@ def overlap_vs_threshold(
     rg: RetweetGraph,
     k_range: Iterable[int] = range(1, 11),
     mode: str = OVERLAP_ACCOUNT,
-) -> OverlapCurve:
-    """Mean per-user overlap at each threshold, over users still defined there."""
+) -> list[tuple[int, float, int]]:
+    """(k, mean overlap, seeds defined) per threshold; the mean is NaN when none is.
+
+    The mean adds the defined seeds' overlaps left to right, in seed order.
+    """
     points = []
     for k in sorted(set(int(k) for k in k_range)):
-        values = list(retweet_overlap(fg, rg, k, mode).values())
-        if values:
-            points.append(OverlapPoint(k, sum(values) / len(values), len(values)))
-        else:
-            points.append(OverlapPoint(k, math.nan, 0))
-    return OverlapCurve(mode, tuple(points))
+        overlap = retweet_overlap(fg, rg, k, mode)
+        values = overlap[~np.isnan(overlap)].tolist()
+        points.append((k, sum(values) / len(values) if values else math.nan, len(values)))
+    return points
 
 
 def sample_friends_by_indegree(

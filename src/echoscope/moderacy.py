@@ -15,7 +15,12 @@ under a graph kind (originals and retweets both land in a timeline), so
 active friends weigh more. The fold branch for exposures reuses the seed's
 OWN raw mu, and metrics_at(k) normalizes the two kinds jointly so their
 difference (delta = m_e_f - m_e_r) is meaningful. Names appear only where
-rows are written (MetricsSet.by_user and the row types below).
+rows are written (MetricsSet.by_user).
+
+The per-seed analyses (class fractions, congruence) return vectors over the
+graphs' seed rows, NaN where a seed's value is undefined; friend activity
+returns the friends' user ids with their counts and retweeted flags, and the
+random baseline one seed's moderate share. The report turns these into rows.
 
 ExposureIndex keeps each user's totals as vectors over the same ids, and
 exposures are sparse products with the graphs' seed x user matrices. A CSR
@@ -43,6 +48,7 @@ from .graph import (  # noqa: F401
     check_same_space,
     count_matrix,
     random_friend_positions,
+    ratios,
     sample_random_friend_subset,
 )
 from .ingest import DatasetBundle, DomainScoreTable, EventLog, KIND_ORIGINAL
@@ -101,32 +107,6 @@ class UserMetrics:
     m_e_r: Optional[float]
     delta: Optional[float]
     domain_count: int
-    moderacy_class: Optional[str]
-
-
-@dataclass(frozen=True)
-class ExposureProfile:
-    user: str
-    kind: str
-    frac_moderate: float
-    frac_hardline: float
-    n_domain_occurrences: int
-
-
-@dataclass(frozen=True)
-class CongruenceDiff:
-    user: str
-    moderacy_class: str
-    frac_congruent_retweeted: float
-    frac_congruent_not_retweeted: float
-    diff: float
-
-
-@dataclass(frozen=True)
-class ActivityRow:
-    friend: str
-    activity: int
-    retweeted: bool
     moderacy_class: Optional[str]
 
 
@@ -244,22 +224,17 @@ def friend_matrix(kind: str, fg: FollowerGraph, rg: RetweetGraph, k: int = 1) ->
 
 def exposure_class_fractions(
     engine: "MetricsEngine", kind: str, k: int = 1
-) -> dict[str, ExposureProfile]:
-    """Share of moderate vs hardline occurrences in each seed's exposure pool.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per seed row, the moderate and the hardline share of the occurrences in its pool.
 
     Each occurrence is classified on its own: fold(score) then the standard
-    class boundary, so only exactly-centrist domains count as moderate. Seeds
-    whose pool holds no scored occurrence are absent.
+    class boundary, so only exactly-centrist domains count as moderate. Both
+    are NaN for a seed whose pool holds no scored occurrence.
     """
     pools = friend_matrix(kind, engine.fg, engine.rg, k)
     n_total = pools @ engine.index.score_count
     n_mod = pools @ engine.index.moderate
-    profiles = {}
-    for row in np.flatnonzero(n_total).tolist():
-        total, mod = int(n_total[row]), int(n_mod[row])
-        user = engine.seeds[row]
-        profiles[user] = ExposureProfile(user, kind, mod / total, (total - mod) / total, total)
-    return profiles
+    return ratios(n_mod, n_total), ratios(n_total - n_mod, n_total)
 
 
 def random_baseline_fractions(
@@ -268,13 +243,14 @@ def random_baseline_fractions(
     reps: int = 1000,
     rng: Optional[np.random.Generator] = None,
     k: int = 1,
-) -> Optional[ExposureProfile]:
-    """Class fractions from random friend subsets matched in size.
+) -> Optional[float]:
+    """Moderate share of the pools of random friend subsets matched in size.
 
     Each repetition draws a uniform subset of follower-graph friends the size
-    of the user's retweet-friend set and pools their content; the returned
-    fractions average the per-repetition fractions (repetitions with empty
-    pools are skipped).
+    of the user's retweet-friend set and pools their content; the result
+    averages the per-repetition shares (repetitions with empty pools are
+    skipped). The hardline share is one minus it. None when the user has no
+    friend, no retweet friend, or no repetition pooled anything.
     """
     if rng is None:
         raise EchoscopeError("random_baseline_fractions needs an explicit rng")
@@ -290,7 +266,6 @@ def random_baseline_fractions(
     counts = np.stack([engine.index.score_count[friends], engine.index.moderate[friends]])
     frac_mod_sum = 0.0
     n_contributing = 0
-    occurrences = 0
     for _ in range(reps):
         picked = random_friend_positions(user, friends.size, size, rng)
         n_total, n_mod = counts[:, picked].sum(axis=1).tolist()
@@ -298,30 +273,23 @@ def random_baseline_fractions(
             continue
         frac_mod_sum += n_mod / n_total
         n_contributing += 1
-        occurrences += n_total
     if n_contributing == 0:
         return None
-    frac_mod = frac_mod_sum / n_contributing
-    return ExposureProfile(user, "baseline", frac_mod, 1.0 - frac_mod, occurrences)
+    return frac_mod_sum / n_contributing
 
 
-def friend_activity_comparison(engine: "MetricsEngine", k: int = 1) -> list[ActivityRow]:
-    """Tweet counts of every follower-graph friend, split by retweeted-or-not.
+def friend_activity_comparison(
+    engine: "MetricsEngine", k: int = 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every follower-graph friend's user id, tweet count and retweeted flag.
 
     A friend counts as retweeted when any seed retweeted them at least k
     times. Each friend appears exactly once, in name order, regardless of how
     many seeds follow them.
     """
-    fg = engine.fg
-    friends = np.flatnonzero(fg.indegree())
+    friends = np.flatnonzero(engine.fg.indegree())
     retweeted = engine.rg.at_least(k).getnnz(axis=0)[friends] > 0
-    classes = class_names(engine.class_code[friends])
-    return [
-        ActivityRow(fg.names[i], n, rt, c)
-        for i, n, rt, c in zip(
-            friends.tolist(), engine.index.n_events[friends].tolist(), retweeted.tolist(), classes
-        )
-    ]
+    return friends, engine.index.n_events[friends], retweeted
 
 
 def congruent_friend_fraction_diff(
@@ -329,29 +297,28 @@ def congruent_friend_fraction_diff(
     rg: RetweetGraph,
     class_code: np.ndarray,
     k: int = 1,
-) -> dict[str, CongruenceDiff]:
-    """Per seed, the own-class share of retweeted minus not-retweeted friends.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per seed row, the own-class share of its retweeted and of its not-retweeted friends.
 
     ``class_code`` holds each user id's index into CLASSES, -1 when
     unscored. A friend counts as retweeted when the seed retweeted them at
-    least k times. Fractions run over scored friends only; a seed is absent
-    when it is unscored or either partition has no scored friend.
+    least k times. Shares run over scored friends only; both are NaN for a
+    seed that is unscored or has no scored friend in either partition.
     """
     scored = np.flatnonzero(class_code >= 0)
     by_class = count_matrix(scored, class_code[scored], (len(fg.names), len(CLASSES)))
-    followed = (fg.follow @ by_class).toarray().tolist()
-    retweeted = (fg.follow.multiply(rg.at_least(k)) @ by_class).toarray().tolist()
-    diffs = {}
-    own_codes = class_code[fg.seed_ids].tolist()
-    for user, own, all_counts, rt_counts in zip(fg.seeds, own_codes, followed, retweeted):
-        n_r = sum(rt_counts)
-        n_n = sum(all_counts) - n_r
-        if own < 0 or n_r == 0 or n_n == 0:
-            continue
-        frac_r = rt_counts[own] / n_r
-        frac_n = (all_counts[own] - rt_counts[own]) / n_n
-        diffs[user] = CongruenceDiff(user, CLASSES[own], frac_r, frac_n, frac_r - frac_n)
-    return diffs
+    followed = (fg.follow @ by_class).toarray()
+    retweeted = (fg.follow.multiply(rg.at_least(k)) @ by_class).toarray()
+    own = class_code[fg.seed_ids]
+    rows = np.arange(own.size)
+    n_r = retweeted.sum(axis=1)
+    n_n = followed.sum(axis=1) - n_r
+    # an unscored seed (-1) reads the last column here; it is left undefined below
+    own_r = retweeted[rows, own]
+    own_n = followed[rows, own] - own_r
+    # a zero denominator leaves a seed undefined
+    defined = (own >= 0) & (n_r > 0) & (n_n > 0)
+    return ratios(own_r, n_r * defined), ratios(own_n, n_n * defined)
 
 
 @dataclass

@@ -1,9 +1,17 @@
 """Dataset-level report assembly and plot-ready file emission.
 
-Given one bundle and a run configuration this produces report.json plus a
-plot-ready CSV for each analysis output. Every byte written is a pure function of
-(inputs, semantic config, seed): worker counts, cache usage, and output
-locations never leak into file contents.
+Given one bundle and a run configuration, ``build_report`` produces a
+``ReportBundle``: the report.json object (``sections``) and one table per
+plot-ready CSV (``tables``: file name -> header and rows, in write order).
+The analyses hand back per-seed values as vectors over the graphs' seed rows
+(sorted seeds, NaN where a value is undefined) and per-user values as
+vectors over user ids; each table's rows are made from them where they are
+computed, and every mean in report.json adds its values left to right in
+seed (or user) order. ``write_report`` writes report.json, then every table.
+
+Every byte written is a pure function of (inputs, semantic config, seed):
+worker counts, cache usage, and output locations never leak into file
+contents.
 """
 from __future__ import annotations
 
@@ -37,12 +45,12 @@ from .graph import (
 )
 from .ingest import DatasetBundle, atomic_open, load_dataset
 from .moderacy import (
+    CLASSES,
     FOLLOWER,
     HARDLINER,
     MODERATE,
     RETWEET,
     MetricsEngine,
-    UserMetrics,
     class_names,
     congruent_friend_fraction_diff,
     exposure_class_fractions,
@@ -53,7 +61,7 @@ from .rng import substream
 from .stats import entropy_comparison, format_p, mann_whitney_u, pearson
 
 OVERLAP_BOTH = "both"
-USER_METRICS_HEADER = ["user", "mu", "m_s", "m_e_f", "m_e_r", "delta", "class", "domain_count"]
+Table = tuple[list[str], list[tuple]]  # a CSV's header and rows
 
 
 @dataclass
@@ -85,6 +93,14 @@ class RunConfig:
             raise EchoscopeError(f"unknown overlap mode {self.overlap_mode!r}")
         if self.threads < 1:
             raise EchoscopeError("threads must be >= 1")
+        if self.entropy_bins < 2:
+            raise EchoscopeError("entropy_bins must be >= 2")
+        if self.baseline_users < 0:
+            raise EchoscopeError("baseline_users must be >= 0")
+        if self.heatmap_bins < 1:
+            raise EchoscopeError("heatmap_bins must be >= 1")
+        if self.sample_n < 1:
+            raise EchoscopeError("sample_n must be >= 1")
 
     def k_range(self) -> range:
         return range(self.k_min, self.k_max + 1)
@@ -178,58 +194,40 @@ def _utest_block(a: list, b: list) -> Optional[dict]:
 
 @dataclass
 class ReportBundle:
-    """Everything the report run produced, ready for serialization."""
+    """Everything a report run produced, ready to write.
 
-    meta: dict
-    counts: dict
-    correlations: dict
-    class_fractions: dict
-    entropy: dict
-    overlap_curves: list[dict]
-    activity: dict
-    congruence: dict
-    markers: list[str]
-    warnings: list[str]
-    user_metrics: dict[str, UserMetrics] = field(repr=False, default_factory=dict)
-    delta_tables: dict[int, list[tuple[str, float, float]]] = field(repr=False, default_factory=dict)
-    entropy_rows: list[tuple] = field(repr=False, default_factory=list)
-    activity_rows: list[tuple] = field(repr=False, default_factory=list)
-    congruence_rows: list[tuple] = field(repr=False, default_factory=list)
-    overlap_user_rows: list[tuple] = field(repr=False, default_factory=list)
-    class_fraction_rows: list[tuple] = field(repr=False, default_factory=list)
-    heatmaps: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
-    sampled_rows: list[tuple] = field(repr=False, default_factory=list)
+    ``sections`` is the report.json object; ``tables`` maps each CSV's file
+    name to its header and rows, in the order the files are written.
+    """
 
-    def to_json_dict(self) -> dict:
-        return {
-            "meta": self.meta,
-            "counts": self.counts,
-            "correlations": self.correlations,
-            "class_fractions": self.class_fractions,
-            "entropy": self.entropy,
-            "overlap_curves": self.overlap_curves,
-            "activity": self.activity,
-            "congruence": self.congruence,
-            "markers": self.markers,
-            "warnings": self.warnings,
-        }
+    sections: dict
+    tables: dict[str, Table] = field(repr=False)
 
 
-def graph_fingerprint(cfg: RunConfig) -> bytes:
+def graph_fingerprint(cfg: RunConfig, input_meta: Optional[dict] = None) -> bytes:
+    """The graph cache key: the edges' and events' content hashes, then the window.
+
+    The hashes are read from ``input_meta`` when given (``run_report`` has
+    just recorded them there), else from the files.
+    """
     digest = hashlib.sha256()
     digest.update(b"echoscope-graph-cache-v1\x00")
-    digest.update(_sha256_file(cfg.edges).encode())
-    digest.update(_sha256_file(cfg.events).encode())
+    for name in ("edges", "events"):
+        sha = input_meta[name]["sha256"] if input_meta else _sha256_file(getattr(cfg, name))
+        digest.update(sha.encode())
     digest.update(repr(cfg.window).encode())
     return digest.digest()
 
 
 def build_graphs(
-    bundle: DatasetBundle, cfg: RunConfig, cache_path: Optional[Path] = None
+    bundle: DatasetBundle,
+    cfg: RunConfig,
+    cache_path: Optional[Path] = None,
+    input_meta: Optional[dict] = None,
 ) -> tuple[FollowerGraph, RetweetGraph]:
     fingerprint = None
     if cache_path is not None and not cfg.no_cache:
-        fingerprint = graph_fingerprint(cfg)
+        fingerprint = graph_fingerprint(cfg, input_meta)
         cached = load_graph_cache(str(cache_path), fingerprint)
         if cached is not None:
             return cached
@@ -239,6 +237,11 @@ def build_graphs(
     if cache_path is not None and not cfg.no_cache:
         save_graph_cache(str(cache_path), fg, rg, fingerprint)
     return fg, rg
+
+
+def _mean(values: list) -> Optional[float]:
+    """The left-to-right mean of a list; None when it is empty."""
+    return _jfloat(sum(values) / len(values)) if values else None
 
 
 def build_report(
@@ -256,17 +259,19 @@ def build_report(
     bundle = dataclasses.replace(bundle, log=bundle.log.restricted(cfg.window))
     if cfg.window is not None and len(bundle.log) == 0:
         markers.append("window excludes every event")
-    fg, rg = build_graphs(bundle, cfg, cache_path)
+    fg, rg = build_graphs(bundle, cfg, cache_path, input_meta)
 
     engine = MetricsEngine(bundle, fg, rg, unique_domains=cfg.unique_domains)
     scored = ~np.isnan(engine.m_s)
     if not scored.any():
         markers.append("no scored users")
+    seed_codes = engine.class_code[fg.seed_ids]
+    tables: dict[str, Table] = {}
 
     # per-threshold exposures, correlations, and bias tables; ids ascend in
     # name order, so every list below is in user order
     correlations: dict = {}
-    delta_tables: dict[int, list[tuple[str, float, float]]] = {}
+    delta_tables: dict[str, Table] = {}
     metrics_k1 = None
     for k in cfg.k_range():
         mset = engine.metrics_at(k)
@@ -281,226 +286,203 @@ def build_report(
             "ms_vs_mer": _corr_block(ms, mset.m_e_r[paired].tolist()),
             "delta_vs_ms": _corr_block(deltas, ms),
         }
-        delta_tables[k] = list(zip([fg.names[i] for i in paired.tolist()], ms, deltas))
+        delta_tables[f"delta_vs_ms_k{k}.csv"] = (
+            ["user", "m_s", "delta"],
+            list(zip([fg.names[i] for i in paired.tolist()], ms, deltas)),
+        )
     if metrics_k1 is None:
         metrics_k1 = engine.metrics_at(1)
+    tables["user_metrics.csv"] = (
+        ["user", "mu", "m_s", "m_e_f", "m_e_r", "delta", "class", "domain_count"],
+        [
+            (m.user, m.mu, m.m_s, m.m_e_f, m.m_e_r, m.delta, m.moderacy_class, m.domain_count)
+            for m in metrics_k1.by_user.values()
+        ],
+    )
 
     # overlap structure
     overlap_curves = []
-    overlap_user_rows = []
+    curve_rows = []
     for mode in cfg.overlap_modes():
-        curve = overlap_vs_threshold(fg, rg, cfg.k_range(), mode)
+        points = overlap_vs_threshold(fg, rg, cfg.k_range(), mode)
+        curve_rows += [(mode, *point) for point in points]
         overlap_curves.append(
             {
                 "mode": mode,
                 "points": [
-                    {
-                        "k": p.k,
-                        "mean_overlap": _jfloat(p.mean_overlap),
-                        "n_users": p.n_users,
-                    }
-                    for p in curve.points
+                    {"k": k, "mean_overlap": _jfloat(mean), "n_users": n}
+                    for k, mean, n in points
                 ],
             }
         )
-    frac_by_user = fraction_friends_retweeted(fg, rg, 1)
-    overlap_by_mode = [
-        retweet_overlap(fg, rg, 1, mode) for mode in (OVERLAP_ACCOUNT, OVERLAP_CONTENT)
-    ]
-    for user in sorted(bundle.seeds):
-        row = [user, frac_by_user.get(user)]
-        for by_user in overlap_by_mode:
-            row.append(by_user.get(user))
-        if any(v is not None for v in row[1:]):
-            overlap_user_rows.append(tuple(row))
+    tables["overlap_curve.csv"] = (["mode", "k", "mean_overlap", "n_users"], curve_rows)
+    per_seed = np.column_stack(
+        [fraction_friends_retweeted(fg, rg, 1)]
+        + [retweet_overlap(fg, rg, 1, mode) for mode in (OVERLAP_ACCOUNT, OVERLAP_CONTENT)]
+    )
+    seed_rows = np.flatnonzero(~np.isnan(per_seed).all(axis=1)).tolist()
+    tables["overlap_user_k1.csv"] = (
+        ["user", "fraction_friends_retweeted", "overlap_account", "overlap_content"],
+        [(fg.seeds[r], *values) for r, values in zip(seed_rows, per_seed[seed_rows].tolist())],
+    )
+
+    # heatmaps of m_s vs exposure at k=1
+    n = cfg.heatmap_bins
+    for tag, m_e in (("f", metrics_k1.m_e_f), ("r", metrics_k1.m_e_r)):
+        both = scored & ~np.isnan(m_e)
+        counts, _, _ = np.histogram2d(
+            engine.m_s[both], m_e[both], bins=n, range=[[0.0, 1.0], [0.0, 1.0]]
+        )
+        cells = counts.astype(np.int64).ravel().tolist()
+        tables[f"echo_heatmap_{tag}.csv"] = (
+            ["ms_bin", "me_bin", "count"],
+            [(i // n, i % n, count) for i, count in enumerate(cells)],
+        )
 
     # exposure class fractions per kind plus the random baseline
-    seed_class = dict(zip(fg.seeds, class_names(engine.class_code[fg.seed_ids])))
-    profile_rows: list[tuple] = []
-    fractions_by_kind: dict[str, dict[str, list]] = {
-        FOLLOWER: {MODERATE: [], HARDLINER: []},
-        RETWEET: {MODERATE: [], HARDLINER: []},
-        "baseline": {MODERATE: [], HARDLINER: []},
-    }
-    for kind in (FOLLOWER, RETWEET):
-        profiles = exposure_class_fractions(engine, kind, 1)
-        for user, ucls in seed_class.items():
-            if ucls is not None and user in profiles:
-                fractions_by_kind[kind][ucls].append(profiles[user])
-
-    n_retweeted = np.diff(rg.retweets.indptr).tolist()
-    baseline_candidates = [
-        u
-        for (u, ucls), n in zip(seed_class.items(), n_retweeted)
-        if ucls is not None and n
-    ]
-    if cfg.baseline_users and len(baseline_candidates) > cfg.baseline_users:
+    fractions = {kind: exposure_class_fractions(engine, kind, 1) for kind in (FOLLOWER, RETWEET)}
+    n_retweeted = np.diff(rg.retweets.indptr)
+    candidates = np.flatnonzero((seed_codes >= 0) & (n_retweeted > 0))
+    if cfg.baseline_users and len(candidates) > cfg.baseline_users:
         picker = substream(cfg.seed, "baseline-user-cap")
-        chosen = picker.choice(
-            len(baseline_candidates), size=cfg.baseline_users, replace=False
-        )
-        baseline_candidates = [baseline_candidates[i] for i in sorted(chosen.tolist())]
-
-    for user in baseline_candidates:
+        chosen = picker.choice(len(candidates), size=cfg.baseline_users, replace=False)
+        candidates = candidates[np.sort(chosen)]
+    baseline = np.full(len(fg.seeds), np.nan)
+    for row in candidates.tolist():
+        user = fg.seeds[row]
         rng = substream(cfg.seed, "baseline", user)
-        profile = random_baseline_fractions(engine, user, cfg.reps, rng, 1)
-        if profile is not None:
-            fractions_by_kind["baseline"][seed_class[user]].append(profile)
+        frac = random_baseline_fractions(engine, user, cfg.reps, rng, 1)
+        if frac is not None:
+            baseline[row] = frac
+    fractions["baseline"] = (baseline, 1.0 - baseline)
 
     class_fractions: dict = {}
-    for kind, by_class in fractions_by_kind.items():
+    class_rows = []
+    for kind, (frac_mod, frac_hard) in fractions.items():
         class_fractions[kind] = {}
-        for ucls, profiles in by_class.items():
-            if profiles:
-                class_fractions[kind][ucls] = {
-                    "frac_moderate": _jfloat(
-                        sum(p.frac_moderate for p in profiles) / len(profiles)
-                    ),
-                    "frac_hardline": _jfloat(
-                        sum(p.frac_hardline for p in profiles) / len(profiles)
-                    ),
-                    "n_users": len(profiles),
-                }
-            else:
-                class_fractions[kind][ucls] = {
-                    "frac_moderate": None,
-                    "frac_hardline": None,
-                    "n_users": 0,
-                }
-            block = class_fractions[kind][ucls]
-            profile_rows.append(
-                (kind, ucls, block["frac_moderate"], block["frac_hardline"], block["n_users"])
-            )
+        for code, ucls in enumerate(CLASSES):
+            in_class = (seed_codes == code) & ~np.isnan(frac_mod)
+            mods = frac_mod[in_class].tolist()
+            block = {
+                "frac_moderate": _mean(mods),
+                "frac_hardline": _mean(frac_hard[in_class].tolist()),
+                "n_users": len(mods),
+            }
+            class_fractions[kind][ucls] = block
+            class_rows.append((kind, ucls, *block.values()))
+    tables["class_fractions.csv"] = (
+        ["kind", "user_class", "frac_moderate", "frac_hardline", "n_users"],
+        class_rows,
+    )
 
     # entropy of friend moderacy
-    prof_f, prof_r, entropy_test, n_skipped = entropy_comparison(
-        bundle.seeds, fg, rg, engine.m_s, cfg.entropy_bins, 1
-    )
-    entropy_rows = [
-        (pf.user, pf.entropy, pr.entropy, pf.n_friends_scored, pr.n_friends_scored)
-        for pf, pr in zip(prof_f, prof_r)
-    ]
+    entropy_f, entropy_r, n_f, n_r = entropy_comparison(fg, rg, engine.m_s, cfg.entropy_bins, 1)
+    rows = np.flatnonzero(~np.isnan(entropy_f))
+    ent_f, ent_r = entropy_f[rows].tolist(), entropy_r[rows].tolist()
     entropy_section = {
         "n_bins": cfg.entropy_bins,
-        "n_users": len(prof_f),
-        "n_skipped": n_skipped,
-        "mean_follower": _jfloat(
-            sum(p.entropy for p in prof_f) / len(prof_f) if prof_f else None
-        ),
-        "mean_retweet": _jfloat(
-            sum(p.entropy for p in prof_r) / len(prof_r) if prof_r else None
-        ),
-        "utest": None
-        if entropy_test is None
-        else {
-            "u": _jfloat(entropy_test.u_statistic),
-            "p": _jfloat(entropy_test.p),
-            "p_display": format_p(entropy_test.p),
-            "n1": entropy_test.n1,
-            "n2": entropy_test.n2,
-        },
+        "n_users": len(ent_f),
+        "n_skipped": len(fg.seeds) - len(ent_f),
+        "mean_follower": _mean(ent_f),
+        "mean_retweet": _mean(ent_r),
+        "utest": _utest_block(ent_f, ent_r),
     }
-    if not prof_f:
+    if not ent_f:
         markers.append("entropy comparison has no eligible users")
+    tables["entropy.csv"] = (
+        ["user", "entropy_follower", "entropy_retweet", "n_friends_scored_f", "n_friends_scored_r"],
+        list(
+            zip(
+                [fg.seeds[r] for r in rows.tolist()],
+                ent_f,
+                ent_r,
+                n_f[rows].tolist(),
+                n_r[rows].tolist(),
+            )
+        ),
+    )
+    tables.update(delta_tables)
 
     # activity of retweeted vs not-retweeted friends
-    activity_rows_data = friend_activity_comparison(engine, 1)
-    retweeted_acts = [r.activity for r in activity_rows_data if r.retweeted]
-    not_retweeted_acts = [r.activity for r in activity_rows_data if not r.retweeted]
+    friends, activity, retweeted = friend_activity_comparison(engine, 1)
+    friend_codes = engine.class_code[friends]
+    retweeted_acts = activity[retweeted].tolist()
+    not_retweeted_acts = activity[~retweeted].tolist()
     by_class_acts = {
-        MODERATE: [
-            r.activity for r in activity_rows_data if r.retweeted and r.moderacy_class == MODERATE
-        ],
-        HARDLINER: [
-            r.activity
-            for r in activity_rows_data
-            if r.retweeted and r.moderacy_class == HARDLINER
-        ],
+        ucls: activity[retweeted & (friend_codes == code)].tolist()
+        for code, ucls in enumerate(CLASSES)
     }
     activity_section = {
         "n_retweeted": len(retweeted_acts),
         "n_not_retweeted": len(not_retweeted_acts),
-        "mean_activity_retweeted": _jfloat(
-            sum(retweeted_acts) / len(retweeted_acts) if retweeted_acts else None
-        ),
-        "mean_activity_not_retweeted": _jfloat(
-            sum(not_retweeted_acts) / len(not_retweeted_acts) if not_retweeted_acts else None
-        ),
+        "mean_activity_retweeted": _mean(retweeted_acts),
+        "mean_activity_not_retweeted": _mean(not_retweeted_acts),
         "utest": _utest_block(retweeted_acts, not_retweeted_acts),
         "by_class": {
-            ucls: {
-                "n": len(acts),
-                "mean_activity": _jfloat(sum(acts) / len(acts) if acts else None),
-            }
+            ucls: {"n": len(acts), "mean_activity": _mean(acts)}
             for ucls, acts in by_class_acts.items()
         },
         "class_utest": _utest_block(by_class_acts[MODERATE], by_class_acts[HARDLINER]),
     }
-    activity_rows = [
-        (r.friend, r.activity, int(r.retweeted), r.moderacy_class) for r in activity_rows_data
-    ]
+    tables["activity.csv"] = (
+        ["friend", "activity", "retweeted", "friend_class"],
+        list(
+            zip(
+                [fg.names[i] for i in friends.tolist()],
+                activity.tolist(),
+                retweeted.astype(np.int64).tolist(),
+                class_names(friend_codes),
+            )
+        ),
+    )
 
     # congruence of retweeted vs not-retweeted friends
-    congruence_rows = []
-    cong_by_class: dict[str, list] = {MODERATE: [], HARDLINER: []}
-    for user, diff in congruent_friend_fraction_diff(fg, rg, engine.class_code, 1).items():
-        cong_by_class[diff.moderacy_class].append(diff)
-        congruence_rows.append(
-            (
-                user,
-                diff.moderacy_class,
-                diff.frac_congruent_retweeted,
-                diff.frac_congruent_not_retweeted,
-                diff.diff,
-            )
-        )
+    frac_r, frac_n = congruent_friend_fraction_diff(fg, rg, engine.class_code, 1)
+    diff = frac_r - frac_n
+    defined = ~np.isnan(frac_r)
     congruence_section = {}
-    for ucls, diffs in cong_by_class.items():
+    for code, ucls in enumerate(CLASSES):
+        in_class = defined & (seed_codes == code)
+        diffs = diff[in_class].tolist()
         if diffs:
+            fracs_r, fracs_n = frac_r[in_class].tolist(), frac_n[in_class].tolist()
             congruence_section[ucls] = {
                 "n": len(diffs),
-                "mean_diff": _jfloat(sum(d.diff for d in diffs) / len(diffs)),
-                "mean_frac_retweeted": _jfloat(
-                    sum(d.frac_congruent_retweeted for d in diffs) / len(diffs)
-                ),
-                "mean_frac_not_retweeted": _jfloat(
-                    sum(d.frac_congruent_not_retweeted for d in diffs) / len(diffs)
-                ),
-                "utest": _utest_block(
-                    [d.frac_congruent_retweeted for d in diffs],
-                    [d.frac_congruent_not_retweeted for d in diffs],
-                ),
+                "mean_diff": _mean(diffs),
+                "mean_frac_retweeted": _mean(fracs_r),
+                "mean_frac_not_retweeted": _mean(fracs_n),
+                "utest": _utest_block(fracs_r, fracs_n),
             }
         else:
             congruence_section[ucls] = {"n": 0, "mean_diff": None}
+    rows = np.flatnonzero(defined)
+    tables["congruence.csv"] = (
+        ["user", "user_class", "frac_congruent_retweeted", "frac_congruent_not_retweeted", "diff"],
+        list(
+            zip(
+                [fg.seeds[r] for r in rows.tolist()],
+                class_names(seed_codes[rows]),
+                frac_r[rows].tolist(),
+                frac_n[rows].tolist(),
+                diff[rows].tolist(),
+            )
+        ),
+    )
 
     # indegree-proportional friend samples and the uniform random-user draw
     sampled_rows: list[tuple] = []
-    sample_counts = {"n_requested": cfg.sample_n}
     # one float object per user, shared by every row that samples them
     m_s_objects = np.array(engine.m_s.tolist(), dtype=object)
     for source, graph_obj in (("random_friend", fg), ("random_retweet_friend", rg)):
-        n_scored = 0
         if graph_obj.indegree().any():
             drawn = sample_friends_by_indegree(
                 graph_obj, cfg.sample_n, substream(cfg.seed, "indegree-sample", source)
             )
             scores = m_s_objects[drawn[scored[drawn]]].tolist()
             sampled_rows.extend((source, score) for score in scores)
-            n_scored = len(scores)
-        sample_counts[source] = {"n_scored": n_scored}
     uniform = substream(cfg.seed, "random-user-scores").random(cfg.sample_n)
     sampled_rows.extend(("random_user", float(v)) for v in uniform.tolist())
-    sample_counts["random_user"] = {"n_scored": cfg.sample_n}
-
-    # heatmaps of m_s vs exposure at k=1
-    heatmaps = {}
-    for kind, m_e in ((FOLLOWER, metrics_k1.m_e_f), (RETWEET, metrics_k1.m_e_r)):
-        both = scored & ~np.isnan(m_e)
-        counts, _, _ = np.histogram2d(
-            engine.m_s[both], m_e[both], bins=cfg.heatmap_bins, range=[[0.0, 1.0], [0.0, 1.0]]
-        )
-        heatmaps[kind] = counts.astype(np.int64)
+    tables["sampled_scores.csv"] = (["source", "score"], sampled_rows)
 
     n_retweets = sum(1 for ev in bundle.log.events if ev.is_retweet)
     counts_section = {
@@ -510,8 +492,8 @@ def build_report(
         "n_events": len(bundle.log),
         "n_retweets": n_retweets,
         "n_scored_users": int(scored.sum()),
-        "n_users_with_metrics": len(metrics_k1.by_user),
-        "n_baseline_users": len(baseline_candidates),
+        "n_users_with_metrics": len(tables["user_metrics.csv"][1]),
+        "n_baseline_users": len(candidates),
     }
 
     meta = {
@@ -521,116 +503,34 @@ def build_report(
         "config_hash": cfg.config_hash(),
         "inputs": input_meta or {},
     }
-    return ReportBundle(
-        meta=meta,
-        counts=counts_section,
-        correlations=correlations,
-        class_fractions=class_fractions,
-        entropy=entropy_section,
-        overlap_curves=overlap_curves,
-        activity=activity_section,
-        congruence=congruence_section,
-        markers=markers,
-        warnings=sorted(set(engine.warnings)),
-        user_metrics=metrics_k1.by_user,
-        delta_tables=delta_tables,
-        entropy_rows=entropy_rows,
-        activity_rows=activity_rows,
-        congruence_rows=congruence_rows,
-        overlap_user_rows=overlap_user_rows,
-        class_fraction_rows=profile_rows,
-        heatmaps=heatmaps,
-        sampled_rows=sampled_rows,
-    )
+    sections = {
+        "meta": meta,
+        "counts": counts_section,
+        "correlations": correlations,
+        "class_fractions": class_fractions,
+        "entropy": entropy_section,
+        "overlap_curves": overlap_curves,
+        "activity": activity_section,
+        "congruence": congruence_section,
+        "markers": markers,
+        "warnings": sorted(set(engine.warnings)),
+    }
+    return ReportBundle(sections, tables)
 
 
 def write_report(report: ReportBundle, out_dir: str) -> list[str]:
-    """Write report.json and the CSV companions; returns the file names.
+    """Write report.json and the CSV tables; returns the file names.
 
     Each file is written under a temporary name and then moved into place,
     so a failed or killed run never leaves a partial file under a real name.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    path = out / "report.json"
-    with atomic_open(str(path)) as fh:
-        fh.write(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
-    written.append(path.name)
-
-    rows = []
-    for user in sorted(report.user_metrics):
-        m = report.user_metrics[user]
-        rows.append(
-            (user, m.mu, m.m_s, m.m_e_f, m.m_e_r, m.delta, m.moderacy_class, m.domain_count)
-        )
-    _write_csv(out / "user_metrics.csv", USER_METRICS_HEADER, rows)
-    written.append("user_metrics.csv")
-
-    curve_rows = []
-    for curve in report.overlap_curves:
-        for point in curve["points"]:
-            curve_rows.append(
-                (curve["mode"], point["k"], point["mean_overlap"], point["n_users"])
-            )
-    _write_csv(out / "overlap_curve.csv", ["mode", "k", "mean_overlap", "n_users"], curve_rows)
-    written.append("overlap_curve.csv")
-
-    _write_csv(
-        out / "overlap_user_k1.csv",
-        ["user", "fraction_friends_retweeted", "overlap_account", "overlap_content"],
-        report.overlap_user_rows,
-    )
-    written.append("overlap_user_k1.csv")
-
-    for kind, name in ((FOLLOWER, "echo_heatmap_f.csv"), (RETWEET, "echo_heatmap_r.csv")):
-        grid = report.heatmaps.get(kind)
-        heat_rows = []
-        if grid is not None:
-            n = grid.shape[0]
-            for i in range(n):
-                for j in range(n):
-                    heat_rows.append((i, j, int(grid[i, j])))
-        _write_csv(out / name, ["ms_bin", "me_bin", "count"], heat_rows)
-        written.append(name)
-
-    _write_csv(
-        out / "class_fractions.csv",
-        ["kind", "user_class", "frac_moderate", "frac_hardline", "n_users"],
-        report.class_fraction_rows,
-    )
-    written.append("class_fractions.csv")
-
-    _write_csv(
-        out / "entropy.csv",
-        ["user", "entropy_follower", "entropy_retweet", "n_friends_scored_f", "n_friends_scored_r"],
-        report.entropy_rows,
-    )
-    written.append("entropy.csv")
-
-    for k in sorted(report.delta_tables):
-        name = f"delta_vs_ms_k{k}.csv"
-        _write_csv(out / name, ["user", "m_s", "delta"], report.delta_tables[k])
-        written.append(name)
-
-    _write_csv(
-        out / "activity.csv",
-        ["friend", "activity", "retweeted", "friend_class"],
-        report.activity_rows,
-    )
-    written.append("activity.csv")
-
-    _write_csv(
-        out / "congruence.csv",
-        ["user", "user_class", "frac_congruent_retweeted", "frac_congruent_not_retweeted", "diff"],
-        report.congruence_rows,
-    )
-    written.append("congruence.csv")
-
-    _write_csv(out / "sampled_scores.csv", ["source", "score"], report.sampled_rows)
-    written.append("sampled_scores.csv")
-    return written
+    with atomic_open(str(out / "report.json")) as fh:
+        fh.write(json.dumps(report.sections, indent=2, sort_keys=True) + "\n")
+    for name, (header, rows) in report.tables.items():
+        _write_csv(out / name, header, rows)
+    return ["report.json", *report.tables]
 
 
 def run_report(cfg: RunConfig) -> ReportBundle:

@@ -1,13 +1,15 @@
 """Statistical primitives: Pearson r, Mann-Whitney U, Shannon entropy.
 
 Sums use math.fsum (exactly rounded) so results do not depend on the order
-in which samples are accumulated.
+in which samples are accumulated. ``entropy_comparison`` returns vectors over
+the graphs' seed rows, NaN where a seed's entropy is undefined; the report
+runs the U test on the defined values.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import stats as _scipy_stats
@@ -32,15 +34,6 @@ class UTestResult:
     p: float
     n1: int
     n2: int
-
-
-@dataclass(frozen=True)
-class EntropyProfile:
-    user: str
-    kind: str
-    entropy: float
-    n_bins: int
-    n_friends_scored: int
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
@@ -214,19 +207,17 @@ def _entropy_of_counts(counts: list[int], n_bins: int) -> float:
 
 
 def entropy_comparison(
-    users: Iterable[str],
     fg: FollowerGraph,
     rg: RetweetGraph,
     m_s: np.ndarray,
     n_bins: int = 5,
     k: int = 1,
-) -> tuple[list[EntropyProfile], list[EntropyProfile], Optional[UTestResult], int]:
-    """Per-user entropy of scored-friend moderacy under each graph kind.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per seed row, the entropy of its scored friends' moderacy under each graph kind.
 
-    ``m_s`` holds each user id's moderacy, NaN when unscored. Users with
-    fewer than 2 scored friends in either graph (or no row in them) are
-    skipped; the count of skipped users is returned. The U test compares the
-    follower entropy population (first sample) against the retweet one.
+    ``m_s`` holds each user id's moderacy, NaN when unscored. Returns the
+    follower and the retweet entropy vectors, both NaN for a seed with fewer
+    than 2 scored friends in either graph, and the two scored-friend counts.
     """
     # each seed row's bin counts are one product with a user x bin indicator
     width = max(n_bins, 1)
@@ -236,29 +227,16 @@ def entropy_comparison(
         raise UndefinedStatisticError("value out of [0,1] in m_s")
     bins = np.minimum((values * width).astype(np.int64), width - 1)
     by_bin = count_matrix(scored, bins, (len(fg.names), width))
-    counts_f = (fg.follow @ by_bin).toarray().tolist()
-    counts_r = (rg.at_least(k) @ by_bin).toarray().tolist()
+    counts_f = (fg.follow @ by_bin).toarray()
+    counts_r = (rg.at_least(k) @ by_bin).toarray()
+    n_f, n_r = counts_f.sum(axis=1), counts_r.sum(axis=1)
 
-    profiles_f: list[EntropyProfile] = []
-    profiles_r: list[EntropyProfile] = []
-    n_skipped = 0
-    for user in sorted(set(users)):
-        row = fg.seed_row.get(user)
-        n_f = 0 if row is None else sum(counts_f[row])
-        n_r = 0 if row is None else sum(counts_r[row])
-        if n_f < 2 or n_r < 2:
-            n_skipped += 1
-            continue
-        profiles_f.append(
-            EntropyProfile(user, "follower", _entropy_of_counts(counts_f[row], n_bins), n_bins, n_f)
-        )
-        profiles_r.append(
-            EntropyProfile(user, "retweet", _entropy_of_counts(counts_r[row], n_bins), n_bins, n_r)
-        )
-    test = None
-    if profiles_f:  # the two lists always have the same length
-        test = mann_whitney_u([p.entropy for p in profiles_f], [p.entropy for p in profiles_r])
-    return profiles_f, profiles_r, test, n_skipped
+    entropy_f = np.full(len(fg.seeds), np.nan)
+    entropy_r = np.full(len(fg.seeds), np.nan)
+    for row in np.flatnonzero((n_f >= 2) & (n_r >= 2)).tolist():
+        entropy_f[row] = _entropy_of_counts(counts_f[row].tolist(), n_bins)
+        entropy_r[row] = _entropy_of_counts(counts_r[row].tolist(), n_bins)
+    return entropy_f, entropy_r, n_f, n_r
 
 
 def format_p(p: float) -> str:

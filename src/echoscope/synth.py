@@ -613,6 +613,10 @@ def compare_with_oracle(
     engine = mod.MetricsEngine(bundle, fg, rg, unique_domains)
     metrics = engine.metrics_at(k)
 
+    def by_seed(values: np.ndarray) -> dict[str, float]:
+        """A vector over the seed rows as a map from seed name, undefined values left out."""
+        return {s: v for s, v in zip(fg.seeds, values.tolist()) if not math.isnan(v)}
+
     engine_maps: dict[str, dict[str, float]] = {
         "mu": {u: m.mu for u, m in metrics.by_user.items() if m.mu is not None},
         "domain_count": {
@@ -622,37 +626,32 @@ def compare_with_oracle(
         "m_e_f": {u: m.m_e_f for u, m in metrics.by_user.items() if m.m_e_f is not None},
         "m_e_r": {u: m.m_e_r for u, m in metrics.by_user.items() if m.m_e_r is not None},
         "delta": {u: m.delta for u, m in metrics.by_user.items() if m.delta is not None},
-        "frac_friends_retweeted": graph_mod.fraction_friends_retweeted(fg, rg, k),
-        "overlap_account": graph_mod.retweet_overlap(fg, rg, k, graph_mod.OVERLAP_ACCOUNT),
-        "overlap_content": graph_mod.retweet_overlap(fg, rg, k, graph_mod.OVERLAP_CONTENT),
+        "frac_friends_retweeted": by_seed(graph_mod.fraction_friends_retweeted(fg, rg, k)),
+        "overlap_account": by_seed(graph_mod.retweet_overlap(fg, rg, k, graph_mod.OVERLAP_ACCOUNT)),
+        "overlap_content": by_seed(graph_mod.retweet_overlap(fg, rg, k, graph_mod.OVERLAP_CONTENT)),
     }
     for kind, tag in ((mod.FOLLOWER, "f"), (mod.RETWEET, "r")):
-        profiles = mod.exposure_class_fractions(engine, kind, k)
-        engine_maps["frac_moderate_" + tag] = {u: p.frac_moderate for u, p in profiles.items()}
-        engine_maps["frac_hardline_" + tag] = {u: p.frac_hardline for u, p in profiles.items()}
-    prof_f, prof_r, _, _ = stats_mod.entropy_comparison(
-        bundle.seeds, fg, rg, engine.m_s, n_bins, k
-    )
-    engine_maps["entropy_f"] = {p.user: p.entropy for p in prof_f}
-    engine_maps["entropy_r"] = {p.user: p.entropy for p in prof_r}
-    diffs = mod.congruent_friend_fraction_diff(fg, rg, engine.class_code, k)
-    engine_maps["frac_congruent_retweeted"] = {
-        u: d.frac_congruent_retweeted for u, d in diffs.items()
-    }
-    engine_maps["frac_congruent_not_retweeted"] = {
-        u: d.frac_congruent_not_retweeted for u, d in diffs.items()
-    }
-    engine_maps["congruence_diff"] = {u: d.diff for u, d in diffs.items()}
-    activity_rows = mod.friend_activity_comparison(engine, k)
-    engine_maps["activity"] = {r.friend: float(r.activity) for r in activity_rows}
-    engine_maps["activity_retweeted"] = {r.friend: float(r.retweeted) for r in activity_rows}
+        frac_mod, frac_hard = mod.exposure_class_fractions(engine, kind, k)
+        engine_maps["frac_moderate_" + tag] = by_seed(frac_mod)
+        engine_maps["frac_hardline_" + tag] = by_seed(frac_hard)
+    entropy_f, entropy_r, _, _ = stats_mod.entropy_comparison(fg, rg, engine.m_s, n_bins, k)
+    engine_maps["entropy_f"] = by_seed(entropy_f)
+    engine_maps["entropy_r"] = by_seed(entropy_r)
+    frac_r, frac_n = mod.congruent_friend_fraction_diff(fg, rg, engine.class_code, k)
+    engine_maps["frac_congruent_retweeted"] = by_seed(frac_r)
+    engine_maps["frac_congruent_not_retweeted"] = by_seed(frac_n)
+    engine_maps["congruence_diff"] = by_seed(frac_r - frac_n)
+    friends, activity, retweeted = mod.friend_activity_comparison(engine, k)
+    friend_names = [fg.names[i] for i in friends.tolist()]
+    engine_maps["activity"] = dict(zip(friend_names, map(float, activity.tolist())))
+    engine_maps["activity_retweeted"] = dict(zip(friend_names, map(float, retweeted.tolist())))
     engine_maps["overlap_curve_mean"] = {}
     engine_maps["overlap_curve_n"] = {}
     for mode in (graph_mod.OVERLAP_ACCOUNT, graph_mod.OVERLAP_CONTENT):
-        (point,) = graph_mod.overlap_vs_threshold(fg, rg, [k], mode).points
-        engine_maps["overlap_curve_n"][mode] = float(point.n_users)
-        if point.n_users:
-            engine_maps["overlap_curve_mean"][mode] = point.mean_overlap
+        ((_, mean, n_users),) = graph_mod.overlap_vs_threshold(fg, rg, [k], mode)
+        engine_maps["overlap_curve_n"][mode] = float(n_users)
+        if n_users:
+            engine_maps["overlap_curve_mean"][mode] = mean
 
     oracle_maps = {
         "mu": oracle.mu,
@@ -696,7 +695,7 @@ def compare_with_oracle(
             if diff > max_diff:
                 max_diff = diff
                 worst = f"{name}[{user}]"
-    if len(activity_rows) != len(engine_maps["activity"]):
+    if len(friend_names) != len(engine_maps["activity"]):
         presence_mismatches.append("activity: a friend has more than one row")
     class_maps = (
         (
@@ -706,7 +705,11 @@ def compare_with_oracle(
         ),
         (
             "activity_class",
-            {r.friend: r.moderacy_class for r in activity_rows if r.moderacy_class},
+            {
+                f: c
+                for f, c in zip(friend_names, mod.class_names(engine.class_code[friends]))
+                if c
+            },
             oracle.activity_class,
         ),
     )

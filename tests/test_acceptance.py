@@ -20,6 +20,7 @@ from conftest import graphs_of
 
 from echoscope.ingest import write_domain_scores, write_events, write_follow_edges
 from echoscope.moderacy import (
+    CLASSES,
     HARDLINER,
     MODERATE,
     MetricsEngine,
@@ -72,17 +73,17 @@ def battery_run(beta: float, seed: int) -> dict:
             "mean_delta": statistics.fmean(deltas),
             "n": len(paired),
         }
-    prof_f, prof_r, ent_test, _ = entropy_comparison(
-        bundle.seeds, fg, rg, engine.m_s, 5, 1
-    )
-    out["entropy_f"] = statistics.fmean(p.entropy for p in prof_f)
-    out["entropy_r"] = statistics.fmean(p.entropy for p in prof_r)
-    out["entropy_p"] = ent_test.p
-    cong = {MODERATE: [], HARDLINER: []}
-    for diff in congruent_friend_fraction_diff(fg, rg, engine.class_code, 1).values():
-        cong[diff.moderacy_class].append(diff.diff)
-    out["cong_moderate"] = statistics.fmean(cong[MODERATE])
-    out["cong_hardliner"] = statistics.fmean(cong[HARDLINER])
+    entropy_f, entropy_r, _, _ = entropy_comparison(fg, rg, engine.m_s, 5, 1)
+    defined = ~np.isnan(entropy_f)
+    out["entropy_f"] = statistics.fmean(entropy_f[defined].tolist())
+    out["entropy_r"] = statistics.fmean(entropy_r[defined].tolist())
+    out["entropy_p"] = mann_whitney_u(entropy_f[defined].tolist(), entropy_r[defined].tolist()).p
+    frac_r, frac_n = congruent_friend_fraction_diff(fg, rg, engine.class_code, 1)
+    diff = frac_r - frac_n
+    own = engine.class_code[fg.seed_ids]
+    for key, cls in (("cong_moderate", MODERATE), ("cong_hardliner", HARDLINER)):
+        in_class = ~np.isnan(diff) & (own == CLASSES.index(cls))
+        out[key] = statistics.fmean(diff[in_class].tolist())
     out["seconds"] = time.perf_counter() - t0
     return out
 

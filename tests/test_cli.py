@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import echoscope.report as report_mod
 from echoscope.cli import main
 from echoscope.ingest import write_domain_scores, write_events, write_follow_edges
 from echoscope.synth import SynthConfig, generate
@@ -182,8 +183,29 @@ def test_report_window_excluding_everything(dataset_dir, tmp_path):
     assert report["counts"]["n_events"] == 0
 
 
-def test_report_bad_window_exit_two(dataset_dir, tmp_path):
-    assert main(report_args(dataset_dir, tmp_path / "w", ["--window", "junk"])) == 2
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--window", "junk"),
+        ("--heatmap-bins", "0"),
+        ("--heatmap-bins", "-3"),
+        ("--baseline-users", "-1"),
+        ("--entropy-bins", "1"),
+        ("--sample-n", "0"),
+    ],
+    ids=[
+        "window-junk", "heatmap-bins-0", "heatmap-bins-minus-3", "baseline-users-minus-1",
+        "entropy-bins-1", "sample-n-0",
+    ],
+)
+def test_report_bad_window_exit_two(dataset_dir, tmp_path, capsys, caplog, flag, value):
+    # refused while the run config is built, before any input is read
+    out = tmp_path / "w"
+    assert main(report_args(dataset_dir, out, [flag, value])) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err + caplog.text
+    assert not out.exists()
 
 
 def test_report_config_file_with_flag_overrides(dataset_dir, tmp_path):
@@ -222,6 +244,26 @@ def test_report_cache_reused_and_bypassed(dataset_dir, tmp_path):
     assert not (out2 / "graphs.cache").exists()
     # cached and cache-less runs agree byte for byte
     assert (out / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+def test_report_hashes_each_input_once(dataset_dir, tmp_path, monkeypatch):
+    hashed, saved = [], []
+    sha256_file, save_cache = report_mod._sha256_file, report_mod.save_graph_cache
+    monkeypatch.setattr(
+        report_mod, "_sha256_file", lambda path: hashed.append(path) or sha256_file(path)
+    )
+    monkeypatch.setattr(
+        report_mod, "save_graph_cache", lambda *args: saved.append(args) or save_cache(*args)
+    )
+    out = tmp_path / "h"
+    assert main(report_args(dataset_dir, out)) == 0
+    assert len(hashed) == 3 and len(saved) == 1
+    first = read_outputs(out)
+    hashed.clear()
+    assert main(report_args(dataset_dir, out)) == 0
+    assert len(hashed) == 3
+    assert len(saved) == 1  # the second run loaded the cache instead of writing it
+    assert read_outputs(out) == first
 
 
 def read_outputs(out):

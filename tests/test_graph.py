@@ -163,25 +163,27 @@ def fixture_graphs():
 
 def test_fraction_friends_retweeted_examples():
     fg, rg = fixture_graphs()
-    assert fraction_friends_retweeted(fg, rg, 1) == {"s": 0.1}
+    assert fraction_friends_retweeted(fg, rg, 1).tolist() == [0.1]
     # nothing retweeted at all
     fg_quiet, rg_empty = graphs(FIXTURE_EDGES, [], {"s"})
-    assert fraction_friends_retweeted(fg_quiet, rg_empty, 1) == {"s": 0.0}
+    assert fraction_friends_retweeted(fg_quiet, rg_empty, 1).tolist() == [0.0]
     # a seed with no friends is undefined
     fg2, rg2 = graphs(FIXTURE_EDGES, [rt("t1", "nobody", 1, "f0")], {"s", "nobody"})
-    assert fraction_friends_retweeted(fg2, rg2, 1) == {"s": 0.0}
+    assert fg2.seeds == ["nobody", "s"]
+    frac = fraction_friends_retweeted(fg2, rg2, 1)
+    assert np.isnan(frac[0]) and frac[1] == 0.0
 
 
 def test_overlap_modes_and_threshold_example():
     fg, rg = fixture_graphs()
     # k=1: retweet friends {f0, ghost} -> half followed; k=2: {f0} only
-    assert retweet_overlap(fg, rg, 1, OVERLAP_ACCOUNT) == {"s": 0.5}
-    assert retweet_overlap(fg, rg, 2, OVERLAP_ACCOUNT) == {"s": 1.0}
+    assert retweet_overlap(fg, rg, 1, OVERLAP_ACCOUNT).tolist() == [0.5]
+    assert retweet_overlap(fg, rg, 2, OVERLAP_ACCOUNT).tolist() == [1.0]
     # content mode: 2 of 3 retweet events point at a followed account
-    assert retweet_overlap(fg, rg, 1, OVERLAP_CONTENT)["s"] == pytest.approx(2 / 3)
-    assert retweet_overlap(fg, rg, 2, OVERLAP_CONTENT) == {"s": 1.0}
+    assert retweet_overlap(fg, rg, 1, OVERLAP_CONTENT)[0] == pytest.approx(2 / 3)
+    assert retweet_overlap(fg, rg, 2, OVERLAP_CONTENT).tolist() == [1.0]
     # no retweet friends at k=3
-    assert retweet_overlap(fg, rg, 3, OVERLAP_ACCOUNT) == {}
+    assert np.isnan(retweet_overlap(fg, rg, 3, OVERLAP_ACCOUNT)).all()
     with pytest.raises(EchoscopeError, match="overlap mode"):
         retweet_overlap(fg, rg, 1, "sideways")
 
@@ -190,27 +192,24 @@ def test_overlap_all_or_none():
     pairs = [("s", "a"), ("s", "b")]
     fg, rg_all = graphs(pairs, [rt("t1", "s", 1, "a"), rt("t2", "s", 2, "b")], {"s"})
     for mode in (OVERLAP_ACCOUNT, OVERLAP_CONTENT):
-        assert retweet_overlap(fg, rg_all, 1, mode) == {"s": 1.0}
+        assert retweet_overlap(fg, rg_all, 1, mode).tolist() == [1.0]
     fg, rg_none = graphs(pairs, [rt("t1", "s", 1, "x")], {"s"})
     for mode in (OVERLAP_ACCOUNT, OVERLAP_CONTENT):
-        assert retweet_overlap(fg, rg_none, 1, mode) == {"s": 0.0}
+        assert retweet_overlap(fg, rg_none, 1, mode).tolist() == [0.0]
 
 
 def test_overlap_curve_constant_when_single_followed_target():
     fg, rg = graphs([("s", "a")], [rt(f"t{i}", "s", i, "a") for i in range(10)], {"s"})
-    curve = overlap_vs_threshold(fg, rg, range(1, 11), OVERLAP_ACCOUNT)
-    assert [p.k for p in curve.points] == list(range(1, 11))
-    assert all(p.mean_overlap == 1.0 and p.n_users == 1 for p in curve.points)
+    points = overlap_vs_threshold(fg, rg, range(1, 11), OVERLAP_ACCOUNT)
+    assert points == [(k, 1.0, 1) for k in range(1, 11)]
 
 
 def test_overlap_curve_forced_step():
     fg, rg = fixture_graphs()
-    curve = overlap_vs_threshold(fg, rg, [1, 2], OVERLAP_ACCOUNT)
-    assert curve.points[0].mean_overlap == 0.5
-    assert curve.points[1].mean_overlap == 1.0
+    assert overlap_vs_threshold(fg, rg, [1, 2], OVERLAP_ACCOUNT) == [(1, 0.5, 1), (2, 1.0, 1)]
     # k where no user qualifies gets an empty point
-    empty = overlap_vs_threshold(fg, rg, [5], OVERLAP_ACCOUNT).points[0]
-    assert empty.n_users == 0
+    ((k, mean, n_users),) = overlap_vs_threshold(fg, rg, [5], OVERLAP_ACCOUNT)
+    assert k == 5 and np.isnan(mean) and n_users == 0
 
 
 # ---------------------------------------------------------------- sampling

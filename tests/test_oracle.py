@@ -1,5 +1,6 @@
 """Engine-vs-oracle equivalence on small bundles, plus the negative control."""
 import dataclasses
+import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import ev, make_bundle, rt
 import echoscope.moderacy as moderacy
-from echoscope.synth import SynthConfig, compare_with_oracle, generate
+from echoscope.moderacy import HARDLINER, MODERATE
+from echoscope.report import RunConfig, build_report, write_report
+from echoscope.synth import SynthConfig, compare_with_oracle, generate, oracle_metrics
 
 
 def synth_bundle(seed, **overrides):
@@ -84,6 +87,94 @@ def test_empty_log_only_structural_metrics_compared():
     # fraction (0.0), f1's activity (0) and retweeted flag (no), and the
     # size (0) of each overlap-curve point
     assert diff.n_compared == 5
+
+
+def mean_or_none(values):
+    """Left-to-right mean of a plain list; None when it is empty."""
+    return sum(values) / len(values) if values else None
+
+
+def assert_close(got, want):
+    if want is None:
+        assert got is None
+    else:
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("unique_domains", [False, True])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_report_means_match_oracle(seed, unique_domains, tmp_path):
+    # the report-level means, recomputed with plain loops over the oracle's
+    # per-seed (and per-friend) values, against the written report.json
+    bundle = synth_bundle(seed, n_users=40, base_follow_prob=0.2, activity_rate=4.0)
+    cfg = RunConfig(
+        scores="unused", edges="unused", events="unused", out_dir=str(tmp_path),
+        k_max=1, reps=5, sample_n=10, unique_domains=unique_domains,
+    )
+    write_report(build_report(bundle, cfg), cfg.out_dir)
+    report = json.loads((tmp_path / "report.json").read_text())
+    oracle = oracle_metrics(bundle, k=1, n_bins=cfg.entropy_bins, unique_domains=unique_domains)
+    seeds = sorted(bundle.seeds)
+    classes = (MODERATE, HARDLINER)
+    n_defined = 0
+
+    for kind, frac_mod, frac_hard in (
+        ("follower", oracle.frac_moderate_f, oracle.frac_hardline_f),
+        ("retweet", oracle.frac_moderate_r, oracle.frac_hardline_r),
+    ):
+        for cls in classes:
+            block = report["class_fractions"][kind][cls]
+            users = [u for u in seeds if oracle.moderacy_class.get(u) == cls and u in frac_mod]
+            assert block["n_users"] == len(users)
+            assert_close(block["frac_moderate"], mean_or_none([frac_mod[u] for u in users]))
+            assert_close(block["frac_hardline"], mean_or_none([frac_hard[u] for u in users]))
+            n_defined += len(users)
+
+    entropy = report["entropy"]
+    users = [u for u in seeds if u in oracle.entropy_f]
+    assert entropy["n_users"] == len(users)
+    assert entropy["n_skipped"] == len(seeds) - len(users)
+    assert_close(entropy["mean_follower"], mean_or_none([oracle.entropy_f[u] for u in users]))
+    assert_close(entropy["mean_retweet"], mean_or_none([oracle.entropy_r[u] for u in users]))
+    n_defined += len(users)
+
+    activity = report["activity"]
+    friends = sorted(oracle.activity)
+    retweeted = [f for f in friends if oracle.activity_retweeted[f]]
+    not_retweeted = [f for f in friends if not oracle.activity_retweeted[f]]
+    assert activity["n_retweeted"] == len(retweeted)
+    assert activity["n_not_retweeted"] == len(not_retweeted)
+    assert_close(
+        activity["mean_activity_retweeted"], mean_or_none([oracle.activity[f] for f in retweeted])
+    )
+    assert_close(
+        activity["mean_activity_not_retweeted"],
+        mean_or_none([oracle.activity[f] for f in not_retweeted]),
+    )
+    for cls in classes:
+        acts = [oracle.activity[f] for f in retweeted if oracle.activity_class.get(f) == cls]
+        assert activity["by_class"][cls]["n"] == len(acts)
+        assert_close(activity["by_class"][cls]["mean_activity"], mean_or_none(acts))
+    n_defined += len(friends)
+
+    for cls in classes:
+        block = report["congruence"][cls]
+        users = [
+            u for u in seeds if u in oracle.congruence_diff and oracle.moderacy_class[u] == cls
+        ]
+        assert block["n"] == len(users)
+        assert_close(block["mean_diff"], mean_or_none([oracle.congruence_diff[u] for u in users]))
+        if users:
+            assert_close(
+                block["mean_frac_retweeted"],
+                mean_or_none([oracle.frac_congruent_retweeted[u] for u in users]),
+            )
+            assert_close(
+                block["mean_frac_not_retweeted"],
+                mean_or_none([oracle.frac_congruent_not_retweeted[u] for u in users]),
+            )
+        n_defined += len(users)
+    assert n_defined > 0
 
 
 def test_corrupted_engine_fails_with_named_metric(monkeypatch):

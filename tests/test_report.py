@@ -44,21 +44,22 @@ def rich_bundle():
 def test_build_report_sections(rich_bundle, tmp_path):
     cfg = run_config(tmp_path)
     report = build_report(rich_bundle, cfg)
-    assert set(report.correlations) == {"1", "2", "3"}
-    assert {c["mode"] for c in report.overlap_curves} == {"account", "content"}
-    assert set(report.class_fractions) == {"follower", "retweet", "baseline"}
-    for kind in report.class_fractions.values():
+    sections, tables = report.sections, report.tables
+    assert set(sections["correlations"]) == {"1", "2", "3"}
+    assert {c["mode"] for c in sections["overlap_curves"]} == {"account", "content"}
+    assert set(sections["class_fractions"]) == {"follower", "retweet", "baseline"}
+    for kind in sections["class_fractions"].values():
         assert set(kind) == {"Moderate", "Hardliner"}
-    grid = report.heatmaps["follower"]
-    assert grid.shape == (25, 25)
-    n_with_both = sum(
-        1 for m in report.user_metrics.values()
-        if m.m_s is not None and m.m_e_f is not None
-    )
-    assert int(grid.sum()) == n_with_both
-    sources = {row[0] for row in report.sampled_rows}
+    header, cells = tables["echo_heatmap_f.csv"]
+    assert header == ["ms_bin", "me_bin", "count"]
+    assert [cell[:2] for cell in cells] == [(i, j) for i in range(25) for j in range(25)]
+    header, users = tables["user_metrics.csv"]
+    m_s, m_e_f = header.index("m_s"), header.index("m_e_f")
+    n_with_both = sum(1 for row in users if row[m_s] is not None and row[m_e_f] is not None)
+    assert sum(cell[2] for cell in cells) == n_with_both
+    sources = {row[0] for row in tables["sampled_scores.csv"][1]}
     assert "random_user" in sources and "random_friend" in sources
-    assert report.meta["config_hash"] == cfg.config_hash()
+    assert sections["meta"]["config_hash"] == cfg.config_hash()
 
 
 def test_write_report_files(rich_bundle, tmp_path):
@@ -98,30 +99,41 @@ def test_run_config_validation(tmp_path):
         run_config(tmp_path, overlap_mode="sideways")
     with pytest.raises(EchoscopeError):
         run_config(tmp_path, threads=0)
+    for field, value in (
+        ("heatmap_bins", 0),
+        ("heatmap_bins", -3),
+        ("baseline_users", -1),
+        ("entropy_bins", 1),
+        ("sample_n", 0),
+    ):
+        with pytest.raises(EchoscopeError, match=field):
+            run_config(tmp_path, **{field: value})
 
 
 def test_report_on_empty_window(rich_bundle, tmp_path):
     cfg = run_config(tmp_path, window=(10**9, 10**9 + 1))
     report = build_report(rich_bundle, cfg)
-    assert "window excludes every event" in report.markers
-    assert "no scored users" in report.markers
-    assert report.correlations["1"]["n_paired"] == 0
-    assert report.correlations["1"]["ms_vs_mef"]["r"] is None
+    sections = report.sections
+    assert "window excludes every event" in sections["markers"]
+    assert "no scored users" in sections["markers"]
+    assert sections["correlations"]["1"]["n_paired"] == 0
+    assert sections["correlations"]["1"]["ms_vs_mef"]["r"] is None
     write_report(report, cfg.out_dir)  # must not raise
 
 
 def test_baseline_user_cap(rich_bundle, tmp_path):
     cfg = run_config(tmp_path, baseline_users=1)
     report = build_report(rich_bundle, cfg)
-    assert report.counts["n_baseline_users"] == 1
+    assert report.sections["counts"]["n_baseline_users"] == 1
     full = build_report(rich_bundle, run_config(tmp_path))
-    assert full.counts["n_baseline_users"] > 1
+    assert full.sections["counts"]["n_baseline_users"] > 1
 
 
 def test_single_overlap_mode(rich_bundle, tmp_path):
     cfg = run_config(tmp_path, overlap_mode="account")
     report = build_report(rich_bundle, cfg)
-    assert [c["mode"] for c in report.overlap_curves] == ["account"]
+    assert [c["mode"] for c in report.sections["overlap_curves"]] == ["account"]
+    assert {row[0] for row in report.tables["overlap_curve.csv"][1]} == {"account"}
 
 
 class Unprintable:
@@ -131,11 +143,12 @@ class Unprintable:
 
 def test_write_report_replaces_each_file_atomically(rich_bundle, tmp_path):
     report = build_report(rich_bundle, run_config(tmp_path))
-    rows = report.sampled_rows
+    header, rows = report.tables["sampled_scores.csv"]
     assert len(rows) > 20
-    broken = dataclasses.replace(
-        report, sampled_rows=rows[:10] + [("random_user", Unprintable())] + rows[10:]
-    )
+    tables = dict(report.tables)
+    bad_row = ("random_user", Unprintable())
+    tables["sampled_scores.csv"] = (header, rows[:10] + [bad_row] + rows[10:])
+    broken = dataclasses.replace(report, tables=tables)
     # over a complete earlier report: every file keeps its complete old bytes
     out = tmp_path / "again"
     write_report(report, str(out))

@@ -246,11 +246,9 @@ def test_entropy_comparison_subset_purity():
     space = user_space({"s"}, edges, log)
     fg, rg = build_follower_graph(space), build_retweet_graph(space)
     m_s = per_id(fg.names, {"f0": 0.9, "f1": 0.95, "f2": 0.1, "f3": 0.5})
-    prof_f, prof_r, test, skipped = entropy_comparison(["s"], fg, rg, m_s, 5, 1)
-    assert skipped == 0
-    assert prof_r[0].entropy < prof_f[0].entropy
-    assert prof_f[0].n_friends_scored == 4
-    assert prof_r[0].n_friends_scored == 2
+    entropy_f, entropy_r, n_f, n_r = entropy_comparison(fg, rg, m_s, 5, 1)
+    assert entropy_r[0] < entropy_f[0]
+    assert (n_f.tolist(), n_r.tolist()) == ([4], [2])
 
 
 def test_entropy_comparison_identical_sets_and_skips():
@@ -259,10 +257,11 @@ def test_entropy_comparison_identical_sets_and_skips():
     space = user_space({"s", "q"}, edges, log)
     fg, rg = build_follower_graph(space), build_retweet_graph(space)
     m_s = per_id(fg.names, {"a": 0.2, "b": 0.8})
-    prof_f, prof_r, _, skipped = entropy_comparison(["s", "q"], fg, rg, m_s, 4, 1)
-    assert len(prof_f) == 1  # q has one scored friend and no retweets: skipped
-    assert skipped == 1
-    assert prof_f[0].entropy == prof_r[0].entropy
+    entropy_f, entropy_r, _, _ = entropy_comparison(fg, rg, m_s, 4, 1)
+    assert fg.seeds == ["q", "s"]
+    # q has one scored friend and no retweets: undefined
+    assert np.isnan(entropy_f[0]) and np.isnan(entropy_r[0])
+    assert entropy_f[1] == entropy_r[1]
 
 
 def test_format_p():
