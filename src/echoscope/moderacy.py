@@ -15,7 +15,7 @@ under a graph kind (originals and retweets both land in a timeline), so
 active friends weigh more. The fold branch for exposures reuses the seed's
 OWN raw mu, and metrics_at(k) normalizes the two kinds jointly so their
 difference (delta = m_e_f - m_e_r) is meaningful. Names appear only where
-rows are written (MetricsSet.by_user).
+rows are written (the report's tables, MetricsSet.by_user).
 
 The per-seed analyses (class fractions, congruence) return vectors over the
 graphs' seed rows, NaN where a seed's value is undefined; friend activity
@@ -338,10 +338,15 @@ class MetricsSet:
     warnings: tuple[str, ...] = ()
 
     @cached_property
+    def user_ids(self) -> np.ndarray:
+        """The ids of every user with a defined value, ascending (name order)."""
+        e = self.engine
+        return np.flatnonzero(~(np.isnan(e.mu) & np.isnan(self.m_e_f) & np.isnan(self.m_e_r)))
+
+    @cached_property
     def by_user(self) -> dict[str, UserMetrics]:
         """Every user with a defined value, in name order."""
-        e = self.engine
-        ids = np.flatnonzero(~(np.isnan(e.mu) & np.isnan(self.m_e_f) & np.isnan(self.m_e_r)))
+        e, ids = self.engine, self.user_ids
 
         def optional(values: np.ndarray) -> list[Optional[float]]:
             return [None if math.isnan(v) else v for v in values[ids].tolist()]

@@ -1,12 +1,22 @@
+import csv
 import dataclasses
+import io
 import json
+import math
 import os
+import tempfile
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ev, make_bundle, rt
+from echoscope import report as report_module
 from echoscope.errors import EchoscopeError
-from echoscope.report import RunConfig, build_report, write_report
+from echoscope.report import RunConfig, Take, _write_csv, build_report, write_report
 
 
 def run_config(tmp_path, **overrides):
@@ -17,6 +27,14 @@ def run_config(tmp_path, **overrides):
     )
     base.update(overrides)
     return RunConfig(**base)
+
+
+def values(column) -> list:
+    """A table column's cell values, in row order."""
+    if isinstance(column, Take):
+        source = values(column.values)
+        return [source[i] for i in column.ids.tolist()]
+    return column.tolist() if isinstance(column, np.ndarray) else list(column)
 
 
 @pytest.fixture
@@ -50,14 +68,15 @@ def test_build_report_sections(rich_bundle, tmp_path):
     assert set(sections["class_fractions"]) == {"follower", "retweet", "baseline"}
     for kind in sections["class_fractions"].values():
         assert set(kind) == {"Moderate", "Hardliner"}
-    header, cells = tables["echo_heatmap_f.csv"]
+    header, (ms_bin, me_bin, count) = tables["echo_heatmap_f.csv"]
     assert header == ["ms_bin", "me_bin", "count"]
-    assert [cell[:2] for cell in cells] == [(i, j) for i in range(25) for j in range(25)]
-    header, users = tables["user_metrics.csv"]
-    m_s, m_e_f = header.index("m_s"), header.index("m_e_f")
-    n_with_both = sum(1 for row in users if row[m_s] is not None and row[m_e_f] is not None)
-    assert sum(cell[2] for cell in cells) == n_with_both
-    sources = {row[0] for row in tables["sampled_scores.csv"][1]}
+    bins = list(zip(values(ms_bin), values(me_bin)))
+    assert bins == [(i, j) for i in range(25) for j in range(25)]
+    header, columns = tables["user_metrics.csv"]
+    m_s, m_e_f = (values(columns[header.index(name)]) for name in ("m_s", "m_e_f"))
+    n_with_both = sum(1 for a, b in zip(m_s, m_e_f) if not math.isnan(a) and not math.isnan(b))
+    assert sum(values(count)) == n_with_both
+    sources = set(values(tables["sampled_scores.csv"][1][0]))
     assert "random_user" in sources and "random_friend" in sources
     assert sections["meta"]["config_hash"] == cfg.config_hash()
 
@@ -133,7 +152,7 @@ def test_single_overlap_mode(rich_bundle, tmp_path):
     cfg = run_config(tmp_path, overlap_mode="account")
     report = build_report(rich_bundle, cfg)
     assert [c["mode"] for c in report.sections["overlap_curves"]] == ["account"]
-    assert {row[0] for row in report.tables["overlap_curve.csv"][1]} == {"account"}
+    assert set(values(report.tables["overlap_curve.csv"][1][0])) == {"account"}
 
 
 class Unprintable:
@@ -141,14 +160,22 @@ class Unprintable:
         raise RuntimeError("cannot format this value")
 
 
-def test_write_report_replaces_each_file_atomically(rich_bundle, tmp_path):
+def test_write_report_replaces_each_file_atomically(rich_bundle, tmp_path, monkeypatch):
     report = build_report(rich_bundle, run_config(tmp_path))
-    header, rows = report.tables["sampled_scores.csv"]
-    assert len(rows) > 20
+    header, columns = report.tables["sampled_scores.csv"]
+    sources, scores = (values(column) for column in columns)
+    assert len(scores) > 20
     tables = dict(report.tables)
-    bad_row = ("random_user", Unprintable())
-    tables["sampled_scores.csv"] = (header, rows[:10] + [bad_row] + rows[10:])
+    tables["sampled_scores.csv"] = (
+        header,
+        [
+            sources[:10] + ["random_user"] + sources[10:],
+            scores[:10] + [Unprintable()] + scores[10:],
+        ],
+    )
     broken = dataclasses.replace(report, tables=tables)
+    # the bad cell is in the third block, after two blocks have been written
+    monkeypatch.setattr(report_module, "BLOCK_ROWS", 4)
     # over a complete earlier report: every file keeps its complete old bytes
     out = tmp_path / "again"
     write_report(report, str(out))
@@ -164,3 +191,105 @@ def test_write_report_replaces_each_file_atomically(rich_bundle, tmp_path):
     assert "sampled_scores.csv" not in names
     assert "report.json" in names
     assert not any(name.endswith(".tmp") for name in names)
+
+
+def _fmt(value) -> str:
+    """The row writer's cell format, kept as the column writer's reference."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        if math.isnan(value):
+            return ""
+        return repr(value)
+    return str(value)
+
+
+def reference_csv(header: list[str], columns: list) -> bytes:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in zip(*(values(column) for column in columns)):
+        writer.writerow([_fmt(v) for v in row])
+    return out.getvalue().encode("utf-8")
+
+
+SPECIAL_FLOATS = [math.nan, 0.0, -0.0, math.inf, -math.inf, 1e-05, 1e16, 5e-324]
+texts = st.text(
+    st.sampled_from([",", '"', "\r", "\n", " ", "a", "0", "\u00e9", "\u2028"]), max_size=5
+)
+cells = {
+    "float": st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+    "int": st.integers(-(2**63), 2**63 - 1),
+    "text": st.one_of(st.none(), texts, st.text(max_size=4)),
+}
+cells["mixed"] = st.one_of(st.none(), texts, cells["float"], st.integers(-(10**30), 10**30))
+
+
+@st.composite
+def plain_columns(draw, n_rows: int):
+    kind = draw(st.sampled_from(sorted(cells)))
+    column = draw(st.lists(cells[kind], min_size=n_rows, max_size=n_rows))
+    if kind in ("float", "int"):
+        return np.array(column, dtype=np.float64 if kind == "float" else np.int64)
+    return column
+
+
+@st.composite
+def table_columns(draw, n_rows: int):
+    if not draw(st.booleans()):
+        return draw(plain_columns(n_rows))
+    n_values = draw(st.integers(1 if n_rows else 0, 4))
+    ids = draw(st.lists(st.integers(0, max(n_values - 1, 0)), min_size=n_rows, max_size=n_rows))
+    return Take(draw(plain_columns(n_values)), np.array(ids, dtype=np.int64))
+
+
+@st.composite
+def tables(draw):
+    n_rows = draw(st.integers(0, 12))
+    width = draw(st.integers(1, 8))
+    header = draw(st.lists(texts, min_size=width, max_size=width))
+    return header, [draw(table_columns(n_rows)) for _ in range(width)]
+
+
+@given(tables(), st.integers(1, 5))
+@settings(max_examples=400, deadline=None)
+def test_column_writer_matches_row_writer(table, block_rows):
+    header, columns = table
+    with (
+        tempfile.TemporaryDirectory() as tmp,
+        mock.patch.object(report_module, "BLOCK_ROWS", block_rows),
+    ):
+        path = Path(tmp) / "t.csv"
+        _write_csv(path, header, columns)
+        assert path.read_bytes() == reference_csv(header, columns)
+
+
+def test_column_writer_keeps_csv_quirks(tmp_path):
+    # a bare \r is not quoted under lineterminator="\n"; a lone empty field is
+    path = tmp_path / "t.csv"
+    _write_csv(path, ["a", "b"], [["x\ry", "q,"], ["", 'say "hi"']])
+    assert path.read_bytes() == b'a,b\nx\ry,\n"q,","say ""hi"""\n'
+    _write_csv(path, ["only"], [["", None, "z"]])
+    assert path.read_bytes() == b'only\n""\n""\nz\n'
+
+
+def test_column_writer_never_writes_numpy_scalar_reprs(tmp_path):
+    path = tmp_path / "t.csv"
+    columns = [
+        np.array([0.5, np.nan, -0.0]),
+        np.array([3, -4, 2**62], dtype=np.int64),
+        [np.float64(0.5), np.int64(7), np.float64("nan")],
+        Take(np.array([0.25]), np.zeros(3, dtype=np.int64)),
+    ]
+    _write_csv(path, ["f", "i", "listed", "taken"], columns)
+    text = path.read_text()
+    assert "np." not in text
+    rows = ["f,i,listed,taken", "0.5,3,0.5,0.25", ",-4,7,0.25", f"-0.0,{2**62},,0.25"]
+    assert text == "\n".join(rows) + "\n"
+
+
+def test_column_writer_refuses_ragged_tables(tmp_path):
+    with pytest.raises(ValueError):
+        _write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2], [1]])
+    with pytest.raises(ValueError):
+        _write_csv(tmp_path / "t.csv", ["a"], [[1], [2]])
