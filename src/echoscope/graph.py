@@ -158,15 +158,20 @@ def user_space(seeds: Iterable[str], edges: FollowEdgeList, log: EventLog) -> Us
     follow_rows, friends = rows[keep], edges.dst[keep]
     friend_ids = np.unique(friends)
     friend_names = [edges.names[i] for i in friend_ids.tolist()]
-    retweets = [ev for ev in log.events if ev.is_retweet and ev.author in row_of]
-    targets = [ev.original_author for ev in retweets]
+    row_of_user = np.array([row_of.get(user, -1) for user in log.users], dtype=np.int64)
+    retweet_rows = row_of_user[log.author[log.retweet]]
+    by_seed = retweet_rows >= 0
+    retweet_rows, targets = retweet_rows[by_seed], log.orig_author[log.retweet][by_seed]
+    target_ids = np.unique(targets)
+    target_names = [log.users[i] for i in target_ids.tolist()]
 
-    names = sorted(set(seed_list).union(friend_names, targets, log.authors))
+    names = sorted(set(seed_list).union(friend_names, target_names, log.authors))
     user_id = {name: i for i, name in enumerate(names)}
     col_of = np.zeros(edges.n_users, dtype=np.int64)
     col_of[friend_ids] = [user_id[name] for name in friend_names]
-    retweet_rows = np.array([row_of[ev.author] for ev in retweets], dtype=np.int64)
-    retweet_cols = np.array([user_id[name] for name in targets], dtype=np.int64)
+    target_col = np.zeros(len(log.users), dtype=np.int64)
+    target_col[target_ids] = [user_id[name] for name in target_names]
+    retweet_cols = target_col[targets]
     return UserSpace(
         names, seed_list, (follow_rows, col_of[friends]), (retweet_rows, retweet_cols)
     )

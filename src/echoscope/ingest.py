@@ -7,7 +7,12 @@ Formats (UTF-8 throughout):
 
 Parsers are single-pass and keep memory proportional to their output; the
 edge parser stores edges as index arrays so tens of millions of rows fit in
-a small footprint.
+a small footprint. The event parser fills columns (``EventLog``): interned
+author and original-author ids, an int64 timestamp array, a retweet mask and
+a CSR of interned domain ids, sorted once by (timestamp, tweet id). Each
+distinct URL host is resolved to its registrable domain once. The analyses
+read the columns; ``EventLog.events`` gives the same log as ``TweetEvent``
+objects, built only when read.
 """
 from __future__ import annotations
 
@@ -17,13 +22,14 @@ import json
 import logging
 import os
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .errors import InputFormatError
-from .psl import DEFAULT_SHORTENER_SKIP, SuffixRules, extract_pld, is_valid_pld
+from .psl import DEFAULT_SHORTENER_SKIP, SuffixRules, _host_of, extract_pld, is_valid_pld
 
 log = logging.getLogger(__name__)
 
@@ -40,6 +46,9 @@ LABEL_SCORES = {
     "right-center": 0.75,
     "right": 1.0,
 }
+
+# the largest timestamp the int64 ts column holds
+TS_MAX = 2**63 - 1
 
 SCORES_HEADER = ["domain", "score"]
 EDGES_HEADER = ["follower", "friend"]
@@ -164,14 +173,37 @@ def _dedup_edges(src_buf, dst_buf) -> tuple[np.ndarray, np.ndarray, int]:
     return src, dst, n_dup
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventLog:
-    """Timestamp-ordered event sequence and its distinct authors, sorted."""
+    """The tweet log as columns, one row per event in (timestamp, tweet id) order.
 
-    events: tuple[TweetEvent, ...]
-    authors: tuple[str, ...]
+    ``users`` is the sorted table of every author and retweeted account;
+    ``author`` and ``orig_author`` (-1 for an original tweet) index it.
+    ``ts`` holds the timestamps, ``retweet`` marks retweets and ``tweet_ids``
+    the ids. Each event's registrable domains, in URL order, are
+    ``domain_ids[domain_ptr[e]:domain_ptr[e + 1]]``, indices into ``domains``.
+    The arrays are read-only.
+
+    ``events`` is the same log as a tuple of ``TweetEvent``, built on first
+    use for code that reads one event at a time (the oracle, writers, tests).
+    """
+
+    tweet_ids: np.ndarray
+    users: tuple[str, ...]
+    author: np.ndarray
+    ts: np.ndarray
+    retweet: np.ndarray
+    orig_author: np.ndarray
+    domains: tuple[str, ...]
+    domain_ptr: np.ndarray
+    domain_ids: np.ndarray
     n_urls_dropped: int = 0
     n_self_retweets_dropped: int = 0
+
+    def __post_init__(self) -> None:
+        for column in (self.tweet_ids, self.author, self.ts, self.retweet, self.orig_author,
+                       self.domain_ptr, self.domain_ids):
+            column.flags.writeable = False
 
     @classmethod
     def from_events(
@@ -180,20 +212,138 @@ class EventLog:
         n_urls_dropped: int = 0,
         n_self_retweets_dropped: int = 0,
     ) -> "EventLog":
-        ordered = tuple(sorted(events, key=lambda e: (e.timestamp, e.tweet_id)))
-        authors = tuple(sorted({ev.author for ev in ordered}))
-        return cls(ordered, authors, n_urls_dropped, n_self_retweets_dropped)
+        cols = _EventColumns()
+        domain_id: dict[str, int] = {}
+        for ev in events:
+            cols.add(
+                ev.tweet_id,
+                ev.author,
+                ev.timestamp,
+                ev.kind == KIND_RETWEET,
+                ev.original_author,
+                [domain_id.setdefault(d, len(domain_id)) for d in ev.domains],
+            )
+        return cols.log(domain_id, n_urls_dropped, n_self_retweets_dropped)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.tweet_ids)
+
+    @cached_property
+    def authors(self) -> tuple[str, ...]:
+        """The distinct authors, sorted."""
+        users = self.users
+        return tuple(users[a] for a in np.unique(self.author).tolist())
+
+    @property
+    def n_retweets(self) -> int:
+        return int(np.count_nonzero(self.retweet))
+
+    @cached_property
+    def events(self) -> tuple[TweetEvent, ...]:
+        users, domains = self.users, self.domains
+        flat, ptr = self.domain_ids.tolist(), self.domain_ptr.tolist()
+        return tuple(
+            TweetEvent(
+                tweet_id, users[a], t, KIND_RETWEET if rt else KIND_ORIGINAL,
+                users[o] if o >= 0 else None, tuple(domains[d] for d in flat[lo:hi]),
+            )
+            for tweet_id, a, t, rt, o, lo, hi in zip(
+                self.tweet_ids.tolist(), self.author.tolist(), self.ts.tolist(),
+                self.retweet.tolist(), self.orig_author.tolist(), ptr, ptr[1:],
+            )
+        )
+
+    def event_of_domain(self) -> np.ndarray:
+        """The event row of each entry of ``domain_ids``."""
+        return np.repeat(np.arange(len(self)), np.diff(self.domain_ptr))
+
+    def take(self, rows: np.ndarray) -> "EventLog":
+        """The events at ``rows``, in that order; the name tables are kept."""
+        lengths = np.diff(self.domain_ptr)[rows]
+        ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=ptr[1:])
+        # where each kept row's domain ids sit in this log's flat array
+        at = np.repeat(self.domain_ptr[:-1][rows] - ptr[:-1], lengths) + np.arange(ptr[-1])
+        return replace(
+            self, tweet_ids=self.tweet_ids[rows], author=self.author[rows], ts=self.ts[rows],
+            retweet=self.retweet[rows], orig_author=self.orig_author[rows],
+            domain_ptr=ptr, domain_ids=self.domain_ids[at],
+        )
 
     def restricted(self, window: Optional[tuple[int, int]]) -> "EventLog":
         """The events with lo <= timestamp <= hi; this log itself when window is None."""
         if window is None:
             return self
         lo, hi = window
-        kept = [ev for ev in self.events if lo <= ev.timestamp <= hi]
-        return EventLog.from_events(kept, self.n_urls_dropped, self.n_self_retweets_dropped)
+        return self.take(np.flatnonzero((self.ts >= lo) & (self.ts <= hi)))
+
+
+class _EventColumns:
+    """Events collected one at a time, then sorted into an ``EventLog``."""
+
+    def __init__(self) -> None:
+        self.tweet_ids: list = []
+        self.user_id: dict[str, int] = {}  # in order of first appearance
+        self.author = array("q")
+        self.ts = array("q")
+        self.retweet = array("b")
+        self.orig_author = array("q")
+        self.domain_ptr = array("q", [0])
+        self.domain_ids = array("q")
+
+    def add(self, tweet_id, author, ts, is_retweet, orig_author, domain_ids) -> None:
+        user_id = self.user_id
+        self.tweet_ids.append(tweet_id)
+        self.author.append(user_id.setdefault(author, len(user_id)))
+        self.ts.append(ts)
+        self.retweet.append(is_retweet)
+        self.orig_author.append(
+            -1 if orig_author is None else user_id.setdefault(orig_author, len(user_id))
+        )
+        self.domain_ids.extend(domain_ids)
+        self.domain_ptr.append(len(self.domain_ids))
+
+    def log(self, domains, n_urls_dropped: int, n_self_retweets_dropped: int) -> EventLog:
+        """The collected events, users renumbered in sorted-name order.
+
+        ``domains`` holds the domain names in id order (a list, or a dict keyed by them).
+        """
+        names = list(self.user_id)
+        by_name = sorted(range(len(names)), key=names.__getitem__)
+        rank = np.empty(len(names) + 1, dtype=np.int64)
+        rank[by_name] = np.arange(len(names))
+        rank[-1] = -1  # an absent original author stays -1
+        tweet_ids = np.empty(len(self.tweet_ids), dtype=object)
+        tweet_ids[:] = self.tweet_ids
+        ts = np.frombuffer(self.ts, dtype=np.int64)
+        unsorted = EventLog(
+            tweet_ids,
+            tuple(names[i] for i in by_name),
+            rank[np.frombuffer(self.author, dtype=np.int64)],
+            ts,
+            np.frombuffer(self.retweet, dtype=np.int8).astype(bool),
+            rank[np.frombuffer(self.orig_author, dtype=np.int64)],
+            tuple(domains),
+            np.frombuffer(self.domain_ptr, dtype=np.int64),
+            np.frombuffer(self.domain_ids, dtype=np.int64),
+            n_urls_dropped,
+            n_self_retweets_dropped,
+        )
+        return unsorted.take(_time_order(ts, self.tweet_ids))
+
+
+def _time_order(ts: np.ndarray, tweet_ids: list) -> np.ndarray:
+    """The stable permutation that sorts events by (timestamp, tweet id)."""
+    order = np.argsort(ts, kind="stable")
+    ordered = ts[order]
+    tied = np.flatnonzero(ordered[1:] == ordered[:-1])
+    if tied.size:
+        # runs of equal timestamps, each sorted by id; argsort kept input order
+        starts = tied[np.concatenate(([True], tied[1:] != tied[:-1] + 1))]
+        ends = tied[np.concatenate((tied[1:] != tied[:-1] + 1, [True]))] + 2
+        for lo, hi in zip(starts.tolist(), ends.tolist()):
+            order[lo:hi] = sorted(order[lo:hi].tolist(), key=tweet_ids.__getitem__)
+    return order
 
 
 @dataclass(frozen=True)
@@ -360,8 +510,15 @@ def parse_events(
     rules: Optional[SuffixRules] = None,
     skip_plds=DEFAULT_SHORTENER_SKIP,
 ) -> EventLog:
-    """Read the events JSONL; URLs are reduced to registrable domains."""
-    events: list[TweetEvent] = []
+    """Read the events JSONL into columns; URLs are reduced to registrable domains.
+
+    ``extract_pld`` reads a URL only through its host, so each distinct host
+    is resolved once and its domain id reused for every URL on it.
+    """
+    cols = _EventColumns()
+    add = cols.add
+    domain_id: dict[str, int] = {}
+    host_domain: dict[Optional[str], int] = {}  # host -> domain id, -1 for none
     n_urls_dropped = 0
     n_self_rts = 0
     with _open_checked(path) as fh:
@@ -391,6 +548,7 @@ def parse_events(
                 or not isinstance(ts, (int, float))
                 or ts < 0
                 or (isinstance(ts, float) and not ts.is_integer())
+                or ts > TS_MAX
             ):
                 raise InputFormatError(
                     f"bad timestamp {ts!r}", path=str(path), line=lineno
@@ -414,17 +572,22 @@ def parse_events(
                 raise InputFormatError("urls must be an array", path=str(path), line=lineno)
             domains = []
             for url in urls:
-                pld = extract_pld(url, rules=rules, skip_plds=skip_plds)
-                if pld is None:
-                    n_urls_dropped += 1
-                else:
-                    domains.append(pld)
-            events.append(
-                TweetEvent(tweet_id, author, int(ts), kind, orig_author, tuple(domains))
-            )
+                if isinstance(url, str):
+                    host = _host_of(url)
+                    d = host_domain.get(host)
+                    if d is None:
+                        pld = extract_pld(url, rules=rules, skip_plds=skip_plds)
+                        d = host_domain[host] = (
+                            -1 if pld is None else domain_id.setdefault(pld, len(domain_id))
+                        )
+                    if d >= 0:
+                        domains.append(d)
+                        continue
+                n_urls_dropped += 1
+            add(tweet_id, author, int(ts), kind == KIND_RETWEET, orig_author, domains)
     if n_self_rts:
         log.warning("dropped %d self-retweet records from %s", n_self_rts, path)
-    return EventLog.from_events(events, n_urls_dropped, n_self_rts)
+    return cols.log(domain_id, n_urls_dropped, n_self_rts)
 
 
 def load_dataset(
@@ -487,20 +650,16 @@ def validate_dataset(bundle: DatasetBundle) -> ValidationReport:
     sources = bundle.edges.sources()
     seeds_without = tuple(sorted(bundle.seeds - sources))
 
-    authors_in_log = set(bundle.log.authors)
-    dangling_authors: set[str] = set()
-    n_dangling = 0
-    n_retweets = 0
-    n_scored_events = 0
-    for ev in bundle.log.events:
-        if ev.is_retweet:
-            n_retweets += 1
-            if ev.original_author not in authors_in_log:
-                n_dangling += 1
-                dangling_authors.add(ev.original_author)
-        if any(d in bundle.scores for d in ev.domains):
-            n_scored_events += 1
-    n_events = len(bundle.log)
+    log_data = bundle.log
+    is_author = np.zeros(len(log_data.users) + 1, dtype=bool)  # the last slot is id -1
+    is_author[log_data.author] = True
+    dangling = log_data.retweet & ~is_author[log_data.orig_author]
+    n_dangling = int(np.count_nonzero(dangling))
+    dangling_ids = np.unique(log_data.orig_author[dangling]).tolist()
+    scored_domain = np.array([d in bundle.scores for d in log_data.domains], dtype=bool)
+    scored = scored_domain[log_data.domain_ids]
+    n_events = len(log_data)
+    n_scored_events = np.unique(log_data.event_of_domain()[scored]).size
     frac_scored = n_scored_events / n_events if n_events else 0.0
 
     errors = tuple(f"seed has no outgoing edges: {u}" for u in seeds_without)
@@ -509,17 +668,17 @@ def validate_dataset(bundle: DatasetBundle) -> ValidationReport:
         "n_users_in_edges": bundle.edges.n_users,
         "n_edges": bundle.edges.n_edges,
         "n_events": n_events,
-        "n_retweets": n_retweets,
-        "n_authors_in_log": len(authors_in_log),
+        "n_retweets": log_data.n_retweets,
+        "n_authors_in_log": len(log_data.authors),
         "n_scored_domains": len(bundle.scores),
         "n_self_loops_dropped": bundle.edges.n_self_loops_dropped,
         "n_duplicate_edges_dropped": bundle.edges.n_duplicates_dropped,
-        "n_urls_dropped": bundle.log.n_urls_dropped,
-        "n_self_retweets_dropped": bundle.log.n_self_retweets_dropped,
+        "n_urls_dropped": log_data.n_urls_dropped,
+        "n_self_retweets_dropped": log_data.n_self_retweets_dropped,
     }
     return ValidationReport(
         seeds_without_friends=seeds_without,
-        dangling_retweet_authors=tuple(sorted(dangling_authors)),
+        dangling_retweet_authors=tuple(log_data.users[i] for i in dangling_ids),
         n_dangling_retweets=n_dangling,
         frac_events_with_scored_domain=frac_scored,
         counters=counters,

@@ -51,7 +51,7 @@ from .graph import (  # noqa: F401
     ratios,
     sample_random_friend_subset,
 )
-from .ingest import DatasetBundle, DomainScoreTable, EventLog, KIND_ORIGINAL
+from .ingest import DatasetBundle, DomainScoreTable, EventLog
 
 log = logging.getLogger(__name__)
 
@@ -148,19 +148,14 @@ class ExposureIndex:
         self.domain_scores = np.array([table.scores[d] for d in domain_names], dtype=np.float64)
         is_moderate = np.array([fold(s) <= 0.5 for s in self.domain_scores.tolist()], dtype=bool)
 
-        ev_user, ev_orig, occ_event, occ_domain = [], [], [], []
-        for e, ev in enumerate(log_data.events):
-            ev_user.append(self.id[ev.author])
-            ev_orig.append(ev.kind == KIND_ORIGINAL)
-            for d in ev.domains:
-                j = domain_id.get(d)
-                if j is not None:
-                    occ_event.append(e)
-                    occ_domain.append(j)
-        user = np.asarray(ev_user, dtype=np.int64)
-        orig = np.asarray(ev_orig, dtype=bool)
-        occ_event = np.asarray(occ_event, dtype=np.int64)
-        occ_domain = np.asarray(occ_domain, dtype=np.int64)
+        user_of = np.array([self.id.get(user, -1) for user in log_data.users], dtype=np.int64)
+        user = user_of[log_data.author]
+        orig = ~log_data.retweet
+        table_id = np.array([domain_id.get(d, -1) for d in log_data.domains], dtype=np.int64)
+        occ_domain = table_id[log_data.domain_ids]
+        scored = occ_domain >= 0
+        occ_event = log_data.event_of_domain()[scored]
+        occ_domain = occ_domain[scored]
         occ_user = user[occ_event]
         occ_orig = orig[occ_event]
 

@@ -558,13 +558,12 @@ def build_report(
         ],
     )
 
-    n_retweets = sum(1 for ev in bundle.log.events if ev.is_retweet)
     counts_section = {
         "n_seeds": len(bundle.seeds),
         "n_users_in_edges": bundle.edges.n_users,
         "n_edges": bundle.edges.n_edges,
         "n_events": len(bundle.log),
-        "n_retweets": n_retweets,
+        "n_retweets": bundle.log.n_retweets,
         "n_scored_users": int(scored.sum()),
         "n_users_with_metrics": len(user_ids),
         "n_baseline_users": len(candidates),

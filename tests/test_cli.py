@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shutil
 
 import pytest
 
@@ -107,6 +109,21 @@ def test_validate_non_utf8_input_exit_two(dataset_dir, tmp_path, capsys, name, l
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("ts", ["100000000000000000000000", "9223372036854775808", "1e23"])
+def test_validate_timestamp_beyond_int64_exit_two(dataset_dir, tmp_path, capsys, ts):
+    copy = tmp_path / "big_ts"
+    shutil.copytree(dataset_dir, copy)
+    lines = (copy / "events.jsonl").read_text().splitlines(keepends=True)
+    lines[2], n = re.subn(r'"ts":\d+', f'"ts":{ts}', lines[2])
+    assert n == 1
+    (copy / "events.jsonl").write_text("".join(lines))
+    assert main(["validate", *inputs(copy)]) == 2
+    err = capsys.readouterr().err
+    assert f"{copy / 'events.jsonl'}:3: bad timestamp" in err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 def test_validate_report_to_file(dataset_dir, tmp_path):
     out = tmp_path / "validation.json"
     assert main(["validate", *inputs(dataset_dir), "--out", str(out)]) == 0
@@ -206,6 +223,21 @@ def test_report_bad_window_exit_two(dataset_dir, tmp_path, capsys, caplog, flag,
     assert "error:" in err
     assert "Traceback" not in err + caplog.text
     assert not out.exists()
+
+
+def test_report_and_validate_build_no_event_objects(dataset_dir, tmp_path, monkeypatch):
+    # both commands read the log's columns; the per-event view stays unbuilt
+    from echoscope import ingest
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an event object was built")
+
+    monkeypatch.setattr(ingest, "TweetEvent", refuse)
+    monkeypatch.setattr(ingest.EventLog, "events", property(refuse))
+    assert main(["validate", *inputs(dataset_dir)]) == 0
+    assert main(report_args(dataset_dir, tmp_path / "r")) == 0
+    assert main(report_args(dataset_dir, tmp_path / "w", ["--window", "0..20000"])) == 0
+    assert (tmp_path / "w" / "report.json").exists()
 
 
 def test_report_config_file_with_flag_overrides(dataset_dir, tmp_path):

@@ -1,12 +1,18 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ev, make_bundle, rt
 from echoscope.errors import InputFormatError
 from echoscope.ingest import (
+    KIND_ORIGINAL,
+    KIND_RETWEET,
+    TS_MAX,
     EventLog,
     FollowEdgeList,
+    TweetEvent,
     parse_domain_scores,
     parse_events,
     parse_follow_edges,
@@ -15,6 +21,7 @@ from echoscope.ingest import (
     write_events,
     write_follow_edges,
 )
+from echoscope.psl import extract_pld
 
 
 def write(path, text):
@@ -165,17 +172,165 @@ def test_events_sorted_with_tweet_id_tiebreak(tmp_path):
     assert log.authors == ("u1", "u2", "u3")
 
 
+def reference_parse(path):
+    """The events JSONL read one ``TweetEvent`` per line, then sorted: the
+    plain-loop specification the columnar parser must match."""
+    events = []
+    n_urls_dropped = 0
+    n_self_rts = 0
+    with open(path, encoding="utf-8", newline="") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise InputFormatError(f"invalid JSON: {exc}", path=path, line=lineno) from None
+            if not isinstance(obj, dict):
+                raise InputFormatError("record is not an object", path=path, line=lineno)
+            try:
+                tweet_id, author = str(obj["id"]), str(obj["author"])
+                ts, kind = obj["ts"], obj["kind"]
+            except KeyError as exc:
+                raise InputFormatError(
+                    f"missing key {exc.args[0]!r}", path=path, line=lineno
+                ) from None
+            if (
+                isinstance(ts, bool)
+                or not isinstance(ts, (int, float))
+                or ts < 0
+                or (isinstance(ts, float) and not ts.is_integer())
+                or ts > TS_MAX
+            ):
+                raise InputFormatError(f"bad timestamp {ts!r}", path=path, line=lineno)
+            if kind not in (KIND_ORIGINAL, KIND_RETWEET):
+                raise InputFormatError(f"bad kind {kind!r}", path=path, line=lineno)
+            orig_author = obj.get("orig_author")
+            if kind == KIND_RETWEET:
+                if not orig_author:
+                    raise InputFormatError(
+                        "retweet record lacks orig_author", path=path, line=lineno
+                    )
+                orig_author = str(orig_author)
+                if orig_author == author:
+                    n_self_rts += 1
+                    continue
+            else:
+                orig_author = None
+            urls = obj.get("urls", [])
+            if not isinstance(urls, list):
+                raise InputFormatError("urls must be an array", path=path, line=lineno)
+            domains = []
+            for url in urls:
+                pld = extract_pld(url)
+                if pld is None:
+                    n_urls_dropped += 1
+                else:
+                    domains.append(pld)
+            events.append(TweetEvent(tweet_id, author, int(ts), kind, orig_author, tuple(domains)))
+    events.sort(key=lambda e: (e.timestamp, e.tweet_id))
+    return events, n_urls_dropped, n_self_rts
+
+
+BAD_RECORDS = [
+    ('{"id": "t1", "author": "u1", "ts": -5, "kind": "original"}', "bad timestamp"),
+    ('{"id": "t1", "author": "u1", "ts": 5.5, "kind": "original"}', "bad timestamp"),
+    ('{"id": "t1", "author": "u1", "ts": true, "kind": "original"}', "bad timestamp"),
+    ('{"id": "t1", "author": "u1", "ts": "5", "kind": "original"}', "bad timestamp"),
+    ('{"id": "t1", "author": "u1", "ts": 9223372036854775808, "kind": "original"}',
+     "bad timestamp"),
+    ('{"id": "t1", "author": "u1", "ts": 1e23, "kind": "original"}', "bad timestamp"),
+    ('{"id": "t1", "author": "u1", "ts": 5, "kind": "quote"}', "bad kind"),
+    ('{"id": "t1", "author": "u1", "ts": 5}', "missing key 'kind'"),
+    ('{"author": "u1", "ts": 5, "kind": "original"}', "missing key 'id'"),
+    ("not json", "invalid JSON"),
+    ("[1, 2]", "record is not an object"),
+    ('{"id": "t1", "author": "u1", "ts": 5, "kind": "retweet"}', "retweet record lacks orig_author"),
+    ('{"id": "t1", "author": "u1", "ts": 5, "kind": "original", "urls": "x"}',
+     "urls must be an array"),
+]
+
+
 def test_bad_event_records(tmp_path):
-    for bad in (
-        '{"id": "t1", "author": "u1", "ts": -5, "kind": "original"}',
-        '{"id": "t1", "author": "u1", "ts": 5, "kind": "quote"}',
-        '{"id": "t1", "author": "u1", "ts": 5}',
-        '{"author": "u1", "ts": 5, "kind": "original"}',
-        "not json",
-        '{"id": "t1", "author": "u1", "ts": 5, "kind": "original", "urls": "x"}',
-    ):
-        with pytest.raises(InputFormatError):
-            parse_events(write(tmp_path / "ev.jsonl", bad + "\n"))
+    # two good lines and a blank one first, so each error must name line 4
+    good = event_line(id="t0", author="u0", ts=1, kind="original", urls=["http://a.example/"])
+    path = str(tmp_path / "ev.jsonl")
+    for bad, message in BAD_RECORDS:
+        write(tmp_path / "ev.jsonl", f"{good}\n{good}\n\n{bad}\n{good}\n")
+        with pytest.raises(InputFormatError) as err:
+            parse_events(path)
+        assert f"ev.jsonl:4: {message}" in str(err.value)
+        with pytest.raises(InputFormatError) as ref:
+            reference_parse(path)
+        assert str(err.value) == str(ref.value)
+
+
+def test_timestamp_at_int64_max_accepted(tmp_path):
+    path = write(
+        tmp_path / "ev.jsonl",
+        event_line(id="t1", author="u1", ts=TS_MAX, kind="original", urls=[]) + "\n",
+    )
+    assert parse_events(path).events[0].timestamp == TS_MAX
+
+
+HOSTS = [
+    "news.example.com", "News.Example.COM", "example.co.uk", "www.example.co.uk",
+    "a.example", "A.EXAMPLE.", "bit.ly", "sub.t.co", "192.0.2.1", "[2001:db8::1]",
+    "localhost", "exa mple.com", "foo.123", "..com", "co.uk", "x.www.ck",
+]
+URL_TEXT = st.builds(
+    "{}{}{}{}{}".format,
+    st.sampled_from(["", "http://", "HTTPS://", "ftp://"]),
+    st.sampled_from(["", "user:pw@", "me@"]),
+    st.sampled_from(HOSTS),
+    st.sampled_from(["", ":8080", ":x", "."]),
+    st.sampled_from(["", "/", "/a/b", "?q=1", "#frag", "/p?q=a/b"]),
+)
+URL = st.one_of(
+    URL_TEXT,
+    URL_TEXT.map(lambda u: f"  {u} "),
+    st.sampled_from(["", "   ", "not a url", "javascript:void(0)"]),
+    st.none(),
+    st.integers(),
+    st.lists(st.just("http://a.example/"), max_size=1),
+)
+USERS = ["u0", "u1", "u2", "u3"]
+RECORD = st.fixed_dictionaries(
+    {
+        "id": st.sampled_from(["t1", "t2", "t10", "a", "B", "7"]),
+        "author": st.sampled_from(USERS),
+        "ts": st.one_of(st.integers(0, 6), st.integers(0, 6).map(float),
+                        st.just(TS_MAX), st.just(2.0**62)),
+        "kind": st.sampled_from([KIND_ORIGINAL, KIND_RETWEET]),
+        "orig_author": st.sampled_from(USERS + ["ghost"]),
+    },
+    optional={"urls": st.lists(URL, max_size=5)},
+)
+LINE = st.one_of(RECORD.map(json.dumps), st.sampled_from(["", "   ", "\t"]))
+
+
+@given(st.lists(LINE, max_size=25))
+@settings(max_examples=300, deadline=None)
+def test_columns_match_per_line_reference(tmp_path_factory, lines):
+    path = str(tmp_path_factory.mktemp("log") / "ev.jsonl")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    expected, n_urls_dropped, n_self_rts = reference_parse(path)
+    log = parse_events(path)
+    assert log.events == tuple(expected)
+    assert log.n_urls_dropped == n_urls_dropped
+    assert log.n_self_retweets_dropped == n_self_rts
+    assert log.authors == tuple(sorted({e.author for e in expected}))
+    assert log.n_retweets == sum(e.is_retweet for e in expected)
+    backwards = expected[::-1]
+    assert EventLog.from_events(backwards).events == tuple(
+        sorted(backwards, key=lambda e: (e.timestamp, e.tweet_id))
+    )
+    # a window keeps the order and the domains of the events inside it
+    kept = log.restricted((2, 4))
+    assert kept.events == tuple(e for e in expected if 2 <= e.timestamp <= 4)
+    assert kept.authors == tuple(sorted({e.author for e in kept.events}))
 
 
 # ---------------------------------------------------------------- round trips

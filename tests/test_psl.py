@@ -1,9 +1,13 @@
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from echoscope.ingest import parse_events
 from echoscope.psl import (
     DEFAULT_SHORTENER_SKIP,
     SuffixRules,
+    _host_of,
     default_rules,
     extract_pld,
     is_valid_pld,
@@ -94,3 +98,56 @@ def test_extract_pld_is_total_and_stable(url):
 @settings(max_examples=200, deadline=None)
 def test_extract_pld_is_deterministic(url):
     assert extract_pld(url) == extract_pld(url)
+
+
+# URL spellings around a host: scheme, userinfo, port, trailing dot, path,
+# case and padding all vary while the host may stay the same
+HOST = st.one_of(
+    st.sampled_from([
+        "news.example.com", "example.co.uk", "other.co.uk", "co.uk", "a.example",
+        "bit.ly", "sub.t.co", "192.0.2.1", "[2001:db8::1]", "localhost", "foo.123",
+        "x.www.ck", "exa mple.com",
+    ]),
+    st.from_regex(r"[a-zA-Z0-9_.-]{1,12}", fullmatch=True),
+)
+SPELLED_URL = st.builds(
+    "{}{}{}{}{}{}{}".format,
+    st.sampled_from(["", " ", "\t"]),
+    st.sampled_from(["", "http://", "HTTPS://", "x://"]),
+    st.sampled_from(["", "user:pw@", "a@b@"]),
+    HOST,
+    st.sampled_from(["", ".", "..", ":80", ":8080", ":", ":x"]),
+    st.sampled_from(["", "/", "/A/b", "?q=1", "#f", "/x:1@y"]),
+    st.sampled_from(["", " "]),
+).map(lambda u: u.upper() if len(u) % 3 == 0 else u)
+ANY_URL = st.one_of(SPELLED_URL, st.text(max_size=40))
+
+
+@given(st.lists(ANY_URL, min_size=2, max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_urls_with_one_host_share_one_pld(urls):
+    # parse_events resolves each host once: sound only if the host decides
+    seen = {}
+    for url in urls:
+        pld = extract_pld(url)
+        assert seen.setdefault(_host_of(url), pld) == pld
+
+
+@given(st.lists(st.lists(st.one_of(ANY_URL, st.none(), st.integers()), max_size=6), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_memoised_extraction_matches_each_url(tmp_path_factory, url_lists):
+    path = tmp_path_factory.mktemp("urls") / "ev.jsonl"
+    path.write_text(
+        "".join(
+            json.dumps({"id": f"t{i:03d}", "author": "u", "ts": i, "kind": "original", "urls": urls})
+            + "\n"
+            for i, urls in enumerate(url_lists)
+        ),
+        encoding="utf-8",
+    )
+    log = parse_events(str(path))
+    per_url = [[extract_pld(url) for url in urls] for urls in url_lists]
+    assert [ev.domains for ev in log.events] == [
+        tuple(pld for pld in plds if pld is not None) for plds in per_url
+    ]
+    assert log.n_urls_dropped == sum(pld is None for plds in per_url for pld in plds)
