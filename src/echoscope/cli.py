@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 internal error, 2 input error. Logs go to stderr
 (level via the ECHOSCOPE_LOG environment variable); data only ever goes to
 stdout or the requested output paths.
+
+Only ``ingest`` is imported at load time: ``report`` (with ``scipy``) and
+``synth`` are imported by the commands that run them, so ``--help``,
+``validate`` and ``synth`` start without ``scipy``.
 """
 from __future__ import annotations
 
@@ -13,12 +17,22 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .errors import EchoscopeError, InfeasibleConfigError, InputFormatError
-from .ingest import atomic_open, load_dataset, validate_dataset, write_domain_scores, write_events, write_follow_edges
-from .report import OVERLAP_BOTH, RunConfig, run_report
-from .synth import SynthConfig, compare_with_oracle, generate, write_truth
+from .errors import EchoscopeError, InputFormatError
+from .ingest import (
+    atomic_open,
+    config_bool,
+    load_dataset,
+    read_key_values,
+    validate_dataset,
+    write_domain_scores,
+    write_events,
+    write_follow_edges,
+)
+
+if TYPE_CHECKING:
+    from .report import ReportBundle, RunConfig
 
 log = logging.getLogger(__name__)
 
@@ -52,65 +66,53 @@ def _parse_window(text: Optional[str]) -> Optional[tuple[int, int]]:
     return lo, hi
 
 
-def _read_kv_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise InputFormatError(f"cannot read config: {exc}", path=path) from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InputFormatError("expected key=value", path=path, line=lineno)
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
+# report config-file keys, each read by its cast; each key is also the dest
+# of the flag that overrides it
+REPORT_KEYS = {
+    "scores": str,
+    "edges": str,
+    "events": str,
+    "out": str,
+    "window": str,
+    "k_min": int,
+    "k_max": int,
+    "entropy_bins": int,
+    "reps": int,
+    "baseline_users": int,
+    "seed": int,
+    "overlap_mode": str,
+    "unique_domains": config_bool,
+    "threads": int,
+    "no_cache": config_bool,
+    "heatmap_bins": int,
+    "sample_n": int,
+}
 
 
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
-    file_values: dict[str, str] = {}
-    if args.config:
-        file_values = _read_kv_config(args.config)
+    from .report import RunConfig
 
-    def pick(flag_value, key: str, cast, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            raw = file_values[key]
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes")
-            return cast(raw)
-        return default
-
-    scores = pick(args.scores, "scores", str, None)
-    edges = pick(args.edges, "edges", str, None)
-    events = pick(args.events, "events", str, None)
-    out_dir = pick(args.out, "out", str, None)
-    missing = [name for name, v in (("scores", scores), ("edges", edges), ("events", events), ("out", out_dir)) if v is None]
+    values = read_key_values(args.config, REPORT_KEYS) if args.config else {}
+    for key in REPORT_KEYS:
+        flag = getattr(args, key)
+        if flag is not None:
+            values[key] = flag
+    missing = [key for key in ("scores", "edges", "events", "out") if key not in values]
     if missing:
         raise InputFormatError(f"missing required options: {', '.join('--' + m for m in missing)}")
-    window = _parse_window(pick(args.window, "window", str, None))
-    return RunConfig(
-        scores=scores,
-        edges=edges,
-        events=events,
-        out_dir=out_dir,
-        k_min=pick(args.k_min, "k_min", int, 1),
-        k_max=pick(args.k_max, "k_max", int, 10),
-        entropy_bins=pick(args.entropy_bins, "entropy_bins", int, 5),
-        reps=pick(args.reps, "reps", int, 1000),
-        baseline_users=pick(args.baseline_users, "baseline_users", int, 0),
-        window=window,
-        seed=pick(args.seed, "seed", int, 1),
-        overlap_mode=pick(args.overlap_mode, "overlap_mode", str, OVERLAP_BOTH),
-        unique_domains=pick(args.unique_domains or None, "unique_domains", bool, False),
-        threads=pick(args.threads, "threads", int, 1),
-        no_cache=pick(args.no_cache or None, "no_cache", bool, False),
-        heatmap_bins=pick(args.heatmap_bins, "heatmap_bins", int, 25),
-        sample_n=pick(args.sample_n, "sample_n", int, 500000),
-    )
+    window = _parse_window(values.pop("window", None))
+    return RunConfig(out_dir=values.pop("out"), window=window, **values)
+
+
+def run_report(cfg: RunConfig) -> ReportBundle:
+    """``report.run_report``, importing ``report`` on first use.
+
+    A name of this module, like ``load_dataset`` and ``validate_dataset``,
+    so that ``perfbench/tracer.py`` can wrap it before a command runs.
+    """
+    from . import report
+
+    return report.run_report(cfg)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -133,6 +135,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import SynthConfig, generate, write_truth
+
     cfg = SynthConfig.from_file(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
@@ -153,6 +157,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
+    from .synth import compare_with_oracle
+
     bundle = load_dataset(args.scores, args.edges, args.events)
     diff = compare_with_oracle(
         bundle,
@@ -210,9 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--window", help="restrict events to FROM..TO epoch seconds")
     p.add_argument("--overlap-mode", dest="overlap_mode", choices=["account", "content", "both"])
-    p.add_argument("--unique-domains", dest="unique_domains", action="store_true", default=False)
+    p.add_argument("--unique-domains", dest="unique_domains", action="store_true", default=None)
     p.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
-    p.add_argument("--no-cache", dest="no_cache", action="store_true", default=False)
+    p.add_argument("--no-cache", dest="no_cache", action="store_true", default=None)
     p.add_argument("--heatmap-bins", dest="heatmap_bins", type=int)
     p.add_argument("--sample-n", dest="sample_n", type=int)
     p.set_defaults(func=cmd_report)
@@ -241,10 +247,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputFormatError, InfeasibleConfigError) as exc:
-        log.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except EchoscopeError as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,8 @@ author and original-author ids, an int64 timestamp array, a retweet mask and
 a CSR of interned domain ids, sorted once by (timestamp, tweet id). Each
 distinct URL host is resolved to its registrable domain once. The analyses
 read the columns; ``EventLog.events`` gives the same log as ``TweetEvent``
-objects, built only when read.
+objects, built only when read. ``read_key_values`` reads the ``key = value``
+config files of ``report --config`` and ``synth --config``.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import os
 from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -412,6 +413,43 @@ def _undecodable(path: str, exc: UnicodeDecodeError) -> InputFormatError:
                     line=lineno,
                 )
     return InputFormatError(f"not valid UTF-8 ({exc.reason})", path=str(path))
+
+
+def read_key_values(path: str, fields: dict[str, Callable[[str], object]]) -> dict[str, object]:
+    """Read a ``key = value`` config file into the keys it sets.
+
+    Blank lines and ``#`` comments are skipped; a later line overrides an
+    earlier one. A key not in ``fields``, or a value that ``fields[key]``
+    refuses with ValueError, is an input error at its ``path:line``.
+    """
+    values: dict[str, object] = {}
+    with _open_checked(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise InputFormatError("expected key=value", path=str(path), line=lineno)
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in fields:
+                raise InputFormatError(f"unknown key {key!r}", path=str(path), line=lineno)
+            try:
+                values[key] = fields[key](value)
+            except ValueError:
+                raise InputFormatError(
+                    f"bad value for {key}: {value!r}", path=str(path), line=lineno
+                ) from None
+    return values
+
+
+def config_bool(text: str) -> bool:
+    """A config switch: ``1/true/yes`` or ``0/false/no``, in any case."""
+    word = text.lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
 
 
 @contextlib.contextmanager

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .errors import UndefinedStatisticError
 from .graph import FollowerGraph, RetweetGraph, count_matrix
@@ -51,11 +50,11 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     ys = [float(v) for v in y]
     if not all(math.isfinite(v) for v in xs + ys):
         raise UndefinedStatisticError("non-finite value in input")
-    mx = math.fsum(xs) / n
-    my = math.fsum(ys) / n
-    sxy = math.fsum((a - mx) * (b - my) for a, b in zip(xs, ys))
-    sxx = math.fsum((a - mx) ** 2 for a in xs)
-    syy = math.fsum((b - my) ** 2 for b in ys)
+    dx = _unit_deviations(xs)
+    dy = _unit_deviations(ys)
+    sxy = math.fsum(a * b for a, b in zip(dx, dy))
+    sxx = math.fsum(a * a for a in dx)
+    syy = math.fsum(b * b for b in dy)
     if sxx == 0.0 or syy == 0.0:
         raise UndefinedStatisticError("zero variance: correlation undefined")
     r = sxy / math.sqrt(sxx * syy)
@@ -63,9 +62,31 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     if abs(r) == 1.0:
         p = 0.0
     else:
+        # scipy.special alone: scipy.stats costs about a second to import,
+        # and its t.sf(|t|, df) is this same stdtr(df, -|t|)
+        from scipy.special import stdtr
+
         t = r * math.sqrt((n - 2) / (1.0 - r * r))
-        p = 2.0 * float(_scipy_stats.t.sf(abs(t), n - 2))
+        p = 2.0 * float(stdtr(n - 2, -abs(t)))
     return CorrelationResult(r, min(p, 1.0), n)
+
+
+def _unit_deviations(vs: list[float]) -> list[float]:
+    """Deviations from the mean, scaled by a power of two to order one.
+
+    The rounded mean can sit a whole spread away from the true one when the
+    spread is a few ulps (e.g. 1 + 2**-52), so a second pass subtracts the
+    mean of the first-pass deviations. r does not depend on scale, and a
+    power-of-two factor is exact; it keeps squared deviations from
+    underflowing into subnormals (spreads near 1e-154) or overflowing.
+    """
+    n = len(vs)
+    m = math.fsum(vs) / n
+    ds = [v - m for v in vs]
+    c = math.fsum(ds) / n
+    ds = [d - c for d in ds]
+    e = math.frexp(max(abs(d) for d in ds))[1]
+    return [math.ldexp(d, -e) for d in ds]
 
 
 def _ranks2(pooled: Sequence[float]) -> list[int]:

@@ -30,7 +30,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -45,6 +44,7 @@ from .ingest import (
     KIND_RETWEET,
     TweetEvent,
     atomic_open,
+    read_key_values,
 )
 from .rng import substream
 
@@ -90,27 +90,7 @@ class SynthConfig:
             "duration": int,
             "seed": int,
         }
-        values: dict = {}
-        try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            raise InputFormatError(f"cannot read config: {exc}", path=str(path)) from exc
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InputFormatError("expected key=value", path=str(path), line=lineno)
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in fields:
-                raise InputFormatError(f"unknown key {key!r}", path=str(path), line=lineno)
-            try:
-                values[key] = fields[key](value.strip())
-            except ValueError:
-                raise InputFormatError(
-                    f"bad value for {key}: {value.strip()!r}", path=str(path), line=lineno
-                ) from None
+        values = read_key_values(path, fields)
         missing = sorted(set(fields) - set(values))
         if missing:
             raise InputFormatError(f"missing keys: {', '.join(missing)}", path=str(path))

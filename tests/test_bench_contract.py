@@ -54,3 +54,32 @@ def test_tracer_runs_a_tiny_report(workloads, tmp_path):
     report = json.loads((out / "report.json").read_text())
     for key, value in meta["counts"].items():
         assert report["counts"][key] == value, key
+
+
+def test_tracer_runs_a_tiny_validate(workloads, tmp_path):
+    # the traced validate reaches load_dataset and validate_dataset through
+    # the names echoscope.cli holds at load time
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    meta = workloads._make_urllog("ingest_urls", 1, "tiny", inputs)
+
+    ingest_urls = workloads.WORKLOADS["ingest_urls"]
+    out = tmp_path / "out"
+    out.mkdir()
+    trace_path = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(PERFBENCH)]))
+    result = subprocess.run(
+        [sys.executable, str(PERFBENCH / "tracer.py"), str(trace_path), "--",
+         *ingest_urls.argv(inputs, out, "tiny")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+
+    trace = json.loads(trace_path.read_text())
+    names = {span[0] for span in trace["spans"]}
+    assert {"ingest.load", "ingest.validate", "ingest.parse_events"} <= names
+    assert trace["values"]["ingest.events_kept"] == meta["counters"]["n_events"]
+
+    assert {p.name for p in out.iterdir()} == ingest_urls.expected_files
+    payload = json.loads((out / "validate.json").read_text())
+    assert payload["counters"] == meta["counters"]

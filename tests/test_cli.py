@@ -2,11 +2,14 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import echoscope.report as report_mod
-from echoscope.cli import main
+from echoscope.cli import _build_run_config, build_parser, main
 from echoscope.ingest import write_domain_scores, write_events, write_follow_edges
 from echoscope.synth import SynthConfig, generate
 
@@ -157,6 +160,26 @@ def test_synth_infeasible_config_exit_two(tmp_path):
     assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (b"n_users = lots", "bad value for n_users: 'lots'"),
+        (b"nusers = 30", "unknown key 'nusers'"),
+        (b"# caf\xe9", "not valid UTF-8"),
+    ],
+    ids=["bad-value", "unknown-key", "not-utf8"],
+)
+def test_synth_config_faults_exit_two(tmp_path, capsys, caplog, fault, message):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_bytes(SYNTH_CFG.encode() + fault + b"\n")
+    out = tmp_path / "x"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {cfg}:10: {message}" in err
+    assert "Traceback" not in err + caplog.text
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- report
 
 
@@ -240,15 +263,20 @@ def test_report_and_validate_build_no_event_objects(dataset_dir, tmp_path, monke
     assert (tmp_path / "w" / "report.json").exists()
 
 
-def test_report_config_file_with_flag_overrides(dataset_dir, tmp_path):
+def report_config(dataset_dir, tmp_path, extra=b""):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(
+    cfg.write_bytes(
         f"scores = {dataset_dir/'scores.csv'}\n"
         f"edges = {dataset_dir/'edges.csv'}\n"
         f"events = {dataset_dir/'events.jsonl'}\n"
-        f"out = {tmp_path/'from_file'}\n"
-        "k_max = 3\nreps = 10\nsample_n = 100\n"
+        f"out = {tmp_path/'from_file'}\n".encode()
+        + extra
     )
+    return cfg
+
+
+def test_report_config_file_with_flag_overrides(dataset_dir, tmp_path):
+    cfg = report_config(dataset_dir, tmp_path, b"k_max = 3\nreps = 10\nsample_n = 100\n")
     assert main(["report", "--config", str(cfg)]) == 0
     report = json.loads((tmp_path / "from_file" / "report.json").read_text())
     assert set(report["correlations"]) == {"1", "2", "3"}
@@ -257,6 +285,41 @@ def test_report_config_file_with_flag_overrides(dataset_dir, tmp_path):
                  "--k-max", "2"]) == 0
     report = json.loads((tmp_path / "ovr" / "report.json").read_text())
     assert set(report["correlations"]) == {"1", "2"}
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (b"k_max = abc", "bad value for k_max: 'abc'"),
+        (b"unique_domains = maybe", "bad value for unique_domains: 'maybe'"),
+        (b"no_cache = nope", "bad value for no_cache: 'nope'"),
+        (b"kmax = 3", "unknown key 'kmax'"),
+        (b"reps 10", "expected key=value"),
+        (b"# caf\xe9", "not valid UTF-8"),
+    ],
+    ids=["bad-int", "bad-bool", "bad-bool-no-cache", "unknown-key", "no-equals", "not-utf8"],
+)
+def test_report_config_faults_exit_two(dataset_dir, tmp_path, capsys, caplog, fault, message):
+    # refused while the run config is built, before any input is read
+    cfg = report_config(dataset_dir, tmp_path, fault + b"\n")
+    assert main(["report", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {cfg}:5: {message}" in err
+    assert "Traceback" not in err + caplog.text
+    assert not (tmp_path / "from_file").exists()
+
+
+@pytest.mark.parametrize(
+    "word, value",
+    [("1", True), ("TRUE", True), ("yes", True), ("0", False), ("False", False), ("no", False)],
+)
+def test_report_config_bool_words(dataset_dir, tmp_path, word, value):
+    cfg = report_config(dataset_dir, tmp_path, f"unique_domains = {word}\nno_cache = {word}\n".encode())
+    run = _build_run_config(build_parser().parse_args(["report", "--config", str(cfg)]))
+    assert (run.unique_domains, run.no_cache) == (value, value)
+    # a switch given as a flag beats the file
+    run = _build_run_config(build_parser().parse_args(["report", "--config", str(cfg), "--no-cache"]))
+    assert (run.unique_domains, run.no_cache) == (value, True)
 
 
 def test_report_missing_inputs_exit_two(tmp_path):
@@ -362,3 +425,48 @@ def test_oracle_check_out_file(dataset_dir, tmp_path):
 def test_log_level_env(dataset_dir, monkeypatch, capsys):
     monkeypatch.setenv("ECHOSCOPE_LOG", "DEBUG")
     assert main(["validate", *inputs(dataset_dir)]) == 0
+
+
+# ---------------------------------------------------------------- start-up
+
+# runs one command in a fresh interpreter, then prints its exit code and the
+# scipy modules it loaded
+IMPORT_PROBE = """
+import json, sys
+from echoscope.cli import main
+try:
+    rc = main(sys.argv[1:])
+except SystemExit as exc:
+    rc = exc.code
+print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def loaded_modules(argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *argv], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    rc, modules = json.loads(result.stdout.splitlines()[-1])
+    assert rc == 0, result.stderr
+    return modules
+
+
+@pytest.mark.parametrize("command", ["help", "validate", "synth"])
+def test_commands_without_scipy_never_import_it(dataset_dir, tmp_path, command):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(SYNTH_CFG)
+    argv = {
+        "help": ["--help"],
+        "validate": ["validate", *inputs(dataset_dir), "--out", str(tmp_path / "v.json")],
+        "synth": ["synth", "--config", str(cfg), "--out", str(tmp_path / "s")],
+    }[command]
+    assert loaded_modules(argv) == []
+
+
+def test_report_imports_no_scipy_stats(dataset_dir, tmp_path):
+    modules = loaded_modules(report_args(dataset_dir, tmp_path / "r"))
+    assert "scipy.special" in modules
+    assert not [m for m in modules if m == "scipy.stats" or m.startswith("scipy.stats.")]

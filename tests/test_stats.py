@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc
 
@@ -58,6 +58,21 @@ def test_pearson_matches_direct_formula_oracle():
         assert got.n == n
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 10, 30, 100, 1000, 5000])
+def test_pearson_p_equals_scipy_stats_t_sf(n):
+    # the p-value the report has always written, bit for bit
+    from scipy import stats
+
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n)
+    noise = rng.normal(size=n)
+    for rho in (-0.999, -0.9, -0.5, -0.1, 0.0, 0.02, 0.3, 0.7, 0.99):
+        y = rho * x + math.sqrt(1 - rho * rho) * noise
+        got = pearson(x.tolist(), y.tolist())
+        t = got.r * math.sqrt((n - 2) / (1.0 - got.r * got.r))
+        assert got.p == min(2.0 * float(stats.t.sf(abs(t), n - 2)), 1.0), (rho, got)
+
+
 def test_pearson_errors():
     with pytest.raises(UndefinedStatisticError, match="mismatch"):
         pearson([1, 2, 3], [1, 2])
@@ -74,6 +89,10 @@ def test_pearson_errors():
     st.floats(0.1, 50),
     st.floats(-10, 10),
 )
+# squaring these deviations underflows into subnormals unless they are rescaled
+@example(xs=[0.0, 0.0, 0.0, 3.0461049016284914e-159], a=0.5, b=0.0)
+# 1 + 2**-52 leaves a spread of one ulp, which the rounded mean swallows
+@example(xs=[0.0, 0.0, 0.0, 2.220446049250313e-16], a=1.0, b=1.0)
 @settings(max_examples=120, deadline=None)
 def test_pearson_symmetry_and_affine_invariance(xs, a, b):
     rng = np.random.default_rng(len(xs))
