@@ -51,19 +51,27 @@ def _setup_logging() -> None:
     )
 
 
-def _parse_window(text: Optional[str]) -> Optional[tuple[int, int]]:
-    if text is None:
-        return None
+OVERLAP_MODES = ("account", "content", "both")
+
+
+def _window(text: str) -> tuple[int, int]:
+    """``FROM..TO`` epoch seconds as a pair; ValueError when malformed or empty."""
     if ".." not in text:
-        raise InputFormatError(f"window must look like FROM..TO, got {text!r}")
+        raise ValueError(f"window must look like FROM..TO, got {text!r}")
     lo_s, _, hi_s = text.partition("..")
     try:
         lo, hi = int(lo_s), int(hi_s)
     except ValueError:
-        raise InputFormatError(f"window bounds must be integers, got {text!r}") from None
+        raise ValueError(f"window bounds must be integers, got {text!r}") from None
     if hi < lo:
-        raise InputFormatError(f"window is empty: {text!r}")
+        raise ValueError(f"window is empty: {text!r}")
     return lo, hi
+
+
+def _overlap_mode(text: str) -> str:
+    if text not in OVERLAP_MODES:
+        raise ValueError(f"unknown overlap mode {text!r}")
+    return text
 
 
 # report config-file keys, each read by its cast; each key is also the dest
@@ -73,14 +81,14 @@ REPORT_KEYS = {
     "edges": str,
     "events": str,
     "out": str,
-    "window": str,
+    "window": _window,
     "k_min": int,
     "k_max": int,
     "entropy_bins": int,
     "reps": int,
     "baseline_users": int,
     "seed": int,
-    "overlap_mode": str,
+    "overlap_mode": _overlap_mode,
     "unique_domains": config_bool,
     "threads": int,
     "no_cache": config_bool,
@@ -97,11 +105,15 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
+    if args.window is not None:  # the flag's text, parsed here so its faults keep their message
+        try:
+            values["window"] = _window(args.window)
+        except ValueError as exc:
+            raise InputFormatError(str(exc)) from None
     missing = [key for key in ("scores", "edges", "events", "out") if key not in values]
     if missing:
         raise InputFormatError(f"missing required options: {', '.join('--' + m for m in missing)}")
-    window = _parse_window(values.pop("window", None))
-    return RunConfig(out_dir=values.pop("out"), window=window, **values)
+    return RunConfig(out_dir=values.pop("out"), **values)
 
 
 def run_report(cfg: RunConfig) -> ReportBundle:
@@ -215,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cap on users entering the random baseline (0 = all)")
     p.add_argument("--seed", type=int)
     p.add_argument("--window", help="restrict events to FROM..TO epoch seconds")
-    p.add_argument("--overlap-mode", dest="overlap_mode", choices=["account", "content", "both"])
+    p.add_argument("--overlap-mode", dest="overlap_mode", choices=OVERLAP_MODES)
     p.add_argument("--unique-domains", dest="unique_domains", action="store_true", default=None)
     p.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
     p.add_argument("--no-cache", dest="no_cache", action="store_true", default=None)

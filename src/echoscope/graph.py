@@ -1,20 +1,22 @@
 """Follower and retweet graphs over one user-id space, overlap metrics, sampling.
 
-A report interns every user it needs once, in ``user_space``: the seeds,
-their friends, the accounts they retweeted and the log's authors, sorted by
-name, so an id's order is its name's order. Both graphs are seed x user CSR
-matrices over those ids, one row per seed in sorted order, columns ascending
-in each row:
-``FollowerGraph.follow`` holds one entry of 1 per edge and
-``RetweetGraph.retweets`` the number of times a seed retweeted an account.
-Threshold k is ``retweets >= k``, so raising k always keeps a subset of the
-edges at k-1. A user's indegree is a column sum. The per-seed metrics below
-are row operations on the two matrices and come back as vectors over the
-seed rows, NaN where a seed's value is undefined; the moderacy engine pools
-exposures over the same matrices and keeps every per-user value as a vector
-over the same ids.
+A report numbers every user its inputs name once, in ``user_space``: the
+seeds, every endpoint of an edge and every author and retweeted account of
+the log, sorted by name, so an id's order is its name's order. Each input
+table maps into that space with one name -> id lookup. Both graphs are seed
+x user CSR matrices over those ids, one row per seed in sorted order,
+columns ascending in each row: ``FollowerGraph.follow`` holds one entry of
+1 per edge and ``RetweetGraph.retweets`` the number of times a seed
+retweeted an account. Threshold k is ``retweets >= k``, so raising k always
+keeps a subset of the edges at k-1. A user's indegree is a column sum. The
+per-seed metrics below are row operations on the two matrices and come back
+as vectors over the seed rows, NaN where a seed's value is undefined; the
+moderacy engine pools exposures over the same matrices and keeps every
+per-user value as a vector over the same ids. A user with no entry in
+either graph and no tweet of its own (say, an account only non-seeds
+retweeted) has an id but no defined value, so no row names it.
 
-Cache file layout (little-endian, version 2): the magic b"ECHOGRF1", a u32
+Cache file layout (little-endian, version 3): the magic b"ECHOGRF1", a u32
 format version, a u32 fingerprint length F, F fingerprint bytes (opaque,
 caller-supplied), then eight arrays, each a u64 element count and the elements:
 
@@ -47,7 +49,7 @@ OVERLAP_ACCOUNT = "account"
 OVERLAP_CONTENT = "content"
 
 CACHE_MAGIC = b"ECHOGRF1"
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 class _SeedGraph:
@@ -125,11 +127,11 @@ def count_matrix(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> 
 class UserSpace:
     """One report's user ids and the seeds' own edges and retweets on them.
 
-    ``names`` holds the seeds, their friends, the accounts they retweeted and
-    the log's authors, sorted, so an id's order is its name's order. ``seeds``
-    are sorted too and number the graph rows. ``follow_pairs`` holds the
-    (seed row, user id) of every edge leaving a seed and ``retweet_pairs``
-    those of every retweet a seed posted, found while collecting the names.
+    ``names`` holds every user the inputs name: the seeds, every endpoint of
+    an edge and every author and retweeted account of the log, sorted, so an
+    id's order is its name's order. ``seeds`` are sorted too and number the
+    graph rows. ``follow_pairs`` holds the (seed row, user id) of every edge
+    leaving a seed and ``retweet_pairs`` those of every retweet a seed posted.
     """
 
     names: list[str]
@@ -143,38 +145,25 @@ class UserSpace:
 
 
 def user_space(seeds: Iterable[str], edges: FollowEdgeList, log: EventLog) -> UserSpace:
-    """Intern every user a report needs, once, and number the seeds' edges and retweets."""
+    """Number every user the inputs name, once, and the seeds' edges and retweets."""
     seed_list = sorted(set(seeds))
     if not seed_list:
         raise EchoscopeError("seed set is empty")
-    row_of = {user: i for i, user in enumerate(seed_list)}
-    edge_row = np.full(edges.n_users, -1, dtype=np.int64)
-    for user, row in row_of.items():
-        idx = edges.index.get(user)
-        if idx is not None:
-            edge_row[idx] = row
-    rows = edge_row[edges.src]
-    keep = rows >= 0
-    follow_rows, friends = rows[keep], edges.dst[keep]
-    friend_ids = np.unique(friends)
-    friend_names = [edges.names[i] for i in friend_ids.tolist()]
-    row_of_user = np.array([row_of.get(user, -1) for user in log.users], dtype=np.int64)
-    retweet_rows = row_of_user[log.author[log.retweet]]
-    by_seed = retweet_rows >= 0
-    retweet_rows, targets = retweet_rows[by_seed], log.orig_author[log.retweet][by_seed]
-    target_ids = np.unique(targets)
-    target_names = [log.users[i] for i in target_ids.tolist()]
+    names = sorted(set(seed_list).union(edges.names, log.users))
+    id_of = {name: i for i, name in enumerate(names)}
+    edge_ids = np.array([id_of[name] for name in edges.names], dtype=np.int64)
+    log_ids = np.array([id_of[name] for name in log.users], dtype=np.int64)
+    row_of = np.full(len(names), -1, dtype=np.int64)
+    row_of[[id_of[seed] for seed in seed_list]] = np.arange(len(seed_list))
 
-    names = sorted(set(seed_list).union(friend_names, target_names, log.authors))
-    user_id = {name: i for i, name in enumerate(names)}
-    col_of = np.zeros(edges.n_users, dtype=np.int64)
-    col_of[friend_ids] = [user_id[name] for name in friend_names]
-    target_col = np.zeros(len(log.users), dtype=np.int64)
-    target_col[target_ids] = [user_id[name] for name in target_names]
-    retweet_cols = target_col[targets]
-    return UserSpace(
-        names, seed_list, (follow_rows, col_of[friends]), (retweet_rows, retweet_cols)
-    )
+    def seed_pairs(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        rows = row_of[src]
+        keep = rows >= 0
+        return rows[keep], dst[keep]
+
+    follow = seed_pairs(edge_ids[edges.src], edge_ids[edges.dst])
+    retweet = seed_pairs(log_ids[log.author[log.retweet]], log_ids[log.orig_author[log.retweet]])
+    return UserSpace(names, seed_list, follow, retweet)
 
 
 def build_follower_graph(space: UserSpace) -> FollowerGraph:

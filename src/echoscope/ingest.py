@@ -95,10 +95,8 @@ class FollowEdgeList:
         dst: np.ndarray,
         n_self_loops_dropped: int = 0,
         n_duplicates_dropped: int = 0,
-        index: Optional[dict[str, int]] = None,
     ) -> None:
         self.names = names
-        self.index = {name: i for i, name in enumerate(names)} if index is None else index
         self.src = src
         self.dst = dst
         self.n_self_loops_dropped = n_self_loops_dropped
@@ -128,7 +126,7 @@ class FollowEdgeList:
             src_buf.append(s)
             dst_buf.append(d)
         src, dst, n_dup = _dedup_edges(src_buf, dst_buf)
-        return cls(names, src, dst, n_self, n_dup, index)
+        return cls(names, src, dst, n_self, n_dup)
 
     @property
     def n_edges(self) -> int:

@@ -15,7 +15,7 @@ under a graph kind (originals and retweets both land in a timeline), so
 active friends weigh more. The fold branch for exposures reuses the seed's
 OWN raw mu, and metrics_at(k) normalizes the two kinds jointly so their
 difference (delta = m_e_f - m_e_r) is meaningful. Names appear only where
-rows are written (the report's tables, MetricsSet.by_user).
+rows are written: the report's tables, and the oracle comparison's maps.
 
 The per-seed analyses (class fractions, congruence) return vectors over the
 graphs' seed rows, NaN where a seed's value is undefined; friend activity
@@ -96,18 +96,6 @@ def minmax_normalize(values: np.ndarray) -> np.ndarray:
         log.warning("min-max range is degenerate (%g); mapping all to 0.5", lo)
         return np.full(values.size, 0.5)
     return (values - lo) / (hi - lo)
-
-
-@dataclass(frozen=True)
-class UserMetrics:
-    user: str
-    mu: Optional[float]
-    m_s: Optional[float]
-    m_e_f: Optional[float]
-    m_e_r: Optional[float]
-    delta: Optional[float]
-    domain_count: int
-    moderacy_class: Optional[str]
 
 
 def _fsum_row(matrix: sparse.csr_matrix, row: int, scores: np.ndarray) -> tuple[float, int]:
@@ -321,8 +309,7 @@ class MetricsSet:
     """Exposures at one retweet threshold, as vectors over the engine's user ids.
 
     ``m_e_f``, ``m_e_r`` and ``delta`` are NaN where undefined; only seeds
-    with a mu and a scored pool have exposures. ``by_user`` turns them, with
-    the engine's individual scores, into rows, and is built when first read.
+    with a mu and a scored pool have exposures.
     """
 
     engine: "MetricsEngine"
@@ -337,26 +324,6 @@ class MetricsSet:
         """The ids of every user with a defined value, ascending (name order)."""
         e = self.engine
         return np.flatnonzero(~(np.isnan(e.mu) & np.isnan(self.m_e_f) & np.isnan(self.m_e_r)))
-
-    @cached_property
-    def by_user(self) -> dict[str, UserMetrics]:
-        """Every user with a defined value, in name order."""
-        e, ids = self.engine, self.user_ids
-
-        def optional(values: np.ndarray) -> list[Optional[float]]:
-            return [None if math.isnan(v) else v for v in values[ids].tolist()]
-
-        columns = zip(
-            ids.tolist(),
-            optional(e.mu),
-            optional(e.m_s),
-            optional(self.m_e_f),
-            optional(self.m_e_r),
-            optional(self.delta),
-            e.domain_count[ids].tolist(),
-            class_names(e.class_code[ids]),
-        )
-        return {e.names[i]: UserMetrics(e.names[i], *row) for i, *row in columns}
 
 
 class MetricsEngine:

@@ -30,7 +30,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -593,38 +593,40 @@ def compare_with_oracle(
     engine = mod.MetricsEngine(bundle, fg, rg, unique_domains)
     metrics = engine.metrics_at(k)
 
-    def by_seed(values: np.ndarray) -> dict[str, float]:
-        """A vector over the seed rows as a map from seed name, undefined values left out."""
-        return {s: v for s, v in zip(fg.seeds, values.tolist()) if not math.isnan(v)}
+    names, seeds = engine.names, fg.seeds
 
+    def named(keys: Sequence[str], values) -> dict:
+        """Values over ids (or seed rows) as a map from name, NaN and None left out."""
+        pairs = zip(keys, np.asarray(values).tolist())
+        return {key: v for key, v in pairs if v is not None and v == v}  # NaN != NaN
+
+    defined_count = np.where(np.isnan(engine.mu), np.nan, engine.domain_count)
     engine_maps: dict[str, dict[str, float]] = {
-        "mu": {u: m.mu for u, m in metrics.by_user.items() if m.mu is not None},
-        "domain_count": {
-            u: float(m.domain_count) for u, m in metrics.by_user.items() if m.mu is not None
-        },
-        "m_s": {u: m.m_s for u, m in metrics.by_user.items() if m.m_s is not None},
-        "m_e_f": {u: m.m_e_f for u, m in metrics.by_user.items() if m.m_e_f is not None},
-        "m_e_r": {u: m.m_e_r for u, m in metrics.by_user.items() if m.m_e_r is not None},
-        "delta": {u: m.delta for u, m in metrics.by_user.items() if m.delta is not None},
-        "frac_friends_retweeted": by_seed(graph_mod.fraction_friends_retweeted(fg, rg, k)),
-        "overlap_account": by_seed(graph_mod.retweet_overlap(fg, rg, k, graph_mod.OVERLAP_ACCOUNT)),
-        "overlap_content": by_seed(graph_mod.retweet_overlap(fg, rg, k, graph_mod.OVERLAP_CONTENT)),
+        "mu": named(names, engine.mu),
+        "domain_count": named(names, defined_count),
+        "m_s": named(names, engine.m_s),
+        "m_e_f": named(names, metrics.m_e_f),
+        "m_e_r": named(names, metrics.m_e_r),
+        "delta": named(names, metrics.delta),
+        "frac_friends_retweeted": named(seeds, graph_mod.fraction_friends_retweeted(fg, rg, k)),
     }
+    for mode in (graph_mod.OVERLAP_ACCOUNT, graph_mod.OVERLAP_CONTENT):
+        engine_maps["overlap_" + mode] = named(seeds, graph_mod.retweet_overlap(fg, rg, k, mode))
     for kind, tag in ((mod.FOLLOWER, "f"), (mod.RETWEET, "r")):
         frac_mod, frac_hard = mod.exposure_class_fractions(engine, kind, k)
-        engine_maps["frac_moderate_" + tag] = by_seed(frac_mod)
-        engine_maps["frac_hardline_" + tag] = by_seed(frac_hard)
+        engine_maps["frac_moderate_" + tag] = named(seeds, frac_mod)
+        engine_maps["frac_hardline_" + tag] = named(seeds, frac_hard)
     entropy_f, entropy_r, _, _ = stats_mod.entropy_comparison(fg, rg, engine.m_s, n_bins, k)
-    engine_maps["entropy_f"] = by_seed(entropy_f)
-    engine_maps["entropy_r"] = by_seed(entropy_r)
+    engine_maps["entropy_f"] = named(seeds, entropy_f)
+    engine_maps["entropy_r"] = named(seeds, entropy_r)
     frac_r, frac_n = mod.congruent_friend_fraction_diff(fg, rg, engine.class_code, k)
-    engine_maps["frac_congruent_retweeted"] = by_seed(frac_r)
-    engine_maps["frac_congruent_not_retweeted"] = by_seed(frac_n)
-    engine_maps["congruence_diff"] = by_seed(frac_r - frac_n)
+    engine_maps["frac_congruent_retweeted"] = named(seeds, frac_r)
+    engine_maps["frac_congruent_not_retweeted"] = named(seeds, frac_n)
+    engine_maps["congruence_diff"] = named(seeds, frac_r - frac_n)
     friends, activity, retweeted = mod.friend_activity_comparison(engine, k)
-    friend_names = [fg.names[i] for i in friends.tolist()]
-    engine_maps["activity"] = dict(zip(friend_names, map(float, activity.tolist())))
-    engine_maps["activity_retweeted"] = dict(zip(friend_names, map(float, retweeted.tolist())))
+    friend_names = [names[i] for i in friends.tolist()]
+    engine_maps["activity"] = named(friend_names, activity.astype(np.float64))
+    engine_maps["activity_retweeted"] = named(friend_names, retweeted.astype(np.float64))
     engine_maps["overlap_curve_mean"] = {}
     engine_maps["overlap_curve_n"] = {}
     for mode in (graph_mod.OVERLAP_ACCOUNT, graph_mod.OVERLAP_CONTENT):
@@ -678,18 +680,10 @@ def compare_with_oracle(
     if len(friend_names) != len(engine_maps["activity"]):
         presence_mismatches.append("activity: a friend has more than one row")
     class_maps = (
-        (
-            "moderacy_class",
-            {u: m.moderacy_class for u, m in metrics.by_user.items() if m.moderacy_class},
-            oracle.moderacy_class,
-        ),
+        ("moderacy_class", named(names, mod.class_names(engine.class_code)), oracle.moderacy_class),
         (
             "activity_class",
-            {
-                f: c
-                for f, c in zip(friend_names, mod.class_names(engine.class_code[friends]))
-                if c
-            },
+            named(friend_names, mod.class_names(engine.class_code[friends])),
             oracle.activity_class,
         ),
     )

@@ -296,8 +296,14 @@ def test_report_config_file_with_flag_overrides(dataset_dir, tmp_path):
         (b"kmax = 3", "unknown key 'kmax'"),
         (b"reps 10", "expected key=value"),
         (b"# caf\xe9", "not valid UTF-8"),
+        (b"window = junk", "bad value for window: 'junk'"),
+        (b"window = 5..1", "bad value for window: '5..1'"),
+        (b"overlap_mode = bogus", "bad value for overlap_mode: 'bogus'"),
     ],
-    ids=["bad-int", "bad-bool", "bad-bool-no-cache", "unknown-key", "no-equals", "not-utf8"],
+    ids=[
+        "bad-int", "bad-bool", "bad-bool-no-cache", "unknown-key", "no-equals", "not-utf8",
+        "window-junk", "window-empty", "overlap-mode-bogus",
+    ],
 )
 def test_report_config_faults_exit_two(dataset_dir, tmp_path, capsys, caplog, fault, message):
     # refused while the run config is built, before any input is read

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import graphs_of, rt
+from conftest import ev, graphs_of, rt
 from echoscope.errors import EchoscopeError
 from echoscope.graph import (
     CACHE_MAGIC,
@@ -79,6 +79,26 @@ def test_seed_without_edges_still_present():
     fg = follower_graph([("s1", "a")], {"s1", "s2"})
     assert fg.seeds == ["s1", "s2"]
     assert fg.friends("s2") == frozenset()
+
+
+def test_user_space_numbers_every_named_user():
+    pairs = [("s1", "a"), ("x", "b"), ("s2", "s1")]
+    events = [
+        ev("t1", "c", 1),
+        rt("t2", "s1", 2, "a"),
+        rt("t3", "y", 3, "ghost"),  # an account only a non-seed retweeted
+        rt("t4", "x", 4, "ghost"),
+    ]
+    seeds = {"s1", "s2", "lonely"}
+    edges, log = edges_of(pairs), log_of(events)
+    space = user_space(seeds, edges, log)
+    assert space.names == sorted(seeds | set(edges.names) | set(log.users))
+    fg, rg = build_follower_graph(space), build_retweet_graph(space)
+    assert fg.names == rg.names == space.names
+    ghost = space.names.index("ghost")
+    assert fg.follow[:, ghost].nnz == 0 and rg.retweets[:, ghost].nnz == 0
+    assert weights_of(rg) == {"s1": {"a": 1}}
+    assert indegrees(fg) == {"a": 1, "s1": 1}  # the x->b edge is outside the sample
 
 
 def test_empty_seed_set_rejected():
@@ -290,9 +310,11 @@ def test_cache_version_1_reads_as_miss(tmp_path, tiny_bundle):
     save_graph_cache(str(path), *graphs_of(tiny_bundle), b"fp")
     data = bytearray(path.read_bytes())
     assert load_graph_cache(str(path), b"fp") is not None
-    data[8:12] = struct.pack("<I", 1)
-    path.write_bytes(bytes(data))
-    assert load_graph_cache(str(path), b"fp") is None
+    # version 2 numbered a narrower id space, so its files read as a miss too
+    for version in (1, 2):
+        data[8:12] = struct.pack("<I", version)
+        path.write_bytes(bytes(data))
+        assert load_graph_cache(str(path), b"fp") is None
     # a version-1 header followed by the old per-seed records
     old = CACHE_MAGIC + struct.pack("<II", 1, 2) + b"fp" + struct.pack("<I", 0) * 4
     path.write_bytes(old)

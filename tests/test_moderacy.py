@@ -198,7 +198,9 @@ def test_exposure_requires_scored_user_and_nonempty_pool():
     )
     engine2 = engine_of(bundle2)
     assert math.isnan(at(engine2, engine2.raw_exposures(FOLLOWER), "u"))
-    assert "u" in engine2.metrics_at(1).by_user  # scored, but without exposures
+    mset2 = engine2.metrics_at(1)
+    assert engine2.names.index("u") in mset2.user_ids  # scored, but without exposures
+    assert not math.isnan(at(engine2, engine2.mu, "u"))
 
 
 def test_identical_friend_pools_give_identical_exposure():
@@ -254,7 +256,7 @@ def test_exposure_delta_and_sign_flip():
     assert at(engine, mset.delta, "v") == 0.0
     assert at(engine, mset.m_e_f, "w") == 0.0
     assert math.isnan(at(engine, mset.delta, "w"))
-    assert mset.by_user["w"].delta is None
+    assert engine.names.index("w") in mset.user_ids  # w has a row, with no delta
 
 
 def test_delta_negates_when_graph_roles_swap():
@@ -269,15 +271,15 @@ def test_delta_negates_when_graph_roles_swap():
     bundle = make_bundle(scores, edges, events)
     fg, rg = graphs_of(bundle)
     engine = MetricsEngine(bundle, fg, rg)
-    m = engine.metrics_at(1).by_user["u"]
+    delta = at(engine, engine.metrics_at(1).delta, "u")
     # swapped-role engine: follower pool <- retweet friends and vice versa
     fg_swapped = FollowerGraph(fg.names, fg.seeds, rg.at_least(1))
     rg_swapped = RetweetGraph(rg.names, rg.seeds, fg.follow)
     assert fg_swapped.friends("u") == rg.retweet_friends("u", 1)
     assert rg_swapped.retweet_friends("u", 1) == fg.friends("u")
     engine2 = MetricsEngine(bundle, fg_swapped, rg_swapped)
-    m2 = engine2.metrics_at(1).by_user["u"]
-    assert m2.delta == pytest.approx(-m.delta, abs=1e-12)
+    delta2 = at(engine2, engine2.metrics_at(1).delta, "u")
+    assert delta2 == pytest.approx(-delta, abs=1e-12)
 
 
 # ---------------------------------------------------------------- class fractions
@@ -471,8 +473,9 @@ def test_engine_normalizes_all_scored_users_together(tiny_bundle):
     assert scored == {"s1", "s2", "f1", "f2", "f3"}
     assert np.nanmin(engine.m_s) == 0.0
     assert np.nanmax(engine.m_s) == 1.0
-    metrics = engine.metrics_at(1).by_user
-    assert metrics["f2"].m_e_f is None  # friends have no observed friend lists
+    mset = engine.metrics_at(1)
+    assert engine.names.index("f2") in mset.user_ids
+    assert math.isnan(at(engine, mset.m_e_f, "f2"))  # friends have no observed friend lists
 
 
 def test_engine_window_restricts_everything():

@@ -1,4 +1,5 @@
 """Engine-vs-oracle equivalence on small bundles, plus the negative control."""
+import csv
 import dataclasses
 import json
 
@@ -7,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import ev, make_bundle, rt
+from echoscope.ingest import EventLog
 import echoscope.moderacy as moderacy
 from echoscope.moderacy import HARDLINER, MODERATE
 from echoscope.report import RunConfig, build_report, write_report
@@ -175,6 +177,47 @@ def test_report_means_match_oracle(seed, unique_domains, tmp_path):
             )
         n_defined += len(users)
     assert n_defined > 0
+
+
+def first_column(path):
+    """A written CSV's first column, header left out."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [row[0] for row in list(csv.reader(fh))[1:]]
+
+
+@pytest.mark.parametrize("unique_domains", [False, True])
+@pytest.mark.parametrize("seed", [1, 5])
+def test_report_row_sets_match_oracle(seed, unique_domains, tmp_path):
+    # a strict seed subset, and non-seeds retweeting accounts no seed follows:
+    # those accounts have ids in the report but no row in any table
+    bundle = synth_bundle(seed, n_users=30, base_follow_prob=0.2)
+    users = sorted(bundle.seeds)
+    extra = [rt(f"x{i}", u, 10 + i, f"outsider{i % 3}") for i, u in enumerate(users[1::2])]
+    log = EventLog.from_events(list(bundle.log.events) + extra)
+    bundle = dataclasses.replace(bundle, log=log, seeds=frozenset(users[::2]))
+    followed = {friend for seed, friend in bundle.edges.iter_edges() if seed in bundle.seeds}
+    assert not followed & {"outsider0", "outsider1", "outsider2"}
+    cfg = RunConfig(
+        scores="unused", edges="unused", events="unused", out_dir=str(tmp_path),
+        k_max=1, reps=5, sample_n=10, unique_domains=unique_domains,
+    )
+    write_report(build_report(bundle, cfg), cfg.out_dir)
+    oracle = oracle_metrics(bundle, k=1, n_bins=cfg.entropy_bins, unique_domains=unique_domains)
+    expected = {
+        "user_metrics.csv": set(oracle.mu) | set(oracle.m_e_f) | set(oracle.m_e_r),
+        "delta_vs_ms_k1.csv": set(oracle.delta),
+        "entropy.csv": set(oracle.entropy_f),
+        "congruence.csv": set(oracle.congruence_diff),
+        "overlap_user_k1.csv": (
+            set(oracle.frac_friends_retweeted)
+            | set(oracle.overlap_account)
+            | set(oracle.overlap_content)
+        ),
+        "activity.csv": set(oracle.activity),
+    }
+    for name, keys in expected.items():
+        assert keys, name
+        assert first_column(tmp_path / name) == sorted(keys), name
 
 
 def test_corrupted_engine_fails_with_named_metric(monkeypatch):

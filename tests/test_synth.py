@@ -1,5 +1,6 @@
 import statistics
 
+import numpy as np
 import pytest
 
 from conftest import ev, graphs_of, make_bundle
@@ -193,10 +194,9 @@ def test_homophily_off_kills_echo_chamber():
     )
     bundle, _ = generate(cfg)
     mset = MetricsEngine(bundle, *graphs_of(bundle)).metrics_at(1)
-    paired = [
-        m for m in mset.by_user.values() if m.m_s is not None and m.m_e_f is not None
-    ]
-    r = pearson([m.m_s for m in paired], [m.m_e_f for m in paired]).r
+    m_s = mset.engine.m_s
+    paired = ~np.isnan(m_s) & ~np.isnan(mset.m_e_f)
+    r = pearson(m_s[paired].tolist(), mset.m_e_f[paired].tolist()).r
     assert abs(r) < 0.15, r
 
 
@@ -221,13 +221,11 @@ def test_attention_bias_raises_retweet_follower_correlation_gap():
         )
         bundle, _ = generate(cfg)
         mset = MetricsEngine(bundle, *graphs_of(bundle)).metrics_at(1)
-        paired = [
-            m for m in mset.by_user.values() if m.m_s is not None and m.delta is not None
-        ]
-        ms = [m.m_s for m in paired]
+        paired = ~np.isnan(mset.engine.m_s) & ~np.isnan(mset.delta)
+        ms = mset.engine.m_s[paired].tolist()
         return (
-            pearson(ms, [m.m_e_r for m in paired]).r
-            - pearson(ms, [m.m_e_f for m in paired]).r
+            pearson(ms, mset.m_e_r[paired].tolist()).r
+            - pearson(ms, mset.m_e_f[paired].tolist()).r
         )
 
     betas = (0.0, 1.0, 3.0, 5.0)
