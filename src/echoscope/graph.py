@@ -35,8 +35,10 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 import math
+import operator
 import struct
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Optional
 
 import numpy as np
@@ -206,6 +208,15 @@ def ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
+def left_sum(values: Iterable):
+    """The values added left to right, starting from 0.
+
+    This is what the builtin sum does through Python 3.11; from 3.12 it
+    compensates float rounding, so its result would depend on the interpreter.
+    """
+    return reduce(operator.add, values, 0)
+
+
 def fraction_friends_retweeted(fg: FollowerGraph, rg: RetweetGraph, k: int = 1) -> np.ndarray:
     """Per seed row, the share of its friends it retweeted at least k times; NaN when friendless."""
     n_followed = _retweet_row_totals(fg, rg, k)[0]
@@ -242,7 +253,7 @@ def overlap_vs_threshold(
     for k in sorted(set(int(k) for k in k_range)):
         overlap = retweet_overlap(fg, rg, k, mode)
         values = overlap[~np.isnan(overlap)].tolist()
-        points.append((k, sum(values) / len(values) if values else math.nan, len(values)))
+        points.append((k, left_sum(values) / len(values) if values else math.nan, len(values)))
     return points
 
 

@@ -5,7 +5,9 @@ which number names in sorted order; NaN marks a value that is undefined.
 MetricsEngine computes, once per report:
   mu         raw mean of domain scores over each user's original tweets
              (multiset of URL occurrences by default; a set-of-domains
-             reading is available via unique_domains); NaN when unscored
+             reading is available via unique_domains, whose sums are
+             exactly rounded, the value math.fsum gives, and computed from
+             integer limbs by set_sums); NaN when unscored
   m_s        the folded mu (mu if mu > 0.5 else 1 - mu, a left/right
              extremity in [0.5, 1]) min-max normalized over scored users
   class_code index into CLASSES (m_s <= 0.5 is moderate), -1 when unscored
@@ -47,6 +49,7 @@ from .graph import (  # noqa: F401
     RetweetGraph,
     check_same_space,
     count_matrix,
+    left_sum,
     random_friend_positions,
     ratios,
     sample_random_friend_subset,
@@ -66,6 +69,7 @@ RETWEET = "retweet"
 # spans at most this many (row, domain) cells, which keeps the product's
 # temporaries to a few MiB however many domains the score table has.
 POOL_BLOCK_CELLS = 1 << 18
+LIMB_BITS = 21  # set sums add scores as integer limbs of this many bits
 
 
 def fold(mu: float) -> float:
@@ -98,10 +102,45 @@ def minmax_normalize(values: np.ndarray) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
-def _fsum_row(matrix: sparse.csr_matrix, row: int, scores: np.ndarray) -> tuple[float, int]:
-    """Exactly rounded score sum over a row's domain columns, and their number."""
-    lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
-    return math.fsum(scores[matrix.indices[lo:hi]].tolist()), int(hi - lo)
+def score_limbs(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scores as integer limbs: score i is exactly sum_j limbs[i, j] * weights[j].
+
+    Scores must be finite and non-negative. Each is written as an integer
+    over one common power of two 2**L (float.as_integer_ratio) and cut into
+    LIMB_BITS-bit limbs, so limb j weighs 2**(LIMB_BITS * j - L); limb
+    columns that are zero for every score are dropped.
+    """
+    pairs = [s.as_integer_ratio() for s in scores.tolist()]
+    shift = max((d.bit_length() - 1 for _, d in pairs), default=0)
+    ints = [n << (shift - d.bit_length() + 1) for n, d in pairs]
+    n_limbs = -(-max((i.bit_length() for i in ints), default=0) // LIMB_BITS)
+    mask = (1 << LIMB_BITS) - 1
+    limbs = np.array(
+        [[(i >> (LIMB_BITS * j)) & mask for j in range(n_limbs)] for i in ints], dtype=np.int64
+    ).reshape(len(ints), n_limbs)
+    weights = np.ldexp(1.0, LIMB_BITS * np.arange(n_limbs) - shift)
+    used = limbs.any(axis=0)
+    return limbs[:, used], weights[used]
+
+
+def set_sums(
+    rows: sparse.csr_matrix, limbs: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exactly rounded score sum over each row's stored columns, and their number.
+
+    ``rows`` is a canonical CSR matrix over the scores' columns and
+    ``limbs``, ``weights`` come from score_limbs. Per row and limb, the sum
+    of the limbs is an integer below 2**53 (each limb is below 2**21 and a
+    row has fewer than 2**32 columns), so the integer product is exact, and
+    so is each sum scaled by its limb's power of two. math.fsum of those few
+    exact terms is the correctly rounded exact total: the value math.fsum
+    over the row's own scores gives.
+    """
+    presence = sparse.csr_matrix(
+        (np.ones(rows.nnz, dtype=np.int64), rows.indices, rows.indptr), shape=rows.shape
+    )
+    terms = (presence @ limbs) * weights
+    return np.array([math.fsum(t) for t in terms.tolist()]), np.diff(rows.indptr)
 
 
 class ExposureIndex:
@@ -177,23 +216,27 @@ class ExposureIndex:
         """Mean score of the content pooled by each row of a row x user matrix.
 
         NaN where a row pools nothing scored. Multiset means weigh every
-        occurrence; set means count each distinct domain once and are exactly
-        rounded.
+        occurrence. Set means count each distinct domain once; their sums are
+        exactly rounded, the value math.fsum gives, and come from integer
+        limbs (set_sums).
         """
-        out = np.full(pools.shape[0], np.nan)
         if not unique_domains:
-            count = pools @ self.score_count
-            np.divide(pools @ self.score_sum, count, out=out, where=count > 0)
-            return out
+            return ratios(pools @ self.score_sum, pools @ self.score_count)
+        out = np.empty(pools.shape[0])
         step = max(1, POOL_BLOCK_CELLS // max(1, self.domains.shape[1]))
         for start in range(0, pools.shape[0], step):
             # entries are occurrence counts, so every stored entry is positive
-            block = pools[start : start + step] @ self.domains
-            for r in range(block.shape[0]):
-                total, count = _fsum_row(block, r, self.domain_scores)
-                if count:
-                    out[start + r] = total / count
+            out[start : start + step] = self.set_means(pools[start : start + step] @ self.domains)
         return out
+
+    def set_means(self, rows: sparse.csr_matrix) -> np.ndarray:
+        """Exactly rounded mean score over each row's distinct domain columns; NaN if none."""
+        totals, counts = set_sums(rows, *self._limbs)
+        return ratios(totals, counts)
+
+    @cached_property
+    def _limbs(self) -> tuple[np.ndarray, np.ndarray]:
+        return score_limbs(self.domain_scores)
 
 
 def friend_matrix(kind: str, fg: FollowerGraph, rg: RetweetGraph, k: int = 1) -> sparse.csr_matrix:
@@ -243,22 +286,21 @@ def random_baseline_fractions(
     weights = engine.retweets.data[engine.retweets.indptr[row] : engine.retweets.indptr[row + 1]]
     size = int(np.count_nonzero(weights >= k))
     friends = engine.follow.indices[engine.follow.indptr[row] : engine.follow.indptr[row + 1]]
-    if size == 0 or friends.size == 0:
+    if size == 0 or friends.size == 0 or reps < 1:
         return None
+    if size > friends.size:
+        log.warning("subset size %d exceeds %d friends of %s; clamping", size, friends.size, user)
+        size = friends.size
     # columns ascend in name order, so position i is the i-th friend by name
     counts = np.stack([engine.index.score_count[friends], engine.index.moderate[friends]])
-    frac_mod_sum = 0.0
-    n_contributing = 0
-    for _ in range(reps):
-        picked = random_friend_positions(user, friends.size, size, rng)
-        n_total, n_mod = counts[:, picked].sum(axis=1).tolist()
-        if n_total == 0:
-            continue
-        frac_mod_sum += n_mod / n_total
-        n_contributing += 1
-    if n_contributing == 0:
+    picks = [random_friend_positions(user, friends.size, size, rng) for _ in range(reps)]
+    n_total, n_mod = counts[:, np.concatenate(picks)].reshape(2, reps, size).sum(axis=2)
+    pooled = n_total > 0
+    if not pooled.any():
         return None
-    return frac_mod_sum / n_contributing
+    # counts are far below 2**53, so float division rounds as int / int does
+    shares = (n_mod[pooled] / n_total[pooled]).tolist()
+    return left_sum(shares) / len(shares)
 
 
 def friend_activity_comparison(
@@ -356,15 +398,12 @@ class MetricsEngine:
         self.index = index = ExposureIndex(bundle.log, bundle.scores, fg.names)
         self.warnings: list[str] = []
 
-        self.mu = np.full(len(self.names), np.nan)
         if unique_domains:
             self.domain_count = np.diff(index.original_domains.indptr)
-            for i in np.flatnonzero(self.domain_count).tolist():
-                total, count = _fsum_row(index.original_domains, i, index.domain_scores)
-                self.mu[i] = total / count
+            self.mu = index.set_means(index.original_domains)
         else:
             self.domain_count = index.orig_count
-            np.divide(index.orig_sum, index.orig_count, out=self.mu, where=index.orig_count > 0)
+            self.mu = ratios(index.orig_sum, index.orig_count)
         scored = ~np.isnan(self.mu)
         self.m_s = np.full(len(self.names), np.nan)
         if scored.any():

@@ -40,6 +40,7 @@ from .graph import (
     overlap_vs_threshold,
     retweet_overlap,
     fraction_friends_retweeted,
+    left_sum,
     sample_friends_by_indegree,
     save_graph_cache,
     user_space,
@@ -322,7 +323,7 @@ def _columns(rows: list[tuple], width: int) -> list[list]:
 
 def _mean(values: list) -> Optional[float]:
     """The left-to-right mean of a list; None when it is empty."""
-    return _jfloat(sum(values) / len(values)) if values else None
+    return _jfloat(left_sum(values) / len(values)) if values else None
 
 
 def build_report(

@@ -1,3 +1,4 @@
+import math
 import struct
 import time
 
@@ -13,6 +14,7 @@ from echoscope.graph import (
     build_follower_graph,
     build_retweet_graph,
     fraction_friends_retweeted,
+    left_sum,
     load_graph_cache,
     overlap_vs_threshold,
     retweet_overlap,
@@ -230,6 +232,17 @@ def test_overlap_curve_forced_step():
     # k where no user qualifies gets an empty point
     ((k, mean, n_users),) = overlap_vs_threshold(fg, rg, [5], OVERLAP_ACCOUNT)
     assert k == 5 and np.isnan(mean) and n_users == 0
+
+
+def test_left_sum_adds_left_to_right():
+    # the exact sum is 1.0, but 1e16 + 1.0 rounds back to 1e16 when added in order
+    values = [1e16, 1.0, -1e16]
+    assert left_sum(values) == 0.0
+    assert math.fsum(values) == 1.0
+    assert left_sum([1.0, -1e16, 1e16]) == 0.0
+    assert left_sum([-1e16, 1e16, 1.0]) == 1.0
+    assert left_sum([2, 3]) == 5 and isinstance(left_sum([2, 3]), int)
+    assert left_sum([]) == 0
 
 
 # ---------------------------------------------------------------- sampling

@@ -1,10 +1,13 @@
 import dataclasses
+import logging
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from conftest import ev, graphs_of, make_bundle, per_id, rt
 from echoscope.errors import EchoscopeError
@@ -13,6 +16,7 @@ from echoscope.graph import (
     RetweetGraph,
     build_follower_graph,
     build_retweet_graph,
+    left_sum,
     sample_random_friend_subset,
     user_space,
 )
@@ -33,6 +37,8 @@ from echoscope.moderacy import (
     friend_activity_comparison,
     minmax_normalize,
     random_baseline_fractions,
+    score_limbs,
+    set_sums,
 )
 from echoscope.rng import substream
 from echoscope.synth import SynthConfig, generate
@@ -157,6 +163,72 @@ def test_individual_moderacy_window_and_unique():
     assert at(unique, unique.domain_count, "u") == 2
     full = engine_of(bundle)
     assert at(full, full.mu, "u") == 0.5
+
+
+# ---------------------------------------------------------------- set sums
+
+score_values = st.one_of(
+    st.floats(0, 1), st.sampled_from([0.0, 1.0, 5e-324, 2.2250738585072014e-308, 0.1])
+)
+
+
+@given(st.data(), st.lists(score_values, min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_set_sums_equal_fsum_bit_for_bit(data, scores):
+    n = len(scores)
+    rows = data.draw(st.lists(st.sets(st.integers(0, n - 1)), max_size=8))
+    counts = data.draw(st.lists(st.integers(1, 5), min_size=n * len(rows), max_size=n * len(rows)))
+    dense = np.zeros((len(rows), n), dtype=np.int64)
+    for r, cols in enumerate(rows):
+        for c in cols:
+            dense[r, c] = counts[r * n + c]
+    table = np.array(scores)
+    totals, sizes = set_sums(sparse.csr_matrix(dense), *score_limbs(table))
+    assert sizes.tolist() == [len(cols) for cols in rows]
+    for r, cols in enumerate(rows):
+        expected = math.fsum(table[sorted(cols)].tolist())
+        assert totals[r].hex() == expected.hex()
+
+
+def test_unique_domain_engine_matches_fsum_reference():
+    # decimal scores off the five-level scale: their sums depend on the order
+    # of addition, which the five-level oracle bundles never exercise
+    bundle, _ = generate(
+        SynthConfig(
+            n_users=40, n_domains=12, follow_homophily=0.3, base_follow_prob=0.2,
+            attention_bias=2.0, activity_rate=5.0, retweet_rate=6.0,
+            duration=10_000, seed=21,
+        )
+    )
+    draw = random.Random(4)
+    table = {d: round(draw.random(), draw.choice([1, 3, 7])) for d in bundle.scores.scores}
+    bundle = dataclasses.replace(bundle, scores=DomainScoreTable(table))
+    engine = engine_of(bundle, unique_domains=True)
+
+    def scores_of(domains):
+        return [table[d] for d in sorted(domains) if d in table]
+
+    def set_mean(values):
+        return math.fsum(values) / len(values) if values else math.nan
+
+    events = bundle.log.events
+    own = {u: set_mean(scores_of({d for e in events if e.author == u and not e.is_retweet
+                                  for d in e.domains}))
+           for u in engine.names}
+    assert np.array_equal(engine.mu, per_id(engine.names, own), equal_nan=True)
+    posted = {u: {d for e in events if e.author == u for d in e.domains} for u in engine.names}
+    fg, rg = graphs_of(bundle)
+    order_matters = 0
+    for kind, friends_of in ((FOLLOWER, fg.friends), (RETWEET, lambda s: rg.retweet_friends(s, 1))):
+        want = {}
+        for seed in engine.seeds:
+            values = scores_of(set().union(*(posted[f] for f in friends_of(seed))))
+            order_matters += left_sum(values) != math.fsum(values)
+            if values and not math.isnan(own[seed]):
+                raw = set_mean(values)
+                want[seed] = raw if own[seed] > 0.5 else 1.0 - raw
+        assert np.array_equal(engine.raw_exposures(kind), per_id(engine.names, want), equal_nan=True)
+    assert order_matters > 0
 
 
 # ---------------------------------------------------------------- exposure
@@ -373,17 +445,70 @@ def test_baseline_matches_per_friend_subset_loop():
         if not size or not fg.friends(user):
             assert got is None
             continue
-        rng = substream(5, "b", user)
-        fracs = []
-        for _ in range(25):
-            subset = sample_random_friend_subset(user, fg, size, rng)
-            n_total = sum(engine.index.scored(f)[1] for f in subset)
-            n_mod = sum(engine.index.moderate_count(f) for f in subset)
-            if n_total:
-                fracs.append(n_mod / n_total)
-        assert got == sum(fracs) / len(fracs)
+        assert got == subset_loop_baseline(engine, fg, user, size, 25, substream(5, "b", user))
         n_checked += 1
     assert n_checked > 20
+
+
+def subset_loop_baseline(engine, fg, user, size, reps, rng):
+    """The baseline from friend names drawn by sample_random_friend_subset, pooled
+    through the scalar index accessors; None when no repetition pools anything."""
+    fracs = []
+    for _ in range(reps):
+        subset = sample_random_friend_subset(user, fg, size, rng)
+        n_total = sum(engine.index.scored(f)[1] for f in subset)
+        n_mod = sum(engine.index.moderate_count(f) for f in subset)
+        if n_total:
+            fracs.append(n_mod / n_total)
+    return left_sum(fracs) / len(fracs) if fracs else None
+
+
+def edge_case_baseline_fixture():
+    # c retweets more accounts than it follows (the size clamps), e retweets
+    # exactly its friends, z's friends post nothing scored, n draws subsets
+    scores = {"l.x": 0.0, "m.x": 0.5, "r.x": 1.0}
+    edges = [("c", "f1"), ("c", "f2"), ("e", "f1"), ("e", "f2"), ("e", "f3"),
+             ("z", "q1"), ("z", "q2"), ("n", "f1"), ("n", "f2"), ("n", "f3"), ("n", "f4")]
+    events = [
+        ev("t01", "f1", 1, domains=["l.x"]),
+        ev("t02", "f2", 2, domains=["m.x", "m.x"]),
+        ev("t03", "f3", 3, domains=["r.x"]),
+        ev("t04", "f4", 4, domains=["m.x", "l.x"]),
+        ev("t05", "q1", 5, domains=["unscored.x"]),
+        ev("t06", "q2", 6),
+    ]
+    retweets = {"c": ["f1", "f2", "f3", "f4"], "e": ["f1", "f2", "f3"], "z": ["q1"], "n": ["f1", "f2"]}
+    for user, targets in retweets.items():
+        events += [rt(f"r-{user}-{t}", user, 10, t) for t in targets]
+    return make_bundle(scores, edges, events)
+
+
+def test_baseline_clamped_equal_and_empty_pools_match_subset_loop():
+    bundle = edge_case_baseline_fixture()
+    engine = engine_of(bundle)
+    fg, rg = graphs_of(bundle)
+    got = {}
+    for user in ("c", "e", "z", "n"):
+        size = len(rg.retweet_friends(user, 1))
+        got[user] = random_baseline_fractions(engine, user, reps=30, rng=substream(8, "b", user))
+        assert got[user] == subset_loop_baseline(engine, fg, user, size, 30, substream(8, "b", user))
+    full_mod = exposure_class_fractions(engine, FOLLOWER)[0]
+    for user in ("c", "e"):  # every repetition pools the whole friend set
+        assert got[user] == full_mod[engine.seed_row[user]]
+    assert got["z"] is None
+    assert got["n"] is not None
+
+
+def test_baseline_clamp_warns_once_per_seed(caplog):
+    bundle = edge_case_baseline_fixture()
+    engine = engine_of(bundle)
+    with caplog.at_level(logging.WARNING):
+        frac = random_baseline_fractions(engine, "c", reps=5, rng=substream(2, "b"))
+    clamps = [r for r in caplog.records if "clamping" in r.getMessage()]
+    assert len(clamps) == 1
+    assert "subset size 4 exceeds 2 friends of c" in clamps[0].getMessage()
+    fg, _ = graphs_of(bundle)
+    assert frac == subset_loop_baseline(engine, fg, "c", 4, 5, substream(2, "b"))
 
 
 def test_baseline_requires_rng():

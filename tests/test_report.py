@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import ev, make_bundle, rt
 from echoscope import report as report_module
 from echoscope.errors import EchoscopeError
-from echoscope.report import RunConfig, Take, _write_csv, build_report, write_report
+from echoscope.report import RunConfig, Take, _mean, _write_csv, build_report, write_report
 
 
 def run_config(tmp_path, **overrides):
@@ -97,6 +97,13 @@ def test_write_report_files(rich_bundle, tmp_path):
     heat = (tmp_path / "out" / "echo_heatmap_f.csv").read_text().splitlines()
     assert heat[0] == "ms_bin,me_bin,count"
     assert len(heat) == 1 + 25 * 25
+
+
+def test_report_means_add_left_to_right():
+    # Python 3.12's sum would give 0.25 here; left to right, 1e16 + 1.0 rounds to 1e16
+    assert _mean([1e16, 1.0, -1e16, 0.0]) == 0.0
+    assert _mean([3, 4]) == 3.5
+    assert _mean([]) is None
 
 
 def test_config_hash_ignores_execution_knobs(tmp_path):
