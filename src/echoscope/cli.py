@@ -4,9 +4,9 @@ Exit codes: 0 success, 1 internal error, 2 input error. Logs go to stderr
 (level via the ECHOSCOPE_LOG environment variable); data only ever goes to
 stdout or the requested output paths.
 
-Only ``ingest`` is imported at load time: ``report`` (with ``scipy``) and
-``synth`` are imported by the commands that run them, so ``--help``,
-``validate`` and ``synth`` start without ``scipy``.
+Only ``ingest`` is imported at load time: ``report`` and ``oracle`` (with
+``scipy``) and ``synth`` are imported by the commands that run them, so
+``--help``, ``validate`` and ``synth`` start without ``scipy``.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -169,7 +170,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    from .synth import compare_with_oracle
+    if args.k < 1:
+        raise EchoscopeError("--k must be >= 1")
+    if args.entropy_bins < 2:
+        raise EchoscopeError("--entropy-bins must be >= 2")
+    if args.max_events < 0:
+        raise EchoscopeError("--max-events must be >= 0")
+    if not 0.0 <= args.tolerance < math.inf:  # NaN fails both comparisons
+        raise EchoscopeError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
+    from .oracle import compare_with_oracle
 
     bundle = load_dataset(args.scores, args.edges, args.events)
     diff = compare_with_oracle(

@@ -626,18 +626,12 @@ def parse_events(
     return cols.log(domain_id, n_urls_dropped, n_self_rts)
 
 
-def load_dataset(
-    scores_path: str,
-    edges_path: str,
-    events_path: str,
-    seeds: Optional[Iterable[str]] = None,
-) -> DatasetBundle:
-    """Parse all three inputs; seeds default to the edge-list sources."""
+def load_dataset(scores_path: str, edges_path: str, events_path: str) -> DatasetBundle:
+    """Parse all three inputs; the seeds are the edge-list sources."""
     scores = parse_domain_scores(scores_path)
     edges = parse_follow_edges(edges_path)
     events = parse_events(events_path)
-    seed_set = frozenset(seeds) if seeds is not None else edges.sources()
-    return DatasetBundle(scores, edges, events, seed_set)
+    return DatasetBundle(scores, edges, events, edges.sources())
 
 
 # ---------------------------------------------------------------------------

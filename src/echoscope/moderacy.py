@@ -147,7 +147,7 @@ class ExposureIndex:
     """Per-user totals over the event log, as vectors indexed by user id.
 
     Ids number ``names``, a sorted list that must hold every author of the
-    log (the graphs' id space; by default the authors alone). Per id,
+    log (the graphs' id space). Per id,
     ``score_sum`` and ``score_count`` cover every scored domain occurrence
     the user posted, ``moderate`` counts the occurrences whose
     folded score is moderate, ``orig_sum`` and ``orig_count`` cover original
@@ -161,9 +161,9 @@ class ExposureIndex:
         self,
         log_data: EventLog,
         table: DomainScoreTable,
-        names: Optional[Sequence[str]] = None,
+        names: Sequence[str],
     ) -> None:
-        self.names = log_data.authors if names is None else names
+        self.names = names
         self.id = {name: i for i, name in enumerate(self.names)}
         missing = set(log_data.authors).difference(self.id)
         if missing:

@@ -67,6 +67,11 @@ BLOCK_ROWS = 1 << 16  # rows formatted and written per write call
 _CSV_SPECIAL = (",", '"', "\r", "\n")  # csv may quote a field holding one of these
 
 
+# RunConfig fields that name files or say how the work is run; every other
+# field shapes the output and enters semantic_dict and the config hash
+NON_SEMANTIC_FIELDS = frozenset({"scores", "edges", "events", "out_dir", "threads", "no_cache"})
+
+
 @dataclass
 class RunConfig:
     scores: str
@@ -115,19 +120,7 @@ class RunConfig:
 
     def semantic_dict(self) -> dict:
         """Config fields that influence output bytes (not how they are made)."""
-        return {
-            "k_min": self.k_min,
-            "k_max": self.k_max,
-            "entropy_bins": self.entropy_bins,
-            "reps": self.reps,
-            "baseline_users": self.baseline_users,
-            "window": list(self.window) if self.window else None,
-            "seed": self.seed,
-            "overlap_mode": self.overlap_mode,
-            "unique_domains": self.unique_domains,
-            "heatmap_bins": self.heatmap_bins,
-            "sample_n": self.sample_n,
-        }
+        return {k: v for k, v in dataclasses.asdict(self).items() if k not in NON_SEMANTIC_FIELDS}
 
     def config_hash(self) -> str:
         canon = json.dumps(self.semantic_dict(), sort_keys=True, separators=(",", ":"))

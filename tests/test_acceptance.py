@@ -28,8 +28,9 @@ from echoscope.moderacy import (
     fold,
     minmax_normalize,
 )
+from echoscope.oracle import compare_with_oracle
 from echoscope.stats import entropy_comparison, mann_whitney_u, pearson, shannon_entropy
-from echoscope.synth import SynthConfig, compare_with_oracle, generate
+from echoscope.synth import SynthConfig, generate
 
 K_GRID = (1, 2, 5, 10)
 BETA5_SEEDS = tuple(range(1000, 1020))

@@ -428,6 +428,30 @@ def test_oracle_check_out_file(dataset_dir, tmp_path):
     assert json.loads(out.read_text())["ok"]
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--k", "0"],
+        ["--k", "-3"],
+        ["--entropy-bins", "1"],
+        ["--max-events", "-1"],
+        ["--tolerance", "-1"],
+        ["--tolerance", "nan"],
+        ["--tolerance", "inf"],
+    ],
+)
+def test_oracle_check_rejects_out_of_range_arguments(tmp_path, capsys, flags):
+    # the inputs do not exist: the arguments are refused before any is read
+    missing = tmp_path / "missing"
+    out = tmp_path / "diff.json"
+    rc = main(["oracle-check", *inputs(missing), *flags, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: " + flags[0] in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_log_level_env(dataset_dir, monkeypatch, capsys):
     monkeypatch.setenv("ECHOSCOPE_LOG", "DEBUG")
     assert main(["validate", *inputs(dataset_dir)]) == 0

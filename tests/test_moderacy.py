@@ -637,7 +637,7 @@ def test_graphs_and_index_from_another_id_space_refused():
 
 
 def test_exposure_index_matches_event_scan(tiny_bundle):
-    index = ExposureIndex(tiny_bundle.log, tiny_bundle.scores)
+    index = ExposureIndex(tiny_bundle.log, tiny_bundle.scores, tiny_bundle.log.authors)
     for author in tiny_bundle.log.authors:
         events = [e for e in tiny_bundle.log.events if e.author == author]
         expected = sum(

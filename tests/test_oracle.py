@@ -2,6 +2,10 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,8 +15,9 @@ from conftest import ev, make_bundle, rt
 from echoscope.ingest import EventLog
 import echoscope.moderacy as moderacy
 from echoscope.moderacy import HARDLINER, MODERATE
+from echoscope.oracle import compare_with_oracle, oracle_metrics
 from echoscope.report import RunConfig, build_report, write_report
-from echoscope.synth import SynthConfig, compare_with_oracle, generate, oracle_metrics
+from echoscope.synth import SynthConfig, generate
 
 
 def synth_bundle(seed, **overrides):
@@ -51,8 +56,6 @@ def test_engine_matches_oracle_with_window():
     assert 0 < len(early.log) < len(bundle.log)
     diff = compare_with_oracle(early, k=1)
     assert diff.ok(1e-12), diff
-    # the window argument restricts the log the same way, up front
-    assert compare_with_oracle(bundle, k=1, window=(0, 20_000)) == diff
 
 
 def test_engine_matches_oracle_handmade_edge_cases():
@@ -121,40 +124,40 @@ def test_report_means_match_oracle(seed, unique_domains, tmp_path):
     n_defined = 0
 
     for kind, frac_mod, frac_hard in (
-        ("follower", oracle.frac_moderate_f, oracle.frac_hardline_f),
-        ("retweet", oracle.frac_moderate_r, oracle.frac_hardline_r),
+        ("follower", oracle["frac_moderate_f"], oracle["frac_hardline_f"]),
+        ("retweet", oracle["frac_moderate_r"], oracle["frac_hardline_r"]),
     ):
         for cls in classes:
             block = report["class_fractions"][kind][cls]
-            users = [u for u in seeds if oracle.moderacy_class.get(u) == cls and u in frac_mod]
+            users = [u for u in seeds if oracle["moderacy_class"].get(u) == cls and u in frac_mod]
             assert block["n_users"] == len(users)
             assert_close(block["frac_moderate"], mean_or_none([frac_mod[u] for u in users]))
             assert_close(block["frac_hardline"], mean_or_none([frac_hard[u] for u in users]))
             n_defined += len(users)
 
     entropy = report["entropy"]
-    users = [u for u in seeds if u in oracle.entropy_f]
+    users = [u for u in seeds if u in oracle["entropy_f"]]
     assert entropy["n_users"] == len(users)
     assert entropy["n_skipped"] == len(seeds) - len(users)
-    assert_close(entropy["mean_follower"], mean_or_none([oracle.entropy_f[u] for u in users]))
-    assert_close(entropy["mean_retweet"], mean_or_none([oracle.entropy_r[u] for u in users]))
+    assert_close(entropy["mean_follower"], mean_or_none([oracle["entropy_f"][u] for u in users]))
+    assert_close(entropy["mean_retweet"], mean_or_none([oracle["entropy_r"][u] for u in users]))
     n_defined += len(users)
 
     activity = report["activity"]
-    friends = sorted(oracle.activity)
-    retweeted = [f for f in friends if oracle.activity_retweeted[f]]
-    not_retweeted = [f for f in friends if not oracle.activity_retweeted[f]]
+    friends = sorted(oracle["activity"])
+    retweeted = [f for f in friends if oracle["activity_retweeted"][f]]
+    not_retweeted = [f for f in friends if not oracle["activity_retweeted"][f]]
     assert activity["n_retweeted"] == len(retweeted)
     assert activity["n_not_retweeted"] == len(not_retweeted)
     assert_close(
-        activity["mean_activity_retweeted"], mean_or_none([oracle.activity[f] for f in retweeted])
+        activity["mean_activity_retweeted"], mean_or_none([oracle["activity"][f] for f in retweeted])
     )
     assert_close(
         activity["mean_activity_not_retweeted"],
-        mean_or_none([oracle.activity[f] for f in not_retweeted]),
+        mean_or_none([oracle["activity"][f] for f in not_retweeted]),
     )
     for cls in classes:
-        acts = [oracle.activity[f] for f in retweeted if oracle.activity_class.get(f) == cls]
+        acts = [oracle["activity"][f] for f in retweeted if oracle["activity_class"].get(f) == cls]
         assert activity["by_class"][cls]["n"] == len(acts)
         assert_close(activity["by_class"][cls]["mean_activity"], mean_or_none(acts))
     n_defined += len(friends)
@@ -162,18 +165,18 @@ def test_report_means_match_oracle(seed, unique_domains, tmp_path):
     for cls in classes:
         block = report["congruence"][cls]
         users = [
-            u for u in seeds if u in oracle.congruence_diff and oracle.moderacy_class[u] == cls
+            u for u in seeds if u in oracle["congruence_diff"] and oracle["moderacy_class"][u] == cls
         ]
         assert block["n"] == len(users)
-        assert_close(block["mean_diff"], mean_or_none([oracle.congruence_diff[u] for u in users]))
+        assert_close(block["mean_diff"], mean_or_none([oracle["congruence_diff"][u] for u in users]))
         if users:
             assert_close(
                 block["mean_frac_retweeted"],
-                mean_or_none([oracle.frac_congruent_retweeted[u] for u in users]),
+                mean_or_none([oracle["frac_congruent_retweeted"][u] for u in users]),
             )
             assert_close(
                 block["mean_frac_not_retweeted"],
-                mean_or_none([oracle.frac_congruent_not_retweeted[u] for u in users]),
+                mean_or_none([oracle["frac_congruent_not_retweeted"][u] for u in users]),
             )
         n_defined += len(users)
     assert n_defined > 0
@@ -204,16 +207,16 @@ def test_report_row_sets_match_oracle(seed, unique_domains, tmp_path):
     write_report(build_report(bundle, cfg), cfg.out_dir)
     oracle = oracle_metrics(bundle, k=1, n_bins=cfg.entropy_bins, unique_domains=unique_domains)
     expected = {
-        "user_metrics.csv": set(oracle.mu) | set(oracle.m_e_f) | set(oracle.m_e_r),
-        "delta_vs_ms_k1.csv": set(oracle.delta),
-        "entropy.csv": set(oracle.entropy_f),
-        "congruence.csv": set(oracle.congruence_diff),
+        "user_metrics.csv": set(oracle["mu"]) | set(oracle["m_e_f"]) | set(oracle["m_e_r"]),
+        "delta_vs_ms_k1.csv": set(oracle["delta"]),
+        "entropy.csv": set(oracle["entropy_f"]),
+        "congruence.csv": set(oracle["congruence_diff"]),
         "overlap_user_k1.csv": (
-            set(oracle.frac_friends_retweeted)
-            | set(oracle.overlap_account)
-            | set(oracle.overlap_content)
+            set(oracle["frac_friends_retweeted"])
+            | set(oracle["overlap_account"])
+            | set(oracle["overlap_content"])
         ),
-        "activity.csv": set(oracle.activity),
+        "activity.csv": set(oracle["activity"]),
     }
     for name, keys in expected.items():
         assert keys, name
@@ -226,6 +229,43 @@ def test_corrupted_engine_fails_with_named_metric(monkeypatch):
     diff = compare_with_oracle(synth_bundle(4), k=1)
     assert not diff.ok(1e-12)
     assert diff.worst_metric != "none" or diff.presence_mismatches
+
+
+# prints a digest of every oracle value, each as its repr, in both pooling
+# modes; scores off the five-level scale, whose sums depend on their order
+ORACLE_DIGEST = """
+import dataclasses, hashlib, json
+from echoscope.ingest import DomainScoreTable
+from echoscope.oracle import oracle_metrics
+from echoscope.synth import SynthConfig, generate
+bundle, _ = generate(SynthConfig(
+    n_users=120, n_domains=30, follow_homophily=0.3, base_follow_prob=0.08,
+    attention_bias=2.0, activity_rate=8, retweet_rate=6, duration=100_000, seed=5,
+))
+domains = sorted(bundle.scores.scores)
+table = DomainScoreTable({d: (i * 0.37) % 1.0 for i, d in enumerate(domains)})
+bundle = dataclasses.replace(bundle, scores=table)
+maps = [oracle_metrics(bundle, unique_domains=u, max_events=5000) for u in (False, True)]
+text = json.dumps([{n: {k: repr(v) for k, v in m.items()} for n, m in ms.items()} for ms in maps],
+                  sort_keys=True)
+print(hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+def test_oracle_values_do_not_depend_on_hash_seed():
+    # the oracle adds over sets; in hash order its entropies and set-of-domains
+    # means moved by an ulp from one interpreter to the next
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = set()
+    for hash_seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", ORACLE_DIGEST], env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        digests.add(result.stdout.strip())
+    assert len(digests) == 1, digests
 
 
 # Scores on the five-level scale add exactly, so engine and oracle agree to

@@ -7,8 +7,9 @@ from conftest import ev, graphs_of, make_bundle
 from echoscope.errors import EchoscopeError, InfeasibleConfigError, InputFormatError
 from echoscope.ingest import validate_dataset, write_domain_scores, write_events, write_follow_edges
 from echoscope.moderacy import MetricsEngine
+from echoscope.oracle import oracle_metrics
 from echoscope.stats import pearson
-from echoscope.synth import SLANT_LEVELS, SynthConfig, generate, oracle_metrics, write_truth
+from echoscope.synth import SLANT_LEVELS, SynthConfig, generate, write_truth
 
 
 def small_config(**overrides):
@@ -159,9 +160,9 @@ def test_oracle_guard_rail():
 def test_oracle_empty_log():
     bundle = make_bundle({"a.example": 0.5}, [("s1", "f1")], [])
     result = oracle_metrics(bundle)
-    assert result.mu == {}
-    assert result.m_e_f == {}
-    assert result.entropy_f == {}
+    assert result["mu"] == {}
+    assert result["m_e_f"] == {}
+    assert result["entropy_f"] == {}
 
 
 def test_oracle_single_user_bundle():
@@ -172,10 +173,10 @@ def test_oracle_single_user_bundle():
         seeds={"u"},
     )
     result = oracle_metrics(bundle)
-    assert result.mu == {"u": 0.25}
-    assert result.m_s == {"u": 0.5}  # single-user population is degenerate
-    assert result.m_e_f == {}
-    assert result.m_e_r == {}
+    assert result["mu"] == {"u": 0.25}
+    assert result["m_s"] == {"u": 0.5}  # single-user population is degenerate
+    assert result["m_e_f"] == {}
+    assert result["m_e_r"] == {}
 
 
 def test_homophily_off_kills_echo_chamber():
