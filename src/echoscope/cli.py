@@ -190,6 +190,10 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     )
     payload = {
         "ok": diff.ok(args.tolerance),
+        "k": args.k,
+        "entropy_bins": args.entropy_bins,
+        "unique_domains": args.unique_domains,
+        "max_events": args.max_events,
         "tolerance": args.tolerance,
         "max_abs_diff": diff.max_abs_diff,
         "worst_metric": diff.worst_metric,

@@ -426,6 +426,12 @@ def test_oracle_check_out_file(dataset_dir, tmp_path):
     out = tmp_path / "diff.json"
     assert main(["oracle-check", *inputs(dataset_dir), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["ok"]
+    # the file records what was compared, so two different checks never write the same bytes
+    flags = ["--k", "2", "--entropy-bins", "4", "--unique-domains", "--max-events", "900"]
+    assert main(["oracle-check", *inputs(dataset_dir), *flags, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    settings = {key: payload[key] for key in ("k", "entropy_bins", "unique_domains", "max_events")}
+    assert settings == {"k": 2, "entropy_bins": 4, "unique_domains": True, "max_events": 900}
 
 
 @pytest.mark.parametrize(

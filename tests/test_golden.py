@@ -30,8 +30,8 @@ GOLDEN = {
     'data/events.jsonl': 'c3f7942b9ca1e0f5bcdae40a8484fb1fc9ba16a45d7b0b8e07102d242aa7be74',
     'data/scores.csv': '0c069a5047dccbc99ade57e08c707f574af8cd19a27f26ff764b770bd945f6ca',
     'data/truth.json': 'a0f67a8a07632559f1eee770f62c3bd08e935746514c1aff99b8f212e273593a',
-    'oracle.json': '3e888edce3b05d89a19324b812b49bd39e8d1ab9e116614908b63db0a0c2db93',
-    'oracle_unique.json': '3e888edce3b05d89a19324b812b49bd39e8d1ab9e116614908b63db0a0c2db93',
+    'oracle.json': '94d703eedfccaa015a547f8e2a0ca412116ba2cb734b1799d77a2df247f626dc',
+    'oracle_unique.json': '3a66e6d8a1123ec157735dcd1c04c7bab98e2c24e6a135f61c0d5b07b65f3080',
     'report/activity.csv': 'c60e990a9324a5d8d81a8ce40052c681b25c7454a98992a843af424e5146f1be',
     'report/class_fractions.csv': '1d44923e4220249b456dc594a5d78ab61eb17a9f0bad61f0c3aebdb1457baeb3',
     'report/congruence.csv': 'fc762c908d14759c6333bc26dc6493f5223f8edc01137d10377c5bd1a0ddcd87',

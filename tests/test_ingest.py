@@ -1,10 +1,13 @@
+import csv
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ev, make_bundle, rt
+from echoscope import ingest
 from echoscope.errors import InputFormatError
 from echoscope.ingest import (
     KIND_ORIGINAL,
@@ -110,6 +113,129 @@ def test_malformed_edge_row_reports_line(tmp_path):
 def test_edge_sources(tmp_path):
     path = write(tmp_path / "e.csv", "follower,friend\na,b\nb,c\na,c\n")
     assert parse_follow_edges(path).sources() == {"a", "b"}
+
+
+def reference_edges(path):
+    """The edges CSV read one ``csv.reader`` row at a time: the specification
+    the block parser must match."""
+    return FollowEdgeList.from_pairs(ingest._edge_rows(path))
+
+
+def edge_outcome(parse, path):
+    """What a parser makes of a file: its columns and counters, or its error text."""
+    try:
+        edges = parse(path)
+    except InputFormatError as exc:
+        return str(exc)
+    if edges is None:
+        return None
+    return (edges.names, edges.src.tolist(), edges.dst.tolist(),
+            edges.n_self_loops_dropped, edges.n_duplicates_dropped)
+
+
+def write_raw(path, text):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return str(path)
+
+
+def block_parser_reads_alone(text):
+    """Whether ``text`` needs no csv: its header line has no quote or carriage
+    return and, unless it is a wrong header, which the block parser reports
+    itself, each later line is blank or two non-empty fields around one comma."""
+    head, newline, body = text.removeprefix("\ufeff").partition("\n")
+    if not head + newline or '"' in head or "\r" in head:
+        return False
+    if [c.strip().lower() for c in head.split(",")] != ["follower", "friend"]:
+        return True
+    if '"' in body or "\r" in body:
+        return False
+    return all(not line or (line.count(",") == 1 and all(line.split(",")))
+               for line in body.split("\n"))
+
+
+PLAIN_BODY = "".join(f"u{i},u{i + 1}\n" for i in range(30))
+# each file's bad row, and the line number csv gives it: csv counts rows, so a
+# quoted name spanning lines shifts the number
+LATE_ERRORS = {
+    "one field": (PLAIN_BODY + "u1,u2\nu7\nu3,u4\n", 33),
+    "three fields": (PLAIN_BODY + "u1,u2,u3\n", 32),
+    "empty field": (PLAIN_BODY + "u1,u2\nu3,\n", 33),
+    "quoted newline": (PLAIN_BODY + '"u\n1",u2\n\nu3,"u\n\n4"\nu5\n', 35),
+    "crlf": (PLAIN_BODY.replace("\n", "\r\n") + "u1,u2\r\nu3\r\n", 33),
+    "no final newline": (PLAIN_BODY + "u1,u2\nu3", 33),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATE_ERRORS))
+def test_errors_after_the_first_block_are_csvs(tmp_path, monkeypatch, case):
+    monkeypatch.setattr(ingest, "EDGE_BLOCK_CHARS", 5)
+    text, line = LATE_ERRORS[case]
+    path = write_raw(tmp_path / "e.csv", "follower,friend\n" + text)
+    expected = edge_outcome(reference_edges, path)
+    assert expected.startswith(f"{path}:{line}: expected 2 non-empty fields")
+    assert edge_outcome(parse_follow_edges, path) == expected
+
+
+def test_a_bad_row_before_a_bad_byte_is_reported_first(tmp_path):
+    # csv decodes the file as it reads lines, so the bad row on line 3 is
+    # found before the byte that is not UTF-8, 30 kB further on
+    path = tmp_path / "e.csv"
+    path.write_bytes(b"follower,friend\nu1,u2\nu3\n" + b"u4,u5\n" * 5000 + b"u\xff,u6\n")
+    expected = edge_outcome(reference_edges, str(path))
+    assert expected.startswith(f"{path}:3: expected 2 non-empty fields")
+    assert edge_outcome(parse_follow_edges, str(path)) == expected
+
+
+def test_a_field_csv_would_refuse_is_left_to_csv(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "EDGE_BLOCK_CHARS", 7)
+    limit = csv.field_size_limit()
+    try:
+        csv.field_size_limit(8)
+        path = write(tmp_path / "e.csv", "follower,friend\nabcdefgh,b\n")
+        assert edge_outcome(ingest._parse_plain_edges, path) == (["abcdefgh", "b"], [0], [1], 0, 0)
+        write(tmp_path / "e.csv", "follower,friend\nabcdefghi,b\n")
+        assert ingest._parse_plain_edges(path) is None
+    finally:
+        csv.field_size_limit(limit)
+
+
+EDGE_NAME = st.sampled_from(["a", "b", "c", "ab", " a", "b ", "é", "名前", "x\x00y", "\ufeff"])
+PLAIN_EDGE_LINE = st.one_of(st.builds("{},{}".format, EDGE_NAME, EDGE_NAME), st.just(""))
+ODD_EDGE_LINE = st.sampled_from([
+    "a", "a,b,c", ",b", "a,", ",", " ", '"a",b', '"a,b",c', '"a\nb",c', '"a""b",c',
+    'a,"b', 'a"b,c', "a\rb,c", "a,b\r", "\r", '"a\r\nb",c',
+])
+EDGE_FILE = st.builds(
+    lambda bom, head, lines, odd, newline, last: (
+        bom + newline.join([head] + _with_odd_lines(lines, odd)) + last * newline
+    ),
+    st.sampled_from(["", "\ufeff"]),
+    st.sampled_from(["follower,friend", "Follower , FRIEND", "follower,friend,x", "follower",
+                     '"follower",friend', ""]),
+    st.lists(PLAIN_EDGE_LINE, max_size=40),
+    st.lists(st.tuples(st.integers(0, 40), ODD_EDGE_LINE), max_size=2),
+    st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]),
+    st.booleans(),
+)
+
+
+def _with_odd_lines(lines, odd):
+    lines = list(lines)
+    for at, line in odd:
+        lines.insert(at, line)
+    return lines
+
+
+@given(EDGE_FILE, st.integers(1, 64))
+@settings(max_examples=400, deadline=None)
+def test_block_parser_matches_csv_reference(tmp_path_factory, text, block_chars):
+    path = write_raw(tmp_path_factory.mktemp("edges") / "e.csv", text)
+    with mock.patch.object(ingest, "EDGE_BLOCK_CHARS", block_chars):
+        expected = edge_outcome(reference_edges, path)
+        assert edge_outcome(parse_follow_edges, path) == expected
+        alone = edge_outcome(ingest._parse_plain_edges, path)
+    assert alone == (expected if block_parser_reads_alone(text) else None)
 
 
 # ---------------------------------------------------------------- events
@@ -438,6 +564,29 @@ def test_from_pairs_matches_parser(tmp_path):
     pairs = [("a", "b"), ("b", "c"), ("a", "b"), ("c", "c")]
     built = FollowEdgeList.from_pairs(pairs)
     path = write(tmp_path / "e.csv", "follower,friend\n" + "\n".join(f"{a},{b}" for a, b in pairs) + "\n")
-    assert built == parse_follow_edges(path)
+    parsed = parse_follow_edges(path)
+    assert built == parsed
     assert built.n_self_loops_dropped == 1
     assert built.n_duplicates_dropped == 1
+    assert parsed.names == built.names == ["a", "b", "c"]
+    assert parsed.src.tolist() == built.src.tolist()
+    assert parsed.dst.tolist() == built.dst.tolist()
+    assert parsed.n_self_loops_dropped == built.n_self_loops_dropped
+    assert parsed.n_duplicates_dropped == built.n_duplicates_dropped
+
+
+def test_scores_with_a_byte_order_mark(tmp_path):
+    path = write(tmp_path / "s.csv", "\ufeffdomain,score\na.example,left\n")
+    assert parse_domain_scores(path).scores == {"a.example": 0.0}
+
+
+@pytest.mark.parametrize("row", ["u1,u2", '"u1",u2'])  # the block parser, and csv
+def test_edges_with_a_byte_order_mark(tmp_path, row):
+    edges = parse_follow_edges(write(tmp_path / "e.csv", f"\ufefffollower,friend\n{row}\n"))
+    assert (edges.names, edges.src.tolist(), edges.dst.tolist()) == (["u1", "u2"], [0], [1])
+
+
+def test_events_with_a_byte_order_mark(tmp_path):
+    line = event_line(id="t1", author="u1", ts=5, kind="original", urls=["http://a.example/"])
+    log = parse_events(write(tmp_path / "ev.jsonl", "\ufeff" + line + "\n"))
+    assert [(e.author, e.domains) for e in log.events] == [("u1", ("a.example",))]

@@ -32,10 +32,14 @@ def test_seventeen_million_edges_within_two_gigabytes(tmp_path):
     script = textwrap.dedent(
         f"""
         import resource
+        import time
         from echoscope.ingest import parse_follow_edges
+        start = time.perf_counter()
         edges = parse_follow_edges({str(path)!r})
+        parse_s = time.perf_counter() - start
         assert edges.n_edges > {N_EDGES} * 0.9, edges.n_edges
         print("edges", edges.n_edges)
+        print("parse_s", parse_s)
         print("rss_mb", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
         """
     )
@@ -44,4 +48,5 @@ def test_seventeen_million_edges_within_two_gigabytes(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     values = dict(line.split() for line in proc.stdout.strip().splitlines())
+    print(f"parse_s {float(values['parse_s']):.2f} rss_mb {float(values['rss_mb']):.0f}")
     assert float(values["rss_mb"]) < 2048, values
