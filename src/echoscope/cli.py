@@ -111,6 +111,7 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
             values["window"] = _window(args.window)
         except ValueError as exc:
             raise InputFormatError(str(exc)) from None
+    values.pop("threads", None)  # accepted for compatibility; the report runs single-threaded
     missing = [key for key in ("scores", "edges", "events", "out") if key not in values]
     if missing:
         raise InputFormatError(f"missing required options: {', '.join('--' + m for m in missing)}")

@@ -12,8 +12,10 @@ cut after the last line end. A plain block (no quote, no carriage return,
 each non-blank line two non-empty fields around one comma) is split into
 fields with one call, its self-loops dropped and its new names interned in
 bulk. The first block that is not plain sends the whole file through
-``csv.reader`` instead, so quoting rules and every ``path:line`` error are
-csv's, and both readings give the same edge list.
+``_csv_rows`` instead, so quoting rules are csv's, and both readings give the
+same edge list. ``_csv_rows`` reads both CSV inputs, names each row's first
+file line in its errors, and makes a csv fault an input error at that line.
+The score table is a plain dict, domain -> score.
 
 The event parser fills columns (``EventLog``): interned author and
 original-author ids, an int64 timestamp array, a retweet mask and a CSR of
@@ -67,22 +69,6 @@ EDGES_HEADER = ["follower", "friend"]
 # characters per block of the edge parse; on the benchmark's edge files,
 # blocks of 2**18 parsed up to 10% slower and peaked 2-4 MiB higher
 EDGE_BLOCK_CHARS = 2**16
-
-
-@dataclass(frozen=True)
-class DomainScoreTable:
-    """Registrable domain -> slant score in [0,1]."""
-
-    scores: dict[str, float]
-
-    def score(self, domain: str) -> Optional[float]:
-        return self.scores.get(domain)
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-    def __contains__(self, domain: str) -> bool:
-        return domain in self.scores
 
 
 @dataclass(frozen=True, slots=True)
@@ -361,7 +347,7 @@ def _time_order(ts: np.ndarray, tweet_ids: list) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DatasetBundle:
-    scores: DomainScoreTable
+    scores: dict[str, float]  # registrable domain -> slant score in [0,1]
     edges: FollowEdgeList
     log: EventLog
     seeds: frozenset[str]
@@ -491,54 +477,66 @@ def _check_header(row: Optional[list[str]], expected: list[str], path: str) -> N
         )
 
 
-def parse_domain_scores(path: str) -> DomainScoreTable:
-    """Read the scores CSV; labels map to the five-level scale."""
-    scores: dict[str, float] = {}
+def _csv_rows(path: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """The rows of a CSV input after its header, blank rows skipped, each with
+    the file line it starts on; a csv fault is an input error at that line."""
+    lineno = 1
     with _open_checked(path) as fh:
         reader = csv.reader(fh)
-        _check_header(next(reader, None), SCORES_HEADER, path)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
+        try:
+            _check_header(next(reader, None), header, path)
+            while True:
+                lineno = reader.line_num + 1  # a quoted field may span lines
+                row = next(reader, None)
+                if row is None:
+                    return
+                if row:
+                    yield lineno, row
+        except csv.Error as exc:
+            raise InputFormatError(str(exc), path=str(path), line=lineno) from None
+
+
+def parse_domain_scores(path: str) -> dict[str, float]:
+    """Read the scores CSV; labels map to the five-level scale."""
+    scores: dict[str, float] = {}
+    for lineno, row in _csv_rows(path, SCORES_HEADER):
+        if len(row) != 2:
+            raise InputFormatError(
+                f"expected 2 fields, got {len(row)}", path=str(path), line=lineno
+            )
+        domain = row[0].strip().lower()
+        if not is_valid_pld(domain):
+            raise InputFormatError(
+                f"not a valid registrable domain: {row[0]!r}", path=str(path), line=lineno
+            )
+        if domain in scores:
+            raise InputFormatError(f"duplicate domain {domain!r}", path=str(path), line=lineno)
+        raw = row[1].strip().lower()
+        if raw in LABEL_SCORES:
+            value = LABEL_SCORES[raw]
+        else:
+            try:
+                value = float(raw)
+            except ValueError:
                 raise InputFormatError(
-                    f"expected 2 fields, got {len(row)}", path=str(path), line=lineno
-                )
-            domain = row[0].strip().lower()
-            if not is_valid_pld(domain):
+                    f"unknown label or score {row[1]!r}", path=str(path), line=lineno
+                ) from None
+            if not 0.0 <= value <= 1.0:
                 raise InputFormatError(
-                    f"not a valid registrable domain: {row[0]!r}", path=str(path), line=lineno
+                    f"score out of [0,1]: {value}", path=str(path), line=lineno
                 )
-            if domain in scores:
-                raise InputFormatError(
-                    f"duplicate domain {domain!r}", path=str(path), line=lineno
-                )
-            raw = row[1].strip().lower()
-            if raw in LABEL_SCORES:
-                value = LABEL_SCORES[raw]
-            else:
-                try:
-                    value = float(raw)
-                except ValueError:
-                    raise InputFormatError(
-                        f"unknown label or score {row[1]!r}", path=str(path), line=lineno
-                    ) from None
-                if not 0.0 <= value <= 1.0:
-                    raise InputFormatError(
-                        f"score out of [0,1]: {value}", path=str(path), line=lineno
-                    )
-            scores[domain] = value
+        scores[domain] = value
     if not scores:
         raise InputFormatError("score table is empty", path=str(path))
-    return DomainScoreTable(scores)
+    return scores
 
 
 def parse_follow_edges(path: str) -> FollowEdgeList:
     """Read the edges CSV into a deduplicated columnar edge list.
 
     The file is read in blocks of plain ``follower,friend`` lines; the first
-    block that is not plain sends the whole file through ``csv.reader``
-    instead, so quoting, line numbers and every error stay csv's.
+    block that is not plain sends the whole file through ``_csv_rows``
+    instead, so quoting is csv's and every error names its file line.
     """
     edges = _parse_plain_edges(path)
     if edges is None:
@@ -560,7 +558,11 @@ def _parse_plain_edges(path: str) -> Optional[FollowEdgeList]:
             header = fh.readline()
             if not header or '"' in header or "\r" in header:
                 return None
-            _check_header(next(csv.reader([header])), EDGES_HEADER, path)
+            try:
+                head = next(csv.reader([header]))
+            except csv.Error:
+                return None  # a field longer than csv allows; _csv_rows reports it
+            _check_header(head, EDGES_HEADER, path)
             rest = ""
             while True:
                 chunk = fh.read(EDGE_BLOCK_CHARS)
@@ -649,17 +651,12 @@ def _plain_fields(block: str, field_limit: int) -> Optional[list[str]]:
 
 def _edge_rows(path: str) -> Iterator[tuple[str, str]]:
     """The edges CSV's (follower, friend) rows, each checked for shape."""
-    with _open_checked(path) as fh:
-        reader = csv.reader(fh)
-        _check_header(next(reader, None), EDGES_HEADER, path)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2 or not row[0] or not row[1]:
-                raise InputFormatError(
-                    f"expected 2 non-empty fields, got {row!r}", path=str(path), line=lineno
-                )
-            yield row[0], row[1]
+    for lineno, row in _csv_rows(path, EDGES_HEADER):
+        if len(row) != 2 or not row[0] or not row[1]:
+            raise InputFormatError(
+                f"expected 2 non-empty fields, got {row!r}", path=str(path), line=lineno
+            )
+        yield row[0], row[1]
 
 
 def parse_events(
@@ -760,12 +757,12 @@ def load_dataset(scores_path: str, edges_path: str, events_path: str) -> Dataset
 # ---------------------------------------------------------------------------
 
 
-def write_domain_scores(table: DomainScoreTable, path: str) -> None:
+def write_domain_scores(scores: dict[str, float], path: str) -> None:
     with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SCORES_HEADER)
-        for domain in sorted(table.scores):
-            writer.writerow([domain, repr(table.scores[domain])])
+        for domain in sorted(scores):
+            writer.writerow([domain, repr(scores[domain])])
 
 
 def write_follow_edges(edges: FollowEdgeList, path: str) -> None:

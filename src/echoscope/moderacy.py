@@ -54,7 +54,7 @@ from .graph import (  # noqa: F401
     ratios,
     sample_random_friend_subset,
 )
-from .ingest import DatasetBundle, DomainScoreTable, EventLog
+from .ingest import DatasetBundle, EventLog
 
 log = logging.getLogger(__name__)
 
@@ -160,7 +160,7 @@ class ExposureIndex:
     def __init__(
         self,
         log_data: EventLog,
-        table: DomainScoreTable,
+        table: dict[str, float],
         names: Sequence[str],
     ) -> None:
         self.names = names
@@ -170,9 +170,9 @@ class ExposureIndex:
             raise EchoscopeError(
                 f"{len(missing)} log author(s) have no user id, e.g. {min(missing)!r}"
             )
-        domain_names = sorted(table.scores)
+        domain_names = sorted(table)
         domain_id = {d: j for j, d in enumerate(domain_names)}
-        self.domain_scores = np.array([table.scores[d] for d in domain_names], dtype=np.float64)
+        self.domain_scores = np.array([table[d] for d in domain_names], dtype=np.float64)
         is_moderate = np.array([fold(s) <= 0.5 for s in self.domain_scores.tolist()], dtype=bool)
 
         user_of = np.array([self.id.get(user, -1) for user in log_data.users], dtype=np.int64)

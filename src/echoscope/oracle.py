@@ -56,7 +56,7 @@ def oracle_metrics(
         raise EchoscopeError(
             f"oracle guard rail: {len(events)} events exceed max_events={max_events}"
         )
-    scores = bundle.scores.scores
+    scores = bundle.scores
     seeds = set(bundle.seeds)
 
     by_author: dict[str, list] = {}

@@ -69,7 +69,7 @@ _CSV_SPECIAL = (",", '"', "\r", "\n")  # csv may quote a field holding one of th
 
 # RunConfig fields that name files or say how the work is run; every other
 # field shapes the output and enters semantic_dict and the config hash
-NON_SEMANTIC_FIELDS = frozenset({"scores", "edges", "events", "out_dir", "threads", "no_cache"})
+NON_SEMANTIC_FIELDS = frozenset({"scores", "edges", "events", "out_dir", "no_cache"})
 
 
 @dataclass
@@ -87,7 +87,6 @@ class RunConfig:
     seed: int = 1
     overlap_mode: str = OVERLAP_BOTH
     unique_domains: bool = False
-    threads: int = 1  # accepted and validated; the report runs single-threaded
     no_cache: bool = False
     heatmap_bins: int = 25
     sample_n: int = 500000
@@ -99,8 +98,6 @@ class RunConfig:
             raise EchoscopeError("reps must be >= 1")
         if self.overlap_mode not in (OVERLAP_ACCOUNT, OVERLAP_CONTENT, OVERLAP_BOTH):
             raise EchoscopeError(f"unknown overlap mode {self.overlap_mode!r}")
-        if self.threads < 1:
-            raise EchoscopeError("threads must be >= 1")
         if self.entropy_bins < 2:
             raise EchoscopeError("entropy_bins must be >= 2")
         if self.baseline_users < 0:
@@ -347,11 +344,9 @@ def build_report(
     # name order, so every list below is in user order
     correlations: dict = {}
     delta_tables: dict[str, Table] = {}
-    metrics_k1 = None
+    metrics_k1 = engine.metrics_at(1)
     for k in cfg.k_range():
-        mset = engine.metrics_at(k)
-        if k == 1:
-            metrics_k1 = mset
+        mset = metrics_k1 if k == 1 else engine.metrics_at(k)
         paired = np.flatnonzero(scored & ~np.isnan(mset.delta))
         ms = engine.m_s[paired].tolist()
         deltas = mset.delta[paired].tolist()
@@ -365,8 +360,6 @@ def build_report(
             ["user", "m_s", "delta"],
             [Take(fg.names, paired), engine.m_s[paired], mset.delta[paired]],
         )
-    if metrics_k1 is None:
-        metrics_k1 = engine.metrics_at(1)
     user_ids = metrics_k1.user_ids
     per_user = (engine.mu, engine.m_s, metrics_k1.m_e_f, metrics_k1.m_e_r, metrics_k1.delta)
     tables["user_metrics.csv"] = (

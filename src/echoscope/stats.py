@@ -8,6 +8,7 @@ runs the U test on the defined values.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -144,16 +145,8 @@ def _approx_u_pvalue(ranks2: list[int], n1: int, u: float) -> float:
     continuity correction."""
     n2 = len(ranks2) - n1
     n = n1 + n2
-    tie_term = 0
-    i = 0
-    ranks_sorted = sorted(ranks2)
-    while i < n:
-        j = i
-        while j + 1 < n and ranks_sorted[j + 1] == ranks_sorted[i]:
-            j += 1
-        size = j - i + 1
-        tie_term += size**3 - size
-        i = j + 1
+    # each tie group shares one doubled average rank, and no two groups share one
+    tie_term = sum(size**3 - size for size in Counter(ranks2).values())
     var = (n1 * n2 / 12.0) * ((n + 1) - tie_term / (n * (n - 1.0)))
     if var <= 0:
         return 1.0
@@ -202,25 +195,21 @@ def shannon_entropy(values: Sequence[float], n_bins: int) -> float:
     """
     if len(values) == 0:
         raise UndefinedStatisticError("entropy of an empty sample is undefined")
+    counts = np.bincount(_bins(np.asarray(values, dtype=np.float64), n_bins), minlength=n_bins)
+    return _entropy_of_counts(counts.tolist())
+
+
+def _bins(values: np.ndarray, n_bins: int) -> np.ndarray:
+    """Equal-width bins of values in [0,1]; the last bin is right-closed."""
     if n_bins < 2:
         raise UndefinedStatisticError("need at least 2 bins")
-    counts = [0] * n_bins
-    for v in values:
-        counts[_bin(v, n_bins)] += 1
-    return _entropy_of_counts(counts, n_bins)
+    inside = (values >= 0.0) & (values <= 1.0)
+    if not inside.all():
+        raise UndefinedStatisticError(f"value out of [0,1]: {values[~inside][0]}")
+    return np.minimum((values * n_bins).astype(np.int64), n_bins - 1)
 
 
-def _bin(value: float, n_bins: int) -> int:
-    """Equal-width bin of a value in [0,1]; the last bin is right-closed."""
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise UndefinedStatisticError(f"value out of [0,1]: {value}")
-    return min(int(value * n_bins), n_bins - 1)
-
-
-def _entropy_of_counts(counts: list[int], n_bins: int) -> float:
-    if n_bins < 2:
-        raise UndefinedStatisticError("need at least 2 bins")
+def _entropy_of_counts(counts: list[int]) -> float:
     total = sum(counts)
     return -math.fsum(
         (c / total) * math.log2(c / total) for c in counts if c > 0
@@ -241,13 +230,9 @@ def entropy_comparison(
     than 2 scored friends in either graph, and the two scored-friend counts.
     """
     # each seed row's bin counts are one product with a user x bin indicator
-    width = max(n_bins, 1)
     scored = np.flatnonzero(~np.isnan(m_s))
-    values = m_s[scored]
-    if not ((values >= 0.0) & (values <= 1.0)).all():
-        raise UndefinedStatisticError("value out of [0,1] in m_s")
-    bins = np.minimum((values * width).astype(np.int64), width - 1)
-    by_bin = count_matrix(scored, bins, (len(fg.names), width))
+    bins = _bins(m_s[scored], n_bins)
+    by_bin = count_matrix(scored, bins, (len(fg.names), n_bins))
     counts_f = (fg.follow @ by_bin).toarray()
     counts_r = (rg.at_least(k) @ by_bin).toarray()
     n_f, n_r = counts_f.sum(axis=1), counts_r.sum(axis=1)
@@ -255,8 +240,8 @@ def entropy_comparison(
     entropy_f = np.full(len(fg.seeds), np.nan)
     entropy_r = np.full(len(fg.seeds), np.nan)
     for row in np.flatnonzero((n_f >= 2) & (n_r >= 2)).tolist():
-        entropy_f[row] = _entropy_of_counts(counts_f[row].tolist(), n_bins)
-        entropy_r[row] = _entropy_of_counts(counts_r[row].tolist(), n_bins)
+        entropy_f[row] = _entropy_of_counts(counts_f[row].tolist())
+        entropy_r[row] = _entropy_of_counts(counts_r[row].tolist())
     return entropy_f, entropy_r, n_f, n_r
 
 

@@ -29,7 +29,6 @@ import numpy as np
 from .errors import InfeasibleConfigError, InputFormatError
 from .ingest import (
     DatasetBundle,
-    DomainScoreTable,
     EventLog,
     FollowEdgeList,
     KIND_ORIGINAL,
@@ -240,7 +239,7 @@ def generate(config: SynthConfig) -> tuple[DatasetBundle, GroundTruth]:
             )
 
     bundle = DatasetBundle(
-        scores=DomainScoreTable({d: float(s) for d, s in zip(domains, d_scores.tolist())}),
+        scores={d: float(s) for d, s in zip(domains, d_scores.tolist())},
         edges=FollowEdgeList.from_pairs((users[s], users[t]) for s, t in edges),
         log=EventLog.from_events(events),
         seeds=frozenset(users),

@@ -4,7 +4,6 @@ import pytest
 from echoscope.graph import build_follower_graph, build_retweet_graph, user_space
 from echoscope.ingest import (
     DatasetBundle,
-    DomainScoreTable,
     EventLog,
     FollowEdgeList,
     KIND_ORIGINAL,
@@ -27,7 +26,7 @@ def make_bundle(scores, edges, events, seeds=None):
     log = EventLog.from_events(events)
     if seeds is None:
         seeds = edge_list.sources()
-    return DatasetBundle(DomainScoreTable(dict(scores)), edge_list, log, frozenset(seeds))
+    return DatasetBundle(dict(scores), edge_list, log, frozenset(seeds))
 
 
 def graphs_of(bundle):

@@ -112,6 +112,22 @@ def test_validate_non_utf8_input_exit_two(dataset_dir, tmp_path, capsys, name, l
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, lineno", [("scores.csv", 3), ("edges.csv", 3), ("edges.csv", 1)])
+def test_validate_field_over_csv_limit_exit_two(
+    dataset_dir, tmp_path, capsys, caplog, name, lineno
+):
+    # csv refuses a field longer than csv.field_size_limit(), 131,072 characters
+    copy = tmp_path / "long_field"
+    shutil.copytree(dataset_dir, copy)
+    lines = (copy / name).read_text().splitlines(keepends=True)
+    lines[lineno - 1] = "x" * 140_000 + "," + lines[lineno - 1]
+    (copy / name).write_text("".join(lines))
+    assert main(["validate", *inputs(copy)]) == 2
+    err = capsys.readouterr().err
+    assert f"{copy / name}:{lineno}: field larger than field limit" in err
+    assert "Traceback" not in err + caplog.text
+
+
 @pytest.mark.parametrize("ts", ["100000000000000000000000", "9223372036854775808", "1e23"])
 def test_validate_timestamp_beyond_int64_exit_two(dataset_dir, tmp_path, capsys, ts):
     copy = tmp_path / "big_ts"

@@ -48,13 +48,13 @@ def test_labels_map_to_five_levels(tmp_path):
         "g.example,Least-Biased\n",
     )
     table = parse_domain_scores(path)
-    assert table.scores["a.example"] == 0.25
-    assert table.scores["b.example"] == 1.0
-    assert table.scores["c.example"] == 0.5
-    assert table.scores["d.example"] == 0.0
-    assert table.scores["e.example"] == 0.5
-    assert table.scores["f.example"] == 0.75
-    assert table.scores["g.example"] == 0.5
+    assert table["a.example"] == 0.25
+    assert table["b.example"] == 1.0
+    assert table["c.example"] == 0.5
+    assert table["d.example"] == 0.0
+    assert table["e.example"] == 0.5
+    assert table["f.example"] == 0.75
+    assert table["g.example"] == 0.5
 
 
 def test_duplicate_domain_rejected_with_line_number(tmp_path):
@@ -155,13 +155,13 @@ def block_parser_reads_alone(text):
 
 
 PLAIN_BODY = "".join(f"u{i},u{i + 1}\n" for i in range(30))
-# each file's bad row, and the line number csv gives it: csv counts rows, so a
-# quoted name spanning lines shifts the number
+# each file's bad row, and the file line it starts on, line breaks inside
+# quoted names counted
 LATE_ERRORS = {
     "one field": (PLAIN_BODY + "u1,u2\nu7\nu3,u4\n", 33),
     "three fields": (PLAIN_BODY + "u1,u2,u3\n", 32),
     "empty field": (PLAIN_BODY + "u1,u2\nu3,\n", 33),
-    "quoted newline": (PLAIN_BODY + '"u\n1",u2\n\nu3,"u\n\n4"\nu5\n', 35),
+    "quoted newline": (PLAIN_BODY + '"u\n1",u2\n\nu3,"u\n\n4"\nu5\n', 38),
     "crlf": (PLAIN_BODY.replace("\n", "\r\n") + "u1,u2\r\nu3\r\n", 33),
     "no final newline": (PLAIN_BODY + "u1,u2\nu3", 33),
 }
@@ -185,6 +185,20 @@ def test_a_bad_row_before_a_bad_byte_is_reported_first(tmp_path):
     expected = edge_outcome(reference_edges, str(path))
     assert expected.startswith(f"{path}:3: expected 2 non-empty fields")
     assert edge_outcome(parse_follow_edges, str(path)) == expected
+
+
+@pytest.mark.parametrize("parse, text, line", [
+    (parse_follow_edges, 'follower,friend\n"a\nb",c\nd,e\nf\n', 5),
+    (parse_follow_edges, 'follower,friend\n"a\nb",c\n"x\ny"\n', 4),
+    (parse_domain_scores, 'domain,score\na.example,"\n0.5"\nb.example,left\nc\n', 5),
+    (parse_domain_scores, 'domain,score\na.example,"\n0.5"\n"b.\nexample",left\n', 4),
+], ids=["edges-after", "edges-spanning", "scores-after", "scores-spanning"])
+def test_a_bad_row_is_reported_at_the_file_line_it_starts_on(tmp_path, parse, text, line):
+    # the row before it, or the bad row itself, has a quoted line break
+    path = write_raw(tmp_path / "in.csv", text)
+    with pytest.raises(InputFormatError) as err:
+        parse(path)
+    assert str(err.value).startswith(f"{path}:{line}: ")
 
 
 def test_a_field_csv_would_refuse_is_left_to_csv(tmp_path, monkeypatch):
@@ -487,7 +501,7 @@ def test_parse_write_parse_idempotent(tmp_path):
     write_follow_edges(edges, str(tmp_path / "e2.csv"))
     write_events(log, str(tmp_path / "ev2.jsonl"))
 
-    assert parse_domain_scores(str(tmp_path / "s2.csv")).scores == table.scores
+    assert parse_domain_scores(str(tmp_path / "s2.csv")) == table
     assert parse_follow_edges(str(tmp_path / "e2.csv")) == edges
     log2 = parse_events(str(tmp_path / "ev2.jsonl"))
     assert log2.events == log.events
@@ -577,7 +591,7 @@ def test_from_pairs_matches_parser(tmp_path):
 
 def test_scores_with_a_byte_order_mark(tmp_path):
     path = write(tmp_path / "s.csv", "\ufeffdomain,score\na.example,left\n")
-    assert parse_domain_scores(path).scores == {"a.example": 0.0}
+    assert parse_domain_scores(path) == {"a.example": 0.0}
 
 
 @pytest.mark.parametrize("row", ["u1,u2", '"u1",u2'])  # the block parser, and csv

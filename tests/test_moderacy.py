@@ -20,7 +20,7 @@ from echoscope.graph import (
     sample_random_friend_subset,
     user_space,
 )
-from echoscope.ingest import DomainScoreTable, EventLog, FollowEdgeList
+from echoscope.ingest import EventLog, FollowEdgeList
 from echoscope.moderacy import (
     CLASSES,
     FOLLOWER,
@@ -201,8 +201,8 @@ def test_unique_domain_engine_matches_fsum_reference():
         )
     )
     draw = random.Random(4)
-    table = {d: round(draw.random(), draw.choice([1, 3, 7])) for d in bundle.scores.scores}
-    bundle = dataclasses.replace(bundle, scores=DomainScoreTable(table))
+    table = {d: round(draw.random(), draw.choice([1, 3, 7])) for d in bundle.scores}
+    bundle = dataclasses.replace(bundle, scores=table)
     engine = engine_of(bundle, unique_domains=True)
 
     def scores_of(domains):
@@ -641,7 +641,7 @@ def test_exposure_index_matches_event_scan(tiny_bundle):
     for author in tiny_bundle.log.authors:
         events = [e for e in tiny_bundle.log.events if e.author == author]
         expected = sum(
-            tiny_bundle.scores.scores[d]
+            tiny_bundle.scores[d]
             for e in events
             for d in e.domains
             if d in tiny_bundle.scores

@@ -235,15 +235,14 @@ def test_corrupted_engine_fails_with_named_metric(monkeypatch):
 # modes; scores off the five-level scale, whose sums depend on their order
 ORACLE_DIGEST = """
 import dataclasses, hashlib, json
-from echoscope.ingest import DomainScoreTable
 from echoscope.oracle import oracle_metrics
 from echoscope.synth import SynthConfig, generate
 bundle, _ = generate(SynthConfig(
     n_users=120, n_domains=30, follow_homophily=0.3, base_follow_prob=0.08,
     attention_bias=2.0, activity_rate=8, retweet_rate=6, duration=100_000, seed=5,
 ))
-domains = sorted(bundle.scores.scores)
-table = DomainScoreTable({d: (i * 0.37) % 1.0 for i, d in enumerate(domains)})
+domains = sorted(bundle.scores)
+table = {d: (i * 0.37) % 1.0 for i, d in enumerate(domains)}
 bundle = dataclasses.replace(bundle, scores=table)
 maps = [oracle_metrics(bundle, unique_domains=u, max_events=5000) for u in (False, True)]
 text = json.dumps([{n: {k: repr(v) for k, v in m.items()} for n, m in ms.items()} for ms in maps],

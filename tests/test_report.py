@@ -107,8 +107,8 @@ def test_report_means_add_left_to_right():
 
 
 def test_config_hash_ignores_execution_knobs(tmp_path):
-    a = run_config(tmp_path, threads=1, no_cache=False, out_dir=str(tmp_path / "a"))
-    b = run_config(tmp_path, threads=8, no_cache=True, out_dir=str(tmp_path / "b"))
+    a = run_config(tmp_path, no_cache=False, out_dir=str(tmp_path / "a"))
+    b = run_config(tmp_path, no_cache=True, out_dir=str(tmp_path / "b"))
     assert a.config_hash() == b.config_hash()
     c = run_config(tmp_path, seed=4)
     assert c.config_hash() != a.config_hash()
@@ -123,8 +123,6 @@ def test_run_config_validation(tmp_path):
         run_config(tmp_path, reps=0)
     with pytest.raises(EchoscopeError):
         run_config(tmp_path, overlap_mode="sideways")
-    with pytest.raises(EchoscopeError):
-        run_config(tmp_path, threads=0)
     for field, value in (
         ("heatmap_bins", 0),
         ("heatmap_bins", -3),

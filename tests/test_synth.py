@@ -33,7 +33,7 @@ def test_same_seed_same_bundle_and_files(tmp_path):
     b2, t2 = generate(small_config())
     assert b1.log.events == b2.log.events
     assert b1.edges == b2.edges
-    assert b1.scores.scores == b2.scores.scores
+    assert b1.scores == b2.scores
     assert t1.ideology == t2.ideology
 
     for i, bundle in enumerate((b1, b2)):
@@ -61,10 +61,10 @@ def test_generated_bundles_validate_cleanly():
 
 def test_domain_scores_snap_to_levels_and_cover_them():
     bundle, truth = generate(small_config())
-    values = set(bundle.scores.scores.values())
+    values = set(bundle.scores.values())
     assert values <= set(SLANT_LEVELS)
     assert values == set(SLANT_LEVELS)  # first five domains force coverage
-    assert truth.domain_scores == bundle.scores.scores
+    assert truth.domain_scores == bundle.scores
 
 
 def test_retweets_point_at_friends_originals():
