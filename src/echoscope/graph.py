@@ -50,6 +50,13 @@ from .ingest import EventLog, FollowEdgeList, atomic_open
 OVERLAP_ACCOUNT = "account"
 OVERLAP_CONTENT = "content"
 
+# Work over many rows at once (set-of-domains pools, replayed subset draws)
+# goes a block of rows at a time; a block spans at most this many cells,
+# which keeps its temporaries to a few MiB.
+POOL_BLOCK_CELLS = 1 << 18
+# random_friend_positions_reps replays subsets of at most this many friends
+REPLAY_MAX_SIZE = 32
+
 CACHE_MAGIC = b"ECHOGRF1"
 CACHE_VERSION = 3
 
@@ -291,6 +298,95 @@ def random_friend_positions(
     if size == n_friends:
         return np.arange(n_friends)
     return rng.choice(n_friends, size=size, replace=False)
+
+
+def random_friend_positions_reps(
+    user: str, n_friends: int, size: int, reps: int, rng: np.random.Generator
+) -> np.ndarray:
+    """A (reps, size) array whose rows are reps consecutive random_friend_positions draws.
+
+    rng ends in the state those calls leave. A size above n_friends clamps
+    with one warning. Small subsets on a Philox stream are replayed in bulk
+    (_replay_choice); everything else, and any replay that meets a Lemire
+    rejection, is drawn one call at a time from the state saved before.
+    """
+    if size > n_friends:
+        logging.getLogger(__name__).warning(
+            "subset size %d exceeds %d friends of %s; clamping", size, n_friends, user
+        )
+        size = n_friends
+    out = np.empty((reps, max(size, 0)), dtype=np.int64)
+    bitgen = rng.bit_generator
+    saved = bitgen.state
+    # a replay pays a few numpy calls per position and per earlier pick, a
+    # choice call costs about two of them, so only small subsets drawn more
+    # times than they have positions are replayed; numpy's tail-shuffle
+    # branch and size == n_friends are left to choice
+    replay = (
+        isinstance(bitgen, np.random.Philox)
+        and 0 < size < n_friends
+        and size <= REPLAY_MAX_SIZE
+        and reps > size
+        and not (n_friends > 10000 and size > n_friends // 50)
+    )
+    if replay and _replay_choice(out, bitgen, saved, n_friends):
+        return out
+    bitgen.state = saved
+    for row in out:
+        row[:] = random_friend_positions(user, n_friends, size, rng)
+    return out
+
+
+def _replay_choice(out: np.ndarray, bitgen: np.random.Philox, state: dict, n: int) -> bool:
+    """Fill out's rows with what Generator.choice(n, size, replace=False) draws.
+
+    Each choice is Floyd's method over j = n-size .. n-1 (a draw equal to an
+    earlier pick takes j instead) and then a Fisher-Yates shuffle over
+    i = size-1 .. 1. Every bound goes through Lemire's multiply-shift on one
+    32-bit half of a raw word, low half first, and the half left over carries
+    to the next draw through the state's has_uint32/uinteger. The raw words
+    are read and decoded a block of repetitions at a time. Returns False,
+    with out partly filled, on a Lemire rejection (a low word below
+    2**32 % bound), whose redraw the replay does not follow.
+    """
+    reps, size = out.shape
+    lo = n - size
+    bounds = np.r_[lo + 1 : n + 1, size:1:-1].astype(np.uint64)
+    limits = (1 << 32) % bounds
+    spare = state["uinteger"] if state["has_uint32"] else None
+    high = None
+    step = max(1, POOL_BLOCK_CELLS // bounds.size)
+    for start in range(0, reps, step):
+        block = out[start : start + step]
+        count = len(block) * bounds.size
+        words = bitgen.random_raw((count + (spare is None)) // 2)
+        halves = np.asarray(words, dtype="<u8").view("<u4").astype(np.uint64)
+        if spare is not None:
+            halves = np.concatenate((np.array([spare], dtype=np.uint64), halves))
+        spare = int(halves[count]) if halves.size > count else None
+        if words.size:
+            high = int(words[-1]) >> 32
+        scaled = halves[:count].reshape(-1, bounds.size) * bounds
+        if ((scaled & 0xFFFFFFFF) < limits).any():
+            return False
+        draws = (scaled >> 32).astype(np.int64).T
+        picks = block.T
+        for p in range(size):
+            seen = (picks[:p] == draws[p]).any(axis=0)
+            picks[p] = np.where(seen, lo + p, draws[p])
+        flat = block.reshape(-1)
+        rows = np.arange(0, flat.size, size)
+        for i in range(size - 1, 0, -1):
+            at = rows + draws[2 * size - 1 - i]
+            held = flat[at]
+            flat[at] = flat[rows + i]
+            flat[rows + i] = held
+    after = bitgen.state
+    after["has_uint32"] = int(spare is not None)
+    if high is not None:
+        after["uinteger"] = high
+    bitgen.state = after
+    return True
 
 
 def sample_random_friend_subset(

@@ -659,6 +659,24 @@ def _edge_rows(path: str) -> Iterator[tuple[str, str]]:
         yield row[0], row[1]
 
 
+# the decoder json.loads uses, with the same defaults
+_scan = json.JSONDecoder().scan_once
+
+
+def _decode_line(line: str):
+    """json.loads(line) for a stripped line: the same object, or the same exception.
+
+    The scanner alone decodes a line that is one JSON value and nothing
+    else; every other line goes through json.loads, so each error text (a
+    BOM, extra data, a missing value) stays json's own.
+    """
+    try:
+        obj, end = _scan(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        return json.loads(line)
+    return obj if end == len(line) else json.loads(line)
+
+
 def parse_events(
     path: str,
     rules: Optional[SuffixRules] = None,
@@ -681,8 +699,9 @@ def parse_events(
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+                obj = _decode_line(line)
+            except (ValueError, RecursionError) as exc:
+                # JSONDecodeError, an integer over the digit limit, or nesting too deep
                 raise InputFormatError(
                     f"invalid JSON: {exc}", path=str(path), line=lineno
                 ) from None

@@ -45,12 +45,13 @@ from .errors import EchoscopeError
 # sample_random_friend_subset is not called here, but perfbench/tracer.py
 # looks it up in this module, so it stays importable from here.
 from .graph import (  # noqa: F401
+    POOL_BLOCK_CELLS,
     FollowerGraph,
     RetweetGraph,
     check_same_space,
     count_matrix,
     left_sum,
-    random_friend_positions,
+    random_friend_positions_reps,
     ratios,
     sample_random_friend_subset,
 )
@@ -65,10 +66,6 @@ CLASSES = (MODERATE, HARDLINER)  # indexed by class code
 FOLLOWER = "follower"
 RETWEET = "retweet"
 
-# Set-of-domains pools are formed a block of seed rows at a time; a block
-# spans at most this many (row, domain) cells, which keeps the product's
-# temporaries to a few MiB however many domains the score table has.
-POOL_BLOCK_CELLS = 1 << 18
 LIMB_BITS = 21  # set sums add scores as integer limbs of this many bits
 
 
@@ -288,13 +285,10 @@ def random_baseline_fractions(
     friends = engine.follow.indices[engine.follow.indptr[row] : engine.follow.indptr[row + 1]]
     if size == 0 or friends.size == 0 or reps < 1:
         return None
-    if size > friends.size:
-        log.warning("subset size %d exceeds %d friends of %s; clamping", size, friends.size, user)
-        size = friends.size
     # columns ascend in name order, so position i is the i-th friend by name
     counts = np.stack([engine.index.score_count[friends], engine.index.moderate[friends]])
-    picks = [random_friend_positions(user, friends.size, size, rng) for _ in range(reps)]
-    n_total, n_mod = counts[:, np.concatenate(picks)].reshape(2, reps, size).sum(axis=2)
+    picks = random_friend_positions_reps(user, friends.size, size, reps, rng)
+    n_total, n_mod = counts[:, picks].sum(axis=2)
     pooled = n_total > 0
     if not pooled.any():
         return None

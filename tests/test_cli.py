@@ -143,6 +143,29 @@ def test_validate_timestamp_beyond_int64_exit_two(dataset_dir, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+UNDECODABLE_LINES = {
+    "int over the digit limit": ('{"id": "t", "ts": %s}' % ("7" * 4301), "Exceeds the limit"),
+    "nesting too deep": ("[" * 200_000, "maximum recursion depth exceeded"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE_LINES))
+@pytest.mark.parametrize("command", ["validate", "report"])
+def test_event_line_json_cannot_decode_exit_two(
+    dataset_dir, tmp_path, capsys, caplog, command, case
+):
+    line, message = UNDECODABLE_LINES[case]
+    copy = tmp_path / "undecodable"
+    shutil.copytree(dataset_dir, copy)
+    lines = (copy / "events.jsonl").read_text().splitlines(keepends=True)
+    lines[2] = line + "\n"
+    (copy / "events.jsonl").write_text("".join(lines))
+    assert main([command, *inputs(copy), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{copy / 'events.jsonl'}:3: invalid JSON: {message}" in err
+    assert "Traceback" not in err + caplog.text
+
+
 def test_validate_report_to_file(dataset_dir, tmp_path):
     out = tmp_path / "validation.json"
     assert main(["validate", *inputs(dataset_dir), "--out", str(out)]) == 0

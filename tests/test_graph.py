@@ -4,8 +4,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ev, graphs_of, rt
+from echoscope import graph
 from echoscope.errors import EchoscopeError
 from echoscope.graph import (
     CACHE_MAGIC,
@@ -17,6 +20,7 @@ from echoscope.graph import (
     left_sum,
     load_graph_cache,
     overlap_vs_threshold,
+    random_friend_positions_reps,
     retweet_overlap,
     sample_friends_by_indegree,
     sample_random_friend_subset,
@@ -284,6 +288,104 @@ def test_friend_subset_edges_and_uniformity(caplog):
             counts[friend] += 1
     for friend, count in counts.items():
         assert abs(count / reps - 0.4) < 0.01
+
+
+def choice_rows(n, size, reps, rng):
+    """The specification: reps consecutive Generator.choice draws, one row each."""
+    return np.array([rng.choice(n, size, replace=False) for _ in range(reps)]).reshape(reps, size)
+
+
+def assert_same_stream(a, b):
+    """Both generators are in one state: the spare 32-bit half included."""
+    np.testing.assert_equal(a.bit_generator.state, b.bit_generator.state)
+    assert a.integers(0, 1000, dtype=np.uint32) == b.integers(0, 1000, dtype=np.uint32)
+    assert a.random() == b.random()
+
+
+def skipped(key, skip):
+    """A substream after skip 32-bit draws, so an odd skip leaves a spare half."""
+    rng = substream(key, "choice-replay")
+    for _ in range(skip):
+        rng.integers(0, 5, dtype=np.uint32)
+    return rng
+
+
+@st.composite
+def choice_cases(draw):
+    n = draw(st.integers(2, 20_000))
+    # small subsets are replayed; any size reaches numpy's tail-shuffle branch
+    size = draw(st.one_of(st.integers(1, min(n - 1, 40)), st.integers(1, n - 1)))
+    return n, size, draw(st.integers(1, 40)), draw(st.integers(0, 2**32)), draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(choice_cases())
+def test_positions_reps_replays_choice(case):
+    n, size, reps, key, skip = case
+    want_rng, got_rng = skipped(key, skip), skipped(key, skip)
+    want = choice_rows(n, size, reps, want_rng)
+    got = random_friend_positions_reps("u", n, size, reps, got_rng)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    assert_same_stream(got_rng, want_rng)
+
+
+def count_calls(monkeypatch):
+    calls = []
+    one = graph.random_friend_positions
+
+    def counted(*args):
+        calls.append(args)
+        return one(*args)
+
+    monkeypatch.setattr(graph, "random_friend_positions", counted)
+    return calls
+
+
+def test_positions_reps_replay_makes_no_choice_call(monkeypatch):
+    calls = count_calls(monkeypatch)
+    want_rng, got_rng = skipped(3, 0), skipped(3, 0)
+    want = choice_rows(50, 5, 100, want_rng)
+    np.testing.assert_array_equal(random_friend_positions_reps("u", 50, 5, 100, got_rng), want)
+    assert calls == []
+    assert_same_stream(got_rng, want_rng)
+
+
+@pytest.mark.parametrize("n, size", [(10, 4), (100, 7), (9, 1), (40, 32)])
+def test_positions_reps_falls_back_on_lemire_rejection(monkeypatch, n, size):
+    # a spare half of 0 scales to a low word of 0, below 2**32 % (n - size + 1)
+    # for every bound that is not a power of two, so the first draw is rejected
+    calls = count_calls(monkeypatch)
+    want_rng, got_rng = skipped(5, 0), skipped(5, 0)
+    for rng in (want_rng, got_rng):
+        state = rng.bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, 0
+        rng.bit_generator.state = state
+    want = choice_rows(n, size, 50, want_rng)
+    np.testing.assert_array_equal(random_friend_positions_reps("u", n, size, 50, got_rng), want)
+    assert len(calls) == 50
+    assert_same_stream(got_rng, want_rng)
+
+
+def test_positions_reps_odd_draw_count_keeps_the_spare_half(monkeypatch):
+    # 33 repetitions of 2 * 4 - 1 draws read 116 words and use one half of the last
+    calls = count_calls(monkeypatch)
+    want_rng, got_rng = skipped(8, 0), skipped(8, 0)
+    want = choice_rows(30, 4, 33, want_rng)
+    np.testing.assert_array_equal(random_friend_positions_reps("u", 30, 4, 33, got_rng), want)
+    assert calls == []
+    assert got_rng.bit_generator.state["has_uint32"] == 1
+    assert_same_stream(got_rng, want_rng)
+
+
+def test_positions_reps_edges(caplog):
+    rng = substream(9, "edges")
+    with caplog.at_level("WARNING"):
+        clamped = random_friend_positions_reps("s", 4, 6, 3, rng)
+    np.testing.assert_array_equal(clamped, np.tile(np.arange(4), (3, 1)))
+    assert sum("clamping" in r.getMessage() for r in caplog.records) == 1
+    assert random_friend_positions_reps("s", 4, 0, 3, rng).shape == (3, 0)
+    assert random_friend_positions_reps("s", 4, 2, 0, rng).shape == (0, 2)
 
 
 # ---------------------------------------------------------------- cache

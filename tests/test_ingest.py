@@ -406,6 +406,46 @@ def test_bad_event_records(tmp_path):
         assert str(err.value) == str(ref.value)
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=3), kids, max_size=4),
+    max_leaves=10,
+)
+JSON_TEXTS = st.one_of(
+    # NaN and Infinity come from floats; indent adds whitespace inside values
+    st.builds(
+        lambda value, indent, ascii: json.dumps(value, indent=indent, ensure_ascii=ascii),
+        JSON_VALUES, st.sampled_from([None, 0, 1]), st.booleans(),
+    ),
+    st.builds(lambda n: "1" * n, st.integers(4295, 4305)),
+    st.builds(lambda n: '{"ts": -%s}' % ("9" * n), st.integers(4295, 4305)),
+    st.sampled_from([
+        '"\\ud800"', '{"a": "\\udfff x"}', '{"a": 1, "a": 2}', '{"a": 1 "b": 2}',
+        "NaN", "-Infinity", "[1, 2,]", "[" * 5000, "{" * 5000, '"', "", "nul",
+    ]),
+)
+
+
+@st.composite
+def event_json_lines(draw):
+    prefix = draw(st.sampled_from(["", " ", "\ufeff", "\t\ufeff"]))
+    suffix = draw(st.sampled_from(["", " ", "\t\r", " x", "}", "]", "{}", "1", "\ufeff"]))
+    return (prefix + draw(JSON_TEXTS) + suffix).strip()
+
+
+def json_outcome(decode, line):
+    try:
+        return "value", repr(decode(line))
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+@given(event_json_lines())
+@settings(max_examples=400, deadline=None)
+def test_event_line_decoder_matches_json_loads(line):
+    assert json_outcome(ingest._decode_line, line) == json_outcome(json.loads, line)
+
+
 def test_timestamp_at_int64_max_accepted(tmp_path):
     path = write(
         tmp_path / "ev.jsonl",

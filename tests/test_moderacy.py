@@ -40,6 +40,7 @@ from echoscope.moderacy import (
     score_limbs,
     set_sums,
 )
+from echoscope.report import RunConfig, build_report
 from echoscope.rng import substream
 from echoscope.synth import SynthConfig, generate
 
@@ -461,6 +462,41 @@ def subset_loop_baseline(engine, fg, user, size, reps, rng):
         if n_total:
             fracs.append(n_mod / n_total)
     return left_sum(fracs) / len(fracs) if fracs else None
+
+
+def test_report_baseline_matches_per_friend_subset_loop():
+    # every eligible seed enters the baseline (baseline_users=0); each class's
+    # baseline block is the left-to-right mean of the subset loop's values on
+    # the report's own substreams, in seed order
+    bundle, _ = generate(
+        SynthConfig(
+            n_users=60, n_domains=10, follow_homophily=0.3, base_follow_prob=0.2,
+            attention_bias=2.0, activity_rate=5.0, retweet_rate=6.0,
+            duration=10_000, seed=21,
+        )
+    )
+    cfg = RunConfig("scores.csv", "edges.csv", "events.jsonl", "out", reps=40, seed=13)
+    report = build_report(bundle, cfg)
+    engine = engine_of(bundle)
+    fg, rg = graphs_of(bundle)
+    values = {cls: [] for cls in CLASSES}
+    for row, user in enumerate(fg.seeds):
+        code = engine.class_code[fg.seed_ids[row]]
+        size = len(rg.retweet_friends(user, 1))
+        if code < 0 or not size:
+            continue
+        rng = substream(cfg.seed, "baseline", user)
+        value = subset_loop_baseline(engine, fg, user, size, cfg.reps, rng)
+        if value is not None:
+            values[CLASSES[code]].append(value)
+    assert sum(map(len, values.values())) > 20
+    for cls in CLASSES:
+        got = report.sections["class_fractions"]["baseline"][cls]
+        assert got["n_users"] == len(values[cls])
+        if values[cls]:
+            assert got["frac_moderate"] == left_sum(values[cls]) / len(values[cls])
+            hard = [1.0 - v for v in values[cls]]
+            assert got["frac_hardline"] == left_sum(hard) / len(hard)
 
 
 def edge_case_baseline_fixture():
