@@ -33,7 +33,6 @@ caller-supplied), then eight arrays, each a u64 element count and the elements:
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left
 import math
 import operator
 import struct
@@ -64,15 +63,15 @@ CACHE_VERSION = 3
 class _SeedGraph:
     """A seed x user matrix: rows are the sorted ``seeds``, columns number ``names``.
 
-    ``seed_ids`` holds each row's user id, so per-user vectors over ``names``
-    can be read per seed row.
+    ``seed_ids`` holds each row's user id, ascending, so per-user vectors over
+    ``names`` can be read per seed row.
     """
 
-    def __init__(self, names: list[str], seeds: list[str], matrix: sparse.csr_matrix) -> None:
+    def __init__(self, names: list[str], seed_ids: np.ndarray, matrix: sparse.csr_matrix) -> None:
         self.names = names
-        self.seeds = seeds
-        self.seed_row = {user: i for i, user in enumerate(seeds)}
-        self.seed_ids = np.array([bisect_left(names, seed) for seed in seeds], dtype=np.int64)
+        self.seed_ids = np.asarray(seed_ids, dtype=np.int64)
+        self.seeds = [names[i] for i in self.seed_ids.tolist()]
+        self.seed_row = {user: i for i, user in enumerate(self.seeds)}
         self.matrix = matrix
 
     def indegree(self) -> np.ndarray:
@@ -138,19 +137,19 @@ class UserSpace:
 
     ``names`` holds every user the inputs name: the seeds, every endpoint of
     an edge and every author and retweeted account of the log, sorted, so an
-    id's order is its name's order. ``seeds`` are sorted too and number the
-    graph rows. ``follow_pairs`` holds the (seed row, user id) of every edge
+    id's order is its name's order. ``seed_ids``, ascending, number the graph
+    rows. ``follow_pairs`` holds the (seed row, user id) of every edge
     leaving a seed and ``retweet_pairs`` those of every retweet a seed posted.
     """
 
     names: list[str]
-    seeds: list[str]
+    seed_ids: np.ndarray
     follow_pairs: tuple[np.ndarray, np.ndarray]
     retweet_pairs: tuple[np.ndarray, np.ndarray]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return len(self.seeds), len(self.names)
+        return len(self.seed_ids), len(self.names)
 
 
 def user_space(seeds: Iterable[str], edges: FollowEdgeList, log: EventLog) -> UserSpace:
@@ -162,8 +161,9 @@ def user_space(seeds: Iterable[str], edges: FollowEdgeList, log: EventLog) -> Us
     id_of = {name: i for i, name in enumerate(names)}
     edge_ids = np.array([id_of[name] for name in edges.names], dtype=np.int64)
     log_ids = np.array([id_of[name] for name in log.users], dtype=np.int64)
+    seed_ids = np.array([id_of[seed] for seed in seed_list], dtype=np.int64)
     row_of = np.full(len(names), -1, dtype=np.int64)
-    row_of[[id_of[seed] for seed in seed_list]] = np.arange(len(seed_list))
+    row_of[seed_ids] = np.arange(len(seed_list))
 
     def seed_pairs(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rows = row_of[src]
@@ -172,17 +172,17 @@ def user_space(seeds: Iterable[str], edges: FollowEdgeList, log: EventLog) -> Us
 
     follow = seed_pairs(edge_ids[edges.src], edge_ids[edges.dst])
     retweet = seed_pairs(log_ids[log.author[log.retweet]], log_ids[log.orig_author[log.retweet]])
-    return UserSpace(names, seed_list, follow, retweet)
+    return UserSpace(names, seed_ids, follow, retweet)
 
 
 def build_follower_graph(space: UserSpace) -> FollowerGraph:
     """Edges leaving a seed, one entry of 1 per edge."""
-    return FollowerGraph(space.names, space.seeds, count_matrix(*space.follow_pairs, space.shape))
+    return FollowerGraph(space.names, space.seed_ids, count_matrix(*space.follow_pairs, space.shape))
 
 
 def build_retweet_graph(space: UserSpace) -> RetweetGraph:
     """Retweet counts from each seed to the accounts it retweeted."""
-    return RetweetGraph(space.names, space.seeds, count_matrix(*space.retweet_pairs, space.shape))
+    return RetweetGraph(space.names, space.seed_ids, count_matrix(*space.retweet_pairs, space.shape))
 
 
 def check_same_space(fg: FollowerGraph, rg: RetweetGraph) -> None:
@@ -479,15 +479,15 @@ def _parse_cache(data: bytes, fingerprint: bytes) -> Optional[tuple[FollowerGrap
         raise ValueError("name lengths do not match the name bytes")
     ends = np.cumsum(lengths).tolist()
     names = [blob[lo:hi].decode("utf-8") for lo, hi in zip([0] + ends[:-1], ends)]
-    seeds = [names[i] for i in array("<u4").tolist()]
-    shape = (len(seeds), len(names))
+    seed_ids = array("<u4")
+    shape = (len(seed_ids), len(names))
     indptr, indices = array("<i8"), array("<u4")
     follow = _checked_csr(np.ones(indices.size, dtype=np.int64), indices, indptr, shape)
     indptr, indices = array("<i8"), array("<u4")
     retweets = _checked_csr(array("<i8"), indices, indptr, shape)
     if pos != len(data):
         raise ValueError("trailing bytes in cache file")
-    return FollowerGraph(names, seeds, follow), RetweetGraph(names, seeds, retweets)
+    return FollowerGraph(names, seed_ids, follow), RetweetGraph(names, seed_ids, retweets)
 
 
 def _checked_csr(data, indices, indptr, shape) -> sparse.csr_matrix:

@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .errors import InputFormatError
-from .psl import DEFAULT_SHORTENER_SKIP, SuffixRules, _host_of, extract_pld, is_valid_pld
+from .psl import _host_of, extract_pld, is_valid_pld
 
 log = logging.getLogger(__name__)
 
@@ -205,12 +205,7 @@ class EventLog:
             column.flags.writeable = False
 
     @classmethod
-    def from_events(
-        cls,
-        events: Iterable[TweetEvent],
-        n_urls_dropped: int = 0,
-        n_self_retweets_dropped: int = 0,
-    ) -> "EventLog":
+    def from_events(cls, events: Iterable[TweetEvent]) -> "EventLog":
         cols = _EventColumns()
         domain_id: dict[str, int] = {}
         for ev in events:
@@ -222,7 +217,7 @@ class EventLog:
                 ev.original_author,
                 [domain_id.setdefault(d, len(domain_id)) for d in ev.domains],
             )
-        return cols.log(domain_id, n_urls_dropped, n_self_retweets_dropped)
+        return cols.log(domain_id, 0, 0)
 
     def __len__(self) -> int:
         return len(self.tweet_ids)
@@ -677,11 +672,7 @@ def _decode_line(line: str):
     return obj if end == len(line) else json.loads(line)
 
 
-def parse_events(
-    path: str,
-    rules: Optional[SuffixRules] = None,
-    skip_plds=DEFAULT_SHORTENER_SKIP,
-) -> EventLog:
+def parse_events(path: str) -> EventLog:
     """Read the events JSONL into columns; URLs are reduced to registrable domains.
 
     ``extract_pld`` reads a URL only through its host, so each distinct host
@@ -749,7 +740,7 @@ def parse_events(
                     host = _host_of(url)
                     d = host_domain.get(host)
                     if d is None:
-                        pld = extract_pld(url, rules=rules, skip_plds=skip_plds)
+                        pld = extract_pld(url)
                         d = host_domain[host] = (
                             -1 if pld is None else domain_id.setdefault(pld, len(domain_id))
                         )

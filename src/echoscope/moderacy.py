@@ -349,11 +349,9 @@ class MetricsSet:
     """
 
     engine: "MetricsEngine"
-    k: int
     m_e_f: np.ndarray
     m_e_r: np.ndarray
     delta: np.ndarray
-    warnings: tuple[str, ...] = ()
 
     @cached_property
     def user_ids(self) -> np.ndarray:
@@ -436,4 +434,4 @@ class MetricsEngine:
                 self.warnings.append(f"exposure range at k={k} is degenerate")
             raw[defined] = minmax_normalize(raw[defined])
         m_e_f, m_e_r = np.split(raw, 2)
-        return MetricsSet(self, k, m_e_f, m_e_r, m_e_f - m_e_r, tuple(self.warnings))
+        return MetricsSet(self, m_e_f, m_e_r, m_e_f - m_e_r)

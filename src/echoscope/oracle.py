@@ -51,11 +51,11 @@ def oracle_metrics(
     name -> user (or overlap mode) -> value, a key left out where the metric
     is undefined; class labels are strings, every other value a float.
     """
-    events = bundle.log.events
-    if len(events) > max_events:
+    if len(bundle.log) > max_events:
         raise EchoscopeError(
-            f"oracle guard rail: {len(events)} events exceed max_events={max_events}"
+            f"oracle guard rail: {len(bundle.log)} events exceed max_events={max_events}"
         )
+    events = bundle.log.events
     scores = bundle.scores
     seeds = set(bundle.seeds)
 

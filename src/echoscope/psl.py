@@ -129,11 +129,7 @@ def _host_of(url: str) -> Optional[str]:
     return s
 
 
-def extract_pld(
-    url: str,
-    rules: Optional[SuffixRules] = None,
-    skip_plds: FrozenSet[str] = DEFAULT_SHORTENER_SKIP,
-) -> Optional[str]:
+def extract_pld(url: str, skip_plds: FrozenSet[str] = DEFAULT_SHORTENER_SKIP) -> Optional[str]:
     """Registrable domain of ``url``, or None when one cannot be determined.
 
     Never raises: bare IPs, hosts on the shortener skip list, and anything
@@ -152,9 +148,7 @@ def extract_pld(
     for label in labels:
         if not _LABEL_RE.match(label):
             return None
-    if rules is None:
-        rules = default_rules()
-    pld = rules.registrable_domain(host)
+    pld = default_rules().registrable_domain(host)
     if pld is None or pld in skip_plds:
         return None
     return pld

@@ -133,8 +133,6 @@ def _sha256_file(path: str) -> str:
 
 
 def _jfloat(value):
-    if value is None:
-        return None
     value = float(value)
     if math.isnan(value):
         return None

@@ -8,7 +8,6 @@ runs the U test on the defined values.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,21 +89,14 @@ def _unit_deviations(vs: list[float]) -> list[float]:
     return [math.ldexp(d, -e) for d in ds]
 
 
-def _ranks2(pooled: Sequence[float]) -> list[int]:
-    """Average ranks of the pooled sample, doubled so ties stay integral."""
-    order = sorted(range(len(pooled)), key=lambda i: pooled[i])
-    ranks2 = [0] * len(pooled)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        # average of ranks i+1..j+1, doubled: (i+1 + j+1)
-        avg2 = i + j + 2
-        for t in range(i, j + 1):
-            ranks2[order[t]] = avg2
-        i = j + 1
-    return ranks2
+def _ranks2(pooled: Sequence[float]) -> tuple[list[int], list[int]]:
+    """Average ranks of the pooled sample, doubled so ties stay integral, and
+    the tie groups' sizes in ascending value order. The group of ``size``
+    values at 0-based sorted positions s..s+size-1 holds ranks s+1..s+size,
+    whose doubled average is 2s + size + 1."""
+    _, group, sizes = np.unique(pooled, return_inverse=True, return_counts=True)
+    starts = np.cumsum(sizes) - sizes
+    return (2 * starts + sizes + 1)[group].tolist(), sizes.tolist()
 
 
 def _exact_u_pvalue(ranks2: list[int], n1: int, u2_obs: int) -> float:
@@ -140,13 +132,12 @@ def _exact_u_pvalue(ranks2: list[int], n1: int, u2_obs: int) -> float:
     return favorable / total_subsets
 
 
-def _approx_u_pvalue(ranks2: list[int], n1: int, u: float) -> float:
+def _approx_u_pvalue(tie_sizes: list[int], n1: int, u: float) -> float:
     """Two-sided normal approximation with tie-corrected variance and a
     continuity correction."""
-    n2 = len(ranks2) - n1
-    n = n1 + n2
-    # each tie group shares one doubled average rank, and no two groups share one
-    tie_term = sum(size**3 - size for size in Counter(ranks2).values())
+    n = sum(tie_sizes)
+    n2 = n - n1
+    tie_term = sum(size**3 - size for size in tie_sizes)
     var = (n1 * n2 / 12.0) * ((n + 1) - tie_term / (n * (n - 1.0)))
     if var <= 0:
         return 1.0
@@ -166,13 +157,16 @@ def mann_whitney_u(
     Ties share average ranks. With method="auto" the p-value is exact
     (subset-count enumeration of the permutation distribution) when
     n1*n2 <= EXACT_U_THRESHOLD and a tie-corrected, continuity-corrected
-    normal approximation otherwise; "exact"/"approx" force one route.
+    normal approximation otherwise; "exact"/"approx" force one route. A NaN
+    or infinite value has no rank and raises UndefinedStatisticError.
     """
     n1, n2 = len(a), len(b)
     if n1 == 0 or n2 == 0:
         raise UndefinedStatisticError("both samples must be non-empty")
     pooled = [float(v) for v in a] + [float(v) for v in b]
-    ranks2 = _ranks2(pooled)
+    if not all(math.isfinite(v) for v in pooled):
+        raise UndefinedStatisticError("non-finite value in input")
+    ranks2, tie_sizes = _ranks2(pooled)
     rank2_a = sum(ranks2[:n1])
     # U_a = R_a - n1*(n1+1)/2 counts pairs where a beats b (ties half);
     # doubled ranks keep everything integral until the final halving
@@ -182,7 +176,7 @@ def mann_whitney_u(
     if method == "exact" or (method == "auto" and n1 * n2 <= EXACT_U_THRESHOLD):
         p = _exact_u_pvalue(ranks2, n1, u2)
     elif method in ("approx", "auto"):
-        p = _approx_u_pvalue(ranks2, n1, u)
+        p = _approx_u_pvalue(tie_sizes, n1, u)
     else:
         raise UndefinedStatisticError(f"unknown method {method!r}")
     return UTestResult(u, p, n1, n2)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -70,17 +71,7 @@ class SynthConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "SynthConfig":
-        fields = {
-            "n_users": int,
-            "n_domains": int,
-            "follow_homophily": float,
-            "base_follow_prob": float,
-            "attention_bias": float,
-            "activity_rate": float,
-            "retweet_rate": float,
-            "duration": int,
-            "seed": int,
-        }
+        fields = get_type_hints(cls)
         values = read_key_values(path, fields)
         missing = sorted(set(fields) - set(values))
         if missing:

@@ -426,6 +426,16 @@ def test_report_recovers_from_truncated_cache(dataset_dir, tmp_path):
         assert read_outputs(out) == expected, cut
 
 
+def test_report_window_is_part_of_the_cache_key(dataset_dir, tmp_path):
+    window = ["--window", "0..20000"]
+    clean = tmp_path / "clean"
+    assert main(report_args(dataset_dir, clean, window)) == 0
+    out = tmp_path / "rerun"
+    assert main(report_args(dataset_dir, out)) == 0  # caches the unwindowed graphs
+    assert main(report_args(dataset_dir, out, window)) == 0
+    assert read_outputs(out) == read_outputs(clean)
+
+
 def test_report_bytes_do_not_depend_on_input_paths(dataset_dir, tmp_path):
     outputs = []
     for where in ("a", "deeper/b"):

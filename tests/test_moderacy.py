@@ -346,8 +346,8 @@ def test_delta_negates_when_graph_roles_swap():
     engine = MetricsEngine(bundle, fg, rg)
     delta = at(engine, engine.metrics_at(1).delta, "u")
     # swapped-role engine: follower pool <- retweet friends and vice versa
-    fg_swapped = FollowerGraph(fg.names, fg.seeds, rg.at_least(1))
-    rg_swapped = RetweetGraph(rg.names, rg.seeds, fg.follow)
+    fg_swapped = FollowerGraph(fg.names, fg.seed_ids, rg.at_least(1))
+    rg_swapped = RetweetGraph(rg.names, rg.seed_ids, fg.follow)
     assert fg_swapped.friends("u") == rg.retweet_friends("u", 1)
     assert rg_swapped.retweet_friends("u", 1) == fg.friends("u")
     engine2 = MetricsEngine(bundle, fg_swapped, rg_swapped)

@@ -12,6 +12,7 @@ from echoscope.graph import build_follower_graph, build_retweet_graph, user_spac
 from echoscope.ingest import EventLog, FollowEdgeList
 from echoscope.stats import (
     EXACT_U_THRESHOLD,
+    _ranks2,
     entropy_comparison,
     format_p,
     mann_whitney_u,
@@ -210,6 +211,34 @@ def test_u_errors():
         mann_whitney_u([], [1])
     with pytest.raises(UndefinedStatisticError):
         mann_whitney_u([1], [1], method="bogus")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_u_refuses_non_finite_values(bad):
+    # a NaN has no rank: sorting one in made U depend on the samples' order
+    for a, b in (([3.0, bad], [1.0]), ([bad, 3.0], [1.0]), ([1.0], [bad, 3.0])):
+        with pytest.raises(UndefinedStatisticError, match="non-finite"):
+            mann_whitney_u(a, b)
+
+
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([-0.0, 0.0, 1.0, 2.5]), st.floats(-1e6, 1e6)),
+        min_size=1,
+        max_size=40,
+    )
+)
+@example([7.0])
+@example([2.5] * 5)
+@example([0.0, -0.0, 1.0, -0.0])
+@settings(max_examples=300, deadline=None)
+def test_ranks2_matches_counting_definition(values):
+    # doubled average rank = 2 * #less + #equal + 1; -0.0 ties with 0.0
+    ranks2, tie_sizes = _ranks2(values)
+    assert ranks2 == [
+        2 * sum(w < v for w in values) + sum(w == v for w in values) + 1 for v in values
+    ]
+    assert tie_sizes == [sum(w == v for w in values) for v in sorted(set(values))]
 
 
 # ---------------------------------------------------------------- entropy

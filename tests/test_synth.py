@@ -155,6 +155,8 @@ def test_oracle_guard_rail():
     bundle, _ = generate(small_config(activity_rate=20.0, retweet_rate=20.0))
     with pytest.raises(EchoscopeError, match="guard rail"):
         oracle_metrics(bundle, max_events=10)
+    # the refusal reads the log's length, not its per-event view
+    assert "events" not in bundle.log.__dict__
 
 
 def test_oracle_empty_log():
