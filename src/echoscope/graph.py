@@ -479,7 +479,9 @@ def _parse_cache(data: bytes, fingerprint: bytes) -> Optional[tuple[FollowerGrap
         raise ValueError("name lengths do not match the name bytes")
     ends = np.cumsum(lengths).tolist()
     names = [blob[lo:hi].decode("utf-8") for lo, hi in zip([0] + ends[:-1], ends)]
-    seed_ids = array("<u4")
+    seed_ids = array("<u4").astype(np.int64)
+    if seed_ids.size and ((np.diff(seed_ids) <= 0).any() or seed_ids[-1] >= len(names)):
+        raise ValueError("seed ids do not strictly ascend below the name count")
     shape = (len(seed_ids), len(names))
     indptr, indices = array("<i8"), array("<u4")
     follow = _checked_csr(np.ones(indices.size, dtype=np.int64), indices, indptr, shape)

@@ -19,30 +19,41 @@ The score table is a plain dict, domain -> score.
 
 The event parser fills columns (``EventLog``): interned author and
 original-author ids, an int64 timestamp array, a retweet mask and a CSR of
-interned domain ids, sorted once by (timestamp, tweet id). Each distinct URL
-host is resolved to its registrable domain once. The analyses read the
-columns; ``EventLog.events`` gives the same log as ``TweetEvent`` objects,
-built only when read. ``read_key_values`` reads the ``key = value`` config
-files of ``report --config`` and ``synth --config``.
+interned domain ids, sorted once by (timestamp, tweet id). It reads the
+events JSONL in blocks of about ``EVENT_BLOCK_CHARS`` characters, cut after
+the last line end. One regex pass takes the lines of a block that have the
+compact shape ``write_events`` writes (``_CANONICAL_EVENT``); their URLs are
+split out with one call, their hosts found by one regex pass and their users
+interned in bulk. Every other line, and every line of a block with a
+carriage return that no line feed follows, is decoded by json and checked
+on its own, at its own line number; a byte that is not UTF-8 sends the whole
+file down that per-line path, which decides which error comes first. Both
+paths fold a block into the columns before the next is read, and each
+distinct URL host is resolved to its registrable domain once. The analyses
+read the columns; ``EventLog.events`` gives the same log as ``TweetEvent``
+objects, built only when read. ``read_key_values`` reads the ``key = value``
+config files of ``report --config`` and ``synth --config``.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import logging
 import os
+import re
 from array import array
 from dataclasses import dataclass, replace
-from functools import cached_property
-from itertools import chain, compress, count, repeat
+from functools import cached_property, partial
+from itertools import chain, compress, count, filterfalse, groupby, repeat
 from operator import ne
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .errors import InputFormatError
-from .psl import _host_of, extract_pld, is_valid_pld
+from .psl import extract_pld, hosts_of, is_valid_pld
 
 log = logging.getLogger(__name__)
 
@@ -69,6 +80,8 @@ EDGES_HEADER = ["follower", "friend"]
 # characters per block of the edge parse; on the benchmark's edge files,
 # blocks of 2**18 parsed up to 10% slower and peaked 2-4 MiB higher
 EDGE_BLOCK_CHARS = 2**16
+# characters per block of the event parse
+EVENT_BLOCK_CHARS = 2**16
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,17 +219,18 @@ class EventLog:
 
     @classmethod
     def from_events(cls, events: Iterable[TweetEvent]) -> "EventLog":
-        cols = _EventColumns()
+        events = list(events)
         domain_id: dict[str, int] = {}
-        for ev in events:
-            cols.add(
-                ev.tweet_id,
-                ev.author,
-                ev.timestamp,
-                ev.kind == KIND_RETWEET,
-                ev.original_author,
-                [domain_id.setdefault(d, len(domain_id)) for d in ev.domains],
-            )
+        cols = _EventColumns()
+        cols.extend(
+            [ev.tweet_id for ev in events],
+            [ev.author for ev in events],
+            [ev.timestamp for ev in events],
+            [ev.kind == KIND_RETWEET for ev in events],
+            [ev.original_author for ev in events],
+            [len(ev.domains) for ev in events],
+            [domain_id.setdefault(d, len(domain_id)) for ev in events for d in ev.domains],
+        )
         return cols.log(domain_id, 0, 0)
 
     def __len__(self) -> int:
@@ -273,7 +287,7 @@ class EventLog:
 
 
 class _EventColumns:
-    """Events collected one at a time, then sorted into an ``EventLog``."""
+    """Events appended a batch at a time, then sorted into an ``EventLog``."""
 
     def __init__(self) -> None:
         self.tweet_ids: list = []
@@ -285,17 +299,24 @@ class _EventColumns:
         self.domain_ptr = array("q", [0])
         self.domain_ids = array("q")
 
-    def add(self, tweet_id, author, ts, is_retweet, orig_author, domain_ids) -> None:
+    def extend(
+        self, tweet_ids, authors, ts, retweet, orig_authors, domain_counts, domain_ids
+    ) -> None:
+        """Append a batch of events, one item each per column; an original
+        author that is None or '' is none. ``domain_ids`` holds the batch's
+        domain ids flat, ``domain_counts`` how many of them each event has."""
         user_id = self.user_id
-        self.tweet_ids.append(tweet_id)
-        self.author.append(user_id.setdefault(author, len(user_id)))
-        self.ts.append(ts)
-        self.retweet.append(is_retweet)
-        self.orig_author.append(
-            -1 if orig_author is None else user_id.setdefault(orig_author, len(user_id))
-        )
-        self.domain_ids.extend(domain_ids)
-        self.domain_ptr.append(len(self.domain_ids))
+        self.tweet_ids.extend(tweet_ids)
+        self.author.frombytes(_intern(user_id, authors).tobytes())
+        self.ts.frombytes(np.asarray(ts, dtype=np.int64).tobytes())
+        self.retweet.extend(retweet)
+        has_orig = list(map(bool, orig_authors))
+        orig = np.full(len(has_orig), -1, dtype=np.int64)
+        orig[has_orig] = _intern(user_id, list(compress(orig_authors, has_orig)))
+        self.orig_author.frombytes(orig.tobytes())
+        ptr = np.cumsum(domain_counts, dtype=np.int64) + self.domain_ptr[-1]
+        self.domain_ptr.frombytes(ptr.tobytes())
+        self.domain_ids.frombytes(np.asarray(domain_ids, dtype=np.int64).tobytes())
 
     def log(self, domains, n_urls_dropped: int, n_self_retweets_dropped: int) -> EventLog:
         """The collected events, users renumbered in sorted-name order.
@@ -599,17 +620,22 @@ def _add_plain_block(
     if not all(keep):
         n_loops = keep.count(False)
         fields = list(chain.from_iterable(compress(zip(followers, friends), keep)))
-    # one dict probe per field; only names new to the block take more
-    block_ids = np.fromiter(map(index.get, fields, repeat(-1)), np.int64, len(fields))
-    new_at = np.flatnonzero(block_ids < 0).tolist()
-    if new_at:
-        new_fields = list(map(fields.__getitem__, new_at))
-        fresh = dict.fromkeys(new_fields)
-        index.update(zip(fresh, count(len(index))))
-        block_ids[new_at] = list(map(index.__getitem__, new_fields))
+    block_ids = _intern(index, fields)
     src_buf.frombytes(block_ids[0::2].tobytes())
     dst_buf.frombytes(block_ids[1::2].tobytes())
     return n_loops
+
+
+def _intern(index: dict[str, int], names: list[str]) -> np.ndarray:
+    """The ids of ``names``, each new name added to ``index`` in order of first
+    appearance; one dict probe per name, and only new names take more."""
+    ids = np.fromiter(map(index.get, names, repeat(-1)), np.int64, len(names))
+    new_at = np.flatnonzero(ids < 0).tolist()
+    if new_at:
+        new_names = list(map(names.__getitem__, new_at))
+        index.update(zip(dict.fromkeys(new_names), count(len(index))))
+        ids[new_at] = list(map(index.__getitem__, new_names))
+    return ids
 
 
 def _plain_fields(block: str, field_limit: int) -> Optional[list[str]]:
@@ -672,20 +698,133 @@ def _decode_line(line: str):
     return obj if end == len(line) else json.loads(line)
 
 
+# a JSON string that holds no escape and no control character, so that
+# json reads its text as it stands
+_PLAIN = r'[^"\\\x00-\x1f]'
+# an event line in the shape ``write_events`` writes; its groups are the id,
+# the author, ts, a retweet's original author ('' for an original tweet) and
+# the text inside the urls array, whose items are plain strings or null
+_CANONICAL_EVENT = re.compile(
+    r'^\{{"id":"({s}*)","author":"({s}+)","ts":(0|[1-9][0-9]{{0,17}}),"kind":'
+    r'"(?:original"(?:,"orig_author":"{s}*")?|retweet","orig_author":"({s}+)")'
+    r',"urls":\[((?:"{s}*"|null)(?:,(?:"{s}*"|null))*)?\]\}}$'.format(s=_PLAIN),
+    re.M,
+)
+
+
 def parse_events(path: str) -> EventLog:
     """Read the events JSONL into columns; URLs are reduced to registrable domains.
+
+    The file is read in blocks of whole lines. The lines of a block that
+    match ``_CANONICAL_EVENT`` are folded into the columns together; every
+    other line, and every line of a block with a carriage return that no
+    line feed follows, is decoded by json and checked on its own, so each
+    error names its own line. A byte that is not UTF-8 sends the whole file
+    through that per-line path, which decides which error comes first.
+    """
+    fold = _EventFold(path)
+    with _open_checked(path) as fh:
+        decoded = fold.add_blocks(fh)
+    if not decoded:
+        fold = _EventFold(path)
+        with _open_checked(path) as fh:
+            fold.add_lines(fh, 1)
+    if fold.n_self_rts:
+        log.warning("dropped %d self-retweet records from %s", fold.n_self_rts, path)
+    return fold.cols.log(fold.domain_id, fold.n_urls_dropped, fold.n_self_rts)
+
+
+class _EventFold:
+    """Event lines folded into ``_EventColumns``, a batch at a time.
 
     ``extract_pld`` reads a URL only through its host, so each distinct host
     is resolved once and its domain id reused for every URL on it.
     """
-    cols = _EventColumns()
-    add = cols.add
-    domain_id: dict[str, int] = {}
-    host_domain: dict[Optional[str], int] = {}  # host -> domain id, -1 for none
-    n_urls_dropped = 0
-    n_self_rts = 0
-    with _open_checked(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+
+    def __init__(self, path: str) -> None:
+        self.path = str(path)
+        self.cols = _EventColumns()
+        self.domain_id: dict[str, int] = {}
+        self.host_domain: dict[Optional[str], int] = {}  # host -> domain id, -1 for none
+        self.n_urls_dropped = 0
+        self.n_self_rts = 0
+
+    def add_blocks(self, fh) -> bool:
+        """Fold the file in blocks of about ``EVENT_BLOCK_CHARS`` characters,
+        each cut after its last line end; False if a byte is not UTF-8."""
+        head: list[str] = []  # the start of a line no block has ended yet
+        lineno = 1
+        try:
+            for chunk in iter(partial(fh.read, EVENT_BLOCK_CHARS), ""):
+                cut = chunk.rfind("\n") + 1
+                if not cut:
+                    head.append(chunk)
+                    continue
+                head.append(chunk[:cut])
+                lineno = self.add_block("".join(head), lineno)
+                head = [chunk[cut:]]
+        except UnicodeDecodeError:
+            return False
+        last = "".join(head)
+        if last:
+            self.add_block(last + "\n", lineno)
+        return True
+
+    def add_block(self, block: str, lineno: int) -> int:
+        """Fold a block of whole lines that starts at file line ``lineno``;
+        the file line after it."""
+        if "\r" in block:
+            if block.count("\r") != block.count("\r\n"):  # a lone "\r" ends a line too
+                return self.add_lines(io.StringIO(block, newline=""), lineno)
+            block = block.replace("\r\n", "\n")  # each line is stripped all the same
+        rows = _CANONICAL_EVENT.findall(block)
+        n_lines = block.count("\n")
+        if len(rows) == n_lines:
+            self.add_rows(rows)
+            return lineno + n_lines
+        # each run of canonical lines together, each other line on its own
+        lines = block.split("\n")
+        lines.pop()
+        matches = map(_CANONICAL_EVENT.fullmatch, lines)
+        for canonical, run in groupby(zip(matches, lines), key=lambda pair: pair[0] is not None):
+            run = list(run)
+            if canonical:
+                self.add_rows([match.groups("") for match, _ in run])
+            else:
+                self.add_lines([line for _, line in run], lineno)
+            lineno += len(run)
+        return lineno
+
+    def add_rows(self, rows: list[tuple[str, ...]]) -> None:
+        """Fold canonical lines, given as the groups of ``_CANONICAL_EVENT``."""
+        columns = list(zip(*rows))
+        keep = list(map(ne, columns[1], columns[3]))  # an author is never '', so originals stay
+        if not all(keep):
+            self.n_self_rts += keep.count(False)
+            columns = [list(compress(column, keep)) for column in columns]
+        tweet_ids, authors, ts, orig_authors, url_texts = columns
+        # no URL holds a '"', so the odd items are the URLs and the line ends
+        # between them count off the events
+        parts = "\n".join(url_texts).split('"')
+        between = parts[0::2]
+        url_event = np.cumsum(np.fromiter(map(str.count, between, repeat("\n")), np.int64))
+        n_nulls = "".join(between).count("null")
+        self.fold(tweet_ids, authors, list(map(int, ts)), orig_authors,
+                  parts[1::2], url_event[:-1], n_nulls)
+
+    def add_lines(self, lines: Iterable[str], lineno: int) -> int:
+        """Fold lines one at a time, each decoded by json and checked at its
+        own file line, starting at ``lineno``; the file line after them."""
+        path = self.path
+        tweet_ids: list = []
+        authors: list[str] = []
+        timestamps: list[int] = []
+        orig_authors: list[Optional[str]] = []
+        urls: list[str] = []
+        url_event: list[int] = []
+        n_not_strings = 0
+        last = lineno - 1
+        for last, line in enumerate(lines, start=lineno):
             line = line.strip()
             if not line:
                 continue
@@ -693,11 +832,9 @@ def parse_events(path: str) -> EventLog:
                 obj = _decode_line(line)
             except (ValueError, RecursionError) as exc:
                 # JSONDecodeError, an integer over the digit limit, or nesting too deep
-                raise InputFormatError(
-                    f"invalid JSON: {exc}", path=str(path), line=lineno
-                ) from None
+                raise InputFormatError(f"invalid JSON: {exc}", path=path, line=last) from None
             if not isinstance(obj, dict):
-                raise InputFormatError("record is not an object", path=str(path), line=lineno)
+                raise InputFormatError("record is not an object", path=path, line=last)
             try:
                 tweet_id = str(obj["id"])
                 author = str(obj["author"])
@@ -705,7 +842,7 @@ def parse_events(path: str) -> EventLog:
                 kind = obj["kind"]
             except KeyError as exc:
                 raise InputFormatError(
-                    f"missing key {exc.args[0]!r}", path=str(path), line=lineno
+                    f"missing key {exc.args[0]!r}", path=path, line=last
                 ) from None
             if (
                 isinstance(ts, bool)
@@ -714,44 +851,62 @@ def parse_events(path: str) -> EventLog:
                 or (isinstance(ts, float) and not ts.is_integer())
                 or ts > TS_MAX
             ):
-                raise InputFormatError(
-                    f"bad timestamp {ts!r}", path=str(path), line=lineno
-                )
+                raise InputFormatError(f"bad timestamp {ts!r}", path=path, line=last)
             if kind not in (KIND_ORIGINAL, KIND_RETWEET):
-                raise InputFormatError(f"bad kind {kind!r}", path=str(path), line=lineno)
+                raise InputFormatError(f"bad kind {kind!r}", path=path, line=last)
             orig_author = obj.get("orig_author")
             if kind == KIND_RETWEET:
                 if not orig_author:
                     raise InputFormatError(
-                        "retweet record lacks orig_author", path=str(path), line=lineno
+                        "retweet record lacks orig_author", path=path, line=last
                     )
                 orig_author = str(orig_author)
                 if orig_author == author:
-                    n_self_rts += 1
+                    self.n_self_rts += 1
                     continue
             else:
                 orig_author = None
-            urls = obj.get("urls", [])
-            if not isinstance(urls, list):
-                raise InputFormatError("urls must be an array", path=str(path), line=lineno)
-            domains = []
-            for url in urls:
+            event_urls = obj.get("urls", [])
+            if not isinstance(event_urls, list):
+                raise InputFormatError("urls must be an array", path=path, line=last)
+            event = len(tweet_ids)
+            tweet_ids.append(tweet_id)
+            authors.append(author)
+            timestamps.append(int(ts))
+            orig_authors.append(orig_author)
+            for url in event_urls:
                 if isinstance(url, str):
-                    host = _host_of(url)
-                    d = host_domain.get(host)
-                    if d is None:
-                        pld = extract_pld(url)
-                        d = host_domain[host] = (
-                            -1 if pld is None else domain_id.setdefault(pld, len(domain_id))
-                        )
-                    if d >= 0:
-                        domains.append(d)
-                        continue
-                n_urls_dropped += 1
-            add(tweet_id, author, int(ts), kind == KIND_RETWEET, orig_author, domains)
-    if n_self_rts:
-        log.warning("dropped %d self-retweet records from %s", n_self_rts, path)
-    return cols.log(domain_id, n_urls_dropped, n_self_rts)
+                    urls.append(url)
+                    url_event.append(event)
+                else:
+                    n_not_strings += 1
+        self.fold(tweet_ids, authors, timestamps, orig_authors,
+                  urls, np.array(url_event, dtype=np.int64), n_not_strings)
+        return last + 1
+
+    def fold(self, tweet_ids, authors, ts, orig_authors, urls, url_event, n_dropped) -> None:
+        """Append events to the columns. ``urls`` are their string URLs, in
+        order, ``url_event`` the event of each, and ``n_dropped`` the URL
+        entries that were not strings; a URL with no registrable domain is
+        dropped too."""
+        domain = self.domain_ids(urls)
+        kept = domain >= 0
+        self.n_urls_dropped += n_dropped + len(urls) - int(np.count_nonzero(kept))
+        self.cols.extend(
+            tweet_ids, authors, ts, list(map(bool, orig_authors)), orig_authors,
+            np.bincount(url_event[kept], minlength=len(tweet_ids)), domain[kept],
+        )
+
+    def domain_ids(self, urls: list[str]) -> np.ndarray:
+        """The domain id of each URL, -1 for none; ``extract_pld`` is called
+        once for each host new to the log, on one of its URLs."""
+        hosts = hosts_of(urls)
+        url_of = dict(zip(hosts, urls))  # hosts in order of first appearance
+        host_domain, domain_id = self.host_domain, self.domain_id
+        for host in filterfalse(host_domain.__contains__, url_of):
+            pld = extract_pld(url_of[host])
+            host_domain[host] = -1 if pld is None else domain_id.setdefault(pld, len(domain_id))
+        return np.fromiter(map(host_domain.__getitem__, hosts), np.int64, len(hosts))
 
 
 def load_dataset(scores_path: str, edges_path: str, events_path: str) -> DatasetBundle:

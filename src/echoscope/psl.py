@@ -13,8 +13,9 @@ from functools import lru_cache
 from importlib import resources
 from typing import FrozenSet, Optional
 
-_LABEL_RE = re.compile(r"^[a-z0-9_-]+$")
-_IPV4_RE = re.compile(r"^\d{1,3}(\.\d{1,3}){3}$")
+# matched with fullmatch: "$" would also match before a final newline
+_LABEL_RE = re.compile(r"[a-z0-9_-]+")
+_IPV4_RE = re.compile(r"\d{1,3}(\.\d{1,3}){3}")
 
 # Link shorteners and redirectors whose hosts say nothing about the content
 # they point at. Resolving redirects would need network I/O, so these map to
@@ -129,6 +130,20 @@ def _host_of(url: str) -> Optional[str]:
     return s
 
 
+# the host of a URL of the usual lowercase shape: a scheme, "://", the host
+# and then "/", "?", "#" or the end; '' for a URL of any other shape
+_URL_HOST_RE = re.compile(r"^(?:[a-z]+://([a-z0-9_.-]*[a-z0-9_-])(?=[/?#]|$))?.*$", re.M)
+
+
+def hosts_of(urls: list[str]) -> list[Optional[str]]:
+    """``[_host_of(url) for url in urls]``: one regex pass over the URLs
+    joined by line ends, and ``_host_of`` for each URL it does not take."""
+    text = "\n".join(urls)
+    if not urls or text.count("\n") != len(urls) - 1:  # a URL holds a line end
+        return list(map(_host_of, urls))
+    return [host or _host_of(url) for host, url in zip(_URL_HOST_RE.findall(text), urls)]
+
+
 def extract_pld(url: str, skip_plds: FrozenSet[str] = DEFAULT_SHORTENER_SKIP) -> Optional[str]:
     """Registrable domain of ``url``, or None when one cannot be determined.
 
@@ -143,10 +158,10 @@ def extract_pld(url: str, skip_plds: FrozenSet[str] = DEFAULT_SHORTENER_SKIP) ->
     labels = host.split(".")
     if len(labels) < 2:
         return None
-    if _IPV4_RE.match(host) or labels[-1].isdigit():
+    if _IPV4_RE.fullmatch(host) or labels[-1].isdigit():
         return None
     for label in labels:
-        if not _LABEL_RE.match(label):
+        if not _LABEL_RE.fullmatch(label):
             return None
     pld = default_rules().registrable_domain(host)
     if pld is None or pld in skip_plds:
@@ -163,4 +178,4 @@ def is_valid_pld(value: str) -> bool:
     labels = value.split(".")
     if labels[-1].isdigit():
         return False
-    return all(_LABEL_RE.match(label) for label in labels)
+    return all(_LABEL_RE.fullmatch(label) for label in labels)

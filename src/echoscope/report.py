@@ -20,7 +20,9 @@ import csv
 import dataclasses
 import hashlib
 import json
+import logging
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, Union
@@ -61,6 +63,8 @@ from .moderacy import (
 )
 from .rng import substream
 from .stats import entropy_comparison, format_p, mann_whitney_u, pearson
+
+log = logging.getLogger(__name__)
 
 OVERLAP_BOTH = "both"
 BLOCK_ROWS = 1 << 16  # rows formatted and written per write call
@@ -576,11 +580,18 @@ def build_report(
     return ReportBundle(sections, tables)
 
 
+# the name of a per-threshold table, k >= 1
+_DELTA_TABLE_RE = re.compile(r"delta_vs_ms_k[1-9][0-9]*\.csv")
+
+
 def write_report(report: ReportBundle, out_dir: str) -> list[str]:
     """Write report.json and the CSV tables; returns the file names.
 
     Each file is written under a temporary name and then moved into place,
     so a failed or killed run never leaves a partial file under a real name.
+    A per-threshold table that an earlier run left for a k this run does not
+    use is removed, so the directory holds only this run's files; no other
+    file is touched.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -588,6 +599,11 @@ def write_report(report: ReportBundle, out_dir: str) -> list[str]:
         fh.write(json.dumps(report.sections, indent=2, sort_keys=True) + "\n")
     for name, (header, columns) in report.tables.items():
         _write_csv(out / name, header, columns)
+    for path in sorted(out.iterdir()):
+        stale = _DELTA_TABLE_RE.fullmatch(path.name) and path.name not in report.tables
+        if stale and path.is_file():
+            path.unlink()
+            log.info("removed %s: this run has no threshold k for it", path)
     return ["report.json", *report.tables]
 
 

@@ -1,15 +1,19 @@
 import json
+import logging
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import echoscope.report as report_mod
 from echoscope.cli import _build_run_config, build_parser, main
+from echoscope.graph import CACHE_MAGIC
 from echoscope.ingest import write_domain_scores, write_events, write_follow_edges
 from echoscope.synth import SynthConfig, generate
 
@@ -424,6 +428,72 @@ def test_report_recovers_from_truncated_cache(dataset_dir, tmp_path):
         (out / "graphs.cache").write_bytes(cache[:cut])
         assert main(report_args(dataset_dir, out)) == 0, cut
         assert read_outputs(out) == expected, cut
+
+
+def seed_id_span(cache):
+    """Where a graphs.cache holds its seed ids, how many there are, and how
+    many names."""
+    pos = len(CACHE_MAGIC)
+    _, fp_len = struct.unpack_from("<II", cache, pos)
+    pos += 8 + fp_len
+    (n_names,) = struct.unpack_from("<Q", cache, pos)
+    pos += 8 + 4 * n_names  # the name lengths
+    (n_bytes,) = struct.unpack_from("<Q", cache, pos)
+    pos += 8 + n_bytes  # the names
+    (n_seeds,) = struct.unpack_from("<Q", cache, pos)
+    return pos + 8, n_seeds, n_names
+
+
+@pytest.mark.parametrize("fault", ["swapped", "repeated", "out of range"])
+def test_report_treats_bad_cache_seed_ids_as_a_miss(dataset_dir, tmp_path, fault):
+    clean = tmp_path / "clean"
+    assert main(report_args(dataset_dir, clean)) == 0
+    expected = read_outputs(clean)
+    cache = bytearray(expected["graphs.cache"])
+    at, n_seeds, n_names = seed_id_span(cache)
+    ids = np.frombuffer(cache, dtype="<u4", count=n_seeds, offset=at).copy()
+    if fault == "swapped":
+        ids[[0, 1]] = ids[[1, 0]]
+    elif fault == "repeated":
+        ids[1] = ids[0]
+    else:
+        ids[-1] = n_names
+    cache[at:at + ids.nbytes] = ids.tobytes()
+    out = tmp_path / "rerun"
+    out.mkdir()
+    (out / "graphs.cache").write_bytes(bytes(cache))
+    assert main(report_args(dataset_dir, out)) == 0
+    assert read_outputs(out) == expected
+
+
+def test_report_removes_tables_of_thresholds_it_does_not_use(dataset_dir, tmp_path, caplog):
+    clean = tmp_path / "clean"
+    assert main(report_args(dataset_dir, clean, ["--k-max", "3"])) == 0
+    out = tmp_path / "rerun"
+    assert main(report_args(dataset_dir, out, ["--k-max", "10"])) == 0
+    caplog.set_level(logging.INFO, logger="echoscope.report")
+    assert main(report_args(dataset_dir, out, ["--k-max", "3"])) == 0
+    diff = subprocess.run(["diff", "-r", str(clean), str(out)], capture_output=True, text=True)
+    assert (diff.returncode, diff.stdout) == (0, "")
+    removed = [r.getMessage() for r in caplog.records if r.name == "echoscope.report"]
+    assert removed == [
+        f"removed {out / f'delta_vs_ms_k{k}.csv'}: this run has no threshold k for it"
+        for k in (10, 4, 5, 6, 7, 8, 9)
+    ]
+
+
+def test_report_leaves_files_it_never_writes(dataset_dir, tmp_path):
+    out = tmp_path / "out"
+    (out / "delta_vs_ms_k7.csv").mkdir(parents=True)
+    mine = ["notes.txt", "delta_vs_ms_k0.csv", "delta_vs_ms_k04.csv", "delta_vs_ms_k5.csv.bak",
+            "delta_vs_ms_kx.csv", "Delta_vs_ms_k6.csv"]
+    for name in mine:
+        (out / name).write_text(name)
+    assert main(report_args(dataset_dir, out, ["--k-max", "3"])) == 0
+    for name in mine:
+        assert (out / name).read_text() == name
+    assert (out / "delta_vs_ms_k7.csv").is_dir()
+    assert (out / "delta_vs_ms_k3.csv").is_file()
 
 
 def test_report_window_is_part_of_the_cache_key(dataset_dir, tmp_path):

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -84,6 +85,13 @@ def test_scores_header_required_and_nonempty(tmp_path):
 def test_invalid_domain_rejected(tmp_path):
     with pytest.raises(InputFormatError, match="registrable"):
         parse_domain_scores(write(tmp_path / "a.csv", "domain,score\nnodot,left\n"))
+
+
+def test_a_quoted_domain_label_may_not_end_in_a_newline(tmp_path):
+    path = write_raw(tmp_path / "s.csv", 'domain,score\na.example,left\n"abc\n.com",right\n')
+    with pytest.raises(InputFormatError) as err:
+        parse_domain_scores(path)
+    assert str(err.value) == f"{path}:3: not a valid registrable domain: 'abc\\n.com'"
 
 
 # ---------------------------------------------------------------- edges
@@ -269,6 +277,14 @@ def test_urls_normalized_to_plds(tmp_path):
     assert log.events[0].domains == ("a.example",)
 
 
+def test_a_url_host_label_may_not_end_in_a_newline(tmp_path):
+    urls = ["http://news.abc\n.com/x", "http://a.example/"]
+    line = event_line(id="t1", author="u1", ts=5, kind="original", urls=urls)
+    path = write(tmp_path / "ev.jsonl", line + "\n")
+    log = parse_events(path)
+    assert (log.domains, log.n_urls_dropped) == (("a.example",), 1)
+
+
 def test_unresolvable_urls_dropped_with_counter(tmp_path):
     path = write(
         tmp_path / "ev.jsonl",
@@ -312,13 +328,14 @@ def test_events_sorted_with_tweet_id_tiebreak(tmp_path):
     assert log.authors == ("u1", "u2", "u3")
 
 
-def reference_parse(path):
-    """The events JSONL read one ``TweetEvent`` per line, then sorted: the
-    plain-loop specification the columnar parser must match."""
+def reference_parse(path, file_order=False):
+    """The events JSONL read one ``TweetEvent`` per line, then sorted (unless
+    ``file_order``): the plain-loop specification the columnar parser must
+    match."""
     events = []
     n_urls_dropped = 0
     n_self_rts = 0
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -369,7 +386,8 @@ def reference_parse(path):
                 else:
                     domains.append(pld)
             events.append(TweetEvent(tweet_id, author, int(ts), kind, orig_author, tuple(domains)))
-    events.sort(key=lambda e: (e.timestamp, e.tweet_id))
+    if not file_order:
+        events.sort(key=lambda e: (e.timestamp, e.tweet_id))
     return events, n_urls_dropped, n_self_rts
 
 
@@ -511,6 +529,137 @@ def test_columns_match_per_line_reference(tmp_path_factory, lines):
     kept = log.restricted((2, 4))
     assert kept.events == tuple(e for e in expected if 2 <= e.timestamp <= 4)
     assert kept.authors == tuple(sorted({e.author for e in kept.events}))
+
+
+def log_outcome(parse, path):
+    """Every column of the log a parser reads, its domain table and both
+    counters; or the text of its first input error."""
+    try:
+        log = parse(path)
+    except InputFormatError as exc:
+        return str(exc)
+    columns = (log.tweet_ids, log.author, log.ts, log.retweet, log.orig_author,
+               log.domain_ptr, log.domain_ids)
+    return (log.users, log.domains, *(c.tolist() for c in columns),
+            log.n_urls_dropped, log.n_self_retweets_dropped)
+
+
+def reference_log(path):
+    """``reference_parse``'s events as a log: ``from_events`` numbers the
+    domains in the order the file names them."""
+    events, n_urls_dropped, n_self_rts = reference_parse(path, file_order=True)
+    log = EventLog.from_events(events)
+    return replace(log, n_urls_dropped=n_urls_dropped, n_self_retweets_dropped=n_self_rts)
+
+
+# mostly names json writes as they stand, sometimes text it must escape
+# (with ensure_ascii, all non-ASCII too)
+EVENT_TEXT = st.text(st.sampled_from(
+    ["a", "b", "0", " ", ".", "é", "名", "\u2028", "\x85", "\x7f", '"', "\\", "\n", "\t"]
+), max_size=3)
+PLAIN_NAME = st.sampled_from(["u0", "u1", "u2", "u3", "é", "a\u2028b", "x\x85", "t 1"])
+
+
+def mostly(common, rare, one_in):
+    """``common``, but ``rare`` once in about ``one_in`` draws."""
+    return st.integers(1, one_in).flatmap(lambda i: rare if i == one_in else common)
+
+
+EVENT_NAME = mostly(PLAIN_NAME, EVENT_TEXT, 12)
+EVENT_URL = mostly(st.one_of(URL_TEXT, st.none()), st.sampled_from([
+    "http://news.abc\n.com/x", "http://a.example/\u2028", "HTTP://\u212a.example/",
+    "http://x.example:8080/", 'http://b.example/"q"', "null", "", 0,
+]), 6)
+EVENT_TS = mostly(st.integers(0, 4), st.sampled_from([10**18 - 1, TS_MAX, 3.0]), 8)
+
+
+@st.composite
+def canonical_events(draw):
+    """An event line as ``write_events`` writes it: its keys in that order,
+    no spaces. Some values and keys send the line to json instead."""
+    author = draw(EVENT_NAME)
+    obj = {"id": draw(EVENT_NAME), "author": author, "ts": draw(EVENT_TS)}
+    obj["kind"] = draw(st.sampled_from([KIND_ORIGINAL, KIND_RETWEET]))
+    orig = draw(st.one_of(EVENT_NAME, EVENT_NAME, st.just(author)))  # or a self-retweet
+    # a retweet names its original author; an original now and then names one too
+    if (obj["kind"] == KIND_RETWEET) != (draw(st.integers(1, 32)) == 32):
+        obj["orig_author"] = orig
+    obj["urls"] = draw(st.lists(EVENT_URL, max_size=4))
+    odd_key = st.sampled_from([',"lang":"en"', ',"urls":[]', ',"id":"d"'])
+    extra = draw(mostly(st.just(""), odd_key, 12))
+    line = json.dumps(obj, separators=(",", ":"), ensure_ascii=draw(st.integers(1, 6)) == 6)
+    return line[:-1] + extra + "}"
+
+
+# lines that are not canonical but read well
+ODD_EVENT_LINE = st.one_of(
+    st.sampled_from(["", "   ", "\t", "\x85", "\u2028"]),  # blank once stripped
+    canonical_events().map(lambda line: f"  {line} "),
+    canonical_events().map(lambda line: json.dumps(json.loads(line))),  # ", " separators
+    canonical_events().map(lambda line: line + "\r"),
+)
+# lines that json or a check refuses
+BAD_EVENT_LINE = st.one_of(
+    canonical_events().map(lambda line: "\ufeff" + line),  # a byte-order mark past the start
+    canonical_events().map(lambda line: line.replace('"ts":', '"ts":-', 1)),
+    canonical_events().map(lambda line: line.replace('"ts":', '"ts":0', 1)),
+    canonical_events().map(lambda line: line.replace(',"author"', '\r,"author"', 1)),
+    st.sampled_from([
+        "not json", "[1]", '{"id":"t","author":"u","ts":1,"kind":"quote","urls":[]}',
+        '{"id":"t","author":"u","ts":1,"kind":"retweet","orig_author":"","urls":[]}',
+        '{"id":"t","author":"u","ts":1,"kind":"original","urls":"x"}',
+    ]),
+)
+EVENT_FILE = st.builds(
+    lambda lines, odd, bad, newline, last: (
+        newline.join(_with_odd_lines(_with_odd_lines(lines, odd), bad)) + last * newline
+    ),
+    st.lists(canonical_events(), max_size=30),
+    st.lists(st.tuples(st.integers(0, 30), ODD_EVENT_LINE), max_size=3),
+    mostly(st.just([]), st.lists(st.tuples(st.integers(0, 33), BAD_EVENT_LINE), min_size=1,
+                                 max_size=2), 5),
+    mostly(st.just("\n"), st.just("\r\n"), 8),
+    st.booleans(),
+)
+
+
+@given(EVENT_FILE, st.integers(1, 400))
+@settings(max_examples=400, deadline=None)
+def test_block_reader_matches_per_line_reference(tmp_path_factory, text, block_chars):
+    path = write_raw(tmp_path_factory.mktemp("log") / "ev.jsonl", text)
+    expected = log_outcome(reference_log, path)
+    with mock.patch.object(ingest, "EVENT_BLOCK_CHARS", block_chars):
+        assert log_outcome(parse_events, path) == expected
+
+
+EDGE_CASE_LINES = [
+    '{"id":"t","author":"u","ts":0,"kind":"retweet","orig_author":"","urls":[]}',
+    '{"id":"t","author":"u","ts":0,"kind":"original","orig_author":"","urls":[]}',
+    '{"id":"t","author":"","ts":0,"kind":"retweet","orig_author":"","urls":[]}',
+    '{"id":"t","author":"","ts":0,"kind":"original","urls":[]}',
+    '{"id":"t","author":"u","ts":0,"kind":"retweet","orig_author":"u","urls":["http://a.example/"]}',
+    '{"id":"t","author":"u","ts":00,"kind":"original","urls":[]}',
+    '{"id":"t","author":"u","ts":-0,"kind":"original","urls":[]}',
+    '{"id":"t","author":"u","ts":9223372036854775807,"kind":"original","urls":[]}',
+    '{"id":"t","author":"u","ts":9223372036854775808,"kind":"original","urls":[]}',
+    '{"id":"t","author":"u","ts":999999999999999999,"kind":"original","urls":[null,"",null]}',
+    '{"id":"t","author":"u","ts":1,"kind":"original","urls":["http://A.example/x","null",null]}',
+    '{"id":"t","author":"u","ts":1,"kind":"original","urls":["http://a.example/\\"x"]}',
+    '{"id":"t","author":"u","ts":1,"kind":"original","urls":[1]}',
+    '{"id":"t","author":"u","ts":1,"kind":"Original","urls":[]}',
+]
+
+
+@pytest.mark.parametrize("line", EDGE_CASE_LINES)
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("block_chars", [7, ingest.EVENT_BLOCK_CHARS])
+def test_lines_at_the_edge_of_the_canonical_shape(tmp_path, line, newline, block_chars):
+    good = '{"id":"g%d","author":"u%d","ts":%d,"kind":"original","urls":["http://b%d.example/"]}'
+    lines = [good % (i, i, i, i) for i in range(4)]
+    path = write_raw(tmp_path / "ev.jsonl", newline.join(lines[:2] + [line] + lines[2:]) + newline)
+    expected = log_outcome(reference_log, path)
+    with mock.patch.object(ingest, "EVENT_BLOCK_CHARS", block_chars):
+        assert log_outcome(parse_events, path) == expected
 
 
 # ---------------------------------------------------------------- round trips

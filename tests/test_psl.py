@@ -10,6 +10,7 @@ from echoscope.psl import (
     _host_of,
     default_rules,
     extract_pld,
+    hosts_of,
     is_valid_pld,
 )
 
@@ -71,6 +72,12 @@ def test_numeric_or_malformed_labels():
     assert extract_pld("http://exa mple.com/") is None
     assert extract_pld("http://..com/") is None
     assert extract_pld(None) is None  # type: ignore[arg-type]
+
+
+def test_a_label_may_not_end_in_a_newline():
+    assert not is_valid_pld("abc\n.com")
+    assert not is_valid_pld("abc.com\n")
+    assert is_valid_pld("abc.com")
 
 
 def test_snapshot_carries_a_version():
@@ -151,3 +158,29 @@ def test_memoised_extraction_matches_each_url(tmp_path_factory, url_lists):
         tuple(pld for pld in plds if pld is not None) for plds in per_url
     ]
     assert log.n_urls_dropped == sum(pld is None for plds in per_url for pld in plds)
+
+
+# URLs of the shape hosts_of's regex takes, and spellings just outside it
+REGEX_URL = st.builds(
+    "{}{}{}{}{}".format,
+    st.sampled_from(["http://", "HTTPS://", "ftp://", "", "h-t://", " http://", "x:"]),
+    st.sampled_from(["", "", "me@"]),
+    st.one_of(HOST, st.sampled_from([
+        "\u212a.example", "\u0130.example", "a\u2028.example", "a.example.", "a..b", "-",
+        "_x.Example",
+    ])),
+    st.sampled_from(["", "", ":80", ":", ".", "\r", " ", "\x85"]),
+    st.sampled_from(["", "/", "/a b", "?q=1", "#f", "/\u2028", "/\r"]),
+)
+
+
+@given(st.lists(st.one_of(REGEX_URL, REGEX_URL, ANY_URL), max_size=12))
+@settings(max_examples=400, deadline=None)
+def test_hosts_of_matches_host_of(urls):
+    assert hosts_of(urls) == [_host_of(url) for url in urls]
+
+
+def test_hosts_of_a_url_with_a_line_end():
+    urls = ["http://a.example/x\ny", "http://news.abc\n.com/", "HTTP://B.example"]
+    assert hosts_of(urls) == ["a.example", "news.abc\n.com", "b.example"]
+    assert hosts_of([]) == []
