@@ -22,14 +22,20 @@ original-author ids, an int64 timestamp array, a retweet mask and a CSR of
 interned domain ids, sorted once by (timestamp, tweet id). It reads the
 events JSONL in blocks of about ``EVENT_BLOCK_CHARS`` characters, cut after
 the last line end. One regex pass takes the lines of a block that have the
-compact shape ``write_events`` writes (``_CANONICAL_EVENT``); their URLs are
-split out with one call, their hosts found by one regex pass and their users
-interned in bulk. Every other line, and every line of a block with a
+compact shape ``write_events`` writes (``_CANONICAL_EVENT``), each urls
+array as raw text. ``_url_arrays`` checks the block's arrays together with
+string operations (quotes pair up within each array, no backslash or control
+byte, each distinct text between two strings a separator the grammar allows)
+and splits their URLs out with one call; their hosts are found by one regex
+pass and their users interned in bulk. A block that fails a check is read
+line by line: each line that passes the same checks alone joins a run of
+canonical lines, and every other line, like every line of a block with a
 carriage return that no line feed follows, is decoded by json and checked
 on its own, at its own line number; a byte that is not UTF-8 sends the whole
 file down that per-line path, which decides which error comes first. Both
-paths fold a block into the columns before the next is read, and each
-distinct URL host is resolved to its registrable domain once. The analyses
+paths fold a block into the columns before the next is read. The host memo
+is probed once per URL, and each distinct URL host is resolved to its
+registrable domain once. The analyses
 read the columns; ``EventLog.events`` gives the same log as ``TweetEvent``
 objects, built only when read. ``read_key_values`` reads the ``key = value``
 config files of ``report --config`` and ``synth --config``.
@@ -46,8 +52,8 @@ import re
 from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from itertools import chain, compress, count, filterfalse, groupby, repeat
-from operator import ne
+from itertools import chain, compress, count, groupby, repeat
+from operator import ne, not_
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -701,26 +707,72 @@ def _decode_line(line: str):
 # a JSON string that holds no escape and no control character, so that
 # json reads its text as it stands
 _PLAIN = r'[^"\\\x00-\x1f]'
-# an event line in the shape ``write_events`` writes; its groups are the id,
-# the author, ts, a retweet's original author ('' for an original tweet) and
-# the text inside the urls array, whose items are plain strings or null
+# an event line in the shape ``write_events`` writes, its urls array aside;
+# its groups are the id, the author, ts, a retweet's original author ('' for
+# an original tweet) and the text inside the urls array, which
+# ``_url_arrays`` checks
 _CANONICAL_EVENT = re.compile(
     r'^\{{"id":"({s}*)","author":"({s}+)","ts":(0|[1-9][0-9]{{0,17}}),"kind":'
     r'"(?:original"(?:,"orig_author":"{s}*")?|retweet","orig_author":"({s}+)")'
-    r',"urls":\[((?:"{s}*"|null)(?:,(?:"{s}*"|null))*)?\]\}}$'.format(s=_PLAIN),
+    r',"urls":\[(.*)\]\}}$'.format(s=_PLAIN),
     re.M,
 )
+# the bytes a plain JSON string leaves out, but for the line end that joins
+# the arrays ``_url_arrays`` reads; none is a byte of a longer UTF-8 character
+_NOT_PLAIN = bytes(range(10)) + bytes(range(11, 32)) + b"\\"
+# the text between two strings of urls arrays joined by line ends: a comma
+# and nulls in one array, or the rest of one array, arrays of nulls alone and
+# the start of another
+_URL_GAP = re.compile(r",(?:null,)*|(?:,null)*\n(?:(?:null(?:,null)*)?\n)*(?:null,)*")
+
+
+def _url_arrays(url_texts: list[str]) -> Optional[tuple[list[str], np.ndarray, int]]:
+    """The URLs of urls arrays given by the text between their brackets, the
+    index of the array that holds each URL, and the number of nulls; None
+    unless each array holds only plain strings and nulls, the shape
+    ``_CANONICAL_EVENT`` stands for.
+
+    The arrays are checked together: their quotes pair up within each array,
+    no byte is a backslash or a control character, and each distinct text
+    between two strings is one the array grammar allows.
+    """
+    text = "\n".join(url_texts)
+    parts = text.split('"')
+    gaps = parts[0::2]  # the text around the strings
+    ends = np.cumsum(np.fromiter(map(str.count, gaps, repeat("\n")), np.int64, len(gaps)))
+    if len(parts) % 2 == 0 or ends[-1] != text.count("\n"):
+        return None  # a string that runs on past its array: quotes pair up across arrays
+    raw = text.encode()
+    if len(raw.translate(None, _NOT_PLAIN)) != len(raw):
+        return None
+    # a line end before the first array and after the last, so that each gap
+    # lies between strings or line ends
+    gaps[0] = "\n" + gaps[0]
+    gaps[-1] += "\n"
+    if not all(map(_URL_GAP.fullmatch, set(gaps))):
+        return None
+    return parts[1::2], ends[:-1], "".join(gaps).count("null")
+
+
+def _canonical_row(line: str) -> Optional[tuple[str, ...]]:
+    """The groups of ``_CANONICAL_EVENT`` for a line of that shape whose urls
+    array ``_url_arrays`` takes; otherwise None."""
+    match = _CANONICAL_EVENT.fullmatch(line)
+    if match is None or _url_arrays([match[5]]) is None:
+        return None
+    return match.groups("")
 
 
 def parse_events(path: str) -> EventLog:
     """Read the events JSONL into columns; URLs are reduced to registrable domains.
 
     The file is read in blocks of whole lines. The lines of a block that
-    match ``_CANONICAL_EVENT`` are folded into the columns together; every
-    other line, and every line of a block with a carriage return that no
-    line feed follows, is decoded by json and checked on its own, so each
-    error names its own line. A byte that is not UTF-8 sends the whole file
-    through that per-line path, which decides which error comes first.
+    match ``_CANONICAL_EVENT`` and whose urls arrays pass ``_url_arrays``
+    are folded into the columns together; every other line, and every line
+    of a block with a carriage return that no line feed follows, is decoded
+    by json and checked on its own, so each error names its own line. A byte
+    that is not UTF-8 sends the whole file through that per-line path, which
+    decides which error comes first.
     """
     fold = _EventFold(path)
     with _open_checked(path) as fh:
@@ -732,6 +784,10 @@ def parse_events(path: str) -> EventLog:
     if fold.n_self_rts:
         log.warning("dropped %d self-retweet records from %s", fold.n_self_rts, path)
     return fold.cols.log(fold.domain_id, fold.n_urls_dropped, fold.n_self_rts)
+
+
+# the memo's answer for a host it has not seen; a domain id is -1 or more
+_UNSEEN = -2
 
 
 class _EventFold:
@@ -779,38 +835,39 @@ class _EventFold:
             block = block.replace("\r\n", "\n")  # each line is stripped all the same
         rows = _CANONICAL_EVENT.findall(block)
         n_lines = block.count("\n")
-        if len(rows) == n_lines:
-            self.add_rows(rows)
+        if len(rows) == n_lines and self.add_rows(rows):
             return lineno + n_lines
         # each run of canonical lines together, each other line on its own
         lines = block.split("\n")
         lines.pop()
-        matches = map(_CANONICAL_EVENT.fullmatch, lines)
-        for canonical, run in groupby(zip(matches, lines), key=lambda pair: pair[0] is not None):
+        for canonical, run in groupby(zip(map(_canonical_row, lines), lines),
+                                      key=lambda pair: pair[0] is not None):
             run = list(run)
-            if canonical:
-                self.add_rows([match.groups("") for match, _ in run])
+            if canonical:  # each array passed alone, so together they pass
+                self.add_rows([row for row, _ in run])
             else:
                 self.add_lines([line for _, line in run], lineno)
             lineno += len(run)
         return lineno
 
-    def add_rows(self, rows: list[tuple[str, ...]]) -> None:
-        """Fold canonical lines, given as the groups of ``_CANONICAL_EVENT``."""
+    def add_rows(self, rows: list[tuple[str, ...]]) -> bool:
+        """Fold canonical lines, given as the groups of ``_CANONICAL_EVENT``;
+        False, with nothing folded, if ``_url_arrays`` refuses an array."""
         columns = list(zip(*rows))
         keep = list(map(ne, columns[1], columns[3]))  # an author is never '', so originals stay
-        if not all(keep):
-            self.n_self_rts += keep.count(False)
+        n_self_rts = keep.count(False)
+        if n_self_rts:
+            # a self-retweet is dropped, but json would still have read its array
+            if _url_arrays(list(compress(columns[4], map(not_, keep)))) is None:
+                return False
             columns = [list(compress(column, keep)) for column in columns]
         tweet_ids, authors, ts, orig_authors, url_texts = columns
-        # no URL holds a '"', so the odd items are the URLs and the line ends
-        # between them count off the events
-        parts = "\n".join(url_texts).split('"')
-        between = parts[0::2]
-        url_event = np.cumsum(np.fromiter(map(str.count, between, repeat("\n")), np.int64))
-        n_nulls = "".join(between).count("null")
-        self.fold(tweet_ids, authors, list(map(int, ts)), orig_authors,
-                  parts[1::2], url_event[:-1], n_nulls)
+        arrays = _url_arrays(url_texts)
+        if arrays is None:
+            return False
+        self.n_self_rts += n_self_rts
+        self.fold(tweet_ids, authors, list(map(int, ts)), orig_authors, *arrays)
+        return True
 
     def add_lines(self, lines: Iterable[str], lineno: int) -> int:
         """Fold lines one at a time, each decoded by json and checked at its
@@ -898,15 +955,20 @@ class _EventFold:
         )
 
     def domain_ids(self, urls: list[str]) -> np.ndarray:
-        """The domain id of each URL, -1 for none; ``extract_pld`` is called
-        once for each host new to the log, on one of its URLs."""
+        """The domain id of each URL, -1 for none; one memo probe per URL, and
+        ``extract_pld`` is called once for each host new to the log, on one
+        of its URLs."""
         hosts = hosts_of(urls)
-        url_of = dict(zip(hosts, urls))  # hosts in order of first appearance
         host_domain, domain_id = self.host_domain, self.domain_id
-        for host in filterfalse(host_domain.__contains__, url_of):
-            pld = extract_pld(url_of[host])
-            host_domain[host] = -1 if pld is None else domain_id.setdefault(pld, len(domain_id))
-        return np.fromiter(map(host_domain.__getitem__, hosts), np.int64, len(hosts))
+        ids = np.fromiter(map(host_domain.get, hosts, repeat(_UNSEEN)), np.int64, len(hosts))
+        new_at = np.flatnonzero(ids == _UNSEEN).tolist()
+        for at in new_at:
+            host = hosts[at]
+            if host not in host_domain:  # not an earlier URL of this batch either
+                pld = extract_pld(urls[at])
+                host_domain[host] = -1 if pld is None else domain_id.setdefault(pld, len(domain_id))
+        ids[new_at] = list(map(host_domain.__getitem__, map(hosts.__getitem__, new_at)))
+        return ids
 
 
 def load_dataset(scores_path: str, edges_path: str, events_path: str) -> DatasetBundle:
@@ -939,7 +1001,11 @@ def write_follow_edges(edges: FollowEdgeList, path: str) -> None:
 
 
 def write_events(logdata: EventLog, path: str) -> None:
-    with atomic_open(path) as fh:
+    """Write the log in the compact shape ``parse_events`` reads in bulk:
+    keys in a fixed order, no spaces, characters as they are. json escapes
+    quotes, backslashes and control characters; a lone surrogate, which only
+    a ``\\u`` escape can give, is written back as that escape."""
+    with atomic_open(path, "wb") as fh:
         for ev in logdata.events:
             obj: dict = {
                 "id": ev.tweet_id,
@@ -950,7 +1016,8 @@ def write_events(logdata: EventLog, path: str) -> None:
             if ev.original_author is not None:
                 obj["orig_author"] = ev.original_author
             obj["urls"] = [f"http://{d}/" for d in ev.domains]
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+            line = json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
+            fh.write(line.encode("utf-8", "backslashreplace"))
 
 
 # ---------------------------------------------------------------------------

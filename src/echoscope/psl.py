@@ -5,17 +5,21 @@ never fetched from the network, so extraction results are reproducible.
 Matching follows the standard rule semantics: exception rules beat wildcard
 and normal rules, the longest normal/wildcard match wins, and hosts whose
 suffix is unknown fall back to the implicit "*" rule (rightmost label).
+``SuffixRules`` keeps one table, rule -> kind bits, and the label count of
+its deepest rule, so a lookup reads only that many tails of the host, each a
+slice of the host string.
 """
 from __future__ import annotations
 
 import re
 from functools import lru_cache
 from importlib import resources
+from itertools import compress, count
+from operator import not_
 from typing import FrozenSet, Optional
 
-# matched with fullmatch: "$" would also match before a final newline
-_LABEL_RE = re.compile(r"[a-z0-9_-]+")
-_IPV4_RE = re.compile(r"\d{1,3}(\.\d{1,3}){3}")
+# the characters of a registrable domain: its labels' and the dots between them
+_NAME_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789_-."
 
 # Link shorteners and redirectors whose hosts say nothing about the content
 # they point at. Resolving redirects would need network I/O, so these map to
@@ -43,13 +47,22 @@ DEFAULT_SHORTENER_SKIP: FrozenSet[str] = frozenset(
 )
 
 
+# the kinds of rule, as bits of ``SuffixRules``' table
+_EXACT, _WILDCARD, _EXCEPTION = 1, 2, 4
+
+
 class SuffixRules:
-    """Parsed public-suffix rules supporting registrable-domain lookup."""
+    """Parsed public-suffix rules supporting registrable-domain lookup.
+
+    ``_rules`` maps each rule's labels (after ``*.`` or ``!``) to the kinds of
+    rule they form; ``_depth`` is the label count of the deepest match a rule
+    can make, a wildcard counting its ``*``. A tail of the host with more
+    labels than that matches no rule, so lookups never build one.
+    """
 
     def __init__(self, lines) -> None:
-        self._exact: set[str] = set()
-        self._wildcard: set[str] = set()  # stored as the suffix after "*."
-        self._exception: set[str] = set()
+        self._rules: dict[str, int] = {}
+        self._depth = 1
         self.version: Optional[str] = None
         for raw in lines:
             line = raw.strip()
@@ -60,30 +73,32 @@ class SuffixRules:
                     self.version = line.split("version:", 1)[1].strip()
                 continue
             if line.startswith("!"):
-                self._exception.add(line[1:])
+                key, kind, depth = line[1:], _EXCEPTION, 0
             elif line.startswith("*."):
-                self._wildcard.add(line[2:])
+                key, kind, depth = line[2:], _WILDCARD, 1
             else:
-                self._exact.add(line)
+                key, kind, depth = line, _EXACT, 0
+            self._rules[key] = self._rules.get(key, 0) | kind
+            self._depth = max(self._depth, depth + key.count(".") + 1)
 
     def public_suffix(self, host: str) -> str:
         """Longest matching suffix of ``host`` per the rule set."""
-        labels = host.split(".")
-        best = labels[-1]  # implicit "*" rule
-        best_len = 1
-        for i in range(len(labels)):
-            candidate = ".".join(labels[i:])
-            n = len(labels) - i
-            if candidate in self._exception:
-                # the suffix is the exception rule minus its leftmost label
-                return ".".join(labels[i + 1 :])
-            if candidate in self._exact and n > best_len:
-                best, best_len = candidate, n
-            if n >= 2:
-                rest = ".".join(labels[i + 1 :])
-                if rest in self._wildcard and n > best_len:
-                    best, best_len = candidate, n
-        return best
+        kind_of = self._rules.get
+        best = exception = None
+        below, below_kind = "", 0  # the tail one label shorter, and its kinds of rule
+        end = len(host)
+        for n in range(self._depth):  # the tail of n + 1 labels, shortest first
+            dot = host.rfind(".", 0, end)
+            tail = host[dot + 1 :]
+            kind = kind_of(tail, 0)
+            if kind & _EXCEPTION:
+                exception = below  # the exception rule minus its leftmost label
+            elif not n or kind & _EXACT or below_kind & _WILDCARD:
+                best = tail  # at first the implicit "*" rule, then the longest match
+            if dot < 0:
+                break
+            below, below_kind, end = tail, kind, dot
+        return best if exception is None else exception
 
     def registrable_domain(self, host: str) -> Optional[str]:
         """Public suffix plus one label, or None if host is itself a suffix."""
@@ -141,7 +156,10 @@ def hosts_of(urls: list[str]) -> list[Optional[str]]:
     text = "\n".join(urls)
     if not urls or text.count("\n") != len(urls) - 1:  # a URL holds a line end
         return list(map(_host_of, urls))
-    return [host or _host_of(url) for host, url in zip(_URL_HOST_RE.findall(text), urls)]
+    hosts = _URL_HOST_RE.findall(text)
+    for at in list(compress(count(), map(not_, hosts))):
+        hosts[at] = _host_of(urls[at])
+    return hosts
 
 
 def extract_pld(url: str, skip_plds: FrozenSet[str] = DEFAULT_SHORTENER_SKIP) -> Optional[str]:
@@ -153,16 +171,8 @@ def extract_pld(url: str, skip_plds: FrozenSet[str] = DEFAULT_SHORTENER_SKIP) ->
     if not isinstance(url, str):
         return None
     host = _host_of(url)
-    if host is None:
+    if host is None or not is_valid_pld(host):
         return None
-    labels = host.split(".")
-    if len(labels) < 2:
-        return None
-    if _IPV4_RE.fullmatch(host) or labels[-1].isdigit():
-        return None
-    for label in labels:
-        if not _LABEL_RE.fullmatch(label):
-            return None
     pld = default_rules().registrable_domain(host)
     if pld is None or pld in skip_plds:
         return None
@@ -170,12 +180,14 @@ def extract_pld(url: str, skip_plds: FrozenSet[str] = DEFAULT_SHORTENER_SKIP) ->
 
 
 def is_valid_pld(value: str) -> bool:
-    """Cheap structural check: lowercase dotted name with no URL syntax."""
-    if not isinstance(value, str) or not value:
-        return False
-    if "." not in value:
-        return False
-    labels = value.split(".")
-    if labels[-1].isdigit():
-        return False
-    return all(_LABEL_RE.fullmatch(label) for label in labels)
+    """Cheap structural check: two or more dotted labels of ``[a-z0-9_-]``, the
+    last not all digits (so no IPv4 address passes)."""
+    return (
+        isinstance(value, str)
+        and "." in value
+        and not value.strip(_NAME_CHARS)
+        and ".." not in value
+        and value[0] != "."
+        and value[-1] != "."
+        and not value.rpartition(".")[2].isdigit()
+    )

@@ -591,6 +591,35 @@ def canonical_events(draw):
     return line[:-1] + extra + "}"
 
 
+def with_urls_text(line, text):
+    """``line`` with ``text`` inside its urls array, and nothing after it."""
+    return line[: line.rindex('"urls":[')] + '"urls":[' + text + "]}"
+
+
+# urls array texts at the edge of what the bulk check takes: quotes that do
+# not pair up, separators the grammar refuses, values that are not strings or
+# null, escapes and control characters, and "]}" inside the array
+URL_ARRAY_TEXTS = [
+    '"a', '"a","b', '"""', '"a"""',
+    '"a",,"b"', ",,", ',"a"', '"a",', ",", "null,", ",null", "null,,null",
+    'null"a"', '"a"null', "nul", "nulll", '"a",nul', "null null",
+    "[]", '"a",[]', '["a"]', "1", '"a",1', " ", '"a", "b"', ' "a"', '"a" ',
+    '"a\\b"', '"a\\"b"', '"a\\\\b"', '"\\u00e9"', '"a\tb"', '"a\x01b"', '"a\x1fb"',
+    '"\x7f\u00e9"',
+    '"a]}"', '"]}","b"', '"a"]},"x":["b"', '"a"]}',
+    "null", "null,null", "", '""', '"",null,""', '"http://a.example/",null',
+]
+# two lines whose arrays each hold one quote: read together, they would pair up
+SPANNING_PAIR = ('"http://x.example/', 'a"')
+# a canonical line, or now and then one with an edge-case array or two lines
+# with the spanning pair (the two as one item, joined by "\n")
+CANONICAL_LINE = mostly(canonical_events(), st.one_of(
+    st.builds(with_urls_text, canonical_events(), st.sampled_from(URL_ARRAY_TEXTS)),
+    st.builds(lambda first, second: "\n".join(map(with_urls_text, (first, second), SPANNING_PAIR)),
+              canonical_events(), canonical_events()),
+), 16)
+
+
 # lines that are not canonical but read well
 ODD_EVENT_LINE = st.one_of(
     st.sampled_from(["", "   ", "\t", "\x85", "\u2028"]),  # blank once stripped
@@ -614,7 +643,7 @@ EVENT_FILE = st.builds(
     lambda lines, odd, bad, newline, last: (
         newline.join(_with_odd_lines(_with_odd_lines(lines, odd), bad)) + last * newline
     ),
-    st.lists(canonical_events(), max_size=30),
+    st.lists(CANONICAL_LINE, max_size=30),
     st.lists(st.tuples(st.integers(0, 30), ODD_EVENT_LINE), max_size=3),
     mostly(st.just([]), st.lists(st.tuples(st.integers(0, 33), BAD_EVENT_LINE), min_size=1,
                                  max_size=2), 5),
@@ -647,16 +676,29 @@ EDGE_CASE_LINES = [
     '{"id":"t","author":"u","ts":1,"kind":"original","urls":["http://a.example/\\"x"]}',
     '{"id":"t","author":"u","ts":1,"kind":"original","urls":[1]}',
     '{"id":"t","author":"u","ts":1,"kind":"Original","urls":[]}',
+    *(with_urls_text('{"id":"t","author":"u","ts":1,"kind":"original","urls":[]}', text)
+      for text in URL_ARRAY_TEXTS),
+    # a self-retweet is dropped, but only once json has read its line
+    with_urls_text('{"id":"t","author":"u","ts":1,"kind":"retweet","orig_author":"u","urls":[]}',
+                   '"a",,"b"'),
+    "\n".join(  # "\n" stands for the file's line end
+        with_urls_text('{"id":"t%d","author":"u","ts":1,"kind":"original","urls":[]}' % i, text)
+        for i, text in enumerate(SPANNING_PAIR)
+    ),
 ]
 
 
 @pytest.mark.parametrize("line", EDGE_CASE_LINES)
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
-@pytest.mark.parametrize("block_chars", [7, ingest.EVENT_BLOCK_CHARS])
-def test_lines_at_the_edge_of_the_canonical_shape(tmp_path, line, newline, block_chars):
+@pytest.mark.parametrize("block_chars", [7, 400, ingest.EVENT_BLOCK_CHARS])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_lines_at_the_edge_of_the_canonical_shape(tmp_path, line, newline, block_chars, mixed):
     good = '{"id":"g%d","author":"u%d","ts":%d,"kind":"original","urls":["http://b%d.example/"]}'
     lines = [good % (i, i, i, i) for i in range(4)]
-    path = write_raw(tmp_path / "ev.jsonl", newline.join(lines[:2] + [line] + lines[2:]) + newline)
+    if mixed:  # a line json reads but the canonical shape does not take
+        lines[3] = json.dumps(json.loads(lines[3]))
+    text = newline.join(lines[:2] + [line.replace("\n", newline)] + lines[2:]) + newline
+    path = write_raw(tmp_path / "ev.jsonl", text)
     expected = log_outcome(reference_log, path)
     with mock.patch.object(ingest, "EVENT_BLOCK_CHARS", block_chars):
         assert log_outcome(parse_events, path) == expected
@@ -695,6 +737,27 @@ def test_parse_write_parse_idempotent(tmp_path):
     log2 = parse_events(str(tmp_path / "ev2.jsonl"))
     assert log2.events == log.events
     assert log2.authors == log.authors
+
+
+def test_write_events_writes_characters_as_they_are(tmp_path):
+    path = write_raw(tmp_path / "ev.jsonl", "".join(
+        event_line(id=tweet_id, author=author, ts=ts, kind=KIND_RETWEET, orig_author=orig,
+                   urls=["http://a.example/"]) + "\n"
+        for tweet_id, author, ts, orig in [
+            ("t1", "josé", 1, "名前"), ("t2", "a\u2028b", 2, "x\x85\x7f"),
+            ("t3", 'q"\\', 3, "tab\t"), ("t4", "\ud800", 4, "é"),
+        ]
+    ))
+    log = parse_events(path)
+    write_events(log, str(tmp_path / "ev2.jsonl"))
+    written = (tmp_path / "ev2.jsonl").read_text(encoding="utf-8")
+    assert '"author":"josé","ts":1,"kind":"retweet","orig_author":"名前"' in written
+    assert '"author":"\\ud800"' in written  # the one character UTF-8 cannot carry
+    lines = written.split("\n")
+    assert lines.pop() == ""
+    canonical = [ingest._CANONICAL_EVENT.fullmatch(line) is not None for line in lines]
+    assert canonical == [True, True, False, False]  # json escapes '"', "\\", "\t" and "\ud800"
+    assert parse_events(str(tmp_path / "ev2.jsonl")).events == log.events
 
 
 def test_write_events_failure_leaves_previous_file(tmp_path):

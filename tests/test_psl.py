@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -184,3 +185,65 @@ def test_hosts_of_a_url_with_a_line_end():
     urls = ["http://a.example/x\ny", "http://news.abc\n.com/", "HTTP://B.example"]
     assert hosts_of(urls) == ["a.example", "news.abc\n.com", "b.example"]
     assert hosts_of([]) == []
+
+
+def reference_public_suffix(rules, host):
+    """``SuffixRules.public_suffix`` as a scan of every tail of the host, from
+    the longest: the specification the bounded lookup must match."""
+    exact = {line for line in rules if not line.startswith(("!", "*."))}
+    wildcard = {line[2:] for line in rules if line.startswith("*.")}
+    exception = {line[1:] for line in rules if line.startswith("!")}
+    labels = host.split(".")
+    best = labels[-1]  # implicit "*" rule
+    best_len = 1
+    for i in range(len(labels)):
+        candidate = ".".join(labels[i:])
+        n = len(labels) - i
+        if candidate in exception:
+            return ".".join(labels[i + 1 :])
+        if candidate in exact and n > best_len:
+            best, best_len = candidate, n
+        if n >= 2:
+            rest = ".".join(labels[i + 1 :])
+            if rest in wildcard and n > best_len:
+                best, best_len = candidate, n
+    return best
+
+
+def reference_registrable_domain(rules, host):
+    suffix = reference_public_suffix(rules, host)
+    if host == suffix:
+        return None
+    prefix = host[: -(len(suffix) + 1)]
+    return prefix.rsplit(".", 1)[-1] + "." + suffix
+
+
+# few label names, so that rules overlap each other and the hosts
+RULE = st.builds(
+    "{}{}".format,
+    st.sampled_from(["", "*.", "!"]),
+    st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=4).map(".".join),
+)
+RULE_HOST = st.lists(st.sampled_from(["a", "b", "c", "d", ""]), max_size=6).map(".".join)
+
+
+@given(st.lists(RULE, max_size=12), st.lists(RULE_HOST, min_size=1, max_size=8))
+@settings(max_examples=500, deadline=None)
+def test_bounded_lookup_matches_a_scan_of_every_tail(rules, hosts):
+    table = SuffixRules(rules)
+    for host in hosts:
+        assert table.public_suffix(host) == reference_public_suffix(rules, host)
+        assert table.registrable_domain(host) == reference_registrable_domain(rules, host)
+
+
+def test_bounded_lookup_on_the_bundled_snapshot():
+    rules = [
+        line.strip() for line in resources.files("echoscope")
+        .joinpath("data/public_suffix_snapshot.dat").read_text(encoding="utf-8").splitlines()
+        if line.strip() and not line.startswith("//")
+    ]
+    table = default_rules()
+    for host in ["www.ck", "x.www.ck", "a.b.ck", "news.example.co.uk", "co.uk", "uk", "",
+                 "a..co.uk", "x.y.z.example.com.au", "deep.sub.a.example"]:
+        assert table.public_suffix(host) == reference_public_suffix(rules, host)
+        assert table.registrable_domain(host) == reference_registrable_domain(rules, host)
