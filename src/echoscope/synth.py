@@ -17,11 +17,15 @@ The generative model, all driven by counter-based substreams of one seed:
                 each candidate event with weight exp(-beta * |x_u - x_author|);
                 beta = 0 is the uniform-attention null model. Retweet events
                 carry the original's URL and a timestamp at or after it.
+
+The edge list and the event log are assembled as columns, by the builders
+the edges.csv and events.jsonl parsers use.
 """
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import asdict, dataclass
 from typing import get_type_hints
 
@@ -30,11 +34,10 @@ import numpy as np
 from .errors import InfeasibleConfigError, InputFormatError
 from .ingest import (
     DatasetBundle,
-    EventLog,
     FollowEdgeList,
-    KIND_ORIGINAL,
-    KIND_RETWEET,
-    TweetEvent,
+    _dedup_edges,
+    _EventColumns,
+    _intern,
     atomic_open,
     read_key_values,
 )
@@ -58,6 +61,9 @@ class SynthConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InfeasibleConfigError(f"{name} must be finite")
         if self.n_users < 1 or self.n_domains < 1 or self.duration < 1:
             raise InfeasibleConfigError("counts and duration must be >= 1")
         if not 0.0 <= self.base_follow_prob <= 1.0:
@@ -134,9 +140,13 @@ def generate(config: SynthConfig) -> tuple[DatasetBundle, GroundTruth]:
     )
     mult_norm = activity_mult / math.exp(ACTIVITY_LOGNORMAL_SIGMA**2 / 2.0)
 
-    # follow edges, one substream per follower row
+    # follow edges, one substream per follower row; each row's names are
+    # interned follower first, the order from_pairs gives its pairs
     lam = config.follow_homophily
-    edges: list[tuple[int, int]] = []
+    index: dict[str, int] = {}
+    src_buf = array("q")
+    dst_buf = array("q")
+    friends: list[np.ndarray] = []  # per user, unique and ascending
     for i in range(n):
         probs = config.base_follow_prob * np.exp(-np.abs(ideology[i] - ideology) / lam)
         draws = substream(config.seed, "follow", i).random(n)
@@ -146,93 +156,82 @@ def generate(config: SynthConfig) -> tuple[DatasetBundle, GroundTruth]:
             dist = np.abs(ideology - ideology[i])
             dist[i] = np.inf
             picks = np.array([int(np.argmin(dist))])
-        edges.extend((i, int(j)) for j in picks.tolist())
+        friends.append(picks)
+        row = _intern(index, [users[i], *map(users.__getitem__, picks.tolist())])
+        src_buf.frombytes(np.repeat(row[:1], picks.size).tobytes())
+        dst_buf.frombytes(row[1:].tobytes())
+    src, dst, n_dup = _dedup_edges(src_buf, dst_buf)
 
-    # phase 1: original tweets
-    orig_author: list[int] = []
-    orig_ts: list[int] = []
+    # phase 1: original tweets, appended in author order
+    n_orig = np.zeros(n, dtype=np.int64)
+    orig_ts = array("q")
     orig_domain: list[int] = []
     for i in range(n):
         r = substream(config.seed, "originals", i)
         count = int(r.poisson(config.activity_rate * mult_norm[i]))
         if count == 0:
             continue
-        ts = r.integers(0, config.duration, size=count)
+        n_orig[i] = count
+        orig_ts.frombytes(r.integers(0, config.duration, size=count).tobytes())
         targets = _snap_level(ideology[i] + r.normal(0.0, CONTENT_NOISE_SD, size=count))
-        for t, level in zip(ts.tolist(), targets.tolist()):
+        for level in targets.tolist():
             bucket = by_level[level]
-            pick = int(bucket[r.integers(0, bucket.size)])
-            orig_author.append(i)
-            orig_ts.append(int(t))
-            orig_domain.append(pick)
-    originals_by_author: dict[int, list[int]] = {}
-    for pos, author in enumerate(orig_author):
-        originals_by_author.setdefault(author, []).append(pos)
-
-    friends_of: dict[int, list[int]] = {}
-    for s, t in edges:
-        friends_of.setdefault(s, []).append(t)
+            orig_domain.append(int(bucket[r.integers(0, bucket.size)]))
+    n_originals = len(orig_ts)
+    orig_start = np.cumsum(n_orig) - n_orig
+    orig_ts = np.asarray(orig_ts, dtype=np.int64)
 
     # phase 2: retweets of friends' originals
-    rt_author: list[int] = []
-    rt_ts: list[int] = []
-    rt_of: list[int] = []  # position into the originals arrays
+    n_rt = np.zeros(n, dtype=np.int64)
+    rt_ts = array("q")
+    rt_of = array("q")  # position into the originals arrays
     n_unfillable = 0
-    for i in range(n):
+    for i, followed in enumerate(friends):
         r = substream(config.seed, "retweets", i)
         count = int(r.poisson(config.retweet_rate * mult_norm[i]))
         if count == 0:
             continue
-        candidates: list[int] = []
-        for j in sorted(set(friends_of.get(i, ()))):
-            candidates.extend(originals_by_author.get(j, ()))
-        if not candidates:
+        sizes = n_orig[followed]
+        total = int(sizes.sum())
+        if total == 0:
             n_unfillable += count
             continue
-        cand = np.asarray(candidates, dtype=np.int64)
-        authors = np.asarray([orig_author[c] for c in candidates], dtype=np.int64)
+        # the candidates: each friend's originals in turn, friends ascending
+        cand = np.repeat(orig_start[followed] - np.cumsum(sizes) + sizes, sizes) + np.arange(total)
+        authors = np.repeat(followed, sizes)
         weights = np.exp(-config.attention_bias * np.abs(ideology[i] - ideology[authors]))
         probs = weights / weights.sum()
-        chosen = r.choice(cand.size, size=count, replace=True, p=probs)
-        starts = np.asarray([orig_ts[int(cand[c])] for c in chosen.tolist()], dtype=np.float64)
+        chosen = cand[r.choice(total, size=count, replace=True, p=probs)]
+        starts = orig_ts[chosen].astype(np.float64)
         offsets = np.floor(r.random(count) * (config.duration - starts)).astype(np.int64)
-        for c, off in zip(chosen.tolist(), offsets.tolist()):
-            pos = int(cand[c])
-            rt_author.append(i)
-            rt_ts.append(int(orig_ts[pos] + off))
-            rt_of.append(pos)
+        n_rt[i] = count
+        rt_ts.frombytes((orig_ts[chosen] + offsets).tobytes())
+        rt_of.frombytes(chosen.tobytes())
 
-    # assemble, ordering deterministically before ids are assigned
-    records: list[tuple[int, int, int, int, int]] = []
-    for pos in range(len(orig_author)):
-        records.append((orig_ts[pos], orig_author[pos], 0, pos, pos))
-    for idx in range(len(rt_author)):
-        records.append((rt_ts[idx], rt_author[idx], 1, idx, rt_of[idx]))
-    records.sort(key=lambda rec: (rec[0], rec[1], rec[2], rec[3]))
-
-    events: list[TweetEvent] = []
-    for serial, (ts, author, is_rt, _, orig_pos) in enumerate(records):
-        domain = domains[orig_domain[orig_pos]]
-        if is_rt:
-            events.append(
-                TweetEvent(
-                    f"t{serial:09d}",
-                    users[author],
-                    ts,
-                    KIND_RETWEET,
-                    users[orig_author[orig_pos]],
-                    (domain,),
-                )
-            )
-        else:
-            events.append(
-                TweetEvent(f"t{serial:09d}", users[author], ts, KIND_ORIGINAL, None, (domain,))
-            )
+    # every event in (ts, author, is_retweet, index) order, its rank its tweet id:
+    # the sort is stable, so tied events keep originals first, each kind by index
+    n_retweets = len(rt_of)
+    author = np.concatenate((np.repeat(np.arange(n), n_orig), np.repeat(np.arange(n), n_rt)))
+    ts = np.concatenate((orig_ts, np.asarray(rt_ts, dtype=np.int64)))
+    order = np.lexsort((author, ts))
+    source = np.concatenate((np.arange(n_originals), np.asarray(rt_of, dtype=np.int64)))[order]
+    retweet = (order >= n_originals).tolist()
+    domain_index: dict[str, int] = {}  # in order of first appearance, as from_events
+    cols = _EventColumns()
+    cols.extend(
+        [f"t{e:09d}" for e in range(order.size)],
+        list(map(users.__getitem__, author[order].tolist())),
+        ts[order],
+        retweet,
+        [users[a] if rt else None for a, rt in zip(author[source].tolist(), retweet)],
+        np.ones(order.size, dtype=np.int64),
+        _intern(domain_index, [domains[orig_domain[s]] for s in source.tolist()]),
+    )
 
     bundle = DatasetBundle(
         scores={d: float(s) for d, s in zip(domains, d_scores.tolist())},
-        edges=FollowEdgeList.from_pairs((users[s], users[t]) for s, t in edges),
-        log=EventLog.from_events(events),
+        edges=FollowEdgeList(list(index), src, dst, 0, n_dup),
+        log=cols.log(domain_index, 0, 0),
         seeds=frozenset(users),
     )
     truth = GroundTruth(
@@ -241,8 +240,8 @@ def generate(config: SynthConfig) -> tuple[DatasetBundle, GroundTruth]:
         null_model=config.attention_bias == 0.0,
         counters={
             "n_edges": bundle.edges.n_edges,
-            "n_originals": len(orig_author),
-            "n_retweets": len(rt_author),
+            "n_originals": n_originals,
+            "n_retweets": n_retweets,
             "n_unfillable_retweets": n_unfillable,
         },
         config=config,

@@ -204,6 +204,18 @@ def test_synth_infeasible_config_exit_two(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "line", ["attention_bias = nan", "activity_rate = inf", "follow_homophily = inf"]
+)
+def test_synth_non_finite_config_exit_two(tmp_path, capsys, line):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(SYNTH_CFG + line + "\n")
+    out = tmp_path / "x"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{line.split()[0]} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "fault, message",
     [
         (b"n_users = lots", "bad value for n_users: 'lots'"),

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import statistics
 
 import numpy as np
@@ -117,6 +119,52 @@ def test_infeasible_configs():
         SynthConfig(**{**small_config().__dict__, "follow_homophily": 0.0})
     with pytest.raises(InfeasibleConfigError):
         SynthConfig(**{**small_config().__dict__, "attention_bias": -1.0})
+    # NaN and +-inf in any float field: NaN passes the range checks, and
+    # unchecked, NaN weights fail inside numpy, an inf rate overflows the
+    # Poisson draw and a NaN length scale silently drops every drawn edge
+    for field in ("follow_homophily", "base_follow_prob", "attention_bias",
+                  "activity_rate", "retweet_rate"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InfeasibleConfigError, match=f"{field} must be finite"):
+                SynthConfig(**{**small_config().__dict__, field: value})
+
+
+# sha256 of scores.csv, edges.csv, events.jsonl and truth.json per config
+@pytest.mark.parametrize(
+    "overrides, digests",
+    [
+        # n_domains < 5 reroutes empty levels; base_follow_prob 0 sends every
+        # user to the nearest-neighbour fallback; 85 retweets are unfillable
+        (
+            dict(n_users=40, n_domains=3, follow_homophily=0.3, base_follow_prob=0.0,
+                 attention_bias=2.0, activity_rate=0.4, retweet_rate=3.0, duration=5, seed=7),
+            ("adae1000eeb8c7e9a64c66b4cfeb2cbf0f724c117751bada6eb6be8aa6d5f785",
+             "258f475c889cfe59282b395c6ed12abb6e4e3ed24caf139135756e3faeeb3f76",
+             "d0895134c464c0e8cbb5168ba18e7f5ea18f53db509280277255bf97fbea220e",
+             "85632f121cbb5a817311dfcdf0f495e069f4720bba43037d9fbf1d295bed6d37"),
+        ),
+        # 418 events tie another on (timestamp, author), so the event order
+        # rests on all four keys: timestamp, author, kind and index
+        (
+            dict(n_users=60, n_domains=12, follow_homophily=0.25, base_follow_prob=0.2,
+                 attention_bias=0.0, activity_rate=6.0, retweet_rate=4.0, duration=4, seed=8),
+            ("220de51b8a58b27c47c9bfb83c9112c93074a9e935ca80d99d4ad91029eb112d",
+             "8d87b376bf201cb27df81f5839de72905d0ed0ec613686d4d7cd5ba268e41349",
+             "0c86e452a7132e83c6f1428cd8dee7a9dd78e03838467f135b566fd847eedcc9",
+             "6eebb2dfdfbc6e5a53bf5bcd5408ec559018da2e7f03b1ce9dbf5a0e9d505f1b"),
+        ),
+    ],
+    ids=["rerouted-fallback-unfillable", "tied-timestamps"],
+)
+def test_generated_files_match_pinned_digests(tmp_path, overrides, digests):
+    bundle, truth = generate(SynthConfig(**overrides))
+    write_domain_scores(bundle.scores, str(tmp_path / "scores.csv"))
+    write_follow_edges(bundle.edges, str(tmp_path / "edges.csv"))
+    write_events(bundle.log, str(tmp_path / "events.jsonl"))
+    write_truth(truth, str(tmp_path / "truth.json"))
+    names = ("scores.csv", "edges.csv", "events.jsonl", "truth.json")
+    fresh = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names)
+    assert fresh == digests
 
 
 def test_config_file_parsing(tmp_path):
