@@ -55,6 +55,8 @@ OVERLAP_CONTENT = "content"
 POOL_BLOCK_CELLS = 1 << 18
 # random_friend_positions_reps replays subsets of at most this many friends
 REPLAY_MAX_SIZE = 32
+# weighted_draws steps at most this many times past its guide-table entry
+GUIDE_PASSES = 4
 
 CACHE_MAGIC = b"ECHOGRF1"
 CACHE_VERSION = 3
@@ -272,12 +274,37 @@ def sample_friends_by_indegree(
         raise EchoscopeError("sample size must be >= 1")
     indegree = graph.indegree()
     targets = np.flatnonzero(indegree)
-    weights = indegree[targets].astype(np.float64)
-    total = weights.sum()
-    if total <= 0:
+    if not targets.size:
         raise EchoscopeError("all indegrees are zero")
-    idx = rng.choice(len(targets), size=n, replace=True, p=weights / total)
-    return targets[idx]
+    return targets[weighted_draws(indegree[targets].astype(np.float64), n, rng)]
+
+
+def weighted_draws(weights: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """What Generator.choice(len(weights), size=n, replace=True, p=weights / total) draws.
+
+    choice normalises the cumulative sum of p, draws n uniforms with
+    rng.random and returns, for each uniform u, the first index whose cdf
+    exceeds u; this does the same. A uniform is k / 2**53, so u * M floors
+    exactly for M a power of two, and the guide table holds the first index
+    whose cdf exceeds each bucket's lower end: the answer for a uniform in
+    that bucket is this index or one above it, found by stepping up. Draws
+    still unresolved after GUIDE_PASSES steps (many small weights in one
+    bucket) go to a binary search.
+    """
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    buckets = 1 << (len(cdf) - 1).bit_length()
+    guide = cdf.searchsorted(np.arange(buckets) / buckets, side="right")
+    idx = guide[(u * buckets).astype(np.int64)]
+    pending = np.flatnonzero(cdf[idx] <= u)
+    for _ in range(GUIDE_PASSES):
+        if not pending.size:
+            return idx
+        idx[pending] += 1
+        pending = pending[cdf[idx[pending]] <= u[pending]]
+    idx[pending] = cdf.searchsorted(u[pending], side="right")
+    return idx
 
 
 def random_friend_positions(

@@ -24,8 +24,9 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -147,8 +148,8 @@ def _jfloat(value):
 class Take:
     """A table column whose cells are ``values[ids]``.
 
-    ``values`` (an array or a list) is formatted once per write, however
-    many rows repeat one of its values.
+    Each value that ``ids`` names is formatted once per write, however many
+    rows repeat it; a value no row names is not formatted at all.
     """
 
     values: "Column"
@@ -181,28 +182,32 @@ def _is_text(column: Column) -> bool:
     return not (isinstance(column, np.ndarray) and column.dtype.kind in "biuf")
 
 
-def _text(column: Column, lo: int, hi: int) -> list[str]:
-    """Cells lo..hi of an array or list column as unquoted text."""
-    if not _is_text(column):
-        values = column[lo:hi]
+def _text(values: Union[np.ndarray, Iterable]) -> list[str]:
+    """An array's cells, or the values of a list or iterator, as unquoted text."""
+    if not _is_text(values):
         if values.dtype.kind != "f":
             return list(map(str, values.tolist()))
         cells = list(map(repr, values.tolist()))
         for i in np.flatnonzero(np.isnan(values)).tolist():
             cells[i] = ""
         return cells
-    return [_cell(v) for v in column[lo:hi]]
+    return [_cell(v) for v in values]
 
 
 def _blocks(column: Column, n_rows: int) -> Iterator[list[str]]:
     """A column's text, BLOCK_ROWS cells at a time."""
     if isinstance(column, Take):
-        text = np.array(_text(column.values, 0, len(column.values)), dtype=object)
+        values = column.values
+        used = np.zeros(len(values), dtype=bool)
+        used[column.ids] = True
+        picked = values[used] if isinstance(values, np.ndarray) else compress(values, used.tolist())
+        text = np.empty(len(values), dtype=object)
+        text[used] = _text(picked)
         for lo in range(0, n_rows, BLOCK_ROWS):
             yield text[column.ids[lo : lo + BLOCK_ROWS]].tolist()
     else:
         for lo in range(0, n_rows, BLOCK_ROWS):
-            yield _text(column, lo, lo + BLOCK_ROWS)
+            yield _text(column[lo : lo + BLOCK_ROWS])
 
 
 def _plain(cells: list[str]) -> bool:
@@ -211,13 +216,20 @@ def _plain(cells: list[str]) -> bool:
     return not any(ch in joined for ch in _CSV_SPECIAL)
 
 
+def _constant(cells: list[str]) -> bool:
+    """Whether every cell holds one text."""
+    return cells[0] == cells[-1] and cells.count(cells[0]) == len(cells)
+
+
 def _write_csv(path: Path, header: list[str], columns: list[Column]) -> None:
     """Write a header and columns as csv.writer(lineterminator="\\n") would.
 
     Blocks of plain rows are joined directly, in well under half the time
-    csv.writer takes for them; a block with a cell csv may quote, or a table
-    of one column (csv quotes a lone empty field), goes through csv.writer,
-    so the quoting rules stay csv's own.
+    csv.writer takes for them, and a block in which one column alone varies
+    (a run of one ``source`` in sampled_scores.csv) is that column's cells
+    joined once, around the other cells' text. A block with a cell csv may
+    quote, or a table of one column (csv quotes a lone empty field), goes
+    through csv.writer, so the quoting rules stay csv's own.
     """
     lengths = {len(column) for column in columns}
     if len(header) != len(columns) or len(lengths) > 1:
@@ -228,10 +240,17 @@ def _write_csv(path: Path, header: list[str], columns: list[Column]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for cells in zip(*(_blocks(column, n_rows) for column in columns)):
-            if len(cells) > 1 and all(_plain(cells[i]) for i in text_columns):
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-            else:
+            if len(cells) == 1 or not all(_plain(cells[i]) for i in text_columns):
                 writer.writerows(zip(*cells))
+                continue
+            varying = [i for i, texts in enumerate(cells) if not _constant(texts)]
+            if len(varying) == 1:
+                (v,) = varying
+                head = "".join(texts[0] + "," for texts in cells[:v])
+                tail = "".join("," + texts[0] for texts in cells[v + 1 :])
+                fh.write(head + (tail + "\n" + head).join(cells[v]) + tail + "\n")
+            else:
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _corr_block(xs: list[float], ys: list[float]) -> dict:

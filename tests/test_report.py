@@ -241,11 +241,23 @@ def plain_columns(draw, n_rows: int):
 
 @st.composite
 def table_columns(draw, n_rows: int):
-    if not draw(st.booleans()):
+    """A column of any cells, or one that repeats a few values or one value.
+
+    Repeats come as arbitrary ids, as sorted ids (runs that may cross a block
+    boundary, like ``source`` in sampled_scores.csv) or as one value in every
+    row, taken or listed; a repeated text may be one that csv must quote.
+    """
+    shape = draw(st.sampled_from(["cells", "ids", "runs", "constant", "listed constant"]))
+    if shape == "cells":
         return draw(plain_columns(n_rows))
-    n_values = draw(st.integers(1 if n_rows else 0, 4))
+    n_values = 1 if "constant" in shape else draw(st.integers(1 if n_rows else 0, 4))
+    values = draw(plain_columns(n_values))
+    if shape == "listed constant":
+        return np.repeat(values, n_rows) if isinstance(values, np.ndarray) else values * n_rows
     ids = draw(st.lists(st.integers(0, max(n_values - 1, 0)), min_size=n_rows, max_size=n_rows))
-    return Take(draw(plain_columns(n_values)), np.array(ids, dtype=np.int64))
+    if shape == "runs":
+        ids.sort()
+    return Take(values, np.array(ids, dtype=np.int64))
 
 
 @st.composite
@@ -267,6 +279,28 @@ def test_column_writer_matches_row_writer(table, block_rows):
         path = Path(tmp) / "t.csv"
         _write_csv(path, header, columns)
         assert path.read_bytes() == reference_csv(header, columns)
+
+
+def test_column_writer_sampled_scores_shape(tmp_path, monkeypatch):
+    # blocks of 4: one source, then a source change inside the block, then a
+    # block whose rows all repeat one source and one score
+    monkeypatch.setattr(report_module, "BLOCK_ROWS", 4)
+    sources = ["random_friend", "random_retweet_friend", "random_user"]
+    source_ids = np.repeat(np.arange(3), [5, 3, 4])
+    score_ids = np.array([0, 2, 0, 3, 1, 0, 0, 2, 3, 3, 3, 3])
+    scores = Take(np.array([0.25, math.nan, 1e-05, 0.5]), score_ids)
+    columns = [Take(sources, source_ids), scores]
+    path = tmp_path / "t.csv"
+    _write_csv(path, ["source", "score"], columns)
+    assert path.read_bytes() == reference_csv(["source", "score"], columns)
+    lines = path.read_text().splitlines()
+    assert lines[4:8] == [
+        "random_friend,0.5",
+        "random_friend,",
+        "random_retweet_friend,0.25",
+        "random_retweet_friend,0.25",
+    ]
+    assert lines[9:] == ["random_user,0.5"] * 4
 
 
 def test_column_writer_keeps_csv_quirks(tmp_path):
