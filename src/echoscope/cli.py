@@ -118,6 +118,15 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(out_dir=values.pop("out"), **values)
 
 
+def _make_out_dir(path: str) -> None:
+    """Make an ``--out`` directory and its parents where missing; a path that
+    cannot be one is an input error that names it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise EchoscopeError(f"{path}: cannot write directory: {exc.strerror}") from None
+
+
 def run_report(cfg: RunConfig) -> ReportBundle:
     """``report.run_report``, importing ``report`` on first use.
 
@@ -143,6 +152,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     cfg = _build_run_config(args)
+    _make_out_dir(cfg.out_dir)
     report = run_report(cfg)
     log.info("report written to %s (%d markers)", cfg.out_dir, len(report.sections["markers"]))
     return EXIT_OK
@@ -155,8 +165,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     bundle, truth = generate(cfg)
+    _make_out_dir(args.out)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_domain_scores(bundle.scores, str(out / "scores.csv"))
     write_follow_edges(bundle.edges, str(out / "edges.csv"))
     write_events(bundle.log, str(out / "events.jsonl"))

@@ -7,38 +7,41 @@ Formats (UTF-8 throughout; a leading byte-order mark is skipped):
 
 Parsers keep memory proportional to their output; the edge parser stores
 edges as index arrays so tens of millions of rows fit in a small footprint.
-It reads the edges CSV in blocks of about ``EDGE_BLOCK_CHARS`` characters,
-cut after the last line end. A plain block (no quote, no carriage return,
-each non-blank line two non-empty fields around one comma) is split into
-fields with one call, its self-loops dropped and its new names interned in
-bulk. The first block that is not plain sends the whole file through
-``_csv_rows`` instead, so quoting rules are csv's, and both readings give the
-same edge list. ``_csv_rows`` reads both CSV inputs, names each row's first
-file line in its errors, and makes a csv fault an input error at that line.
-The score table is a plain dict, domain -> score.
+Each of the two line-based inputs is read one of two ways: in bulk, in
+blocks of about ``BLOCK_CHARS`` characters cut after the last line end
+(``_line_blocks``), or one line at a time by its reference reader
+(``csv.reader`` for edges, ``json.loads`` for events). Both readings give
+the same result and the same errors.
+
+A plain edges block (no quote, no carriage return, each non-blank line two
+non-empty fields around one comma) is split into fields with one call, its
+self-loops dropped and its new names interned in bulk (``_add_fields``,
+which ``FollowEdgeList.from_pairs`` shares). The first block that is not
+plain, or an unfinished line longer than two fields csv allows, sends the
+whole file through ``_csv_rows`` instead, so quoting rules are csv's.
+``_csv_rows`` reads both CSV inputs, names each row's first file line in its
+errors, and makes a csv fault an input error at that line. The score table
+is a plain dict, domain -> score.
 
 The event parser fills columns (``EventLog``): interned author and
 original-author ids, an int64 timestamp array, a retweet mask and a CSR of
-interned domain ids, sorted once by (timestamp, tweet id). It reads the
-events JSONL in blocks of about ``EVENT_BLOCK_CHARS`` characters, cut after
-the last line end. One regex pass takes the lines of a block that have the
-compact shape ``write_events`` writes (``_CANONICAL_EVENT``), each urls
-array as raw text. ``_url_arrays`` checks the block's arrays together with
-string operations (quotes pair up within each array, no backslash or control
-byte, each distinct text between two strings a separator the grammar allows)
-and splits their URLs out with one call; their hosts are found by one regex
-pass and their users interned in bulk. A block that fails a check is read
-line by line: each line that passes the same checks alone joins a run of
-canonical lines, and every other line, like every line of a block with a
-carriage return that no line feed follows, is decoded by json and checked
-on its own, at its own line number; a byte that is not UTF-8 sends the whole
-file down that per-line path, which decides which error comes first. Both
-paths fold a block into the columns before the next is read. The host memo
-is probed once per URL, and each distinct URL host is resolved to its
-registrable domain once. The analyses
-read the columns; ``EventLog.events`` gives the same log as ``TweetEvent``
-objects, built only when read. ``read_key_values`` reads the ``key = value``
-config files of ``report --config`` and ``synth --config``.
+interned domain ids, sorted once by (timestamp, tweet id). A block wholly in
+the compact shape ``write_events`` writes (``_CANONICAL_EVENT``) is read in
+bulk: one regex pass takes its lines, each urls array as raw text, and
+``_url_arrays`` checks the block's arrays together with string operations
+(quotes pair up within each array, no backslash or control byte, each
+distinct text between two strings a separator the grammar allows) and
+splits their URLs out with one call; their hosts are found by one regex
+pass and their users interned in bulk. Any other block is decoded by json
+one line at a time, each line checked on its own at its own line number,
+with the same result and the same errors; a byte that is not UTF-8 sends
+the whole file down that per-line path, which decides which error comes
+first. Each block is folded into the columns before the next is read. The
+host memo is probed once per URL, and each distinct URL host is resolved to
+its registrable domain once. The analyses read the columns;
+``EventLog.events`` gives the same log as ``TweetEvent`` objects, built only
+when read. ``read_key_values`` reads the ``key = value`` config files of
+``report --config`` and ``synth --config``.
 """
 from __future__ import annotations
 
@@ -52,13 +55,13 @@ import re
 from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from itertools import chain, compress, count, groupby, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import ne, not_
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .errors import InputFormatError
+from .errors import EchoscopeError, InputFormatError
 from .psl import extract_pld, hosts_of, is_valid_pld
 
 log = logging.getLogger(__name__)
@@ -83,11 +86,10 @@ TS_MAX = 2**63 - 1
 SCORES_HEADER = ["domain", "score"]
 EDGES_HEADER = ["follower", "friend"]
 
-# characters per block of the edge parse; on the benchmark's edge files,
-# blocks of 2**18 parsed up to 10% slower and peaked 2-4 MiB higher
-EDGE_BLOCK_CHARS = 2**16
-# characters per block of the event parse
-EVENT_BLOCK_CHARS = 2**16
+# characters per block of the bulk parses, and pairs per batch of
+# ``FollowEdgeList.from_pairs``; on the benchmark's edge files, blocks of
+# 2**18 parsed up to 10% slower and peaked 2-4 MiB higher
+BLOCK_CHARS = 2**16
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,28 +126,17 @@ class FollowEdgeList:
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "FollowEdgeList":
         """Intern (follower, friend) pairs in order of first appearance,
-        dropping self-loops and duplicate edges."""
-        names: list[str] = []
+        dropping self-loops and duplicate edges; ``BLOCK_CHARS`` pairs at a
+        time, through the same interning as the edge parser."""
+        pairs = iter(pairs)
         index: dict[str, int] = {}
         src_buf = array("q")
         dst_buf = array("q")
         n_self = 0
-        for follower, friend in pairs:
-            if follower == friend:
-                n_self += 1
-                continue
-            s = index.get(follower)
-            if s is None:
-                s = index[follower] = len(names)
-                names.append(follower)
-            d = index.get(friend)
-            if d is None:
-                d = index[friend] = len(names)
-                names.append(friend)
-            src_buf.append(s)
-            dst_buf.append(d)
+        while fields := list(chain.from_iterable(islice(pairs, BLOCK_CHARS))):
+            n_self += _add_fields(fields, index, src_buf, dst_buf)
         src, dst, n_dup = _dedup_edges(src_buf, dst_buf)
-        return cls(names, src, dst, n_self, n_dup)
+        return cls(list(index), src, dst, n_self, n_dup)
 
     @property
     def n_edges(self) -> int:
@@ -478,14 +469,23 @@ def atomic_open(path: str, mode: str = "w"):
     """Write to a temporary file beside ``path``, then move it over ``path``.
 
     A write that fails or is killed leaves the previous file (or none) under
-    the real name, and the temporary file is removed on failure.
+    the real name, and the temporary file is removed on failure. A temporary
+    file that cannot be made, or moved over ``path``, is an error that names
+    ``path``; an error while writing is raised as it is.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
     try:
-        with open(tmp, mode, **text) as fh:
+        fh = open(tmp, mode, **text)
+    except OSError as exc:
+        raise EchoscopeError(f"{path}: cannot write file: {exc.strerror}") from None
+    try:
+        with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise EchoscopeError(f"{path}: cannot write file: {exc.strerror}") from None
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
@@ -585,50 +585,58 @@ def _parse_plain_edges(path: str) -> Optional[FollowEdgeList]:
             except csv.Error:
                 return None  # a field longer than csv allows; _csv_rows reports it
             _check_header(head, EDGES_HEADER, path)
-            rest = ""
-            while True:
-                chunk = fh.read(EDGE_BLOCK_CHARS)
-                text = rest + (chunk or "\n")  # at the end, close a last line without "\n"
-                cut = text.rfind("\n") + 1
-                if len(text) - cut > 2 * field_limit + 1:
-                    return None  # a line longer than two fields csv allows
-                n_loops = _add_plain_block(text[:cut], field_limit, index, src_buf, dst_buf)
-                if n_loops is None:
+            # a line longer than two fields csv allows is left to csv too
+            for block in _line_blocks(fh, 2 * field_limit + 1):
+                fields = None if block is None else _plain_fields(block, field_limit)
+                if fields is None:
                     return None
-                n_self += n_loops
-                rest = text[cut:]
-                if not chunk:
-                    break
+                n_self += _add_fields(fields, index, src_buf, dst_buf)
+                del block, fields  # freed before the next block is read
         except UnicodeDecodeError:
             return None  # csv reads line by line, so it decides which error comes first
     src, dst, n_dup = _dedup_edges(src_buf, dst_buf)
     return FollowEdgeList(list(index), src, dst, n_self, n_dup)
 
 
-def _add_plain_block(
-    block: str, field_limit: int, index: dict[str, int], src_buf: array, dst_buf: array
-) -> Optional[int]:
-    """Append the follower and friend ids of a block's rows to ``src_buf`` and
-    ``dst_buf``, interning new names in ``index`` in the order ``from_pairs``
-    gives them; the number of self-loops dropped, or None if the block is not
-    plain.
+def _line_blocks(fh, max_line: Optional[int] = None) -> Iterator[Optional[str]]:
+    """The rest of ``fh`` in blocks of whole lines, read ``BLOCK_CHARS``
+    characters at a time and each cut after its last line feed; a last line
+    with no line end is given one. Once a line that no block has ended yet
+    is longer than ``max_line``, yields None and stops."""
+    head: list[str] = []  # the start of a line no block has ended yet
+    for chunk in iter(partial(fh.read, BLOCK_CHARS), ""):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            head.append(chunk[:cut])
+            yield "".join(head)
+            head, chunk = [], chunk[cut:]
+        head.append(chunk)
+        # head holds at most max_line // BLOCK_CHARS + 2 chunks here
+        if max_line is not None and sum(map(len, head)) > max_line:
+            yield None
+            return
+    last = "".join(head)
+    if last:
+        yield last + "\n"
 
-    The block is split with one call, and its self-loops are dropped before
-    any name is interned. Its temporaries are freed on return, before the
-    next block is read.
+
+def _add_fields(fields: list[str], index: dict[str, int], src_buf: array, dst_buf: array) -> int:
+    """Append the follower and friend ids of flat ``follower, friend, ...``
+    fields to ``src_buf`` and ``dst_buf``, interning new names in ``index``
+    in order of first appearance; the number of self-loops dropped.
+
+    Self-loops are dropped before any name is interned, and the temporaries
+    are freed on return, before the next batch is read.
     """
-    fields = _plain_fields(block, field_limit)
-    if fields is None:
-        return None
     followers, friends = fields[0::2], fields[1::2]
     keep = list(map(ne, followers, friends))
     n_loops = 0
-    if not all(keep):
+    if not all(keep):  # all() is about three times faster than count()
         n_loops = keep.count(False)
         fields = list(chain.from_iterable(compress(zip(followers, friends), keep)))
-    block_ids = _intern(index, fields)
-    src_buf.frombytes(block_ids[0::2].tobytes())
-    dst_buf.frombytes(block_ids[1::2].tobytes())
+    ids = _intern(index, fields)
+    src_buf.frombytes(ids[0::2].tobytes())
+    dst_buf.frombytes(ids[1::2].tobytes())
     return n_loops
 
 
@@ -686,24 +694,6 @@ def _edge_rows(path: str) -> Iterator[tuple[str, str]]:
         yield row[0], row[1]
 
 
-# the decoder json.loads uses, with the same defaults
-_scan = json.JSONDecoder().scan_once
-
-
-def _decode_line(line: str):
-    """json.loads(line) for a stripped line: the same object, or the same exception.
-
-    The scanner alone decodes a line that is one JSON value and nothing
-    else; every other line goes through json.loads, so each error text (a
-    BOM, extra data, a missing value) stays json's own.
-    """
-    try:
-        obj, end = _scan(line, 0)
-    except (StopIteration, ValueError, RecursionError):
-        return json.loads(line)
-    return obj if end == len(line) else json.loads(line)
-
-
 # a JSON string that holds no escape and no control character, so that
 # json reads its text as it stands
 _PLAIN = r'[^"\\\x00-\x1f]'
@@ -754,36 +744,37 @@ def _url_arrays(url_texts: list[str]) -> Optional[tuple[list[str], np.ndarray, i
     return parts[1::2], ends[:-1], "".join(gaps).count("null")
 
 
-def _canonical_row(line: str) -> Optional[tuple[str, ...]]:
-    """The groups of ``_CANONICAL_EVENT`` for a line of that shape whose urls
-    array ``_url_arrays`` takes; otherwise None."""
-    match = _CANONICAL_EVENT.fullmatch(line)
-    if match is None or _url_arrays([match[5]]) is None:
-        return None
-    return match.groups("")
-
-
 def parse_events(path: str) -> EventLog:
     """Read the events JSONL into columns; URLs are reduced to registrable domains.
 
-    The file is read in blocks of whole lines. The lines of a block that
-    match ``_CANONICAL_EVENT`` and whose urls arrays pass ``_url_arrays``
-    are folded into the columns together; every other line, and every line
-    of a block with a carriage return that no line feed follows, is decoded
-    by json and checked on its own, so each error names its own line. A byte
-    that is not UTF-8 sends the whole file through that per-line path, which
-    decides which error comes first.
+    The file is read in blocks of whole lines. A block whose every line
+    matches ``_CANONICAL_EVENT``, and whose urls arrays pass ``_url_arrays``,
+    is folded into the columns in bulk; any other block is decoded by json a
+    line at a time, each line checked on its own, so each error names its
+    own line. A byte that is not UTF-8 sends the whole file through that
+    per-line path, which decides which error comes first.
     """
     fold = _EventFold(path)
     with _open_checked(path) as fh:
-        decoded = fold.add_blocks(fh)
-    if not decoded:
-        fold = _EventFold(path)
-        with _open_checked(path) as fh:
+        try:
+            lineno = 1
+            for block in _line_blocks(fh):
+                lineno = fold.add_block(block, lineno)
+        except UnicodeDecodeError:
+            fh.seek(0)  # the byte-order mark is skipped again
+            fold = _EventFold(path)
             fold.add_lines(fh, 1)
     if fold.n_self_rts:
         log.warning("dropped %d self-retweet records from %s", fold.n_self_rts, path)
     return fold.cols.log(fold.domain_id, fold.n_urls_dropped, fold.n_self_rts)
+
+
+def _name(value, key: str, path: str, line: int) -> str:
+    """An event's id or user name: a string as it is, or an integer as its
+    decimal text; any other JSON value (a bool among them) is an input error."""
+    if type(value) in (str, int):  # json gives these exact types
+        return str(value)
+    raise InputFormatError(f"bad {key} {value!r}", path=path, line=line)
 
 
 # the memo's answer for a host it has not seen; a domain id is -1 or more
@@ -805,50 +796,17 @@ class _EventFold:
         self.n_urls_dropped = 0
         self.n_self_rts = 0
 
-    def add_blocks(self, fh) -> bool:
-        """Fold the file in blocks of about ``EVENT_BLOCK_CHARS`` characters,
-        each cut after its last line end; False if a byte is not UTF-8."""
-        head: list[str] = []  # the start of a line no block has ended yet
-        lineno = 1
-        try:
-            for chunk in iter(partial(fh.read, EVENT_BLOCK_CHARS), ""):
-                cut = chunk.rfind("\n") + 1
-                if not cut:
-                    head.append(chunk)
-                    continue
-                head.append(chunk[:cut])
-                lineno = self.add_block("".join(head), lineno)
-                head = [chunk[cut:]]
-        except UnicodeDecodeError:
-            return False
-        last = "".join(head)
-        if last:
-            self.add_block(last + "\n", lineno)
-        return True
-
     def add_block(self, block: str, lineno: int) -> int:
         """Fold a block of whole lines that starts at file line ``lineno``;
         the file line after it."""
-        if "\r" in block:
-            if block.count("\r") != block.count("\r\n"):  # a lone "\r" ends a line too
-                return self.add_lines(io.StringIO(block, newline=""), lineno)
-            block = block.replace("\r\n", "\n")  # each line is stripped all the same
-        rows = _CANONICAL_EVENT.findall(block)
-        n_lines = block.count("\n")
-        if len(rows) == n_lines and self.add_rows(rows):
-            return lineno + n_lines
-        # each run of canonical lines together, each other line on its own
-        lines = block.split("\n")
-        lines.pop()
-        for canonical, run in groupby(zip(map(_canonical_row, lines), lines),
-                                      key=lambda pair: pair[0] is not None):
-            run = list(run)
-            if canonical:  # each array passed alone, so together they pass
-                self.add_rows([row for row, _ in run])
-            else:
-                self.add_lines([line for _, line in run], lineno)
-            lineno += len(run)
-        return lineno
+        # "\r\n" reads as "\n", as each line is stripped; "in" scans far faster than replace
+        lines = block.replace("\r\n", "\n") if "\r" in block else block
+        if "\r" not in lines:  # a lone "\r" ends a line too
+            rows = _CANONICAL_EVENT.findall(lines)
+            n_lines = lines.count("\n")
+            if len(rows) == n_lines and self.add_rows(rows):
+                return lineno + n_lines
+        return self.add_lines(io.StringIO(block, newline=""), lineno)
 
     def add_rows(self, rows: list[tuple[str, ...]]) -> bool:
         """Fold canonical lines, given as the groups of ``_CANONICAL_EVENT``;
@@ -886,21 +844,20 @@ class _EventFold:
             if not line:
                 continue
             try:
-                obj = _decode_line(line)
+                obj = json.loads(line)
             except (ValueError, RecursionError) as exc:
                 # JSONDecodeError, an integer over the digit limit, or nesting too deep
                 raise InputFormatError(f"invalid JSON: {exc}", path=path, line=last) from None
             if not isinstance(obj, dict):
                 raise InputFormatError("record is not an object", path=path, line=last)
             try:
-                tweet_id = str(obj["id"])
-                author = str(obj["author"])
-                ts = obj["ts"]
-                kind = obj["kind"]
+                tweet_id, author, ts, kind = obj["id"], obj["author"], obj["ts"], obj["kind"]
             except KeyError as exc:
                 raise InputFormatError(
                     f"missing key {exc.args[0]!r}", path=path, line=last
                 ) from None
+            tweet_id = _name(tweet_id, "id", path, last)
+            author = _name(author, "author", path, last)
             if (
                 isinstance(ts, bool)
                 or not isinstance(ts, (int, float))
@@ -913,11 +870,11 @@ class _EventFold:
                 raise InputFormatError(f"bad kind {kind!r}", path=path, line=last)
             orig_author = obj.get("orig_author")
             if kind == KIND_RETWEET:
-                if not orig_author:
+                if orig_author is None or orig_author == "":
                     raise InputFormatError(
                         "retweet record lacks orig_author", path=path, line=last
                     )
-                orig_author = str(orig_author)
+                orig_author = _name(orig_author, "orig_author", path, last)
                 if orig_author == author:
                     self.n_self_rts += 1
                     continue

@@ -604,7 +604,8 @@ _DELTA_TABLE_RE = re.compile(r"delta_vs_ms_k[1-9][0-9]*\.csv")
 
 
 def write_report(report: ReportBundle, out_dir: str) -> list[str]:
-    """Write report.json and the CSV tables; returns the file names.
+    """Write report.json and the CSV tables into the existing directory
+    ``out_dir``; returns the file names.
 
     Each file is written under a temporary name and then moved into place,
     so a failed or killed run never leaves a partial file under a real name.
@@ -613,7 +614,6 @@ def write_report(report: ReportBundle, out_dir: str) -> list[str]:
     file is touched.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     with atomic_open(str(out / "report.json")) as fh:
         fh.write(json.dumps(report.sections, indent=2, sort_keys=True) + "\n")
     for name, (header, columns) in report.tables.items():
@@ -627,7 +627,8 @@ def write_report(report: ReportBundle, out_dir: str) -> list[str]:
 
 
 def run_report(cfg: RunConfig) -> ReportBundle:
-    """Load inputs, build graphs (cached unless disabled), write everything."""
+    """Load inputs, build graphs (cached unless disabled), write everything
+    into the existing directory ``cfg.out_dir``."""
     bundle = load_dataset(cfg.scores, cfg.edges, cfg.events)
     # content hashes only: the same inputs at another path give the same bytes
     input_meta = {
@@ -638,8 +639,6 @@ def run_report(cfg: RunConfig) -> ReportBundle:
             ("events", cfg.events),
         )
     }
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    report = build_report(bundle, cfg, input_meta, out / "graphs.cache")
+    report = build_report(bundle, cfg, input_meta, Path(cfg.out_dir) / "graphs.cache")
     write_report(report, cfg.out_dir)
     return report

@@ -589,6 +589,35 @@ def test_oracle_check_rejects_out_of_range_arguments(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+# ---------------------------------------------------------------- outputs
+
+
+@pytest.mark.parametrize("command, out", [
+    ("report", "file"),
+    ("report", "file/sub"),
+    ("validate", "nodir/x.json"),
+    ("validate", "dir"),
+    ("synth", "file"),
+    ("oracle-check", "nodir/diff.json"),
+])
+def test_an_out_that_cannot_be_written_exits_two(dataset_dir, tmp_path, capsys, command, out):
+    (tmp_path / "file").write_text("kept\n")
+    (tmp_path / "dir").mkdir()
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(SYNTH_CFG)
+    args = ["--config", str(cfg)] if command == "synth" else inputs(dataset_dir)
+    if command == "report":
+        args += ["--reps", "5", "--k-max", "1"]
+    target = tmp_path / out
+    assert main([command, *args, "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {target}: cannot write " in err
+    assert "Traceback" not in err
+    assert (tmp_path / "file").read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "dir", "file", "synth.cfg"]
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
 def test_log_level_env(dataset_dir, monkeypatch, capsys):
     monkeypatch.setenv("ECHOSCOPE_LOG", "DEBUG")
     assert main(["validate", *inputs(dataset_dir)]) == 0

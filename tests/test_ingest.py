@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 from dataclasses import replace
 from unittest import mock
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import ev, make_bundle, rt
 from echoscope import ingest
-from echoscope.errors import InputFormatError
+from echoscope.errors import EchoscopeError, InputFormatError
 from echoscope.ingest import (
     KIND_ORIGINAL,
     KIND_RETWEET,
@@ -177,7 +178,7 @@ LATE_ERRORS = {
 
 @pytest.mark.parametrize("case", sorted(LATE_ERRORS))
 def test_errors_after_the_first_block_are_csvs(tmp_path, monkeypatch, case):
-    monkeypatch.setattr(ingest, "EDGE_BLOCK_CHARS", 5)
+    monkeypatch.setattr(ingest, "BLOCK_CHARS", 5)
     text, line = LATE_ERRORS[case]
     path = write_raw(tmp_path / "e.csv", "follower,friend\n" + text)
     expected = edge_outcome(reference_edges, path)
@@ -210,7 +211,7 @@ def test_a_bad_row_is_reported_at_the_file_line_it_starts_on(tmp_path, parse, te
 
 
 def test_a_field_csv_would_refuse_is_left_to_csv(tmp_path, monkeypatch):
-    monkeypatch.setattr(ingest, "EDGE_BLOCK_CHARS", 7)
+    monkeypatch.setattr(ingest, "BLOCK_CHARS", 7)
     limit = csv.field_size_limit()
     try:
         csv.field_size_limit(8)
@@ -220,6 +221,35 @@ def test_a_field_csv_would_refuse_is_left_to_csv(tmp_path, monkeypatch):
         assert ingest._parse_plain_edges(path) is None
     finally:
         csv.field_size_limit(limit)
+
+
+@pytest.mark.parametrize("last, plain", [
+    ("abcdefgh,abcdefgh", True),  # 17 characters: two fields csv allows and a comma
+    ("abcdefgh,abcdefghi", False),
+    ("x" * 40, False),
+])
+def test_an_unfinished_line_past_two_fields_is_left_to_csv(tmp_path, monkeypatch, last, plain):
+    monkeypatch.setattr(ingest, "BLOCK_CHARS", 4)
+    limit = csv.field_size_limit()
+    try:
+        csv.field_size_limit(8)
+        path = write_raw(tmp_path / "e.csv", "follower,friend\nab,cd\n" + last)  # no line end
+        expected = edge_outcome(reference_edges, path)
+        assert edge_outcome(parse_follow_edges, path) == expected
+        alone = edge_outcome(ingest._parse_plain_edges, path)
+        assert alone == (expected if plain else None)
+    finally:
+        csv.field_size_limit(limit)
+
+
+def test_line_blocks_stop_at_an_unfinished_line_past_the_bound(monkeypatch):
+    monkeypatch.setattr(ingest, "BLOCK_CHARS", 4)
+    assert list(ingest._line_blocks(io.StringIO("ab\n" + "x" * 17))) == ["ab\n", "x" * 17 + "\n"]
+    assert list(ingest._line_blocks(io.StringIO("ab\n" + "x" * 17), 17)) == ["ab\n", "x" * 17 + "\n"]
+    # the rest of the file is never read
+    text = io.StringIO("ab\n" + "x" * 30 + "\n" + "y" * 100)
+    assert list(ingest._line_blocks(text, 17)) == ["ab\n", None]
+    assert text.tell() == 6 * 4  # the sixth read leaves 21 characters of a line unfinished
 
 
 EDGE_NAME = st.sampled_from(["a", "b", "c", "ab", " a", "b ", "é", "名前", "x\x00y", "\ufeff"])
@@ -253,7 +283,7 @@ def _with_odd_lines(lines, odd):
 @settings(max_examples=400, deadline=None)
 def test_block_parser_matches_csv_reference(tmp_path_factory, text, block_chars):
     path = write_raw(tmp_path_factory.mktemp("edges") / "e.csv", text)
-    with mock.patch.object(ingest, "EDGE_BLOCK_CHARS", block_chars):
+    with mock.patch.object(ingest, "BLOCK_CHARS", block_chars):
         expected = edge_outcome(reference_edges, path)
         assert edge_outcome(parse_follow_edges, path) == expected
         alone = edge_outcome(ingest._parse_plain_edges, path)
@@ -328,6 +358,16 @@ def test_events_sorted_with_tweet_id_tiebreak(tmp_path):
     assert log.authors == ("u1", "u2", "u3")
 
 
+def name_text(value, key, path, lineno):
+    """An id or user name: a string, or an integer (not a bool) as its
+    decimal text; any other value is refused."""
+    if type(value) is str:
+        return value
+    if type(value) is int:
+        return str(value)
+    raise InputFormatError(f"bad {key} {value!r}", path=path, line=lineno)
+
+
 def reference_parse(path, file_order=False):
     """The events JSONL read one ``TweetEvent`` per line, then sorted (unless
     ``file_order``): the plain-loop specification the columnar parser must
@@ -347,12 +387,14 @@ def reference_parse(path, file_order=False):
             if not isinstance(obj, dict):
                 raise InputFormatError("record is not an object", path=path, line=lineno)
             try:
-                tweet_id, author = str(obj["id"]), str(obj["author"])
+                tweet_id, author = obj["id"], obj["author"]
                 ts, kind = obj["ts"], obj["kind"]
             except KeyError as exc:
                 raise InputFormatError(
                     f"missing key {exc.args[0]!r}", path=path, line=lineno
                 ) from None
+            tweet_id = name_text(tweet_id, "id", path, lineno)
+            author = name_text(author, "author", path, lineno)
             if (
                 isinstance(ts, bool)
                 or not isinstance(ts, (int, float))
@@ -365,11 +407,11 @@ def reference_parse(path, file_order=False):
                 raise InputFormatError(f"bad kind {kind!r}", path=path, line=lineno)
             orig_author = obj.get("orig_author")
             if kind == KIND_RETWEET:
-                if not orig_author:
+                if orig_author in (None, ""):
                     raise InputFormatError(
                         "retweet record lacks orig_author", path=path, line=lineno
                     )
-                orig_author = str(orig_author)
+                orig_author = name_text(orig_author, "orig_author", path, lineno)
                 if orig_author == author:
                     n_self_rts += 1
                     continue
@@ -407,6 +449,14 @@ BAD_RECORDS = [
     ('{"id": "t1", "author": "u1", "ts": 5, "kind": "retweet"}', "retweet record lacks orig_author"),
     ('{"id": "t1", "author": "u1", "ts": 5, "kind": "original", "urls": "x"}',
      "urls must be an array"),
+    ('{"id": null, "author": null, "ts": 5, "kind": "original"}', "bad id None"),
+    ('{"id": 1.5, "author": "u1", "ts": 5, "kind": "original"}', "bad id 1.5"),
+    ('{"id": "t1", "author": true, "ts": 5, "kind": "original"}', "bad author True"),
+    ('{"id": "t1", "author": ["u1"], "ts": 5, "kind": "original"}', "bad author ['u1']"),
+    ('{"id": "t1", "author": "u1", "ts": 5, "kind": "retweet", "orig_author": {"x": 1}}',
+     "bad orig_author {'x': 1}"),
+    ('{"id": "t1", "author": "u1", "ts": 5, "kind": "retweet", "orig_author": false}',
+     "bad orig_author False"),
 ]
 
 
@@ -422,46 +472,6 @@ def test_bad_event_records(tmp_path):
         with pytest.raises(InputFormatError) as ref:
             reference_parse(path)
         assert str(err.value) == str(ref.value)
-
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=6),
-    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=3), kids, max_size=4),
-    max_leaves=10,
-)
-JSON_TEXTS = st.one_of(
-    # NaN and Infinity come from floats; indent adds whitespace inside values
-    st.builds(
-        lambda value, indent, ascii: json.dumps(value, indent=indent, ensure_ascii=ascii),
-        JSON_VALUES, st.sampled_from([None, 0, 1]), st.booleans(),
-    ),
-    st.builds(lambda n: "1" * n, st.integers(4295, 4305)),
-    st.builds(lambda n: '{"ts": -%s}' % ("9" * n), st.integers(4295, 4305)),
-    st.sampled_from([
-        '"\\ud800"', '{"a": "\\udfff x"}', '{"a": 1, "a": 2}', '{"a": 1 "b": 2}',
-        "NaN", "-Infinity", "[1, 2,]", "[" * 5000, "{" * 5000, '"', "", "nul",
-    ]),
-)
-
-
-@st.composite
-def event_json_lines(draw):
-    prefix = draw(st.sampled_from(["", " ", "\ufeff", "\t\ufeff"]))
-    suffix = draw(st.sampled_from(["", " ", "\t\r", " x", "}", "]", "{}", "1", "\ufeff"]))
-    return (prefix + draw(JSON_TEXTS) + suffix).strip()
-
-
-def json_outcome(decode, line):
-    try:
-        return "value", repr(decode(line))
-    except (ValueError, RecursionError) as exc:
-        return type(exc), str(exc)
-
-
-@given(event_json_lines())
-@settings(max_examples=400, deadline=None)
-def test_event_line_decoder_matches_json_loads(line):
-    assert json_outcome(ingest._decode_line, line) == json_outcome(json.loads, line)
 
 
 def test_timestamp_at_int64_max_accepted(tmp_path):
@@ -496,12 +506,12 @@ URL = st.one_of(
 USERS = ["u0", "u1", "u2", "u3"]
 RECORD = st.fixed_dictionaries(
     {
-        "id": st.sampled_from(["t1", "t2", "t10", "a", "B", "7"]),
-        "author": st.sampled_from(USERS),
+        "id": st.one_of(st.sampled_from(["t1", "t2", "t10", "a", "B", "7"]), st.integers(-1, 12)),
+        "author": st.one_of(st.sampled_from(USERS), st.integers(0, 1)),
         "ts": st.one_of(st.integers(0, 6), st.integers(0, 6).map(float),
                         st.just(TS_MAX), st.just(2.0**62)),
         "kind": st.sampled_from([KIND_ORIGINAL, KIND_RETWEET]),
-        "orig_author": st.sampled_from(USERS + ["ghost"]),
+        "orig_author": st.sampled_from(USERS + ["ghost", 0]),
     },
     optional={"urls": st.lists(URL, max_size=5)},
 )
@@ -637,6 +647,10 @@ BAD_EVENT_LINE = st.one_of(
         "not json", "[1]", '{"id":"t","author":"u","ts":1,"kind":"quote","urls":[]}',
         '{"id":"t","author":"u","ts":1,"kind":"retweet","orig_author":"","urls":[]}',
         '{"id":"t","author":"u","ts":1,"kind":"original","urls":"x"}',
+        '{"id":null,"author":"u","ts":1,"kind":"original","urls":[]}',
+        '{"id":"t","author":true,"ts":1,"kind":"original","urls":[]}',
+        '{"id":"t","author":["u"],"ts":1,"kind":"original","urls":[]}',
+        '{"id":"t","author":"u","ts":1,"kind":"retweet","orig_author":{"x":1},"urls":[]}',
     ]),
 )
 EVENT_FILE = st.builds(
@@ -657,7 +671,7 @@ EVENT_FILE = st.builds(
 def test_block_reader_matches_per_line_reference(tmp_path_factory, text, block_chars):
     path = write_raw(tmp_path_factory.mktemp("log") / "ev.jsonl", text)
     expected = log_outcome(reference_log, path)
-    with mock.patch.object(ingest, "EVENT_BLOCK_CHARS", block_chars):
+    with mock.patch.object(ingest, "BLOCK_CHARS", block_chars):
         assert log_outcome(parse_events, path) == expected
 
 
@@ -676,6 +690,16 @@ EDGE_CASE_LINES = [
     '{"id":"t","author":"u","ts":1,"kind":"original","urls":["http://a.example/\\"x"]}',
     '{"id":"t","author":"u","ts":1,"kind":"original","urls":[1]}',
     '{"id":"t","author":"u","ts":1,"kind":"Original","urls":[]}',
+    # an id or a user is a string or an integer (its decimal text), nothing else
+    '{"id":7,"author":12,"ts":1,"kind":"retweet","orig_author":-3,"urls":["http://a.example/"]}',
+    '{"id":"t","author":"u","ts":1,"kind":"retweet","orig_author":0,"urls":[]}',
+    '{"id":"t","author":"12","ts":1,"kind":"retweet","orig_author":12,"urls":[]}',
+    '{"id":"t","author":"u","ts":1,"kind":"original","orig_author":null,"urls":[]}',
+    '{"id":null,"author":null,"ts":1,"kind":"original","urls":[]}',
+    '{"id":1.0,"author":"u","ts":1,"kind":"original","urls":[]}',
+    '{"id":"t","author":true,"ts":1,"kind":"original","urls":[]}',
+    '{"id":"t","author":"u","ts":1,"kind":"retweet","orig_author":{"x":1},"urls":[]}',
+    '{"id":"t","author":"u","ts":1,"kind":"retweet","orig_author":false,"urls":[]}',
     *(with_urls_text('{"id":"t","author":"u","ts":1,"kind":"original","urls":[]}', text)
       for text in URL_ARRAY_TEXTS),
     # a self-retweet is dropped, but only once json has read its line
@@ -690,7 +714,7 @@ EDGE_CASE_LINES = [
 
 @pytest.mark.parametrize("line", EDGE_CASE_LINES)
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
-@pytest.mark.parametrize("block_chars", [7, 400, ingest.EVENT_BLOCK_CHARS])
+@pytest.mark.parametrize("block_chars", [7, 400, ingest.BLOCK_CHARS])
 @pytest.mark.parametrize("mixed", [False, True])
 def test_lines_at_the_edge_of_the_canonical_shape(tmp_path, line, newline, block_chars, mixed):
     good = '{"id":"g%d","author":"u%d","ts":%d,"kind":"original","urls":["http://b%d.example/"]}'
@@ -700,7 +724,7 @@ def test_lines_at_the_edge_of_the_canonical_shape(tmp_path, line, newline, block
     text = newline.join(lines[:2] + [line.replace("\n", newline)] + lines[2:]) + newline
     path = write_raw(tmp_path / "ev.jsonl", text)
     expected = log_outcome(reference_log, path)
-    with mock.patch.object(ingest, "EVENT_BLOCK_CHARS", block_chars):
+    with mock.patch.object(ingest, "BLOCK_CHARS", block_chars):
         assert log_outcome(parse_events, path) == expected
 
 
@@ -777,6 +801,18 @@ def test_write_events_failure_leaves_previous_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_atomic_open_names_a_path_it_cannot_write(tmp_path):
+    with pytest.raises(EchoscopeError) as err:
+        with ingest.atomic_open(str(tmp_path / "nodir" / "x")):
+            pass
+    assert str(err.value) == f"{tmp_path}/nodir/x: cannot write file: No such file or directory"
+    # an error while writing is raised as it is, and the temporary file goes
+    with pytest.raises(OSError, match="disk full"):
+        with ingest.atomic_open(str(tmp_path / "x")):
+            raise OSError("disk full")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------- validation
 
 
@@ -826,19 +862,42 @@ def test_validate_scored_fraction():
     assert validate_dataset(bundle).frac_events_with_scored_domain == 0.5
 
 
-def test_from_pairs_matches_parser(tmp_path):
-    pairs = [("a", "b"), ("b", "c"), ("a", "b"), ("c", "c")]
-    built = FollowEdgeList.from_pairs(pairs)
-    path = write(tmp_path / "e.csv", "follower,friend\n" + "\n".join(f"{a},{b}" for a, b in pairs) + "\n")
-    parsed = parse_follow_edges(path)
-    assert built == parsed
-    assert built.n_self_loops_dropped == 1
-    assert built.n_duplicates_dropped == 1
-    assert parsed.names == built.names == ["a", "b", "c"]
-    assert parsed.src.tolist() == built.src.tolist()
-    assert parsed.dst.tolist() == built.dst.tolist()
-    assert parsed.n_self_loops_dropped == built.n_self_loops_dropped
-    assert parsed.n_duplicates_dropped == built.n_duplicates_dropped
+def per_pair_edges(pairs):
+    """The edge list built a pair at a time: each self-loop dropped, each
+    name numbered on first appearance, then the edges sorted and deduplicated."""
+    names, index, edges, n_self = [], {}, [], 0
+    for follower, friend in pairs:
+        if follower == friend:
+            n_self += 1
+            continue
+        for name in (follower, friend):
+            if name not in index:
+                index[name] = len(names)
+                names.append(name)
+        edges.append((index[follower], index[friend]))
+    unique = sorted(set(edges))
+    return (names, [s for s, _ in unique], [d for _, d in unique], n_self,
+            len(edges) - len(unique))
+
+
+@pytest.mark.parametrize("block_chars", [3, ingest.BLOCK_CHARS])
+def test_from_pairs_matches_parser(tmp_path, monkeypatch, block_chars):
+    monkeypatch.setattr(ingest, "BLOCK_CHARS", block_chars)  # pairs per batch
+    pairs = [(f"u{i % 97}", f"u{i * 7 % 101}") for i in range(2 * block_chars + 5)]
+    # self-loops on both sides of the first batch boundary, and one of a
+    # name seen only in the next batch
+    pairs[block_chars - 1] = ("a", "a")
+    pairs[block_chars] = ("b", "b")
+    pairs[block_chars + 1] = ("b", "u0")
+    pairs[-1] = pairs[1]
+    built = FollowEdgeList.from_pairs(iter(pairs))
+    path = write(tmp_path / "e.csv", "follower,friend\n" + "".join(f"{a},{b}\n" for a, b in pairs))
+    expected = per_pair_edges(pairs)
+    assert edge_outcome(lambda _: built, path) == expected
+    assert edge_outcome(parse_follow_edges, path) == expected
+    assert built == parse_follow_edges(path)
+    assert expected[3] >= 2 and expected[4] >= 1  # self-loops and duplicates were dropped
+    assert "a" not in expected[0] and "b" in expected[0]
 
 
 def test_scores_with_a_byte_order_mark(tmp_path):

@@ -84,6 +84,7 @@ def test_build_report_sections(rich_bundle, tmp_path):
 def test_write_report_files(rich_bundle, tmp_path):
     cfg = run_config(tmp_path)
     report = build_report(rich_bundle, cfg)
+    os.mkdir(cfg.out_dir)  # the report command makes it
     names = write_report(report, cfg.out_dir)
     expected = {
         "report.json", "user_metrics.csv", "overlap_curve.csv", "overlap_user_k1.csv",
@@ -142,6 +143,7 @@ def test_report_on_empty_window(rich_bundle, tmp_path):
     assert "no scored users" in sections["markers"]
     assert sections["correlations"]["1"]["n_paired"] == 0
     assert sections["correlations"]["1"]["ms_vs_mef"]["r"] is None
+    os.mkdir(cfg.out_dir)
     write_report(report, cfg.out_dir)  # must not raise
 
 
@@ -183,6 +185,7 @@ def test_write_report_replaces_each_file_atomically(rich_bundle, tmp_path, monke
     monkeypatch.setattr(report_module, "BLOCK_ROWS", 4)
     # over a complete earlier report: every file keeps its complete old bytes
     out = tmp_path / "again"
+    out.mkdir()
     write_report(report, str(out))
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     with pytest.raises(RuntimeError, match="cannot format"):
@@ -190,6 +193,7 @@ def test_write_report_replaces_each_file_atomically(rich_bundle, tmp_path, monke
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     # into a fresh directory: the failing file never appears under its name
     fresh = tmp_path / "fresh"
+    fresh.mkdir()
     with pytest.raises(RuntimeError, match="cannot format"):
         write_report(broken, str(fresh))
     names = os.listdir(fresh)
