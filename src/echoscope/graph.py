@@ -38,7 +38,7 @@ import operator
 import struct
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 from scipy import sparse
@@ -197,17 +197,19 @@ def check_same_space(fg: FollowerGraph, rg: RetweetGraph) -> None:
         raise EchoscopeError("the follower and retweet graphs must share one id space")
 
 
-def _retweet_row_totals(fg: FollowerGraph, rg: RetweetGraph, k: int) -> tuple[np.ndarray, ...]:
-    """Per seed row, over the accounts it retweeted at least k times: how many
-    it follows, how many there are, and the retweets of each of those groups."""
-    kept = rg.retweets.multiply(rg.at_least(k)).tocsr()
-    followed = kept.multiply(fg.follow).tocsr()
-    return (
-        np.diff(followed.indptr),
-        np.diff(kept.indptr),
-        np.asarray(followed.sum(axis=1)).ravel(),
-        np.asarray(kept.sum(axis=1)).ravel(),
-    )
+def _overlap_terms(
+    fg: FollowerGraph, rg: RetweetGraph, ks: Iterable[int], mode: str
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per threshold k in ks, per seed row, over the accounts it retweeted at
+    least k times: how many it follows and how many there are (account mode),
+    or their retweets (content mode). The followed retweets are found once."""
+    if mode not in (OVERLAP_ACCOUNT, OVERLAP_CONTENT):
+        raise EchoscopeError(f"unknown overlap mode {mode!r}")
+    content = mode == OVERLAP_CONTENT
+    matrices = (rg.retweets.multiply(fg.follow).tocsr(), rg.retweets)
+    for k in ks:
+        kept = [(m.data >= k) * (m.data if content else 1) for m in matrices]
+        yield tuple(np.diff(np.r_[0, np.cumsum(v)][m.indptr]) for v, m in zip(kept, matrices))
 
 
 def ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -228,7 +230,7 @@ def left_sum(values: Iterable):
 
 def fraction_friends_retweeted(fg: FollowerGraph, rg: RetweetGraph, k: int = 1) -> np.ndarray:
     """Per seed row, the share of its friends it retweeted at least k times; NaN when friendless."""
-    n_followed = _retweet_row_totals(fg, rg, k)[0]
+    ((n_followed, _),) = _overlap_terms(fg, rg, [k], OVERLAP_ACCOUNT)
     return ratios(n_followed, np.diff(fg.follow.indptr))
 
 
@@ -240,12 +242,8 @@ def retweet_overlap(
     Account mode counts retweeted accounts; content mode counts retweets of
     those accounts. NaN for a seed without a retweet friend at k.
     """
-    n_followed, n_all, rt_followed, rt_all = _retweet_row_totals(fg, rg, k)
-    if mode == OVERLAP_ACCOUNT:
-        return ratios(n_followed, n_all)
-    if mode == OVERLAP_CONTENT:
-        return ratios(rt_followed, rt_all)
-    raise EchoscopeError(f"unknown overlap mode {mode!r}")
+    (terms,) = _overlap_terms(fg, rg, [k], mode)
+    return ratios(*terms)
 
 
 def overlap_vs_threshold(
@@ -259,8 +257,9 @@ def overlap_vs_threshold(
     The mean adds the defined seeds' overlaps left to right, in seed order.
     """
     points = []
-    for k in sorted(set(int(k) for k in k_range)):
-        overlap = retweet_overlap(fg, rg, k, mode)
+    ks = sorted(set(int(k) for k in k_range))
+    for k, terms in zip(ks, _overlap_terms(fg, rg, ks, mode)):
+        overlap = ratios(*terms)
         values = overlap[~np.isnan(overlap)].tolist()
         points.append((k, left_sum(values) / len(values) if values else math.nan, len(values)))
     return points

@@ -24,11 +24,13 @@ graphs' seed rows, NaN where a seed's value is undefined; friend activity
 returns the friends' user ids with their counts and retweeted flags, and the
 random baseline one seed's moderate share. The report turns these into rows.
 
-ExposureIndex keeps each user's totals as vectors over the same ids, and
-exposures are sparse products with the graphs' seed x user matrices. A CSR
-row lists its columns in ascending id order, so the product adds friends in
-sorted-name order. Everything here sees the log it is given: a time window
-is applied beforehand, with EventLog.restricted.
+ExposureIndex keeps each user's totals as vectors over the same ids.
+Multiset exposures are sparse products with the graphs' seed x user
+matrices; a CSR row lists its columns in ascending id order, so the product
+adds friends in sorted-name order. Set exposures mark each pool's distinct
+domains in a dense block and add exact integer limbs (set_sums). Everything
+here sees the log it is given: a time window is applied beforehand, with
+EventLog.restricted.
 """
 from __future__ import annotations
 
@@ -120,24 +122,62 @@ def score_limbs(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return limbs[:, used], weights[used]
 
 
-def set_sums(
-    rows: sparse.csr_matrix, limbs: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exactly rounded score sum over each row's stored columns, and their number.
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions starts[i] .. starts[i] + lengths[i] - 1 for each i, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if ends.size else 0)
 
-    ``rows`` is a canonical CSR matrix over the scores' columns and
-    ``limbs``, ``weights`` come from score_limbs. Per row and limb, the sum
-    of the limbs is an integer below 2**53 (each limb is below 2**21 and a
-    row has fewer than 2**32 columns), so the integer product is exact, and
-    so is each sum scaled by its limb's power of two. math.fsum of those few
-    exact terms is the correctly rounded exact total: the value math.fsum
-    over the row's own scores gives.
+
+def set_sums(
+    pools: sparse.csr_matrix, items: sparse.csr_matrix, limbs: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per pools row, the exactly rounded score sum over the distinct columns
+    its users hold in ``items``, and their number.
+
+    ``pools`` (row x user) and ``items`` (user x score, canonical) are CSR;
+    only stored positions count. ``limbs``, ``weights`` come from score_limbs.
+    A block of rows marks the distinct columns its users hold in a 0/1 block
+    that spans only held columns; its product with the limbs and a column of
+    ones is exact in any order, since every partial sum is an integer below
+    2**53 (limbs are below 2**21, a row has fewer than 2**32 cells), and
+    math.fsum of the sums times their limbs' powers of two is the row's own
+    math.fsum. The marker and the gathered columns stay within
+    POOL_BLOCK_CELLS (a larger row goes alone); rows pooling one user need no
+    marker, since a canonical row's columns are distinct.
     """
-    presence = sparse.csr_matrix(
-        (np.ones(rows.nnz, dtype=np.int64), rows.indices, rows.indptr), shape=rows.shape
-    )
-    terms = (presence @ limbs) * weights
-    return np.array([math.fsum(t) for t in terms.tolist()]), np.diff(rows.indptr)
+    sizes, n_users = np.diff(items.indptr), np.diff(pools.indptr)
+    gathered = np.diff(np.r_[0, np.cumsum(sizes[pools.indices])][pools.indptr])
+    held = np.bincount(items.indices, minlength=items.shape[1]) > 0
+    cols_of = np.take(np.cumsum(held, dtype=items.indices.dtype) - 1, items.indices)
+    # per held column, its limbs and then a one that counts it
+    with_count = np.c_[limbs, np.ones(items.shape[1])][held]
+    width = with_count.shape[0]
+    sums = np.zeros((pools.shape[0], with_count.shape[1]))
+    active = np.flatnonzero(gathered)
+    alone = n_users[active] == 1
+    for rows, marked in ((active[alone], False), (active[~alone], True)):
+        max_rows = POOL_BLOCK_CELLS // max(1, width) if marked else rows.size
+        ends = np.r_[0, np.cumsum(gathered[rows])]
+        start = 0
+        while start < rows.size:
+            fits = int(np.searchsorted(ends, ends[start] + POOL_BLOCK_CELLS, side="right")) - 1
+            stop = max(start + 1, min(start + max_rows, fits))
+            block = rows[start:stop]
+            users = pools.indices[_spans(pools.indptr[block], n_users[block])]
+            cols = cols_of[_spans(items.indptr[users], sizes[users])]
+            if not marked:
+                firsts = ends[start:stop] - ends[start]
+                sums[block] = np.add.reduceat(np.take(with_count, cols, axis=0), firsts, axis=0)
+            else:
+                marker = np.zeros((block.size, width))
+                marker.reshape(-1)[np.repeat(np.arange(0, marker.size, width), gathered[block]) + cols] = 1
+                sums[block] = marker @ with_count
+            start = stop
+    totals = np.zeros(pools.shape[0])
+    terms = sums[active, :-1] * weights
+    # a single exact term is its own correctly rounded sum
+    totals[active] = terms[:, 0] if len(weights) == 1 else [math.fsum(t) for t in terms.tolist()]
+    return totals, sums[:, -1].astype(np.int64)
 
 
 class ExposureIndex:
@@ -215,21 +255,15 @@ class ExposureIndex:
         NaN where a row pools nothing scored. Multiset means weigh every
         occurrence. Set means count each distinct domain once; their sums are
         exactly rounded, the value math.fsum gives, and come from integer
-        limbs (set_sums).
+        limbs of the domains set_sums marks per pool.
         """
         if not unique_domains:
             return ratios(pools @ self.score_sum, pools @ self.score_count)
-        out = np.empty(pools.shape[0])
-        step = max(1, POOL_BLOCK_CELLS // max(1, self.domains.shape[1]))
-        for start in range(0, pools.shape[0], step):
-            # entries are occurrence counts, so every stored entry is positive
-            out[start : start + step] = self.set_means(pools[start : start + step] @ self.domains)
-        return out
+        return self.set_means(pools, self.domains)
 
-    def set_means(self, rows: sparse.csr_matrix) -> np.ndarray:
-        """Exactly rounded mean score over each row's distinct domain columns; NaN if none."""
-        totals, counts = set_sums(rows, *self._limbs)
-        return ratios(totals, counts)
+    def set_means(self, pools: sparse.csr_matrix, items: sparse.csr_matrix) -> np.ndarray:
+        """Exact set mean over the domains each pools row's users hold in ``items``; NaN if none."""
+        return ratios(*set_sums(pools, items, *self._limbs))
 
     @cached_property
     def _limbs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -392,7 +426,8 @@ class MetricsEngine:
 
         if unique_domains:
             self.domain_count = np.diff(index.original_domains.indptr)
-            self.mu = index.set_means(index.original_domains)
+            itself = sparse.identity(len(self.names), format="csr")  # each user pools itself
+            self.mu = index.set_means(itself, index.original_domains)
         else:
             self.domain_count = index.orig_count
             self.mu = ratios(index.orig_sum, index.orig_count)

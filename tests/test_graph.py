@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ev, graphs_of, rt
+from conftest import ev, graphs_of, make_bundle, rt
 from echoscope import graph
 from echoscope.errors import EchoscopeError
 from echoscope.graph import (
@@ -28,7 +28,9 @@ from echoscope.graph import (
     user_space,
 )
 from echoscope.ingest import EventLog, FollowEdgeList
+from echoscope.oracle import oracle_metrics
 from echoscope.rng import substream
+from echoscope.synth import SynthConfig, generate
 
 
 def edges_of(pairs):
@@ -236,6 +238,38 @@ def test_overlap_curve_forced_step():
     # k where no user qualifies gets an empty point
     ((k, mean, n_users),) = overlap_vs_threshold(fg, rg, [5], OVERLAP_ACCOUNT)
     assert k == 5 and np.isnan(mean) and n_users == 0
+
+
+def test_overlap_curve_matches_oracle_at_every_threshold():
+    bundle, _ = generate(
+        SynthConfig(
+            n_users=60, n_domains=10, follow_homophily=0.3, base_follow_prob=0.15,
+            attention_bias=3.0, activity_rate=2.0, retweet_rate=6.0, duration=10_000, seed=5,
+        )
+    )
+    # synth retweets followed accounts only; unfollowing a third of them
+    # leaves overlaps between 0 and 1
+    edges = [edge for i, edge in enumerate(bundle.edges.iter_edges()) if i % 3]
+    bundle = make_bundle(bundle.scores, edges, bundle.log.events, bundle.seeds)
+    fg, rg = graphs_of(bundle)
+    k_top = int(rg.retweets.data.max()) + 1
+    assert k_top > 3
+    for mode in (OVERLAP_ACCOUNT, OVERLAP_CONTENT):
+        points = overlap_vs_threshold(fg, rg, range(k_top, 0, -1), mode)
+        assert [k for k, _, _ in points] == list(range(1, k_top + 1))
+        for k, mean, n_users in points:
+            oracle = oracle_metrics(bundle, k)
+            per_seed = oracle["overlap_" + mode]
+            assert n_users == oracle["overlap_curve_n"][mode] == len(per_seed)
+            if n_users:
+                # the oracle's own overlaps, added left to right in seed order
+                values = [per_seed[seed] for seed in sorted(per_seed)]
+                assert mean == left_sum(values) / len(values)
+                assert mean == pytest.approx(oracle["overlap_curve_mean"][mode], rel=1e-12)
+            else:
+                assert math.isnan(mean) and mode not in oracle["overlap_curve_mean"]
+        assert any(0 < mean < 1 for _, mean, _ in points)
+    assert n_users == 0 and k == k_top
 
 
 def test_left_sum_adds_left_to_right():

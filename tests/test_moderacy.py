@@ -2,6 +2,7 @@ import dataclasses
 import logging
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from conftest import ev, graphs_of, make_bundle, per_id, rt
+from echoscope import moderacy
 from echoscope.errors import EchoscopeError
 from echoscope.graph import (
     FollowerGraph,
@@ -177,21 +179,34 @@ score_values = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_set_sums_equal_fsum_bit_for_bit(data, scores):
     n = len(scores)
-    rows = data.draw(st.lists(st.sets(st.integers(0, n - 1)), max_size=8))
-    counts = data.draw(st.lists(st.integers(1, 5), min_size=n * len(rows), max_size=n * len(rows)))
-    dense = np.zeros((len(rows), n), dtype=np.int64)
-    for r, cols in enumerate(rows):
+    held = data.draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=1, max_size=8))
+    counts = data.draw(st.lists(st.integers(1, 5), min_size=n * len(held), max_size=n * len(held)))
+    dense = np.zeros((len(held), n), dtype=np.int64)
+    for u, cols in enumerate(held):
         for c in cols:
-            dense[r, c] = counts[r * n + c]
+            dense[u, c] = counts[u * n + c]
+    pools = data.draw(st.lists(st.sets(st.integers(0, len(held) - 1)), max_size=8))
+    pooled = np.zeros((len(pools), len(held)), dtype=np.int64)
+    for r, users in enumerate(pools):
+        pooled[r, sorted(users)] = 1
     table = np.array(scores)
-    totals, sizes = set_sums(sparse.csr_matrix(dense), *score_limbs(table))
-    assert sizes.tolist() == [len(cols) for cols in rows]
-    for r, cols in enumerate(rows):
-        expected = math.fsum(table[sorted(cols)].tolist())
-        assert totals[r].hex() == expected.hex()
+    limbs = score_limbs(table)
+    # each user pooling itself reads its own row
+    itself = sparse.identity(len(held), dtype=np.int64, format="csr")
+    totals, sizes = set_sums(itself, sparse.csr_matrix(dense), *limbs)
+    assert sizes.tolist() == [len(cols) for cols in held]
+    for u, cols in enumerate(held):
+        assert totals[u].hex() == math.fsum(table[sorted(cols)].tolist()).hex()
+    cells = data.draw(st.sampled_from([1, 3, n, 4 * n, moderacy.POOL_BLOCK_CELLS]))
+    with mock.patch.object(moderacy, "POOL_BLOCK_CELLS", cells):
+        totals, sizes = set_sums(sparse.csr_matrix(pooled), sparse.csr_matrix(dense), *limbs)
+    for r, users in enumerate(pools):
+        cols = set().union(*(held[u] for u in users))
+        assert sizes[r] == len(cols)
+        assert totals[r].hex() == math.fsum(table[sorted(cols)].tolist()).hex()
 
 
-def test_unique_domain_engine_matches_fsum_reference():
+def decimal_score_bundle():
     # decimal scores off the five-level scale: their sums depend on the order
     # of addition, which the five-level oracle bundles never exercise
     bundle, _ = generate(
@@ -203,7 +218,13 @@ def test_unique_domain_engine_matches_fsum_reference():
     )
     draw = random.Random(4)
     table = {d: round(draw.random(), draw.choice([1, 3, 7])) for d in bundle.scores}
-    bundle = dataclasses.replace(bundle, scores=table)
+    return dataclasses.replace(bundle, scores=table)
+
+
+def check_unique_engine_against_fsum(bundle):
+    """Assert mu and both kinds' raw set exposures equal an fsum reference bit
+    for bit; returns how many reference pools a left-to-right sum gets wrong."""
+    table = bundle.scores
     engine = engine_of(bundle, unique_domains=True)
 
     def scores_of(domains):
@@ -229,7 +250,41 @@ def test_unique_domain_engine_matches_fsum_reference():
                 raw = set_mean(values)
                 want[seed] = raw if own[seed] > 0.5 else 1.0 - raw
         assert np.array_equal(engine.raw_exposures(kind), per_id(engine.names, want), equal_nan=True)
-    assert order_matters > 0
+    return order_matters
+
+
+def test_unique_domain_engine_matches_fsum_reference():
+    assert check_unique_engine_against_fsum(decimal_score_bundle()) > 0
+
+
+@pytest.mark.parametrize("cells", ["one", "half", "n_domains", "five_rows"])
+def test_unique_domain_engine_matches_fsum_reference_across_blocks(monkeypatch, cells):
+    bundle = decimal_score_bundle()
+    scored = sorted(bundle.scores)
+    users = sorted(bundle.edges.names)
+    # a seed without friends, a friend who posts nothing scored (followed
+    # alone and among others), a seed with one friend, and a hub that follows
+    # everyone and gathers every user's domains
+    edges = [*bundle.edges.iter_edges(), ("z_one", users[0]), ("z_quiet_fan", "z_quiet"),
+             (users[1], "z_quiet"), *(("z_hub", u) for u in users)]
+    events = [*bundle.log.events,
+              ev("z1", "z_lonely", 1, domains=[scored[0]]),
+              ev("z2", "z_quiet", 2, domains=["unscored.example"]),
+              ev("z3", "z_hub", 3, domains=[scored[1]]),
+              ev("z4", "z_one", 4, domains=scored[:2]),
+              ev("z5", "z_quiet_fan", 5, domains=[scored[2]])]
+    seeds = bundle.seeds | {"z_lonely", "z_one", "z_hub", "z_quiet_fan"}
+    # scored domains nobody posts, before and among the posted ones: the
+    # marker spans only the posted columns, so each sits at another index there
+    unposted = {"a-unposted.example": 0.3, "outlet0005-unposted.example": 0.123}
+    bundle = make_bundle({**bundle.scores, **unposted}, edges, events, seeds)
+    n = len(scored)
+    bound = {"one": 1, "half": n // 2, "n_domains": n, "five_rows": 5 * n}[cells]
+    monkeypatch.setattr(moderacy, "POOL_BLOCK_CELLS", bound)
+    engine = engine_of(bundle, unique_domains=True)
+    gathered = engine.follow @ np.diff(engine.index.domains.indptr)
+    assert gathered.max() > bound
+    assert check_unique_engine_against_fsum(bundle) > 0
 
 
 # ---------------------------------------------------------------- exposure
