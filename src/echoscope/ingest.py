@@ -328,7 +328,7 @@ class _EventColumns:
         tweet_ids = np.empty(len(self.tweet_ids), dtype=object)
         tweet_ids[:] = self.tweet_ids
         ts = np.frombuffer(self.ts, dtype=np.int64)
-        unsorted = EventLog(
+        as_read = EventLog(
             tweet_ids,
             tuple(names[i] for i in by_name),
             rank[np.frombuffer(self.author, dtype=np.int64)],
@@ -341,7 +341,18 @@ class _EventColumns:
             n_urls_dropped,
             n_self_retweets_dropped,
         )
-        return unsorted.take(_time_order(ts, self.tweet_ids))
+        if _in_time_order(ts, self.tweet_ids):
+            return as_read  # already in order: the columns are kept, not copied
+        return as_read.take(_time_order(ts, self.tweet_ids))
+
+
+def _in_time_order(ts: np.ndarray, tweet_ids: list) -> bool:
+    """Whether the events are in strict (timestamp, tweet id) order, so
+    that _time_order would give the identity; only tied pairs compare ids."""
+    if np.any(ts[1:] < ts[:-1]):
+        return False
+    tied = np.flatnonzero(ts[1:] == ts[:-1]).tolist()
+    return all(tweet_ids[i] < tweet_ids[i + 1] for i in tied)
 
 
 def _time_order(ts: np.ndarray, tweet_ids: list) -> np.ndarray:

@@ -125,7 +125,9 @@ def score_limbs(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The positions starts[i] .. starts[i] + lengths[i] - 1 for each i, concatenated."""
     ends = np.cumsum(lengths)
-    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if ends.size else 0)
+    spans = np.repeat(starts - ends + lengths, lengths)
+    spans += np.arange(spans.size, dtype=spans.dtype)
+    return spans
 
 
 def set_sums(
@@ -146,7 +148,12 @@ def set_sums(
     marker, since a canonical row's columns are distinct.
     """
     sizes, n_users = np.diff(items.indptr), np.diff(pools.indptr)
-    gathered = np.diff(np.r_[0, np.cumsum(sizes[pools.indices])][pools.indptr])
+    # a row's users are distinct, so its sum is at most items.nnz and fits sizes' own dtype
+    gathered = np.zeros(pools.shape[0], dtype=np.int64)
+    pooling = np.flatnonzero(n_users)
+    gathered[pooling] = np.add.reduceat(
+        sizes[pools.indices], pools.indptr[pooling], dtype=sizes.dtype
+    )
     held = np.bincount(items.indices, minlength=items.shape[1]) > 0
     cols_of = np.take(np.cumsum(held, dtype=items.indices.dtype) - 1, items.indices)
     # per held column, its limbs and then a one that counts it
@@ -170,8 +177,11 @@ def set_sums(
                 sums[block] = np.add.reduceat(np.take(with_count, cols, axis=0), firsts, axis=0)
             else:
                 marker = np.zeros((block.size, width))
-                marker.reshape(-1)[np.repeat(np.arange(0, marker.size, width), gathered[block]) + cols] = 1
+                at = np.repeat(np.arange(0, marker.size, width), gathered[block])
+                at += cols
+                marker.reshape(-1)[at] = 1
                 sums[block] = marker @ with_count
+                del marker, at  # freed before the next block builds its own
             start = stop
     totals = np.zeros(pools.shape[0])
     terms = sums[active, :-1] * weights
@@ -322,7 +332,7 @@ def random_baseline_fractions(
     # columns ascend in name order, so position i is the i-th friend by name
     counts = np.stack([engine.index.score_count[friends], engine.index.moderate[friends]])
     picks = random_friend_positions_reps(user, friends.size, size, reps, rng)
-    n_total, n_mod = counts[:, picks].sum(axis=2)
+    n_total, n_mod = np.take(counts, picks, axis=1).sum(axis=2)
     pooled = n_total > 0
     if not pooled.any():
         return None

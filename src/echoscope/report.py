@@ -24,7 +24,6 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import compress
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
@@ -194,17 +193,37 @@ def _text(values: Union[np.ndarray, Iterable]) -> list[str]:
     return [_cell(v) for v in values]
 
 
+def _pick(values: Column, ids: np.ndarray) -> Union[np.ndarray, Iterable]:
+    """The values at ``ids``: an array for an array, else an iterator."""
+    if isinstance(values, np.ndarray):
+        return values[ids]
+    return map(values.__getitem__, ids.tolist())
+
+
 def _blocks(column: Column, n_rows: int) -> Iterator[list[str]]:
-    """A column's text, BLOCK_ROWS cells at a time."""
+    """A column's text, BLOCK_ROWS cells at a time.
+
+    A Take value that two or more rows name is formatted once for the whole
+    write; one that a single row names is formatted with that row's block and
+    dropped after it, so the text held at once grows with the shared values
+    and one block, not with the table.
+    """
     if isinstance(column, Take):
-        values = column.values
-        used = np.zeros(len(values), dtype=bool)
-        used[column.ids] = True
-        picked = values[used] if isinstance(values, np.ndarray) else compress(values, used.tolist())
+        values, ids = column.values, column.ids
+        shared = np.bincount(ids, minlength=len(values)) > 1
         text = np.empty(len(values), dtype=object)
-        text[used] = _text(picked)
+        text[shared] = _text(_pick(values, np.flatnonzero(shared)))
         for lo in range(0, n_rows, BLOCK_ROWS):
-            yield text[column.ids[lo : lo + BLOCK_ROWS]].tolist()
+            block = ids[lo : lo + BLOCK_ROWS]
+            single = ~shared[block]
+            if single.all():  # as a plain column, without the shared text
+                cells = _text(_pick(values, block))
+            else:
+                cells = text[block]
+                cells[single] = _text(_pick(values, block[single]))
+                cells = cells.tolist()
+            yield cells
+            del cells  # not held while the next block is formatted
     else:
         for lo in range(0, n_rows, BLOCK_ROWS):
             yield _text(column[lo : lo + BLOCK_ROWS])
@@ -242,15 +261,21 @@ def _write_csv(path: Path, header: list[str], columns: list[Column]) -> None:
         for cells in zip(*(_blocks(column, n_rows) for column in columns)):
             if len(cells) == 1 or not all(_plain(cells[i]) for i in text_columns):
                 writer.writerows(zip(*cells))
-                continue
-            varying = [i for i, texts in enumerate(cells) if not _constant(texts)]
-            if len(varying) == 1:
-                (v,) = varying
-                head = "".join(texts[0] + "," for texts in cells[:v])
-                tail = "".join("," + texts[0] for texts in cells[v + 1 :])
-                fh.write(head + (tail + "\n" + head).join(cells[v]) + tail + "\n")
             else:
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+                _write_joined(fh, cells)
+            del cells  # not held while the next block is formatted
+
+
+def _write_joined(fh, cells: tuple[list[str], ...]) -> None:
+    """Write a block of plain cells, one list per column, as joined rows."""
+    varying = [i for i, texts in enumerate(cells) if not _constant(texts)]
+    if len(varying) == 1:
+        (v,) = varying
+        head = "".join(texts[0] + "," for texts in cells[:v])
+        tail = "".join("," + texts[0] for texts in cells[v + 1 :])
+        fh.write(head + (tail + "\n" + head).join(cells[v]) + tail + "\n")
+    else:
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _corr_block(xs: list[float], ys: list[float]) -> dict:

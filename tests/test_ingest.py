@@ -1,9 +1,11 @@
 import csv
 import io
 import json
+import random
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -356,6 +358,54 @@ def test_events_sorted_with_tweet_id_tiebreak(tmp_path):
     log = parse_events(path)
     assert [e.tweet_id for e in log.events] == ["t1", "a", "b", "t3"]
     assert log.authors == ("u1", "u2", "u3")
+
+
+def parse_counting_sorts(path):
+    """The parsed log, and how many times the parse had to reorder events."""
+    with mock.patch.object(ingest, "_time_order", wraps=ingest._time_order) as order:
+        log = parse_events(path)
+    return log, order.call_count
+
+
+def test_an_ordered_log_and_a_shuffled_copy_parse_alike(tmp_path):
+    urls = [[], ["http://a.example/x"], ["http://b.example/", "http://a.example/y"]]
+    lines = [
+        event_line(id=f"t{i:03d}", author=f"u{i % 7}", ts=i // 3, kind="original",
+                   urls=urls[i % 3])
+        if i % 4 else
+        event_line(id=f"t{i:03d}", author=f"u{i % 5}", ts=i // 3, kind="retweet",
+                   orig_author=f"u{i % 7}", urls=urls[i % 3])
+        for i in range(60)
+    ]
+    ordered = write(tmp_path / "ordered.jsonl", "\n".join(lines) + "\n")
+    random.Random(4).shuffle(lines)
+    shuffled = write(tmp_path / "shuffled.jsonl", "\n".join(lines) + "\n")
+    log, n_sorts = parse_counting_sorts(ordered)
+    again, n_resorts = parse_counting_sorts(shuffled)
+    assert (n_sorts, n_resorts) == (0, 1)  # the ordered columns are kept as read
+    assert log.events == again.events
+    assert (log.users, log.n_urls_dropped) == (again.users, again.n_urls_dropped)
+    assert not log.ts.flags.writeable
+
+
+@pytest.mark.parametrize("ts, ids, ordered", [
+    ([], [], True),
+    ([7], ["t1"], True),
+    ([1, 2, 2, 3], ["z", "a", "b", "a"], True),
+    ([5, 5], ["t10", "t9"], True),
+    ([5, 5], ["t9", "t10"], False),  # ids compare as text, not as numbers
+    ([5, 5], ["a", "a"], False),  # equal ids are not strictly ordered
+    ([1, 3, 2, 4], ["a", "b", "c", "d"], False),
+])
+def test_in_time_order_compares_the_ids_of_tied_events(ts, ids, ordered):
+    assert ingest._in_time_order(np.array(ts, dtype=np.int64), ids) is ordered
+
+
+def test_tied_events_out_of_id_order_are_reordered(tmp_path):
+    lines = [event_line(id=i, author="u1", ts=5, kind="original", urls=[]) for i in ("t9", "t10")]
+    log, n_sorts = parse_counting_sorts(write(tmp_path / "ev.jsonl", "\n".join(lines) + "\n"))
+    assert n_sorts == 1
+    assert [e.tweet_id for e in log.events] == ["t10", "t9"]
 
 
 def name_text(value, key, path, lineno):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -250,10 +251,20 @@ def table_columns(draw, n_rows: int):
     Repeats come as arbitrary ids, as sorted ids (runs that may cross a block
     boundary, like ``source`` in sampled_scores.csv) or as one value in every
     row, taken or listed; a repeated text may be one that csv must quote.
+    Mixed ids name one value never, one at least twice where there are two
+    rows or more and the rest any number of times, shuffled, so values that one row names
+    fall on both sides of block boundaries, as sampled_scores.csv's uniform
+    draws do among its friend scores.
     """
-    shape = draw(st.sampled_from(["cells", "ids", "runs", "constant", "listed constant"]))
+    shape = draw(st.sampled_from(["cells", "ids", "runs", "constant", "listed constant", "mixed"]))
     if shape == "cells":
         return draw(plain_columns(n_rows))
+    if shape == "mixed":
+        fixed = [1, 1, 2][:n_rows]
+        drawn = st.integers(1, n_rows + 1)
+        more = draw(st.lists(drawn, min_size=n_rows - len(fixed), max_size=n_rows - len(fixed)))
+        ids = draw(st.permutations(fixed + more))
+        return Take(draw(plain_columns(n_rows + 2)), np.array(ids, dtype=np.int64))
     n_values = 1 if "constant" in shape else draw(st.integers(1 if n_rows else 0, 4))
     values = draw(plain_columns(n_values))
     if shape == "listed constant":
@@ -305,6 +316,26 @@ def test_column_writer_sampled_scores_shape(tmp_path, monkeypatch):
         "random_retweet_friend,0.25",
     ]
     assert lines[9:] == ["random_user,0.5"] * 4
+
+
+def test_column_writer_formats_single_use_values_a_block_at_a_time(tmp_path, monkeypatch):
+    # 100k distinct floats, each named by one row: formatting them all before
+    # the first row (their reprs, a float list, an object array) peaks near
+    # 12 MiB under tracemalloc; a block of 1,000 at a time stays near 1.2 MiB
+    monkeypatch.setattr(report_module, "BLOCK_ROWS", 1000)
+    n_rows = 100_000
+    values = np.random.default_rng(0).random(n_rows)
+    ids = np.random.default_rng(1).permutation(n_rows)
+    column = Take(values, ids)
+    path = tmp_path / "t.csv"
+    tracemalloc.start()
+    try:
+        _write_csv(path, ["score"], [column])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert path.read_text().split("\n")[1:4] == [repr(v) for v in values[ids[:3]].tolist()]
 
 
 def test_column_writer_keeps_csv_quirks(tmp_path):
