@@ -4,9 +4,11 @@ Exit codes: 0 success, 1 internal error, 2 input error. Logs go to stderr
 (level via the ECHOSCOPE_LOG environment variable); data only ever goes to
 stdout or the requested output paths.
 
-Only ``ingest`` is imported at load time: ``report`` and ``oracle`` (with
-``scipy``) and ``synth`` are imported by the commands that run them, so
-``--help``, ``validate`` and ``synth`` start without ``scipy``.
+Only the standard library and ``errors`` are imported at load time, so
+``--help`` and usage errors load neither numpy nor scipy. Each command
+imports what it runs: ``validate`` and ``synth`` load numpy (``ingest``,
+``synth``); ``report`` and ``oracle-check`` also load ``scipy.sparse`` and
+``scipy.special``.
 """
 from __future__ import annotations
 
@@ -21,18 +23,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import EchoscopeError, InputFormatError
-from .ingest import (
-    atomic_open,
-    config_bool,
-    load_dataset,
-    read_key_values,
-    validate_dataset,
-    write_domain_scores,
-    write_events,
-    write_follow_edges,
-)
 
 if TYPE_CHECKING:
+    from .ingest import DatasetBundle, ValidationReport
     from .report import ReportBundle, RunConfig
 
 log = logging.getLogger(__name__)
@@ -43,10 +36,9 @@ EXIT_INPUT = 2
 
 
 def _setup_logging() -> None:
-    level_name = os.environ.get("ECHOSCOPE_LOG", "WARNING").upper()
-    level = getattr(logging, level_name, logging.WARNING)
+    level = getattr(logging, os.environ.get("ECHOSCOPE_LOG", "WARNING").upper(), None)
     logging.basicConfig(
-        level=level,
+        level=level if isinstance(level, int) else logging.WARNING,  # BASIC_FORMAT names no level
         stream=sys.stderr,
         format="%(levelname)s %(name)s: %(message)s",
     )
@@ -75,6 +67,16 @@ def _overlap_mode(text: str) -> str:
     return text
 
 
+def config_bool(text: str) -> bool:
+    """A config switch: ``1/true/yes`` or ``0/false/no``, in any case."""
+    word = text.lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
 # report config-file keys, each read by its cast; each key is also the dest
 # of the flag that overrides it
 REPORT_KEYS = {
@@ -99,9 +101,11 @@ REPORT_KEYS = {
 
 
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
-    from .report import RunConfig
+    values = {}
+    if args.config:
+        from .ingest import read_key_values
 
-    values = read_key_values(args.config, REPORT_KEYS) if args.config else {}
+        values = read_key_values(args.config, REPORT_KEYS)
     for key in REPORT_KEYS:
         flag = getattr(args, key)
         if flag is not None:
@@ -115,6 +119,8 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     missing = [key for key in ("scores", "edges", "events", "out") if key not in values]
     if missing:
         raise InputFormatError(f"missing required options: {', '.join('--' + m for m in missing)}")
+    from .report import RunConfig
+
     return RunConfig(out_dir=values.pop("out"), **values)
 
 
@@ -127,18 +133,32 @@ def _make_out_dir(path: str) -> None:
         raise EchoscopeError(f"{path}: cannot write directory: {exc.strerror}") from None
 
 
-def run_report(cfg: RunConfig) -> ReportBundle:
-    """``report.run_report``, importing ``report`` on first use.
+# ``load_dataset``, ``validate_dataset`` and ``run_report`` are names of this
+# module that import their own module on first use, so that
+# ``perfbench/tracer.py`` can wrap them before a command runs.
 
-    A name of this module, like ``load_dataset`` and ``validate_dataset``,
-    so that ``perfbench/tracer.py`` can wrap it before a command runs.
-    """
+
+def load_dataset(scores_path: str, edges_path: str, events_path: str) -> DatasetBundle:
+    from . import ingest
+
+    return ingest.load_dataset(scores_path, edges_path, events_path)
+
+
+def validate_dataset(bundle: DatasetBundle) -> ValidationReport:
+    from . import ingest
+
+    return ingest.validate_dataset(bundle)
+
+
+def run_report(cfg: RunConfig) -> ReportBundle:
     from . import report
 
     return report.run_report(cfg)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .ingest import atomic_open
+
     bundle = load_dataset(args.scores, args.edges, args.events)
     report = validate_dataset(bundle)
     payload = report.to_json()
@@ -159,6 +179,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .ingest import write_domain_scores, write_events, write_follow_edges
     from .synth import SynthConfig, generate, write_truth
 
     cfg = SynthConfig.from_file(args.config)
@@ -189,6 +210,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         raise EchoscopeError("--max-events must be >= 0")
     if not 0.0 <= args.tolerance < math.inf:  # NaN fails both comparisons
         raise EchoscopeError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
+    from .ingest import atomic_open
     from .oracle import compare_with_oracle
 
     bundle = load_dataset(args.scores, args.edges, args.events)

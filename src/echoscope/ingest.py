@@ -465,16 +465,6 @@ def read_key_values(path: str, fields: dict[str, Callable[[str], object]]) -> di
     return values
 
 
-def config_bool(text: str) -> bool:
-    """A config switch: ``1/true/yes`` or ``0/false/no``, in any case."""
-    word = text.lower()
-    if word in ("1", "true", "yes"):
-        return True
-    if word in ("0", "false", "no"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 @contextlib.contextmanager
 def atomic_open(path: str, mode: str = "w"):
     """Write to a temporary file beside ``path``, then move it over ``path``.

@@ -626,7 +626,7 @@ def test_log_level_env(dataset_dir, monkeypatch, capsys):
 # ---------------------------------------------------------------- start-up
 
 # runs one command in a fresh interpreter, then prints its exit code and the
-# scipy modules it loaded
+# numpy and scipy modules it loaded
 IMPORT_PROBE = """
 import json, sys
 from echoscope.cli import main
@@ -634,35 +634,94 @@ try:
     rc = main(sys.argv[1:])
 except SystemExit as exc:
     rc = exc.code
-print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))]))
 """
 
 
-def loaded_modules(argv):
+def src_env(**extra):
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
+
+
+def loaded_modules(argv, expect_rc=0):
+    """The numpy and scipy modules one command loads, by top-level package."""
     result = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, *argv], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", IMPORT_PROBE, *argv], env=src_env(), capture_output=True, text=True, timeout=300
     )
     assert result.returncode == 0, result.stderr
     rc, modules = json.loads(result.stdout.splitlines()[-1])
-    assert rc == 0, result.stderr
-    return modules
+    assert rc == expect_rc, result.stderr
+    return {top: [m for m in modules if m.split(".")[0] == top] for top in ("numpy", "scipy")}
 
 
-@pytest.mark.parametrize("command", ["help", "validate", "synth"])
+@pytest.mark.parametrize("argv, expect_rc", [
+    (["--help"], 0),
+    (["report", "--scores", "x.csv"], 2),  # missing --edges, --events, --out
+    (["report", "--scores", "s", "--edges", "e", "--events", "v", "--out", "o", "--window", "9..1"], 2),
+], ids=["help", "missing-options", "empty-window"])
+def test_help_and_usage_errors_load_neither_numpy_nor_scipy(argv, expect_rc):
+    assert loaded_modules(argv, expect_rc) == {"numpy": [], "scipy": []}
+
+
+@pytest.mark.parametrize("command", ["validate", "synth"])
 def test_commands_without_scipy_never_import_it(dataset_dir, tmp_path, command):
     cfg = tmp_path / "synth.cfg"
     cfg.write_text(SYNTH_CFG)
     argv = {
-        "help": ["--help"],
         "validate": ["validate", *inputs(dataset_dir), "--out", str(tmp_path / "v.json")],
         "synth": ["synth", "--config", str(cfg), "--out", str(tmp_path / "s")],
     }[command]
-    assert loaded_modules(argv) == []
+    modules = loaded_modules(argv)
+    assert "numpy" in modules["numpy"]
+    assert modules["scipy"] == []
 
 
 def test_report_imports_no_scipy_stats(dataset_dir, tmp_path):
-    modules = loaded_modules(report_args(dataset_dir, tmp_path / "r"))
+    modules = loaded_modules(report_args(dataset_dir, tmp_path / "r"))["scipy"]
     assert "scipy.special" in modules
     assert not [m for m in modules if m == "scipy.stats" or m.startswith("scipy.stats.")]
+
+
+def test_commands_call_the_names_the_tracer_wraps(dataset_dir, tmp_path, monkeypatch):
+    # perfbench/tracer.py replaces these attributes of echoscope.cli before
+    # main runs, so each command must look them up there at call time
+    import echoscope.cli as cli
+
+    calls = []
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    for name in ("load_dataset", "validate_dataset", "run_report"):
+        spy(name)
+    assert main(["validate", *inputs(dataset_dir)]) == 0
+    assert calls == ["load_dataset", "validate_dataset"]
+    calls.clear()
+    assert main(report_args(dataset_dir, tmp_path / "r", ["--k-max", "1"])) == 0
+    assert calls == ["run_report"]  # the report loads its inputs itself
+    assert (tmp_path / "r" / "report.json").exists()
+
+
+@pytest.mark.parametrize("value, shows_info", [
+    ("basic_format", False),  # an attribute of logging, but a format string
+    ("verbose", False),
+    ("", False),
+    ("info", True),
+])
+def test_a_log_level_that_names_no_level_means_warning(tmp_path, value, shows_info):
+    # a subprocess, because basicConfig ignores its level once pytest has set up logging
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(SYNTH_CFG)
+    result = subprocess.run(
+        [sys.executable, "-m", "echoscope.cli", "synth", "--config", str(cfg), "--out", str(tmp_path / "s")],
+        env=src_env(ECHOSCOPE_LOG=value), capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    assert ("INFO " in result.stderr) == shows_info  # synth logs one INFO line
