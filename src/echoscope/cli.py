@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from .errors import EchoscopeError, InputFormatError
 
@@ -77,26 +77,29 @@ def config_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# report config-file keys, each read by its cast; each key is also the dest
-# of the flag that overrides it
-REPORT_KEYS = {
-    "scores": str,
-    "edges": str,
-    "events": str,
-    "out": str,
-    "window": _window,
-    "k_min": int,
-    "k_max": int,
-    "entropy_bins": int,
-    "reps": int,
-    "baseline_users": int,
-    "seed": int,
-    "overlap_mode": _overlap_mode,
-    "unique_domains": config_bool,
-    "threads": int,
-    "no_cache": config_bool,
-    "heatmap_bins": int,
-    "sample_n": int,
+# each report option once, under its config-file key, which is also the dest
+# of the flag that overrides it (``k_min`` is ``--k-min``): the cast a
+# config-file value goes through, and the flag's argparse settings
+REPORT_OPTIONS: dict[str, tuple[Callable[[str], object], dict[str, Any]]] = {
+    "scores": (str, {"help": "domain score CSV"}),
+    "edges": (str, {"help": "follow edge CSV"}),
+    "events": (str, {"help": "tweet event JSONL"}),
+    "out": (str, {"help": "output directory"}),
+    "k_min": (int, {"type": int}),
+    "k_max": (int, {"type": int}),
+    "entropy_bins": (int, {"type": int}),
+    "reps": (int, {"type": int, "help": "baseline repetitions per user"}),
+    "baseline_users": (
+        int, {"type": int, "help": "cap on users entering the random baseline (0 = all)"}
+    ),
+    "seed": (int, {"type": int}),
+    "window": (_window, {"help": "restrict events to FROM..TO epoch seconds"}),
+    "overlap_mode": (_overlap_mode, {"choices": OVERLAP_MODES}),
+    "unique_domains": (config_bool, {"action": "store_true", "default": None}),
+    "threads": (int, {"type": int, "help": "accepted for compatibility; has no effect"}),
+    "no_cache": (config_bool, {"action": "store_true", "default": None}),
+    "heatmap_bins": (int, {"type": int}),
+    "sample_n": (int, {"type": int}),
 }
 
 
@@ -105,8 +108,9 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         from .ingest import read_key_values
 
-        values = read_key_values(args.config, REPORT_KEYS)
-    for key in REPORT_KEYS:
+        casts = {key: cast for key, (cast, _) in REPORT_OPTIONS.items()}
+        values = read_key_values(args.config, casts)
+    for key in REPORT_OPTIONS:
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
@@ -262,23 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("report", help="full analysis: metrics, correlations, plot data")
-    _add_input_flags(p, required=False)
-    p.add_argument("--out", help="output directory")
     p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--k-min", dest="k_min", type=int)
-    p.add_argument("--k-max", dest="k_max", type=int)
-    p.add_argument("--entropy-bins", dest="entropy_bins", type=int)
-    p.add_argument("--reps", type=int, help="baseline repetitions per user")
-    p.add_argument("--baseline-users", dest="baseline_users", type=int,
-                   help="cap on users entering the random baseline (0 = all)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--window", help="restrict events to FROM..TO epoch seconds")
-    p.add_argument("--overlap-mode", dest="overlap_mode", choices=OVERLAP_MODES)
-    p.add_argument("--unique-domains", dest="unique_domains", action="store_true", default=None)
-    p.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
-    p.add_argument("--no-cache", dest="no_cache", action="store_true", default=None)
-    p.add_argument("--heatmap-bins", dest="heatmap_bins", type=int)
-    p.add_argument("--sample-n", dest="sample_n", type=int)
+    for key, (_, flag) in REPORT_OPTIONS.items():
+        p.add_argument("--" + key.replace("_", "-"), **flag)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")

@@ -152,8 +152,9 @@ class FollowEdgeList:
             yield names[s], names[d]
 
     def sources(self) -> frozenset[str]:
-        uniq = np.unique(self.src)
-        return frozenset(self.names[i] for i in uniq.tolist())
+        # a count per id: np.unique hashes first, which is far slower here
+        ids = np.flatnonzero(np.bincount(self.src, minlength=len(self.names)))
+        return frozenset(self.names[i] for i in ids.tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FollowEdgeList):
@@ -237,7 +238,8 @@ class EventLog:
     def authors(self) -> tuple[str, ...]:
         """The distinct authors, sorted."""
         users = self.users
-        return tuple(users[a] for a in np.unique(self.author).tolist())
+        ids = np.flatnonzero(np.bincount(self.author, minlength=len(users)))
+        return tuple(users[a] for a in ids.tolist())
 
     @property
     def n_retweets(self) -> int:
@@ -993,11 +995,12 @@ def validate_dataset(bundle: DatasetBundle) -> ValidationReport:
     is_author[log_data.author] = True
     dangling = log_data.retweet & ~is_author[log_data.orig_author]
     n_dangling = int(np.count_nonzero(dangling))
-    dangling_ids = np.unique(log_data.orig_author[dangling]).tolist()
+    n_users = len(log_data.users)
+    dangling_ids = np.flatnonzero(np.bincount(log_data.orig_author[dangling], minlength=n_users))
     scored_domain = np.array([d in bundle.scores for d in log_data.domains], dtype=bool)
     scored = scored_domain[log_data.domain_ids]
     n_events = len(log_data)
-    n_scored_events = np.unique(log_data.event_of_domain()[scored]).size
+    n_scored_events = np.count_nonzero(np.bincount(log_data.event_of_domain()[scored]))
     frac_scored = n_scored_events / n_events if n_events else 0.0
 
     errors = tuple(f"seed has no outgoing edges: {u}" for u in seeds_without)
@@ -1016,7 +1019,7 @@ def validate_dataset(bundle: DatasetBundle) -> ValidationReport:
     }
     return ValidationReport(
         seeds_without_friends=seeds_without,
-        dangling_retweet_authors=tuple(log_data.users[i] for i in dangling_ids),
+        dangling_retweet_authors=tuple(log_data.users[i] for i in dangling_ids.tolist()),
         n_dangling_retweets=n_dangling,
         frac_events_with_scored_domain=frac_scored,
         counters=counters,

@@ -18,9 +18,6 @@ from itertools import compress, count
 from operator import not_
 from typing import FrozenSet, Optional
 
-# the characters of a registrable domain: its labels' and the dots between them
-_NAME_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789_-."
-
 # Link shorteners and redirectors whose hosts say nothing about the content
 # they point at. Resolving redirects would need network I/O, so these map to
 # "no domain" instead.
@@ -105,8 +102,8 @@ class SuffixRules:
         suffix = self.public_suffix(host)
         if host == suffix:
             return None
-        prefix = host[: -(len(suffix) + 1)]
-        return prefix.rsplit(".", 1)[-1] + "." + suffix
+        end = len(host) - len(suffix) - 1  # where the suffix's dot sits
+        return host[host.rfind(".", 0, end) + 1 : end] + "." + suffix
 
 
 @lru_cache(maxsize=1)
@@ -162,6 +159,11 @@ def hosts_of(urls: list[str]) -> list[Optional[str]]:
     return hosts
 
 
+# the host of a URL of the usual lowercase shape, as ``_host_of`` takes it: a
+# scheme, "://", the host and then "/", "?", "#" or the very end
+_URL_HOST_AT_START_RE = re.compile(r"[a-z]+://([a-z0-9_.-]*[a-z0-9_-])(?=[/?#]|\Z)")
+
+
 def extract_pld(url: str, skip_plds: FrozenSet[str] = DEFAULT_SHORTENER_SKIP) -> Optional[str]:
     """Registrable domain of ``url``, or None when one cannot be determined.
 
@@ -170,7 +172,8 @@ def extract_pld(url: str, skip_plds: FrozenSet[str] = DEFAULT_SHORTENER_SKIP) ->
     """
     if not isinstance(url, str):
         return None
-    host = _host_of(url)
+    usual = _URL_HOST_AT_START_RE.match(url)
+    host = usual[1] if usual else _host_of(url)
     if host is None or not is_valid_pld(host):
         return None
     pld = default_rules().registrable_domain(host)
@@ -179,15 +182,11 @@ def extract_pld(url: str, skip_plds: FrozenSet[str] = DEFAULT_SHORTENER_SKIP) ->
     return pld
 
 
+# two or more dotted labels of [a-z0-9_-], the last not all digits
+_PLD_RE = re.compile(r"(?:[a-z0-9_-]+\.)+[0-9]*[a-z_-][a-z0-9_-]*")
+
+
 def is_valid_pld(value: str) -> bool:
     """Cheap structural check: two or more dotted labels of ``[a-z0-9_-]``, the
     last not all digits (so no IPv4 address passes)."""
-    return (
-        isinstance(value, str)
-        and "." in value
-        and not value.strip(_NAME_CHARS)
-        and ".." not in value
-        and value[0] != "."
-        and value[-1] != "."
-        and not value.rpartition(".")[2].isdigit()
-    )
+    return isinstance(value, str) and _PLD_RE.fullmatch(value) is not None

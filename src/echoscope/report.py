@@ -371,15 +371,25 @@ def build_report(
     """Run the full analysis pipeline over one bundle.
 
     The event log is restricted to cfg.window here, once, before anything is
-    built from it; graphs go through the cache at cache_path when given.
+    built from it; graphs go through the cache at cache_path when given. The
+    bundle is let go once the engine is built, so the parsed inputs are freed
+    when the caller holds no other reference to them.
     """
     markers: list[str] = []
     bundle = dataclasses.replace(bundle, log=bundle.log.restricted(cfg.window))
     if cfg.window is not None and len(bundle.log) == 0:
         markers.append("window excludes every event")
+    counts_section = {
+        "n_seeds": len(bundle.seeds),
+        "n_users_in_edges": bundle.edges.n_users,
+        "n_edges": bundle.edges.n_edges,
+        "n_events": len(bundle.log),
+        "n_retweets": bundle.log.n_retweets,
+    }
     fg, rg = build_graphs(bundle, cfg, cache_path, input_meta)
 
     engine = MetricsEngine(bundle, fg, rg, unique_domains=cfg.unique_domains)
+    del bundle
     scored = ~np.isnan(engine.m_s)
     if not scored.any():
         markers.append("no scored users")
@@ -591,16 +601,11 @@ def build_report(
         ],
     )
 
-    counts_section = {
-        "n_seeds": len(bundle.seeds),
-        "n_users_in_edges": bundle.edges.n_users,
-        "n_edges": bundle.edges.n_edges,
-        "n_events": len(bundle.log),
-        "n_retweets": bundle.log.n_retweets,
-        "n_scored_users": int(scored.sum()),
-        "n_users_with_metrics": len(user_ids),
-        "n_baseline_users": len(candidates),
-    }
+    counts_section.update(
+        n_scored_users=int(scored.sum()),
+        n_users_with_metrics=len(user_ids),
+        n_baseline_users=len(candidates),
+    )
 
     meta = {
         "tool": "echoscope",
@@ -653,17 +658,26 @@ def write_report(report: ReportBundle, out_dir: str) -> list[str]:
 
 def run_report(cfg: RunConfig) -> ReportBundle:
     """Load inputs, build graphs (cached unless disabled), write everything
-    into the existing directory ``cfg.out_dir``."""
-    bundle = load_dataset(cfg.scores, cfg.edges, cfg.events)
-    # content hashes only: the same inputs at another path give the same bytes
-    input_meta = {
-        name: {"sha256": _sha256_file(path)}
-        for name, path in (
-            ("scores", cfg.scores),
-            ("edges", cfg.edges),
-            ("events", cfg.events),
-        )
-    }
-    report = build_report(bundle, cfg, input_meta, Path(cfg.out_dir) / "graphs.cache")
+    into the existing directory ``cfg.out_dir``.
+
+    The parsed inputs are passed on without a name here, so ``build_report``
+    holds the only reference and can let them go once its engine is built.
+    They are parsed before the files are hashed, so a missing or unreadable
+    input is reported by the parser.
+    """
+    report = build_report(
+        load_dataset(cfg.scores, cfg.edges, cfg.events),
+        cfg,
+        # content hashes only: the same inputs at another path give the same bytes
+        {
+            name: {"sha256": _sha256_file(path)}
+            for name, path in (
+                ("scores", cfg.scores),
+                ("edges", cfg.edges),
+                ("events", cfg.events),
+            )
+        },
+        Path(cfg.out_dir) / "graphs.cache",
+    )
     write_report(report, cfg.out_dir)
     return report

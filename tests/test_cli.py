@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import echoscope.report as report_mod
-from echoscope.cli import _build_run_config, build_parser, main
+from echoscope.cli import REPORT_OPTIONS, _build_run_config, build_parser, main
 from echoscope.graph import CACHE_MAGIC
 from echoscope.ingest import write_domain_scores, write_events, write_follow_edges
 from echoscope.synth import SynthConfig, generate
@@ -303,6 +304,15 @@ def test_report_bad_window_exit_two(dataset_dir, tmp_path, capsys, caplog, flag,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["scores.csv", "edges.csv", "events.jsonl"])
+def test_report_missing_input_file_exit_two(dataset_dir, tmp_path, capsys, caplog, name):
+    (dataset_dir / name).unlink()
+    assert main(report_args(dataset_dir, tmp_path / "m")) == 2
+    err = capsys.readouterr().err
+    assert f"error: {dataset_dir / name}: cannot read file" in err
+    assert "Traceback" not in err + caplog.text
+
+
 def test_report_and_validate_build_no_event_objects(dataset_dir, tmp_path, monkeypatch):
     # both commands read the log's columns; the per-event view stays unbuilt
     from echoscope import ingest
@@ -381,6 +391,38 @@ def test_report_config_bool_words(dataset_dir, tmp_path, word, value):
     # a switch given as a flag beats the file
     run = _build_run_config(build_parser().parse_args(["report", "--config", str(cfg), "--no-cache"]))
     assert (run.unique_domains, run.no_cache) == (value, True)
+
+
+# a value for each report option, as text; every one differs from the default
+OPTION_TEXTS = {
+    "scores": "s.csv", "edges": "e.csv", "events": "ev.jsonl", "out": "o", "k_min": "2",
+    "k_max": "3", "entropy_bins": "4", "reps": "7", "baseline_users": "5", "seed": "11",
+    "window": "10..20", "overlap_mode": "content", "unique_domains": "yes", "threads": "3",
+    "no_cache": "true", "heatmap_bins": "6", "sample_n": "9",
+}
+
+
+@pytest.mark.parametrize("key", list(REPORT_OPTIONS))
+def test_each_report_option_sets_one_field_alike_by_flag_and_by_file(tmp_path, key):
+    assert set(OPTION_TEXTS) == set(REPORT_OPTIONS)
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text("scores = a.csv\nedges = b.csv\nevents = c.jsonl\nout = d\n")
+    with_key = tmp_path / "with_key.cfg"
+    with_key.write_text(cfg.read_text() + f"{key} = {OPTION_TEXTS[key]}\n")
+    flag = ["--" + key.replace("_", "-")]
+    if REPORT_OPTIONS[key][1].get("action") != "store_true":
+        flag.append(OPTION_TEXTS[key])
+
+    def run_config(argv):
+        return dataclasses.asdict(_build_run_config(build_parser().parse_args(["report", *argv])))
+
+    base = run_config(["--config", str(cfg)])
+    by_file = run_config(["--config", str(with_key)])
+    by_flag = run_config(["--config", str(cfg), *flag])
+    assert by_flag == by_file
+    field = "out_dir" if key == "out" else key
+    changed = {name for name, value in by_file.items() if value != base[name]}
+    assert changed == (set() if key == "threads" else {field})  # threads has no field
 
 
 def test_report_missing_inputs_exit_two(tmp_path):

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ev, make_bundle, rt
@@ -910,6 +910,46 @@ def test_validate_scored_fraction():
         ],
     )
     assert validate_dataset(bundle).frac_events_with_scored_domain == 0.5
+
+
+# distinct ids are counted with np.bincount; np.unique is the reference
+NAMES = st.sampled_from(["a", "b", "c", "d", "e"])
+LOGGED_EVENT = st.tuples(
+    NAMES, st.one_of(st.none(), NAMES),
+    st.lists(st.sampled_from(["a.example", "b.example", "c.example"]), max_size=3),
+)
+
+
+@given(st.lists(st.tuples(NAMES, NAMES), max_size=20))
+@example([])
+@example([("a", "b")])
+@settings(max_examples=100, deadline=None)
+def test_edge_sources_match_unique(pairs):
+    edges = FollowEdgeList.from_pairs(pairs)
+    assert edges.sources() == {edges.names[i] for i in np.unique(edges.src).tolist()}
+
+
+@given(st.lists(LOGGED_EVENT, max_size=20))
+@example([])
+@example([("a", None, ["a.example"])])
+@example([("a", "b", [])])
+@settings(max_examples=200, deadline=None)
+def test_authors_and_validation_counts_match_unique(events):
+    log_events = [
+        ev(f"t{i:02d}", author, i, domains=domains) if orig is None
+        else rt(f"t{i:02d}", author, i, orig, domains=domains)
+        for i, (author, orig, domains) in enumerate(events)
+    ]
+    bundle = make_bundle({"a.example": 0.5, "b.example": 1.0}, [("a", "b")], log_events)
+    log = bundle.log
+    assert log.authors == tuple(log.users[a] for a in np.unique(log.author).tolist())
+    report = validate_dataset(bundle)
+    is_author = np.isin(log.orig_author, log.author)
+    dangling = np.unique(log.orig_author[log.retweet & ~is_author]).tolist()
+    assert report.dangling_retweet_authors == tuple(log.users[i] for i in dangling)
+    scored = np.array([d in bundle.scores for d in log.domains], dtype=bool)[log.domain_ids]
+    n_scored = np.unique(log.event_of_domain()[scored]).size
+    assert report.frac_events_with_scored_domain == (n_scored / len(log) if len(log) else 0.0)
 
 
 def per_pair_edges(pairs):

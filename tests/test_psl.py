@@ -247,3 +247,72 @@ def test_bounded_lookup_on_the_bundled_snapshot():
                  "a..co.uk", "x.y.z.example.com.au", "deep.sub.a.example"]:
         assert table.public_suffix(host) == reference_public_suffix(rules, host)
         assert table.registrable_domain(host) == reference_registrable_domain(rules, host)
+
+
+# ``is_valid_pld``, ``extract_pld`` and ``SuffixRules.registrable_domain`` as
+# they were written before their host pattern, label pattern and one-``rfind``
+# cut: the reference the faster forms must match on every string
+_NAME_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789_-."
+SNAPSHOT_RULES = [
+    line.strip() for line in resources.files("echoscope")
+    .joinpath("data/public_suffix_snapshot.dat").read_text(encoding="utf-8").splitlines()
+    if line.strip() and not line.startswith("//")
+]
+
+
+def reference_is_valid_pld(value):
+    return (
+        isinstance(value, str)
+        and "." in value
+        and not value.strip(_NAME_CHARS)
+        and ".." not in value
+        and value[0] != "."
+        and value[-1] != "."
+        and not value.rpartition(".")[2].isdigit()
+    )
+
+
+def reference_extract_pld(url, skip_plds=DEFAULT_SHORTENER_SKIP):
+    if not isinstance(url, str):
+        return None
+    host = _host_of(url)
+    if host is None or not reference_is_valid_pld(host):
+        return None
+    pld = reference_registrable_domain(SNAPSHOT_RULES, host)
+    if pld is None or pld in skip_plds:
+        return None
+    return pld
+
+
+# URL spellings that the host pattern takes, and each way of falling outside
+# it: case, padding, ports, userinfo, IPv6 and IPv4 hosts, trailing dots,
+# line ends and non-ASCII letters
+PLD_URL = st.builds(
+    "{}{}{}{}{}{}{}".format,
+    st.sampled_from(["", " ", "\t", "\n"]),
+    st.sampled_from(["", "http://", "https://", "HTTP://", "x://", "ftp://", "h-t://"]),
+    st.sampled_from(["", "", "user:pw@", "a@b@"]),
+    st.one_of(HOST, st.sampled_from([
+        "10.0.0.1", "10.0.0.300", "[::1]", "\u212a.example", "\u0130.example",
+        "b\u00fccher.example", "news.\u00e9xample.com", "a\n.example", "ok.www.ck",
+    ])),
+    st.sampled_from(["", "", ".", "..", ":80", ":", ":x", "\n", "\r", "\x85"]),
+    st.sampled_from(["", "", "/", "/A/b", "?q=1", "#f", "/x\ny", "\n/x", "/\u2028"]),
+    st.sampled_from(["", "", " ", "\n"]),
+).map(lambda u: u.upper() if len(u) % 4 == 0 else u)
+
+
+@given(st.one_of(PLD_URL, PLD_URL, st.text(max_size=40)))
+@settings(max_examples=1000, deadline=None)
+def test_extract_pld_matches_the_reference(url):
+    assert extract_pld(url) == reference_extract_pld(url)
+    assert extract_pld(url, skip_plds=frozenset()) == reference_extract_pld(url, frozenset())
+
+
+LABELISH = st.text(alphabet="ab09_-.\n\u00e9A ", max_size=12)
+
+
+@given(st.one_of(LABELISH, st.text(max_size=20), HOST, st.none(), st.integers()))
+@settings(max_examples=1000, deadline=None)
+def test_is_valid_pld_matches_the_reference(value):
+    assert is_valid_pld(value) is reference_is_valid_pld(value)

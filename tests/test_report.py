@@ -6,6 +6,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import ev, make_bundle, rt
 from echoscope import report as report_module
 from echoscope.errors import EchoscopeError
+from echoscope.ingest import write_domain_scores, write_events, write_follow_edges
 from echoscope.report import RunConfig, Take, _mean, _write_csv, build_report, write_report
 
 
@@ -99,6 +101,36 @@ def test_write_report_files(rich_bundle, tmp_path):
     heat = (tmp_path / "out" / "echo_heatmap_f.csv").read_text().splitlines()
     assert heat[0] == "ms_bin,me_bin,count"
     assert len(heat) == 1 + 25 * 25
+
+
+def test_run_report_lets_the_parsed_inputs_go_before_writing(rich_bundle, tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    data.mkdir()
+    write_domain_scores(rich_bundle.scores, str(data / "scores.csv"))
+    write_follow_edges(rich_bundle.edges, str(data / "edges.csv"))
+    write_events(rich_bundle.log, str(data / "events.jsonl"))
+    cfg = run_config(
+        tmp_path, scores=str(data / "scores.csv"), edges=str(data / "edges.csv"),
+        events=str(data / "events.jsonl"),
+    )
+    os.mkdir(cfg.out_dir)
+    load, write = report_module.load_dataset, report_module.write_report
+    edges, alive = [], []
+
+    def loading(*paths):
+        bundle = load(*paths)
+        edges.append(weakref.ref(bundle.edges))
+        return bundle
+
+    def writing(report, out_dir):
+        alive.append(edges[-1]() is not None)
+        return write(report, out_dir)
+
+    monkeypatch.setattr(report_module, "load_dataset", loading)
+    monkeypatch.setattr(report_module, "write_report", writing)
+    for _ in range(2):  # the second run loads its graphs from the cache
+        report_module.run_report(cfg)
+    assert alive == [False, False]
 
 
 def test_report_means_add_left_to_right():
