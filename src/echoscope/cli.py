@@ -5,10 +5,8 @@ Exit codes: 0 success, 1 internal error, 2 input error. Logs go to stderr
 stdout or the requested output paths.
 
 Only the standard library and ``errors`` are imported at load time, so
-``--help`` and usage errors load neither numpy nor scipy. Each command
-imports what it runs: ``validate`` and ``synth`` load numpy (``ingest``,
-``synth``); ``report`` and ``oracle-check`` also load ``scipy.sparse`` and
-``scipy.special``.
+``--help`` and usage errors load no numpy. Each command imports what it
+runs, and every command runs on numpy alone: none loads scipy.
 """
 from __future__ import annotations
 

@@ -41,7 +41,6 @@ from functools import reduce
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
-from scipy import sparse
 
 from .errors import EchoscopeError
 from .ingest import EventLog, FollowEdgeList, atomic_open
@@ -62,6 +61,52 @@ CACHE_MAGIC = b"ECHOGRF1"
 CACHE_VERSION = 3
 
 
+class CSR:
+    """A sparse matrix of ``shape``: row i stores the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, strictly ascending, with the values
+    ``data`` at the same positions."""
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+                 shape: tuple[int, int]) -> None:
+        self.indptr, self.indices, self.data, self.shape = indptr, indices, data, shape
+
+    def entry_rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """Per row, the float sum of value * x[column], added in column order from 0."""
+        terms = self.data * x[self.indices]
+        return np.bincount(self.entry_rows(), weights=terms, minlength=self.shape[0])
+
+    def label_counts(self, labels: np.ndarray, n_labels: int) -> np.ndarray:
+        """A (rows, n_labels) array: per row, how many of its entries sit in a
+        column of each label; a column labelled below 0 counts nowhere."""
+        label = labels[self.indices]
+        held = label >= 0
+        cells = self.entry_rows()[held] * n_labels + label[held]
+        return np.bincount(cells, minlength=self.shape[0] * n_labels).reshape(-1, n_labels)
+
+    def kept(self, keep: np.ndarray, data: np.ndarray) -> "CSR":
+        """The entries where ``keep`` is true, holding ``data`` instead of their values."""
+        indptr = np.r_[0, np.cumsum(keep)][self.indptr]
+        return CSR(indptr, self.indices[keep], data, self.shape)
+
+    def multiply(self, other: "CSR") -> "CSR":
+        """The entries both matrices store, holding the product of their values."""
+        mine, theirs = (m.entry_rows() * m.shape[1] + m.indices for m in (self, other))
+        at = np.searchsorted(theirs, mine)
+        both = at < theirs.size
+        both[both] = theirs[at[both]] == mine[both]
+        return self.kept(both, self.data[both] * other.data[at[both]])
+
+    def __eq__(self, other: object) -> bool:
+        fields = ("indptr", "indices", "data")
+        return self.shape == other.shape and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in fields
+        )
+
+
 class _SeedGraph:
     """A seed x user matrix: rows are the sorted ``seeds``, columns number ``names``.
 
@@ -69,7 +114,7 @@ class _SeedGraph:
     ``names`` can be read per seed row.
     """
 
-    def __init__(self, names: list[str], seed_ids: np.ndarray, matrix: sparse.csr_matrix) -> None:
+    def __init__(self, names: list[str], seed_ids: np.ndarray, matrix: CSR) -> None:
         self.names = names
         self.seed_ids = np.asarray(seed_ids, dtype=np.int64)
         self.seeds = [names[i] for i in self.seed_ids.tolist()]
@@ -78,7 +123,8 @@ class _SeedGraph:
 
     def indegree(self) -> np.ndarray:
         """Per user id, the column sum: edges (or retweets) from any seed."""
-        return np.asarray(self.matrix.sum(axis=0)).ravel()
+        m = self.matrix
+        return np.bincount(m.indices, weights=m.data, minlength=m.shape[1]).astype(m.data.dtype)
 
     def _targets(self, user: str, k: int) -> frozenset[str]:
         row = self.seed_row.get(user)
@@ -92,14 +138,14 @@ class _SeedGraph:
         if type(other) is not type(self):
             return NotImplemented
         same_space = self.names == other.names and self.seeds == other.seeds
-        return same_space and (self.matrix != other.matrix).nnz == 0
+        return same_space and self.matrix == other.matrix
 
 
 class FollowerGraph(_SeedGraph):
     """Seed -> friend edges: one entry of 1 per edge."""
 
     @property
-    def follow(self) -> sparse.csr_matrix:
+    def follow(self) -> CSR:
         return self.matrix
 
     def friends(self, user: str) -> frozenset[str]:
@@ -110,27 +156,31 @@ class RetweetGraph(_SeedGraph):
     """Seed -> retweeted account, holding the number of retweets."""
 
     @property
-    def retweets(self) -> sparse.csr_matrix:
+    def retweets(self) -> CSR:
         return self.matrix
 
     def retweet_friends(self, user: str, k: int = 1) -> frozenset[str]:
         """Accounts this user retweeted at least k times."""
         return self._targets(user, k)
 
-    def at_least(self, k: int) -> sparse.csr_matrix:
+    def at_least(self, k: int) -> CSR:
         """Seed x user matrix with a 1 where a seed retweeted an account at least k times."""
-        kept = self.retweets.copy()
-        kept.data = (kept.data >= k).astype(np.int64)
-        kept.eliminate_zeros()
-        return kept
+        keep = self.retweets.data >= k
+        return self.retweets.kept(keep, np.ones(np.count_nonzero(keep), dtype=np.int64))
 
 
-def count_matrix(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> sparse.csr_matrix:
-    """Row x column occurrence counts as CSR, columns ascending in each row."""
-    rows = np.asarray(rows, dtype=np.int64)
-    matrix = sparse.csr_matrix((np.ones(rows.size, dtype=np.int64), (rows, cols)), shape=shape)
-    matrix.sum_duplicates()
-    return matrix
+def count_matrix(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> CSR:
+    """Row x column occurrence counts, from the runs of sorted keys row * n_cols + col."""
+    n_rows, n_cols = shape
+    keys = np.asarray(rows, dtype=np.int64) * n_cols
+    keys += cols
+    keys.sort()
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    counts = np.diff(starts, append=keys.size)
+    keys = keys[starts]
+    entry_rows = keys // n_cols
+    indptr = np.searchsorted(entry_rows, np.arange(n_rows + 1))
+    return CSR(indptr, keys - entry_rows * n_cols, counts, shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +256,7 @@ def _overlap_terms(
     if mode not in (OVERLAP_ACCOUNT, OVERLAP_CONTENT):
         raise EchoscopeError(f"unknown overlap mode {mode!r}")
     content = mode == OVERLAP_CONTENT
-    matrices = (rg.retweets.multiply(fg.follow).tocsr(), rg.retweets)
+    matrices = (rg.retweets.multiply(fg.follow), rg.retweets)
     for k in ks:
         kept = [(m.data >= k) * (m.data if content else 1) for m in matrices]
         yield tuple(np.diff(np.r_[0, np.cumsum(v)][m.indptr]) for v, m in zip(kept, matrices))
@@ -518,10 +568,12 @@ def _parse_cache(data: bytes, fingerprint: bytes) -> Optional[tuple[FollowerGrap
     return FollowerGraph(names, seed_ids, follow), RetweetGraph(names, seed_ids, retweets)
 
 
-def _checked_csr(data, indices, indptr, shape) -> sparse.csr_matrix:
-    arrays = (np.asarray(a, dtype=np.int64) for a in (data, indices, indptr))
-    matrix = sparse.csr_matrix(tuple(arrays), shape=shape)
-    matrix.check_format(full_check=True)
-    if not matrix.has_canonical_format:
-        raise ValueError("columns are not strictly ascending in a row")
+def _checked_csr(data, indices, indptr, shape) -> CSR:
+    data, indices, indptr = (np.asarray(a, dtype=np.int64) for a in (data, indices, indptr))
+    if indptr.size != shape[0] + 1 or indptr[0] != 0 or not indptr[-1] == indices.size == data.size:
+        raise ValueError("row pointers do not delimit the entries")
+    matrix = CSR(indptr, indices, data, shape)
+    keys = matrix.entry_rows() * shape[1] + indices  # a falling pointer raises ValueError here
+    if indices.max(initial=0) >= shape[1] or (np.diff(keys) <= 0).any():
+        raise ValueError("columns are not strictly ascending in a row, below the user count")
     return matrix

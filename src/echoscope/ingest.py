@@ -218,6 +218,8 @@ class EventLog:
     @classmethod
     def from_events(cls, events: Iterable[TweetEvent]) -> "EventLog":
         events = list(events)
+        if any(ev.kind == KIND_RETWEET and ev.original_author in (None, "") for ev in events):
+            raise InputFormatError("retweet record lacks orig_author")
         domain_id: dict[str, int] = {}
         cols = _EventColumns()
         cols.extend(

@@ -25,9 +25,9 @@ returns the friends' user ids with their counts and retweeted flags, and the
 random baseline one seed's moderate share. The report turns these into rows.
 
 ExposureIndex keeps each user's totals as vectors over the same ids.
-Multiset exposures are sparse products with the graphs' seed x user
-matrices; a CSR row lists its columns in ascending id order, so the product
-adds friends in sorted-name order. Set exposures mark each pool's distinct
+Multiset exposures are products of the graphs' seed x user CSR matrices
+with per-user totals; a row lists its columns in ascending id order, so the
+product adds friends in sorted-name order. Set exposures mark each pool's distinct
 domains in a dense block and add exact integer limbs (set_sums). Everything
 here sees the log it is given: a time window is applied beforehand, with
 EventLog.restricted.
@@ -41,12 +41,12 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import EchoscopeError
 # sample_random_friend_subset is not called here, but perfbench/tracer.py
 # looks it up in this module, so it stays importable from here.
 from .graph import (  # noqa: F401
+    CSR,
     POOL_BLOCK_CELLS,
     FollowerGraph,
     RetweetGraph,
@@ -131,7 +131,7 @@ def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def set_sums(
-    pools: sparse.csr_matrix, items: sparse.csr_matrix, limbs: np.ndarray, weights: np.ndarray
+    pools: CSR, items: CSR, limbs: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per pools row, the exactly rounded score sum over the distinct columns
     its users hold in ``items``, and their number.
@@ -259,7 +259,7 @@ class ExposureIndex:
         i = self.id.get(author)
         return 0 if i is None else int(self.moderate[i])
 
-    def pool_means(self, pools: sparse.csr_matrix, unique_domains: bool = False) -> np.ndarray:
+    def pool_means(self, pools: CSR, unique_domains: bool = False) -> np.ndarray:
         """Mean score of the content pooled by each row of a row x user matrix.
 
         NaN where a row pools nothing scored. Multiset means weigh every
@@ -271,7 +271,7 @@ class ExposureIndex:
             return ratios(pools @ self.score_sum, pools @ self.score_count)
         return self.set_means(pools, self.domains)
 
-    def set_means(self, pools: sparse.csr_matrix, items: sparse.csr_matrix) -> np.ndarray:
+    def set_means(self, pools: CSR, items: CSR) -> np.ndarray:
         """Exact set mean over the domains each pools row's users hold in ``items``; NaN if none."""
         return ratios(*set_sums(pools, items, *self._limbs))
 
@@ -280,7 +280,7 @@ class ExposureIndex:
         return score_limbs(self.domain_scores)
 
 
-def friend_matrix(kind: str, fg: FollowerGraph, rg: RetweetGraph, k: int = 1) -> sparse.csr_matrix:
+def friend_matrix(kind: str, fg: FollowerGraph, rg: RetweetGraph, k: int = 1) -> CSR:
     """Seed x user matrix whose row holds the friends a seed pools under a graph kind."""
     if kind == FOLLOWER:
         return fg.follow
@@ -351,7 +351,7 @@ def friend_activity_comparison(
     many seeds follow them.
     """
     friends = np.flatnonzero(engine.fg.indegree())
-    retweeted = engine.rg.at_least(k).getnnz(axis=0)[friends] > 0
+    retweeted = np.bincount(engine.rg.at_least(k).indices, minlength=len(engine.names))[friends] > 0
     return friends, engine.index.n_events[friends], retweeted
 
 
@@ -368,10 +368,8 @@ def congruent_friend_fraction_diff(
     least k times. Shares run over scored friends only; both are NaN for a
     seed that is unscored or has no scored friend in either partition.
     """
-    scored = np.flatnonzero(class_code >= 0)
-    by_class = count_matrix(scored, class_code[scored], (len(fg.names), len(CLASSES)))
-    followed = (fg.follow @ by_class).toarray()
-    retweeted = (fg.follow.multiply(rg.at_least(k)) @ by_class).toarray()
+    followed = fg.follow.label_counts(class_code, len(CLASSES))
+    retweeted = rg.at_least(k).multiply(fg.follow).label_counts(class_code, len(CLASSES))
     own = class_code[fg.seed_ids]
     rows = np.arange(own.size)
     n_r = retweeted.sum(axis=1)
@@ -436,7 +434,8 @@ class MetricsEngine:
 
         if unique_domains:
             self.domain_count = np.diff(index.original_domains.indptr)
-            itself = sparse.identity(len(self.names), format="csr")  # each user pools itself
+            n = len(self.names)
+            itself = CSR(np.arange(n + 1), np.arange(n), np.ones(n, dtype=np.int64), (n, n))
             self.mu = index.set_means(itself, index.original_domains)
         else:
             self.domain_count = index.orig_count

@@ -102,6 +102,8 @@ class SuffixRules:
         suffix = self.public_suffix(host)
         if host == suffix:
             return None
+        if not suffix:  # a one-label exception rule: its suffix is empty
+            return host[host.rfind(".") + 1 :]
         end = len(host) - len(suffix) - 1  # where the suffix's dot sits
         return host[host.rfind(".", 0, end) + 1 : end] + "." + suffix
 

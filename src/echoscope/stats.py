@@ -8,16 +8,24 @@ runs the U test on the defined values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from typing import Sequence
 
 import numpy as np
 
 from .errors import UndefinedStatisticError
-from .graph import FollowerGraph, RetweetGraph, count_matrix
+from .graph import FollowerGraph, RetweetGraph
 
 # below this product of sample sizes the U distribution is enumerated exactly
 EXACT_U_THRESHOLD = 400
+
+_PI = Decimal("3.141592653589793238462643383279502884197")
+# ln(Gamma(a + 1/2) / Gamma(a)) - ln(a) / 2 ~ sum num / den / a**j, (j, num, den) below;
+# the next term is about -0.0128 / a**13, below 1e-22 from a = 40 on
+_HALF_GAMMA_SERIES = ((1, -1, 8), (3, 1, 192), (5, -1, 640), (7, 17, 14336), (9, -31, 18432),
+                      (11, 691, 180224))
 
 
 @dataclass(frozen=True)
@@ -62,13 +70,63 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     if abs(r) == 1.0:
         p = 0.0
     else:
-        # scipy.special alone: scipy.stats costs about a second to import,
-        # and its t.sf(|t|, df) is this same stdtr(df, -|t|)
-        from scipy.special import stdtr
-
         t = r * math.sqrt((n - 2) / (1.0 - r * r))
-        p = 2.0 * float(stdtr(n - 2, -abs(t)))
+        p = student_t_two_sided(n - 2, t)
     return CorrelationResult(r, min(p, 1.0), n)
+
+
+def student_t_two_sided(df: int, t: float) -> float:
+    """P(|T| >= |t|) for Student's t with df degrees of freedom; 0.0 below the
+    smallest normal float.
+
+    This is I_x(a, 1/2) at x = df / (df + t²), a = df / 2: a continued
+    fraction times x^a (1 - x)^(1/2) / (a B(a, 1/2)), the prefactor in log
+    space so a deep tail does not underflow early; past (a + 1) / (a + 5/2),
+    where the fraction converges slowly, 1 - I_(1-x)(1/2, a). For large a and
+    x near 1 the fraction's terms cancel, losing about log10(a) digits, so it
+    all runs in 40-digit decimals. The fraction stops once a step moves it by
+    less than 1e-20, so the float returned is the exact tail rounded to
+    nearest, unless the exact tail lies within about 1e-20 of a rounding tie.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        a, b = Decimal(df) / 2, Decimal(1) / 2
+        tt = Decimal(t) ** 2
+        x, y = df / (df + tt), tt / (df + tt)
+        ln_front = a * x.ln() + b * y.ln() - _ln_beta_half(a)
+        if x < (a + 1) / (a + b + 2):
+            p = float((ln_front + (_beta_fraction(x, a, b) / a).ln()).exp())
+        else:
+            p = float(1 - ln_front.exp() * _beta_fraction(y, b, a) / b)
+    return p if p >= sys.float_info.min else 0.0
+
+
+def _ln_beta_half(a: Decimal) -> Decimal:
+    """ln B(a, 1/2) = ln(sqrt(pi) Gamma(a) / Gamma(a + 1/2)), from the series
+    at a + j >= 40 and B(z, 1/2) = B(z + 1, 1/2) (z + 1/2) / z."""
+    steps = Decimal(1)
+    while a < 40:
+        steps *= (a + Decimal(1) / 2) / a
+        a += 1
+    series = sum(Decimal(num) / den / a**j for j, num, den in _HALF_GAMMA_SERIES)
+    return (_PI.ln() - a.ln()) / 2 - series + steps.ln()
+
+
+def _beta_fraction(x: Decimal, a: Decimal, b: Decimal) -> Decimal:
+    """The continued fraction of I_x(a, b) (modified Lentz), for x below (a + 1) / (a + b + 2)."""
+    c = one = Decimal(1)
+    h = d = one / (one - (a + b) * x / (a + 1))
+    for m in range(1, 10_000):
+        for term in (
+            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+        ):
+            d = one / (one + term * d)
+            c = one + term / c
+            h *= d * c
+        if abs(d * c - one) < Decimal("1e-20"):
+            return h
+    raise ArithmeticError(f"no convergence for I_{x}({a}, {b})")
 
 
 def _unit_deviations(vs: list[float]) -> list[float]:
@@ -223,12 +281,12 @@ def entropy_comparison(
     follower and the retweet entropy vectors, both NaN for a seed with fewer
     than 2 scored friends in either graph, and the two scored-friend counts.
     """
-    # each seed row's bin counts are one product with a user x bin indicator
-    scored = np.flatnonzero(~np.isnan(m_s))
-    bins = _bins(m_s[scored], n_bins)
-    by_bin = count_matrix(scored, bins, (len(fg.names), n_bins))
-    counts_f = (fg.follow @ by_bin).toarray()
-    counts_r = (rg.at_least(k) @ by_bin).toarray()
+    # each seed row's bin counts, over each user's bin (-1 when unscored)
+    scored = ~np.isnan(m_s)
+    bins = np.full(m_s.size, -1)
+    bins[scored] = _bins(m_s[scored], n_bins)
+    counts_f = fg.follow.label_counts(bins, n_bins)
+    counts_r = rg.at_least(k).label_counts(bins, n_bins)
     n_f, n_r = counts_f.sum(axis=1), counts_r.sum(axis=1)
 
     entropy_f = np.full(len(fg.seeds), np.nan)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -55,3 +57,27 @@ def tiny_bundle():
         rt("t07", "s2", 70, "f3", domains=["right.example"]),
     ]
     return make_bundle(scores, edges, events)
+
+
+def two_pass_r(xs, ys):
+    """Pearson's r by the textbook two passes: the means, then the sums of products."""
+    n = len(xs)
+    mx, my = sum(xs) / n, sum(ys) / n
+    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    sxx = sum((x - mx) ** 2 for x in xs)
+    syy = sum((y - my) ** 2 for y in ys)
+    return sxy / math.sqrt(sxx * syy)
+
+
+def t_two_sided_reference(df, t):
+    """2 * scipy.special.stdtr(df, -|t|): the two-sided Student t p-value.
+
+    At df 1 and |t| below 1e-2 stdtr itself drifts from the exact value, by
+    3e-9 relative at |t| = 1e-8, so there the exact (2 / pi) atan(1 / |t|)
+    stands in.
+    """
+    from scipy.special import stdtr
+
+    if df == 1 and abs(t) < 1e-2:
+        return 2 / math.pi * math.atan2(1.0, abs(t))
+    return 2.0 * float(stdtr(df, -abs(t)))

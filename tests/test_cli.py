@@ -718,10 +718,15 @@ def test_commands_without_scipy_never_import_it(dataset_dir, tmp_path, command):
     assert modules["scipy"] == []
 
 
-def test_report_imports_no_scipy_stats(dataset_dir, tmp_path):
-    modules = loaded_modules(report_args(dataset_dir, tmp_path / "r"))["scipy"]
-    assert "scipy.special" in modules
-    assert not [m for m in modules if m == "scipy.stats" or m.startswith("scipy.stats.")]
+@pytest.mark.parametrize("command", ["report", "oracle-check"])
+def test_report_and_oracle_check_load_no_scipy(dataset_dir, tmp_path, command):
+    argv = {
+        "report": report_args(dataset_dir, tmp_path / "r"),
+        "oracle-check": ["oracle-check", *inputs(dataset_dir), "--out", str(tmp_path / "o.json")],
+    }[command]
+    modules = loaded_modules(argv)
+    assert "numpy" in modules["numpy"]
+    assert modules["scipy"] == []
 
 
 def test_commands_call_the_names_the_tracer_wraps(dataset_dir, tmp_path, monkeypatch):

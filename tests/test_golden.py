@@ -51,7 +51,7 @@ GOLDEN = {
     'report/graphs.cache': 'b067083056cf5d1bbe244076b077a42dafb553e7145575dfed6c728ed46253cc',
     'report/overlap_curve.csv': '27bf92b54ca8bfd8b565c0abe5b028c0f88160528ff0cf8a05d3eef824a18b47',
     'report/overlap_user_k1.csv': 'bb25b84a828cdd7b663970ab6a4a179c0dc1a688a8bddc718790a381222df5e0',
-    'report/report.json': '6e0823e77fc04c7aebff1922aae14dc4987f958b9da73d87001a6422e864515e',
+    'report/report.json': '75fdb2d0568f08b046c6da272984a926f9c9ea5e620f70d9f4e5d47c691de4cd',
     'report/sampled_scores.csv': 'f837eb7f9e04da13ae47aa39957e307f742e350bb68b847020e3a90249c320f0',
     'report/user_metrics.csv': '783dfa2af67a1da8fb2f78f6199117488e81ef6ed75c1e4c4b002dce69abc5f3',
     'report_unique/activity.csv': 'e9e5e90ed3c5245c1352e3d3dd45f1cca5ff8ef97f4c5b50878cd076b525df5f',
@@ -66,21 +66,41 @@ GOLDEN = {
     'report_unique/graphs.cache': '3796ca1aca0a93d4d37bdd25e20db43d95696de105071bf88a0a564484a975df',
     'report_unique/overlap_curve.csv': 'd16c93e814b64f941a2e1bb730bd1d6d55f792511ba99930f2e6d954844ea001',
     'report_unique/overlap_user_k1.csv': 'e05eac08cbff41c1693b896364e37121e1d8de3595842c4c02841afcaa67dba9',
-    'report_unique/report.json': 'cf5de0509c37553ee4aa3ad37ee3d1d2d2d4c4f21f2e7fc92364a3c1e5d66532',
+    'report_unique/report.json': '4350386e4465579af75ab96f29be21c130285b70833bdcd6fc0ccdb23a709e0e',
     'report_unique/sampled_scores.csv': 'f391070641f8b2e1268b74983881b021767a5b28b4be749d7f6474d83e686bc1',
     'report_unique/user_metrics.csv': '45dd8e41ec0d2eb9eba6f3d65dbe48f40f77a4346398037186e854f08bd5496b',
     'validate.json': 'd0c64f4855374c3e885f9f02b8473cc48ca419802e7ce0caa90ee9abc5e127c2',
 }
 
 
-def echoscope(argv, hash_seed):
+# runs the CLI in an interpreter that refuses every scipy import, as one
+# without scipy installed would
+WITHOUT_SCIPY = """
+import sys
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+
+sys.meta_path.insert(0, RefuseScipy())
+from echoscope.cli import main
+
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def echoscope(argv, hash_seed, without_scipy=False):
     env = dict(
         os.environ,
         PYTHONHASHSEED=str(hash_seed),
         PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
     )
+    program = ["-c", WITHOUT_SCIPY] if without_scipy else ["-m", "echoscope.cli"]
     result = subprocess.run(
-        [sys.executable, "-m", "echoscope.cli", *argv],
+        [sys.executable, *program, *argv],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, (argv, result.stderr[-2000:])
@@ -120,3 +140,27 @@ def test_every_output_file_matches_its_golden_digest(tmp_path, hash_seed):
     digests = run_all(tmp_path, hash_seed)
     table = "".join(f"    {name!r}: {digest!r},\n" for name, digest in digests.items())
     assert digests == GOLDEN, f"fresh digests (PYTHONHASHSEED={hash_seed}):\nGOLDEN = {{\n{table}}}"
+
+
+def test_report_and_oracle_check_write_the_golden_files_without_scipy(tmp_path):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(SYNTH_CFG)
+    data = tmp_path / "data"
+    echoscope(["synth", "--config", str(cfg), "--out", str(data)], 1, without_scipy=True)
+    inputs = [
+        "--scores", str(data / "scores.csv"),
+        "--edges", str(data / "edges.csv"),
+        "--events", str(data / "events.jsonl"),
+    ]
+    report = ["report", *inputs, "--reps", "20", "--sample-n", "200", "--out", str(tmp_path / "report")]
+    echoscope(report, 1, without_scipy=True)
+    oracle = ["oracle-check", *inputs, "--max-events", "5000", "--out", str(tmp_path / "oracle.json")]
+    echoscope(oracle, 1, without_scipy=True)
+    cfg.unlink()
+    written = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.rglob("*"))
+        if path.is_file()
+    }
+    assert len(written) == 4 + 22 + 1  # inputs and truth, the report, the oracle diff
+    assert written == {name: GOLDEN[name] for name in written}

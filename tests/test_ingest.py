@@ -591,6 +591,15 @@ def test_columns_match_per_line_reference(tmp_path_factory, lines):
     assert kept.authors == tuple(sorted({e.author for e in kept.events}))
 
 
+@pytest.mark.parametrize("orig", [None, ""])
+def test_from_events_refuses_a_retweet_without_an_original_author(orig):
+    # the parsers refuse such a record with the same message; stored, it
+    # would carry orig_author -1 and fail validate_dataset later
+    with pytest.raises(InputFormatError, match="^retweet record lacks orig_author$"):
+        EventLog.from_events([ev("t0", "u", 0), rt("t1", "v", 1, orig)])
+    assert EventLog.from_events([rt("t1", "v", 1, "u")]).orig_author.tolist() == [0]
+
+
 def log_outcome(parse, path):
     """Every column of the log a parser reads, its domain table and both
     counters; or the text of its first input error."""

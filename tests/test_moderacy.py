@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 from conftest import ev, graphs_of, make_bundle, per_id, rt
 from echoscope import moderacy
@@ -18,6 +17,7 @@ from echoscope.graph import (
     RetweetGraph,
     build_follower_graph,
     build_retweet_graph,
+    count_matrix,
     left_sum,
     sample_random_friend_subset,
     user_space,
@@ -191,15 +191,17 @@ def test_set_sums_equal_fsum_bit_for_bit(data, scores):
         pooled[r, sorted(users)] = 1
     table = np.array(scores)
     limbs = score_limbs(table)
+    def csr(matrix):  # the stored positions of a dense matrix, which is all set_sums reads
+        return count_matrix(*np.nonzero(matrix), matrix.shape)
+
     # each user pooling itself reads its own row
-    itself = sparse.identity(len(held), dtype=np.int64, format="csr")
-    totals, sizes = set_sums(itself, sparse.csr_matrix(dense), *limbs)
+    totals, sizes = set_sums(csr(np.eye(len(held))), csr(dense), *limbs)
     assert sizes.tolist() == [len(cols) for cols in held]
     for u, cols in enumerate(held):
         assert totals[u].hex() == math.fsum(table[sorted(cols)].tolist()).hex()
     cells = data.draw(st.sampled_from([1, 3, n, 4 * n, moderacy.POOL_BLOCK_CELLS]))
     with mock.patch.object(moderacy, "POOL_BLOCK_CELLS", cells):
-        totals, sizes = set_sums(sparse.csr_matrix(pooled), sparse.csr_matrix(dense), *limbs)
+        totals, sizes = set_sums(csr(pooled), csr(dense), *limbs)
     for r, users in enumerate(pools):
         cols = set().union(*(held[u] for u in users))
         assert sizes[r] == len(cols)

@@ -1,7 +1,7 @@
 import json
 from importlib import resources
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from echoscope.ingest import parse_events
@@ -58,6 +58,15 @@ def test_wildcard_and_exception_rules():
     assert rules.registrable_domain("bar.ck") is None
     assert rules.registrable_domain("www.ck") == "www.ck"
     assert rules.registrable_domain("x.www.ck") == "www.ck"
+
+
+def test_one_label_exception_rule_leaves_the_last_label():
+    # "!ab" makes ab's public suffix empty, so ab itself is registrable
+    rules = SuffixRules(["!ab"])
+    assert rules.public_suffix("x.ab") == ""
+    assert rules.registrable_domain("x.ab") == "ab"
+    assert rules.registrable_domain("y.x.ab") == "ab"
+    assert rules.registrable_domain("ab") == "ab"
 
 
 def test_shortener_skip_list():
@@ -214,6 +223,8 @@ def reference_registrable_domain(rules, host):
     suffix = reference_public_suffix(rules, host)
     if host == suffix:
         return None
+    if not suffix:  # a one-label exception rule leaves an empty suffix
+        return host.rsplit(".", 1)[-1]
     prefix = host[: -(len(suffix) + 1)]
     return prefix.rsplit(".", 1)[-1] + "." + suffix
 
@@ -229,6 +240,9 @@ RULE_HOST = st.lists(st.sampled_from(["a", "b", "c", "d", ""]), max_size=6).map(
 
 @given(st.lists(RULE, max_size=12), st.lists(RULE_HOST, min_size=1, max_size=8))
 @settings(max_examples=500, deadline=None)
+# an exception rule of one label: its public suffix is empty, so the host's
+# last label is the registrable domain
+@example(rules=["!ab"], hosts=["x.ab", "ab", "y.x.ab"])
 def test_bounded_lookup_matches_a_scan_of_every_tail(rules, hosts):
     table = SuffixRules(rules)
     for host in hosts:

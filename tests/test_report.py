@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 import tracemalloc
 import weakref
@@ -15,11 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ev, make_bundle, rt
+from conftest import ev, make_bundle, rt, t_two_sided_reference, two_pass_r
 from echoscope import report as report_module
+from echoscope.cli import main
 from echoscope.errors import EchoscopeError
-from echoscope.ingest import write_domain_scores, write_events, write_follow_edges
+from echoscope.graph import build_follower_graph, build_retweet_graph, user_space
+from echoscope.ingest import load_dataset, write_domain_scores, write_events, write_follow_edges
+from echoscope.moderacy import MetricsEngine
 from echoscope.report import RunConfig, Take, _mean, _write_csv, build_report, write_report
+from echoscope.synth import SynthConfig, generate
 
 
 def run_config(tmp_path, **overrides):
@@ -399,3 +404,81 @@ def test_column_writer_refuses_ragged_tables(tmp_path):
         _write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2], [1]])
     with pytest.raises(ValueError):
         _write_csv(tmp_path / "t.csv", ["a"], [[1], [2]])
+
+
+# ---------------------------------------------------------------- correlation oracle
+
+# tests/test_golden.py's dataset, and perfbench's crit9 workload at its tiny scale
+GOLDEN_SYNTH = SynthConfig(
+    n_users=120, n_domains=30, follow_homophily=0.3, base_follow_prob=0.08, attention_bias=2.0,
+    activity_rate=8, retweet_rate=6, duration=100_000, seed=5,
+)
+CRIT9_TINY_SYNTH = SynthConfig(
+    n_users=400, n_domains=100, follow_homophily=0.2, base_follow_prob=0.05, attention_bias=5.0,
+    activity_rate=6.2, retweet_rate=4.0, duration=1_000_000, seed=7,
+)
+
+
+@pytest.mark.parametrize("synth, flags", [
+    (GOLDEN_SYNTH, ["--reps", "20", "--sample-n", "200"]),
+    (GOLDEN_SYNTH, ["--reps", "20", "--sample-n", "200",
+                    "--unique-domains", "--window", "20000..80000", "--k-max", "3"]),
+    (CRIT9_TINY_SYNTH, ["--reps", "20", "--baseline-users", "10", "--seed", "7"]),
+], ids=["golden", "golden-unique-window", "crit9-tiny"])
+def test_written_correlations_match_a_two_pass_loop_and_stdtr(tmp_path, synth, flags):
+    """Every correlations block of a written report.json: r within 1e-12 of a
+    plain two-pass loop over the pairs the report correlated, p within 1e-12
+    relative of 2 * stdtr(n - 2, -|t|) at the written r, and exactly 0.0 where
+    stdtr's tail is 0.0. The delta and m_s pairs are the ones
+    delta_vs_ms_k*.csv holds."""
+    bundle, _ = generate(synth)
+    paths = [str(tmp_path / name) for name in ("scores.csv", "edges.csv", "events.jsonl")]
+    write_domain_scores(bundle.scores, paths[0])
+    write_follow_edges(bundle.edges, paths[1])
+    write_events(bundle.log, paths[2])
+    out = tmp_path / "out"
+    inputs = ["--scores", paths[0], "--edges", paths[1], "--events", paths[2]]
+    assert main(["report", *inputs, *flags, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+
+    config = report["meta"]["config"]
+    loaded = load_dataset(*paths)
+    window = tuple(config["window"]) if config["window"] else None
+    loaded = dataclasses.replace(loaded, log=loaded.log.restricted(window))
+    space = user_space(loaded.seeds, loaded.edges, loaded.log)
+    engine = MetricsEngine(
+        loaded, build_follower_graph(space), build_retweet_graph(space), config["unique_domains"]
+    )
+    checked = 0
+    for k, blocks in report["correlations"].items():
+        mset = engine.metrics_at(int(k))
+        paired = np.flatnonzero(~np.isnan(engine.m_s) & ~np.isnan(mset.delta))
+        ms, delta = engine.m_s[paired].tolist(), mset.delta[paired].tolist()
+        with open(out / f"delta_vs_ms_k{k}.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows == [[engine.names[i], repr(m), repr(d)] for i, m, d in zip(paired, ms, delta)]
+        assert blocks["n_paired"] == len(paired)
+        pairs = {
+            "ms_vs_mef": (ms, mset.m_e_f[paired].tolist()),
+            "ms_vs_mer": (ms, mset.m_e_r[paired].tolist()),
+            "delta_vs_ms": (delta, ms),
+        }
+        for name, (xs, ys) in pairs.items():
+            block = blocks[name]
+            assert block["n"] == len(xs)
+            if block["r"] is None:
+                assert len(xs) < 3 or len(set(xs)) == 1 or len(set(ys)) == 1, block
+                continue
+            r = block["r"]
+            assert abs(r - two_pass_r(xs, ys)) <= 1e-12, (k, name)
+            if abs(r) == 1.0:
+                assert block["p"] == 0.0
+                continue
+            df = len(xs) - 2
+            reference = min(t_two_sided_reference(df, r * math.sqrt(df / (1.0 - r * r))), 1.0)
+            if reference == 0.0:
+                assert block["p"] == 0.0, (k, name)
+            elif reference / 2 >= sys.float_info.min:
+                assert abs(block["p"] - reference) <= 1e-12 * reference, (k, name)
+            checked += 1
+    assert checked >= 9

@@ -1,11 +1,12 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import betainc
+from scipy.special import betainc, betaln
 
 from echoscope.errors import UndefinedStatisticError
 from echoscope.graph import build_follower_graph, build_retweet_graph, user_space
@@ -18,8 +19,9 @@ from echoscope.stats import (
     mann_whitney_u,
     pearson,
     shannon_entropy,
+    student_t_two_sided,
 )
-from conftest import per_id, rt
+from conftest import per_id, rt, t_two_sided_reference
 
 
 # ---------------------------------------------------------------- pearson
@@ -61,7 +63,8 @@ def test_pearson_matches_direct_formula_oracle():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 10, 30, 100, 1000, 5000])
 def test_pearson_p_equals_scipy_stats_t_sf(n):
-    # the p-value the report has always written, bit for bit
+    # the p-value the report wrote while it called scipy, to 1e-12 relative;
+    # the tail is now computed here (student_t_two_sided)
     from scipy import stats
 
     rng = np.random.default_rng(n)
@@ -71,7 +74,50 @@ def test_pearson_p_equals_scipy_stats_t_sf(n):
         y = rho * x + math.sqrt(1 - rho * rho) * noise
         got = pearson(x.tolist(), y.tolist())
         t = got.r * math.sqrt((n - 2) / (1.0 - got.r * got.r))
-        assert got.p == min(2.0 * float(stats.t.sf(abs(t), n - 2)), 1.0), (rho, got)
+        assert got.p == pytest.approx(min(2.0 * float(stats.t.sf(abs(t), n - 2)), 1.0), rel=1e-12)
+
+
+# degrees of freedom on both sides of the series cut (a = df / 2 = 40) and of
+# the 1e4 bound; |t| from 1e-9 to 1e300, past the underflow of every tail but df 1's
+TAIL_DFS = [1, 2, 3, 4, 5, 9, 19, 20, 21, 79, 80, 81, 100, 333, 1000, 4999, 7672, 9999, 10_000,
+            30_001, 100_000, 300_000, 1_000_000]
+TAIL_TS = np.r_[np.geomspace(1e-9, 1e300, 140), np.linspace(0.05, 12.0, 40)].tolist()
+
+
+def ln_tail_upper_bound(df, t):
+    """An upper bound on ln P(T > |t|): I_x(a, 1/2) <= x^a (1 - x)^(-1/2) / (a B(a, 1/2))."""
+    ln_t2 = 2 * math.log(abs(t))
+    a, ln_s = df / 2, ln_t2 + math.log1p(df / t / t)  # ln(df + t²), t² may overflow
+    ln_x, ln_y = math.log(df) - ln_s, ln_t2 - ln_s
+    return a * ln_x - ln_y / 2 - math.log(a) - float(betaln(a, 0.5)) - math.log(2)
+
+
+@pytest.mark.parametrize("df", TAIL_DFS)
+def test_student_t_tail_matches_stdtr(df):
+    # relative error at most 1e-12 up to df 1e4 and 1e-10 beyond, wherever
+    # stdtr's own (one-sided) result is a normal float; exactly 0.0 wherever
+    # the true tail is below 1e-320
+    bound = 1e-12 if df <= 10_000 else 1e-10
+    checked = zeros = 0
+    for t in TAIL_TS:
+        got, ref = student_t_two_sided(df, t), t_two_sided_reference(df, t)
+        if ref / 2 >= sys.float_info.min:
+            assert abs(got - ref) <= bound * ref, (t, got, ref)
+            checked += 1
+        elif ln_tail_upper_bound(df, t) < math.log(1e-320) - 1:
+            assert got == 0.0, (t, got)
+            zeros += 1
+    assert checked >= 40
+    assert zeros > 0 or df == 1  # at df 1 the tail is about 1 / (pi |t|), never below 1e-320
+
+
+def test_student_t_tail_edges():
+    for df in (1, 2, 7672):
+        assert student_t_two_sided(df, 0.0) == 1.0
+        assert student_t_two_sided(df, -2.5) == student_t_two_sided(df, 2.5)
+    assert student_t_two_sided(7672, 40.0) == 0.0  # crit9's ms_vs_mef and ms_vs_mer read 0.0
+    assert student_t_two_sided(10, 1e200) == 0.0
+    assert 0.0 < student_t_two_sided(10, 3e30) < 1e-290  # a deep tail that is still normal
 
 
 def test_pearson_errors():
