@@ -97,7 +97,7 @@ REPORT_OPTIONS: dict[str, tuple[Callable[[str], object], dict[str, Any]]] = {
     "threads": (int, {"type": int, "help": "accepted for compatibility; has no effect"}),
     "no_cache": (config_bool, {"action": "store_true", "default": None}),
     "heatmap_bins": (int, {"type": int}),
-    "sample_n": (int, {"type": int}),
+    "sample_n": (int, {"type": int, "help": "accepted for compatibility; has no effect"}),
 }
 
 
@@ -117,7 +117,8 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
             values["window"] = _window(args.window)
         except ValueError as exc:
             raise InputFormatError(str(exc)) from None
-    values.pop("threads", None)  # accepted for compatibility; the report runs single-threaded
+    for key in ("threads", "sample_n"):  # accepted for compatibility; they have no effect
+        values.pop(key, None)
     missing = [key for key in ("scores", "edges", "events", "out") if key not in values]
     if missing:
         raise InputFormatError(f"missing required options: {', '.join('--' + m for m in missing)}")

@@ -1,6 +1,7 @@
 """Brute-force oracle: the engine's per-user metrics, recomputed by direct scans.
 
-Each side of compare_with_oracle is one name-keyed map per metric. The oracle
+``score_weights`` likewise rebuilds ``sampled_scores.csv`` from the edge list
+and the log. Each side of compare_with_oracle is one name-keyed map per metric. The oracle
 adds every float over a set in sorted order, so its output does not depend
 on the hash seed.
 """
@@ -272,6 +273,34 @@ def oracle_metrics(
         "overlap_curve_mean": overlap_curve_mean,
         "overlap_curve_n": overlap_curve_n,
     }
+
+
+def score_weights(bundle: DatasetBundle, m_s: dict[str, float]) -> list[tuple[str, float, int]]:
+    """The rows of sampled_scores.csv, by plain loops: per source, per distinct
+    score in ``m_s`` (scored user -> m_s) ascending, the summed weight of the
+    users holding it; a row of weight 0 is left out.
+
+    ``random_friend`` weights a user by the edges from seeds to it,
+    ``random_retweet_friend`` by the retweets of it that seeds posted, and
+    ``random_user`` by 1. Both indegrees are counted from the edge list and
+    the log, so to check a window, restrict the bundle's log first.
+    """
+    seeds = set(bundle.seeds)
+    follows = Counter(friend for follower, friend in bundle.edges.iter_edges() if follower in seeds)
+    retweets = Counter(
+        ev.original_author for ev in bundle.log.events if ev.kind == "retweet" and ev.author in seeds
+    )
+    rows = []
+    for source, weight in (
+        ("random_friend", follows),
+        ("random_retweet_friend", retweets),
+        ("random_user", dict.fromkeys(m_s, 1)),
+    ):
+        totals: dict[float, int] = {}
+        for user, score in m_s.items():
+            totals[score] = totals.get(score, 0) + weight.get(user, 0)
+        rows += [(source, score, totals[score]) for score in sorted(totals) if totals[score]]
+    return rows
 
 
 @dataclass

@@ -43,7 +43,7 @@ from .graph import (
     retweet_overlap,
     fraction_friends_retweeted,
     left_sum,
-    sample_friends_by_indegree,
+    sample_friends_by_indegree,  # unused here; perfbench/tracer.py wraps this name
     save_graph_cache,
     user_space,
 )
@@ -93,7 +93,6 @@ class RunConfig:
     unique_domains: bool = False
     no_cache: bool = False
     heatmap_bins: int = 25
-    sample_n: int = 500000
 
     def __post_init__(self) -> None:
         if self.k_min < 1 or self.k_max < self.k_min:
@@ -108,8 +107,6 @@ class RunConfig:
             raise EchoscopeError("baseline_users must be >= 0")
         if self.heatmap_bins < 1:
             raise EchoscopeError("heatmap_bins must be >= 1")
-        if self.sample_n < 1:
-            raise EchoscopeError("sample_n must be >= 1")
 
     def k_range(self) -> range:
         return range(self.k_min, self.k_max + 1)
@@ -145,11 +142,8 @@ def _jfloat(value):
 
 @dataclass(frozen=True)
 class Take:
-    """A table column whose cells are ``values[ids]``.
-
-    Each value that ``ids`` names is formatted once per write, however many
-    rows repeat it; a value no row names is not formatted at all.
-    """
+    """A table column whose cells are ``values[ids]``: each block formats
+    the values its rows name, and a value no row names is not formatted."""
 
     values: "Column"
     ids: np.ndarray
@@ -201,31 +195,12 @@ def _pick(values: Column, ids: np.ndarray) -> Union[np.ndarray, Iterable]:
 
 
 def _blocks(column: Column, n_rows: int) -> Iterator[list[str]]:
-    """A column's text, BLOCK_ROWS cells at a time.
-
-    A Take value that two or more rows name is formatted once for the whole
-    write; one that a single row names is formatted with that row's block and
-    dropped after it, so the text held at once grows with the shared values
-    and one block, not with the table.
-    """
-    if isinstance(column, Take):
-        values, ids = column.values, column.ids
-        shared = np.bincount(ids, minlength=len(values)) > 1
-        text = np.empty(len(values), dtype=object)
-        text[shared] = _text(_pick(values, np.flatnonzero(shared)))
-        for lo in range(0, n_rows, BLOCK_ROWS):
-            block = ids[lo : lo + BLOCK_ROWS]
-            single = ~shared[block]
-            if single.all():  # as a plain column, without the shared text
-                cells = _text(_pick(values, block))
-            else:
-                cells = text[block]
-                cells[single] = _text(_pick(values, block[single]))
-                cells = cells.tolist()
-            yield cells
-            del cells  # not held while the next block is formatted
-    else:
-        for lo in range(0, n_rows, BLOCK_ROWS):
+    """A column's text, BLOCK_ROWS cells at a time, so the text held at once
+    is one block's, not the table's."""
+    for lo in range(0, n_rows, BLOCK_ROWS):
+        if isinstance(column, Take):
+            yield _text(_pick(column.values, column.ids[lo : lo + BLOCK_ROWS]))
+        else:
             yield _text(column[lo : lo + BLOCK_ROWS])
 
 
@@ -235,20 +210,13 @@ def _plain(cells: list[str]) -> bool:
     return not any(ch in joined for ch in _CSV_SPECIAL)
 
 
-def _constant(cells: list[str]) -> bool:
-    """Whether every cell holds one text."""
-    return cells[0] == cells[-1] and cells.count(cells[0]) == len(cells)
-
-
 def _write_csv(path: Path, header: list[str], columns: list[Column]) -> None:
     """Write a header and columns as csv.writer(lineterminator="\\n") would.
 
     Blocks of plain rows are joined directly, in well under half the time
-    csv.writer takes for them, and a block in which one column alone varies
-    (a run of one ``source`` in sampled_scores.csv) is that column's cells
-    joined once, around the other cells' text. A block with a cell csv may
-    quote, or a table of one column (csv quotes a lone empty field), goes
-    through csv.writer, so the quoting rules stay csv's own.
+    csv.writer takes for them. A block with a cell csv may quote, or a table
+    of one column (csv quotes a lone empty field), goes through csv.writer,
+    so the quoting rules stay csv's own.
     """
     lengths = {len(column) for column in columns}
     if len(header) != len(columns) or len(lengths) > 1:
@@ -262,20 +230,8 @@ def _write_csv(path: Path, header: list[str], columns: list[Column]) -> None:
             if len(cells) == 1 or not all(_plain(cells[i]) for i in text_columns):
                 writer.writerows(zip(*cells))
             else:
-                _write_joined(fh, cells)
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
             del cells  # not held while the next block is formatted
-
-
-def _write_joined(fh, cells: tuple[list[str], ...]) -> None:
-    """Write a block of plain cells, one list per column, as joined rows."""
-    varying = [i for i, texts in enumerate(cells) if not _constant(texts)]
-    if len(varying) == 1:
-        (v,) = varying
-        head = "".join(texts[0] + "," for texts in cells[:v])
-        tail = "".join("," + texts[0] for texts in cells[v + 1 :])
-        fh.write(head + (tail + "\n" + head).join(cells[v]) + tail + "\n")
-    else:
-        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _corr_block(xs: list[float], ys: list[float]) -> dict:
@@ -581,23 +537,24 @@ def build_report(
         ],
     )
 
-    # indegree-proportional friend samples and the uniform random-user draw,
-    # as score ids: below len(m_s) a user, from there on a uniform draw
-    picks = {}
-    for source, graph_obj in (("random_friend", fg), ("random_retweet_friend", rg)):
-        if graph_obj.indegree().any():
-            drawn = sample_friends_by_indegree(
-                graph_obj, cfg.sample_n, substream(cfg.seed, "indegree-sample", source)
-            )
-            picks[source] = drawn[scored[drawn]]
-    uniform = substream(cfg.seed, "random-user-scores").random(cfg.sample_n)
-    picks["random_user"] = len(engine.m_s) + np.arange(cfg.sample_n)
-    source_ids = np.repeat(np.arange(len(picks)), [len(ids) for ids in picks.values()])
-    tables["sampled_scores.csv"] = (
-        ["source", "score"],
+    # each source's m_s distribution, exactly: per distinct score among the
+    # scored users, the follower-graph indegree, the retweet-graph indegree or
+    # the number of users that carries it; a weight of 0 gets no row
+    scores, score_ids = np.unique(engine.m_s[scored], return_inverse=True)
+    weights = np.stack(
         [
-            Take(list(picks), source_ids),
-            Take(np.concatenate([engine.m_s, uniform]), np.concatenate(list(picks.values()))),
+            np.bincount(score_ids, weights=graph_obj.indegree()[scored], minlength=len(scores))
+            for graph_obj in (fg, rg)
+        ]
+        + [np.bincount(score_ids, minlength=len(scores))]
+    ).astype(np.int64)
+    source_ids, rows = np.nonzero(weights)  # by source, then ascending score
+    tables["sampled_scores.csv"] = (
+        ["source", "score", "weight"],
+        [
+            Take(["random_friend", "random_retweet_friend", "random_user"], source_ids),
+            Take(scores, rows),
+            weights[source_ids, rows],
         ],
     )
 

@@ -287,11 +287,10 @@ def test_report_window_excluding_everything(dataset_dir, tmp_path):
         ("--heatmap-bins", "-3"),
         ("--baseline-users", "-1"),
         ("--entropy-bins", "1"),
-        ("--sample-n", "0"),
     ],
     ids=[
         "window-junk", "heatmap-bins-0", "heatmap-bins-minus-3", "baseline-users-minus-1",
-        "entropy-bins-1", "sample-n-0",
+        "entropy-bins-1",
     ],
 )
 def test_report_bad_window_exit_two(dataset_dir, tmp_path, capsys, caplog, flag, value):
@@ -422,7 +421,8 @@ def test_each_report_option_sets_one_field_alike_by_flag_and_by_file(tmp_path, k
     assert by_flag == by_file
     field = "out_dir" if key == "out" else key
     changed = {name for name, value in by_file.items() if value != base[name]}
-    assert changed == (set() if key == "threads" else {field})  # threads has no field
+    no_field = ("threads", "sample_n")  # accepted, with no effect
+    assert changed == (set() if key in no_field else {field})
 
 
 def test_report_missing_inputs_exit_two(tmp_path):
@@ -578,6 +578,20 @@ def test_report_threads_do_not_change_bytes(dataset_dir, tmp_path):
     main(report_args(dataset_dir, tmp_path / "t4", ["--threads", "4"]))
     for name in sorted(os.listdir(tmp_path / "t1")):
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t4" / name).read_bytes(), name
+
+
+def test_report_sample_n_does_not_change_bytes(dataset_dir, tmp_path):
+    # sampled_scores.csv holds exact weights, so --sample-n and the sample_n
+    # key are accepted and ignored
+    base = ["report", *inputs(dataset_dir), "--reps", "20"]
+    assert main([*base, "--out", str(tmp_path / "without")]) == 0
+    assert main([*base, "--sample-n", "7", "--out", str(tmp_path / "flag")]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sample_n = 7\n")
+    assert main([*base, "--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
+    without = read_outputs(tmp_path / "without")
+    assert read_outputs(tmp_path / "flag") == without
+    assert read_outputs(tmp_path / "file") == without
 
 
 # ---------------------------------------------------------------- oracle-check

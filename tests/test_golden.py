@@ -51,8 +51,8 @@ GOLDEN = {
     'report/graphs.cache': 'b067083056cf5d1bbe244076b077a42dafb553e7145575dfed6c728ed46253cc',
     'report/overlap_curve.csv': '27bf92b54ca8bfd8b565c0abe5b028c0f88160528ff0cf8a05d3eef824a18b47',
     'report/overlap_user_k1.csv': 'bb25b84a828cdd7b663970ab6a4a179c0dc1a688a8bddc718790a381222df5e0',
-    'report/report.json': '75fdb2d0568f08b046c6da272984a926f9c9ea5e620f70d9f4e5d47c691de4cd',
-    'report/sampled_scores.csv': 'f837eb7f9e04da13ae47aa39957e307f742e350bb68b847020e3a90249c320f0',
+    'report/report.json': '1c7d1f9faf788edc0c95c09e6610a2dbbb6626996b5658a18633ff5662b5fcd7',
+    'report/sampled_scores.csv': '36cc51d518db8c22d0dcb9de0a17a47e26f38ee75422de3a0e89f46ef2e4041b',
     'report/user_metrics.csv': '783dfa2af67a1da8fb2f78f6199117488e81ef6ed75c1e4c4b002dce69abc5f3',
     'report_unique/activity.csv': 'e9e5e90ed3c5245c1352e3d3dd45f1cca5ff8ef97f4c5b50878cd076b525df5f',
     'report_unique/class_fractions.csv': 'f672d977073215e804b994866ba85b95be24320ae3d647b70109222d347699ac',
@@ -66,8 +66,8 @@ GOLDEN = {
     'report_unique/graphs.cache': '3796ca1aca0a93d4d37bdd25e20db43d95696de105071bf88a0a564484a975df',
     'report_unique/overlap_curve.csv': 'd16c93e814b64f941a2e1bb730bd1d6d55f792511ba99930f2e6d954844ea001',
     'report_unique/overlap_user_k1.csv': 'e05eac08cbff41c1693b896364e37121e1d8de3595842c4c02841afcaa67dba9',
-    'report_unique/report.json': '4350386e4465579af75ab96f29be21c130285b70833bdcd6fc0ccdb23a709e0e',
-    'report_unique/sampled_scores.csv': 'f391070641f8b2e1268b74983881b021767a5b28b4be749d7f6474d83e686bc1',
+    'report_unique/report.json': '12091165158594025614b51203aed1cf599970739170a65f9ecc35dc754dd2f8',
+    'report_unique/sampled_scores.csv': '2e7ed85d757c4b0ed32bbdae0dd7c5d13d20e486ac794013ad5acc855035aa5b',
     'report_unique/user_metrics.csv': '45dd8e41ec0d2eb9eba6f3d65dbe48f40f77a4346398037186e854f08bd5496b',
     'validate.json': 'd0c64f4855374c3e885f9f02b8473cc48ca419802e7ce0caa90ee9abc5e127c2',
 }

@@ -411,42 +411,6 @@ def test_positions_reps_replays_choice(case):
     assert_same_stream(got_rng, want_rng)
 
 
-@st.composite
-def weight_vectors(draw):
-    """Indegree-like weights: uniform, random, heavy-tailed, single, or one dominant.
-
-    The dominant target crowds thousands of weight-1 targets into a few guide
-    buckets, so their draws need more steps than GUIDE_PASSES and take the
-    binary search.
-    """
-    kind = draw(st.sampled_from(["uniform", "integers", "zipf", "single", "dominant"]))
-    if kind == "single":
-        return np.array([draw(st.integers(1, 10**6))], dtype=np.float64)
-    m = draw(st.integers(2, 20_000))
-    if kind == "uniform":
-        return np.ones(m)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    if kind == "integers":
-        return rng.integers(1, 500, m).astype(np.float64)
-    if kind == "zipf":
-        return rng.zipf(1.5, m).astype(np.float64)
-    weights = np.ones(max(m, 2000))
-    weights[draw(st.integers(0, len(weights) - 1))] = 2000.0 * len(weights)
-    return weights
-
-
-@settings(max_examples=200, deadline=None)
-@given(weight_vectors(), st.one_of(st.just(1), st.integers(1, 40_000)), st.integers(0, 2**32))
-def test_weighted_draws_replay_choice(weights, n, key):
-    want_rng, got_rng = skipped(key, 1), skipped(key, 1)
-    p = weights / weights.sum()
-    want = want_rng.choice(len(p), size=n, replace=True, p=p)
-    got = graph.weighted_draws(weights, n, got_rng)
-    assert got.dtype == np.int64
-    np.testing.assert_array_equal(got, want)
-    assert_same_stream(got_rng, want_rng)
-
-
 def count_calls(monkeypatch):
     calls = []
     one = graph.random_friend_positions

@@ -114,7 +114,7 @@ def test_report_means_match_oracle(seed, unique_domains, tmp_path):
     bundle = synth_bundle(seed, n_users=40, base_follow_prob=0.2, activity_rate=4.0)
     cfg = RunConfig(
         scores="unused", edges="unused", events="unused", out_dir=str(tmp_path),
-        k_max=1, reps=5, sample_n=10, unique_domains=unique_domains,
+        k_max=1, reps=5, unique_domains=unique_domains,
     )
     write_report(build_report(bundle, cfg), cfg.out_dir)
     report = json.loads((tmp_path / "report.json").read_text())
@@ -202,7 +202,7 @@ def test_report_row_sets_match_oracle(seed, unique_domains, tmp_path):
     assert not followed & {"outsider0", "outsider1", "outsider2"}
     cfg = RunConfig(
         scores="unused", edges="unused", events="unused", out_dir=str(tmp_path),
-        k_max=1, reps=5, sample_n=10, unique_domains=unique_domains,
+        k_max=1, reps=5, unique_domains=unique_domains,
     )
     write_report(build_report(bundle, cfg), cfg.out_dir)
     oracle = oracle_metrics(bundle, k=1, n_bins=cfg.entropy_bins, unique_domains=unique_domains)

@@ -16,13 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ev, make_bundle, rt, t_two_sided_reference, two_pass_r
+from conftest import ev, graphs_of, make_bundle, rt, t_two_sided_reference, two_pass_r
 from echoscope import report as report_module
 from echoscope.cli import main
 from echoscope.errors import EchoscopeError
 from echoscope.graph import build_follower_graph, build_retweet_graph, user_space
 from echoscope.ingest import load_dataset, write_domain_scores, write_events, write_follow_edges
 from echoscope.moderacy import MetricsEngine
+from echoscope.oracle import oracle_metrics, score_weights
 from echoscope.report import RunConfig, Take, _mean, _write_csv, build_report, write_report
 from echoscope.synth import SynthConfig, generate
 
@@ -31,7 +32,7 @@ def run_config(tmp_path, **overrides):
     base = dict(
         scores="unused", edges="unused", events="unused",
         out_dir=str(tmp_path / "out"),
-        k_min=1, k_max=3, reps=10, sample_n=50, seed=3,
+        k_min=1, k_max=3, reps=10, seed=3,
     )
     base.update(overrides)
     return RunConfig(**base)
@@ -167,7 +168,6 @@ def test_run_config_validation(tmp_path):
         ("heatmap_bins", -3),
         ("baseline_users", -1),
         ("entropy_bins", 1),
-        ("sample_n", 0),
     ):
         with pytest.raises(EchoscopeError, match=field):
             run_config(tmp_path, **{field: value})
@@ -181,6 +181,7 @@ def test_report_on_empty_window(rich_bundle, tmp_path):
     assert "no scored users" in sections["markers"]
     assert sections["correlations"]["1"]["n_paired"] == 0
     assert sections["correlations"]["1"]["ms_vs_mef"]["r"] is None
+    assert len(report.tables["sampled_scores.csv"][1][0]) == 0  # no scored user, no row
     os.mkdir(cfg.out_dir)
     write_report(report, cfg.out_dir)  # must not raise
 
@@ -207,16 +208,14 @@ class Unprintable:
 
 def test_write_report_replaces_each_file_atomically(rich_bundle, tmp_path, monkeypatch):
     report = build_report(rich_bundle, run_config(tmp_path))
-    header, columns = report.tables["sampled_scores.csv"]
-    sources, scores = (values(column) for column in columns)
-    assert len(scores) > 20
+    table = "echo_heatmap_f.csv"
+    header, columns = report.tables[table]
+    cells = [values(column) for column in columns]
+    assert len(cells[0]) > 20
     tables = dict(report.tables)
-    tables["sampled_scores.csv"] = (
+    tables[table] = (
         header,
-        [
-            sources[:10] + ["random_user"] + sources[10:],
-            scores[:10] + [Unprintable()] + scores[10:],
-        ],
+        [column[:10] + [cell] + column[10:] for column, cell in zip(cells, [0, 0, Unprintable()])],
     )
     broken = dataclasses.replace(report, tables=tables)
     # the bad cell is in the third block, after two blocks have been written
@@ -235,7 +234,7 @@ def test_write_report_replaces_each_file_atomically(rich_bundle, tmp_path, monke
     with pytest.raises(RuntimeError, match="cannot format"):
         write_report(broken, str(fresh))
     names = os.listdir(fresh)
-    assert "sampled_scores.csv" not in names
+    assert table not in names
     assert "report.json" in names
     assert not any(name.endswith(".tmp") for name in names)
 
@@ -290,8 +289,7 @@ def table_columns(draw, n_rows: int):
     row, taken or listed; a repeated text may be one that csv must quote.
     Mixed ids name one value never, one at least twice where there are two
     rows or more and the rest any number of times, shuffled, so values that one row names
-    fall on both sides of block boundaries, as sampled_scores.csv's uniform
-    draws do among its friend scores.
+    fall on both sides of block boundaries.
     """
     shape = draw(st.sampled_from(["cells", "ids", "runs", "constant", "listed constant", "mixed"]))
     if shape == "cells":
@@ -482,3 +480,91 @@ def test_written_correlations_match_a_two_pass_loop_and_stdtr(tmp_path, synth, f
                 assert abs(block["p"] - reference) <= 1e-12 * reference, (k, name)
             checked += 1
     assert checked >= 9
+
+
+# ---------------------------------------------------------------- sampled_scores.csv
+
+
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+@pytest.mark.parametrize("window", [None, (20_000, 80_000)], ids=["all", "window"])
+def test_score_weights_sum_to_each_sources_scored_total(tmp_path, monkeypatch, window):
+    """Per source the weights add up to that graph's indegree over the scored
+    users (random_user: their number), each source's scores ascend strictly,
+    no weight is 0, and no substream is drawn for the table."""
+    keys = []
+    substream = report_module.substream
+
+    def recording(seed, *parts):
+        keys.append(parts[0])
+        return substream(seed, *parts)
+
+    monkeypatch.setattr(report_module, "substream", recording)
+    bundle, _ = generate(GOLDEN_SYNTH)
+    cfg = run_config(tmp_path, window=window)
+    report = build_report(bundle, cfg)
+    os.mkdir(cfg.out_dir)
+    write_report(report, cfg.out_dir)
+    header, *rows = read_rows(Path(cfg.out_dir) / "sampled_scores.csv")
+    assert header == ["source", "score", "weight"]
+
+    bundle = dataclasses.replace(bundle, log=bundle.log.restricted(window))
+    fg, rg = graphs_of(bundle)
+    scored = ~np.isnan(MetricsEngine(bundle, fg, rg).m_s)
+    totals = {
+        "random_friend": int(fg.indegree()[scored].sum()),
+        "random_retweet_friend": int(rg.indegree()[scored].sum()),
+        "random_user": report.sections["counts"]["n_scored_users"],
+    }
+    assert all(totals.values())
+    assert [source for source, _, _ in rows] == sorted(
+        (source for source, _, _ in rows), key=list(totals).index
+    )
+    for source, total in totals.items():
+        pairs = [(float(score), int(weight)) for name, score, weight in rows if name == source]
+        assert sum(weight for _, weight in pairs) == total, source
+        scores = [score for score, _ in pairs]
+        assert all(a < b for a, b in zip(scores, scores[1:])), source
+        assert min(weight for _, weight in pairs) > 0, source
+    assert "baseline" in keys
+    assert not {"indegree-sample", "random-user-scores"} & set(keys)
+
+
+@pytest.mark.parametrize("synth, flags", [
+    (GOLDEN_SYNTH, ["--reps", "5"]),
+    (GOLDEN_SYNTH, ["--reps", "5", "--unique-domains"]),
+    (GOLDEN_SYNTH, ["--reps", "5", "--window", "20000..80000"]),
+    (CRIT9_TINY_SYNTH, ["--reps", "5", "--baseline-users", "10", "--seed", "7"]),
+], ids=["golden", "golden-unique", "golden-window", "crit9-tiny"])
+def test_written_score_weights_match_the_oracle_loop(tmp_path, synth, flags):
+    """Every row of a written sampled_scores.csv equals ``oracle.score_weights``
+    over the (window-restricted) inputs and the m_s that user_metrics.csv
+    writes; those m_s are the oracle's own within 1e-12."""
+    bundle, _ = generate(synth)
+    paths = [str(tmp_path / name) for name in ("scores.csv", "edges.csv", "events.jsonl")]
+    write_domain_scores(bundle.scores, paths[0])
+    write_follow_edges(bundle.edges, paths[1])
+    write_events(bundle.log, paths[2])
+    out = tmp_path / "out"
+    inputs = ["--scores", paths[0], "--edges", paths[1], "--events", paths[2]]
+    assert main(["report", *inputs, *flags, "--out", str(out)]) == 0
+    config = json.loads((out / "report.json").read_text())["meta"]["config"]
+
+    loaded = load_dataset(*paths)
+    window = tuple(config["window"]) if config["window"] else None
+    loaded = dataclasses.replace(loaded, log=loaded.log.restricted(window))
+    header, *metrics = read_rows(out / "user_metrics.csv")
+    at = header.index("m_s")
+    m_s = {row[0]: float(row[at]) for row in metrics if row[at]}
+    oracle = oracle_metrics(
+        loaded, unique_domains=config["unique_domains"], max_events=len(loaded.log)
+    )["m_s"]
+    assert set(m_s) == set(oracle)
+    assert max(abs(m_s[user] - oracle[user]) for user in m_s) <= 1e-12
+
+    want = [[source, repr(score), str(weight)] for source, score, weight in score_weights(loaded, m_s)]
+    assert {row[0] for row in want} == {"random_friend", "random_retweet_friend", "random_user"}
+    assert read_rows(out / "sampled_scores.csv") == [["source", "score", "weight"], *want]
