@@ -8,7 +8,8 @@ The analyses hand back per-seed values as vectors over the graphs' seed rows
 vectors over user ids; each table's columns are those vectors, indexed where
 they are computed, and every mean in report.json adds its values left to
 right in seed (or user) order. ``write_report`` writes report.json, then
-every table, formatting a column at a time and writing blocks of rows.
+every table: each column is formatted whole as text, and csv.writer writes
+the rows. The largest table has one row per user.
 
 Every byte written is a pure function of (inputs, semantic config, seed):
 worker counts, cache usage, and output locations never leak into file
@@ -25,7 +26,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -67,8 +68,6 @@ from .stats import entropy_comparison, format_p, mann_whitney_u, pearson
 log = logging.getLogger(__name__)
 
 OVERLAP_BOTH = "both"
-BLOCK_ROWS = 1 << 16  # rows formatted and written per write call
-_CSV_SPECIAL = (",", '"', "\r", "\n")  # csv may quote a field holding one of these
 
 
 # RunConfig fields that name files or say how the work is run; every other
@@ -140,22 +139,10 @@ def _jfloat(value):
     return value
 
 
-@dataclass(frozen=True)
-class Take:
-    """A table column whose cells are ``values[ids]``: each block formats
-    the values its rows name, and a value no row names is not formatted."""
-
-    values: "Column"
-    ids: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
 # A float64 array writes each value's repr and NaN as an empty field, an int
 # array each value's str; a list holds strings, None (an empty field) or
 # numbers.
-Column = Union[np.ndarray, list, Take]
+Column = Union[np.ndarray, list]
 Table = tuple[list[str], list[Column]]  # a CSV's header and columns
 
 
@@ -168,70 +155,27 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _is_text(column: Column) -> bool:
-    """Whether a column's cells may hold characters that csv quotes."""
-    if isinstance(column, Take):
-        return _is_text(column.values)
-    return not (isinstance(column, np.ndarray) and column.dtype.kind in "biuf")
-
-
-def _text(values: Union[np.ndarray, Iterable]) -> list[str]:
-    """An array's cells, or the values of a list or iterator, as unquoted text."""
-    if not _is_text(values):
-        if values.dtype.kind != "f":
-            return list(map(str, values.tolist()))
-        cells = list(map(repr, values.tolist()))
-        for i in np.flatnonzero(np.isnan(values)).tolist():
-            cells[i] = ""
-        return cells
-    return [_cell(v) for v in values]
-
-
-def _pick(values: Column, ids: np.ndarray) -> Union[np.ndarray, Iterable]:
-    """The values at ``ids``: an array for an array, else an iterator."""
-    if isinstance(values, np.ndarray):
-        return values[ids]
-    return map(values.__getitem__, ids.tolist())
-
-
-def _blocks(column: Column, n_rows: int) -> Iterator[list[str]]:
-    """A column's text, BLOCK_ROWS cells at a time, so the text held at once
-    is one block's, not the table's."""
-    for lo in range(0, n_rows, BLOCK_ROWS):
-        if isinstance(column, Take):
-            yield _text(_pick(column.values, column.ids[lo : lo + BLOCK_ROWS]))
-        else:
-            yield _text(column[lo : lo + BLOCK_ROWS])
-
-
-def _plain(cells: list[str]) -> bool:
-    """Whether csv writes every one of these cells as it is."""
-    joined = "".join(cells)
-    return not any(ch in joined for ch in _CSV_SPECIAL)
+def _text(column: Column) -> list[str]:
+    """A column's cells as text."""
+    if isinstance(column, list):
+        return list(map(_cell, column))
+    if column.dtype.kind != "f":
+        return list(map(str, column.tolist()))
+    cells = list(map(repr, column.tolist()))
+    for i in np.flatnonzero(np.isnan(column)).tolist():
+        cells[i] = ""
+    return cells
 
 
 def _write_csv(path: Path, header: list[str], columns: list[Column]) -> None:
-    """Write a header and columns as csv.writer(lineterminator="\\n") would.
-
-    Blocks of plain rows are joined directly, in well under half the time
-    csv.writer takes for them. A block with a cell csv may quote, or a table
-    of one column (csv quotes a lone empty field), goes through csv.writer,
-    so the quoting rules stay csv's own.
-    """
+    """Write a header and columns with csv.writer(lineterminator="\\n")."""
     lengths = {len(column) for column in columns}
     if len(header) != len(columns) or len(lengths) > 1:
         raise ValueError(f"{path.name}: {len(header)} names for column lengths {sorted(lengths)}")
-    n_rows = lengths.pop() if lengths else 0
-    text_columns = [i for i, column in enumerate(columns) if _is_text(column)]
     with atomic_open(str(path)) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for cells in zip(*(_blocks(column, n_rows) for column in columns)):
-            if len(cells) == 1 or not all(_plain(cells[i]) for i in text_columns):
-                writer.writerows(zip(*cells))
-            else:
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-            del cells  # not held while the next block is formatted
+        writer.writerows(zip(*map(_text, columns)))
 
 
 def _corr_block(xs: list[float], ys: list[float]) -> dict:
@@ -313,6 +257,11 @@ def _columns(rows: list[tuple], width: int) -> list[list]:
     return [list(column) for column in zip(*rows)] or [[] for _ in range(width)]
 
 
+def _at(values: list, ids: np.ndarray) -> list:
+    """A list's values at ``ids``, in order."""
+    return [values[i] for i in ids.tolist()]
+
+
 def _mean(values: list) -> Optional[float]:
     """The left-to-right mean of a list; None when it is empty."""
     return _jfloat(left_sum(values) / len(values)) if values else None
@@ -370,14 +319,14 @@ def build_report(
         }
         delta_tables[f"delta_vs_ms_k{k}.csv"] = (
             ["user", "m_s", "delta"],
-            [Take(fg.names, paired), engine.m_s[paired], mset.delta[paired]],
+            [_at(fg.names, paired), engine.m_s[paired], mset.delta[paired]],
         )
     user_ids = metrics_k1.user_ids
     per_user = (engine.mu, engine.m_s, metrics_k1.m_e_f, metrics_k1.m_e_r, metrics_k1.delta)
     tables["user_metrics.csv"] = (
         ["user", "mu", "m_s", "m_e_f", "m_e_r", "delta", "class", "domain_count"],
         [
-            Take(fg.names, user_ids),
+            _at(fg.names, user_ids),
             *(values[user_ids] for values in per_user),
             class_names(engine.class_code[user_ids]),
             engine.domain_count[user_ids],
@@ -410,7 +359,7 @@ def build_report(
     seed_rows = np.flatnonzero(~np.isnan(per_seed).all(axis=1))
     tables["overlap_user_k1.csv"] = (
         ["user", "fraction_friends_retweeted", "overlap_account", "overlap_content"],
-        [Take(fg.seeds, seed_rows), *per_seed[seed_rows].T],
+        [_at(fg.seeds, seed_rows), *per_seed[seed_rows].T],
     )
 
     # heatmaps of m_s vs exposure at k=1
@@ -478,7 +427,7 @@ def build_report(
         markers.append("entropy comparison has no eligible users")
     tables["entropy.csv"] = (
         ["user", "entropy_follower", "entropy_retweet", "n_friends_scored_f", "n_friends_scored_r"],
-        [Take(fg.seeds, rows), entropy_f[rows], entropy_r[rows], n_f[rows], n_r[rows]],
+        [_at(fg.seeds, rows), entropy_f[rows], entropy_r[rows], n_f[rows], n_r[rows]],
     )
     tables.update(delta_tables)
 
@@ -505,7 +454,7 @@ def build_report(
     }
     tables["activity.csv"] = (
         ["friend", "activity", "retweeted", "friend_class"],
-        [Take(fg.names, friends), activity, retweeted.astype(np.int64), class_names(friend_codes)],
+        [_at(fg.names, friends), activity, retweeted.astype(np.int64), class_names(friend_codes)],
     )
 
     # congruence of retweeted vs not-retweeted friends
@@ -531,7 +480,7 @@ def build_report(
     tables["congruence.csv"] = (
         ["user", "user_class", "frac_congruent_retweeted", "frac_congruent_not_retweeted", "diff"],
         [
-            Take(fg.seeds, rows),
+            _at(fg.seeds, rows),
             class_names(seed_codes[rows]),
             *(values[rows] for values in (frac_r, frac_n, diff)),
         ],
@@ -552,8 +501,8 @@ def build_report(
     tables["sampled_scores.csv"] = (
         ["source", "score", "weight"],
         [
-            Take(["random_friend", "random_retweet_friend", "random_user"], source_ids),
-            Take(scores, rows),
+            _at(["random_friend", "random_retweet_friend", "random_user"], source_ids),
+            scores[rows],
             weights[source_ids, rows],
         ],
     )

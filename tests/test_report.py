@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import io
@@ -6,10 +7,8 @@ import math
 import os
 import sys
 import tempfile
-import tracemalloc
 import weakref
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from echoscope.graph import build_follower_graph, build_retweet_graph, user_spac
 from echoscope.ingest import load_dataset, write_domain_scores, write_events, write_follow_edges
 from echoscope.moderacy import MetricsEngine
 from echoscope.oracle import oracle_metrics, score_weights
-from echoscope.report import RunConfig, Take, _mean, _write_csv, build_report, write_report
+from echoscope.report import RunConfig, _mean, _write_csv, build_report, write_report
 from echoscope.synth import SynthConfig, generate
 
 
@@ -40,9 +39,6 @@ def run_config(tmp_path, **overrides):
 
 def values(column) -> list:
     """A table column's cell values, in row order."""
-    if isinstance(column, Take):
-        source = values(column.values)
-        return [source[i] for i in column.ids.tolist()]
     return column.tolist() if isinstance(column, np.ndarray) else list(column)
 
 
@@ -201,25 +197,36 @@ def test_single_overlap_mode(rich_bundle, tmp_path):
     assert set(values(report.tables["overlap_curve.csv"][1][0])) == {"account"}
 
 
-class Unprintable:
-    def __str__(self):
-        raise RuntimeError("cannot format this value")
-
-
 def test_write_report_replaces_each_file_atomically(rich_bundle, tmp_path, monkeypatch):
     report = build_report(rich_bundle, run_config(tmp_path))
     table = "echo_heatmap_f.csv"
     header, columns = report.tables[table]
     cells = [values(column) for column in columns]
     assert len(cells[0]) > 20
+    opened, partial = [], []
+    real_open = report_module.atomic_open
+
+    @contextlib.contextmanager
+    def noting(path):
+        with real_open(path) as fh:
+            opened.append(fh)
+            yield fh
+
+    class Unprintable:
+        def __str__(self):
+            # the table's temporary file already holds its header
+            fh = opened[-1]
+            fh.flush()
+            partial.append((Path(fh.name).name, Path(fh.name).read_text()))
+            raise RuntimeError("cannot format this value")
+
     tables = dict(report.tables)
     tables[table] = (
         header,
         [column[:10] + [cell] + column[10:] for column, cell in zip(cells, [0, 0, Unprintable()])],
     )
     broken = dataclasses.replace(report, tables=tables)
-    # the bad cell is in the third block, after two blocks have been written
-    monkeypatch.setattr(report_module, "BLOCK_ROWS", 4)
+    monkeypatch.setattr(report_module, "atomic_open", noting)
     # over a complete earlier report: every file keeps its complete old bytes
     out = tmp_path / "again"
     out.mkdir()
@@ -237,6 +244,10 @@ def test_write_report_replaces_each_file_atomically(rich_bundle, tmp_path, monke
     assert table not in names
     assert "report.json" in names
     assert not any(name.endswith(".tmp") for name in names)
+    assert len(partial) == 2
+    for tmp_name, text in partial:
+        assert tmp_name.startswith(table) and tmp_name.endswith(".tmp")
+        assert text == ",".join(header) + "\n"
 
 
 def _fmt(value) -> str:
@@ -282,32 +293,12 @@ def plain_columns(draw, n_rows: int):
 
 @st.composite
 def table_columns(draw, n_rows: int):
-    """A column of any cells, or one that repeats a few values or one value.
-
-    Repeats come as arbitrary ids, as sorted ids (runs that may cross a block
-    boundary, like ``source`` in sampled_scores.csv) or as one value in every
-    row, taken or listed; a repeated text may be one that csv must quote.
-    Mixed ids name one value never, one at least twice where there are two
-    rows or more and the rest any number of times, shuffled, so values that one row names
-    fall on both sides of block boundaries.
-    """
-    shape = draw(st.sampled_from(["cells", "ids", "runs", "constant", "listed constant", "mixed"]))
-    if shape == "cells":
+    """A column of any cells, or one value in every row; a repeated text may
+    be one that csv must quote."""
+    if draw(st.booleans()):
         return draw(plain_columns(n_rows))
-    if shape == "mixed":
-        fixed = [1, 1, 2][:n_rows]
-        drawn = st.integers(1, n_rows + 1)
-        more = draw(st.lists(drawn, min_size=n_rows - len(fixed), max_size=n_rows - len(fixed)))
-        ids = draw(st.permutations(fixed + more))
-        return Take(draw(plain_columns(n_rows + 2)), np.array(ids, dtype=np.int64))
-    n_values = 1 if "constant" in shape else draw(st.integers(1 if n_rows else 0, 4))
-    values = draw(plain_columns(n_values))
-    if shape == "listed constant":
-        return np.repeat(values, n_rows) if isinstance(values, np.ndarray) else values * n_rows
-    ids = draw(st.lists(st.integers(0, max(n_values - 1, 0)), min_size=n_rows, max_size=n_rows))
-    if shape == "runs":
-        ids.sort()
-    return Take(values, np.array(ids, dtype=np.int64))
+    value = draw(plain_columns(1))
+    return np.repeat(value, n_rows) if isinstance(value, np.ndarray) else value * n_rows
 
 
 @st.composite
@@ -318,59 +309,14 @@ def tables(draw):
     return header, [draw(table_columns(n_rows)) for _ in range(width)]
 
 
-@given(tables(), st.integers(1, 5))
+@given(tables())
 @settings(max_examples=400, deadline=None)
-def test_column_writer_matches_row_writer(table, block_rows):
+def test_column_writer_matches_row_writer(table):
     header, columns = table
-    with (
-        tempfile.TemporaryDirectory() as tmp,
-        mock.patch.object(report_module, "BLOCK_ROWS", block_rows),
-    ):
+    with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         _write_csv(path, header, columns)
         assert path.read_bytes() == reference_csv(header, columns)
-
-
-def test_column_writer_sampled_scores_shape(tmp_path, monkeypatch):
-    # blocks of 4: one source, then a source change inside the block, then a
-    # block whose rows all repeat one source and one score
-    monkeypatch.setattr(report_module, "BLOCK_ROWS", 4)
-    sources = ["random_friend", "random_retweet_friend", "random_user"]
-    source_ids = np.repeat(np.arange(3), [5, 3, 4])
-    score_ids = np.array([0, 2, 0, 3, 1, 0, 0, 2, 3, 3, 3, 3])
-    scores = Take(np.array([0.25, math.nan, 1e-05, 0.5]), score_ids)
-    columns = [Take(sources, source_ids), scores]
-    path = tmp_path / "t.csv"
-    _write_csv(path, ["source", "score"], columns)
-    assert path.read_bytes() == reference_csv(["source", "score"], columns)
-    lines = path.read_text().splitlines()
-    assert lines[4:8] == [
-        "random_friend,0.5",
-        "random_friend,",
-        "random_retweet_friend,0.25",
-        "random_retweet_friend,0.25",
-    ]
-    assert lines[9:] == ["random_user,0.5"] * 4
-
-
-def test_column_writer_formats_single_use_values_a_block_at_a_time(tmp_path, monkeypatch):
-    # 100k distinct floats, each named by one row: formatting them all before
-    # the first row (their reprs, a float list, an object array) peaks near
-    # 12 MiB under tracemalloc; a block of 1,000 at a time stays near 1.2 MiB
-    monkeypatch.setattr(report_module, "BLOCK_ROWS", 1000)
-    n_rows = 100_000
-    values = np.random.default_rng(0).random(n_rows)
-    ids = np.random.default_rng(1).permutation(n_rows)
-    column = Take(values, ids)
-    path = tmp_path / "t.csv"
-    tracemalloc.start()
-    try:
-        _write_csv(path, ["score"], [column])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
-    assert path.read_text().split("\n")[1:4] == [repr(v) for v in values[ids[:3]].tolist()]
 
 
 def test_column_writer_keeps_csv_quirks(tmp_path):
@@ -388,12 +334,11 @@ def test_column_writer_never_writes_numpy_scalar_reprs(tmp_path):
         np.array([0.5, np.nan, -0.0]),
         np.array([3, -4, 2**62], dtype=np.int64),
         [np.float64(0.5), np.int64(7), np.float64("nan")],
-        Take(np.array([0.25]), np.zeros(3, dtype=np.int64)),
     ]
-    _write_csv(path, ["f", "i", "listed", "taken"], columns)
+    _write_csv(path, ["f", "i", "listed"], columns)
     text = path.read_text()
     assert "np." not in text
-    rows = ["f,i,listed,taken", "0.5,3,0.5,0.25", ",-4,7,0.25", f"-0.0,{2**62},,0.25"]
+    rows = ["f,i,listed", "0.5,3,0.5", ",-4,7", f"-0.0,{2**62},"]
     assert text == "\n".join(rows) + "\n"
 
 
