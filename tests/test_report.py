@@ -319,6 +319,53 @@ def test_column_writer_matches_row_writer(table):
         assert path.read_bytes() == reference_csv(header, columns)
 
 
+def test_column_writer_sampled_scores_shape(tmp_path):
+    # sampled_scores.csv's columns as build_report makes them: source names
+    # taken by id, scores picked from the distinct m_s, int weights
+    sources = ["random_friend", "random_retweet_friend", "random_user"]
+    source_ids = np.repeat(np.arange(3), [3, 2, 4])
+    distinct = np.array([1e-05, 0.25, 0.5, math.nan])
+    rows = np.array([0, 1, 3, 1, 2, 0, 1, 2, 3])
+    weights = np.array([7, 1, 2**40, 3, 5, 1, 1, 1, 1], dtype=np.int64)
+    columns = [report_module._at(sources, source_ids), distinct[rows], weights]
+    path = tmp_path / "t.csv"
+    _write_csv(path, ["source", "score", "weight"], columns)
+    assert path.read_bytes() == reference_csv(["source", "score", "weight"], columns)
+    assert path.read_text().splitlines() == [
+        "source,score,weight",
+        "random_friend,1e-05,7",
+        "random_friend,0.25,1",
+        f"random_friend,,{2**40}",
+        "random_retweet_friend,0.25,3",
+        "random_retweet_friend,0.5,5",
+        "random_user,1e-05,1",
+        "random_user,0.25,1",
+        "random_user,0.5,1",
+        "random_user,,1",
+    ]
+
+
+def test_column_writer_writes_a_user_sized_table_exactly(tmp_path):
+    # one row per user, as in the per-user tables: distinct floats taken in a
+    # shuffled order with NaNs scattered among them, ints and listed names
+    n_rows = 10_000
+    rng = np.random.default_rng(0)
+    floats = rng.random(n_rows)
+    floats[rng.choice(n_rows, 300, replace=False)] = math.nan
+    ids = rng.permutation(n_rows)
+    names = report_module._at([f"user{i}" for i in range(n_rows)], ids)
+    columns = [names, floats[ids], ids.astype(np.int64), floats[ids].tolist()]
+    path = tmp_path / "t.csv"
+    _write_csv(path, ["user", "f", "i", "listed"], columns)
+    assert path.read_bytes() == reference_csv(["user", "f", "i", "listed"], columns)
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == n_rows
+    for row, i in zip(rows, ids.tolist()):
+        want = "" if math.isnan(floats[i]) else repr(float(floats[i]))
+        assert row == [f"user{i}", want, str(i), want]
+
+
 def test_column_writer_keeps_csv_quirks(tmp_path):
     # a bare \r is not quoted under lineterminator="\n"; a lone empty field is
     path = tmp_path / "t.csv"
