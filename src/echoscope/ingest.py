@@ -24,21 +24,24 @@ errors, and makes a csv fault an input error at that line. The score table
 is a plain dict, domain -> score.
 
 The event parser fills columns (``EventLog``): interned author and
-original-author ids, an int64 timestamp array, a retweet mask and a CSR of
-interned domain ids, sorted once by (timestamp, tweet id). A block wholly in
-the compact shape ``write_events`` writes (``_CANONICAL_EVENT``) is read in
-bulk: one regex pass takes its lines, each urls array as raw text, and
-``_url_arrays`` checks the block's arrays together with string operations
-(quotes pair up within each array, no backslash or control byte, each
-distinct text between two strings a separator the grammar allows) and
-splits their URLs out with one call; their hosts are found by one regex
-pass and their users interned in bulk. Any other block is decoded by json
-one line at a time, each line checked on its own at its own line number,
-with the same result and the same errors; a byte that is not UTF-8 sends
-the whole file down that per-line path, which decides which error comes
-first. Each block is folded into the columns before the next is read. The
-host memo is probed once per URL, and each distinct URL host is resolved to
-its registrable domain once. The analyses read the columns;
+original-author ids, an int64 timestamp array and a CSR of interned domain
+ids, sorted once by (timestamp, tweet id). A row is a retweet exactly when it
+has an original author; the retweet mask is derived from that column. A
+block wholly in the compact shape ``write_events`` writes
+(``_CANONICAL_EVENT``) is read in bulk: one regex pass takes its lines, each
+urls array as raw text, and ``_url_arrays`` checks the block's arrays
+together with string operations (quotes pair up within each array, no
+backslash or control byte, each distinct text between two strings a
+separator the grammar allows) and splits their URLs out with one call; their
+hosts are found by one regex pass. Any other block is decoded by json one
+line at a time, each line checked on its own at its own line number, with
+the same result and the same errors; a byte that is not UTF-8 sends the
+whole file down that per-line path, which decides which error comes first.
+Either way a block's authors and original authors are interned in one pass,
+and the block is folded into the columns before the next is read. The host
+memo is probed once per URL, and each distinct URL host is resolved to its
+registrable domain once, ``extract_pld`` being handed the host already found
+rather than finding it again. The analyses read the columns;
 ``EventLog.events`` gives the same log as ``TweetEvent`` objects, built only
 when read. ``read_key_values`` reads the ``key = value`` config files of
 ``report --config`` and ``synth --config``.
@@ -189,8 +192,9 @@ class EventLog:
 
     ``users`` is the sorted table of every author and retweeted account;
     ``author`` and ``orig_author`` (-1 for an original tweet) index it.
-    ``ts`` holds the timestamps, ``retweet`` marks retweets and ``tweet_ids``
-    the ids. Each event's registrable domains, in URL order, are
+    ``ts`` holds the timestamps and ``tweet_ids`` the ids. ``retweet`` marks
+    the rows with an original author; it is derived from ``orig_author``, not
+    stored. Each event's registrable domains, in URL order, are
     ``domain_ids[domain_ptr[e]:domain_ptr[e + 1]]``, indices into ``domains``.
     The arrays are read-only.
 
@@ -202,7 +206,6 @@ class EventLog:
     users: tuple[str, ...]
     author: np.ndarray
     ts: np.ndarray
-    retweet: np.ndarray
     orig_author: np.ndarray
     domains: tuple[str, ...]
     domain_ptr: np.ndarray
@@ -211,7 +214,7 @@ class EventLog:
     n_self_retweets_dropped: int = 0
 
     def __post_init__(self) -> None:
-        for column in (self.tweet_ids, self.author, self.ts, self.retweet, self.orig_author,
+        for column in (self.tweet_ids, self.author, self.ts, self.orig_author,
                        self.domain_ptr, self.domain_ids):
             column.flags.writeable = False
 
@@ -226,8 +229,7 @@ class EventLog:
             [ev.tweet_id for ev in events],
             [ev.author for ev in events],
             [ev.timestamp for ev in events],
-            [ev.kind == KIND_RETWEET for ev in events],
-            [ev.original_author for ev in events],
+            [ev.original_author if ev.kind == KIND_RETWEET else None for ev in events],
             [len(ev.domains) for ev in events],
             [domain_id.setdefault(d, len(domain_id)) for ev in events for d in ev.domains],
         )
@@ -243,6 +245,13 @@ class EventLog:
         ids = np.flatnonzero(np.bincount(self.author, minlength=len(users)))
         return tuple(users[a] for a in ids.tolist())
 
+    @cached_property
+    def retweet(self) -> np.ndarray:
+        """Whether each row is a retweet: whether it has an original author."""
+        retweet = self.orig_author >= 0
+        retweet.flags.writeable = False
+        return retweet
+
     @property
     def n_retweets(self) -> int:
         return int(np.count_nonzero(self.retweet))
@@ -253,12 +262,12 @@ class EventLog:
         flat, ptr = self.domain_ids.tolist(), self.domain_ptr.tolist()
         return tuple(
             TweetEvent(
-                tweet_id, users[a], t, KIND_RETWEET if rt else KIND_ORIGINAL,
+                tweet_id, users[a], t, KIND_RETWEET if o >= 0 else KIND_ORIGINAL,
                 users[o] if o >= 0 else None, tuple(domains[d] for d in flat[lo:hi]),
             )
-            for tweet_id, a, t, rt, o, lo, hi in zip(
+            for tweet_id, a, t, o, lo, hi in zip(
                 self.tweet_ids.tolist(), self.author.tolist(), self.ts.tolist(),
-                self.retweet.tolist(), self.orig_author.tolist(), ptr, ptr[1:],
+                self.orig_author.tolist(), ptr, ptr[1:],
             )
         )
 
@@ -275,8 +284,7 @@ class EventLog:
         at = np.repeat(self.domain_ptr[:-1][rows] - ptr[:-1], lengths) + np.arange(ptr[-1])
         return replace(
             self, tweet_ids=self.tweet_ids[rows], author=self.author[rows], ts=self.ts[rows],
-            retweet=self.retweet[rows], orig_author=self.orig_author[rows],
-            domain_ptr=ptr, domain_ids=self.domain_ids[at],
+            orig_author=self.orig_author[rows], domain_ptr=ptr, domain_ids=self.domain_ids[at],
         )
 
     def restricted(self, window: Optional[tuple[int, int]]) -> "EventLog":
@@ -295,25 +303,26 @@ class _EventColumns:
         self.user_id: dict[str, int] = {}  # in order of first appearance
         self.author = array("q")
         self.ts = array("q")
-        self.retweet = array("b")
         self.orig_author = array("q")
         self.domain_ptr = array("q", [0])
         self.domain_ids = array("q")
 
-    def extend(
-        self, tweet_ids, authors, ts, retweet, orig_authors, domain_counts, domain_ids
-    ) -> None:
+    def extend(self, tweet_ids, authors, ts, orig_authors, domain_counts, domain_ids) -> None:
         """Append a batch of events, one item each per column; an original
-        author that is None or '' is none. ``domain_ids`` holds the batch's
-        domain ids flat, ``domain_counts`` how many of them each event has."""
-        user_id = self.user_id
+        author that is None or '' is none, and an event with one is a
+        retweet. ``domain_ids`` holds the batch's domain ids flat,
+        ``domain_counts`` how many of them each event has.
+
+        The authors and then the original authors are interned in one pass,
+        so users are numbered in that order of first appearance."""
         self.tweet_ids.extend(tweet_ids)
-        self.author.frombytes(_intern(user_id, authors).tobytes())
-        self.ts.frombytes(np.asarray(ts, dtype=np.int64).tobytes())
-        self.retweet.extend(retweet)
         has_orig = list(map(bool, orig_authors))
-        orig = np.full(len(has_orig), -1, dtype=np.int64)
-        orig[has_orig] = _intern(user_id, list(compress(orig_authors, has_orig)))
+        n = len(has_orig)
+        ids = _intern(self.user_id, [*authors, *compress(orig_authors, has_orig)])
+        orig = np.full(n, -1, dtype=np.int64)
+        orig[has_orig] = ids[n:]
+        self.author.frombytes(ids[:n].tobytes())
+        self.ts.frombytes(np.asarray(ts, dtype=np.int64).tobytes())
         self.orig_author.frombytes(orig.tobytes())
         ptr = np.cumsum(domain_counts, dtype=np.int64) + self.domain_ptr[-1]
         self.domain_ptr.frombytes(ptr.tobytes())
@@ -337,7 +346,6 @@ class _EventColumns:
             tuple(names[i] for i in by_name),
             rank[np.frombuffer(self.author, dtype=np.int64)],
             ts,
-            np.frombuffer(self.retweet, dtype=np.int8).astype(bool),
             rank[np.frombuffer(self.orig_author, dtype=np.int64)],
             tuple(domains),
             np.frombuffer(self.domain_ptr, dtype=np.int64),
@@ -912,14 +920,14 @@ class _EventFold:
         kept = domain >= 0
         self.n_urls_dropped += n_dropped + len(urls) - int(np.count_nonzero(kept))
         self.cols.extend(
-            tweet_ids, authors, ts, list(map(bool, orig_authors)), orig_authors,
+            tweet_ids, authors, ts, orig_authors,
             np.bincount(url_event[kept], minlength=len(tweet_ids)), domain[kept],
         )
 
     def domain_ids(self, urls: list[str]) -> np.ndarray:
         """The domain id of each URL, -1 for none; one memo probe per URL, and
         ``extract_pld`` is called once for each host new to the log, on one
-        of its URLs."""
+        of its URLs and the host ``hosts_of`` found for it."""
         hosts = hosts_of(urls)
         host_domain, domain_id = self.host_domain, self.domain_id
         ids = np.fromiter(map(host_domain.get, hosts, repeat(_UNSEEN)), np.int64, len(hosts))
@@ -927,7 +935,7 @@ class _EventFold:
         for at in new_at:
             host = hosts[at]
             if host not in host_domain:  # not an earlier URL of this batch either
-                pld = extract_pld(urls[at])
+                pld = extract_pld(urls[at], host)
                 host_domain[host] = -1 if pld is None else domain_id.setdefault(pld, len(domain_id))
         ids[new_at] = list(map(host_domain.__getitem__, map(hosts.__getitem__, new_at)))
         return ids

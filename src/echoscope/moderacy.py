@@ -307,8 +307,8 @@ def exposure_class_fractions(
 def random_baseline_fractions(
     engine: "MetricsEngine",
     user: str,
-    reps: int = 1000,
-    rng: Optional[np.random.Generator] = None,
+    reps: int,
+    rng: np.random.Generator,
     k: int = 1,
 ) -> Optional[float]:
     """Moderate share of the pools of random friend subsets matched in size.
@@ -319,8 +319,6 @@ def random_baseline_fractions(
     skipped). The hardline share is one minus it. None when the user has no
     friend, no retweet friend, or no repetition pooled anything.
     """
-    if rng is None:
-        raise EchoscopeError("random_baseline_fractions needs an explicit rng")
     row = engine.seed_row.get(user)
     if row is None:
         return None

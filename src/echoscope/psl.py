@@ -8,6 +8,10 @@ suffix is unknown fall back to the implicit "*" rule (rightmost label).
 ``SuffixRules`` keeps one table, rule -> kind bits, and the label count of
 its deepest rule, so a lookup reads only that many tails of the host, each a
 slice of the host string.
+
+A URL's host is found by ``_host_of``, or for many URLs at once by
+``hosts_of`` with one pattern (``_URL_HOST_RE``); ``extract_pld`` takes the
+host so found, and finds it itself only when it is not given.
 """
 from __future__ import annotations
 
@@ -161,25 +165,20 @@ def hosts_of(urls: list[str]) -> list[Optional[str]]:
     return hosts
 
 
-# the host of a URL of the usual lowercase shape, as ``_host_of`` takes it: a
-# scheme, "://", the host and then "/", "?", "#" or the very end
-_URL_HOST_AT_START_RE = re.compile(r"[a-z]+://([a-z0-9_.-]*[a-z0-9_-])(?=[/?#]|\Z)")
-
-
-def extract_pld(url: str, skip_plds: FrozenSet[str] = DEFAULT_SHORTENER_SKIP) -> Optional[str]:
+def extract_pld(url: str, host: Optional[str] = None) -> Optional[str]:
     """Registrable domain of ``url``, or None when one cannot be determined.
 
-    Never raises: bare IPs, hosts on the shortener skip list, and anything
-    unparseable all map to None.
+    ``host``, when given, is ``_host_of(url)`` as a caller has already found
+    it (``hosts_of`` finds it for many URLs at once); otherwise it is found
+    here. Never raises: bare IPs, hosts on the shortener skip list, and
+    anything unparseable all map to None.
     """
-    if not isinstance(url, str):
-        return None
-    usual = _URL_HOST_AT_START_RE.match(url)
-    host = usual[1] if usual else _host_of(url)
+    if host is None and isinstance(url, str):
+        host = _host_of(url)
     if host is None or not is_valid_pld(host):
         return None
     pld = default_rules().registrable_domain(host)
-    if pld is None or pld in skip_plds:
+    if pld is None or pld in DEFAULT_SHORTENER_SKIP:
         return None
     return pld
 

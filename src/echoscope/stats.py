@@ -207,15 +207,12 @@ def _approx_u_pvalue(tie_sizes: list[int], n1: int, u: float) -> float:
     return min(p, 1.0)
 
 
-def mann_whitney_u(
-    a: Sequence[float], b: Sequence[float], method: str = "auto"
-) -> UTestResult:
+def mann_whitney_u(a: Sequence[float], b: Sequence[float]) -> UTestResult:
     """Rank-sum U for sample ``a`` with a two-sided p-value.
 
-    Ties share average ranks. With method="auto" the p-value is exact
-    (subset-count enumeration of the permutation distribution) when
-    n1*n2 <= EXACT_U_THRESHOLD and a tie-corrected, continuity-corrected
-    normal approximation otherwise; "exact"/"approx" force one route. A NaN
+    Ties share average ranks. The p-value is exact (subset-count enumeration
+    of the permutation distribution) when n1*n2 <= EXACT_U_THRESHOLD and a
+    tie-corrected, continuity-corrected normal approximation otherwise. A NaN
     or infinite value has no rank and raises UndefinedStatisticError.
     """
     n1, n2 = len(a), len(b)
@@ -231,12 +228,10 @@ def mann_whitney_u(
     u2 = rank2_a - n1 * (n1 + 1)
     u = u2 / 2.0
 
-    if method == "exact" or (method == "auto" and n1 * n2 <= EXACT_U_THRESHOLD):
+    if n1 * n2 <= EXACT_U_THRESHOLD:
         p = _exact_u_pvalue(ranks2, n1, u2)
-    elif method in ("approx", "auto"):
-        p = _approx_u_pvalue(tie_sizes, n1, u)
     else:
-        raise UndefinedStatisticError(f"unknown method {method!r}")
+        p = _approx_u_pvalue(tie_sizes, n1, u)
     return UTestResult(u, p, n1, n2)
 
 

@@ -215,15 +215,15 @@ def generate(config: SynthConfig) -> tuple[DatasetBundle, GroundTruth]:
     ts = np.concatenate((orig_ts, np.asarray(rt_ts, dtype=np.int64)))
     order = np.lexsort((author, ts))
     source = np.concatenate((np.arange(n_originals), np.asarray(rt_of, dtype=np.int64)))[order]
-    retweet = (order >= n_originals).tolist()
     domain_index: dict[str, int] = {}  # in order of first appearance, as from_events
     cols = _EventColumns()
     cols.extend(
         [f"t{e:09d}" for e in range(order.size)],
         list(map(users.__getitem__, author[order].tolist())),
         ts[order],
-        retweet,
-        [users[a] if rt else None for a, rt in zip(author[source].tolist(), retweet)],
+        # a retweet's original author is its source's author; an original has none
+        [users[a] if e >= n_originals else None
+         for e, a in zip(order.tolist(), author[source].tolist())],
         np.ones(order.size, dtype=np.int64),
         _intern(domain_index, [domains[orig_domain[s]] for s in source.tolist()]),
     )

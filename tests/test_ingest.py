@@ -2,7 +2,7 @@ import csv
 import io
 import json
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from unittest import mock
 
 import numpy as np
@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ev, make_bundle, rt
-from echoscope import ingest
+from echoscope import ingest, psl
 from echoscope.errors import EchoscopeError, InputFormatError
 from echoscope.ingest import (
     KIND_ORIGINAL,
@@ -28,7 +28,7 @@ from echoscope.ingest import (
     write_events,
     write_follow_edges,
 )
-from echoscope.psl import extract_pld
+from echoscope.psl import _host_of, extract_pld
 
 
 def write(path, text):
@@ -598,6 +598,66 @@ def test_from_events_refuses_a_retweet_without_an_original_author(orig):
     with pytest.raises(InputFormatError, match="^retweet record lacks orig_author$"):
         EventLog.from_events([ev("t0", "u", 0), rt("t1", "v", 1, orig)])
     assert EventLog.from_events([rt("t1", "v", 1, "u")]).orig_author.tolist() == [0]
+
+
+def test_from_events_matches_the_parse_of_its_written_file(tmp_path):
+    # an original that names an original author: the parsers ignore that
+    # name, and so does from_events
+    events = [ev("t0", "u", 0, orig="ghost", domains=["a.example"]), rt("t1", "v", 1, "u")]
+    log = EventLog.from_events(events)
+    path = str(tmp_path / "ev.jsonl")
+    write_events(log, path)
+    parsed = parse_events(path)
+    assert log.users == parsed.users == ("u", "v")
+    assert log.orig_author.tolist() == [-1, 0]
+    for column in ("author", "orig_author", "retweet"):
+        assert getattr(log, column).tolist() == getattr(parsed, column).tolist()
+
+
+def test_retweet_flag_is_derived_and_read_only():
+    log = EventLog.from_events(
+        [ev("t0", "u", 0), rt("t1", "v", 1, "u"), rt("t2", "u", 2, "w"), ev("t3", "w", 3)]
+    )
+    assert "retweet" not in {field.name for field in fields(EventLog)}
+    taken = log.take(np.array([3, 1, 0]))
+    assert taken.retweet.tolist() == [False, True, False]
+    assert log.restricted((1, 2)).retweet.tolist() == [True, True]
+    for part in (log, taken, log.restricted((1, 2)), log.restricted((5, 9))):
+        assert part.retweet.tolist() == (part.orig_author >= 0).tolist()
+        assert part.n_retweets == int(np.count_nonzero(part.orig_author >= 0))
+        with pytest.raises(ValueError, match="read-only"):
+            part.retweet[:] = True
+        with pytest.raises(FrozenInstanceError):
+            part.retweet = np.ones(len(part), dtype=bool)
+
+
+@pytest.mark.parametrize("separators", [(",", ":"), (", ", ": ")])  # bulk, and json per line
+def test_each_url_host_is_found_once(tmp_path, monkeypatch, separators):
+    # upper-case schemes fall outside hosts_of's pattern, so each URL's host
+    # is found by _host_of; extract_pld is handed it on each memo miss
+    n_hosts = 5
+    lines = [
+        json.dumps({"id": f"t{i:02d}", "author": "u", "ts": i, "kind": KIND_ORIGINAL,
+                    "urls": [f"HTTP://News{i % n_hosts}.example/{i}", f"HTTPS://a.example/{i}"]},
+                   separators=separators)
+        for i in range(12)
+    ]
+    path = write(tmp_path / "ev.jsonl", "\n".join(lines) + "\n")
+    assert bool(ingest._CANONICAL_EVENT.fullmatch(lines[0])) == (separators == (",", ":"))
+    host_calls = []
+    extract_calls = []
+    monkeypatch.setattr(psl, "_host_of", lambda url: host_calls.append(url) or _host_of(url))
+    monkeypatch.setattr(
+        ingest, "extract_pld", lambda *args: extract_calls.append(args) or extract_pld(*args)
+    )
+    log = parse_events(path)
+    assert sorted(host_calls) == sorted(url for line in lines for url in json.loads(line)["urls"])
+    assert sorted(args[1] for args in extract_calls) == sorted(
+        [f"news{h}.example" for h in range(n_hosts)] + ["a.example"]
+    )
+    assert log.domains == (
+        "news0.example", "a.example", *(f"news{h}.example" for h in range(1, n_hosts))
+    )
 
 
 def log_outcome(parse, path):

@@ -481,7 +481,8 @@ def test_baseline_absent_without_retweet_friends():
         [("u", "f1")],
         [ev("t1", "u", 1, domains=["own.x"]), ev("t2", "f1", 2, domains=["a.x"])],
     )
-    assert random_baseline_fractions(engine_of(bundle), "u", rng=substream(1, "x")) is None
+    engine = engine_of(bundle)
+    assert random_baseline_fractions(engine, "u", reps=10, rng=substream(1, "x")) is None
 
 
 def test_baseline_matches_per_friend_subset_loop():
@@ -602,11 +603,6 @@ def test_baseline_clamp_warns_once_per_seed(caplog):
     assert "subset size 4 exceeds 2 friends of c" in clamps[0].getMessage()
     fg, _ = graphs_of(bundle)
     assert frac == subset_loop_baseline(engine, fg, "c", 4, 5, substream(2, "b"))
-
-
-def test_baseline_requires_rng():
-    with pytest.raises(EchoscopeError, match="rng"):
-        random_baseline_fractions(engine_of(baseline_fixture()), "u")
 
 
 # ---------------------------------------------------------------- activity

@@ -73,8 +73,8 @@ def test_shortener_skip_list():
     assert "bit.ly" in DEFAULT_SHORTENER_SKIP
     assert extract_pld("http://bit.ly/abc123") is None
     assert extract_pld("https://sub.bit.ly/abc") is None
-    # a custom skip list overrides the default
-    assert extract_pld("http://bit.ly/abc", skip_plds=frozenset()) == "bit.ly"
+    # the skip list, not the suffix rules, is what drops it
+    assert default_rules().registrable_domain("bit.ly") == "bit.ly"
 
 
 def test_numeric_or_malformed_labels():
@@ -286,14 +286,14 @@ def reference_is_valid_pld(value):
     )
 
 
-def reference_extract_pld(url, skip_plds=DEFAULT_SHORTENER_SKIP):
+def reference_extract_pld(url):
     if not isinstance(url, str):
         return None
     host = _host_of(url)
     if host is None or not reference_is_valid_pld(host):
         return None
     pld = reference_registrable_domain(SNAPSHOT_RULES, host)
-    if pld is None or pld in skip_plds:
+    if pld is None or pld in DEFAULT_SHORTENER_SKIP:
         return None
     return pld
 
@@ -320,7 +320,13 @@ PLD_URL = st.builds(
 @settings(max_examples=1000, deadline=None)
 def test_extract_pld_matches_the_reference(url):
     assert extract_pld(url) == reference_extract_pld(url)
-    assert extract_pld(url, skip_plds=frozenset()) == reference_extract_pld(url, frozenset())
+
+
+@given(st.one_of(PLD_URL, ANY_URL))
+@settings(max_examples=1000, deadline=None)
+def test_extract_pld_takes_the_host_hosts_of_found(url):
+    # parse_events hands over the host it found rather than have it found again
+    assert extract_pld(url, hosts_of([url])[0]) == extract_pld(url)
 
 
 LABELISH = st.text(alphabet="ab09_-.\n\u00e9A ", max_size=12)
