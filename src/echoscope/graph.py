@@ -327,35 +327,19 @@ def sample_friends_by_indegree(
     return targets[rng.choice(targets.size, n, p=weights / weights.sum())]
 
 
-def random_friend_positions(
-    user: str, n_friends: int, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Positions of a uniform draw without replacement from a user's friend list.
-
-    size clamps to n_friends; drawing every friend (or none) consumes no
-    randomness.
-    """
-    if size > n_friends:
-        logging.getLogger(__name__).warning(
-            "subset size %d exceeds %d friends of %s; clamping", size, n_friends, user
-        )
-        size = n_friends
-    if size <= 0:
-        return np.empty(0, dtype=np.int64)
-    if size == n_friends:
-        return np.arange(n_friends)
-    return rng.choice(n_friends, size=size, replace=False)
-
-
 def random_friend_positions_reps(
     user: str, n_friends: int, size: int, reps: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """A (reps, size) array whose rows are reps consecutive random_friend_positions draws.
+    """A (reps, size) array of friend-list positions, each row a uniform draw
+    without replacement from a user's n_friends friends.
 
-    rng ends in the state those calls leave. A size above n_friends clamps
-    with one warning. Small subsets on a Philox stream are replayed in bulk
-    (_replay_choice); everything else, and any replay that meets a Lemire
-    rejection, is drawn one call at a time from the state saved before.
+    A size above n_friends clamps with one warning. Drawing every friend (or
+    none) gives arange(size) in every row and consumes no randomness. Any
+    other row is what rng.choice(n_friends, size, replace=False) draws, and
+    rng ends in the state reps such calls leave. Small subsets on a Philox
+    stream are replayed in bulk (_replay_choice); everything else, and any
+    replay that meets a Lemire rejection, calls choice once per row from the
+    state saved before.
     """
     if size > n_friends:
         logging.getLogger(__name__).warning(
@@ -363,15 +347,17 @@ def random_friend_positions_reps(
         )
         size = n_friends
     out = np.empty((reps, max(size, 0)), dtype=np.int64)
+    if size <= 0 or size == n_friends:
+        out[:] = np.arange(out.shape[1])
+        return out
     bitgen = rng.bit_generator
     saved = bitgen.state
     # a replay pays a few numpy calls per position and per earlier pick, a
     # choice call costs about two of them, so only small subsets drawn more
     # times than they have positions are replayed; numpy's tail-shuffle
-    # branch and size == n_friends are left to choice
+    # branch is left to choice
     replay = (
         isinstance(bitgen, np.random.Philox)
-        and 0 < size < n_friends
         and size <= REPLAY_MAX_SIZE
         and reps > size
         and not (n_friends > 10000 and size > n_friends // 50)
@@ -380,7 +366,7 @@ def random_friend_positions_reps(
         return out
     bitgen.state = saved
     for row in out:
-        row[:] = random_friend_positions(user, n_friends, size, rng)
+        row[:] = rng.choice(n_friends, size=size, replace=False)
     return out
 
 
@@ -439,9 +425,13 @@ def _replay_choice(out: np.ndarray, bitgen: np.random.Philox, state: dict, n: in
 def sample_random_friend_subset(
     user: str, fg: FollowerGraph, size: int, rng: np.random.Generator
 ) -> frozenset[str]:
-    """Uniform sample of friends without replacement; size clamps to |friends|."""
+    """Uniform sample of friends without replacement; size clamps to |friends|.
+
+    One row of random_friend_positions_reps, so it makes the one choice call
+    that row makes.
+    """
     friends = sorted(fg.friends(user))
-    idx = random_friend_positions(user, len(friends), size, rng)
+    idx = random_friend_positions_reps(user, len(friends), size, 1, rng)[0]
     return frozenset(friends[i] for i in idx.tolist())
 
 

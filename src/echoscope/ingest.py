@@ -220,20 +220,24 @@ class EventLog:
 
     @classmethod
     def from_events(cls, events: Iterable[TweetEvent]) -> "EventLog":
+        """The log of ``events``, as ``parse_events`` reads their written
+        file: a self-retweet is dropped before any name is interned, and
+        counted in ``n_self_retweets_dropped``."""
         events = list(events)
         if any(ev.kind == KIND_RETWEET and ev.original_author in (None, "") for ev in events):
             raise InputFormatError("retweet record lacks orig_author")
+        kept = [ev for ev in events if ev.kind != KIND_RETWEET or ev.original_author != ev.author]
         domain_id: dict[str, int] = {}
         cols = _EventColumns()
         cols.extend(
-            [ev.tweet_id for ev in events],
-            [ev.author for ev in events],
-            [ev.timestamp for ev in events],
-            [ev.original_author if ev.kind == KIND_RETWEET else None for ev in events],
-            [len(ev.domains) for ev in events],
-            [domain_id.setdefault(d, len(domain_id)) for ev in events for d in ev.domains],
+            [ev.tweet_id for ev in kept],
+            [ev.author for ev in kept],
+            [ev.timestamp for ev in kept],
+            [ev.original_author if ev.kind == KIND_RETWEET else None for ev in kept],
+            [len(ev.domains) for ev in kept],
+            [domain_id.setdefault(d, len(domain_id)) for ev in kept for d in ev.domains],
         )
-        return cols.log(domain_id, 0, 0)
+        return cols.log(domain_id, 0, len(events) - len(kept))
 
     def __len__(self) -> int:
         return len(self.tweet_ids)

@@ -144,8 +144,7 @@ def set_sums(
     2**53 (limbs are below 2**21, a row has fewer than 2**32 cells), and
     math.fsum of the sums times their limbs' powers of two is the row's own
     math.fsum. The marker and the gathered columns stay within
-    POOL_BLOCK_CELLS (a larger row goes alone); rows pooling one user need no
-    marker, since a canonical row's columns are distinct.
+    POOL_BLOCK_CELLS (a larger row goes alone).
     """
     sizes, n_users = np.diff(items.indptr), np.diff(pools.indptr)
     # a row's users are distinct, so its sum is at most items.nnz and fits sizes' own dtype
@@ -161,28 +160,22 @@ def set_sums(
     width = with_count.shape[0]
     sums = np.zeros((pools.shape[0], with_count.shape[1]))
     active = np.flatnonzero(gathered)
-    alone = n_users[active] == 1
-    for rows, marked in ((active[alone], False), (active[~alone], True)):
-        max_rows = POOL_BLOCK_CELLS // max(1, width) if marked else rows.size
-        ends = np.r_[0, np.cumsum(gathered[rows])]
-        start = 0
-        while start < rows.size:
-            fits = int(np.searchsorted(ends, ends[start] + POOL_BLOCK_CELLS, side="right")) - 1
-            stop = max(start + 1, min(start + max_rows, fits))
-            block = rows[start:stop]
-            users = pools.indices[_spans(pools.indptr[block], n_users[block])]
-            cols = cols_of[_spans(items.indptr[users], sizes[users])]
-            if not marked:
-                firsts = ends[start:stop] - ends[start]
-                sums[block] = np.add.reduceat(np.take(with_count, cols, axis=0), firsts, axis=0)
-            else:
-                marker = np.zeros((block.size, width))
-                at = np.repeat(np.arange(0, marker.size, width), gathered[block])
-                at += cols
-                marker.reshape(-1)[at] = 1
-                sums[block] = marker @ with_count
-                del marker, at  # freed before the next block builds its own
-            start = stop
+    max_rows = POOL_BLOCK_CELLS // max(1, width)
+    ends = np.r_[0, np.cumsum(gathered[active])]
+    start = 0
+    while start < active.size:
+        fits = int(np.searchsorted(ends, ends[start] + POOL_BLOCK_CELLS, side="right")) - 1
+        stop = max(start + 1, min(start + max_rows, fits))
+        block = active[start:stop]
+        users = pools.indices[_spans(pools.indptr[block], n_users[block])]
+        cols = cols_of[_spans(items.indptr[users], sizes[users])]
+        marker = np.zeros((block.size, width))
+        at = np.repeat(np.arange(0, marker.size, width), gathered[block])
+        at += cols
+        marker.reshape(-1)[at] = 1
+        sums[block] = marker @ with_count
+        del marker, at  # freed before the next block builds its own
+        start = stop
     totals = np.zeros(pools.shape[0])
     terms = sums[active, :-1] * weights
     # a single exact term is its own correctly rounded sum

@@ -18,8 +18,9 @@ The generative model, all driven by counter-based substreams of one seed:
                 beta = 0 is the uniform-attention null model. Retweet events
                 carry the original's URL and a timestamp at or after it.
 
-The edge list and the event log are assembled as columns, by the builders
-the edges.csv and events.jsonl parsers use.
+The edge list is built by FollowEdgeList.from_pairs, as the edges.csv
+reader's csv path builds it; the event log is assembled as columns by the
+builder the events.jsonl parser uses.
 """
 from __future__ import annotations
 
@@ -35,7 +36,6 @@ from .errors import InfeasibleConfigError, InputFormatError
 from .ingest import (
     DatasetBundle,
     FollowEdgeList,
-    _dedup_edges,
     _EventColumns,
     _intern,
     atomic_open,
@@ -140,12 +140,8 @@ def generate(config: SynthConfig) -> tuple[DatasetBundle, GroundTruth]:
     )
     mult_norm = activity_mult / math.exp(ACTIVITY_LOGNORMAL_SIGMA**2 / 2.0)
 
-    # follow edges, one substream per follower row; each row's names are
-    # interned follower first, the order from_pairs gives its pairs
+    # follow edges, one substream per follower row
     lam = config.follow_homophily
-    index: dict[str, int] = {}
-    src_buf = array("q")
-    dst_buf = array("q")
     friends: list[np.ndarray] = []  # per user, unique and ascending
     for i in range(n):
         probs = config.base_follow_prob * np.exp(-np.abs(ideology[i] - ideology) / lam)
@@ -157,10 +153,10 @@ def generate(config: SynthConfig) -> tuple[DatasetBundle, GroundTruth]:
             dist[i] = np.inf
             picks = np.array([int(np.argmin(dist))])
         friends.append(picks)
-        row = _intern(index, [users[i], *map(users.__getitem__, picks.tolist())])
-        src_buf.frombytes(np.repeat(row[:1], picks.size).tobytes())
-        dst_buf.frombytes(row[1:].tobytes())
-    src, dst, n_dup = _dedup_edges(src_buf, dst_buf)
+    # from_pairs interns each follower and then its friends, in row order
+    edges = FollowEdgeList.from_pairs(
+        (users[i], users[j]) for i, picks in enumerate(friends) for j in picks.tolist()
+    )
 
     # phase 1: original tweets, appended in author order
     n_orig = np.zeros(n, dtype=np.int64)
@@ -230,7 +226,7 @@ def generate(config: SynthConfig) -> tuple[DatasetBundle, GroundTruth]:
 
     bundle = DatasetBundle(
         scores={d: float(s) for d, s in zip(domains, d_scores.tolist())},
-        edges=FollowEdgeList(list(index), src, dst, 0, n_dup),
+        edges=edges,
         log=cols.log(domain_index, 0, 0),
         seeds=frozenset(users),
     )

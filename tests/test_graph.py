@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ev, graphs_of, make_bundle, rt
-from echoscope import graph
 from echoscope.errors import EchoscopeError
 from echoscope.graph import (
     CACHE_MAGIC,
@@ -411,61 +410,64 @@ def test_positions_reps_replays_choice(case):
     assert_same_stream(got_rng, want_rng)
 
 
-def count_calls(monkeypatch):
-    calls = []
-    one = graph.random_friend_positions
+class ChoiceCounter(np.random.Generator):
+    """A Generator on a given bit generator that counts its choice calls."""
 
-    def counted(*args):
-        calls.append(args)
-        return one(*args)
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.choice_calls = 0
 
-    monkeypatch.setattr(graph, "random_friend_positions", counted)
-    return calls
+    def choice(self, *args, **kwargs):
+        self.choice_calls += 1
+        return super().choice(*args, **kwargs)
 
 
-def test_positions_reps_replay_makes_no_choice_call(monkeypatch):
-    calls = count_calls(monkeypatch)
-    want_rng, got_rng = skipped(3, 0), skipped(3, 0)
+def test_positions_reps_replay_makes_no_choice_call():
+    want_rng, got_rng = skipped(3, 0), ChoiceCounter(skipped(3, 0).bit_generator)
     want = choice_rows(50, 5, 100, want_rng)
     np.testing.assert_array_equal(random_friend_positions_reps("u", 50, 5, 100, got_rng), want)
-    assert calls == []
+    assert got_rng.choice_calls == 0
     assert_same_stream(got_rng, want_rng)
 
 
 @pytest.mark.parametrize("n, size", [(10, 4), (100, 7), (9, 1), (40, 32)])
-def test_positions_reps_falls_back_on_lemire_rejection(monkeypatch, n, size):
+def test_positions_reps_falls_back_on_lemire_rejection(n, size):
     # a spare half of 0 scales to a low word of 0, below 2**32 % (n - size + 1)
     # for every bound that is not a power of two, so the first draw is rejected
-    calls = count_calls(monkeypatch)
-    want_rng, got_rng = skipped(5, 0), skipped(5, 0)
+    want_rng, got_rng = skipped(5, 0), ChoiceCounter(skipped(5, 0).bit_generator)
     for rng in (want_rng, got_rng):
         state = rng.bit_generator.state
         state["has_uint32"], state["uinteger"] = 1, 0
         rng.bit_generator.state = state
     want = choice_rows(n, size, 50, want_rng)
     np.testing.assert_array_equal(random_friend_positions_reps("u", n, size, 50, got_rng), want)
-    assert len(calls) == 50
+    assert got_rng.choice_calls == 50
     assert_same_stream(got_rng, want_rng)
 
 
-def test_positions_reps_odd_draw_count_keeps_the_spare_half(monkeypatch):
+def test_positions_reps_odd_draw_count_keeps_the_spare_half():
     # 33 repetitions of 2 * 4 - 1 draws read 116 words and use one half of the last
-    calls = count_calls(monkeypatch)
-    want_rng, got_rng = skipped(8, 0), skipped(8, 0)
+    want_rng, got_rng = skipped(8, 0), ChoiceCounter(skipped(8, 0).bit_generator)
     want = choice_rows(30, 4, 33, want_rng)
     np.testing.assert_array_equal(random_friend_positions_reps("u", 30, 4, 33, got_rng), want)
-    assert calls == []
+    assert got_rng.choice_calls == 0
     assert got_rng.bit_generator.state["has_uint32"] == 1
     assert_same_stream(got_rng, want_rng)
 
 
 def test_positions_reps_edges(caplog):
-    rng = substream(9, "edges")
+    # drawing every friend, none, or a size clamped to every friend draws nothing
+    rng, untouched = substream(9, "edges"), substream(9, "edges")
+    every = np.tile(np.arange(4), (3, 1))
     with caplog.at_level("WARNING"):
         clamped = random_friend_positions_reps("s", 4, 6, 3, rng)
-    np.testing.assert_array_equal(clamped, np.tile(np.arange(4), (3, 1)))
+    np.testing.assert_array_equal(clamped, every)
     assert sum("clamping" in r.getMessage() for r in caplog.records) == 1
+    whole = random_friend_positions_reps("s", 4, 4, 3, rng)
+    np.testing.assert_array_equal(whole, every)
+    assert clamped.dtype == whole.dtype == np.int64
     assert random_friend_positions_reps("s", 4, 0, 3, rng).shape == (3, 0)
+    assert_same_stream(rng, untouched)
     assert random_friend_positions_reps("s", 4, 2, 0, rng).shape == (0, 2)
 
 

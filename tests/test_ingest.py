@@ -600,18 +600,29 @@ def test_from_events_refuses_a_retweet_without_an_original_author(orig):
     assert EventLog.from_events([rt("t1", "v", 1, "u")]).orig_author.tolist() == [0]
 
 
-def test_from_events_matches_the_parse_of_its_written_file(tmp_path):
+@pytest.mark.parametrize("events", [
     # an original that names an original author: the parsers ignore that
     # name, and so does from_events
-    events = [ev("t0", "u", 0, orig="ghost", domains=["a.example"]), rt("t1", "v", 1, "u")]
+    [ev("t0", "u", 0, orig="ghost", domains=["a.example"]), rt("t1", "v", 1, "u")],
+    # a self-retweet is dropped and counted; "w", named only there, gets no id
+    [ev("t0", "u", 0), rt("t1", "w", 1, "w", domains=["w.example"]), rt("t2", "v", 2, "u")],
+], ids=["original-naming-an-author", "self-retweet"])
+def test_from_events_matches_the_parse_of_its_written_file(tmp_path, events):
+    lines = [
+        event_line(id=e.tweet_id, author=e.author, ts=e.timestamp, kind=e.kind,
+                   **({} if e.original_author is None else {"orig_author": e.original_author}),
+                   urls=[f"http://{d}/" for d in e.domains])
+        for e in events
+    ]
+    parsed = parse_events(write(tmp_path / "ev.jsonl", "\n".join(lines) + "\n"))
     log = EventLog.from_events(events)
-    path = str(tmp_path / "ev.jsonl")
-    write_events(log, path)
-    parsed = parse_events(path)
+    assert len(log) == len(parsed) == 2
     assert log.users == parsed.users == ("u", "v")
     assert log.orig_author.tolist() == [-1, 0]
-    for column in ("author", "orig_author", "retweet"):
+    assert log.domains == parsed.domains
+    for column in ("tweet_ids", "author", "ts", "orig_author", "retweet", "domain_ptr", "domain_ids"):
         assert getattr(log, column).tolist() == getattr(parsed, column).tolist()
+    assert log.n_self_retweets_dropped == parsed.n_self_retweets_dropped == len(events) - 2
 
 
 def test_retweet_flag_is_derived_and_read_only():
