@@ -295,7 +295,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except EchoscopeError as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception:  # pragma: no cover - defensive

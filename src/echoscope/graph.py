@@ -16,8 +16,10 @@ per-user value as a vector over the same ids. A user with no entry in
 either graph and no tweet of its own (say, an account only non-seeds
 retweeted) has an id but no defined value, so no row names it.
 
-Cache file layout (little-endian, version 3): the magic b"ECHOGRF1", a u32
-format version, a u32 fingerprint length F, F fingerprint bytes (opaque,
+A report saves both graphs to ``graphs.cache`` and never reads the file back;
+``load_graph_cache`` is its reader, for tools that time or inspect it. Cache
+file layout (little-endian, version 3): the magic b"ECHOGRF1", a u32 format
+version, a u32 fingerprint length F, F fingerprint bytes (opaque,
 caller-supplied), then eight arrays, each a u64 element count and the elements:
 
     u32  byte length of each name, in id order
@@ -472,11 +474,11 @@ def _write_cache(fh, fg: FollowerGraph, rg: RetweetGraph, fingerprint: bytes) ->
 
 
 def load_graph_cache(path: str, fingerprint: bytes) -> Optional[tuple[FollowerGraph, RetweetGraph]]:
-    """Load cached graphs; None when the file is missing, stale or unreadable.
+    """Load saved graphs; None when the file is missing, stale or unreadable.
 
     A file of another version, or a truncated or corrupt one (a short read, a
-    bad name encoding, an index out of range, trailing bytes) reads as a
-    miss, so the caller rebuilds the graphs and overwrites it.
+    bad name encoding, an index out of range, trailing bytes) reads as None.
+    The report never calls this: it builds its graphs from its inputs.
     """
     try:
         with open(path, "rb") as fh:

@@ -13,7 +13,7 @@ the rows. The largest table has one row per user.
 
 Every byte written is a pure function of (inputs, semantic config, seed):
 worker counts, cache usage, and output locations never leak into file
-contents.
+contents, and no file already in the output directory is read.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from .graph import (
     RetweetGraph,
     build_follower_graph,
     build_retweet_graph,
-    load_graph_cache,
+    load_graph_cache,  # unused here; perfbench/tracer.py wraps this name
     overlap_vs_threshold,
     retweet_overlap,
     fraction_friends_retweeted,
@@ -218,7 +218,8 @@ class ReportBundle:
 
 
 def graph_fingerprint(cfg: RunConfig, input_meta: Optional[dict] = None) -> bytes:
-    """The graph cache key: the edges' and events' content hashes, then the window.
+    """The fingerprint ``graphs.cache`` carries: the edges' and events'
+    content hashes, then the window.
 
     The hashes are read from ``input_meta`` when given (``run_report`` has
     just recorded them there), else from the files.
@@ -238,17 +239,16 @@ def build_graphs(
     cache_path: Optional[Path] = None,
     input_meta: Optional[dict] = None,
 ) -> tuple[FollowerGraph, RetweetGraph]:
-    fingerprint = None
-    if cache_path is not None and not cfg.no_cache:
-        fingerprint = graph_fingerprint(cfg, input_meta)
-        cached = load_graph_cache(str(cache_path), fingerprint)
-        if cached is not None:
-            return cached
+    """Both graphs over the bundle's user space, built from the parsed inputs.
+
+    With ``cache_path`` given and ``cfg.no_cache`` unset they are also saved
+    there as ``graphs.cache``; a report never reads that file back.
+    """
     space = user_space(bundle.seeds, bundle.edges, bundle.log)
     fg = build_follower_graph(space)
     rg = build_retweet_graph(space)
     if cache_path is not None and not cfg.no_cache:
-        save_graph_cache(str(cache_path), fg, rg, fingerprint)
+        save_graph_cache(str(cache_path), fg, rg, graph_fingerprint(cfg, input_meta))
     return fg, rg
 
 
@@ -276,9 +276,10 @@ def build_report(
     """Run the full analysis pipeline over one bundle.
 
     The event log is restricted to cfg.window here, once, before anything is
-    built from it; graphs go through the cache at cache_path when given. The
-    bundle is let go once the engine is built, so the parsed inputs are freed
-    when the caller holds no other reference to them.
+    built from it; the graphs are built from it every time, and saved to
+    cache_path when given (see ``build_graphs``). The bundle is let go once
+    the engine is built, so the parsed inputs are freed when the caller
+    holds no other reference to them.
     """
     markers: list[str] = []
     bundle = dataclasses.replace(bundle, log=bundle.log.restricted(cfg.window))
@@ -563,8 +564,9 @@ def write_report(report: ReportBundle, out_dir: str) -> list[str]:
 
 
 def run_report(cfg: RunConfig) -> ReportBundle:
-    """Load inputs, build graphs (cached unless disabled), write everything
-    into the existing directory ``cfg.out_dir``.
+    """Load inputs, build graphs, write everything into the existing
+    directory ``cfg.out_dir``, ``graphs.cache`` included unless
+    ``cfg.no_cache`` is set.
 
     The parsed inputs are passed on without a name here, so ``build_report``
     holds the only reference and can let them go once its engine is built.

@@ -14,7 +14,7 @@ import pytest
 
 import echoscope.report as report_mod
 from echoscope.cli import REPORT_OPTIONS, _build_run_config, build_parser, main
-from echoscope.graph import CACHE_MAGIC
+from echoscope.graph import CACHE_MAGIC, load_graph_cache
 from echoscope.ingest import write_domain_scores, write_events, write_follow_edges
 from echoscope.synth import SynthConfig, generate
 
@@ -433,10 +433,11 @@ def test_report_cache_reused_and_bypassed(dataset_dir, tmp_path):
     out = tmp_path / "c1"
     main(report_args(dataset_dir, out))
     cache = out / "graphs.cache"
-    assert cache.exists()
-    stamp = cache.stat().st_mtime_ns
-    main(report_args(dataset_dir, out))  # second run loads the cache
-    assert cache.stat().st_mtime_ns == stamp
+    written = cache.read_bytes()
+    os.utime(cache, ns=(0, 0))
+    main(report_args(dataset_dir, out))  # second run builds its graphs and rewrites the cache
+    assert cache.stat().st_mtime_ns != 0
+    assert cache.read_bytes() == written
     out2 = tmp_path / "c2"
     main(report_args(dataset_dir, out2, ["--no-cache"]))
     assert not (out2 / "graphs.cache").exists()
@@ -460,7 +461,7 @@ def test_report_hashes_each_input_once(dataset_dir, tmp_path, monkeypatch):
     hashed.clear()
     assert main(report_args(dataset_dir, out)) == 0
     assert len(hashed) == 3
-    assert len(saved) == 1  # the second run loaded the cache instead of writing it
+    assert len(saved) == 2  # one save per run
     assert read_outputs(out) == first
 
 
@@ -518,6 +519,46 @@ def test_report_treats_bad_cache_seed_ids_as_a_miss(dataset_dir, tmp_path, fault
     (out / "graphs.cache").write_bytes(bytes(cache))
     assert main(report_args(dataset_dir, out)) == 0
     assert read_outputs(out) == expected
+
+
+def test_report_never_reads_a_cache_that_still_loads(dataset_dir, tmp_path):
+    # a structurally valid graphs.cache with an intact fingerprint but one
+    # follow edge moved within its row: the run must build its own graphs
+    clean = tmp_path / "clean"
+    assert main(report_args(dataset_dir, clean)) == 0
+    expected = read_outputs(clean)
+    cache = bytearray(expected["graphs.cache"])
+    at, n_seeds, n_names = seed_id_span(cache)
+    indptr_at = at + 4 * n_seeds + 8
+    indptr = np.frombuffer(cache, dtype="<i8", count=n_seeds + 1, offset=indptr_at)
+    indices_at = indptr_at + indptr.nbytes + 8
+    indices = np.frombuffer(cache, dtype="<u4", count=int(indptr[-1]), offset=indices_at).copy()
+    # a row's last friend moves to the next user id, so the row still ascends
+    row_last = indptr[1:][np.diff(indptr) > 0] - 1
+    indices[row_last[indices[row_last] + 1 < n_names][0]] += 1
+    cache[indices_at:indices_at + indices.nbytes] = indices.tobytes()
+    fp_len = struct.unpack_from("<I", cache, len(CACHE_MAGIC) + 4)[0]
+    fingerprint = bytes(cache[len(CACHE_MAGIC) + 8:len(CACHE_MAGIC) + 8 + fp_len])
+    out = tmp_path / "rerun"
+    out.mkdir()
+    (out / "graphs.cache").write_bytes(bytes(cache))
+    fg, _ = load_graph_cache(str(out / "graphs.cache"), fingerprint)
+    assert fg.follow.indices.tolist() == indices.tolist()
+    assert main(report_args(dataset_dir, out)) == 0
+    assert read_outputs(out) == expected
+
+
+def test_report_runs_without_the_cache_reader(dataset_dir, tmp_path, monkeypatch):
+    def unreadable(*args):
+        raise AssertionError("a report read graphs.cache")
+
+    monkeypatch.setattr(report_mod, "load_graph_cache", unreadable)
+    out = tmp_path / "out"
+    assert main(report_args(dataset_dir, out)) == 0
+    first = read_outputs(out)
+    assert "graphs.cache" in first
+    assert main(report_args(dataset_dir, out)) == 0
+    assert read_outputs(out) == first
 
 
 def test_report_removes_tables_of_thresholds_it_does_not_use(dataset_dir, tmp_path, caplog):
@@ -786,3 +827,16 @@ def test_a_log_level_that_names_no_level_means_warning(tmp_path, value, shows_in
     assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stderr
     assert ("INFO " in result.stderr) == shows_info  # synth logs one INFO line
+
+
+def test_an_input_error_is_one_line_on_stderr(tmp_path):
+    # a subprocess, so the default log level and handler are the program's own
+    env = src_env()
+    env.pop("ECHOSCOPE_LOG", None)
+    argv = ["report", "--scores", "s.csv", "--edges", "e.csv", "--events", "v.jsonl",
+            "--out", str(tmp_path / "out"), "--k-min", "0"]
+    result = subprocess.run(
+        [sys.executable, "-m", "echoscope.cli", *argv], env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 2
+    assert result.stderr == "error: need 1 <= k_min <= k_max\n"

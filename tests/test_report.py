@@ -130,7 +130,7 @@ def test_run_report_lets_the_parsed_inputs_go_before_writing(rich_bundle, tmp_pa
 
     monkeypatch.setattr(report_module, "load_dataset", loading)
     monkeypatch.setattr(report_module, "write_report", writing)
-    for _ in range(2):  # the second run loads its graphs from the cache
+    for _ in range(2):  # the second run writes into the first run's directory
         report_module.run_report(cfg)
     assert alive == [False, False]
 
