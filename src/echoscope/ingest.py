@@ -38,10 +38,12 @@ line at a time, each line checked on its own at its own line number, with
 the same result and the same errors; a byte that is not UTF-8 sends the
 whole file down that per-line path, which decides which error comes first.
 Either way a block's authors and original authors are interned in one pass,
-and the block is folded into the columns before the next is read. The host
-memo is probed once per URL, and each distinct URL host is resolved to its
-registrable domain once, ``extract_pld`` being handed the host already found
-rather than finding it again. The analyses read the columns;
+its URLs' hosts in another, and the block is folded into the columns before
+the next is read. The columns are the one place where a URL becomes a
+domain: they keep one host table, and resolve each host new to it to its
+registrable domain once, by ``extract_pld`` handed the host alone.
+``EventLog.from_events`` and ``synth`` build their logs through the same
+columns. The analyses read the columns;
 ``EventLog.events`` gives the same log as ``TweetEvent`` objects, built only
 when read. ``read_key_values`` reads the ``key = value`` config files of
 ``report --config`` and ``synth --config``.
@@ -222,12 +224,16 @@ class EventLog:
     def from_events(cls, events: Iterable[TweetEvent]) -> "EventLog":
         """The log of ``events``, as ``parse_events`` reads their written
         file: a self-retweet is dropped before any name is interned, and
-        counted in ``n_self_retweets_dropped``."""
+        counted in ``n_self_retweets_dropped``. Each domain is read as the
+        URL ``write_events`` writes for it, ``http://{domain}/``, through the
+        parser's host table: ``www.Example.com`` becomes ``example.com``,
+        and one with no registrable domain (a public suffix, a link
+        shortener, an IP address) is dropped and counted in
+        ``n_urls_dropped``."""
         events = list(events)
         if any(ev.kind == KIND_RETWEET and ev.original_author in (None, "") for ev in events):
             raise InputFormatError("retweet record lacks orig_author")
         kept = [ev for ev in events if ev.kind != KIND_RETWEET or ev.original_author != ev.author]
-        domain_id: dict[str, int] = {}
         cols = _EventColumns()
         cols.extend(
             [ev.tweet_id for ev in kept],
@@ -235,9 +241,9 @@ class EventLog:
             [ev.timestamp for ev in kept],
             [ev.original_author if ev.kind == KIND_RETWEET else None for ev in kept],
             [len(ev.domains) for ev in kept],
-            [domain_id.setdefault(d, len(domain_id)) for ev in kept for d in ev.domains],
+            hosts_of([f"http://{d}/" for ev in kept for d in ev.domains]),
         )
-        return cols.log(domain_id, 0, len(events) - len(kept))
+        return cols.log(0, len(events) - len(kept))
 
     def __len__(self) -> int:
         return len(self.tweet_ids)
@@ -300,7 +306,15 @@ class EventLog:
 
 
 class _EventColumns:
-    """Events appended a batch at a time, then sorted into an ``EventLog``."""
+    """Events appended a batch at a time, then sorted into an ``EventLog``.
+
+    The one place where a URL becomes a domain: each URL comes in as its
+    host, hosts are interned in one table, and each host new to the table
+    is resolved to its registrable domain once, by ``extract_pld``. Domains
+    are numbered in order of first appearance, and only the domain ids of
+    the URLs that have one are kept, so the columns hold no more than the
+    log they make.
+    """
 
     def __init__(self) -> None:
         self.tweet_ids: list = []
@@ -308,17 +322,24 @@ class _EventColumns:
         self.author = array("q")
         self.ts = array("q")
         self.orig_author = array("q")
+        self.host_id: dict[Optional[str], int] = {}  # in order of first appearance
+        self.host_domain = array("q")  # the domain id of each host, -1 for none
+        self.domain_id: dict[str, int] = {}  # in order of first appearance
         self.domain_ptr = array("q", [0])
         self.domain_ids = array("q")
+        self.n_urls_dropped = 0
 
-    def extend(self, tweet_ids, authors, ts, orig_authors, domain_counts, domain_ids) -> None:
+    def extend(self, tweet_ids, authors, ts, orig_authors, url_counts, hosts) -> None:
         """Append a batch of events, one item each per column; an original
         author that is None or '' is none, and an event with one is a
-        retweet. ``domain_ids`` holds the batch's domain ids flat,
-        ``domain_counts`` how many of them each event has.
+        retweet. ``hosts`` holds the host of each of the batch's URLs flat,
+        as ``hosts_of`` finds it (None for a URL with none), and
+        ``url_counts`` how many of them each event has. A URL whose host has
+        no registrable domain is dropped and counted in ``n_urls_dropped``.
 
         The authors and then the original authors are interned in one pass,
-        so users are numbered in that order of first appearance."""
+        so users are numbered in that order of first appearance; hosts are
+        interned in another."""
         self.tweet_ids.extend(tweet_ids)
         has_orig = list(map(bool, orig_authors))
         n = len(has_orig)
@@ -328,15 +349,27 @@ class _EventColumns:
         self.author.frombytes(ids[:n].tobytes())
         self.ts.frombytes(np.asarray(ts, dtype=np.int64).tobytes())
         self.orig_author.frombytes(orig.tobytes())
-        ptr = np.cumsum(domain_counts, dtype=np.int64) + self.domain_ptr[-1]
+        n_hosts = len(self.host_domain)
+        host = _intern(self.host_id, hosts)
+        # the hosts new to the table, in id order
+        for new in dict.fromkeys(map(hosts.__getitem__, np.flatnonzero(host >= n_hosts).tolist())):
+            pld = extract_pld(None, new)
+            self.host_domain.append(
+                -1 if pld is None else self.domain_id.setdefault(pld, len(self.domain_id))
+            )
+        domain = np.frombuffer(self.host_domain, dtype=np.int64)[host]
+        kept = domain >= 0
+        n_kept = np.zeros(kept.size + 1, dtype=np.int64)  # the kept URLs before each URL
+        np.cumsum(kept, out=n_kept[1:])
+        self.n_urls_dropped += kept.size - int(n_kept[-1])
+        ptr = n_kept[np.cumsum(url_counts, dtype=np.int64)] + self.domain_ptr[-1]
         self.domain_ptr.frombytes(ptr.tobytes())
-        self.domain_ids.frombytes(np.asarray(domain_ids, dtype=np.int64).tobytes())
+        self.domain_ids.frombytes(domain[kept].tobytes())
 
-    def log(self, domains, n_urls_dropped: int, n_self_retweets_dropped: int) -> EventLog:
-        """The collected events, users renumbered in sorted-name order.
-
-        ``domains`` holds the domain names in id order (a list, or a dict keyed by them).
-        """
+    def log(self, n_urls_dropped: int, n_self_retweets_dropped: int) -> EventLog:
+        """The collected events, users renumbered in sorted-name order;
+        ``n_urls_dropped`` counts the URL entries dropped before they came
+        here, and the URLs the columns dropped are added to it."""
         names = list(self.user_id)
         by_name = sorted(range(len(names)), key=names.__getitem__)
         rank = np.empty(len(names) + 1, dtype=np.int64)
@@ -351,10 +384,10 @@ class _EventColumns:
             rank[np.frombuffer(self.author, dtype=np.int64)],
             ts,
             rank[np.frombuffer(self.orig_author, dtype=np.int64)],
-            tuple(domains),
+            tuple(self.domain_id),
             np.frombuffer(self.domain_ptr, dtype=np.int64),
             np.frombuffer(self.domain_ids, dtype=np.int64),
-            n_urls_dropped,
+            n_urls_dropped + self.n_urls_dropped,
             n_self_retweets_dropped,
         )
         if _in_time_order(ts, self.tweet_ids):
@@ -783,7 +816,7 @@ def parse_events(path: str) -> EventLog:
             fold.add_lines(fh, 1)
     if fold.n_self_rts:
         log.warning("dropped %d self-retweet records from %s", fold.n_self_rts, path)
-    return fold.cols.log(fold.domain_id, fold.n_urls_dropped, fold.n_self_rts)
+    return fold.cols.log(fold.n_not_strings, fold.n_self_rts)
 
 
 def _name(value, key: str, path: str, line: int) -> str:
@@ -794,23 +827,16 @@ def _name(value, key: str, path: str, line: int) -> str:
     raise InputFormatError(f"bad {key} {value!r}", path=path, line=line)
 
 
-# the memo's answer for a host it has not seen; a domain id is -1 or more
-_UNSEEN = -2
-
-
 class _EventFold:
-    """Event lines folded into ``_EventColumns``, a batch at a time.
-
-    ``extract_pld`` reads a URL only through its host, so each distinct host
-    is resolved once and its domain id reused for every URL on it.
-    """
+    """Event lines folded into ``_EventColumns``, a batch at a time: the
+    events' names and timestamps, and the hosts of their string URLs, which
+    the columns resolve to domains. A URL entry that is not a string is
+    counted in ``n_not_strings``."""
 
     def __init__(self, path: str) -> None:
         self.path = str(path)
         self.cols = _EventColumns()
-        self.domain_id: dict[str, int] = {}
-        self.host_domain: dict[Optional[str], int] = {}  # host -> domain id, -1 for none
-        self.n_urls_dropped = 0
+        self.n_not_strings = 0
         self.n_self_rts = 0
 
     def add_block(self, block: str, lineno: int) -> int:
@@ -840,8 +866,13 @@ class _EventFold:
         arrays = _url_arrays(url_texts)
         if arrays is None:
             return False
+        urls, url_event, n_nulls = arrays
         self.n_self_rts += n_self_rts
-        self.fold(tweet_ids, authors, list(map(int, ts)), orig_authors, *arrays)
+        self.n_not_strings += n_nulls
+        self.cols.extend(
+            tweet_ids, authors, list(map(int, ts)), orig_authors,
+            np.bincount(url_event, minlength=len(tweet_ids)), hosts_of(urls),
+        )
         return True
 
     def add_lines(self, lines: Iterable[str], lineno: int) -> int:
@@ -852,9 +883,8 @@ class _EventFold:
         authors: list[str] = []
         timestamps: list[int] = []
         orig_authors: list[Optional[str]] = []
+        url_counts: list[int] = []
         urls: list[str] = []
-        url_event: list[int] = []
-        n_not_strings = 0
         last = lineno - 1
         for last, line in enumerate(lines, start=lineno):
             line = line.strip()
@@ -900,49 +930,16 @@ class _EventFold:
             event_urls = obj.get("urls", [])
             if not isinstance(event_urls, list):
                 raise InputFormatError("urls must be an array", path=path, line=last)
-            event = len(tweet_ids)
+            strings = [url for url in event_urls if isinstance(url, str)]
             tweet_ids.append(tweet_id)
             authors.append(author)
             timestamps.append(int(ts))
             orig_authors.append(orig_author)
-            for url in event_urls:
-                if isinstance(url, str):
-                    urls.append(url)
-                    url_event.append(event)
-                else:
-                    n_not_strings += 1
-        self.fold(tweet_ids, authors, timestamps, orig_authors,
-                  urls, np.array(url_event, dtype=np.int64), n_not_strings)
+            url_counts.append(len(strings))
+            urls += strings
+            self.n_not_strings += len(event_urls) - len(strings)
+        self.cols.extend(tweet_ids, authors, timestamps, orig_authors, url_counts, hosts_of(urls))
         return last + 1
-
-    def fold(self, tweet_ids, authors, ts, orig_authors, urls, url_event, n_dropped) -> None:
-        """Append events to the columns. ``urls`` are their string URLs, in
-        order, ``url_event`` the event of each, and ``n_dropped`` the URL
-        entries that were not strings; a URL with no registrable domain is
-        dropped too."""
-        domain = self.domain_ids(urls)
-        kept = domain >= 0
-        self.n_urls_dropped += n_dropped + len(urls) - int(np.count_nonzero(kept))
-        self.cols.extend(
-            tweet_ids, authors, ts, orig_authors,
-            np.bincount(url_event[kept], minlength=len(tweet_ids)), domain[kept],
-        )
-
-    def domain_ids(self, urls: list[str]) -> np.ndarray:
-        """The domain id of each URL, -1 for none; one memo probe per URL, and
-        ``extract_pld`` is called once for each host new to the log, on one
-        of its URLs and the host ``hosts_of`` found for it."""
-        hosts = hosts_of(urls)
-        host_domain, domain_id = self.host_domain, self.domain_id
-        ids = np.fromiter(map(host_domain.get, hosts, repeat(_UNSEEN)), np.int64, len(hosts))
-        new_at = np.flatnonzero(ids == _UNSEEN).tolist()
-        for at in new_at:
-            host = hosts[at]
-            if host not in host_domain:  # not an earlier URL of this batch either
-                pld = extract_pld(urls[at], host)
-                host_domain[host] = -1 if pld is None else domain_id.setdefault(pld, len(domain_id))
-        ids[new_at] = list(map(host_domain.__getitem__, map(hosts.__getitem__, new_at)))
-        return ids
 
 
 def load_dataset(scores_path: str, edges_path: str, events_path: str) -> DatasetBundle:

@@ -37,7 +37,6 @@ from .ingest import (
     DatasetBundle,
     FollowEdgeList,
     _EventColumns,
-    _intern,
     atomic_open,
     read_key_values,
 )
@@ -211,7 +210,6 @@ def generate(config: SynthConfig) -> tuple[DatasetBundle, GroundTruth]:
     ts = np.concatenate((orig_ts, np.asarray(rt_ts, dtype=np.int64)))
     order = np.lexsort((author, ts))
     source = np.concatenate((np.arange(n_originals), np.asarray(rt_of, dtype=np.int64)))[order]
-    domain_index: dict[str, int] = {}  # in order of first appearance, as from_events
     cols = _EventColumns()
     cols.extend(
         [f"t{e:09d}" for e in range(order.size)],
@@ -220,14 +218,16 @@ def generate(config: SynthConfig) -> tuple[DatasetBundle, GroundTruth]:
         # a retweet's original author is its source's author; an original has none
         [users[a] if e >= n_originals else None
          for e, a in zip(order.tolist(), author[source].tolist())],
+        # each event's one URL, by its host: the domain name, which the
+        # columns resolve to itself and number in order of first appearance
         np.ones(order.size, dtype=np.int64),
-        _intern(domain_index, [domains[orig_domain[s]] for s in source.tolist()]),
+        [domains[orig_domain[s]] for s in source.tolist()],
     )
 
     bundle = DatasetBundle(
         scores={d: float(s) for d, s in zip(domains, d_scores.tolist())},
         edges=edges,
-        log=cols.log(domain_index, 0, 0),
+        log=cols.log(0, 0),
         seeds=frozenset(users),
     )
     truth = GroundTruth(

@@ -606,7 +606,11 @@ def test_from_events_refuses_a_retweet_without_an_original_author(orig):
     [ev("t0", "u", 0, orig="ghost", domains=["a.example"]), rt("t1", "v", 1, "u")],
     # a self-retweet is dropped and counted; "w", named only there, gets no id
     [ev("t0", "u", 0), rt("t1", "w", 1, "w", domains=["w.example"]), rt("t2", "v", 2, "u")],
-], ids=["original-naming-an-author", "self-retweet"])
+    # domains the parser would never give: each is read as the URL written
+    # for it, so one is folded to its registrable domain and three are dropped
+    [ev("t0", "u", 0, domains=["www.Example.com", "co.uk", "bit.ly"]),
+     rt("t1", "v", 1, "u", domains=["192.0.2.1", "example.org"])],
+], ids=["original-naming-an-author", "self-retweet", "domains-the-parser-would-not-give"])
 def test_from_events_matches_the_parse_of_its_written_file(tmp_path, events):
     lines = [
         event_line(id=e.tweet_id, author=e.author, ts=e.timestamp, kind=e.kind,
@@ -623,6 +627,7 @@ def test_from_events_matches_the_parse_of_its_written_file(tmp_path, events):
     for column in ("tweet_ids", "author", "ts", "orig_author", "retweet", "domain_ptr", "domain_ids"):
         assert getattr(log, column).tolist() == getattr(parsed, column).tolist()
     assert log.n_self_retweets_dropped == parsed.n_self_retweets_dropped == len(events) - 2
+    assert log.n_urls_dropped == parsed.n_urls_dropped
 
 
 def test_retweet_flag_is_derived_and_read_only():
@@ -643,9 +648,12 @@ def test_retweet_flag_is_derived_and_read_only():
 
 
 @pytest.mark.parametrize("separators", [(",", ":"), (", ", ": ")])  # bulk, and json per line
-def test_each_url_host_is_found_once(tmp_path, monkeypatch, separators):
+@pytest.mark.parametrize("block_chars", [ingest.BLOCK_CHARS, 300])
+def test_each_url_host_is_found_once(tmp_path, monkeypatch, separators, block_chars):
     # upper-case schemes fall outside hosts_of's pattern, so each URL's host
-    # is found by _host_of; extract_pld is handed it on each memo miss
+    # is found by _host_of; extract_pld is handed each distinct host once,
+    # however many blocks it comes back in
+    monkeypatch.setattr(ingest, "BLOCK_CHARS", block_chars)
     n_hosts = 5
     lines = [
         json.dumps({"id": f"t{i:02d}", "author": "u", "ts": i, "kind": KIND_ORIGINAL,
@@ -662,6 +670,8 @@ def test_each_url_host_is_found_once(tmp_path, monkeypatch, separators):
         ingest, "extract_pld", lambda *args: extract_calls.append(args) or extract_pld(*args)
     )
     log = parse_events(path)
+    # in blocks of 300 characters, news0.example's second line is in a later block than its first
+    assert (len("\n".join(lines[: n_hosts + 1])) > block_chars) == (block_chars == 300)
     assert sorted(host_calls) == sorted(url for line in lines for url in json.loads(line)["urls"])
     assert sorted(args[1] for args in extract_calls) == sorted(
         [f"news{h}.example" for h in range(n_hosts)] + ["a.example"]

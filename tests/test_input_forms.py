@@ -8,6 +8,7 @@ the input bytes.
 """
 import csv
 import json
+from functools import partial
 
 import pytest
 
@@ -43,6 +44,37 @@ def redumped_events(src, dst):
     assert not ingest._CANONICAL_EVENT.findall(dst.read_text())  # the per-line reader reads it
 
 
+# urls array entries that have no domain: not a string, a link shortener,
+# not a URL, and a bare IP address
+NO_DOMAIN = [None, "http://bit.ly/x", "not a url", "http://192.0.2.1/"]
+
+
+def padded_urls(src, dst, separators):
+    """Each event's URLs spelled ``HTTPS://WWW.<domain>:443/a?b#c``, the same
+    domain, and padded with the first one to four ``NO_DOMAIN`` entries, so
+    that arrays differ in length: the real URLs after the padding on even
+    lines and before it on odd ones. Written with ``separators``: the compact
+    ones send every block to the bulk reader, json's default ones to the
+    per-line reader."""
+    with open(src, encoding="utf-8") as fin, open(dst, "w", encoding="utf-8") as fout:
+        for i, line in enumerate(fin):
+            obj = json.loads(line)
+            urls = [
+                f"HTTPS://WWW.{url.removeprefix('http://').removesuffix('/')}:443/a?b#c"
+                for url in obj["urls"]
+            ]
+            padding = NO_DOMAIN[: 1 + i % 4]
+            obj["urls"] = padding + urls if i % 2 == 0 else urls + padding
+            fout.write(json.dumps(obj, ensure_ascii=False, separators=separators) + "\n")
+    text = dst.read_text(encoding="utf-8")
+    rows = ingest._CANONICAL_EVENT.findall(text)
+    if separators == (",", ":"):  # the bulk reader takes every line
+        assert len(rows) == text.count("\n")
+        assert ingest._url_arrays([row[4] for row in rows]) is not None
+    else:
+        assert not rows
+
+
 def quoted_edges(src, dst):
     """Every field quoted, CRLF line ends and a byte-order mark."""
     with open(src, encoding="utf-8", newline="") as fin:
@@ -67,8 +99,11 @@ def report_outputs(data, out):
 
 @pytest.mark.parametrize("name, rewrite", [
     ("events.jsonl", redumped_events),
+    ("events.jsonl", partial(padded_urls, separators=(",", ":"))),
+    ("events.jsonl", partial(padded_urls, separators=(", ", ": "))),
     ("edges.csv", quoted_edges),
-], ids=["events-redumped-keys-reversed", "edges-quoted-crlf-bom"])
+], ids=["events-redumped-keys-reversed", "events-padded-urls-compact",
+        "events-padded-urls-spaced", "edges-quoted-crlf-bom"])
 def test_report_is_the_same_over_input_forms(bundle_dir, tmp_path, name, rewrite):
     other = tmp_path / "other"
     other.mkdir()
