@@ -3,18 +3,21 @@
 A report numbers every user its inputs name once, in ``user_space``: the
 seeds, every endpoint of an edge and every author and retweeted account of
 the log, sorted by name, so an id's order is its name's order. Each input
-table maps into that space with one name -> id lookup. Both graphs are seed
-x user CSR matrices over those ids, one row per seed in sorted order,
-columns ascending in each row: ``FollowerGraph.follow`` holds one entry of
-1 per edge and ``RetweetGraph.retweets`` the number of times a seed
-retweeted an account. Threshold k is ``retweets >= k``, so raising k always
-keeps a subset of the edges at k-1. A user's indegree is a column sum. The
-per-seed metrics below are row operations on the two matrices and come back
-as vectors over the seed rows, NaN where a seed's value is undefined; the
-moderacy engine pools exposures over the same matrices and keeps every
-per-user value as a vector over the same ids. A user with no entry in
-either graph and no tweet of its own (say, an account only non-seeds
-retweeted) has an id but no defined value, so no row names it.
+table maps into that space with one name -> id lookup; the parsed edge list
+is read from its own CSR. Both graphs are seed x user CSR matrices over
+those ids, one row per seed in sorted order, columns ascending in each row:
+``FollowerGraph.follow`` holds one entry of 1 per edge and
+``RetweetGraph.retweets`` the number of times a seed retweeted an account.
+The sparse type, ``CSR``, and ``count_matrix``, which builds every such
+matrix from (row, column) pairs, live in ``ingest`` beside the edge list.
+Threshold k is ``retweets >= k``, so raising k always keeps a subset of the
+edges at k-1. A user's indegree is a column sum. The per-seed metrics below
+are row operations on the two matrices and come back as vectors over the
+seed rows, NaN where a seed's value is undefined; the moderacy engine pools
+exposures over the same matrices and keeps every per-user value as a vector
+over the same ids. A user with no entry in either graph and no tweet of its
+own (say, an account only non-seeds retweeted) has an id but no defined
+value, so no row names it.
 
 A report saves both graphs to ``graphs.cache`` and never reads the file back;
 ``load_graph_cache`` is its reader, for tools that time or inspect it. Cache
@@ -45,7 +48,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .errors import EchoscopeError
-from .ingest import EventLog, FollowEdgeList, atomic_open
+from .ingest import CSR, EventLog, FollowEdgeList, atomic_open, count_matrix
 
 OVERLAP_ACCOUNT = "account"
 OVERLAP_CONTENT = "content"
@@ -59,52 +62,6 @@ REPLAY_MAX_SIZE = 32
 
 CACHE_MAGIC = b"ECHOGRF1"
 CACHE_VERSION = 3
-
-
-class CSR:
-    """A sparse matrix of ``shape``: row i stores the columns
-    ``indices[indptr[i]:indptr[i + 1]]``, strictly ascending, with the values
-    ``data`` at the same positions."""
-
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
-                 shape: tuple[int, int]) -> None:
-        self.indptr, self.indices, self.data, self.shape = indptr, indices, data, shape
-
-    def entry_rows(self) -> np.ndarray:
-        """The row of each stored entry."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """Per row, the float sum of value * x[column], added in column order from 0."""
-        terms = self.data * x[self.indices]
-        return np.bincount(self.entry_rows(), weights=terms, minlength=self.shape[0])
-
-    def label_counts(self, labels: np.ndarray, n_labels: int) -> np.ndarray:
-        """A (rows, n_labels) array: per row, how many of its entries sit in a
-        column of each label; a column labelled below 0 counts nowhere."""
-        label = labels[self.indices]
-        held = label >= 0
-        cells = self.entry_rows()[held] * n_labels + label[held]
-        return np.bincount(cells, minlength=self.shape[0] * n_labels).reshape(-1, n_labels)
-
-    def kept(self, keep: np.ndarray, data: np.ndarray) -> "CSR":
-        """The entries where ``keep`` is true, holding ``data`` instead of their values."""
-        indptr = np.r_[0, np.cumsum(keep)][self.indptr]
-        return CSR(indptr, self.indices[keep], data, self.shape)
-
-    def multiply(self, other: "CSR") -> "CSR":
-        """The entries both matrices store, holding the product of their values."""
-        mine, theirs = (m.entry_rows() * m.shape[1] + m.indices for m in (self, other))
-        at = np.searchsorted(theirs, mine)
-        both = at < theirs.size
-        both[both] = theirs[at[both]] == mine[both]
-        return self.kept(both, self.data[both] * other.data[at[both]])
-
-    def __eq__(self, other: object) -> bool:
-        fields = ("indptr", "indices", "data")
-        return self.shape == other.shape and all(
-            np.array_equal(getattr(self, f), getattr(other, f)) for f in fields
-        )
 
 
 class _SeedGraph:
@@ -169,20 +126,6 @@ class RetweetGraph(_SeedGraph):
         return self.retweets.kept(keep, np.ones(np.count_nonzero(keep), dtype=np.int64))
 
 
-def count_matrix(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> CSR:
-    """Row x column occurrence counts, from the runs of sorted keys row * n_cols + col."""
-    n_rows, n_cols = shape
-    keys = np.asarray(rows, dtype=np.int64) * n_cols
-    keys += cols
-    keys.sort()
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    counts = np.diff(starts, append=keys.size)
-    keys = keys[starts]
-    entry_rows = keys // n_cols
-    indptr = np.searchsorted(entry_rows, np.arange(n_rows + 1))
-    return CSR(indptr, keys - entry_rows * n_cols, counts, shape)
-
-
 @dataclass(frozen=True, eq=False)
 class UserSpace:
     """One report's user ids and the seeds' own edges and retweets on them.
@@ -222,7 +165,7 @@ def user_space(seeds: Iterable[str], edges: FollowEdgeList, log: EventLog) -> Us
         keep = rows >= 0
         return rows[keep], dst[keep]
 
-    follow = seed_pairs(edge_ids[edges.src], edge_ids[edges.dst])
+    follow = seed_pairs(edge_ids[edges.follow.entry_rows()], edge_ids[edges.follow.indices])
     retweet = seed_pairs(log_ids[log.author[log.retweet]], log_ids[log.orig_author[log.retweet]])
     return UserSpace(names, seed_ids, follow, retweet)
 

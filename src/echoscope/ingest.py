@@ -5,8 +5,12 @@ Formats (UTF-8 throughout; a leading byte-order mark is skipped):
   edges CSV    header ``follower,friend``
   events JSONL one object per line: id, author, ts, kind, orig_author, urls
 
-Parsers keep memory proportional to their output; the edge parser stores
-edges as index arrays so tens of millions of rows fit in a small footprint.
+Parsers keep memory proportional to their output. The edge list is a
+sparse matrix: the parser interns names to ids, and ``count_matrix`` sorts
+the (follower, friend) id pairs into a ``CSR`` with one entry per distinct
+edge, so tens of millions of rows fit in a small footprint. ``CSR`` and
+``count_matrix`` live here with the other data-model types; ``graph`` builds
+the follower and retweet graphs with them, and the exposure index too.
 Each of the two line-based inputs is read one of two ways: in bulk, in
 blocks of about ``BLOCK_CHARS`` characters cut after the last line end
 (``_line_blocks``), or one line at a time by its reference reader
@@ -111,22 +115,95 @@ class TweetEvent:
         return self.kind == KIND_RETWEET
 
 
-class FollowEdgeList:
-    """Deduplicated directed follower->friend edges in columnar form."""
+class CSR:
+    """A sparse matrix of ``shape``: row i stores the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, strictly ascending, with the values
+    ``data`` at the same positions."""
 
-    def __init__(
-        self,
-        names: list[str],
-        src: np.ndarray,
-        dst: np.ndarray,
-        n_self_loops_dropped: int = 0,
-        n_duplicates_dropped: int = 0,
-    ) -> None:
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+                 shape: tuple[int, int]) -> None:
+        self.indptr, self.indices, self.data, self.shape = indptr, indices, data, shape
+
+    def entry_rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """Per row, the float sum of value * x[column], added in column order from 0."""
+        terms = self.data * x[self.indices]
+        return np.bincount(self.entry_rows(), weights=terms, minlength=self.shape[0])
+
+    def label_counts(self, labels: np.ndarray, n_labels: int) -> np.ndarray:
+        """A (rows, n_labels) array: per row, how many of its entries sit in a
+        column of each label; a column labelled below 0 counts nowhere."""
+        label = labels[self.indices]
+        held = label >= 0
+        cells = self.entry_rows()[held] * n_labels + label[held]
+        return np.bincount(cells, minlength=self.shape[0] * n_labels).reshape(-1, n_labels)
+
+    def kept(self, keep: np.ndarray, data: np.ndarray) -> "CSR":
+        """The entries where ``keep`` is true, holding ``data`` instead of their values."""
+        indptr = np.r_[0, np.cumsum(keep)][self.indptr]
+        return CSR(indptr, self.indices[keep], data, self.shape)
+
+    def multiply(self, other: "CSR") -> "CSR":
+        """The entries both matrices store, holding the product of their values."""
+        mine, theirs = (m.entry_rows() * m.shape[1] + m.indices for m in (self, other))
+        at = np.searchsorted(theirs, mine)
+        both = at < theirs.size
+        both[both] = theirs[at[both]] == mine[both]
+        return self.kept(both, self.data[both] * other.data[at[both]])
+
+    def __eq__(self, other: object) -> bool:
+        fields = ("indptr", "indices", "data")
+        return self.shape == other.shape and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in fields
+        )
+
+
+def count_matrix(rows, cols, shape: tuple[int, int]) -> CSR:
+    """Row x column occurrence counts, from the runs of sorted keys row * n_cols + col.
+
+    Each temporary is freed once used, and the columns are derived in place
+    from the keys, so above its inputs the build holds about three int64
+    arrays of their length at most.
+    """
+    n_rows, n_cols = shape
+    keys = np.asarray(rows, dtype=np.int64) * n_cols
+    keys += cols
+    keys.sort()
+    # where each run of equal keys starts, and the end of the last run
+    first = np.empty(keys.size + 1, dtype=bool)
+    first[[0, -1]] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:-1])
+    starts = np.flatnonzero(first)
+    del first
+    keys = keys[starts[:-1]]
+    counts = np.diff(starts)
+    del starts
+    entry_rows = keys // n_cols
+    indptr = np.searchsorted(entry_rows, np.arange(n_rows + 1))
+    entry_rows *= n_cols
+    keys -= entry_rows  # the column of each entry
+    return CSR(indptr, keys, counts, shape)
+
+
+class FollowEdgeList:
+    """Directed follower->friend edges, each kept once, as a CSR.
+
+    ``follow`` is the follower x friend matrix over ``names``: one entry of 1
+    per distinct edge, columns ascending in each row. ``count_matrix`` builds
+    it from the interned id columns ``src`` and ``dst``, which are not kept;
+    its counts give ``n_duplicates_dropped``, and the values are then a
+    read-only view of one int64, so no value array is stored.
+    """
+
+    def __init__(self, names: list[str], src, dst, n_self_loops_dropped: int = 0) -> None:
         self.names = names
-        self.src = src
-        self.dst = dst
+        self.follow = count_matrix(src, dst, (len(names), len(names)))
         self.n_self_loops_dropped = n_self_loops_dropped
-        self.n_duplicates_dropped = n_duplicates_dropped
+        self.n_duplicates_dropped = len(src) - self.n_edges
+        self.follow.data = np.broadcast_to(np.int64(1), self.follow.indices.shape)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "FollowEdgeList":
@@ -135,17 +212,15 @@ class FollowEdgeList:
         time, through the same interning as the edge parser."""
         pairs = iter(pairs)
         index: dict[str, int] = {}
-        src_buf = array("q")
-        dst_buf = array("q")
+        src_buf, dst_buf = array("q"), array("q")
         n_self = 0
         while fields := list(chain.from_iterable(islice(pairs, BLOCK_CHARS))):
             n_self += _add_fields(fields, index, src_buf, dst_buf)
-        src, dst, n_dup = _dedup_edges(src_buf, dst_buf)
-        return cls(list(index), src, dst, n_self, n_dup)
+        return cls(list(index), src_buf, dst_buf, n_self)
 
     @property
     def n_edges(self) -> int:
-        return int(self.src.size)
+        return int(self.follow.indices.size)
 
     @property
     def n_users(self) -> int:
@@ -153,12 +228,12 @@ class FollowEdgeList:
 
     def iter_edges(self) -> Iterator[tuple[str, str]]:
         names = self.names
-        for s, d in zip(self.src.tolist(), self.dst.tolist()):
+        for s, d in zip(self.follow.entry_rows().tolist(), self.follow.indices.tolist()):
             yield names[s], names[d]
 
     def sources(self) -> frozenset[str]:
-        # a count per id: np.unique hashes first, which is far slower here
-        ids = np.flatnonzero(np.bincount(self.src, minlength=len(self.names)))
+        """The names with an outgoing edge: the rows that hold an entry."""
+        ids = np.flatnonzero(np.diff(self.follow.indptr))
         return frozenset(self.names[i] for i in ids.tolist())
 
     def __eq__(self, other: object) -> bool:
@@ -168,24 +243,6 @@ class FollowEdgeList:
 
     def __repr__(self) -> str:
         return f"FollowEdgeList(n_users={self.n_users}, n_edges={self.n_edges})"
-
-
-def _dedup_edges(src_buf, dst_buf) -> tuple[np.ndarray, np.ndarray, int]:
-    if len(src_buf) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), 0
-    src = np.asarray(src_buf, dtype=np.int64)
-    dst = np.asarray(dst_buf, dtype=np.int64)
-    packed = np.sort((src.astype(np.uint64) << np.uint64(32)) | dst.astype(np.uint64))
-    # a sort and a neighbour comparison: np.unique hashes first, which is far slower here
-    first = np.empty(packed.size, dtype=bool)
-    first[0] = True
-    np.not_equal(packed[1:], packed[:-1], out=first[1:])
-    unique = packed[first]
-    n_dup = int(packed.size - unique.size)
-    src = (unique >> np.uint64(32)).astype(np.int64)
-    dst = (unique & np.uint64(0xFFFFFFFF)).astype(np.int64)
-    return src, dst, n_dup
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,6 +292,7 @@ class EventLog:
             raise InputFormatError("retweet record lacks orig_author")
         kept = [ev for ev in events if ev.kind != KIND_RETWEET or ev.original_author != ev.author]
         cols = _EventColumns()
+        cols.n_self_retweets_dropped = len(events) - len(kept)
         cols.extend(
             [ev.tweet_id for ev in kept],
             [ev.author for ev in kept],
@@ -243,7 +301,7 @@ class EventLog:
             [len(ev.domains) for ev in kept],
             hosts_of([f"http://{d}/" for ev in kept for d in ev.domains]),
         )
-        return cols.log(0, len(events) - len(kept))
+        return cols.log()
 
     def __len__(self) -> int:
         return len(self.tweet_ids)
@@ -314,6 +372,10 @@ class _EventColumns:
     are numbered in order of first appearance, and only the domain ids of
     the URLs that have one are kept, so the columns hold no more than the
     log they make.
+
+    ``n_urls_dropped`` counts those URLs and the URL entries a reader found
+    not to be strings, which the reader adds; ``n_self_retweets_dropped``
+    counts the self-retweets a reader dropped. Both pass to the log.
     """
 
     def __init__(self) -> None:
@@ -328,6 +390,7 @@ class _EventColumns:
         self.domain_ptr = array("q", [0])
         self.domain_ids = array("q")
         self.n_urls_dropped = 0
+        self.n_self_retweets_dropped = 0
 
     def extend(self, tweet_ids, authors, ts, orig_authors, url_counts, hosts) -> None:
         """Append a batch of events, one item each per column; an original
@@ -366,10 +429,8 @@ class _EventColumns:
         self.domain_ptr.frombytes(ptr.tobytes())
         self.domain_ids.frombytes(domain[kept].tobytes())
 
-    def log(self, n_urls_dropped: int, n_self_retweets_dropped: int) -> EventLog:
-        """The collected events, users renumbered in sorted-name order;
-        ``n_urls_dropped`` counts the URL entries dropped before they came
-        here, and the URLs the columns dropped are added to it."""
+    def log(self) -> EventLog:
+        """The collected events, users renumbered in sorted-name order."""
         names = list(self.user_id)
         by_name = sorted(range(len(names)), key=names.__getitem__)
         rank = np.empty(len(names) + 1, dtype=np.int64)
@@ -387,8 +448,8 @@ class _EventColumns:
             tuple(self.domain_id),
             np.frombuffer(self.domain_ptr, dtype=np.int64),
             np.frombuffer(self.domain_ids, dtype=np.int64),
-            n_urls_dropped + self.n_urls_dropped,
-            n_self_retweets_dropped,
+            self.n_urls_dropped,
+            self.n_self_retweets_dropped,
         )
         if _in_time_order(ts, self.tweet_ids):
             return as_read  # already in order: the columns are kept, not copied
@@ -621,8 +682,7 @@ def parse_follow_edges(path: str) -> FollowEdgeList:
 def _parse_plain_edges(path: str) -> Optional[FollowEdgeList]:
     """The edge list read a block of lines at a time, or None if csv must read the file."""
     index: dict[str, int] = {}  # name -> id, in order of first appearance
-    src_buf = array("q")
-    dst_buf = array("q")
+    src_buf, dst_buf = array("q"), array("q")
     n_self = 0
     field_limit = csv.field_size_limit()
     with _open_checked(path) as fh:
@@ -644,8 +704,7 @@ def _parse_plain_edges(path: str) -> Optional[FollowEdgeList]:
                 del block, fields  # freed before the next block is read
         except UnicodeDecodeError:
             return None  # csv reads line by line, so it decides which error comes first
-    src, dst, n_dup = _dedup_edges(src_buf, dst_buf)
-    return FollowEdgeList(list(index), src, dst, n_self, n_dup)
+    return FollowEdgeList(list(index), src_buf, dst_buf, n_self)
 
 
 def _line_blocks(fh, max_line: Optional[int] = None) -> Iterator[Optional[str]]:
@@ -767,21 +826,22 @@ _URL_GAP = re.compile(r",(?:null,)*|(?:,null)*\n(?:(?:null(?:,null)*)?\n)*(?:nul
 
 
 def _url_arrays(url_texts: list[str]) -> Optional[tuple[list[str], np.ndarray, int]]:
-    """The URLs of urls arrays given by the text between their brackets, the
-    index of the array that holds each URL, and the number of nulls; None
-    unless each array holds only plain strings and nulls, the shape
-    ``_CANONICAL_EVENT`` stands for.
+    """The URLs of urls arrays given by the text between their brackets, how
+    many each array holds, and the number of nulls; None unless each array
+    holds only plain strings and nulls, the shape ``_CANONICAL_EVENT``
+    stands for.
 
-    The arrays are checked together: their quotes pair up within each array,
-    no byte is a backslash or a control character, and each distinct text
-    between two strings is one the array grammar allows.
+    The arrays are checked together: each holds an even number of quotes, so
+    they pair up within it and its URL count is half of them, no byte is a
+    backslash or a control character, and each distinct text between two
+    strings is one the array grammar allows.
     """
+    quotes = np.fromiter(map(str.count, url_texts, repeat('"')), np.int64, len(url_texts))
+    if (quotes & 1).any():
+        return None  # a string that runs on past its array
     text = "\n".join(url_texts)
     parts = text.split('"')
     gaps = parts[0::2]  # the text around the strings
-    ends = np.cumsum(np.fromiter(map(str.count, gaps, repeat("\n")), np.int64, len(gaps)))
-    if len(parts) % 2 == 0 or ends[-1] != text.count("\n"):
-        return None  # a string that runs on past its array: quotes pair up across arrays
     raw = text.encode()
     if len(raw.translate(None, _NOT_PLAIN)) != len(raw):
         return None
@@ -791,7 +851,7 @@ def _url_arrays(url_texts: list[str]) -> Optional[tuple[list[str], np.ndarray, i
     gaps[-1] += "\n"
     if not all(map(_URL_GAP.fullmatch, set(gaps))):
         return None
-    return parts[1::2], ends[:-1], "".join(gaps).count("null")
+    return parts[1::2], quotes >> 1, "".join(gaps).count("null")
 
 
 def parse_events(path: str) -> EventLog:
@@ -814,9 +874,10 @@ def parse_events(path: str) -> EventLog:
             fh.seek(0)  # the byte-order mark is skipped again
             fold = _EventFold(path)
             fold.add_lines(fh, 1)
-    if fold.n_self_rts:
-        log.warning("dropped %d self-retweet records from %s", fold.n_self_rts, path)
-    return fold.cols.log(fold.n_not_strings, fold.n_self_rts)
+    cols = fold.cols
+    if cols.n_self_retweets_dropped:
+        log.warning("dropped %d self-retweet records from %s", cols.n_self_retweets_dropped, path)
+    return cols.log()
 
 
 def _name(value, key: str, path: str, line: int) -> str:
@@ -830,14 +891,12 @@ def _name(value, key: str, path: str, line: int) -> str:
 class _EventFold:
     """Event lines folded into ``_EventColumns``, a batch at a time: the
     events' names and timestamps, and the hosts of their string URLs, which
-    the columns resolve to domains. A URL entry that is not a string is
-    counted in ``n_not_strings``."""
+    the columns resolve to domains. A URL entry that is not a string, and a
+    self-retweet, is counted in the columns' drop counters."""
 
     def __init__(self, path: str) -> None:
         self.path = str(path)
         self.cols = _EventColumns()
-        self.n_not_strings = 0
-        self.n_self_rts = 0
 
     def add_block(self, block: str, lineno: int) -> int:
         """Fold a block of whole lines that starts at file line ``lineno``;
@@ -866,19 +925,19 @@ class _EventFold:
         arrays = _url_arrays(url_texts)
         if arrays is None:
             return False
-        urls, url_event, n_nulls = arrays
-        self.n_self_rts += n_self_rts
-        self.n_not_strings += n_nulls
-        self.cols.extend(
-            tweet_ids, authors, list(map(int, ts)), orig_authors,
-            np.bincount(url_event, minlength=len(tweet_ids)), hosts_of(urls),
+        urls, url_counts, n_nulls = arrays
+        cols = self.cols
+        cols.n_self_retweets_dropped += n_self_rts
+        cols.n_urls_dropped += n_nulls
+        cols.extend(
+            tweet_ids, authors, list(map(int, ts)), orig_authors, url_counts, hosts_of(urls)
         )
         return True
 
     def add_lines(self, lines: Iterable[str], lineno: int) -> int:
         """Fold lines one at a time, each decoded by json and checked at its
         own file line, starting at ``lineno``; the file line after them."""
-        path = self.path
+        path, cols = self.path, self.cols
         tweet_ids: list = []
         authors: list[str] = []
         timestamps: list[int] = []
@@ -923,7 +982,7 @@ class _EventFold:
                     )
                 orig_author = _name(orig_author, "orig_author", path, last)
                 if orig_author == author:
-                    self.n_self_rts += 1
+                    cols.n_self_retweets_dropped += 1
                     continue
             else:
                 orig_author = None
@@ -937,8 +996,8 @@ class _EventFold:
             orig_authors.append(orig_author)
             url_counts.append(len(strings))
             urls += strings
-            self.n_not_strings += len(event_urls) - len(strings)
-        self.cols.extend(tweet_ids, authors, timestamps, orig_authors, url_counts, hosts_of(urls))
+            cols.n_urls_dropped += len(event_urls) - len(strings)
+        cols.extend(tweet_ids, authors, timestamps, orig_authors, url_counts, hosts_of(urls))
         return last + 1
 
 

@@ -227,7 +227,7 @@ def generate(config: SynthConfig) -> tuple[DatasetBundle, GroundTruth]:
     bundle = DatasetBundle(
         scores={d: float(s) for d, s in zip(domains, d_scores.tolist())},
         edges=edges,
-        log=cols.log(0, 0),
+        log=cols.log(),
         seeds=frozenset(users),
     )
     truth = GroundTruth(

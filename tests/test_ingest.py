@@ -133,14 +133,16 @@ def reference_edges(path):
 
 
 def edge_outcome(parse, path):
-    """What a parser makes of a file: its columns and counters, or its error text."""
+    """What a parser makes of a file: its names, each edge's follower and
+    friend ids (the rows and columns of its entries) and its counters, or its
+    error text."""
     try:
         edges = parse(path)
     except InputFormatError as exc:
         return str(exc)
     if edges is None:
         return None
-    return (edges.names, edges.src.tolist(), edges.dst.tolist(),
+    return (edges.names, edges.follow.entry_rows().tolist(), edges.follow.indices.tolist(),
             edges.n_self_loops_dropped, edges.n_duplicates_dropped)
 
 
@@ -1016,7 +1018,8 @@ LOGGED_EVENT = st.tuples(
 @settings(max_examples=100, deadline=None)
 def test_edge_sources_match_unique(pairs):
     edges = FollowEdgeList.from_pairs(pairs)
-    assert edges.sources() == {edges.names[i] for i in np.unique(edges.src).tolist()}
+    rows = np.unique(edges.follow.entry_rows())
+    assert edges.sources() == {edges.names[i] for i in rows.tolist()}
 
 
 @given(st.lists(LOGGED_EVENT, max_size=20))
@@ -1060,9 +1063,40 @@ def per_pair_edges(pairs):
             len(edges) - len(unique))
 
 
+# "x,y" must be quoted, so a file that names it is read by csv
+EDGE_NAMES = st.sampled_from(["a", "b", "c", "d", "x,y"])
+
+
+def edges_csv(path, pairs):
+    """An edges CSV of ``pairs`` as csv.writer writes it."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([("follower", "friend"), *pairs])
+    return write(path, text.getvalue())
+
+
 @pytest.mark.parametrize("block_chars", [3, ingest.BLOCK_CHARS])
 def test_from_pairs_matches_parser(tmp_path, monkeypatch, block_chars):
     monkeypatch.setattr(ingest, "BLOCK_CHARS", block_chars)  # pairs per batch
+
+    def check(pairs):
+        built = FollowEdgeList.from_pairs(iter(pairs))
+        path = edges_csv(tmp_path / "e.csv", pairs)
+        expected = per_pair_edges(pairs)
+        assert edge_outcome(lambda _: built, path) == expected
+        assert edge_outcome(parse_follow_edges, path) == expected
+        assert built == parse_follow_edges(path)
+        assert built.follow.data.tolist() == [1] * built.n_edges
+        return expected
+
+    # drawn lists: repeats, self-loops, names seen only in self-loops
+    @given(st.lists(st.tuples(EDGE_NAMES, EDGE_NAMES), max_size=24))
+    @example([])
+    @example([("a", "a"), ("b", "c"), ("b", "c"), ("d", "d"), ("c", "b")])
+    @settings(max_examples=100, deadline=None)
+    def drawn(pairs):
+        check(pairs)
+
+    drawn()
     pairs = [(f"u{i % 97}", f"u{i * 7 % 101}") for i in range(2 * block_chars + 5)]
     # self-loops on both sides of the first batch boundary, and one of a
     # name seen only in the next batch
@@ -1070,12 +1104,7 @@ def test_from_pairs_matches_parser(tmp_path, monkeypatch, block_chars):
     pairs[block_chars] = ("b", "b")
     pairs[block_chars + 1] = ("b", "u0")
     pairs[-1] = pairs[1]
-    built = FollowEdgeList.from_pairs(iter(pairs))
-    path = write(tmp_path / "e.csv", "follower,friend\n" + "".join(f"{a},{b}\n" for a, b in pairs))
-    expected = per_pair_edges(pairs)
-    assert edge_outcome(lambda _: built, path) == expected
-    assert edge_outcome(parse_follow_edges, path) == expected
-    assert built == parse_follow_edges(path)
+    expected = check(pairs)
     assert expected[3] >= 2 and expected[4] >= 1  # self-loops and duplicates were dropped
     assert "a" not in expected[0] and "b" in expected[0]
 
@@ -1088,7 +1117,9 @@ def test_scores_with_a_byte_order_mark(tmp_path):
 @pytest.mark.parametrize("row", ["u1,u2", '"u1",u2'])  # the block parser, and csv
 def test_edges_with_a_byte_order_mark(tmp_path, row):
     edges = parse_follow_edges(write(tmp_path / "e.csv", f"\ufefffollower,friend\n{row}\n"))
-    assert (edges.names, edges.src.tolist(), edges.dst.tolist()) == (["u1", "u2"], [0], [1])
+    follow = edges.follow
+    assert (edges.names, follow.entry_rows().tolist(), follow.indices.tolist()) == (
+        ["u1", "u2"], [0], [1])
 
 
 def test_events_with_a_byte_order_mark(tmp_path):
