@@ -1,8 +1,8 @@
 """Command-line surface: validate, report, synth, oracle-check.
 
-Exit codes: 0 success, 1 internal error, 2 input error. Logs go to stderr
-(level via the ECHOSCOPE_LOG environment variable); data only ever goes to
-stdout or the requested output paths.
+Exit codes: 0 success, 1 internal error or a closed stdout, 2 input error.
+Logs go to stderr (level via the ECHOSCOPE_LOG environment variable); data
+only ever goes to stdout or the requested output paths.
 
 Only the standard library and ``errors`` are imported at load time, so
 ``--help`` and usage errors load no numpy. Each command imports what it
@@ -293,7 +293,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe fails here, not at exit
+        return rc
+    except BrokenPipeError:
+        # whoever read stdout has gone: as Python's signal docs do, point
+        # stdout at devnull, so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INTERNAL
     except EchoscopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

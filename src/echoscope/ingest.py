@@ -46,8 +46,10 @@ its URLs' hosts in another, and the block is folded into the columns before
 the next is read. The columns are the one place where a URL becomes a
 domain: they keep one host table, and resolve each host new to it to its
 registrable domain once, by ``extract_pld`` handed the host alone.
-``EventLog.from_events`` and ``synth`` build their logs through the same
-columns. The analyses read the columns;
+``synth`` builds its log through the same columns. ``EventLog.from_events``
+writes its events as the lines ``write_events`` writes (``_event_line``) and
+runs this reader on them, so the reader holds every rule of the format. The
+analyses read the columns;
 ``EventLog.events`` gives the same log as ``TweetEvent`` objects, built only
 when read. ``read_key_values`` reads the ``key = value`` config files of
 ``report --config`` and ``synth --config``.
@@ -279,29 +281,19 @@ class EventLog:
 
     @classmethod
     def from_events(cls, events: Iterable[TweetEvent]) -> "EventLog":
-        """The log of ``events``, as ``parse_events`` reads their written
-        file: a self-retweet is dropped before any name is interned, and
-        counted in ``n_self_retweets_dropped``. Each domain is read as the
-        URL ``write_events`` writes for it, ``http://{domain}/``, through the
-        parser's host table: ``www.Example.com`` becomes ``example.com``,
-        and one with no registrable domain (a public suffix, a link
-        shortener, an IP address) is dropped and counted in
-        ``n_urls_dropped``."""
-        events = list(events)
-        if any(ev.kind == KIND_RETWEET and ev.original_author in (None, "") for ev in events):
-            raise InputFormatError("retweet record lacks orig_author")
-        kept = [ev for ev in events if ev.kind != KIND_RETWEET or ev.original_author != ev.author]
-        cols = _EventColumns()
-        cols.n_self_retweets_dropped = len(events) - len(kept)
-        cols.extend(
-            [ev.tweet_id for ev in kept],
-            [ev.author for ev in kept],
-            [ev.timestamp for ev in kept],
-            [ev.original_author if ev.kind == KIND_RETWEET else None for ev in kept],
-            [len(ev.domains) for ev in kept],
-            hosts_of([f"http://{d}/" for ev in kept for d in ev.domains]),
-        )
-        return cols.log()
+        """The log ``parse_events`` reads from the file ``write_events``
+        writes for ``events``: each event becomes its written line
+        (``_event_line``, each domain the URL ``http://{domain}/``), and the
+        lines go through the event reader, so every rule of the format is
+        the reader's. An integer id or user reads as its decimal text, a
+        self-retweet is dropped and counted, and a URL with no registrable
+        domain is dropped and counted. A record the reader refuses raises
+        its error, with the line but no path."""
+        text = b"".join(map(_event_line, events)).decode("utf-8")
+        fold = _EventFold(None)
+        if text:
+            fold.add_block(text, 1)
+        return fold.cols.log()
 
     def __len__(self) -> int:
         return len(self.tweet_ids)
@@ -430,8 +422,13 @@ class _EventColumns:
         self.domain_ids.frombytes(domain[kept].tobytes())
 
     def log(self) -> EventLog:
-        """The collected events, users renumbered in sorted-name order."""
+        """The collected events, users renumbered in sorted-name order.
+
+        The interning tables are dropped once their names are read, before
+        the copies below, so the columns take no more batches after this."""
         names = list(self.user_id)
+        domains = tuple(self.domain_id)
+        del self.user_id, self.host_id, self.domain_id
         by_name = sorted(range(len(names)), key=names.__getitem__)
         rank = np.empty(len(names) + 1, dtype=np.int64)
         rank[by_name] = np.arange(len(names))
@@ -445,7 +442,7 @@ class _EventColumns:
             rank[np.frombuffer(self.author, dtype=np.int64)],
             ts,
             rank[np.frombuffer(self.orig_author, dtype=np.int64)],
-            tuple(self.domain_id),
+            domains,
             np.frombuffer(self.domain_ptr, dtype=np.int64),
             np.frombuffer(self.domain_ids, dtype=np.int64),
             self.n_urls_dropped,
@@ -894,8 +891,8 @@ class _EventFold:
     the columns resolve to domains. A URL entry that is not a string, and a
     self-retweet, is counted in the columns' drop counters."""
 
-    def __init__(self, path: str) -> None:
-        self.path = str(path)
+    def __init__(self, path: Optional[str]) -> None:
+        self.path = path  # None: errors name the line alone
         self.cols = _EventColumns()
 
     def add_block(self, block: str, lineno: int) -> int:
@@ -1030,24 +1027,26 @@ def write_follow_edges(edges: FollowEdgeList, path: str) -> None:
             writer.writerow([follower, friend])
 
 
+def _event_line(ev: TweetEvent) -> bytes:
+    """The UTF-8 line of one event in the compact shape ``parse_events``
+    reads in bulk: keys in a fixed order, no spaces, characters as they are,
+    each domain as the URL ``http://{domain}/``. json escapes quotes,
+    backslashes and control characters; a lone surrogate, which only a
+    ``\\u`` escape can give, is written back as that escape."""
+    obj: dict = {"id": ev.tweet_id, "author": ev.author, "ts": ev.timestamp, "kind": ev.kind}
+    if ev.original_author is not None:
+        obj["orig_author"] = ev.original_author
+    obj["urls"] = [f"http://{d}/" for d in ev.domains]
+    line = json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
+    return line.encode("utf-8", "backslashreplace")
+
+
 def write_events(logdata: EventLog, path: str) -> None:
-    """Write the log in the compact shape ``parse_events`` reads in bulk:
-    keys in a fixed order, no spaces, characters as they are. json escapes
-    quotes, backslashes and control characters; a lone surrogate, which only
-    a ``\\u`` escape can give, is written back as that escape."""
+    """Write the log one ``_event_line`` per event, the lines
+    ``EventLog.from_events`` reads its events from."""
     with atomic_open(path, "wb") as fh:
         for ev in logdata.events:
-            obj: dict = {
-                "id": ev.tweet_id,
-                "author": ev.author,
-                "ts": ev.timestamp,
-                "kind": ev.kind,
-            }
-            if ev.original_author is not None:
-                obj["orig_author"] = ev.original_author
-            obj["urls"] = [f"http://{d}/" for d in ev.domains]
-            line = json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
-            fh.write(line.encode("utf-8", "backslashreplace"))
+            fh.write(_event_line(ev))
 
 
 # ---------------------------------------------------------------------------

@@ -840,3 +840,21 @@ def test_an_input_error_is_one_line_on_stderr(tmp_path):
     )
     assert result.returncode == 2
     assert result.stderr == "error: need 1 <= k_min <= k_max\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "oracle-check"])
+def test_a_closed_stdout_exits_one_without_a_traceback(dataset_dir, command):
+    # a subprocess whose stdout is a pipe with no reader left before the
+    # payload is printed, as under `| head -c 1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "echoscope.cli", command, *inputs(dataset_dir)],
+            env=src_env(), stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert "internal error" not in result.stderr

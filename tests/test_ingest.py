@@ -602,6 +602,18 @@ def test_from_events_refuses_a_retweet_without_an_original_author(orig):
     assert EventLog.from_events([rt("t1", "v", 1, "u")]).orig_author.tolist() == [0]
 
 
+def write_event_lines(path, events):
+    """``events`` written one json line each, with json's default separators
+    (so the per-line reader reads them), each domain as ``http://{domain}/``."""
+    lines = [
+        event_line(id=e.tweet_id, author=e.author, ts=e.timestamp, kind=e.kind,
+                   **({} if e.original_author is None else {"orig_author": e.original_author}),
+                   urls=[f"http://{d}/" for d in e.domains])
+        for e in events
+    ]
+    return write(path, "\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize("events", [
     # an original that names an original author: the parsers ignore that
     # name, and so does from_events
@@ -614,13 +626,7 @@ def test_from_events_refuses_a_retweet_without_an_original_author(orig):
      rt("t1", "v", 1, "u", domains=["192.0.2.1", "example.org"])],
 ], ids=["original-naming-an-author", "self-retweet", "domains-the-parser-would-not-give"])
 def test_from_events_matches_the_parse_of_its_written_file(tmp_path, events):
-    lines = [
-        event_line(id=e.tweet_id, author=e.author, ts=e.timestamp, kind=e.kind,
-                   **({} if e.original_author is None else {"orig_author": e.original_author}),
-                   urls=[f"http://{d}/" for d in e.domains])
-        for e in events
-    ]
-    parsed = parse_events(write(tmp_path / "ev.jsonl", "\n".join(lines) + "\n"))
+    parsed = parse_events(write_event_lines(tmp_path / "ev.jsonl", events))
     log = EventLog.from_events(events)
     assert len(log) == len(parsed) == 2
     assert log.users == parsed.users == ("u", "v")
@@ -630,6 +636,28 @@ def test_from_events_matches_the_parse_of_its_written_file(tmp_path, events):
         assert getattr(log, column).tolist() == getattr(parsed, column).tolist()
     assert log.n_self_retweets_dropped == parsed.n_self_retweets_dropped == len(events) - 2
     assert log.n_urls_dropped == parsed.n_urls_dropped
+
+
+@pytest.mark.parametrize("events", [
+    # the parser reads an integer id as its decimal text, which sorts among the strings
+    [ev("t", "u", 1, domains=["a.example"]), ev(5, "u", 1), ev(40, "v", 0)],
+    # and an integer user too, author or original author
+    [ev("t0", 12, 0), rt("t1", "v", 1, 12), rt("t2", 7, 2, "v")],
+    [ev("t0", "u", 0), ev("t1", "u", -5)],
+    [ev("t0", "u", 0), ev("t1", "u", 1, kind="quote")],
+], ids=["int-id-tied-with-a-string-id", "int-author", "negative-timestamp", "kind-quote"])
+def test_from_events_reads_what_parse_events_reads(tmp_path, events):
+    # every column and counter alike, or the same error at the same line;
+    # from_events names no path
+    path = write_event_lines(tmp_path / "ev.jsonl", events)
+    try:
+        log = EventLog.from_events(events)
+    except InputFormatError as exc:
+        assert exc.path is None
+        outcome = f"{path}:{exc.line}: {exc}"
+    else:
+        outcome = log_outcome(lambda _: log, path)
+    assert outcome == log_outcome(parse_events, path)
 
 
 def test_retweet_flag_is_derived_and_read_only():
@@ -931,8 +959,9 @@ def test_write_events_failure_leaves_previous_file(tmp_path):
     write_events(EventLog.from_events([ev("t0", "u", 0)]), str(path))
     before = path.read_bytes()
     # the second event's id cannot be serialised, so the write fails after
-    # the first line
-    broken = EventLog.from_events([ev("t1", "u", 1), ev(object(), "u", 2)])
+    # the first line; from_events would refuse that id, so it is put in after
+    log = EventLog.from_events([ev("t1", "u", 1), ev("t2", "u", 2)])
+    broken = replace(log, tweet_ids=np.array(["t1", object()], dtype=object))
     with pytest.raises(TypeError):
         write_events(broken, str(path))
     assert path.read_bytes() == before
