@@ -159,17 +159,32 @@ def run_report(cfg: RunConfig) -> ReportBundle:
     return report.run_report(cfg)
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    from .ingest import atomic_open
+def _write_payload(text: str, out: Optional[str]) -> bool:
+    """Write a command's JSON text to ``out``, or to stdout when there is
+    none. False if whoever read stdout has gone: then, as Python's signal
+    docs do, stdout is pointed at devnull, so the flush at exit does not
+    fail again."""
+    if out:
+        from .ingest import atomic_open
 
+        with atomic_open(out) as fh:
+            fh.write(text + "\n")
+        return True
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+    return True
+
+
+def cmd_validate(args: argparse.Namespace) -> int:
     bundle = load_dataset(args.scores, args.edges, args.events)
     report = validate_dataset(bundle)
-    payload = report.to_json()
-    if args.out:
-        with atomic_open(args.out) as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+    if not _write_payload(report.to_json(), args.out):
+        return EXIT_INTERNAL
     return EXIT_OK if report.ok else EXIT_INPUT
 
 
@@ -213,7 +228,6 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         raise EchoscopeError("--max-events must be >= 0")
     if not 0.0 <= args.tolerance < math.inf:  # NaN fails both comparisons
         raise EchoscopeError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
-    from .ingest import atomic_open
     from .oracle import compare_with_oracle
 
     bundle = load_dataset(args.scores, args.edges, args.events)
@@ -237,12 +251,8 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         "presence_mismatches": list(diff.presence_mismatches),
         "class_mismatches": list(diff.class_mismatches),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with atomic_open(args.out) as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    if not _write_payload(json.dumps(payload, indent=2, sort_keys=True), args.out):
+        return EXIT_INTERNAL
     return EXIT_OK if payload["ok"] else EXIT_INPUT
 
 
@@ -293,14 +303,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        rc = args.func(args)
-        sys.stdout.flush()  # so that a closed pipe fails here, not at exit
-        return rc
-    except BrokenPipeError:
-        # whoever read stdout has gone: as Python's signal docs do, point
-        # stdout at devnull, so the flush at exit does not fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_INTERNAL
+        return args.func(args)
     except EchoscopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -28,7 +28,7 @@ from echoscope.ingest import (
     write_events,
     write_follow_edges,
 )
-from echoscope.psl import _host_of, extract_pld
+from echoscope.psl import _host_of, extract_pld, hosts_of
 
 
 def write(path, text):
@@ -615,8 +615,7 @@ def write_event_lines(path, events):
 
 
 @pytest.mark.parametrize("events", [
-    # an original that names an original author: the parsers ignore that
-    # name, and so does from_events
+    # an original that names an original author: the parsers ignore that name
     [ev("t0", "u", 0, orig="ghost", domains=["a.example"]), rt("t1", "v", 1, "u")],
     # a self-retweet is dropped and counted; "w", named only there, gets no id
     [ev("t0", "u", 0), rt("t1", "w", 1, "w", domains=["w.example"]), rt("t2", "v", 2, "u")],
@@ -624,28 +623,14 @@ def write_event_lines(path, events):
     # for it, so one is folded to its registrable domain and three are dropped
     [ev("t0", "u", 0, domains=["www.Example.com", "co.uk", "bit.ly"]),
      rt("t1", "v", 1, "u", domains=["192.0.2.1", "example.org"])],
-], ids=["original-naming-an-author", "self-retweet", "domains-the-parser-would-not-give"])
-def test_from_events_matches_the_parse_of_its_written_file(tmp_path, events):
-    parsed = parse_events(write_event_lines(tmp_path / "ev.jsonl", events))
-    log = EventLog.from_events(events)
-    assert len(log) == len(parsed) == 2
-    assert log.users == parsed.users == ("u", "v")
-    assert log.orig_author.tolist() == [-1, 0]
-    assert log.domains == parsed.domains
-    for column in ("tweet_ids", "author", "ts", "orig_author", "retweet", "domain_ptr", "domain_ids"):
-        assert getattr(log, column).tolist() == getattr(parsed, column).tolist()
-    assert log.n_self_retweets_dropped == parsed.n_self_retweets_dropped == len(events) - 2
-    assert log.n_urls_dropped == parsed.n_urls_dropped
-
-
-@pytest.mark.parametrize("events", [
     # the parser reads an integer id as its decimal text, which sorts among the strings
     [ev("t", "u", 1, domains=["a.example"]), ev(5, "u", 1), ev(40, "v", 0)],
     # and an integer user too, author or original author
     [ev("t0", 12, 0), rt("t1", "v", 1, 12), rt("t2", 7, 2, "v")],
     [ev("t0", "u", 0), ev("t1", "u", -5)],
     [ev("t0", "u", 0), ev("t1", "u", 1, kind="quote")],
-], ids=["int-id-tied-with-a-string-id", "int-author", "negative-timestamp", "kind-quote"])
+], ids=["original-naming-an-author", "self-retweet", "domains-the-parser-would-not-give",
+        "int-id-tied-with-a-string-id", "int-author", "negative-timestamp", "kind-quote"])
 def test_from_events_reads_what_parse_events_reads(tmp_path, events):
     # every column and counter alike, or the same error at the same line;
     # from_events names no path
@@ -725,11 +710,17 @@ def log_outcome(parse, path):
 
 
 def reference_log(path):
-    """``reference_parse``'s events as a log: ``from_events`` numbers the
-    domains in the order the file names them."""
+    """``reference_parse``'s events as a log, put straight into the columns
+    (not through either reader): each domain as the host of
+    ``http://{domain}/``, numbered in the order the file names them."""
     events, n_urls_dropped, n_self_rts = reference_parse(path, file_order=True)
-    log = EventLog.from_events(events)
-    return replace(log, n_urls_dropped=n_urls_dropped, n_self_retweets_dropped=n_self_rts)
+    cols = ingest._EventColumns()
+    cols.extend(
+        [e.tweet_id for e in events], [e.author for e in events], [e.timestamp for e in events],
+        [e.original_author for e in events], [len(e.domains) for e in events],
+        hosts_of([f"http://{d}/" for e in events for d in e.domains]),
+    )
+    return replace(cols.log(), n_urls_dropped=n_urls_dropped, n_self_retweets_dropped=n_self_rts)
 
 
 # mostly names json writes as they stand, sometimes text it must escape
