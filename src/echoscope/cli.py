@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import math
 import os
@@ -159,19 +158,18 @@ def run_report(cfg: RunConfig) -> ReportBundle:
     return report.run_report(cfg)
 
 
-def _write_payload(text: str, out: Optional[str]) -> bool:
-    """Write a command's JSON text to ``out``, or to stdout when there is
-    none. False if whoever read stdout has gone: then, as Python's signal
-    docs do, stdout is pointed at devnull, so the flush at exit does not
-    fail again."""
-    if out:
-        from .ingest import atomic_open
+def _write_payload(payload: dict, out: Optional[str]) -> bool:
+    """Write a command's JSON payload to ``out``, or the same text to stdout
+    when there is none. False if whoever read stdout has gone: then, as
+    Python's signal docs do, stdout is pointed at devnull, so the flush at
+    exit does not fail again."""
+    from .ingest import json_text, write_json
 
-        with atomic_open(out) as fh:
-            fh.write(text + "\n")
+    if out:
+        write_json(payload, out)
         return True
     try:
-        print(text, flush=True)
+        print(json_text(payload), end="", flush=True)
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
@@ -183,7 +181,7 @@ def _write_payload(text: str, out: Optional[str]) -> bool:
 def cmd_validate(args: argparse.Namespace) -> int:
     bundle = load_dataset(args.scores, args.edges, args.events)
     report = validate_dataset(bundle)
-    if not _write_payload(report.to_json(), args.out):
+    if not _write_payload({**dataclasses.asdict(report), "ok": report.ok}, args.out):
         return EXIT_INTERNAL
     return EXIT_OK if report.ok else EXIT_INPUT
 
@@ -239,19 +237,15 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         max_events=args.max_events,
     )
     payload = {
+        **dataclasses.asdict(diff),
         "ok": diff.ok(args.tolerance),
         "k": args.k,
         "entropy_bins": args.entropy_bins,
         "unique_domains": args.unique_domains,
         "max_events": args.max_events,
         "tolerance": args.tolerance,
-        "max_abs_diff": diff.max_abs_diff,
-        "worst_metric": diff.worst_metric,
-        "n_compared": diff.n_compared,
-        "presence_mismatches": list(diff.presence_mismatches),
-        "class_mismatches": list(diff.class_mismatches),
     }
-    if not _write_payload(json.dumps(payload, indent=2, sort_keys=True), args.out):
+    if not _write_payload(payload, args.out):
         return EXIT_INTERNAL
     return EXIT_OK if payload["ok"] else EXIT_INPUT
 

@@ -53,6 +53,13 @@ analyses read the columns;
 ``EventLog.events`` gives the same log as ``TweetEvent`` objects, built only
 when read. ``read_key_values`` reads the ``key = value`` config files of
 ``report --config`` and ``synth --config``.
+
+Every file the program writes goes through ``atomic_open``, and each output
+format has one writer beside it: ``json_text`` is the text of every JSON file
+and of the JSON a command prints (sorted keys, two-space indents, a final
+line end), ``write_json`` writes it, and ``write_csv`` writes every CSV: csv's
+writer with ``\\n`` line ends, a header row and then rows read one at a time.
+``write_events`` writes the events in the compact shape above.
 """
 from __future__ import annotations
 
@@ -483,6 +490,17 @@ class DatasetBundle:
     log: EventLog
     seeds: frozenset[str]
 
+    def counts(self) -> dict[str, int]:
+        """The input counts that report.json's ``counts`` and validate.json's
+        ``counters`` both start from."""
+        return {
+            "n_seeds": len(self.seeds),
+            "n_users_in_edges": self.edges.n_users,
+            "n_edges": self.edges.n_edges,
+            "n_events": len(self.log),
+            "n_retweets": self.log.n_retweets,
+        }
+
 
 @dataclass
 class ValidationReport:
@@ -496,18 +514,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.errors
-
-    def to_json(self) -> str:
-        payload = {
-            "ok": self.ok,
-            "errors": list(self.errors),
-            "seeds_without_friends": list(self.seeds_without_friends),
-            "dangling_retweet_authors": list(self.dangling_retweet_authors),
-            "n_dangling_retweets": self.n_dangling_retweets,
-            "frac_events_with_scored_domain": self.frac_events_with_scored_domain,
-            "counters": self.counters,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +604,26 @@ def atomic_open(path: str, mode: str = "w"):
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def json_text(obj) -> str:
+    """The text of every JSON file and payload: sorted keys, two-space
+    indents and a final line end."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(obj, path: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(json_text(obj))
+
+
+def write_csv(path: str, header: list[str], rows: Iterable) -> None:
+    """Write a header row and then ``rows``, read one at a time inside the
+    atomic write, so ``rows`` may be a generator."""
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _check_header(row: Optional[list[str]], expected: list[str], path: str) -> None:
@@ -1012,19 +1038,11 @@ def load_dataset(scores_path: str, edges_path: str, events_path: str) -> Dataset
 
 
 def write_domain_scores(scores: dict[str, float], path: str) -> None:
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SCORES_HEADER)
-        for domain in sorted(scores):
-            writer.writerow([domain, repr(scores[domain])])
+    write_csv(path, SCORES_HEADER, ((domain, repr(scores[domain])) for domain in sorted(scores)))
 
 
 def write_follow_edges(edges: FollowEdgeList, path: str) -> None:
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EDGES_HEADER)
-        for follower, friend in edges.iter_edges():
-            writer.writerow([follower, friend])
+    write_csv(path, EDGES_HEADER, edges.iter_edges())
 
 
 def _event_line(ev: TweetEvent) -> bytes:
@@ -1074,11 +1092,7 @@ def validate_dataset(bundle: DatasetBundle) -> ValidationReport:
 
     errors = tuple(f"seed has no outgoing edges: {u}" for u in seeds_without)
     counters = {
-        "n_seeds": len(bundle.seeds),
-        "n_users_in_edges": bundle.edges.n_users,
-        "n_edges": bundle.edges.n_edges,
-        "n_events": n_events,
-        "n_retweets": log_data.n_retweets,
+        **bundle.counts(),
         "n_authors_in_log": len(log_data.authors),
         "n_scored_domains": len(bundle.scores),
         "n_self_loops_dropped": bundle.edges.n_self_loops_dropped,

@@ -7,9 +7,10 @@ The analyses hand back per-seed values as vectors over the graphs' seed rows
 (sorted seeds, NaN where a value is undefined) and per-user values as
 vectors over user ids; each table's columns are those vectors, indexed where
 they are computed, and every mean in report.json adds its values left to
-right in seed (or user) order. ``write_report`` writes report.json, then
-every table: each column is formatted whole as text, and csv.writer writes
-the rows. The largest table has one row per user.
+right in seed (or user) order. ``write_report`` writes report.json through
+``ingest.write_json``, then every table through ``ingest.write_csv``: each
+column is formatted whole as text when the writer reads the first row. The
+largest table has one row per user.
 
 Every byte written is a pure function of (inputs, semantic config, seed):
 worker counts, cache usage, and output locations never leak into file
@@ -17,7 +18,6 @@ contents, and no file already in the output directory is read.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import json
@@ -48,7 +48,7 @@ from .graph import (
     save_graph_cache,
     user_space,
 )
-from .ingest import DatasetBundle, atomic_open, load_dataset
+from .ingest import DatasetBundle, load_dataset, write_csv, write_json
 from .moderacy import (
     CLASSES,
     FOLLOWER,
@@ -167,15 +167,17 @@ def _text(column: Column) -> list[str]:
     return cells
 
 
+def _rows(columns: list[Column]):
+    """The columns' rows as text, formatted when the first row is read."""
+    yield from zip(*map(_text, columns))
+
+
 def _write_csv(path: Path, header: list[str], columns: list[Column]) -> None:
-    """Write a header and columns with csv.writer(lineterminator="\\n")."""
+    """Write a header and columns through ``write_csv``."""
     lengths = {len(column) for column in columns}
     if len(header) != len(columns) or len(lengths) > 1:
         raise ValueError(f"{path.name}: {len(header)} names for column lengths {sorted(lengths)}")
-    with atomic_open(str(path)) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*map(_text, columns)))
+    write_csv(str(path), header, _rows(columns))
 
 
 def _corr_block(xs: list[float], ys: list[float]) -> dict:
@@ -285,13 +287,7 @@ def build_report(
     bundle = dataclasses.replace(bundle, log=bundle.log.restricted(cfg.window))
     if cfg.window is not None and len(bundle.log) == 0:
         markers.append("window excludes every event")
-    counts_section = {
-        "n_seeds": len(bundle.seeds),
-        "n_users_in_edges": bundle.edges.n_users,
-        "n_edges": bundle.edges.n_edges,
-        "n_events": len(bundle.log),
-        "n_retweets": bundle.log.n_retweets,
-    }
+    counts_section = bundle.counts()
     fg, rg = build_graphs(bundle, cfg, cache_path, input_meta)
 
     engine = MetricsEngine(bundle, fg, rg, unique_domains=cfg.unique_domains)
@@ -551,8 +547,7 @@ def write_report(report: ReportBundle, out_dir: str) -> list[str]:
     file is touched.
     """
     out = Path(out_dir)
-    with atomic_open(str(out / "report.json")) as fh:
-        fh.write(json.dumps(report.sections, indent=2, sort_keys=True) + "\n")
+    write_json(report.sections, str(out / "report.json"))
     for name, (header, columns) in report.tables.items():
         _write_csv(out / name, header, columns)
     for path in sorted(out.iterdir()):

@@ -24,7 +24,6 @@ builder the events.jsonl parser uses.
 """
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from dataclasses import asdict, dataclass
@@ -37,8 +36,8 @@ from .ingest import (
     DatasetBundle,
     FollowEdgeList,
     _EventColumns,
-    atomic_open,
     read_key_values,
+    write_json,
 )
 from .rng import substream
 
@@ -91,16 +90,6 @@ class GroundTruth:
     null_model: bool
     counters: dict[str, int]
     config: SynthConfig
-
-    def to_json(self) -> str:
-        payload = {
-            "config": asdict(self.config),
-            "null_model": self.null_model,
-            "counters": self.counters,
-            "ideology": self.ideology,
-            "domain_scores": self.domain_scores,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _snap_level(values: np.ndarray) -> np.ndarray:
@@ -246,5 +235,4 @@ def generate(config: SynthConfig) -> tuple[DatasetBundle, GroundTruth]:
 
 
 def write_truth(truth: GroundTruth, path: str) -> None:
-    with atomic_open(path) as fh:
-        fh.write(truth.to_json() + "\n")
+    write_json(asdict(truth), path)

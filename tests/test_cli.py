@@ -662,6 +662,32 @@ def test_oracle_check_out_file(dataset_dir, tmp_path):
     assert settings == {"k": 2, "entropy_bins": 4, "unique_domains": True, "max_events": 900}
 
 
+@pytest.mark.parametrize("command", [
+    ["validate"],
+    ["oracle-check"],
+    ["oracle-check", "--unique-domains"],
+])
+def test_stdout_carries_the_bytes_of_out(dataset_dir, tmp_path, capsys, command):
+    args = [command[0], *inputs(dataset_dir), *command[1:]]
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "payload.json"
+    assert main([*args, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert printed.encode("utf-8") == out.read_bytes()
+    assert printed.endswith("}\n") and json.loads(printed)["ok"]
+
+
+def test_report_counts_are_the_validate_counters(dataset_dir, tmp_path):
+    assert main(["validate", *inputs(dataset_dir), "--out", str(tmp_path / "validate.json")]) == 0
+    assert main(report_args(dataset_dir, tmp_path / "out")) == 0
+    counters = json.loads((tmp_path / "validate.json").read_text())["counters"]
+    counts = json.loads((tmp_path / "out" / "report.json").read_text())["counts"]
+    names = ["n_seeds", "n_users_in_edges", "n_edges", "n_events", "n_retweets"]
+    assert all(counters[name] > 0 for name in names)
+    assert {name: counts[name] for name in names} == {name: counters[name] for name in names}
+
+
 @pytest.mark.parametrize(
     "flags",
     [

@@ -5,7 +5,10 @@ the README says reads the same, runs ``report`` on both, and compares every
 output: the CSVs byte for byte, and report.json apart from ``meta.inputs``
 (the input hashes). ``graphs.cache`` is left out: its fingerprint hashes
 the input bytes. Integer ids are compared against their decimal text on a
-copy of the bundle with decimal names.
+copy of the bundle with decimal names. A ``--window`` that covers every
+event is compared with no window, and the same input bytes under other
+file names in another directory with the originals, every byte of every
+output file, ``graphs.cache`` included.
 """
 import csv
 import json
@@ -52,6 +55,20 @@ def redumped_events(src, dst):
     assert not ingest._CANONICAL_EVENT.findall(dst.read_text())  # the per-line reader reads it
 
 
+COMPACT, SPACED = (",", ":"), (", ", ": ")
+
+
+def assert_read_by(text, separators):
+    """The bulk reader takes every line written with the compact separators,
+    and the per-line reader every line written with json's default ones."""
+    rows = ingest._CANONICAL_EVENT.findall(text)
+    if separators == COMPACT:
+        assert len(rows) == text.count("\n")
+        assert ingest._url_arrays([row[4] for row in rows]) is not None
+    else:
+        assert not rows
+
+
 # urls array entries that have no domain: not a string, a link shortener,
 # not a URL, and a bare IP address
 NO_DOMAIN = [None, "http://bit.ly/x", "not a url", "http://192.0.2.1/"]
@@ -74,13 +91,24 @@ def padded_urls(src, dst, separators):
             padding = NO_DOMAIN[: 1 + i % 4]
             obj["urls"] = padding + urls if i % 2 == 0 else urls + padding
             fout.write(json.dumps(obj, ensure_ascii=False, separators=separators) + "\n")
-    text = dst.read_text(encoding="utf-8")
-    rows = ingest._CANONICAL_EVENT.findall(text)
-    if separators == (",", ":"):  # the bulk reader takes every line
-        assert len(rows) == text.count("\n")
-        assert ingest._url_arrays([row[4] for row in rows]) is not None
-    else:
-        assert not rows
+    assert_read_by(dst.read_text(encoding="utf-8"), separators)
+
+
+def self_retweets(src, dst, separators):
+    """After every fifth event, a self-retweet by its author with a new id,
+    its time and its URLs, which both readers drop; every line written with
+    ``separators``."""
+    with open(src, encoding="utf-8") as fin, open(dst, "w", encoding="utf-8") as fout:
+        for i, line in enumerate(fin):
+            obj = json.loads(line)
+            records = [obj]
+            if i % 5 == 0:
+                author = obj["author"]
+                records.append({"id": f"self{i}", "author": author, "ts": obj["ts"],
+                                "kind": "retweet", "orig_author": author, "urls": obj["urls"]})
+            for record in records:
+                fout.write(json.dumps(record, ensure_ascii=False, separators=separators) + "\n")
+    assert_read_by(dst.read_text(encoding="utf-8"), separators)
 
 
 def quoted_edges(src, dst):
@@ -90,6 +118,26 @@ def quoted_edges(src, dst):
     with open(dst, "w", encoding="utf-8-sig", newline="") as fout:
         csv.writer(fout, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(rows)
     assert ingest._parse_plain_edges(str(dst)) is None  # csv reads it
+
+
+def self_loops(src, dst, quoted):
+    """Every fifth user's self-loop added after the first line that names it,
+    which both readers drop: written plain (the bulk reader reads it), or
+    with every field quoted and CRLF line ends (csv reads it)."""
+    with open(src, encoding="utf-8", newline="") as fin:
+        header, *rows = csv.reader(fin)
+    seen, lines = set(), [header]
+    for row in rows:
+        lines.append(row)
+        for name in row:
+            if name not in seen:
+                seen.add(name)
+                if len(seen) % 5 == 0:
+                    lines.append([name, name])
+    form = dict(quoting=csv.QUOTE_ALL, lineterminator="\r\n") if quoted else dict(lineterminator="\n")
+    with open(dst, "w", encoding="utf-8", newline="") as fout:
+        csv.writer(fout, **form).writerows(lines)
+    assert (ingest._parse_plain_edges(str(dst)) is None) == quoted
 
 
 def shuffled_lines(src, dst, n_header=0, repeated=0.0):
@@ -158,34 +206,45 @@ def renamed(src_dir, dst_dir, as_integers):
     assert not rows if as_integers else rows  # integers go to the per-line reader
 
 
-def report_outputs(data, out):
-    argv = [
-        "report", "--scores", str(data / "scores.csv"), "--edges", str(data / "edges.csv"),
-        "--events", str(data / "events.jsonl"), "--out", str(out),
-        "--reps", "20", "--baseline-users", "10", "--seed", "7",
-    ]
-    assert main(argv) == 0
-    files = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "graphs.cache"}
+INPUTS = ("scores.csv", "edges.csv", "events.jsonl")
+
+
+def report_files(paths, out, *flags):
+    """Every output file of ``report`` over the scores, edges and events at
+    ``paths``, by name."""
+    argv = ["report", "--out", str(out), "--reps", "20", "--baseline-users", "10", "--seed", "7"]
+    for flag, path in zip(("--scores", "--edges", "--events"), paths):
+        argv += [flag, str(path)]
+    assert main([*argv, *flags]) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def report_outputs(data, out, *flags):
+    """report.json without ``meta.inputs``, and the CSVs."""
+    files = report_files([data / name for name in INPUTS], out, *flags)
+    del files["graphs.cache"]
     sections = json.loads(files.pop("report.json"))
     del sections["meta"]["inputs"]
     return sections, files
 
 
-INPUTS = ("scores.csv", "edges.csv", "events.jsonl")
-
-
 @pytest.mark.parametrize("rewrites", [
     {"events.jsonl": redumped_events},
-    {"events.jsonl": partial(padded_urls, separators=(",", ":"))},
-    {"events.jsonl": partial(padded_urls, separators=(", ", ": "))},
+    {"events.jsonl": partial(padded_urls, separators=COMPACT)},
+    {"events.jsonl": partial(padded_urls, separators=SPACED)},
     {"edges.csv": quoted_edges},
     # event ids are unique, so only the edge lines repeat
     {"edges.csv": partial(shuffled_lines, n_header=1, repeated=0.1),
      "events.jsonl": shuffled_lines},
     {"scores.csv": labelled_scores},
+    {"edges.csv": partial(self_loops, quoted=False),
+     "events.jsonl": partial(self_retweets, separators=COMPACT)},
+    {"edges.csv": partial(self_loops, quoted=True),
+     "events.jsonl": partial(self_retweets, separators=SPACED)},
 ], ids=["events-redumped-keys-reversed", "events-padded-urls-compact",
         "events-padded-urls-spaced", "edges-quoted-crlf-bom",
-        "edges-repeated-and-lines-shuffled", "scores-as-labels"])
+        "edges-repeated-and-lines-shuffled", "scores-as-labels",
+        "self-loops-and-self-retweets-bulk", "self-loops-and-self-retweets-per-line"])
 def test_report_is_the_same_over_input_forms(bundle_dir, tmp_path, rewrites):
     other = tmp_path / "other"
     other.mkdir()
@@ -204,3 +263,27 @@ def test_report_reads_integer_ids_as_their_decimal_text(bundle_dir, tmp_path):
     renamed(bundle_dir, tmp_path / "ints", as_integers=True)
     expected = report_outputs(tmp_path / "text", tmp_path / "text_out")
     assert report_outputs(tmp_path / "ints", tmp_path / "ints_out") == expected
+
+
+def test_report_is_the_same_under_a_window_that_covers_every_event(bundle_dir, tmp_path):
+    lines = (bundle_dir / "events.jsonl").read_text(encoding="utf-8").splitlines()
+    ts = [json.loads(line)["ts"] for line in lines]
+    expected_sections, expected_files = report_outputs(bundle_dir, tmp_path / "all")
+    sections, files = report_outputs(
+        bundle_dir, tmp_path / "window", "--window", f"{min(ts)}..{max(ts)}"
+    )
+    assert files == expected_files
+    for meta in (sections["meta"], expected_sections["meta"]):
+        del meta["config"], meta["config_hash"]
+    assert sections == expected_sections
+
+
+def test_report_bytes_do_not_depend_on_input_names(bundle_dir, tmp_path):
+    elsewhere = tmp_path / "elsewhere" / "deeper"
+    elsewhere.mkdir(parents=True)
+    paths = [elsewhere / name for name in ("s.txt", "follows.tsv", "log.json")]
+    for name, path in zip(INPUTS, paths):
+        path.write_bytes((bundle_dir / name).read_bytes())
+    expected = report_files([bundle_dir / name for name in INPUTS], tmp_path / "out")
+    assert {"report.json", "graphs.cache"} <= expected.keys()
+    assert report_files(paths, tmp_path / "elsewhere" / "out") == expected

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ev, graphs_of, make_bundle, rt, t_two_sided_reference, two_pass_r
+from echoscope import ingest
 from echoscope import report as report_module
 from echoscope.cli import main
 from echoscope.errors import EchoscopeError
@@ -197,14 +198,15 @@ def test_single_overlap_mode(rich_bundle, tmp_path):
     assert set(values(report.tables["overlap_curve.csv"][1][0])) == {"account"}
 
 
-def test_write_report_replaces_each_file_atomically(rich_bundle, tmp_path, monkeypatch):
+@pytest.mark.parametrize("broken_file", ["echo_heatmap_f.csv", "report.json"])
+def test_write_report_replaces_each_file_atomically(rich_bundle, tmp_path, monkeypatch, broken_file):
     report = build_report(rich_bundle, run_config(tmp_path))
     table = "echo_heatmap_f.csv"
     header, columns = report.tables[table]
     cells = [values(column) for column in columns]
     assert len(cells[0]) > 20
     opened, partial = [], []
-    real_open = report_module.atomic_open
+    real_open = ingest.atomic_open
 
     @contextlib.contextmanager
     def noting(path):
@@ -220,34 +222,42 @@ def test_write_report_replaces_each_file_atomically(rich_bundle, tmp_path, monke
             partial.append((Path(fh.name).name, Path(fh.name).read_text()))
             raise RuntimeError("cannot format this value")
 
-    tables = dict(report.tables)
-    tables[table] = (
-        header,
-        [column[:10] + [cell] + column[10:] for column, cell in zip(cells, [0, 0, Unprintable()])],
-    )
-    broken = dataclasses.replace(report, tables=tables)
-    monkeypatch.setattr(report_module, "atomic_open", noting)
+    if broken_file == table:
+        tables = dict(report.tables)
+        tables[table] = (
+            header,
+            [column[:10] + [cell] + column[10:] for column, cell in zip(cells, [0, 0, Unprintable()])],
+        )
+        broken = dataclasses.replace(report, tables=tables)
+        fault, message = RuntimeError, "cannot format"
+    else:  # a report.json section that json cannot serialize
+        broken = dataclasses.replace(report, sections={**report.sections, "markers": [object()]})
+        fault, message = TypeError, "not JSON serializable"
+    monkeypatch.setattr(ingest, "atomic_open", noting)
     # over a complete earlier report: every file keeps its complete old bytes
     out = tmp_path / "again"
     out.mkdir()
     write_report(report, str(out))
     before = {p.name: p.read_bytes() for p in out.iterdir()}
-    with pytest.raises(RuntimeError, match="cannot format"):
+    with pytest.raises(fault, match=message):
         write_report(broken, str(out))
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     # into a fresh directory: the failing file never appears under its name
     fresh = tmp_path / "fresh"
     fresh.mkdir()
-    with pytest.raises(RuntimeError, match="cannot format"):
+    with pytest.raises(fault, match=message):
         write_report(broken, str(fresh))
     names = os.listdir(fresh)
     assert table not in names
-    assert "report.json" in names
     assert not any(name.endswith(".tmp") for name in names)
-    assert len(partial) == 2
-    for tmp_name, text in partial:
-        assert tmp_name.startswith(table) and tmp_name.endswith(".tmp")
-        assert text == ",".join(header) + "\n"
+    if broken_file == "report.json":  # the first file written: nothing follows it
+        assert names == []
+    else:
+        assert "report.json" in names
+        assert len(partial) == 2
+        for tmp_name, text in partial:
+            assert tmp_name.startswith(table) and tmp_name.endswith(".tmp")
+            assert text == ",".join(header) + "\n"
 
 
 def _fmt(value) -> str:
