@@ -29,7 +29,7 @@ is a plain dict, domain -> score.
 
 The event parser fills columns (``EventLog``): interned author and
 original-author ids, an int64 timestamp array and a CSR of interned domain
-ids, sorted once by (timestamp, tweet id). A row is a retweet exactly when it
+ids, in the order the events were read. A row is a retweet exactly when it
 has an original author; the retweet mask is derived from that column. A
 block wholly in the compact shape ``write_events`` writes
 (``_CANONICAL_EVENT``) is read in bulk: one regex pass takes its lines, each
@@ -49,10 +49,10 @@ registrable domain once, by ``extract_pld`` handed the host alone.
 ``synth`` builds its log through the same columns. ``EventLog.from_events``
 writes its events as the lines ``write_events`` writes (``_event_line``) and
 runs this reader on them, so the reader holds every rule of the format. The
-analyses read the columns;
-``EventLog.events`` gives the same log as ``TweetEvent`` objects, built only
-when read. ``read_key_values`` reads the ``key = value`` config files of
-``report --config`` and ``synth --config``.
+analyses read the columns; ``EventLog.iter_events`` gives the same log as
+``TweetEvent`` objects a slice at a time, and ``EventLog.events`` keeps them
+as a tuple once read. ``read_key_values`` reads the ``key = value`` config
+files of ``report --config`` and ``synth --config``.
 
 Every file the program writes goes through ``atomic_open``, and each output
 format has one writer beside it: ``json_text`` is the text of every JSON file
@@ -104,9 +104,10 @@ TS_MAX = 2**63 - 1
 SCORES_HEADER = ["domain", "score"]
 EDGES_HEADER = ["follower", "friend"]
 
-# characters per block of the bulk parses, and pairs per batch of
-# ``FollowEdgeList.from_pairs``; on the benchmark's edge files, blocks of
-# 2**18 parsed up to 10% slower and peaked 2-4 MiB higher
+# characters per block of the bulk parses, pairs per batch of
+# ``FollowEdgeList.from_pairs`` and rows per slice of the edge and event
+# writers; on the benchmark's edge files, blocks of 2**18 parsed up to 10%
+# slower and peaked 2-4 MiB higher
 BLOCK_CHARS = 2**16
 
 
@@ -236,9 +237,14 @@ class FollowEdgeList:
         return len(self.names)
 
     def iter_edges(self) -> Iterator[tuple[str, str]]:
-        names = self.names
-        for s, d in zip(self.follow.entry_rows().tolist(), self.follow.indices.tolist()):
-            yield names[s], names[d]
+        """The (follower, friend) names of each edge in row order,
+        ``BLOCK_CHARS`` edges converted at a time."""
+        names, indptr, indices = self.names, self.follow.indptr, self.follow.indices
+        for start in range(0, indices.size, BLOCK_CHARS):
+            at = np.arange(start, min(start + BLOCK_CHARS, indices.size))
+            rows = np.searchsorted(indptr, at, side="right") - 1
+            for s, d in zip(rows.tolist(), indices[at].tolist()):
+                yield names[s], names[d]
 
     def sources(self) -> frozenset[str]:
         """The names with an outgoing edge: the rows that hold an entry."""
@@ -256,7 +262,7 @@ class FollowEdgeList:
 
 @dataclass(frozen=True, eq=False)
 class EventLog:
-    """The tweet log as columns, one row per event in (timestamp, tweet id) order.
+    """The tweet log as columns, one row per event in the order it was read.
 
     ``users`` is the sorted table of every author and retweeted account;
     ``author`` and ``orig_author`` (-1 for an original tweet) index it.
@@ -266,8 +272,10 @@ class EventLog:
     ``domain_ids[domain_ptr[e]:domain_ptr[e + 1]]``, indices into ``domains``.
     The arrays are read-only.
 
-    ``events`` is the same log as a tuple of ``TweetEvent``, built on first
-    use for code that reads one event at a time (the oracle, writers, tests).
+    ``iter_events`` gives the same log as ``TweetEvent`` objects, built a
+    slice at a time for code that reads one event at a time (the writer);
+    ``events`` is the tuple of them, built on first use and kept (the
+    oracle, tests).
     """
 
     tweet_ids: np.ndarray
@@ -325,18 +333,25 @@ class EventLog:
 
     @cached_property
     def events(self) -> tuple[TweetEvent, ...]:
+        return tuple(self.iter_events())
+
+    def iter_events(self) -> Iterator[TweetEvent]:
+        """The events as ``TweetEvent`` objects, ``BLOCK_CHARS`` rows converted at a time."""
         users, domains = self.users, self.domains
-        flat, ptr = self.domain_ids.tolist(), self.domain_ptr.tolist()
-        return tuple(
-            TweetEvent(
-                tweet_id, users[a], t, KIND_RETWEET if o >= 0 else KIND_ORIGINAL,
-                users[o] if o >= 0 else None, tuple(domains[d] for d in flat[lo:hi]),
-            )
+        for start in range(0, len(self), BLOCK_CHARS):
+            rows = slice(start, start + BLOCK_CHARS)
+            ptr = self.domain_ptr[start : start + BLOCK_CHARS + 1]
+            flat = self.domain_ids[ptr[0] : ptr[-1]].tolist()
+            ptr = (ptr - ptr[0]).tolist()
             for tweet_id, a, t, o, lo, hi in zip(
-                self.tweet_ids.tolist(), self.author.tolist(), self.ts.tolist(),
-                self.orig_author.tolist(), ptr, ptr[1:],
-            )
-        )
+                self.tweet_ids[rows].tolist(), self.author[rows].tolist(), self.ts[rows].tolist(),
+                self.orig_author[rows].tolist(), ptr, ptr[1:],
+            ):
+                yield TweetEvent(
+                    tweet_id, users[a], t, KIND_RETWEET if o >= 0 else KIND_ORIGINAL,
+                    users[o] if o >= 0 else None,
+                    tuple(domains[d] for d in flat[lo:hi]),
+                )
 
     def event_of_domain(self) -> np.ndarray:
         """The event row of each entry of ``domain_ids``."""
@@ -363,7 +378,7 @@ class EventLog:
 
 
 class _EventColumns:
-    """Events appended a batch at a time, then sorted into an ``EventLog``.
+    """Events appended a batch at a time, then made into an ``EventLog``.
 
     The one place where a URL becomes a domain: each URL comes in as its
     host, hosts are interned in one table, and each host new to the table
@@ -429,7 +444,8 @@ class _EventColumns:
         self.domain_ids.frombytes(domain[kept].tobytes())
 
     def log(self) -> EventLog:
-        """The collected events, users renumbered in sorted-name order.
+        """The collected events in the order they were added, users
+        renumbered in sorted-name order.
 
         The interning tables are dropped once their names are read, before
         the copies below, so the columns take no more batches after this."""
@@ -442,12 +458,11 @@ class _EventColumns:
         rank[-1] = -1  # an absent original author stays -1
         tweet_ids = np.empty(len(self.tweet_ids), dtype=object)
         tweet_ids[:] = self.tweet_ids
-        ts = np.frombuffer(self.ts, dtype=np.int64)
-        as_read = EventLog(
+        return EventLog(
             tweet_ids,
             tuple(names[i] for i in by_name),
             rank[np.frombuffer(self.author, dtype=np.int64)],
-            ts,
+            np.frombuffer(self.ts, dtype=np.int64),
             rank[np.frombuffer(self.orig_author, dtype=np.int64)],
             domains,
             np.frombuffer(self.domain_ptr, dtype=np.int64),
@@ -455,32 +470,6 @@ class _EventColumns:
             self.n_urls_dropped,
             self.n_self_retweets_dropped,
         )
-        if _in_time_order(ts, self.tweet_ids):
-            return as_read  # already in order: the columns are kept, not copied
-        return as_read.take(_time_order(ts, self.tweet_ids))
-
-
-def _in_time_order(ts: np.ndarray, tweet_ids: list) -> bool:
-    """Whether the events are in strict (timestamp, tweet id) order, so
-    that _time_order would give the identity; only tied pairs compare ids."""
-    if np.any(ts[1:] < ts[:-1]):
-        return False
-    tied = np.flatnonzero(ts[1:] == ts[:-1]).tolist()
-    return all(tweet_ids[i] < tweet_ids[i + 1] for i in tied)
-
-
-def _time_order(ts: np.ndarray, tweet_ids: list) -> np.ndarray:
-    """The stable permutation that sorts events by (timestamp, tweet id)."""
-    order = np.argsort(ts, kind="stable")
-    ordered = ts[order]
-    tied = np.flatnonzero(ordered[1:] == ordered[:-1])
-    if tied.size:
-        # runs of equal timestamps, each sorted by id; argsort kept input order
-        starts = tied[np.concatenate(([True], tied[1:] != tied[:-1] + 1))]
-        ends = tied[np.concatenate((tied[1:] != tied[:-1] + 1, [True]))] + 2
-        for lo, hi in zip(starts.tolist(), ends.tolist()):
-            order[lo:hi] = sorted(order[lo:hi].tolist(), key=tweet_ids.__getitem__)
-    return order
 
 
 @dataclass(frozen=True)
@@ -1061,9 +1050,10 @@ def _event_line(ev: TweetEvent) -> bytes:
 
 def write_events(logdata: EventLog, path: str) -> None:
     """Write the log one ``_event_line`` per event, the lines
-    ``EventLog.from_events`` reads its events from."""
+    ``EventLog.from_events`` reads its events from; the events are built a
+    slice at a time and not kept."""
     with atomic_open(path, "wb") as fh:
-        for ev in logdata.events:
+        for ev in logdata.iter_events():
             fh.write(_event_line(ev))
 
 

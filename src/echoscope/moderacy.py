@@ -5,9 +5,7 @@ which number names in sorted order; NaN marks a value that is undefined.
 MetricsEngine computes, once per report:
   mu         raw mean of domain scores over each user's original tweets
              (multiset of URL occurrences by default; a set-of-domains
-             reading is available via unique_domains, whose sums are
-             exactly rounded, the value math.fsum gives, and computed from
-             integer limbs by set_sums); NaN when unscored
+             reading is available via unique_domains); NaN when unscored
   m_s        the folded mu (mu if mu > 0.5 else 1 - mu, a left/right
              extremity in [0.5, 1]) min-max normalized over scored users
   class_code index into CLASSES (m_s <= 0.5 is moderate), -1 when unscored
@@ -24,13 +22,16 @@ graphs' seed rows, NaN where a seed's value is undefined; friend activity
 returns the friends' user ids with their counts and retweeted flags, and the
 random baseline one seed's moderate share. The report turns these into rows.
 
-ExposureIndex keeps each user's totals as vectors over the same ids.
-Multiset exposures are products of the graphs' seed x user CSR matrices
-with per-user totals; a row lists its columns in ascending id order, so the
-product adds friends in sorted-name order. Set exposures mark each pool's distinct
-domains in a dense block and add exact integer limbs (set_sums). Everything
-here sees the log it is given: a time window is applied beforehand, with
-EventLog.restricted.
+Every score sum is exactly rounded, the value math.fsum gives, so no mean
+depends on the order of the events or of the friends. score_limbs writes
+each score of the table as integer limbs, sums of limbs are integers below
+2**53 and so exact in float64 in any order, and exact_sums rounds each row
+of limb sums once. ExposureIndex keeps each user's totals as vectors over
+the same ids, limb totals included. Multiset means pool those totals with
+the graphs' seed x user CSR matrices (limb_products); set means mark each
+pool's distinct domains in a dense block and add their limbs (set_sums).
+Everything here sees the log it is given: a time window is applied
+beforehand, with EventLog.restricted.
 """
 from __future__ import annotations
 
@@ -68,7 +69,7 @@ CLASSES = (MODERATE, HARDLINER)  # indexed by class code
 FOLLOWER = "follower"
 RETWEET = "retweet"
 
-LIMB_BITS = 21  # set sums add scores as integer limbs of this many bits
+LIMB_BITS = 21  # score sums add scores as integer limbs of this many bits
 
 
 def fold(mu: float) -> float:
@@ -122,6 +123,29 @@ def score_limbs(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return limbs[:, used], weights[used]
 
 
+def limb_products(matrix: CSR, limbs: np.ndarray) -> np.ndarray:
+    """``matrix @ limbs``, one product per limb column.
+
+    With integer limbs and counts whose sums stay below 2**53 (limbs are
+    below 2**21, a row holds fewer than 2**32 occurrences), every partial
+    sum is an exact integer, so the products are exact in any order.
+    """
+    sums = np.zeros((matrix.shape[0], limbs.shape[1]))
+    for j in range(limbs.shape[1]):
+        sums[:, j] = matrix @ limbs[:, j]
+    return sums
+
+
+def exact_sums(limb_sums: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per row, the exactly rounded sum of ``limb_sums[i, j] * weights[j]``,
+    the value math.fsum gives: limb sums below 2**53 times powers of two are
+    exact terms, so math.fsum of them is the row's own math.fsum."""
+    terms = limb_sums * weights
+    if terms.shape[1] <= 1:
+        return terms.sum(axis=1)  # a single exact term is its own correctly rounded sum
+    return np.array([math.fsum(t) for t in terms.tolist()])
+
+
 def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The positions starts[i] .. starts[i] + lengths[i] - 1 for each i, concatenated."""
     ends = np.cumsum(lengths)
@@ -140,10 +164,8 @@ def set_sums(
     only stored positions count. ``limbs``, ``weights`` come from score_limbs.
     A block of rows marks the distinct columns its users hold in a 0/1 block
     that spans only held columns; its product with the limbs and a column of
-    ones is exact in any order, since every partial sum is an integer below
-    2**53 (limbs are below 2**21, a row has fewer than 2**32 cells), and
-    math.fsum of the sums times their limbs' powers of two is the row's own
-    math.fsum. The marker and the gathered columns stay within
+    ones is exact in any order, as in limb_products, and exact_sums rounds
+    each row. The marker and the gathered columns stay within
     POOL_BLOCK_CELLS (a larger row goes alone).
     """
     sizes, n_users = np.diff(items.indptr), np.diff(pools.indptr)
@@ -177,9 +199,7 @@ def set_sums(
         del marker, at  # freed before the next block builds its own
         start = stop
     totals = np.zeros(pools.shape[0])
-    terms = sums[active, :-1] * weights
-    # a single exact term is its own correctly rounded sum
-    totals[active] = terms[:, 0] if len(weights) == 1 else [math.fsum(t) for t in terms.tolist()]
+    totals[active] = exact_sums(sums[active, :-1], weights)
     return totals, sums[:, -1].astype(np.int64)
 
 
@@ -187,13 +207,13 @@ class ExposureIndex:
     """Per-user totals over the event log, as vectors indexed by user id.
 
     Ids number ``names``, a sorted list that must hold every author of the
-    log (the graphs' id space). Per id,
-    ``score_sum`` and ``score_count`` cover every scored domain occurrence
-    the user posted, ``moderate`` counts the occurrences whose
-    folded score is moderate, ``orig_sum`` and ``orig_count`` cover original
-    tweets only, and ``n_events`` counts events. ``domains`` and
-    ``original_domains`` are user x domain incidence matrices (all events,
-    originals only) over ``domain_scores``, for set-of-domains means. A user
+    log (the graphs' id space). ``domains`` and ``original_domains`` are
+    user x domain occurrence counts (all events, originals only) over
+    ``domain_scores``, whose scores are ``limbs`` weighted by ``weights``
+    (score_limbs). Per id, ``limb_totals`` and ``score_count`` cover every
+    scored domain occurrence the user posted, ``orig_limb_totals`` and
+    ``orig_count`` original tweets only; ``moderate`` counts the occurrences
+    whose folded score is moderate, and ``n_events`` counts events. A user
     without events has zero totals.
     """
 
@@ -214,39 +234,35 @@ class ExposureIndex:
         domain_id = {d: j for j, d in enumerate(domain_names)}
         self.domain_scores = np.array([table[d] for d in domain_names], dtype=np.float64)
         is_moderate = np.array([fold(s) <= 0.5 for s in self.domain_scores.tolist()], dtype=bool)
+        self.limbs, self.weights = score_limbs(self.domain_scores)
 
         user_of = np.array([self.id.get(user, -1) for user in log_data.users], dtype=np.int64)
         user = user_of[log_data.author]
-        orig = ~log_data.retweet
         table_id = np.array([domain_id.get(d, -1) for d in log_data.domains], dtype=np.int64)
         occ_domain = table_id[log_data.domain_ids]
         scored = occ_domain >= 0
         occ_event = log_data.event_of_domain()[scored]
         occ_domain = occ_domain[scored]
         occ_user = user[occ_event]
-        occ_orig = orig[occ_event]
+        occ_orig = ~log_data.retweet[occ_event]
 
-        # bincount adds in input order: each event's scores in URL order, then
-        # each user's event sums in log order
         n = len(self.names)
-        ev_sum = np.bincount(
-            occ_event, weights=self.domain_scores[occ_domain], minlength=user.size
-        )
-        self.score_sum = np.bincount(user, weights=ev_sum, minlength=n)
         self.score_count = np.bincount(occ_user, minlength=n)
         self.moderate = np.bincount(occ_user[is_moderate[occ_domain]], minlength=n)
-        self.orig_sum = np.bincount(user[orig], weights=ev_sum[orig], minlength=n)
         self.orig_count = np.bincount(occ_user[occ_orig], minlength=n)
         self.n_events = np.bincount(user, minlength=n)
         shape = (n, len(domain_names))
         self.domains = count_matrix(occ_user, occ_domain, shape)
         self.original_domains = count_matrix(occ_user[occ_orig], occ_domain[occ_orig], shape)
+        self.limb_totals = limb_products(self.domains, self.limbs)
+        self.orig_limb_totals = limb_products(self.original_domains, self.limbs)
 
     def scored(self, author: str) -> tuple[float, int]:
+        """The exactly rounded score total of an author's occurrences, and their number."""
         i = self.id.get(author)
         if i is None:
             return 0.0, 0
-        return float(self.score_sum[i]), int(self.score_count[i])
+        return float(exact_sums(self.limb_totals[[i]], self.weights)[0]), int(self.score_count[i])
 
     def moderate_count(self, author: str) -> int:
         i = self.id.get(author)
@@ -256,21 +272,18 @@ class ExposureIndex:
         """Mean score of the content pooled by each row of a row x user matrix.
 
         NaN where a row pools nothing scored. Multiset means weigh every
-        occurrence. Set means count each distinct domain once; their sums are
-        exactly rounded, the value math.fsum gives, and come from integer
-        limbs of the domains set_sums marks per pool.
+        occurrence: each row pools its users' limb totals. Set means count
+        each distinct domain once, from the domains set_sums marks per pool.
+        Either way the sums are exactly rounded.
         """
         if not unique_domains:
-            return ratios(pools @ self.score_sum, pools @ self.score_count)
+            sums = exact_sums(limb_products(pools, self.limb_totals), self.weights)
+            return ratios(sums, pools @ self.score_count)
         return self.set_means(pools, self.domains)
 
     def set_means(self, pools: CSR, items: CSR) -> np.ndarray:
         """Exact set mean over the domains each pools row's users hold in ``items``; NaN if none."""
-        return ratios(*set_sums(pools, items, *self._limbs))
-
-    @cached_property
-    def _limbs(self) -> tuple[np.ndarray, np.ndarray]:
-        return score_limbs(self.domain_scores)
+        return ratios(*set_sums(pools, items, self.limbs, self.weights))
 
 
 def friend_matrix(kind: str, fg: FollowerGraph, rg: RetweetGraph, k: int = 1) -> CSR:
@@ -430,7 +443,7 @@ class MetricsEngine:
             self.mu = index.set_means(itself, index.original_domains)
         else:
             self.domain_count = index.orig_count
-            self.mu = ratios(index.orig_sum, index.orig_count)
+            self.mu = ratios(exact_sums(index.orig_limb_totals, index.weights), index.orig_count)
         scored = ~np.isnan(self.mu)
         self.m_s = np.full(len(self.names), np.nan)
         if scored.any():

@@ -1,9 +1,11 @@
 """Brute-force oracle: the engine's per-user metrics, recomputed by direct scans.
 
 ``score_weights`` likewise rebuilds ``sampled_scores.csv`` from the edge list
-and the log. Each side of compare_with_oracle is one name-keyed map per metric. The oracle
-adds every float over a set in sorted order, so its output does not depend
-on the hash seed.
+and the log. Each side of compare_with_oracle is one name-keyed map per
+metric. The oracle adds every score sum with math.fsum, so it states the
+exactly rounded value whatever the order of the events, and every other
+float over a set in sorted order, so its output does not depend on the hash
+seed.
 """
 from __future__ import annotations
 
@@ -64,31 +66,19 @@ def oracle_metrics(
     for ev in events:
         by_author.setdefault(ev.author, []).append(ev)
 
+    def scored(domains: list[str]):
+        """The scored domains among ``domains``, each once if unique_domains."""
+        kept = [d for d in domains if d in scores]
+        return set(kept) if unique_domains else kept
+
     # individual raw means over original tweets, and how many values each averages
     mu: dict[str, float] = {}
     domain_count: dict[str, float] = {}
     for author, evs in by_author.items():
-        if unique_domains:
-            seen = set()
-            for ev in evs:
-                if ev.kind == "original":
-                    for d in ev.domains:
-                        if d in scores:
-                            seen.add(d)
-            if seen:
-                mu[author] = sum(scores[d] for d in sorted(seen)) / len(seen)
-                domain_count[author] = float(len(seen))
-        else:
-            total, count = 0.0, 0
-            for ev in evs:
-                if ev.kind == "original":
-                    for d in ev.domains:
-                        if d in scores:
-                            total += scores[d]
-                            count += 1
-            if count:
-                mu[author] = total / count
-                domain_count[author] = float(count)
+        values = scored([d for ev in evs if ev.kind == "original" for d in ev.domains])
+        if values:
+            mu[author] = math.fsum(scores[d] for d in values) / len(values)
+            domain_count[author] = float(len(values))
 
     folded = {a: (m if m > 0.5 else 1.0 - m) for a, m in mu.items()}
 
@@ -121,26 +111,10 @@ def oracle_metrics(
         return {v for v, w in weights.get(user, {}).items() if w >= k}
 
     def pool_mean(friend_set: set[str]):
-        if unique_domains:
-            seen = set()
-            for fr in sorted(friend_set):
-                for ev in by_author.get(fr, ()):
-                    for d in ev.domains:
-                        if d in scores:
-                            seen.add(d)
-            if not seen:
-                return None
-            return sum(scores[d] for d in sorted(seen)) / len(seen)
-        total, count = 0.0, 0
-        for fr in sorted(friend_set):
-            for ev in by_author.get(fr, ()):
-                for d in ev.domains:
-                    if d in scores:
-                        total += scores[d]
-                        count += 1
-        if count == 0:
+        values = scored([d for f in friend_set for ev in by_author.get(f, ()) for d in ev.domains])
+        if not values:
             return None
-        return total / count
+        return math.fsum(scores[d] for d in values) / len(values)
 
     raw_exposure: dict[tuple[str, str], float] = {}
     for user in sorted(seeds):

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 from unittest import mock
 
@@ -349,65 +350,21 @@ def test_self_retweets_dropped_with_counter(tmp_path):
     assert log.n_self_retweets_dropped == 1
 
 
-def test_events_sorted_with_tweet_id_tiebreak(tmp_path):
+def test_parsed_log_keeps_file_order(tmp_path):
+    # out of time order, and tied events out of id order (t9 sorts after t10 as text)
     lines = [
         event_line(id="t3", author="u1", ts=30, kind="original", urls=[]),
         event_line(id="t1", author="u1", ts=10, kind="original", urls=[]),
         event_line(id="b", author="u2", ts=20, kind="original", urls=[]),
         event_line(id="a", author="u3", ts=20, kind="original", urls=[]),
+        event_line(id="t9", author="u1", ts=5, kind="original", urls=[]),
+        event_line(id="t10", author="u1", ts=5, kind="original", urls=[]),
     ]
-    path = write(tmp_path / "ev.jsonl", "\n".join(lines) + "\n")
-    log = parse_events(path)
-    assert [e.tweet_id for e in log.events] == ["t1", "a", "b", "t3"]
-    assert log.authors == ("u1", "u2", "u3")
-
-
-def parse_counting_sorts(path):
-    """The parsed log, and how many times the parse had to reorder events."""
-    with mock.patch.object(ingest, "_time_order", wraps=ingest._time_order) as order:
-        log = parse_events(path)
-    return log, order.call_count
-
-
-def test_an_ordered_log_and_a_shuffled_copy_parse_alike(tmp_path):
-    urls = [[], ["http://a.example/x"], ["http://b.example/", "http://a.example/y"]]
-    lines = [
-        event_line(id=f"t{i:03d}", author=f"u{i % 7}", ts=i // 3, kind="original",
-                   urls=urls[i % 3])
-        if i % 4 else
-        event_line(id=f"t{i:03d}", author=f"u{i % 5}", ts=i // 3, kind="retweet",
-                   orig_author=f"u{i % 7}", urls=urls[i % 3])
-        for i in range(60)
-    ]
-    ordered = write(tmp_path / "ordered.jsonl", "\n".join(lines) + "\n")
-    random.Random(4).shuffle(lines)
-    shuffled = write(tmp_path / "shuffled.jsonl", "\n".join(lines) + "\n")
-    log, n_sorts = parse_counting_sorts(ordered)
-    again, n_resorts = parse_counting_sorts(shuffled)
-    assert (n_sorts, n_resorts) == (0, 1)  # the ordered columns are kept as read
-    assert log.events == again.events
-    assert (log.users, log.n_urls_dropped) == (again.users, again.n_urls_dropped)
+    log = parse_events(write(tmp_path / "ev.jsonl", "\n".join(lines) + "\n"))
+    assert [e.tweet_id for e in log.events] == ["t3", "t1", "b", "a", "t9", "t10"]
+    assert log.ts.tolist() == [30, 10, 20, 20, 5, 5]
+    assert log.users == log.authors == ("u1", "u2", "u3")
     assert not log.ts.flags.writeable
-
-
-@pytest.mark.parametrize("ts, ids, ordered", [
-    ([], [], True),
-    ([7], ["t1"], True),
-    ([1, 2, 2, 3], ["z", "a", "b", "a"], True),
-    ([5, 5], ["t10", "t9"], True),
-    ([5, 5], ["t9", "t10"], False),  # ids compare as text, not as numbers
-    ([5, 5], ["a", "a"], False),  # equal ids are not strictly ordered
-    ([1, 3, 2, 4], ["a", "b", "c", "d"], False),
-])
-def test_in_time_order_compares_the_ids_of_tied_events(ts, ids, ordered):
-    assert ingest._in_time_order(np.array(ts, dtype=np.int64), ids) is ordered
-
-
-def test_tied_events_out_of_id_order_are_reordered(tmp_path):
-    lines = [event_line(id=i, author="u1", ts=5, kind="original", urls=[]) for i in ("t9", "t10")]
-    log, n_sorts = parse_counting_sorts(write(tmp_path / "ev.jsonl", "\n".join(lines) + "\n"))
-    assert n_sorts == 1
-    assert [e.tweet_id for e in log.events] == ["t10", "t9"]
 
 
 def name_text(value, key, path, lineno):
@@ -420,10 +377,9 @@ def name_text(value, key, path, lineno):
     raise InputFormatError(f"bad {key} {value!r}", path=path, line=lineno)
 
 
-def reference_parse(path, file_order=False):
-    """The events JSONL read one ``TweetEvent`` per line, then sorted (unless
-    ``file_order``): the plain-loop specification the columnar parser must
-    match."""
+def reference_parse(path):
+    """The events JSONL read one ``TweetEvent`` per line, in file order: the
+    plain-loop specification the columnar parser must match."""
     events = []
     n_urls_dropped = 0
     n_self_rts = 0
@@ -480,8 +436,6 @@ def reference_parse(path, file_order=False):
                 else:
                     domains.append(pld)
             events.append(TweetEvent(tweet_id, author, int(ts), kind, orig_author, tuple(domains)))
-    if not file_order:
-        events.sort(key=lambda e: (e.timestamp, e.tweet_id))
     return events, n_urls_dropped, n_self_rts
 
 
@@ -584,9 +538,7 @@ def test_columns_match_per_line_reference(tmp_path_factory, lines):
     assert log.authors == tuple(sorted({e.author for e in expected}))
     assert log.n_retweets == sum(e.is_retweet for e in expected)
     backwards = expected[::-1]
-    assert EventLog.from_events(backwards).events == tuple(
-        sorted(backwards, key=lambda e: (e.timestamp, e.tweet_id))
-    )
+    assert EventLog.from_events(backwards).events == tuple(backwards)
     # a window keeps the order and the domains of the events inside it
     kept = log.restricted((2, 4))
     assert kept.events == tuple(e for e in expected if 2 <= e.timestamp <= 4)
@@ -623,7 +575,7 @@ def write_event_lines(path, events):
     # for it, so one is folded to its registrable domain and three are dropped
     [ev("t0", "u", 0, domains=["www.Example.com", "co.uk", "bit.ly"]),
      rt("t1", "v", 1, "u", domains=["192.0.2.1", "example.org"])],
-    # the parser reads an integer id as its decimal text, which sorts among the strings
+    # the parser reads an integer id as its decimal text
     [ev("t", "u", 1, domains=["a.example"]), ev(5, "u", 1), ev(40, "v", 0)],
     # and an integer user too, author or original author
     [ev("t0", 12, 0), rt("t1", "v", 1, 12), rt("t2", 7, 2, "v")],
@@ -713,7 +665,7 @@ def reference_log(path):
     """``reference_parse``'s events as a log, put straight into the columns
     (not through either reader): each domain as the host of
     ``http://{domain}/``, numbered in the order the file names them."""
-    events, n_urls_dropped, n_self_rts = reference_parse(path, file_order=True)
+    events, n_urls_dropped, n_self_rts = reference_parse(path)
     cols = ingest._EventColumns()
     cols.extend(
         [e.tweet_id for e in events], [e.author for e in events], [e.timestamp for e in events],
@@ -961,6 +913,52 @@ def test_write_events_failure_leaves_previous_file(tmp_path):
     with pytest.raises(TypeError):
         write_events(broken, str(path))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("block_chars", [1, 2, 5])
+def test_writers_write_the_same_bytes_in_any_slice_size(tmp_path, block_chars):
+    edges = FollowEdgeList.from_pairs([("u1", "u2"), ("u3", "u1"), ("u1", "u3"), ("u2", "u3")])
+    log = EventLog.from_events([ev("t0", "u", 3, domains=["a.example", "b.example"]),
+                                rt("t1", "v", 1, "u"), ev("t2", "v", 2, domains=["b.example"])])
+    write_follow_edges(edges, str(tmp_path / "e.csv"))
+    write_events(log, str(tmp_path / "ev.jsonl"))
+    with mock.patch.object(ingest, "BLOCK_CHARS", block_chars):
+        write_follow_edges(edges, str(tmp_path / "e2.csv"))
+        write_events(log, str(tmp_path / "ev2.jsonl"))
+    assert (tmp_path / "e2.csv").read_bytes() == (tmp_path / "e.csv").read_bytes()
+    assert (tmp_path / "ev2.jsonl").read_bytes() == (tmp_path / "ev.jsonl").read_bytes()
+
+
+def test_writers_hold_one_slice_at_a_time(tmp_path):
+    # above the bundle, each writer's traced peak stays near what one slice
+    # of BLOCK_CHARS rows takes as Python objects (about 100 bytes an edge
+    # and 180 an event, json's lines not counted), where converting the whole
+    # input held several times that; the event writer fills no cache
+    rng = np.random.default_rng(0)
+    names = [f"u{i:06d}" for i in range(30_000)]
+    n_edges, n_events = 300_000, 200_000
+    edges = FollowEdgeList(names, *rng.integers(0, len(names), (2, n_edges)))
+    cols = ingest._EventColumns()
+    authors = rng.integers(0, len(names), n_events).tolist()
+    cols.extend([f"t{i:09d}" for i in range(n_events)], [names[a] for a in authors],
+                rng.integers(0, 99, n_events), [names[a - 1] if a % 2 else None for a in authors],
+                np.ones(n_events, dtype=np.int64),
+                [f"outlet{d:03d}.example" for d in rng.integers(0, 100, n_events).tolist()])
+    log = cols.log()
+    assert min(edges.n_edges, len(log)) > 3 * ingest.BLOCK_CHARS
+    tracemalloc.start()
+    try:
+        for write, data, bytes_per_row in ((write_follow_edges, edges, 100),
+                                           (write_events, log, 180)):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            with mock.patch.object(ingest, "_event_line", lambda ev: b"\n"):
+                write(data, str(tmp_path / "out"))
+            peak = tracemalloc.get_traced_memory()[1] - before
+            assert peak < 1.5 * bytes_per_row * ingest.BLOCK_CHARS, (write.__name__, peak)
+    finally:
+        tracemalloc.stop()
+    assert "events" not in log.__dict__
 
 
 def test_atomic_open_names_a_path_it_cannot_write(tmp_path):

@@ -14,6 +14,8 @@ import csv
 import json
 import random
 from functools import partial
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 
@@ -25,11 +27,13 @@ from echoscope.synth import SynthConfig, generate
 
 @pytest.fixture(scope="module")
 def bundle_dir(tmp_path_factory):
+    # every event at time 0 or 1: two long runs of tied events, so that
+    # reordering ties reorders most of each user's events
     bundle, _ = generate(
         SynthConfig(
             n_users=80, n_domains=20, follow_homophily=0.3, base_follow_prob=0.1,
             attention_bias=2.0, activity_rate=6.0, retweet_rate=4.0,
-            duration=50_000, seed=5,
+            duration=2, seed=5,
         )
     )
     d = tmp_path_factory.mktemp("forms") / "plain"
@@ -151,6 +155,24 @@ def shuffled_lines(src, dst, n_header=0, repeated=0.0):
     dst.write_bytes(b"".join(head + body))
 
 
+def ties_reordered(src, dst):
+    """The events of each run of equal timestamps in a fixed random order,
+    and each tweet id ``t<n>`` renamed ``t<999999999 - n>``, so that tied
+    events sort by id against their order in ``src``. ``src`` is in time
+    order, as ``write_events`` writes a synthetic log."""
+    with open(src, encoding="utf-8") as fin:
+        records = [json.loads(line) for line in fin]
+    rng = random.Random(11)
+    with open(dst, "w", encoding="utf-8") as fout:
+        for _, run in groupby(records, key=itemgetter("ts")):
+            run = list(run)
+            rng.shuffle(run)
+            for obj in run:
+                obj["id"] = f"t{999_999_999 - int(obj['id'][1:]):09d}"
+                fout.write(json.dumps(obj, separators=COMPACT) + "\n")
+    assert_read_by(dst.read_text(encoding="utf-8"), COMPACT)
+
+
 # each score level under the labels that name it, each label in two cases
 LABELS = {
     0.0: ["left", "LEFT"],
@@ -236,6 +258,7 @@ def report_outputs(data, out, *flags):
     # event ids are unique, so only the edge lines repeat
     {"edges.csv": partial(shuffled_lines, n_header=1, repeated=0.1),
      "events.jsonl": shuffled_lines},
+    {"events.jsonl": ties_reordered},
     {"scores.csv": labelled_scores},
     {"edges.csv": partial(self_loops, quoted=False),
      "events.jsonl": partial(self_retweets, separators=COMPACT)},
@@ -243,7 +266,8 @@ def report_outputs(data, out, *flags):
      "events.jsonl": partial(self_retweets, separators=SPACED)},
 ], ids=["events-redumped-keys-reversed", "events-padded-urls-compact",
         "events-padded-urls-spaced", "edges-quoted-crlf-bom",
-        "edges-repeated-and-lines-shuffled", "scores-as-labels",
+        "edges-repeated-and-lines-shuffled", "tied-events-reordered-ids-flipped",
+        "scores-as-labels",
         "self-loops-and-self-retweets-bulk", "self-loops-and-self-retweets-per-line"])
 def test_report_is_the_same_over_input_forms(bundle_dir, tmp_path, rewrites):
     other = tmp_path / "other"

@@ -34,11 +34,13 @@ from echoscope.moderacy import (
     class_names,
     classify,
     congruent_friend_fraction_diff,
+    exact_sums,
     exposure_class_fractions,
     fold,
     friend_activity_comparison,
     minmax_normalize,
     random_baseline_fractions,
+    limb_products,
     score_limbs,
     set_sums,
 )
@@ -206,6 +208,17 @@ def test_set_sums_equal_fsum_bit_for_bit(data, scores):
         cols = set().union(*(held[u] for u in users))
         assert sizes[r] == len(cols)
         assert totals[r].hex() == math.fsum(table[sorted(cols)].tolist()).hex()
+    # multiset sums: each user's limb totals count every occurrence
+    rows, cols = np.nonzero(dense)
+    times = dense[rows, cols]
+    counted = count_matrix(np.repeat(rows, times), np.repeat(cols, times), dense.shape)
+    user_limbs = limb_products(counted, limbs[0])
+    pool_totals = exact_sums(limb_products(csr(pooled), user_limbs), limbs[1])
+    for r, users in enumerate(pools):
+        occurrences = np.repeat(table, dense[sorted(users)].sum(axis=0)).tolist()
+        assert pool_totals[r].hex() == math.fsum(occurrences).hex()
+    for u, total in enumerate(exact_sums(user_limbs, limbs[1]).tolist()):
+        assert total.hex() == math.fsum(np.repeat(table, dense[u]).tolist()).hex()
 
 
 def decimal_score_bundle():

@@ -12,9 +12,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import ev, make_bundle, rt
+from echoscope.graph import build_follower_graph, build_retweet_graph, user_space
 from echoscope.ingest import EventLog
 import echoscope.moderacy as moderacy
-from echoscope.moderacy import HARDLINER, MODERATE
+from echoscope.moderacy import HARDLINER, MODERATE, MetricsEngine
 from echoscope.oracle import compare_with_oracle, oracle_metrics
 from echoscope.report import RunConfig, build_report, write_report
 from echoscope.synth import SynthConfig, generate
@@ -48,6 +49,42 @@ def test_engine_matches_oracle(seed, k):
 def test_engine_matches_oracle_unique_domains():
     diff = compare_with_oracle(synth_bundle(7), k=1, unique_domains=True)
     assert diff.ok(1e-12), diff
+
+
+def off_grid(bundle):
+    """The bundle with every third domain's score, in name order, moved off
+    the 0.25 grid to 0.05 + 0.9 * score, so that its sums round."""
+    scores = {
+        domain: 0.05 + 0.9 * score if i % 3 == 2 else score
+        for i, (domain, score) in enumerate(sorted(bundle.scores.items()))
+    }
+    return dataclasses.replace(bundle, scores=scores)
+
+
+def engine_means(bundle, unique_domains):
+    """The engine's mu, m_s, m_e_f and m_e_r at k=1, each a map from name
+    with undefined values left out, as the oracle gives them."""
+    space = user_space(bundle.seeds, bundle.edges, bundle.log)
+    engine = MetricsEngine(
+        bundle, build_follower_graph(space), build_retweet_graph(space), unique_domains
+    )
+    metrics = engine.metrics_at(1)
+    vectors = {"mu": engine.mu, "m_s": engine.m_s, "m_e_f": metrics.m_e_f, "m_e_r": metrics.m_e_r}
+    return {
+        name: {user: v for user, v in zip(engine.names, values.tolist()) if v == v}
+        for name, values in vectors.items()
+    }
+
+
+@pytest.mark.parametrize("unique_domains", [False, True])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_oracle_means_equal_the_engine_exactly_off_the_grid(seed, unique_domains):
+    # compared map by map: OracleDiff.ok takes one tolerance over every
+    # metric, entropies and correlations included
+    bundle = off_grid(synth_bundle(seed))
+    oracle = oracle_metrics(bundle, unique_domains=unique_domains)
+    for name, values in engine_means(bundle, unique_domains).items():
+        assert values == oracle[name], name
 
 
 def test_engine_matches_oracle_with_window():
