@@ -3,7 +3,8 @@
 Formats (UTF-8 throughout; a leading byte-order mark is skipped):
   scores CSV   header ``domain,score``, score is a label or a decimal in [0,1]
   edges CSV    header ``follower,friend``
-  events JSONL one object per line: id, author, ts, kind, orig_author, urls
+  events JSONL one object per line: id, author, ts, kind, orig_author, urls;
+               the id is checked (a string or an integer) but not kept
 
 Parsers keep memory proportional to their output. The edge list is a
 sparse matrix: the parser interns names to ids, and ``count_matrix`` sorts
@@ -43,23 +44,24 @@ the same result and the same errors; a byte that is not UTF-8 sends the
 whole file down that per-line path, which decides which error comes first.
 Either way a block's authors and original authors are interned in one pass,
 its URLs' hosts in another, and the block is folded into the columns before
-the next is read. The columns are the one place where a URL becomes a
-domain: they keep one host table, and resolve each host new to it to its
-registrable domain once, by ``extract_pld`` handed the host alone.
-``synth`` builds its log through the same columns. ``EventLog.from_events``
-writes its events as the lines ``write_events`` writes (``_event_line``) and
-runs this reader on them, so the reader holds every rule of the format. The
-analyses read the columns; ``EventLog.iter_events`` gives the same log as
-``TweetEvent`` objects a slice at a time, and ``EventLog.events`` keeps them
-as a tuple once read. ``read_key_values`` reads the ``key = value`` config
-files of ``report --config`` and ``synth --config``.
+the next is read. A tweet's id enters no measure, so each reader checks it
+and keeps nothing of it: the log holds no Python object per event. The
+columns are the one place where a URL becomes a domain: they keep one host
+table, and resolve each host new to it to its registrable domain once, by
+``extract_pld`` handed the host alone. ``synth`` builds its log through the
+same columns. The analyses read the columns; ``EventLog.iter_events`` gives
+the same log as ``TweetEvent`` objects a slice at a time, and
+``EventLog.events`` keeps them as a tuple once read. ``read_key_values``
+reads the ``key = value`` config files of ``report --config`` and
+``synth --config``.
 
 Every file the program writes goes through ``atomic_open``, and each output
 format has one writer beside it: ``json_text`` is the text of every JSON file
 and of the JSON a command prints (sorted keys, two-space indents, a final
 line end), ``write_json`` writes it, and ``write_csv`` writes every CSV: csv's
 writer with ``\\n`` line ends, a header row and then rows read one at a time.
-``write_events`` writes the events in the compact shape above.
+``write_events`` writes the events in the compact shape above, numbering
+their ids by row.
 """
 from __future__ import annotations
 
@@ -113,7 +115,8 @@ BLOCK_CHARS = 2**16
 
 @dataclass(frozen=True, slots=True)
 class TweetEvent:
-    tweet_id: str
+    """One event of a log: what the measures read of a tweet, its id aside."""
+
     author: str
     timestamp: int
     kind: str
@@ -266,11 +269,11 @@ class EventLog:
 
     ``users`` is the sorted table of every author and retweeted account;
     ``author`` and ``orig_author`` (-1 for an original tweet) index it.
-    ``ts`` holds the timestamps and ``tweet_ids`` the ids. ``retweet`` marks
-    the rows with an original author; it is derived from ``orig_author``, not
+    ``ts`` holds the timestamps; no tweet id is kept. ``retweet`` marks the
+    rows with an original author; it is derived from ``orig_author``, not
     stored. Each event's registrable domains, in URL order, are
     ``domain_ids[domain_ptr[e]:domain_ptr[e + 1]]``, indices into ``domains``.
-    The arrays are read-only.
+    The arrays are read-only, and no column holds a Python object per event.
 
     ``iter_events`` gives the same log as ``TweetEvent`` objects, built a
     slice at a time for code that reads one event at a time (the writer);
@@ -278,7 +281,6 @@ class EventLog:
     oracle, tests).
     """
 
-    tweet_ids: np.ndarray
     users: tuple[str, ...]
     author: np.ndarray
     ts: np.ndarray
@@ -290,28 +292,11 @@ class EventLog:
     n_self_retweets_dropped: int = 0
 
     def __post_init__(self) -> None:
-        for column in (self.tweet_ids, self.author, self.ts, self.orig_author,
-                       self.domain_ptr, self.domain_ids):
+        for column in (self.author, self.ts, self.orig_author, self.domain_ptr, self.domain_ids):
             column.flags.writeable = False
 
-    @classmethod
-    def from_events(cls, events: Iterable[TweetEvent]) -> "EventLog":
-        """The log ``parse_events`` reads from the file ``write_events``
-        writes for ``events``: each event becomes its written line
-        (``_event_line``, each domain the URL ``http://{domain}/``), and the
-        lines go through the event reader, so every rule of the format is
-        the reader's. An integer id or user reads as its decimal text, a
-        self-retweet is dropped and counted, and a URL with no registrable
-        domain is dropped and counted. A record the reader refuses raises
-        its error, with the line but no path."""
-        text = b"".join(map(_event_line, events)).decode("utf-8")
-        fold = _EventFold(None)
-        if text:
-            fold.add_block(text, 1)
-        return fold.cols.log()
-
     def __len__(self) -> int:
-        return len(self.tweet_ids)
+        return len(self.ts)
 
     @cached_property
     def authors(self) -> tuple[str, ...]:
@@ -343,12 +328,12 @@ class EventLog:
             ptr = self.domain_ptr[start : start + BLOCK_CHARS + 1]
             flat = self.domain_ids[ptr[0] : ptr[-1]].tolist()
             ptr = (ptr - ptr[0]).tolist()
-            for tweet_id, a, t, o, lo, hi in zip(
-                self.tweet_ids[rows].tolist(), self.author[rows].tolist(), self.ts[rows].tolist(),
+            for a, t, o, lo, hi in zip(
+                self.author[rows].tolist(), self.ts[rows].tolist(),
                 self.orig_author[rows].tolist(), ptr, ptr[1:],
             ):
                 yield TweetEvent(
-                    tweet_id, users[a], t, KIND_RETWEET if o >= 0 else KIND_ORIGINAL,
+                    users[a], t, KIND_RETWEET if o >= 0 else KIND_ORIGINAL,
                     users[o] if o >= 0 else None,
                     tuple(domains[d] for d in flat[lo:hi]),
                 )
@@ -365,8 +350,8 @@ class EventLog:
         # where each kept row's domain ids sit in this log's flat array
         at = np.repeat(self.domain_ptr[:-1][rows] - ptr[:-1], lengths) + np.arange(ptr[-1])
         return replace(
-            self, tweet_ids=self.tweet_ids[rows], author=self.author[rows], ts=self.ts[rows],
-            orig_author=self.orig_author[rows], domain_ptr=ptr, domain_ids=self.domain_ids[at],
+            self, author=self.author[rows], ts=self.ts[rows], orig_author=self.orig_author[rows],
+            domain_ptr=ptr, domain_ids=self.domain_ids[at],
         )
 
     def restricted(self, window: Optional[tuple[int, int]]) -> "EventLog":
@@ -393,7 +378,6 @@ class _EventColumns:
     """
 
     def __init__(self) -> None:
-        self.tweet_ids: list = []
         self.user_id: dict[str, int] = {}  # in order of first appearance
         self.author = array("q")
         self.ts = array("q")
@@ -406,7 +390,7 @@ class _EventColumns:
         self.n_urls_dropped = 0
         self.n_self_retweets_dropped = 0
 
-    def extend(self, tweet_ids, authors, ts, orig_authors, url_counts, hosts) -> None:
+    def extend(self, authors, ts, orig_authors, url_counts, hosts) -> None:
         """Append a batch of events, one item each per column; an original
         author that is None or '' is none, and an event with one is a
         retweet. ``hosts`` holds the host of each of the batch's URLs flat,
@@ -417,7 +401,6 @@ class _EventColumns:
         The authors and then the original authors are interned in one pass,
         so users are numbered in that order of first appearance; hosts are
         interned in another."""
-        self.tweet_ids.extend(tweet_ids)
         has_orig = list(map(bool, orig_authors))
         n = len(has_orig)
         ids = _intern(self.user_id, [*authors, *compress(orig_authors, has_orig)])
@@ -456,10 +439,7 @@ class _EventColumns:
         rank = np.empty(len(names) + 1, dtype=np.int64)
         rank[by_name] = np.arange(len(names))
         rank[-1] = -1  # an absent original author stays -1
-        tweet_ids = np.empty(len(self.tweet_ids), dtype=object)
-        tweet_ids[:] = self.tweet_ids
         return EventLog(
-            tweet_ids,
             tuple(names[i] for i in by_name),
             rank[np.frombuffer(self.author, dtype=np.int64)],
             np.frombuffer(self.ts, dtype=np.int64),
@@ -819,11 +799,11 @@ def _edge_rows(path: str) -> Iterator[tuple[str, str]]:
 # json reads its text as it stands
 _PLAIN = r'[^"\\\x00-\x1f]'
 # an event line in the shape ``write_events`` writes, its urls array aside;
-# its groups are the id, the author, ts, a retweet's original author ('' for
-# an original tweet) and the text inside the urls array, which
-# ``_url_arrays`` checks
+# its groups are the author, ts, a retweet's original author ('' for an
+# original tweet) and the text inside the urls array, which ``_url_arrays``
+# checks; the id is matched but not kept
 _CANONICAL_EVENT = re.compile(
-    r'^\{{"id":"({s}*)","author":"({s}+)","ts":(0|[1-9][0-9]{{0,17}}),"kind":'
+    r'^\{{"id":"{s}*","author":"({s}+)","ts":(0|[1-9][0-9]{{0,17}}),"kind":'
     r'"(?:original"(?:,"orig_author":"{s}*")?|retweet","orig_author":"({s}+)")'
     r',"urls":\[(.*)\]\}}$'.format(s=_PLAIN),
     re.M,
@@ -926,14 +906,14 @@ class _EventFold:
         """Fold canonical lines, given as the groups of ``_CANONICAL_EVENT``;
         False, with nothing folded, if ``_url_arrays`` refuses an array."""
         columns = list(zip(*rows))
-        keep = list(map(ne, columns[1], columns[3]))  # an author is never '', so originals stay
+        keep = list(map(ne, columns[0], columns[2]))  # an author is never '', so originals stay
         n_self_rts = keep.count(False)
         if n_self_rts:
             # a self-retweet is dropped, but json would still have read its array
-            if _url_arrays(list(compress(columns[4], map(not_, keep)))) is None:
+            if _url_arrays(list(compress(columns[3], map(not_, keep)))) is None:
                 return False
             columns = [list(compress(column, keep)) for column in columns]
-        tweet_ids, authors, ts, orig_authors, url_texts = columns
+        authors, ts, orig_authors, url_texts = columns
         arrays = _url_arrays(url_texts)
         if arrays is None:
             return False
@@ -941,16 +921,13 @@ class _EventFold:
         cols = self.cols
         cols.n_self_retweets_dropped += n_self_rts
         cols.n_urls_dropped += n_nulls
-        cols.extend(
-            tweet_ids, authors, list(map(int, ts)), orig_authors, url_counts, hosts_of(urls)
-        )
+        cols.extend(authors, list(map(int, ts)), orig_authors, url_counts, hosts_of(urls))
         return True
 
     def add_lines(self, lines: Iterable[str], lineno: int) -> int:
         """Fold lines one at a time, each decoded by json and checked at its
         own file line, starting at ``lineno``; the file line after them."""
         path, cols = self.path, self.cols
-        tweet_ids: list = []
         authors: list[str] = []
         timestamps: list[int] = []
         orig_authors: list[Optional[str]] = []
@@ -969,12 +946,12 @@ class _EventFold:
             if not isinstance(obj, dict):
                 raise InputFormatError("record is not an object", path=path, line=last)
             try:
-                tweet_id, author, ts, kind = obj["id"], obj["author"], obj["ts"], obj["kind"]
+                event_id, author, ts, kind = obj["id"], obj["author"], obj["ts"], obj["kind"]
             except KeyError as exc:
                 raise InputFormatError(
                     f"missing key {exc.args[0]!r}", path=path, line=last
                 ) from None
-            tweet_id = _name(tweet_id, "id", path, last)
+            _name(event_id, "id", path, last)  # checked, not kept
             author = _name(author, "author", path, last)
             if (
                 isinstance(ts, bool)
@@ -1002,14 +979,13 @@ class _EventFold:
             if not isinstance(event_urls, list):
                 raise InputFormatError("urls must be an array", path=path, line=last)
             strings = [url for url in event_urls if isinstance(url, str)]
-            tweet_ids.append(tweet_id)
             authors.append(author)
             timestamps.append(int(ts))
             orig_authors.append(orig_author)
             url_counts.append(len(strings))
             urls += strings
             cols.n_urls_dropped += len(event_urls) - len(strings)
-        cols.extend(tweet_ids, authors, timestamps, orig_authors, url_counts, hosts_of(urls))
+        cols.extend(authors, timestamps, orig_authors, url_counts, hosts_of(urls))
         return last + 1
 
 
@@ -1034,13 +1010,14 @@ def write_follow_edges(edges: FollowEdgeList, path: str) -> None:
     write_csv(path, EDGES_HEADER, edges.iter_edges())
 
 
-def _event_line(ev: TweetEvent) -> bytes:
+def _event_line(row: int, ev: TweetEvent) -> bytes:
     """The UTF-8 line of one event in the compact shape ``parse_events``
     reads in bulk: keys in a fixed order, no spaces, characters as they are,
-    each domain as the URL ``http://{domain}/``. json escapes quotes,
-    backslashes and control characters; a lone surrogate, which only a
-    ``\\u`` escape can give, is written back as that escape."""
-    obj: dict = {"id": ev.tweet_id, "author": ev.author, "ts": ev.timestamp, "kind": ev.kind}
+    the id ``t`` and the ``row`` in nine or more digits, each domain as the
+    URL ``http://{domain}/``. json escapes quotes, backslashes and control
+    characters; a lone surrogate, which only a ``\\u`` escape can give, is
+    written back as that escape."""
+    obj: dict = {"id": f"t{row:09d}", "author": ev.author, "ts": ev.timestamp, "kind": ev.kind}
     if ev.original_author is not None:
         obj["orig_author"] = ev.original_author
     obj["urls"] = [f"http://{d}/" for d in ev.domains]
@@ -1049,12 +1026,10 @@ def _event_line(ev: TweetEvent) -> bytes:
 
 
 def write_events(logdata: EventLog, path: str) -> None:
-    """Write the log one ``_event_line`` per event, the lines
-    ``EventLog.from_events`` reads its events from; the events are built a
-    slice at a time and not kept."""
+    """Write the log one ``_event_line`` per event, its ids numbered by row;
+    the events are built a slice at a time and not kept."""
     with atomic_open(path, "wb") as fh:
-        for ev in logdata.iter_events():
-            fh.write(_event_line(ev))
+        fh.writelines(map(_event_line, count(), logdata.iter_events()))
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ from .moderacy import (
     friend_activity_comparison,
     random_baseline_fractions,
 )
-from .rng import substream
+from .rng import SEED_RANGE, substream
 from .stats import entropy_comparison, format_p, mann_whitney_u, pearson
 
 log = logging.getLogger(__name__)
@@ -106,6 +106,8 @@ class RunConfig:
             raise EchoscopeError("baseline_users must be >= 0")
         if self.heatmap_bins < 1:
             raise EchoscopeError("heatmap_bins must be >= 1")
+        if self.seed not in SEED_RANGE:
+            raise EchoscopeError(f"seed must be in [0, 2**64), got {self.seed}")
 
     def k_range(self) -> range:
         return range(self.k_min, self.k_max + 1)

@@ -21,6 +21,10 @@ _FNV_PRIME = 0x100000001B3
 
 StreamPart = Union[int, str, bytes]
 
+# the master seeds: _to_bytes keeps an int's low 64 bits, so a seed outside
+# this range would give the streams of a seed inside it
+SEED_RANGE = range(2**64)
+
 
 def _to_bytes(part: StreamPart) -> bytes:
     if isinstance(part, bytes):

@@ -39,7 +39,7 @@ from .ingest import (
     read_key_values,
     write_json,
 )
-from .rng import substream
+from .rng import SEED_RANGE, substream
 
 CONTENT_NOISE_SD = 0.1
 ACTIVITY_LOGNORMAL_SIGMA = 1.0
@@ -72,6 +72,8 @@ class SynthConfig:
             raise InfeasibleConfigError("attention_bias must be >= 0")
         if self.activity_rate < 0 or self.retweet_rate < 0:
             raise InfeasibleConfigError("rates must be >= 0")
+        if self.seed not in SEED_RANGE:
+            raise InfeasibleConfigError(f"seed must be in [0, 2**64), got {self.seed}")
 
     @classmethod
     def from_file(cls, path: str) -> "SynthConfig":
@@ -192,8 +194,9 @@ def generate(config: SynthConfig) -> tuple[DatasetBundle, GroundTruth]:
         rt_ts.frombytes((orig_ts[chosen] + offsets).tobytes())
         rt_of.frombytes(chosen.tobytes())
 
-    # every event in (ts, author, is_retweet, index) order, its rank its tweet id:
-    # the sort is stable, so tied events keep originals first, each kind by index
+    # every event in (ts, author, is_retweet, index) order, its rank the number
+    # write_events gives its id: the sort is stable, so tied events keep
+    # originals first, each kind by index
     n_retweets = len(rt_of)
     author = np.concatenate((np.repeat(np.arange(n), n_orig), np.repeat(np.arange(n), n_rt)))
     ts = np.concatenate((orig_ts, np.asarray(rt_ts, dtype=np.int64)))
@@ -201,7 +204,6 @@ def generate(config: SynthConfig) -> tuple[DatasetBundle, GroundTruth]:
     source = np.concatenate((np.arange(n_originals), np.asarray(rt_of, dtype=np.int64)))[order]
     cols = _EventColumns()
     cols.extend(
-        [f"t{e:09d}" for e in range(order.size)],
         list(map(users.__getitem__, author[order].tolist())),
         ts[order],
         # a retweet's original author is its source's author; an original has none

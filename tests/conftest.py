@@ -1,4 +1,5 @@
 import math
+from itertools import count
 
 import numpy as np
 import pytest
@@ -6,26 +7,42 @@ import pytest
 from echoscope.graph import build_follower_graph, build_retweet_graph, user_space
 from echoscope.ingest import (
     DatasetBundle,
-    EventLog,
     FollowEdgeList,
     KIND_ORIGINAL,
     KIND_RETWEET,
     TweetEvent,
+    _event_line,
+    _EventFold,
 )
 
 
-def ev(tweet_id, author, ts, kind=KIND_ORIGINAL, orig=None, domains=()):
-    return TweetEvent(tweet_id, author, ts, kind, orig, tuple(domains))
+def ev(author, ts, kind=KIND_ORIGINAL, orig=None, domains=()):
+    return TweetEvent(author, ts, kind, orig, tuple(domains))
 
 
-def rt(tweet_id, author, ts, orig, domains=()):
-    return TweetEvent(tweet_id, author, ts, KIND_RETWEET, orig, tuple(domains))
+def rt(author, ts, orig, domains=()):
+    return TweetEvent(author, ts, KIND_RETWEET, orig, tuple(domains))
+
+
+def from_events(events):
+    """The log ``parse_events`` reads from the file ``write_events`` writes
+    for ``events``: each event becomes its written line (``_event_line``,
+    each domain the URL ``http://{domain}/``), and the lines go through the
+    event reader, so every rule of the format is the reader's. An integer
+    user reads as its decimal text, a self-retweet is dropped and counted,
+    and a URL with no registrable domain is dropped and counted. A record
+    the reader refuses raises its error, with the line but no path."""
+    text = b"".join(map(_event_line, count(), events)).decode("utf-8")
+    fold = _EventFold(None)
+    if text:
+        fold.add_block(text, 1)
+    return fold.cols.log()
 
 
 def make_bundle(scores, edges, events, seeds=None):
     """Assemble an in-memory bundle from plain literals."""
     edge_list = FollowEdgeList.from_pairs(edges)
-    log = EventLog.from_events(events)
+    log = from_events(events)
     if seeds is None:
         seeds = edge_list.sources()
     return DatasetBundle(dict(scores), edge_list, log, frozenset(seeds))
@@ -48,13 +65,13 @@ def tiny_bundle():
     scores = {"left.example": 0.0, "mid.example": 0.5, "right.example": 1.0}
     edges = [("s1", "f1"), ("s1", "f2"), ("s2", "f2"), ("s2", "f3")]
     events = [
-        ev("t01", "s1", 10, domains=["left.example"]),
-        ev("t02", "s2", 20, domains=["right.example"]),
-        ev("t03", "f1", 30, domains=["left.example"]),
-        ev("t04", "f2", 40, domains=["mid.example"]),
-        ev("t05", "f3", 50, domains=["right.example"]),
-        rt("t06", "s1", 60, "f1", domains=["left.example"]),
-        rt("t07", "s2", 70, "f3", domains=["right.example"]),
+        ev("s1", 10, domains=["left.example"]),
+        ev("s2", 20, domains=["right.example"]),
+        ev("f1", 30, domains=["left.example"]),
+        ev("f2", 40, domains=["mid.example"]),
+        ev("f3", 50, domains=["right.example"]),
+        rt("s1", 60, "f1", domains=["left.example"]),
+        rt("s2", 70, "f3", domains=["right.example"]),
     ]
     return make_bundle(scores, edges, events)
 

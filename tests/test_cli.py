@@ -198,6 +198,29 @@ def test_synth_seed_override_and_null_flag(tmp_path):
     assert truth["config"]["seed"] == 77
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_synth_seed_outside_64_bits_exit_two(tmp_path, capsys, caplog, seed, via):
+    # the streams keep a seed's low 64 bits, so such a seed would alias another
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(SYNTH_CFG + (f"seed = {seed}\n" if via == "config" else ""))
+    out = tmp_path / "x"
+    flag = ["--seed", str(seed)] if via == "flag" else []
+    assert main(["synth", "--config", str(cfg), "--out", str(out), *flag]) == 2
+    err = capsys.readouterr().err
+    assert f"error: seed must be in [0, 2**64), got {seed}\n" in err
+    assert "Traceback" not in err + caplog.text
+    assert not out.exists()
+
+
+def test_synth_largest_seed_runs(tmp_path):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(SYNTH_CFG)
+    out = tmp_path / "x"
+    assert main(["synth", "--config", str(cfg), "--out", str(out), "--seed", str(2**64 - 1)]) == 0
+    assert json.loads((out / "truth.json").read_text())["config"]["seed"] == 2**64 - 1
+
+
 def test_synth_infeasible_config_exit_two(tmp_path):
     cfg = tmp_path / "synth.cfg"
     cfg.write_text(SYNTH_CFG.replace("n_users = 25", "n_users = 1"))
@@ -269,6 +292,29 @@ def test_report_seed_changes_baseline(dataset_dir, tmp_path):
     r1 = json.loads((tmp_path / "o1" / "report.json").read_text())
     r2 = json.loads((tmp_path / "o2" / "report.json").read_text())
     assert r1["meta"]["config_hash"] != r2["meta"]["config_hash"]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_report_seed_outside_64_bits_exit_two(tmp_path, capsys, caplog, seed, via):
+    # refused before any input is read: the inputs named here do not exist
+    missing = tmp_path / "missing"
+    if via == "flag":
+        argv = report_args(missing, tmp_path / "o", ["--seed", str(seed)])
+    else:
+        cfg = report_config(missing, tmp_path, f"seed = {seed}\n".encode())
+        argv = ["report", "--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: seed must be in [0, 2**64), got {seed}\n"
+    assert "Traceback" not in err + caplog.text
+    assert not (tmp_path / "o").exists() and not (tmp_path / "from_file").exists()
+
+
+def test_report_largest_seed_runs(dataset_dir, tmp_path):
+    assert main(report_args(dataset_dir, tmp_path / "o", ["--seed", str(2**64 - 1)])) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["meta"]["config"]["seed"] == 2**64 - 1
 
 
 def test_report_window_excluding_everything(dataset_dir, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ev, graphs_of, make_bundle, rt
+from conftest import ev, from_events, graphs_of, make_bundle, rt
 from echoscope.errors import EchoscopeError
 from echoscope.graph import (
     CACHE_MAGIC,
@@ -28,7 +28,7 @@ from echoscope.graph import (
     save_graph_cache,
     user_space,
 )
-from echoscope.ingest import EventLog, FollowEdgeList
+from echoscope.ingest import FollowEdgeList
 from echoscope.oracle import oracle_metrics
 from echoscope.rng import substream
 from echoscope.synth import SynthConfig, generate
@@ -104,7 +104,7 @@ def edges_of(pairs):
 
 
 def log_of(events):
-    return EventLog.from_events(events)
+    return from_events(events)
 
 
 def graphs(pairs, events, seeds):
@@ -158,10 +158,10 @@ def test_seed_without_edges_still_present():
 def test_user_space_numbers_every_named_user():
     pairs = [("s1", "a"), ("x", "b"), ("s2", "s1")]
     events = [
-        ev("t1", "c", 1),
-        rt("t2", "s1", 2, "a"),
-        rt("t3", "y", 3, "ghost"),  # an account only a non-seed retweeted
-        rt("t4", "x", 4, "ghost"),
+        ev("c", 1),
+        rt("s1", 2, "a"),
+        rt("y", 3, "ghost"),  # an account only a non-seed retweeted
+        rt("x", 4, "ghost"),
     ]
     seeds = {"s1", "s2", "lonely"}
     edges, log = edges_of(pairs), log_of(events)
@@ -182,7 +182,7 @@ def test_empty_seed_set_rejected():
 
 def test_retweet_weights_count_interactions():
     log = log_of(
-        [rt(f"t{i}", "s", i, "A") for i in range(3)] + [rt("t9", "s", 9, "B")]
+        [rt("s", i, "A") for i in range(3)] + [rt("s", 9, "B")]
     )
     rg = build_retweet_graph(user_space({"s"}, edges_of([]), log))
     assert weights_of(rg) == {"s": {"A": 3, "B": 1}}
@@ -195,7 +195,7 @@ def test_retweet_weights_count_interactions():
 
 
 def test_non_seed_retweets_ignored():
-    rg = retweet_graph([rt("t1", "x", 1, "A")], {"s"})
+    rg = retweet_graph([rt("x", 1, "A")], {"s"})
     assert weights_of(rg) == {}
     assert rg.retweet_friends("s") == frozenset()
 
@@ -206,7 +206,7 @@ def test_threshold_nesting_property():
     events = []
     for i in range(400):
         a, b = rng.choice(6, size=2, replace=False)
-        events.append(rt(f"t{i:03d}", users[a], int(rng.integers(0, 1000)), users[b]))
+        events.append(rt(users[a], int(rng.integers(0, 1000)), users[b]))
     rg = retweet_graph(events, set(users))
     for k in range(1, 10):
         for user in users:
@@ -221,7 +221,7 @@ def test_weight_equals_brute_force_recount():
     events = []
     for i in range(1000):
         a, b = rng.choice(8, size=2, replace=False)
-        events.append(rt(f"t{i:04d}", users[a], int(rng.integers(0, 50)), users[b]))
+        events.append(rt(users[a], int(rng.integers(0, 50)), users[b]))
     seeds = set(users[:5])
     rg = retweet_graph(events, seeds)
     for u in seeds:
@@ -236,7 +236,7 @@ def test_weight_equals_brute_force_recount():
 
 def test_rebuilds_are_identical():
     pairs = [("s1", "a"), ("s1", "b"), ("s2", "a")]
-    events = [rt("t1", "s1", 1, "a"), rt("t2", "s2", 2, "b")]
+    events = [rt("s1", 1, "a"), rt("s2", 2, "b")]
     fg1, rg1 = graphs(pairs, events, {"s1", "s2"})
     fg2, rg2 = graphs(pairs, events, {"s1", "s2"})
     assert fg1 == fg2
@@ -251,7 +251,7 @@ FIXTURE_EDGES = [("s", f"f{i}") for i in range(10)]
 
 def fixture_graphs():
     # f0 retweeted twice (followed), ghost retweeted once (not followed)
-    events = [rt("t1", "s", 1, "f0"), rt("t2", "s", 2, "f0"), rt("t3", "s", 3, "ghost")]
+    events = [rt("s", 1, "f0"), rt("s", 2, "f0"), rt("s", 3, "ghost")]
     return graphs(FIXTURE_EDGES, events, {"s"})
 
 
@@ -262,7 +262,7 @@ def test_fraction_friends_retweeted_examples():
     fg_quiet, rg_empty = graphs(FIXTURE_EDGES, [], {"s"})
     assert fraction_friends_retweeted(fg_quiet, rg_empty, 1).tolist() == [0.0]
     # a seed with no friends is undefined
-    fg2, rg2 = graphs(FIXTURE_EDGES, [rt("t1", "nobody", 1, "f0")], {"s", "nobody"})
+    fg2, rg2 = graphs(FIXTURE_EDGES, [rt("nobody", 1, "f0")], {"s", "nobody"})
     assert fg2.seeds == ["nobody", "s"]
     frac = fraction_friends_retweeted(fg2, rg2, 1)
     assert np.isnan(frac[0]) and frac[1] == 0.0
@@ -284,16 +284,16 @@ def test_overlap_modes_and_threshold_example():
 
 def test_overlap_all_or_none():
     pairs = [("s", "a"), ("s", "b")]
-    fg, rg_all = graphs(pairs, [rt("t1", "s", 1, "a"), rt("t2", "s", 2, "b")], {"s"})
+    fg, rg_all = graphs(pairs, [rt("s", 1, "a"), rt("s", 2, "b")], {"s"})
     for mode in (OVERLAP_ACCOUNT, OVERLAP_CONTENT):
         assert retweet_overlap(fg, rg_all, 1, mode).tolist() == [1.0]
-    fg, rg_none = graphs(pairs, [rt("t1", "s", 1, "x")], {"s"})
+    fg, rg_none = graphs(pairs, [rt("s", 1, "x")], {"s"})
     for mode in (OVERLAP_ACCOUNT, OVERLAP_CONTENT):
         assert retweet_overlap(fg, rg_none, 1, mode).tolist() == [0.0]
 
 
 def test_overlap_curve_constant_when_single_followed_target():
-    fg, rg = graphs([("s", "a")], [rt(f"t{i}", "s", i, "a") for i in range(10)], {"s"})
+    fg, rg = graphs([("s", "a")], [rt("s", i, "a") for i in range(10)], {"s"})
     points = overlap_vs_threshold(fg, rg, range(1, 11), OVERLAP_ACCOUNT)
     assert points == [(k, 1.0, 1) for k in range(1, 11)]
 

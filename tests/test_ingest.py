@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import random
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ev, make_bundle, rt
+from conftest import ev, from_events, make_bundle, rt
 from echoscope import ingest, psl
 from echoscope.errors import EchoscopeError, InputFormatError
 from echoscope.ingest import (
@@ -30,6 +31,7 @@ from echoscope.ingest import (
     write_follow_edges,
 )
 from echoscope.psl import _host_of, extract_pld, hosts_of
+from echoscope.synth import SynthConfig, generate
 
 
 def write(path, text):
@@ -351,25 +353,48 @@ def test_self_retweets_dropped_with_counter(tmp_path):
 
 
 def test_parsed_log_keeps_file_order(tmp_path):
-    # out of time order, and tied events out of id order (t9 sorts after t10 as text)
+    # out of time order, and tied events out of author order
     lines = [
         event_line(id="t3", author="u1", ts=30, kind="original", urls=[]),
         event_line(id="t1", author="u1", ts=10, kind="original", urls=[]),
-        event_line(id="b", author="u2", ts=20, kind="original", urls=[]),
-        event_line(id="a", author="u3", ts=20, kind="original", urls=[]),
-        event_line(id="t9", author="u1", ts=5, kind="original", urls=[]),
+        event_line(id="b", author="u3", ts=20, kind="original", urls=[]),
+        event_line(id="a", author="u2", ts=20, kind="original", urls=[]),
+        event_line(id="t9", author="u2", ts=5, kind="original", urls=[]),
         event_line(id="t10", author="u1", ts=5, kind="original", urls=[]),
     ]
     log = parse_events(write(tmp_path / "ev.jsonl", "\n".join(lines) + "\n"))
-    assert [e.tweet_id for e in log.events] == ["t3", "t1", "b", "a", "t9", "t10"]
+    assert [(e.author, e.timestamp) for e in log.events] == [
+        ("u1", 30), ("u1", 10), ("u3", 20), ("u2", 20), ("u2", 5), ("u1", 5)
+    ]
     assert log.ts.tolist() == [30, 10, 20, 20, 5, 5]
     assert log.users == log.authors == ("u1", "u2", "u3")
     assert not log.ts.flags.writeable
 
 
+def test_ids_are_checked_not_kept(tmp_path):
+    # the same events under string ids (bulk reader) and integer ids (json per
+    # line) read as one log, which write_events numbers by row
+    def events_file(name, ids):
+        lines = [
+            json.dumps({"id": ids[0], "author": "u1", "ts": 3, "kind": "original",
+                        "urls": ["http://a.example/"]}, separators=(",", ":")),
+            json.dumps({"id": ids[1], "author": "u2", "ts": 1, "kind": "retweet",
+                        "orig_author": "u1", "urls": []}, separators=(",", ":")),
+        ]
+        return write(tmp_path / name, "\n".join(lines) + "\n")
+
+    strings, integers = events_file("s.jsonl", ["zz", "a"]), events_file("i.jsonl", [7, -3])
+    assert ingest._CANONICAL_EVENT.findall((tmp_path / "s.jsonl").read_text())
+    assert not ingest._CANONICAL_EVENT.findall((tmp_path / "i.jsonl").read_text())
+    assert log_outcome(parse_events, strings) == log_outcome(parse_events, integers)
+    write_events(parse_events(integers), str(tmp_path / "out.jsonl"))
+    written = (tmp_path / "out.jsonl").read_text().splitlines()
+    assert [line[:19] for line in written] == ['{"id":"t000000000",', '{"id":"t000000001",']
+
+
 def name_text(value, key, path, lineno):
     """An id or user name: a string, or an integer (not a bool) as its
-    decimal text; any other value is refused."""
+    decimal text; any other value is refused. An id is checked, not kept."""
     if type(value) is str:
         return value
     if type(value) is int:
@@ -379,7 +404,8 @@ def name_text(value, key, path, lineno):
 
 def reference_parse(path):
     """The events JSONL read one ``TweetEvent`` per line, in file order: the
-    plain-loop specification the columnar parser must match."""
+    plain-loop specification the columnar parser must match. Each id is
+    checked and dropped."""
     events = []
     n_urls_dropped = 0
     n_self_rts = 0
@@ -395,13 +421,13 @@ def reference_parse(path):
             if not isinstance(obj, dict):
                 raise InputFormatError("record is not an object", path=path, line=lineno)
             try:
-                tweet_id, author = obj["id"], obj["author"]
+                event_id, author = obj["id"], obj["author"]
                 ts, kind = obj["ts"], obj["kind"]
             except KeyError as exc:
                 raise InputFormatError(
                     f"missing key {exc.args[0]!r}", path=path, line=lineno
                 ) from None
-            tweet_id = name_text(tweet_id, "id", path, lineno)
+            name_text(event_id, "id", path, lineno)
             author = name_text(author, "author", path, lineno)
             if (
                 isinstance(ts, bool)
@@ -435,7 +461,7 @@ def reference_parse(path):
                     n_urls_dropped += 1
                 else:
                     domains.append(pld)
-            events.append(TweetEvent(tweet_id, author, int(ts), kind, orig_author, tuple(domains)))
+            events.append(TweetEvent(author, int(ts), kind, orig_author, tuple(domains)))
     return events, n_urls_dropped, n_self_rts
 
 
@@ -538,7 +564,7 @@ def test_columns_match_per_line_reference(tmp_path_factory, lines):
     assert log.authors == tuple(sorted({e.author for e in expected}))
     assert log.n_retweets == sum(e.is_retweet for e in expected)
     backwards = expected[::-1]
-    assert EventLog.from_events(backwards).events == tuple(backwards)
+    assert from_events(backwards).events == tuple(backwards)
     # a window keeps the order and the domains of the events inside it
     kept = log.restricted((2, 4))
     assert kept.events == tuple(e for e in expected if 2 <= e.timestamp <= 4)
@@ -550,45 +576,44 @@ def test_from_events_refuses_a_retweet_without_an_original_author(orig):
     # the parsers refuse such a record with the same message; stored, it
     # would carry orig_author -1 and fail validate_dataset later
     with pytest.raises(InputFormatError, match="^retweet record lacks orig_author$"):
-        EventLog.from_events([ev("t0", "u", 0), rt("t1", "v", 1, orig)])
-    assert EventLog.from_events([rt("t1", "v", 1, "u")]).orig_author.tolist() == [0]
+        from_events([ev("u", 0), rt("v", 1, orig)])
+    assert from_events([rt("v", 1, "u")]).orig_author.tolist() == [0]
 
 
 def write_event_lines(path, events):
     """``events`` written one json line each, with json's default separators
-    (so the per-line reader reads them), each domain as ``http://{domain}/``."""
+    (so the per-line reader reads them), each id its row as an integer and
+    each domain as ``http://{domain}/``."""
     lines = [
-        event_line(id=e.tweet_id, author=e.author, ts=e.timestamp, kind=e.kind,
+        event_line(id=row, author=e.author, ts=e.timestamp, kind=e.kind,
                    **({} if e.original_author is None else {"orig_author": e.original_author}),
                    urls=[f"http://{d}/" for d in e.domains])
-        for e in events
+        for row, e in enumerate(events)
     ]
     return write(path, "\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize("events", [
     # an original that names an original author: the parsers ignore that name
-    [ev("t0", "u", 0, orig="ghost", domains=["a.example"]), rt("t1", "v", 1, "u")],
+    [ev("u", 0, orig="ghost", domains=["a.example"]), rt("v", 1, "u")],
     # a self-retweet is dropped and counted; "w", named only there, gets no id
-    [ev("t0", "u", 0), rt("t1", "w", 1, "w", domains=["w.example"]), rt("t2", "v", 2, "u")],
+    [ev("u", 0), rt("w", 1, "w", domains=["w.example"]), rt("v", 2, "u")],
     # domains the parser would never give: each is read as the URL written
     # for it, so one is folded to its registrable domain and three are dropped
-    [ev("t0", "u", 0, domains=["www.Example.com", "co.uk", "bit.ly"]),
-     rt("t1", "v", 1, "u", domains=["192.0.2.1", "example.org"])],
-    # the parser reads an integer id as its decimal text
-    [ev("t", "u", 1, domains=["a.example"]), ev(5, "u", 1), ev(40, "v", 0)],
+    [ev("u", 0, domains=["www.Example.com", "co.uk", "bit.ly"]),
+     rt("v", 1, "u", domains=["192.0.2.1", "example.org"])],
     # and an integer user too, author or original author
-    [ev("t0", 12, 0), rt("t1", "v", 1, 12), rt("t2", 7, 2, "v")],
-    [ev("t0", "u", 0), ev("t1", "u", -5)],
-    [ev("t0", "u", 0), ev("t1", "u", 1, kind="quote")],
+    [ev(12, 0), rt("v", 1, 12), rt(7, 2, "v")],
+    [ev("u", 0), ev("u", -5)],
+    [ev("u", 0), ev("u", 1, kind="quote")],
 ], ids=["original-naming-an-author", "self-retweet", "domains-the-parser-would-not-give",
-        "int-id-tied-with-a-string-id", "int-author", "negative-timestamp", "kind-quote"])
+        "int-author", "negative-timestamp", "kind-quote"])
 def test_from_events_reads_what_parse_events_reads(tmp_path, events):
     # every column and counter alike, or the same error at the same line;
     # from_events names no path
     path = write_event_lines(tmp_path / "ev.jsonl", events)
     try:
-        log = EventLog.from_events(events)
+        log = from_events(events)
     except InputFormatError as exc:
         assert exc.path is None
         outcome = f"{path}:{exc.line}: {exc}"
@@ -598,9 +623,7 @@ def test_from_events_reads_what_parse_events_reads(tmp_path, events):
 
 
 def test_retweet_flag_is_derived_and_read_only():
-    log = EventLog.from_events(
-        [ev("t0", "u", 0), rt("t1", "v", 1, "u"), rt("t2", "u", 2, "w"), ev("t3", "w", 3)]
-    )
+    log = from_events([ev("u", 0), rt("v", 1, "u"), rt("u", 2, "w"), ev("w", 3)])
     assert "retweet" not in {field.name for field in fields(EventLog)}
     taken = log.take(np.array([3, 1, 0]))
     assert taken.retweet.tolist() == [False, True, False]
@@ -655,8 +678,7 @@ def log_outcome(parse, path):
         log = parse(path)
     except InputFormatError as exc:
         return str(exc)
-    columns = (log.tweet_ids, log.author, log.ts, log.retweet, log.orig_author,
-               log.domain_ptr, log.domain_ids)
+    columns = (log.author, log.ts, log.retweet, log.orig_author, log.domain_ptr, log.domain_ids)
     return (log.users, log.domains, *(c.tolist() for c in columns),
             log.n_urls_dropped, log.n_self_retweets_dropped)
 
@@ -668,7 +690,7 @@ def reference_log(path):
     events, n_urls_dropped, n_self_rts = reference_parse(path)
     cols = ingest._EventColumns()
     cols.extend(
-        [e.tweet_id for e in events], [e.author for e in events], [e.timestamp for e in events],
+        [e.author for e in events], [e.timestamp for e in events],
         [e.original_author for e in events], [len(e.domains) for e in events],
         hosts_of([f"http://{d}/" for e in events for d in e.domains]),
     )
@@ -899,12 +921,12 @@ def test_write_events_writes_characters_as_they_are(tmp_path):
 
 def test_write_events_failure_leaves_previous_file(tmp_path):
     path = tmp_path / "events.jsonl"
-    write_events(EventLog.from_events([ev("t0", "u", 0)]), str(path))
+    write_events(from_events([ev("u", 0)]), str(path))
     before = path.read_bytes()
-    # the second event's id cannot be serialised, so the write fails after
-    # the first line; from_events would refuse that id, so it is put in after
-    log = EventLog.from_events([ev("t1", "u", 1), ev("t2", "u", 2)])
-    broken = replace(log, tweet_ids=np.array(["t1", object()], dtype=object))
+    # the second event's author cannot be serialised, so the write fails after
+    # the first line; from_events would refuse that name, so it is put in after
+    log = from_events([ev("u", 1), ev("v", 2)])
+    broken = replace(log, users=("u", object()))
     with pytest.raises(TypeError):
         write_events(broken, str(path))
     assert path.read_bytes() == before
@@ -918,8 +940,8 @@ def test_write_events_failure_leaves_previous_file(tmp_path):
 @pytest.mark.parametrize("block_chars", [1, 2, 5])
 def test_writers_write_the_same_bytes_in_any_slice_size(tmp_path, block_chars):
     edges = FollowEdgeList.from_pairs([("u1", "u2"), ("u3", "u1"), ("u1", "u3"), ("u2", "u3")])
-    log = EventLog.from_events([ev("t0", "u", 3, domains=["a.example", "b.example"]),
-                                rt("t1", "v", 1, "u"), ev("t2", "v", 2, domains=["b.example"])])
+    log = from_events([ev("u", 3, domains=["a.example", "b.example"]),
+                       rt("v", 1, "u"), ev("v", 2, domains=["b.example"])])
     write_follow_edges(edges, str(tmp_path / "e.csv"))
     write_events(log, str(tmp_path / "ev.jsonl"))
     with mock.patch.object(ingest, "BLOCK_CHARS", block_chars):
@@ -940,7 +962,7 @@ def test_writers_hold_one_slice_at_a_time(tmp_path):
     edges = FollowEdgeList(names, *rng.integers(0, len(names), (2, n_edges)))
     cols = ingest._EventColumns()
     authors = rng.integers(0, len(names), n_events).tolist()
-    cols.extend([f"t{i:09d}" for i in range(n_events)], [names[a] for a in authors],
+    cols.extend([names[a] for a in authors],
                 rng.integers(0, 99, n_events), [names[a - 1] if a % 2 else None for a in authors],
                 np.ones(n_events, dtype=np.int64),
                 [f"outlet{d:03d}.example" for d in rng.integers(0, 100, n_events).tolist()])
@@ -952,13 +974,35 @@ def test_writers_hold_one_slice_at_a_time(tmp_path):
                                            (write_events, log, 180)):
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            with mock.patch.object(ingest, "_event_line", lambda ev: b"\n"):
+            with mock.patch.object(ingest, "_event_line", lambda row, ev: b"\n"):
                 write(data, str(tmp_path / "out"))
             peak = tracemalloc.get_traced_memory()[1] - before
             assert peak < 1.5 * bytes_per_row * ingest.BLOCK_CHARS, (write.__name__, peak)
     finally:
         tracemalloc.stop()
     assert "events" not in log.__dict__
+
+
+def test_parsed_log_holds_no_object_per_event(tmp_path):
+    # five int64 columns take 40 bytes an event, and the name tables a few
+    # more; a str kept per event (an id, say) adds at least 57 more
+    config = SynthConfig(n_users=2000, n_domains=200, follow_homophily=0.3,
+                         base_follow_prob=0.01, attention_bias=2.0, activity_rate=6.2,
+                         retweet_rate=4.0, duration=10**6, seed=3)
+    path = str(tmp_path / "ev.jsonl")
+    write_events(generate(config)[0].log, path)
+    parse_events(path)  # fills psl's host memo, which outlives the log
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log = parse_events(path)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(log) > 20_000
+    assert held < 64 * len(log), held / len(log)
 
 
 def test_atomic_open_names_a_path_it_cannot_write(tmp_path):
@@ -988,7 +1032,7 @@ def test_validate_flags_friendless_seed():
     bundle = make_bundle(
         {"a.example": 0.5},
         [("s1", "f1")],
-        [ev("t1", "s1", 1, domains=["a.example"])],
+        [ev("s1", 1, domains=["a.example"])],
         seeds={"s1", "s2"},
     )
     report = validate_dataset(bundle)
@@ -1000,7 +1044,7 @@ def test_validate_counts_dangling_retweets():
     bundle = make_bundle(
         {"a.example": 0.5},
         [("s1", "f1")],
-        [rt("t1", "s1", 1, "ghost", domains=["a.example"])],
+        [rt("s1", 1, "ghost", domains=["a.example"])],
     )
     report = validate_dataset(bundle)
     assert report.ok  # dangling retweets are warnings, not errors
@@ -1013,10 +1057,10 @@ def test_validate_scored_fraction():
         {"a.example": 0.5},
         [("s1", "f1")],
         [
-            ev("t1", "s1", 1, domains=["a.example"]),
-            ev("t2", "s1", 2, domains=["unscored.example"]),
-            ev("t3", "f1", 3, domains=[]),
-            ev("t4", "f1", 4, domains=["a.example", "unscored.example"]),
+            ev("s1", 1, domains=["a.example"]),
+            ev("s1", 2, domains=["unscored.example"]),
+            ev("f1", 3, domains=[]),
+            ev("f1", 4, domains=["a.example", "unscored.example"]),
         ],
     )
     assert validate_dataset(bundle).frac_events_with_scored_domain == 0.5
@@ -1047,8 +1091,8 @@ def test_edge_sources_match_unique(pairs):
 @settings(max_examples=200, deadline=None)
 def test_authors_and_validation_counts_match_unique(events):
     log_events = [
-        ev(f"t{i:02d}", author, i, domains=domains) if orig is None
-        else rt(f"t{i:02d}", author, i, orig, domains=domains)
+        ev(author, i, domains=domains) if orig is None
+        else rt(author, i, orig, domains=domains)
         for i, (author, orig, domains) in enumerate(events)
     ]
     bundle = make_bundle({"a.example": 0.5, "b.example": 1.0}, [("a", "b")], log_events)

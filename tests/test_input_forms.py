@@ -68,7 +68,7 @@ def assert_read_by(text, separators):
     rows = ingest._CANONICAL_EVENT.findall(text)
     if separators == COMPACT:
         assert len(rows) == text.count("\n")
-        assert ingest._url_arrays([row[4] for row in rows]) is not None
+        assert ingest._url_arrays([row[3] for row in rows]) is not None
     else:
         assert not rows
 

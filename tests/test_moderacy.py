@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ev, graphs_of, make_bundle, per_id, rt
+from conftest import ev, from_events, graphs_of, make_bundle, per_id, rt
 from echoscope import moderacy
 from echoscope.errors import EchoscopeError
 from echoscope.graph import (
@@ -22,7 +22,7 @@ from echoscope.graph import (
     sample_random_friend_subset,
     user_space,
 )
-from echoscope.ingest import EventLog, FollowEdgeList
+from echoscope.ingest import FollowEdgeList
 from echoscope.moderacy import (
     CLASSES,
     FOLLOWER,
@@ -128,15 +128,15 @@ def test_minmax_preserves_ranks(values):
 def test_individual_moderacy_uses_originals_only():
     table = {"a.x": 0.0, "b.x": 1.0}
     events = [
-        ev("t1", "u", 1, domains=["a.x"]),
-        rt("t2", "u", 2, "v", domains=["b.x", "b.x"]),
+        ev("u", 1, domains=["a.x"]),
+        rt("u", 2, "v", domains=["b.x", "b.x"]),
     ]
     engine = engine_of(make_bundle(table, [], events, seeds={"u"}))
     assert at(engine, engine.mu, "u") == 0.0
     assert fold(at(engine, engine.mu, "u")) == 1.0
     assert at(engine, engine.domain_count, "u") == 1
     # a retweets-only user has no individual score
-    log_rt = [rt("t1", "u", 1, "v", domains=["a.x"])]
+    log_rt = [rt("u", 1, "v", domains=["a.x"])]
     engine = engine_of(make_bundle(table, [], log_rt, seeds={"u"}))
     assert math.isnan(at(engine, engine.mu, "u"))
     assert at(engine, engine.class_code, "u") == -1
@@ -144,7 +144,7 @@ def test_individual_moderacy_uses_originals_only():
 
 def test_individual_moderacy_fixed_point():
     table = {"m.x": 0.5}
-    events = [ev("t1", "u", 1, domains=["m.x"]), ev("t2", "u", 2, domains=["m.x"])]
+    events = [ev("u", 1, domains=["m.x"]), ev("u", 2, domains=["m.x"])]
     engine = engine_of(make_bundle(table, [], events, seeds={"u"}))
     assert at(engine, engine.mu, "u") == 0.5
     assert fold(at(engine, engine.mu, "u")) == 0.5
@@ -153,8 +153,8 @@ def test_individual_moderacy_fixed_point():
 def test_individual_moderacy_window_and_unique():
     table = {"a.x": 0.0, "b.x": 1.0}
     events = [
-        ev("t1", "u", 10, domains=["a.x", "a.x", "b.x"]),
-        ev("t2", "u", 99, domains=["b.x"]),
+        ev("u", 10, domains=["a.x", "a.x", "b.x"]),
+        ev("u", 99, domains=["b.x"]),
     ]
     bundle = make_bundle(table, [], events, seeds={"u"})
     early = dataclasses.replace(bundle, log=bundle.log.restricted((0, 50)))
@@ -283,11 +283,11 @@ def test_unique_domain_engine_matches_fsum_reference_across_blocks(monkeypatch, 
     edges = [*bundle.edges.iter_edges(), ("z_one", users[0]), ("z_quiet_fan", "z_quiet"),
              (users[1], "z_quiet"), *(("z_hub", u) for u in users)]
     events = [*bundle.log.events,
-              ev("z1", "z_lonely", 1, domains=[scored[0]]),
-              ev("z2", "z_quiet", 2, domains=["unscored.example"]),
-              ev("z3", "z_hub", 3, domains=[scored[1]]),
-              ev("z4", "z_one", 4, domains=scored[:2]),
-              ev("z5", "z_quiet_fan", 5, domains=[scored[2]])]
+              ev("z_lonely", 1, domains=[scored[0]]),
+              ev("z_quiet", 2, domains=["unscored.example"]),
+              ev("z_hub", 3, domains=[scored[1]]),
+              ev("z_one", 4, domains=scored[:2]),
+              ev("z_quiet_fan", 5, domains=[scored[2]])]
     seeds = bundle.seeds | {"z_lonely", "z_one", "z_hub", "z_quiet_fan"}
     # scored domains nobody posts, before and among the posted ones: the
     # marker spans only the posted columns, so each sits at another index there
@@ -310,8 +310,8 @@ def exposure_fixture():
     scores = {"own.x": 0.2, "friend.x": 0.25}
     edges = [("u", "f")]
     events = [
-        ev("t1", "u", 1, domains=["own.x"]),
-        ev("t2", "f", 2, domains=["friend.x"]),
+        ev("u", 1, domains=["own.x"]),
+        ev("f", 2, domains=["friend.x"]),
     ]
     return make_bundle(scores, edges, events)
 
@@ -326,7 +326,7 @@ def test_exposure_moderacy_fold_branch_uses_own_mu():
 def test_exposure_requires_scored_user_and_nonempty_pool():
     scores = {"friend.x": 0.25}
     bundle = make_bundle(
-        scores, [("u", "f")], [ev("t1", "f", 1, domains=["friend.x"])]
+        scores, [("u", "f")], [ev("f", 1, domains=["friend.x"])]
     )
     # u shared nothing scored: the fold branch is undefined
     engine = engine_of(bundle)
@@ -337,7 +337,7 @@ def test_exposure_requires_scored_user_and_nonempty_pool():
     bundle2 = make_bundle(
         {"own.x": 0.3},
         [("u", "f")],
-        [ev("t1", "u", 1, domains=["own.x"]), ev("t2", "f", 2, domains=["junk.x"])],
+        [ev("u", 1, domains=["own.x"]), ev("f", 2, domains=["junk.x"])],
     )
     engine2 = engine_of(bundle2)
     assert math.isnan(at(engine2, engine2.raw_exposures(FOLLOWER), "u"))
@@ -350,11 +350,11 @@ def test_identical_friend_pools_give_identical_exposure():
     scores = {"own.x": 0.8, "a.x": 0.25, "b.x": 1.0}
     edges = [("u", "f1"), ("u", "f2")]
     events = [
-        ev("t1", "u", 1, domains=["own.x"]),
-        ev("t2", "f1", 2, domains=["a.x"]),
-        ev("t3", "f2", 3, domains=["b.x"]),
-        rt("t4", "u", 4, "f1"),
-        rt("t5", "u", 5, "f2"),
+        ev("u", 1, domains=["own.x"]),
+        ev("f1", 2, domains=["a.x"]),
+        ev("f2", 3, domains=["b.x"]),
+        rt("u", 4, "f1"),
+        rt("u", 5, "f2"),
     ]
     bundle = make_bundle(scores, edges, events)
     fg, rg = graphs_of(bundle)
@@ -370,9 +370,9 @@ def test_activity_weighting_brute_force_recount():
     # one loud friend (10 occurrences at 1.0), one quiet friend (1 at 0.0):
     # dropping the quiet one moves the mean by exactly 1/11 of the range
     scores = {"own.x": 0.9, "hot.x": 1.0, "cold.x": 0.0}
-    events = [ev("t1", "u", 1, domains=["own.x"])]
-    events += [ev(f"h{i}", "loud", 10 + i, domains=["hot.x"]) for i in range(10)]
-    events += [ev("c1", "quiet", 30, domains=["cold.x"])]
+    events = [ev("u", 1, domains=["own.x"])]
+    events += [ev("loud", 10 + i, domains=["hot.x"]) for i in range(10)]
+    events += [ev("quiet", 30, domains=["cold.x"])]
     bundle = make_bundle(scores, [("u", "loud"), ("u", "quiet")], events)
     engine = engine_of(bundle)
     raw = pool_mean(engine, "u")
@@ -388,9 +388,9 @@ def test_exposure_delta_and_sign_flip():
     # u pools {f1, f2} but retweets f1; v follows and retweets f1; w retweets nobody
     scores = {"own.x": 0.2, "a.x": 0.0, "b.x": 1.0}
     edges = [("u", "f1"), ("u", "f2"), ("v", "f1"), ("w", "f2")]
-    events = [ev(f"o{s}", s, 1, domains=["own.x"]) for s in ("u", "v", "w")]
-    events += [ev("t1", "f1", 2, domains=["a.x"]), ev("t2", "f2", 3, domains=["b.x"])]
-    events += [rt("r1", "u", 4, "f1"), rt("r2", "v", 5, "f1")]
+    events = [ev(s, 1, domains=["own.x"]) for s in ("u", "v", "w")]
+    events += [ev("f1", 2, domains=["a.x"]), ev("f2", 3, domains=["b.x"])]
+    events += [rt("u", 4, "f1"), rt("v", 5, "f1")]
     engine = engine_of(make_bundle(scores, edges, events))
     mset = engine.metrics_at(1)
     # folded raw exposures 0.5 (u, f), 1.0 (u, r), 1.0 (v, f and r), 0.0 (w, f)
@@ -406,10 +406,10 @@ def test_delta_negates_when_graph_roles_swap():
     scores = {"own.x": 0.1, "a.x": 0.0, "b.x": 0.5, "c.x": 1.0}
     edges = [("u", "f1"), ("u", "f2")]
     events = [
-        ev("t1", "u", 1, domains=["own.x"]),
-        ev("t2", "f1", 2, domains=["a.x"]),
-        ev("t3", "f2", 3, domains=["c.x", "b.x"]),
-        rt("t4", "u", 5, "f1"),
+        ev("u", 1, domains=["own.x"]),
+        ev("f1", 2, domains=["a.x"]),
+        ev("f2", 3, domains=["c.x", "b.x"]),
+        rt("u", 5, "f1"),
     ]
     bundle = make_bundle(scores, edges, events)
     fg, rg = graphs_of(bundle)
@@ -432,8 +432,8 @@ def test_exposure_class_fractions_forced_by_fold():
     scores = {"own.x": 0.2, "l.x": 0.0, "r.x": 1.0, "m.x": 0.5}
     edges = [("u", "f")]
     events = [
-        ev("t1", "u", 1, domains=["own.x"]),
-        ev("t2", "f", 2, domains=["l.x", "l.x", "r.x"]),
+        ev("u", 1, domains=["own.x"]),
+        ev("f", 2, domains=["l.x", "l.x", "r.x"]),
     ]
     bundle = make_bundle(scores, edges, events)
     frac_mod, frac_hard = exposure_class_fractions(engine_of(bundle), FOLLOWER)
@@ -441,8 +441,8 @@ def test_exposure_class_fractions_forced_by_fold():
     assert (frac_mod.tolist(), frac_hard.tolist()) == ([0.0], [1.0])
 
     events_mid = [
-        ev("t1", "u", 1, domains=["own.x"]),
-        ev("t2", "f", 2, domains=["m.x", "m.x"]),
+        ev("u", 1, domains=["own.x"]),
+        ev("f", 2, domains=["m.x", "m.x"]),
     ]
     bundle2 = make_bundle(scores, edges, events_mid)
     frac_mod, frac_hard = exposure_class_fractions(engine_of(bundle2), FOLLOWER)
@@ -450,7 +450,7 @@ def test_exposure_class_fractions_forced_by_fold():
 
 
 def test_class_fractions_empty_pool_absent():
-    bundle = make_bundle({"m.x": 0.5}, [("u", "f")], [ev("t1", "u", 1, domains=["m.x"])])
+    bundle = make_bundle({"m.x": 0.5}, [("u", "f")], [ev("u", 1, domains=["m.x"])])
     frac_mod, frac_hard = exposure_class_fractions(engine_of(bundle), FOLLOWER)
     assert np.isnan(frac_mod).all() and np.isnan(frac_hard).all()
 
@@ -462,11 +462,11 @@ def baseline_fixture():
     scores = {"own.x": 0.2, "a.x": 0.5, "b.x": 1.0}
     edges = [("u", "f1"), ("u", "f2")]
     events = [
-        ev("t1", "u", 1, domains=["own.x"]),
-        ev("t2", "f1", 2, domains=["a.x"]),
-        ev("t3", "f2", 3, domains=["b.x"]),
-        rt("t4", "u", 4, "f1"),
-        rt("t5", "u", 5, "f2"),
+        ev("u", 1, domains=["own.x"]),
+        ev("f1", 2, domains=["a.x"]),
+        ev("f2", 3, domains=["b.x"]),
+        rt("u", 4, "f1"),
+        rt("u", 5, "f2"),
     ]
     return make_bundle(scores, edges, events)
 
@@ -492,7 +492,7 @@ def test_baseline_absent_without_retweet_friends():
     bundle = make_bundle(
         {"own.x": 0.2, "a.x": 0.5},
         [("u", "f1")],
-        [ev("t1", "u", 1, domains=["own.x"]), ev("t2", "f1", 2, domains=["a.x"])],
+        [ev("u", 1, domains=["own.x"]), ev("f1", 2, domains=["a.x"])],
     )
     engine = engine_of(bundle)
     assert random_baseline_fractions(engine, "u", reps=10, rng=substream(1, "x")) is None
@@ -577,16 +577,16 @@ def edge_case_baseline_fixture():
     edges = [("c", "f1"), ("c", "f2"), ("e", "f1"), ("e", "f2"), ("e", "f3"),
              ("z", "q1"), ("z", "q2"), ("n", "f1"), ("n", "f2"), ("n", "f3"), ("n", "f4")]
     events = [
-        ev("t01", "f1", 1, domains=["l.x"]),
-        ev("t02", "f2", 2, domains=["m.x", "m.x"]),
-        ev("t03", "f3", 3, domains=["r.x"]),
-        ev("t04", "f4", 4, domains=["m.x", "l.x"]),
-        ev("t05", "q1", 5, domains=["unscored.x"]),
-        ev("t06", "q2", 6),
+        ev("f1", 1, domains=["l.x"]),
+        ev("f2", 2, domains=["m.x", "m.x"]),
+        ev("f3", 3, domains=["r.x"]),
+        ev("f4", 4, domains=["m.x", "l.x"]),
+        ev("q1", 5, domains=["unscored.x"]),
+        ev("q2", 6),
     ]
     retweets = {"c": ["f1", "f2", "f3", "f4"], "e": ["f1", "f2", "f3"], "z": ["q1"], "n": ["f1", "f2"]}
     for user, targets in retweets.items():
-        events += [rt(f"r-{user}-{t}", user, 10, t) for t in targets]
+        events += [rt(user, 10, t) for t in targets]
     return make_bundle(scores, edges, events)
 
 
@@ -624,8 +624,8 @@ def test_baseline_clamp_warns_once_per_seed(caplog):
 def test_activity_counts_and_dedup():
     scores = {"m.x": 0.5}
     edges = [("s1", "f1"), ("s2", "f1"), ("s1", "f2")]
-    events = [ev(f"t{i}", "f1", i, domains=["m.x"]) for i in range(5)]
-    events += [rt("r1", "s1", 10, "f1"), rt("r2", "s2", 11, "f1")]
+    events = [ev("f1", i, domains=["m.x"]) for i in range(5)]
+    events += [rt("s1", 10, "f1"), rt("s2", 11, "f1")]
     bundle = make_bundle(scores, edges, events)
     engine = engine_of(bundle)
     friends, activity, retweeted = friend_activity_comparison(engine, 1)
@@ -640,7 +640,7 @@ def test_activity_window():
     bundle = make_bundle(
         scores,
         [("s", "f")],
-        [ev(f"t{i}", "f", 10 * i, domains=["m.x"]) for i in range(5)],
+        [ev("f", 10 * i, domains=["m.x"]) for i in range(5)],
     )
     early = dataclasses.replace(bundle, log=bundle.log.restricted((0, 20)))
     _, activity, _ = friend_activity_comparison(engine_of(early), 1)
@@ -661,7 +661,7 @@ def test_congruence_extremes_and_symmetry():
         "n2": MODERATE,
     }
     edges = [("u", f) for f in ("r1", "r2", "n1", "n2")]
-    events = [rt("t1", "u", 1, "r1"), rt("t2", "u", 2, "r2")]
+    events = [rt("u", 1, "r1"), rt("u", 2, "r2")]
     bundle = make_bundle({"m.x": 0.5}, edges, events)
     fg, rg = graphs_of(bundle)
     frac_r, frac_n = congruent_friend_fraction_diff(fg, rg, class_codes(fg, classes), 1)
@@ -680,7 +680,7 @@ def test_congruence_extremes_and_symmetry():
 
 def test_congruence_absent_cases():
     edges = [("u", "r1"), ("u", "n1")]
-    events = [rt("t1", "u", 1, "r1")]
+    events = [rt("u", 1, "r1")]
     bundle = make_bundle({"m.x": 0.5}, edges, events)
     fg, rg = graphs_of(bundle)
     # unscored user, then no scored friend in the not-retweeted partition
@@ -709,9 +709,9 @@ def test_engine_window_restricts_everything():
     scores = {"a.x": 0.0, "b.x": 1.0, "own.x": 0.4}
     edges = [("u", "f")]
     events = [
-        ev("t1", "u", 10, domains=["own.x"]),
-        ev("t2", "f", 20, domains=["a.x"]),
-        ev("t3", "f", 90, domains=["b.x"]),
+        ev("u", 10, domains=["own.x"]),
+        ev("f", 20, domains=["a.x"]),
+        ev("f", 90, domains=["b.x"]),
     ]
     bundle = make_bundle(scores, edges, events)
     full = engine_of(bundle)
@@ -727,10 +727,10 @@ def test_graphs_and_index_from_another_id_space_refused():
     b = make_bundle(
         {"x.example": 0.2},
         [("u", "f")],
-        [ev("t1", "u", 1, domains=["x.example"]), rt("t2", "u", 2, "g", domains=["x.example"])],
+        [ev("u", 1, domains=["x.example"]), rt("u", 2, "g", domains=["x.example"])],
     )
     # each graph built over the users its own input names: {u, f} and {u, g}
-    fg = build_follower_graph(user_space(b.seeds, b.edges, EventLog.from_events([])))
+    fg = build_follower_graph(user_space(b.seeds, b.edges, from_events([])))
     rg = build_retweet_graph(user_space(b.seeds, FollowEdgeList.from_pairs([]), b.log))
     with pytest.raises(EchoscopeError, match="one id space"):
         MetricsEngine(b, fg, rg)

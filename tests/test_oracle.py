@@ -11,9 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import ev, make_bundle, rt
+from conftest import ev, from_events, make_bundle, rt
 from echoscope.graph import build_follower_graph, build_retweet_graph, user_space
-from echoscope.ingest import EventLog
 import echoscope.moderacy as moderacy
 from echoscope.moderacy import HARDLINER, MODERATE, MetricsEngine
 from echoscope.oracle import compare_with_oracle, oracle_metrics
@@ -101,13 +100,13 @@ def test_engine_matches_oracle_handmade_edge_cases():
         {"a.x": 0.0, "m.x": 0.5, "r.x": 1.0},
         [("s1", "f1"), ("s1", "f2"), ("s2", "f1"), ("f1", "s1")],
         [
-            ev("t1", "s1", 1, domains=["a.x", "m.x"]),
-            ev("t2", "f1", 2, domains=["r.x"]),
-            ev("t3", "f2", 3, domains=[]),
-            rt("t4", "s1", 4, "f1"),
-            rt("t5", "s1", 5, "ghost"),
-            rt("t6", "s2", 6, "f1", domains=["r.x"]),
-            ev("t7", "s2", 7, domains=["unscored.x"]),
+            ev("s1", 1, domains=["a.x", "m.x"]),
+            ev("f1", 2, domains=["r.x"]),
+            ev("f2", 3, domains=[]),
+            rt("s1", 4, "f1"),
+            rt("s1", 5, "ghost"),
+            rt("s2", 6, "f1", domains=["r.x"]),
+            ev("s2", 7, domains=["unscored.x"]),
         ],
     )
     diff = compare_with_oracle(bundle, k=1)
@@ -232,8 +231,8 @@ def test_report_row_sets_match_oracle(seed, unique_domains, tmp_path):
     # those accounts have ids in the report but no row in any table
     bundle = synth_bundle(seed, n_users=30, base_follow_prob=0.2)
     users = sorted(bundle.seeds)
-    extra = [rt(f"x{i}", u, 10 + i, f"outsider{i % 3}") for i, u in enumerate(users[1::2])]
-    log = EventLog.from_events(list(bundle.log.events) + extra)
+    extra = [rt(u, 10 + i, f"outsider{i % 3}") for i, u in enumerate(users[1::2])]
+    log = from_events(list(bundle.log.events) + extra)
     bundle = dataclasses.replace(bundle, log=log, seeds=frozenset(users[::2]))
     followed = {friend for seed, friend in bundle.edges.iter_edges() if seed in bundle.seeds}
     assert not followed & {"outsider0", "outsider1", "outsider2"}
@@ -330,13 +329,12 @@ def adversarial_bundles(draw):
     for author in users:
         others = [u for u in users if u != author]
         for _ in range(draw(st.integers(0, 3))):
-            tid = f"t{len(events)}"
             ts = draw(st.integers(0, 5))  # narrow range: timestamp ties
             domains = draw(st.lists(st.sampled_from(DOMAINS + ("junk.x",)), max_size=3))
             if draw(st.booleans()):
-                events.append(rt(tid, author, ts, draw(st.sampled_from(others)), domains))
+                events.append(rt(author, ts, draw(st.sampled_from(others)), domains))
             else:
-                events.append(ev(tid, author, ts, domains=domains))
+                events.append(ev(author, ts, domains=domains))
     return make_bundle(scores, edges, events, seeds=seeds)
 
 

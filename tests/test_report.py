@@ -58,10 +58,10 @@ def rich_bundle():
         ("f1", "l.x"), ("f1", "lc.x"), ("f2", "m.x"), ("f3", "r.x"), ("f3", "rc.x"),
     ]:
         t += 10
-        events.append(ev(f"o{t}", author, t, domains=[domain]))
+        events.append(ev(author, t, domains=[domain]))
     for author, orig in [("s1", "f1"), ("s1", "f1"), ("s2", "f2"), ("s3", "f3")]:
         t += 10
-        events.append(rt(f"r{t}", author, t, orig))
+        events.append(rt(author, t, orig))
     return make_bundle(scores, edges, events)
 
 

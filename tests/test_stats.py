@@ -10,7 +10,7 @@ from scipy.special import betainc, betaln
 
 from echoscope.errors import UndefinedStatisticError
 from echoscope.graph import build_follower_graph, build_retweet_graph, user_space
-from echoscope.ingest import EventLog, FollowEdgeList
+from echoscope.ingest import FollowEdgeList
 from echoscope.stats import (
     EXACT_U_THRESHOLD,
     _approx_u_pvalue,
@@ -23,7 +23,7 @@ from echoscope.stats import (
     shannon_entropy,
     student_t_two_sided,
 )
-from conftest import per_id, rt, t_two_sided_reference
+from conftest import from_events, per_id, rt, t_two_sided_reference
 
 
 # ---------------------------------------------------------------- pearson
@@ -339,7 +339,7 @@ def test_entropy_maximized_by_uniform():
 def test_entropy_comparison_subset_purity():
     # retweet friends are an ideologically pure subset of diverse friends
     edges = FollowEdgeList.from_pairs([("s", f"f{i}") for i in range(4)])
-    log = EventLog.from_events([rt("t1", "s", 1, "f0"), rt("t2", "s", 2, "f1")])
+    log = from_events([rt("s", 1, "f0"), rt("s", 2, "f1")])
     space = user_space({"s"}, edges, log)
     fg, rg = build_follower_graph(space), build_retweet_graph(space)
     m_s = per_id(fg.names, {"f0": 0.9, "f1": 0.95, "f2": 0.1, "f3": 0.5})
@@ -350,7 +350,7 @@ def test_entropy_comparison_subset_purity():
 
 def test_entropy_comparison_identical_sets_and_skips():
     edges = FollowEdgeList.from_pairs([("s", "a"), ("s", "b"), ("q", "a")])
-    log = EventLog.from_events([rt("t1", "s", 1, "a"), rt("t2", "s", 2, "b")])
+    log = from_events([rt("s", 1, "a"), rt("s", 2, "b")])
     space = user_space({"s", "q"}, edges, log)
     fg, rg = build_follower_graph(space), build_retweet_graph(space)
     m_s = per_id(fg.names, {"a": 0.2, "b": 0.8})

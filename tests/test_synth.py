@@ -219,7 +219,7 @@ def test_oracle_single_user_bundle():
     bundle = make_bundle(
         {"a.example": 0.25},
         [],
-        [ev("t1", "u", 1, domains=["a.example"])],
+        [ev("u", 1, domains=["a.example"])],
         seeds={"u"},
     )
     result = oracle_metrics(bundle)
